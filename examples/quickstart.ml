@@ -89,7 +89,9 @@ let () =
     (mira_ns /. 1e6) (mira_ns /. native_ns) (swap_ns /. mira_ns);
 
   Printf.printf "what the controller decided:\n";
-  List.iter (fun line -> Printf.printf "  %s\n" line) (C.log_strings compiled);
+  List.iter
+    (fun line -> Printf.printf "  %s\n" line)
+    (List.map Mira_telemetry.Decision.render compiled.C.c_log);
 
   Printf.printf "\nthe compiled work function (rmem dialect):\n\n%s\n"
     (Mira_mir.Printer.func_to_string (Ir.find_func compiled.C.c_program "work"))

@@ -50,4 +50,4 @@ let () =
   Printf.printf "\ncontroller decisions:\n";
   List.iter
     (fun l -> if String.length l < 100 then Printf.printf "  %s\n" l)
-    (C.log_strings compiled)
+    (List.map Mira_telemetry.Decision.render compiled.C.c_log)

@@ -1,90 +1,92 @@
-(** The shared contract of a local cache over far memory.
+(** One of the two local caches over far memory.
 
-    Both cache flavours — the compiler-configured [Section] and the
-    page-granularity [Swap_section] — implement [OPS]: lookup
-    (load/store), insertion via prefetch, writeback/flush, discard,
-    teardown, and telemetry publication.  [Manager] and [Runtime]
-    dispatch through a packed [handle], so nothing above the cache
-    layer special-cases the swap section any more: "no section assigned"
-    simply routes to the swap handle. *)
+    A cache is either a compiler-configured [Section] or the
+    page-granularity [Swap_section]; both move lines through
+    [Transfer].  [Manager] and [Runtime] dispatch on this closed
+    variant, so nothing above the cache layer special-cases the swap
+    section: "no section assigned" simply routes to [Swap].
 
-module type OPS = sig
-  type t
+    The operations: lookup (load/store, plus the compiler-proved
+    resident [load_native]/[store_native], which the swap section
+    serves through its page table like any access), asynchronous
+    insertion ([prefetch_range]), writeback ([evict_hint] marks covered
+    data a preferred victim and writes it back asynchronously;
+    [flush_range] writes back synchronously without evicting;
+    [flush_all] re-issues every still-dirty line after a failover),
+    [discard_range] (drop without writeback), [drop_all] (end of
+    lifetime), and telemetry ([publish], [reset_stats],
+    [metadata_bytes], and [counters] = (hits, misses-or-faults) for
+    profiler attribution). *)
 
-  val kind : string
-  (** ["section"] or ["swap"]; used for diagnostics. *)
+type handle = Section of Section.t | Swap of Swap_section.t
 
-  val load : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
-  val store : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
+let load h ~clock ~addr ~len =
+  match h with
+  | Section s -> Section.load s ~clock ~addr ~len
+  | Swap s -> Swap_section.load s ~clock ~addr ~len
 
-  val load_native : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
-  (** Compiler-proved-resident access; implementations without a native
-      fast path fall back to [load]. *)
+let store h ~clock ~addr ~len v =
+  match h with
+  | Section s -> Section.store s ~clock ~addr ~len v
+  | Swap s -> Swap_section.store s ~clock ~addr ~len v
 
-  val store_native :
-    t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
+let load_native h ~clock ~addr ~len =
+  match h with
+  | Section s -> Section.load_native s ~clock ~addr ~len
+  | Swap s -> Swap_section.load s ~clock ~addr ~len
 
-  val prefetch_range : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
-  (** Asynchronously insert all lines/pages covering the range. *)
+let store_native h ~clock ~addr ~len v =
+  match h with
+  | Section s -> Section.store_native s ~clock ~addr ~len v
+  | Swap s -> Swap_section.store s ~clock ~addr ~len v
 
-  val evict_hint : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
-  (** Write back covered dirty data asynchronously and mark it a
-      preferred eviction victim. *)
+let prefetch_range h ~clock ~addr ~len =
+  match h with
+  | Section s -> Section.prefetch s ~clock ~addr ~len
+  | Swap s -> Swap_section.prefetch_range s ~clock ~addr ~len
 
-  val flush_range : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
-  (** Synchronous writeback (without eviction) of covered dirty data. *)
+let evict_hint h ~clock ~addr ~len =
+  match h with
+  | Section s -> Section.flush_evict s ~clock ~addr ~len
+  | Swap s -> Swap_section.evict_hint s ~clock ~addr ~len
 
-  val discard_range : t -> addr:int -> len:int -> unit
-  (** Drop covered data {e without} writing it back. *)
+let flush_range h ~clock ~addr ~len =
+  match h with
+  | Section s -> Section.flush_range s ~clock ~addr ~len
+  | Swap s -> Swap_section.flush_range s ~clock ~addr ~len
 
-  val flush_all : t -> clock:Mira_sim.Clock.t -> unit
-  (** Asynchronously re-issue writebacks for {e all} still-dirty data,
-      without evicting anything.  The failover recovery path: after the
-      primary far node crashes, every dirty line must reach the new
-      primary again. *)
+let discard_range h ~addr ~len =
+  match h with
+  | Section s -> Section.discard_range s ~addr ~len
+  | Swap s -> Swap_section.discard_range s ~addr ~len
 
-  val drop_all : t -> clock:Mira_sim.Clock.t -> unit
-  (** End of lifetime: write back dirty data and empty the cache. *)
+let flush_all h ~clock =
+  match h with
+  | Section s -> Section.flush_all s ~clock
+  | Swap s -> Swap_section.flush_all s ~clock
 
-  val publish : t -> Mira_telemetry.Metrics.t -> unit
-  val reset_stats : t -> unit
-  val metadata_bytes : t -> int
+let drop_all h ~clock =
+  match h with
+  | Section s -> Section.drop_all s ~clock
+  | Swap s -> Swap_section.drop_all s ~clock
 
-  val counters : t -> int * int
-  (** (hits, misses-or-faults) snapshot for profiler attribution. *)
-end
+let publish h reg =
+  match h with
+  | Section s -> Section.publish s reg
+  | Swap s -> Swap_section.publish s reg
 
-type handle = Handle : (module OPS with type t = 'a) * 'a -> handle
+let reset_stats = function
+  | Section s -> Section.reset_stats s
+  | Swap s -> Swap_section.reset_stats s
 
-(* Dispatch helpers so call sites read like method calls. *)
+let metadata_bytes = function
+  | Section s -> Section.metadata_bytes s
+  | Swap s -> Swap_section.metadata_bytes s
 
-let kind (Handle ((module M), _)) = M.kind
-let load (Handle ((module M), s)) ~clock ~addr ~len = M.load s ~clock ~addr ~len
-
-let store (Handle ((module M), s)) ~clock ~addr ~len v =
-  M.store s ~clock ~addr ~len v
-
-let load_native (Handle ((module M), s)) ~clock ~addr ~len =
-  M.load_native s ~clock ~addr ~len
-
-let store_native (Handle ((module M), s)) ~clock ~addr ~len v =
-  M.store_native s ~clock ~addr ~len v
-
-let prefetch_range (Handle ((module M), s)) ~clock ~addr ~len =
-  M.prefetch_range s ~clock ~addr ~len
-
-let evict_hint (Handle ((module M), s)) ~clock ~addr ~len =
-  M.evict_hint s ~clock ~addr ~len
-
-let flush_range (Handle ((module M), s)) ~clock ~addr ~len =
-  M.flush_range s ~clock ~addr ~len
-
-let discard_range (Handle ((module M), s)) ~addr ~len =
-  M.discard_range s ~addr ~len
-
-let flush_all (Handle ((module M), s)) ~clock = M.flush_all s ~clock
-let drop_all (Handle ((module M), s)) ~clock = M.drop_all s ~clock
-let publish (Handle ((module M), s)) reg = M.publish s reg
-let reset_stats (Handle ((module M), s)) = M.reset_stats s
-let metadata_bytes (Handle ((module M), s)) = M.metadata_bytes s
-let counters (Handle ((module M), s)) = M.counters s
+let counters = function
+  | Section s ->
+    let st = Section.stats s in
+    (st.Section.hits, st.Section.misses)
+  | Swap s ->
+    let st = Swap_section.stats s in
+    (st.Swap_section.hits, st.Swap_section.faults)

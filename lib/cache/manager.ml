@@ -26,7 +26,7 @@ let create net cluster ~budget ~page ~side =
     budget;
     page;
     swap;
-    swap_h = Swap_section.handle swap;
+    swap_h = Cache_section.Swap swap;
     sections = Hashtbl.create 16;
     site_to_section = Hashtbl.create 16;
     section_bytes = 0;
@@ -58,7 +58,8 @@ let sections t =
   |> List.sort (fun a b ->
          compare (Section.config a).Section.sec_id (Section.config b).Section.sec_id)
 
-let handles t = List.map Section.handle (sections t) @ [ t.swap_h ]
+let handles t =
+  List.map (fun s -> Cache_section.Section s) (sections t) @ [ t.swap_h ]
 
 (* Process any cluster crash/recovery events due by now.  Called at
    every reconfiguration point (and by the runtime's access path), so
@@ -238,7 +239,7 @@ let route t ~site =
 
 let route_handle t ~site =
   match route t ~site with
-  | Some section -> Section.handle section
+  | Some section -> Cache_section.Section section
   | None -> t.swap_h
 
 let metadata_bytes t =

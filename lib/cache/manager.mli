@@ -17,7 +17,7 @@ val budget : t -> int
 val swap : t -> Swap_section.t
 
 val swap_handle : t -> Cache_section.handle
-(** The swap section packed behind the uniform cache contract. *)
+(** The swap section as a [Cache_section.handle]. *)
 
 val net : t -> Mira_sim.Net.t
 

@@ -69,16 +69,13 @@ type line_state = {
 
 type t = {
   cfg : config;
-  net : Mira_sim.Net.t;
-  far : Mira_sim.Cluster.t;
   lines : line_state array;
   table : (int, int) Hashtbl.t;  (* full-assoc: tag -> slot *)
   mutable free_slots : int list;  (* full-assoc only *)
   mutable hand : int;  (* CLOCK sweep position, full-assoc *)
   mutable evict_hints : int list;  (* slots hinted evictable, full-assoc *)
-  mutable used : int;
   stats : stats;
-  mutable attribution : Mira_telemetry.Attribution.t option;
+  tr : Transfer.t;
 }
 
 let create net far cfg =
@@ -106,37 +103,20 @@ let create net far cfg =
   in
   {
     cfg;
-    net;
-    far;
     lines = Array.init nslots (fun _ -> fresh_line ());
     table = Hashtbl.create (max 16 nslots);
     free_slots = List.init nslots (fun i -> i);
     hand = 0;
     evict_hints = [];
-    used = 0;
     stats = fresh_stats ();
-    attribution = None;
+    tr =
+      Transfer.create net far ~side:cfg.side ~line:cfg.line ~section:cfg.sec_name
+        ~lane:("section:" ^ cfg.sec_name);
   }
 
 let config t = t.cfg
 let stats t = t.stats
-let set_attribution t a = t.attribution <- Some a
-
-let charge_stall t cause stall =
-  match t.attribution with
-  | None -> ()
-  | Some a ->
-    Mira_telemetry.Attribution.charge a ~section:t.cfg.sec_name cause stall
-
-let charge_split t (c : Mira_sim.Net.completion) stall =
-  match t.attribution with
-  | None -> ()
-  | Some a ->
-    Mira_telemetry.Attribution.charge_parts a ~section:t.cfg.sec_name
-      ~holders:c.Mira_sim.Net.holders
-      (Mira_telemetry.Attribution.split_stall ~stall
-         ~wire_ns:c.Mira_sim.Net.wire_ns ~queue_ns:c.Mira_sim.Net.queue_ns
-         ~retry_ns:c.Mira_sim.Net.retry_ns)
+let set_attribution t a = Transfer.set_attribution t.tr a
 
 let reset_stats t =
   let d = t.stats in
@@ -169,9 +149,6 @@ let publish t reg =
   g (p "stall_ns") s.stall_ns;
   Mira_telemetry.Metrics.set_hist reg (p "fetch_latency") s.lat_fetch
 
-let lines_total t = Array.length t.lines
-let lines_used t = t.used
-
 (* Per-line runtime metadata: tag + flags + ready time + LRU stamp + a
    table entry for associative structures.  The paper's point (§4.4) is
    that compiler-controlled sections need none of it. *)
@@ -187,7 +164,7 @@ let metadata_bytes t =
     per_line * Array.length t.lines
   end
 
-let params t = Mira_sim.Net.params t.net
+let params t = Mira_sim.Net.params t.tr.Transfer.net
 
 let lookup_cost t =
   let p = params t in
@@ -220,89 +197,20 @@ let find_slot t tag =
 
 (* --- victim selection --------------------------------------------------- *)
 
-(* Post one line writeback on the data plane.  [sync] posts urgently
-   and blocks on the completion; otherwise it is fire-and-forget
-   (detached: accounted and fenced, but never reaped).  When the
-   cluster is replicating, the backup's copy rides a second detached
-   write — asynchronous even for sync flushes, and mergeable with the
-   primary writeback under doorbell batching. *)
-(* Causal context for a child request of the access currently being
-   executed.  [flow] children (detached writebacks, prefetches) link
-   with flow arrows only; synchronous children nest under the ambient
-   span. *)
-let child_ctx ~flow =
-  if Mira_telemetry.Trace.enabled () then
-    match Mira_telemetry.Trace.current_ctx () with
-    | Some c -> Some { c with Mira_telemetry.Trace.sc_flow = flow }
-    | None -> None
-  else None
-
-let post_writeback t ~clock ~base ~sync =
-  let node = Mira_sim.Cluster.node_of_addr t.far ~addr:base in
-  let req ~flow =
-    Mira_sim.Net.Request.write ~node ?ctx:(child_ctx ~flow) ~side:t.cfg.side
-      ~purpose:Mira_sim.Net.Writeback t.cfg.line
-  in
-  let now = Mira_sim.Clock.now clock in
-  if sync then begin
-    let sq = Mira_sim.Net.submit t.net ~now ~urgent:true (req ~flow:false) in
-    Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns;
-    let c = Mira_sim.Net.await t.net ~now ~id:sq.Mira_sim.Net.id in
-    let stall =
-      Mira_sim.Clock.wait_event clock
-        ~ev:(Mira_sim.Clock.Net_completion sq.Mira_sim.Net.id)
-        c.Mira_sim.Net.done_at
-    in
-    charge_stall t Mira_telemetry.Attribution.Writeback stall
-  end
-  else begin
-    let sq = Mira_sim.Net.submit t.net ~now ~detached:true (req ~flow:true) in
-    Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns
-  end;
-  (* Parity/copy fan-out: one detached write per live parity row, sized
-     to the scheme's true bytes-on-wire for this line (a mirror pays a
-     full copy per replica; EC pays the touched chunk union per row). *)
-  List.iter
-    (fun (rnode, bytes) ->
-      let now = Mira_sim.Clock.now clock in
-      let sq =
-        Mira_sim.Net.submit t.net ~now ~detached:true
-          (Mira_sim.Net.Request.write ~node:rnode ?ctx:(child_ctx ~flow:true)
-             ~side:t.cfg.side ~purpose:Mira_sim.Net.Writeback bytes)
-      in
-      Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns)
-    (Mira_sim.Cluster.replica_payloads t.far ~addr:base ~len:t.cfg.line);
-  (* If the data chunk's node was down, the write had to decode the old
-     contents from survivors; that extra read traffic rides detached
-     (the writeback itself is not blocked on it). *)
-  let rb = Mira_sim.Cluster.take_reconstruction t.far in
-  if rb > 0 then begin
-    let now = Mira_sim.Clock.now clock in
-    let sq =
-      Mira_sim.Net.submit t.net ~now ~detached:true
-        (Mira_sim.Net.Request.read
-           ~node:(Mira_sim.Cluster.serving_node t.far)
-           ?ctx:(child_ctx ~flow:true) ~side:t.cfg.side
-           ~purpose:Mira_sim.Net.Demand rb)
-    in
-    Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns
-  end
-
 (* read_discard is a cost hint for clean lines; dirty data must always
    reach the far store or it would be lost. *)
-let writeback_victim t ~clock line =
+let writeback t ~clock line ~sync =
   if line.dirty then begin
-    let base = line.tag * t.cfg.line in
-    Mira_sim.Cluster.write t.far ~addr:base ~len:t.cfg.line ~src:line.data ~src_off:0;
-    post_writeback t ~clock ~base ~sync:false;
+    Transfer.writeback t.tr ~clock ~base:(line.tag * t.cfg.line) ~data:line.data
+      ~sync;
+    line.dirty <- false;
     t.stats.writebacks <- t.stats.writebacks + 1
-  end;
-  line.dirty <- false
+  end
 
 let release_slot t ~clock slot =
   let line = t.lines.(slot) in
   if line.tag >= 0 then begin
-    writeback_victim t ~clock line;
+    writeback t ~clock line ~sync:false;
     (match t.cfg.structure with
     | Full_assoc -> Hashtbl.remove t.table line.tag
     | Direct | Set_assoc _ -> ());
@@ -311,8 +219,7 @@ let release_slot t ~clock slot =
     line.tag <- -1;
     line.evictable <- false;
     line.pinned <- false;
-    line.refbit <- false;
-    t.used <- t.used - 1
+    line.refbit <- false
   end
 
 let pick_victim_full t =
@@ -388,43 +295,12 @@ let allocate_slot t ~clock tag =
       release_slot t ~clock slot;
       slot)
 
-(* A fill that had to erasure-decode (its data node down, group within
-   quorum) read k survivor chunk ranges instead of one: model the
-   extra (k-1)*c bytes as an urgent demand read and charge the wait to
-   the [Reconstruct] attribution cause. *)
-let charge_reconstruction t ~clock =
-  let rb = Mira_sim.Cluster.take_reconstruction t.far in
-  if rb > 0 then begin
-    let now = Mira_sim.Clock.now clock in
-    let sq =
-      Mira_sim.Net.submit t.net ~now ~urgent:true
-        (Mira_sim.Net.Request.read
-           ~node:(Mira_sim.Cluster.serving_node t.far)
-           ?ctx:(child_ctx ~flow:false) ~side:t.cfg.side
-           ~purpose:Mira_sim.Net.Demand rb)
-    in
-    Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns;
-    let c = Mira_sim.Net.await t.net ~now ~id:sq.Mira_sim.Net.id in
-    let stall =
-      Mira_sim.Clock.wait_event clock
-        ~ev:(Mira_sim.Clock.Net_completion sq.Mira_sim.Net.id)
-        c.Mira_sim.Net.done_at
-    in
-    charge_stall t Mira_telemetry.Attribution.Reconstruct stall;
-    if Mira_telemetry.Trace.enabled () then
-      Mira_telemetry.Trace.complete ~name:"reconstruct" ~cat:"cluster"
-        ~lane:(Mira_sim.Cluster.service_lane t.far) ~ts_ns:now
-        ~dur_ns:(Mira_sim.Clock.now clock -. now)
-        ~args:[ ("bytes", Mira_telemetry.Json.Int rb) ]
-        ()
-  end
-
 let install t ~clock ~tag ~ready_at =
   let slot = allocate_slot t ~clock tag in
   let line = t.lines.(slot) in
   let base = tag * t.cfg.line in
-  Mira_sim.Cluster.read t.far ~addr:base ~len:t.cfg.line ~dst:line.data ~dst_off:0;
-  charge_reconstruction t ~clock;
+  Mira_sim.Cluster.read t.tr.Transfer.far ~addr:base ~len:t.cfg.line ~dst:line.data ~dst_off:0;
+  Transfer.drain_reconstruction t.tr ~clock;
   line.tag <- tag;
   line.dirty <- false;
   line.ready_at <- ready_at;
@@ -435,7 +311,6 @@ let install t ~clock ~tag ~ready_at =
   (match t.cfg.structure with
   | Full_assoc -> Hashtbl.replace t.table tag slot
   | Direct | Set_assoc _ -> ());
-  t.used <- t.used + 1;
   slot
 
 (* --- access paths ------------------------------------------------------- *)
@@ -449,28 +324,12 @@ let touch t ~clock slot =
   (* Re-using a line cancels a pending eviction hint. *)
   line.evictable <- false
 
+(* A hit on a line still in flight: a late prefetch. *)
 let wait_ready t ~clock line =
-  let stall =
-    Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Cache_fill line.ready_at
-  in
+  let stall = Transfer.wait_ready t.tr ~clock ~name:"late-prefetch" line.ready_at in
   if stall > 0.0 then begin
     t.stats.late_prefetch <- t.stats.late_prefetch + 1;
-    t.stats.stall_ns <- t.stats.stall_ns +. stall;
-    (* A late prefetch is still waiting on the wire. *)
-    charge_stall t Mira_telemetry.Attribution.Demand_wire stall;
-    if Mira_telemetry.Trace.enabled () then
-      match Mira_telemetry.Trace.current_ctx () with
-      | Some ctx ->
-        let module Tr = Mira_telemetry.Trace in
-        let span = Tr.new_span () in
-        let lane = "section:" ^ t.cfg.sec_name in
-        let now = Mira_sim.Clock.now clock in
-        Tr.begin_span ~name:"late-prefetch" ~cat:"cache" ~lane
-          ~ts_ns:(now -. stall) ~trace:ctx.Tr.sc_trace ~span
-          ~parent:ctx.Tr.sc_span ();
-        Tr.end_span ~name:"late-prefetch" ~cat:"cache" ~lane ~ts_ns:now
-          ~trace:ctx.Tr.sc_trace ~span ()
-      | None -> ()
+    t.stats.stall_ns <- t.stats.stall_ns +. stall
   end
 
 (* Ensure the line covering [addr] is resident; returns its slot.
@@ -490,34 +349,7 @@ let ensure t ~clock ~addr ~for_write =
   | None ->
     t.stats.misses <- t.stats.misses + 1;
     let start = Mira_sim.Clock.now clock in
-    (* The fill span: child of the ambient deref (or a root of its own
-       trace when the access above is not instrumented).  The demand
-       request below carries this context so its net member span nests
-       under the fill. *)
-    let fill =
-      if Mira_telemetry.Trace.enabled () then begin
-        let module Tr = Mira_telemetry.Trace in
-        let trace, parent, site =
-          match Tr.current_ctx () with
-          | Some c -> (c.Tr.sc_trace, c.Tr.sc_span, c.Tr.sc_site)
-          | None -> (Tr.new_trace (), 0, -1)
-        in
-        Some (trace, parent, Tr.new_span (), site)
-      end
-      else None
-    in
-    let fill_ctx =
-      Option.map
-        (fun (trace, _, span, site) ->
-          {
-            Mira_telemetry.Trace.sc_trace = trace;
-            sc_span = span;
-            sc_site = site;
-            sc_lane = "section:" ^ t.cfg.sec_name;
-            sc_flow = false;
-          })
-        fill
-    in
+    let fill = Transfer.open_fill t.tr in
     let cost = if t.cfg.no_meta then 0.0 else lookup_cost t in
     Mira_sim.Clock.advance clock cost;
     let slot =
@@ -528,58 +360,20 @@ let ensure t ~clock ~addr ~for_write =
         install t ~clock ~tag ~ready_at:(Mira_sim.Clock.now clock)
       end
       else begin
-        (* Demand miss: the fast synchronous path — an urgent
-           submission followed by a blocking await.  A [Timed_out]
-           completion (faults enabled, retries exhausted) still
-           installs: [done_at] already charges every retry and the
-           final timeout, so the run degrades instead of hanging. *)
-        let now = Mira_sim.Clock.now clock in
-        let sq =
-          Mira_sim.Net.submit t.net ~now ~urgent:true
-            (Mira_sim.Net.Request.read
-               ~node:(Mira_sim.Cluster.node_of_addr t.far ~addr:(tag * t.cfg.line))
-               ?ctx:fill_ctx ~side:t.cfg.side
-               ~purpose:Mira_sim.Net.Demand (payload_bytes t))
+        let slot =
+          Transfer.demand_read t.tr ~clock fill ~addr:(tag * t.cfg.line)
+            ~bytes:(payload_bytes t)
+            ~install:(fun ready_at -> install t ~clock ~tag ~ready_at)
         in
-        Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns;
-        let c = Mira_sim.Net.await t.net ~now ~id:sq.Mira_sim.Net.id in
-        let slot = install t ~clock ~tag ~ready_at:c.Mira_sim.Net.done_at in
-        let stall =
-          Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Cache_fill
-            c.Mira_sim.Net.done_at
-        in
-        charge_split t c stall;
         t.stats.bytes_fetched <- t.stats.bytes_fetched + payload_bytes t;
         slot
       end
     in
-    let miss_ns = Mira_sim.Clock.now clock -. start in
-    t.stats.miss_ns <- t.stats.miss_ns +. miss_ns;
-    let fill_trace =
-      match fill with Some (trace, _, _, _) -> trace | None -> 0
+    let miss_ns =
+      Transfer.close_fill t.tr ~clock fill ~start ~hist:t.stats.lat_fetch
+        ~name:"demand-fetch" ~key:"addr" ~value:addr
     in
-    Mira_telemetry.Metrics.hist_observe ~trace:fill_trace t.stats.lat_fetch
-      miss_ns;
-    (match fill with
-    | Some (trace, parent, span, _) ->
-      let module Tr = Mira_telemetry.Trace in
-      let lane = "section:" ^ t.cfg.sec_name in
-      Tr.begin_span ~name:"demand-fetch" ~cat:"cache" ~lane ~ts_ns:start ~trace
-        ~span ~parent
-        ~args:[ ("addr", Mira_telemetry.Json.Int addr) ]
-        ();
-      Tr.end_span ~name:"demand-fetch" ~cat:"cache" ~lane
-        ~ts_ns:(start +. miss_ns) ~trace ~span ();
-      (* Which physical node served the fill (changes at failover). *)
-      Tr.instant ~name:"serve" ~cat:"cluster"
-        ~lane:(Mira_sim.Cluster.service_lane t.far) ~ts_ns:(start +. miss_ns)
-        ~args:
-          [
-            ("trace", Mira_telemetry.Json.Int trace);
-            ("span", Mira_telemetry.Json.Int span);
-          ]
-        ()
-    | None -> ());
+    t.stats.miss_ns <- t.stats.miss_ns +. miss_ns;
     touch t ~clock slot;
     slot
 
@@ -646,65 +440,22 @@ let iter_tags t ~addr ~len fn =
     fn tag
   done
 
-let prefetch_req ?ctx t ~tag =
-  Mira_sim.Net.Request.read
-    ~node:(Mira_sim.Cluster.node_of_addr t.far ~addr:(tag * t.cfg.line))
-    ?ctx ~side:t.cfg.side ~purpose:Mira_sim.Net.Prefetch (payload_bytes t)
-
-(* Tag is worth prefetching: inside the far address space (loop
-   preambles may over-prefetch near object ends) and not resident. *)
-let want_prefetch t tag =
-  ((tag + 1) * t.cfg.line) <= Mira_sim.Cluster.capacity t.far
-  && find_slot t tag = None
+(* Prefetch hints mostly name lines that are already resident: return
+   before building any request (or allocating) when all of them are. *)
+let rec any_absent t tag last =
+  tag <= last && (find_slot t tag = None || any_absent t (tag + 1) last)
 
 let prefetch t ~clock ~addr ~len =
-  (* Prefetches are asynchronous with respect to the access that
-     triggered them: flow-linked, never nested. *)
-  let ctx = child_ctx ~flow:true in
-  if not (Mira_sim.Net.dataplane t.net).Mira_sim.Net.coalesce then
-    (* Per-line posting, identical in timing to the synchronous model:
-       each line pays its own doorbell and round trip. *)
-    iter_tags t ~addr ~len (fun tag ->
-        if want_prefetch t tag then begin
-          let now = Mira_sim.Clock.now clock in
-          let sq = Mira_sim.Net.submit t.net ~now (prefetch_req ?ctx t ~tag) in
-          Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns;
-          t.stats.bytes_fetched <- t.stats.bytes_fetched + payload_bytes t;
-          let c = Mira_sim.Net.await t.net ~now ~id:sq.Mira_sim.Net.id in
-          ignore (install t ~clock ~tag ~ready_at:c.Mira_sim.Net.done_at)
-        end)
-  else begin
-    (* Batched doorbell: submit every absent line, ring once, then
-       install each line with the completion time of the (single,
-       coalesced) transfer it rode on. *)
-    let sqes = ref [] in
-    iter_tags t ~addr ~len (fun tag ->
-        if want_prefetch t tag then begin
-          let sq =
-            Mira_sim.Net.submit t.net ~now:(Mira_sim.Clock.now clock)
-              (prefetch_req ?ctx t ~tag)
-          in
-          Mira_sim.Clock.advance clock sq.Mira_sim.Net.issue_cpu_ns;
-          t.stats.bytes_fetched <- t.stats.bytes_fetched + payload_bytes t;
-          sqes := (tag, sq.Mira_sim.Net.id) :: !sqes
-        end);
-    Mira_sim.Net.ring t.net ~now:(Mira_sim.Clock.now clock);
-    List.iter
-      (fun (tag, id) ->
-        let c = Mira_sim.Net.await t.net ~now:(Mira_sim.Clock.now clock) ~id in
-        if find_slot t tag = None then
-          ignore (install t ~clock ~tag ~ready_at:c.Mira_sim.Net.done_at))
-      (List.rev !sqes)
-  end
-
-let flush_slot t ~clock slot ~sync =
-  let line = t.lines.(slot) in
-  if line.dirty then begin
-    let base = line.tag * t.cfg.line in
-    Mira_sim.Cluster.write t.far ~addr:base ~len:t.cfg.line ~src:line.data ~src_off:0;
-    post_writeback t ~clock ~base ~sync;
-    line.dirty <- false;
-    t.stats.writebacks <- t.stats.writebacks + 1
+  let first = line_of_addr t addr in
+  let last = line_of_addr t (addr + len - 1) in
+  if any_absent t first last then begin
+    let posted =
+      Transfer.prefetch t.tr ~clock ~bytes:(payload_bytes t)
+        ~resident:(fun tag -> find_slot t tag <> None)
+        ~install:(fun tag ready_at -> ignore (install t ~clock ~tag ~ready_at))
+        (List.init (last - first + 1) (fun i -> first + i))
+    in
+    t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * payload_bytes t)
   end
 
 let flush_evict t ~clock ~addr ~len =
@@ -713,8 +464,8 @@ let flush_evict t ~clock ~addr ~len =
       | None -> ()
       | Some slot ->
         Mira_sim.Clock.advance clock (params t).Mira_sim.Params.evict_check_ns;
-        flush_slot t ~clock slot ~sync:false;
         let line = t.lines.(slot) in
+        writeback t ~clock line ~sync:false;
         line.evictable <- true;
         (match t.cfg.structure with
         | Full_assoc -> t.evict_hints <- slot :: t.evict_hints
@@ -730,15 +481,14 @@ let flush_range t ~clock ~addr ~len =
   iter_tags t ~addr ~len (fun tag ->
       match find_slot t tag with
       | None -> ()
-      | Some slot -> flush_slot t ~clock slot ~sync:true)
+      | Some slot -> writeback t ~clock t.lines.(slot) ~sync:true)
 
 (* Failover recovery: every still-dirty line is re-issued to the (new)
    primary asynchronously, without evicting anything.  Clean lines need
    nothing — their last writeback was replicated before the crash. *)
 let flush_all t ~clock =
-  Array.iteri
-    (fun slot line ->
-      if line.tag >= 0 && line.dirty then flush_slot t ~clock slot ~sync:false)
+  Array.iter
+    (fun line -> if line.tag >= 0 then writeback t ~clock line ~sync:false)
     t.lines
 
 let drop_all t ~clock =
@@ -767,31 +517,6 @@ let discard_range t ~addr ~len =
         line.tag <- -1;
         line.evictable <- false;
         line.pinned <- false;
-        line.refbit <- false;
-        t.used <- t.used - 1)
+        line.refbit <- false)
 
 let resident t ~addr = find_slot t (line_of_addr t addr) <> None
-
-(* --- shared cache contract ---------------------------------------------- *)
-
-module Ops : Cache_section.OPS with type t = t = struct
-  type nonrec t = t
-
-  let kind = "section"
-  let load = load
-  let store = store
-  let load_native = load_native
-  let store_native = store_native
-  let prefetch_range = prefetch
-  let evict_hint = flush_evict
-  let flush_range = flush_range
-  let discard_range = discard_range
-  let flush_all = flush_all
-  let drop_all = drop_all
-  let publish = publish
-  let reset_stats = reset_stats
-  let metadata_bytes = metadata_bytes
-  let counters t = (t.stats.hits, t.stats.misses)
-end
-
-let handle t = Cache_section.Handle ((module Ops), t)

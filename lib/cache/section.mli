@@ -66,9 +66,6 @@ val set_attribution : t -> Mira_telemetry.Attribution.t -> unit
     synchronous writeback backpressure) into the given ledger, tagged
     with the section name.  Off (no charges) until set. *)
 
-val lines_total : t -> int
-val lines_used : t -> int
-
 val metadata_bytes : t -> int
 (** Local-memory metadata footprint (0 in [no_meta] mode). *)
 
@@ -116,10 +113,3 @@ val discard_range : t -> addr:int -> len:int -> unit
 
 val resident : t -> addr:int -> bool
 (** True if the line covering [addr] is present (testing hook). *)
-
-module Ops : Cache_section.OPS with type t = t
-(** The shared cache contract ([prefetch_range] = [prefetch],
-    [evict_hint] = [flush_evict]). *)
-
-val handle : t -> Cache_section.handle
-(** Pack this section behind the uniform dispatch handle. *)

@@ -38,18 +38,15 @@ type page_state = {
 
 type t = {
   mutable cfg : config;
-  net : Mira_sim.Net.t;
-  far : Mira_sim.Cluster.t;
   mutable frames : page_state array;
   table : (int, int) Hashtbl.t;  (* page number -> frame *)
   mutable free_frames : int list;
   mutable hand : int;
-  mutable used : int;
   mutable readahead : int -> int list;
   mutable extra_fault_ns : float;
   mutable hint_count : int;  (* pages currently marked evict-first *)
   stats : stats;
-  mutable attribution : Mira_telemetry.Attribution.t option;
+  tr : Transfer.t;
 }
 
 let frame_make page = { pno = -1; dirty = false; ready_at = 0.0; refbit = false;
@@ -60,37 +57,19 @@ let create net far cfg =
   let nframes = max 1 (cfg.capacity / cfg.page) in
   {
     cfg;
-    net;
-    far;
     frames = Array.init nframes (fun _ -> frame_make cfg.page);
     table = Hashtbl.create (max 16 nframes);
     free_frames = List.init nframes (fun i -> i);
     hand = 0;
-    used = 0;
     readahead = (fun _ -> []);
     extra_fault_ns = 0.0;
     hint_count = 0;
     stats = fresh_stats ();
-    attribution = None;
+    tr = Transfer.create net far ~side:cfg.side ~line:cfg.page ~section:"swap" ~lane:"swap";
   }
 
 let stats t = t.stats
-let set_attribution t a = t.attribution <- Some a
-
-let charge_stall t cause stall =
-  match t.attribution with
-  | None -> ()
-  | Some a -> Mira_telemetry.Attribution.charge a ~section:"swap" cause stall
-
-let charge_split t (c : Mira_sim.Net.completion) stall =
-  match t.attribution with
-  | None -> ()
-  | Some a ->
-    Mira_telemetry.Attribution.charge_parts a ~section:"swap"
-      ~holders:c.Mira_sim.Net.holders
-      (Mira_telemetry.Attribution.split_stall ~stall
-         ~wire_ns:c.Mira_sim.Net.wire_ns ~queue_ns:c.Mira_sim.Net.queue_ns
-         ~retry_ns:c.Mira_sim.Net.retry_ns)
+let set_attribution t a = Transfer.set_attribution t.tr a
 
 let reset_stats t =
   let d = t.stats in
@@ -125,76 +104,15 @@ let config t = t.cfg
 let set_readahead t f = t.readahead <- f
 let set_extra_fault_ns t ns = t.extra_fault_ns <- ns
 let capacity_bytes t = t.cfg.capacity
-let pages_used t = t.used
-let params t = Mira_sim.Net.params t.net
+let params t = Mira_sim.Net.params t.tr.Transfer.net
 
 (* Per-page metadata: a PTE-like entry plus LRU state (~32 B). *)
 let metadata_bytes t = 32 * Array.length t.frames
 
-(* Causal context for a child request of the access currently being
-   executed; [flow] children (detached writebacks, readahead) link
-   with flow arrows only. *)
-let child_ctx ~flow =
-  if Mira_telemetry.Trace.enabled () then
-    match Mira_telemetry.Trace.current_ctx () with
-    | Some c -> Some { c with Mira_telemetry.Trace.sc_flow = flow }
-    | None -> None
-  else None
-
 let writeback t ~clock frame ~sync =
   if frame.dirty then begin
-    let base = frame.pno * t.cfg.page in
-    Mira_sim.Cluster.write t.far ~addr:base ~len:t.cfg.page ~src:frame.data ~src_off:0;
-    let node = Mira_sim.Cluster.node_of_addr t.far ~addr:base in
-    let req ~flow =
-      Mira_sim.Net.Request.write ~node ?ctx:(child_ctx ~flow) ~side:t.cfg.side
-        ~purpose:Mira_sim.Net.Writeback t.cfg.page
-    in
-    let now = Mira_sim.Clock.now clock in
-    if sync then begin
-      let x = Mira_sim.Net.submit t.net ~now ~urgent:true (req ~flow:false) in
-      Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-      let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-      let stall =
-        Mira_sim.Clock.wait_event clock
-          ~ev:(Mira_sim.Clock.Net_completion x.Mira_sim.Net.id)
-          c.Mira_sim.Net.done_at
-      in
-      charge_stall t Mira_telemetry.Attribution.Writeback stall
-    end
-    else begin
-      let x = Mira_sim.Net.submit t.net ~now ~detached:true (req ~flow:true) in
-      Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns
-    end;
-    (* Redundancy fan-out: each live parity row's update (a full copy
-       for mirrors, the touched chunk union for EC) rides an
-       asynchronous, batchable message — durability is eventual,
-       consistency is the cluster's eager parity above. *)
-    List.iter
-      (fun (rnode, bytes) ->
-        let now = Mira_sim.Clock.now clock in
-        let x =
-          Mira_sim.Net.submit t.net ~now ~detached:true
-            (Mira_sim.Net.Request.write ~node:rnode
-               ?ctx:(child_ctx ~flow:true) ~side:t.cfg.side
-               ~purpose:Mira_sim.Net.Writeback bytes)
-        in
-        Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns)
-      (Mira_sim.Cluster.replica_payloads t.far ~addr:base ~len:t.cfg.page);
-    (* A write landing on a down data node decoded the old contents
-       from survivors; that read traffic rides detached. *)
-    let rb = Mira_sim.Cluster.take_reconstruction t.far in
-    if rb > 0 then begin
-      let now = Mira_sim.Clock.now clock in
-      let x =
-        Mira_sim.Net.submit t.net ~now ~detached:true
-          (Mira_sim.Net.Request.read
-             ~node:(Mira_sim.Cluster.serving_node t.far)
-             ?ctx:(child_ctx ~flow:true) ~side:t.cfg.side
-             ~purpose:Mira_sim.Net.Demand rb)
-      in
-      Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns
-    end;
+    Transfer.writeback t.tr ~clock ~base:(frame.pno * t.cfg.page) ~data:frame.data
+      ~sync;
     frame.dirty <- false;
     t.stats.writebacks <- t.stats.writebacks + 1
   end
@@ -208,8 +126,7 @@ let release_frame t ~clock idx =
     frame.refbit <- false;
     if frame.evict_first then t.hint_count <- t.hint_count - 1;
     frame.evict_first <- false;
-    t.stats.evictions <- t.stats.evictions + 1;
-    t.used <- t.used - 1
+    t.stats.evictions <- t.stats.evictions + 1
   end
 
 let pick_victim t =
@@ -246,179 +163,53 @@ let allocate_frame t ~clock =
     release_frame t ~clock idx;
     idx
 
-(* A fill that had to erasure-decode (its data node down, group within
-   quorum) read k survivor chunk ranges instead of one: model the
-   extra (k-1)*c bytes as an urgent demand read and charge the wait to
-   the [Reconstruct] attribution cause. *)
-let charge_reconstruction t ~clock =
-  let rb = Mira_sim.Cluster.take_reconstruction t.far in
-  if rb > 0 then begin
-    let now = Mira_sim.Clock.now clock in
-    let x =
-      Mira_sim.Net.submit t.net ~now ~urgent:true
-        (Mira_sim.Net.Request.read
-           ~node:(Mira_sim.Cluster.serving_node t.far)
-           ?ctx:(child_ctx ~flow:false) ~side:t.cfg.side
-           ~purpose:Mira_sim.Net.Demand rb)
-    in
-    Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-    let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-    let stall =
-      Mira_sim.Clock.wait_event clock
-        ~ev:(Mira_sim.Clock.Net_completion x.Mira_sim.Net.id)
-        c.Mira_sim.Net.done_at
-    in
-    charge_stall t Mira_telemetry.Attribution.Reconstruct stall;
-    if Mira_telemetry.Trace.enabled () then
-      Mira_telemetry.Trace.complete ~name:"reconstruct" ~cat:"cluster"
-        ~lane:(Mira_sim.Cluster.service_lane t.far) ~ts_ns:now
-        ~dur_ns:(Mira_sim.Clock.now clock -. now)
-        ~args:[ ("bytes", Mira_telemetry.Json.Int rb) ]
-        ()
-  end
-
 let install t ~clock ~pno ~ready_at =
   let idx = allocate_frame t ~clock in
   let frame = t.frames.(idx) in
-  Mira_sim.Cluster.read t.far ~addr:(pno * t.cfg.page) ~len:t.cfg.page ~dst:frame.data
-    ~dst_off:0;
-  charge_reconstruction t ~clock;
+  Mira_sim.Cluster.read t.tr.Transfer.far ~addr:(pno * t.cfg.page) ~len:t.cfg.page
+    ~dst:frame.data ~dst_off:0;
+  Transfer.drain_reconstruction t.tr ~clock;
   frame.pno <- pno;
   frame.dirty <- false;
   frame.ready_at <- ready_at;
   frame.refbit <- true;
   frame.evict_first <- false;
   Hashtbl.replace t.table pno idx;
-  t.used <- t.used + 1;
   idx
 
-let prefetch_req ?ctx t ~page =
-  Mira_sim.Net.Request.read
-    ~node:(Mira_sim.Cluster.node_of_addr t.far ~addr:(page * t.cfg.page))
-    ?ctx ~side:t.cfg.side ~purpose:Mira_sim.Net.Prefetch t.cfg.page
+(* Readahead: with doorbell batching enabled the pages are posted as one
+   coalesced message; otherwise each page pays its own doorbell. *)
+let prefetch_pages t ~clock pages =
+  let posted =
+    Transfer.prefetch t.tr ~clock ~bytes:t.cfg.page
+      ~resident:(fun pno -> Hashtbl.mem t.table pno)
+      ~install:(fun pno ready_at -> ignore (install t ~clock ~pno ~ready_at))
+      pages
+  in
+  t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * t.cfg.page);
+  t.stats.readahead_pages <- t.stats.readahead_pages + posted
 
-let prefetch_page t ~clock ~page =
-  if not (Hashtbl.mem t.table page) then begin
-    let ctx = child_ctx ~flow:true in
-    let now = Mira_sim.Clock.now clock in
-    let x = Mira_sim.Net.submit t.net ~now (prefetch_req ?ctx t ~page) in
-    Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-    t.stats.bytes_fetched <- t.stats.bytes_fetched + t.cfg.page;
-    t.stats.readahead_pages <- t.stats.readahead_pages + 1;
-    let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-    ignore (install t ~clock ~pno:page ~ready_at:c.Mira_sim.Net.done_at)
-  end
-
-(* Readahead cluster: with doorbell batching enabled the whole cluster
-   is submitted first and posted as one coalesced message; otherwise
-   each page posts (and pays) its own doorbell, exactly like the
-   synchronous model. *)
-let prefetch_cluster t ~clock pages =
-  if not (Mira_sim.Net.dataplane t.net).Mira_sim.Net.coalesce then
-    List.iter (fun page -> prefetch_page t ~clock ~page) pages
-  else begin
-    let pages = List.filter (fun p -> not (Hashtbl.mem t.table p)) pages in
-    let ctx = child_ctx ~flow:true in
-    let sqes =
-      List.map
-        (fun page ->
-          let x =
-            Mira_sim.Net.submit t.net ~now:(Mira_sim.Clock.now clock)
-              (prefetch_req ?ctx t ~page)
-          in
-          Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-          t.stats.bytes_fetched <- t.stats.bytes_fetched + t.cfg.page;
-          t.stats.readahead_pages <- t.stats.readahead_pages + 1;
-          (page, x.Mira_sim.Net.id))
-        pages
-    in
-    Mira_sim.Net.ring t.net ~now:(Mira_sim.Clock.now clock);
-    List.iter
-      (fun (page, id) ->
-        let c = Mira_sim.Net.await t.net ~now:(Mira_sim.Clock.now clock) ~id in
-        if not (Hashtbl.mem t.table page) then
-          ignore (install t ~clock ~pno:page ~ready_at:c.Mira_sim.Net.done_at))
-      sqes
-  end
+let prefetch_page t ~clock ~page = prefetch_pages t ~clock [ page ]
 
 let fault t ~clock ~pno =
   let p = params t in
   let start = Mira_sim.Clock.now clock in
-  (* The fill span of this fault: child of the ambient deref, or a
-     root of its own trace when the access above is untraced. *)
-  let fill =
-    if Mira_telemetry.Trace.enabled () then begin
-      let module Tr = Mira_telemetry.Trace in
-      let trace, parent, site =
-        match Tr.current_ctx () with
-        | Some c -> (c.Tr.sc_trace, c.Tr.sc_span, c.Tr.sc_site)
-        | None -> (Tr.new_trace (), 0, -1)
-      in
-      Some (trace, parent, Tr.new_span (), site)
-    end
-    else None
-  in
-  let fill_ctx =
-    Option.map
-      (fun (trace, _, span, site) ->
-        {
-          Mira_telemetry.Trace.sc_trace = trace;
-          sc_span = span;
-          sc_site = site;
-          sc_lane = "swap";
-          sc_flow = false;
-        })
-      fill
-  in
+  let fill = Transfer.open_fill t.tr in
   t.stats.faults <- t.stats.faults + 1;
   Mira_sim.Clock.advance clock (p.Mira_sim.Params.page_fault_ns +. t.extra_fault_ns);
-  let now = Mira_sim.Clock.now clock in
-  let x =
-    Mira_sim.Net.submit t.net ~now ~urgent:true
-      (Mira_sim.Net.Request.read
-         ~node:(Mira_sim.Cluster.node_of_addr t.far ~addr:(pno * t.cfg.page))
-         ?ctx:fill_ctx ~side:t.cfg.side ~purpose:Mira_sim.Net.Demand
-         t.cfg.page)
+  let idx =
+    Transfer.demand_read t.tr ~clock fill ~addr:(pno * t.cfg.page) ~bytes:t.cfg.page
+      ~install:(fun ready_at -> install t ~clock ~pno ~ready_at)
   in
-  Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-  let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-  let idx = install t ~clock ~pno ~ready_at:c.Mira_sim.Net.done_at in
-  let stall =
-    Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Cache_fill
-      c.Mira_sim.Net.done_at
-  in
-  charge_split t c stall;
   t.stats.bytes_fetched <- t.stats.bytes_fetched + t.cfg.page;
   (* Readahead decided while the demand page is in flight; the cluster
      rides one coalesced doorbell when batching is enabled. *)
-  prefetch_cluster t ~clock
-    (List.filter (fun extra -> extra >= 0 && extra <> pno) (t.readahead pno));
-  let this_fault_ns = Mira_sim.Clock.now clock -. start in
-  t.stats.fault_ns <- t.stats.fault_ns +. this_fault_ns;
-  let fill_trace =
-    match fill with Some (trace, _, _, _) -> trace | None -> 0
+  prefetch_pages t ~clock (List.filter (fun extra -> extra <> pno) (t.readahead pno));
+  let this_fault_ns =
+    Transfer.close_fill t.tr ~clock fill ~start ~hist:t.stats.lat_fault
+      ~name:"page-fault" ~key:"page" ~value:pno
   in
-  Mira_telemetry.Metrics.hist_observe ~trace:fill_trace t.stats.lat_fault
-    this_fault_ns;
-  (match fill with
-  | Some (trace, parent, span, _) ->
-    let module Tr = Mira_telemetry.Trace in
-    Tr.begin_span ~name:"page-fault" ~cat:"cache" ~lane:"swap" ~ts_ns:start
-      ~trace ~span ~parent
-      ~args:[ ("page", Mira_telemetry.Json.Int pno) ]
-      ();
-    Tr.end_span ~name:"page-fault" ~cat:"cache" ~lane:"swap"
-      ~ts_ns:(start +. this_fault_ns) ~trace ~span ();
-    Tr.instant ~name:"serve" ~cat:"cluster"
-      ~lane:(Mira_sim.Cluster.service_lane t.far)
-      ~ts_ns:(start +. this_fault_ns)
-      ~args:
-        [
-          ("trace", Mira_telemetry.Json.Int trace);
-          ("span", Mira_telemetry.Json.Int span);
-        ]
-      ()
-  | None -> ());
+  t.stats.fault_ns <- t.stats.fault_ns +. this_fault_ns;
   (* With very small frame pools the readahead itself may have evicted
      the demand page; reinstall so the caller's frame is valid (a real
      kernel locks the faulting page instead — no extra cost charged). *)
@@ -435,26 +226,11 @@ let ensure t ~clock ~pno =
     let frame = t.frames.(idx) in
     t.stats.hits <- t.stats.hits + 1;
     let stall =
-      Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Cache_fill
-        frame.ready_at
+      Transfer.wait_ready t.tr ~clock ~name:"late-readahead" frame.ready_at
     in
     if stall > 0.0 then begin
       t.stats.late_readahead <- t.stats.late_readahead + 1;
-      t.stats.stall_ns <- t.stats.stall_ns +. stall;
-      (* Late readahead: still waiting on the wire. *)
-      charge_stall t Mira_telemetry.Attribution.Demand_wire stall;
-      if Mira_telemetry.Trace.enabled () then
-        match Mira_telemetry.Trace.current_ctx () with
-        | Some ctx ->
-          let module Tr = Mira_telemetry.Trace in
-          let span = Tr.new_span () in
-          let now = Mira_sim.Clock.now clock in
-          Tr.begin_span ~name:"late-readahead" ~cat:"cache" ~lane:"swap"
-            ~ts_ns:(now -. stall) ~trace:ctx.Tr.sc_trace ~span
-            ~parent:ctx.Tr.sc_span ();
-          Tr.end_span ~name:"late-readahead" ~cat:"cache" ~lane:"swap"
-            ~ts_ns:now ~trace:ctx.Tr.sc_trace ~span ()
-        | None -> ()
+      t.stats.stall_ns <- t.stats.stall_ns +. stall
     end;
     frame.refbit <- true;
     if frame.evict_first then begin
@@ -521,14 +297,13 @@ let discard_range t ~addr ~len =
         frame.refbit <- false;
         if frame.evict_first then t.hint_count <- t.hint_count - 1;
         frame.evict_first <- false;
-        t.free_frames <- idx :: t.free_frames;
-        t.used <- t.used - 1)
+        t.free_frames <- idx :: t.free_frames)
 
 (* Failover recovery: re-issue writebacks for all still-dirty pages
    without evicting them (see Section.flush_all). *)
 let flush_all t ~clock =
   Array.iter
-    (fun frame -> if frame.pno >= 0 && frame.dirty then writeback t ~clock frame ~sync:false)
+    (fun frame -> if frame.pno >= 0 then writeback t ~clock frame ~sync:false)
     t.frames
 
 let drop_all t ~clock =
@@ -549,7 +324,6 @@ let resize t ~capacity ~clock =
   t.frames <- Array.init nframes (fun _ -> frame_make t.cfg.page);
   t.free_frames <- List.init nframes (fun i -> i);
   t.hand <- 0;
-  t.used <- 0;
   t.cfg <- { t.cfg with capacity }
 
 let resident t ~addr = Hashtbl.mem t.table (addr / t.cfg.page)
@@ -557,31 +331,4 @@ let resident t ~addr = Hashtbl.mem t.table (addr / t.cfg.page)
 let prefetch_range t ~clock ~addr ~len =
   let first = addr / t.cfg.page in
   let last = (addr + len - 1) / t.cfg.page in
-  prefetch_cluster t ~clock (List.init (last - first + 1) (fun i -> first + i))
-
-(* --- shared cache contract ---------------------------------------------- *)
-
-module Ops : Cache_section.OPS with type t = t = struct
-  type nonrec t = t
-
-  let kind = "swap"
-  let load = load
-  let store = store
-
-  (* No compiler-proved fast path for the swap cache: a "native" access
-     still goes through the page table. *)
-  let load_native = load
-  let store_native = store
-  let prefetch_range = prefetch_range
-  let evict_hint = evict_hint
-  let flush_range = flush_range
-  let discard_range = discard_range
-  let flush_all = flush_all
-  let drop_all = drop_all
-  let publish = publish
-  let reset_stats = reset_stats
-  let metadata_bytes = metadata_bytes
-  let counters t = (t.stats.hits, t.stats.faults)
-end
-
-let handle t = Cache_section.Handle ((module Ops), t)
+  prefetch_pages t ~clock (List.init (last - first + 1) (fun i -> first + i))

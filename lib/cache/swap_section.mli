@@ -57,21 +57,18 @@ val resize : t -> capacity:int -> clock:Mira_sim.Clock.t -> unit
 (** Change the resident budget; shrinking evicts pages immediately. *)
 
 val capacity_bytes : t -> int
-val pages_used : t -> int
 
 val load : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
 val store : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
 
 val prefetch_page : t -> clock:Mira_sim.Clock.t -> page:int -> unit
-(** Asynchronous page fetch (used by Mira's swap-section prefetch hints
-    and by readahead policies). *)
-
-val prefetch_cluster : t -> clock:Mira_sim.Clock.t -> int list -> unit
-(** Prefetch a list of pages; with doorbell batching enabled the whole
-    cluster is posted as one coalesced message. *)
+(** Asynchronous fetch of one page; skipped when it is resident or past
+    the end of far memory. *)
 
 val prefetch_range : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
-(** [prefetch_cluster] over the pages covering [addr, addr+len). *)
+(** Prefetch the pages covering [addr, addr+len); with doorbell
+    batching enabled they post as one coalesced message.  Pages past the
+    end of far memory are skipped. *)
 
 val evict_hint : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 (** Mark covered pages evict-first and write them back asynchronously. *)
@@ -89,10 +86,3 @@ val flush_all : t -> clock:Mira_sim.Clock.t -> unit
 val drop_all : t -> clock:Mira_sim.Clock.t -> unit
 val resident : t -> addr:int -> bool
 val metadata_bytes : t -> int
-
-module Ops : Cache_section.OPS with type t = t
-(** The shared cache contract; [load_native]/[store_native] fall back
-    to the page-table path. *)
-
-val handle : t -> Cache_section.handle
-(** Pack the swap section behind the uniform dispatch handle. *)

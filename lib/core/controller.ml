@@ -73,8 +73,6 @@ type compiled = {
   c_log : Decision.t list;
 }
 
-let log_strings c = List.map Decision.render c.c_log
-
 let work_function (p : Ir.program) =
   if List.mem_assoc "work" p.Ir.p_funcs then "work" else p.Ir.p_entry
 

@@ -60,10 +60,6 @@ type compiled = {
   c_log : Mira_telemetry.Decision.t list;  (** decision trace, oldest first *)
 }
 
-val log_strings : compiled -> string list
-(** [c_log] rendered as the classic human-readable log lines
-    ([Mira_telemetry.Decision.render]), oldest first. *)
-
 val optimize : options -> Mira_mir.Ir.program -> compiled
 (** Run the full iterative flow. *)
 

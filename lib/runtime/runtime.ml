@@ -237,12 +237,12 @@ let route t ~tid ~site =
     Cache.Manager.find_section t.manager ~id:sec_ids.(idx)
   | None -> Cache.Manager.route t.manager ~site
 
-(* Uniform dispatch: every access path below goes through a packed
-   [Cache_section.handle], so the swap section is no longer a special
-   case — an unrouted site simply resolves to the swap handle. *)
+(* Uniform dispatch: every access path below goes through a
+   [Cache_section.handle], so the swap section is not a special case —
+   an unrouted site simply resolves to the swap handle. *)
 let route_h t ~tid ~site =
   match route t ~tid ~site with
-  | Some section -> Cache.Section.handle section
+  | Some section -> Cache.Cache_section.Section section
   | None -> Cache.Manager.swap_handle t.manager
 
 let regions_of t site =

@@ -11,6 +11,7 @@ module Section = Mira_cache.Section
 module Swap = Mira_cache.Swap_section
 module Manager = Mira_cache.Manager
 module Sizing = Mira_cache.Sizing
+module Attribution = Mira_telemetry.Attribution
 
 let make_env () =
   let net = Net.create Params.default in
@@ -142,6 +143,79 @@ let test_swap_resize () =
   Swap.resize sw ~capacity:8192 ~clock;
   Alcotest.(check int) "capacity updated" 8192 (Swap.capacity_bytes sw);
   Alcotest.(check int64) "data survives resize" 9L (Swap.load sw ~clock ~addr:0 ~len:8)
+
+(* Readahead and prefetch requests that run past the end of far memory
+   are skipped, not posted: a 16-page cluster with 7-page readahead
+   faulting on page 12 reads ahead pages 13-15 only. *)
+let test_swap_prefetch_past_capacity () =
+  let mk () =
+    let net = Net.create Params.default in
+    let far = Cluster.of_store (Far_store.create ~capacity:(16 * 4096)) in
+    let sw =
+      Swap.create net far { Swap.page = 4096; capacity = 65536; side = Net.One_sided }
+    in
+    (sw, Clock.create ())
+  in
+  let sw, clock = mk () in
+  Swap.set_readahead sw (fun pno -> List.init 7 (fun i -> pno + 1 + i));
+  ignore (Swap.load sw ~clock ~addr:(12 * 4096) ~len:8);
+  Alcotest.(check int) "readahead inside capacity" 3 (Swap.stats sw).Swap.readahead_pages;
+  Alcotest.(check bool) "last page resident" true (Swap.resident sw ~addr:(15 * 4096));
+  let sw, clock = mk () in
+  Swap.prefetch_range sw ~clock ~addr:(15 * 4096) ~len:(4 * 4096);
+  Alcotest.(check int) "prefetch inside capacity" 1 (Swap.stats sw).Swap.readahead_pages
+
+(* Both caches move lines through the same transfer path.  Under EC(2,1)
+   with the data node of line 0 down, a demand fill pays the erasure
+   decode and charges it to [reconstruct]; a synchronous flush of the
+   dirty line posts the line plus one write per live parity row, and
+   drains the decode the write itself needed as one more (inbound)
+   message. *)
+let test_transfer_under_ec () =
+  let line = 4096 in
+  let spec events = Cluster.ec ~nodes:3 ~k:2 ~m:1 events in
+  let down = Cluster.node_of_addr (Cluster.create ~capacity:(1 lsl 20) (spec [])) ~addr:0 in
+  let check name make =
+    let net = Net.create Params.default in
+    let far =
+      Cluster.create ~capacity:(1 lsl 20)
+        (spec [ { Cluster.ev_node = down; ev_at = 1.0; ev_down_for = 1e12 } ])
+    in
+    ignore (Cluster.poll far ~now:2.0);
+    let clock = Clock.create () in
+    let ledger = Attribution.create () in
+    let load, store, flush = make net far ledger in
+    ignore (load ~clock ~addr:0 ~len:8);
+    Alcotest.(check bool) (name ^ ": fill charges reconstruct") true
+      (Attribution.cause_ns ledger Attribution.Reconstruct > 0.0);
+    store ~clock ~addr:0 ~len:8 7L;
+    let payloads = Cluster.replica_payloads far ~addr:0 ~len:line in
+    Alcotest.(check int) (name ^ ": one live parity row") 1 (List.length payloads);
+    let st = Net.stats net in
+    let msgs = st.Net.msg_count and wb = st.Net.bytes_writeback in
+    let bytes_in = st.Net.bytes_in in
+    flush ~clock ~addr:0 ~len:8;
+    Alcotest.(check int) (name ^ ": writeback bytes")
+      (line + List.fold_left (fun acc (_, b) -> acc + b) 0 payloads)
+      (st.Net.bytes_writeback - wb);
+    Alcotest.(check bool) (name ^ ": write decoded") true (st.Net.bytes_in > bytes_in);
+    Alcotest.(check int) (name ^ ": messages")
+      (1 + List.length payloads + 1)
+      (st.Net.msg_count - msgs);
+    Alcotest.(check bool) (name ^ ": sync writeback charged") true
+      (Attribution.cause_ns ledger Attribution.Writeback > 0.0);
+    Alcotest.(check int64) (name ^ ": data") 7L (load ~clock ~addr:0 ~len:8)
+  in
+  check "section" (fun net far ledger ->
+      let s = Section.create net far (cfg_of Section.Full_assoc ~line ~size:(4 * line)) in
+      Section.set_attribution s ledger;
+      (Section.load s, Section.store s, Section.flush_range s));
+  check "swap" (fun net far ledger ->
+      let sw =
+        Swap.create net far { Swap.page = line; capacity = 4 * line; side = Net.One_sided }
+      in
+      Swap.set_attribution sw ledger;
+      (Swap.load sw, Swap.store sw, Swap.flush_range sw))
 
 let test_manager_budget () =
   let net, far, clock = make_env () in
@@ -357,6 +431,8 @@ let suite =
     Alcotest.test_case "swap eviction" `Quick test_swap_eviction_and_writeback;
     Alcotest.test_case "swap readahead" `Quick test_swap_readahead;
     Alcotest.test_case "swap resize" `Quick test_swap_resize;
+    Alcotest.test_case "swap prefetch past capacity" `Quick test_swap_prefetch_past_capacity;
+    Alcotest.test_case "transfer under EC, both caches" `Quick test_transfer_under_ec;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;
     Alcotest.test_case "manager routing" `Quick test_manager_routing;
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 64 512);

@@ -498,6 +498,7 @@ let test_fault_doc_guard () =
       "quorum"; "epoch"; "stripe"; "parity"; "placement";
       Mira_telemetry.Attribution.cause_name Mira_telemetry.Attribution.Reconstruct;
       "take_lost_extents"; "schedule_of_seed"; "overlap";
+      "Transfer.writeback";
     ]
   in
   List.iter
