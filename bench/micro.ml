@@ -46,6 +46,34 @@ let bench_swap_hit =
       i := (!i + 1) land 127;
       ignore (Swap.load sw ~clock ~addr:(!i * 4096) ~len:8)))
 
+(* Steady-state eviction in a full 256-frame swap cache: every load of
+   a page outside the warm set faults and evicts.  With [~hinted] the
+   page loaded last is marked evict-first before each load; it sits in
+   the last frame, so [pick_victim]'s scan for hinted frames visits all
+   256 frames before it finds it.  Without a hint the victim comes from
+   the CLOCK hand, which is the reference for the scan's cost. *)
+let bench_swap_evict ~hinted =
+  let net = Mira_sim.Net.create Mira_sim.Params.default in
+  let far = Mira_sim.Cluster.of_store (Mira_sim.Far_store.create ~capacity:(1 lsl 22)) in
+  let clock = Mira_sim.Clock.create () in
+  let frames = 256 and pages = (1 lsl 22) / 4096 in
+  let sw =
+    Swap.create net far
+      { Swap.page = 4096; capacity = frames * 4096; side = Mira_sim.Net.One_sided }
+  in
+  for p = 0 to frames - 1 do
+    ignore (Swap.load sw ~clock ~addr:(p * 4096) ~len:8)
+  done;
+  let last = ref (frames - 1) in
+  let name =
+    if hinted then "swap evict (1 hint, 256 frames)"
+    else "swap evict (clock, 256 frames)"
+  in
+  Test.make ~name (Staged.stage (fun () ->
+      if hinted then Swap.evict_hint sw ~clock ~addr:(!last * 4096) ~len:8;
+      last := if !last + 1 = pages then frames else !last + 1;
+      ignore (Swap.load sw ~clock ~addr:(!last * 4096) ~len:8)))
+
 let bench_rptr =
   let i = ref 0 in
   Test.make ~name:"rptr encode+decode" (Staged.stage (fun () ->
@@ -104,6 +132,8 @@ let tests () =
       bench_section_hit "section hit (set8)" (Section.Set_assoc 8);
       bench_section_hit "section hit (full)" Section.Full_assoc;
       bench_swap_hit;
+      bench_swap_evict ~hinted:false;
+      bench_swap_evict ~hinted:true;
       bench_rptr;
       bench_value_codec;
       bench_sched_dispatch;

@@ -151,8 +151,10 @@ let measure_work ms machine =
   (result, work_ns)
 
 (* Evaluate a (program, assignments) pair on a fresh runtime; the
-   program must already carry the instrumentation it needs. *)
-let eval opts program assignments =
+   program must already carry the instrumentation it needs.  Returns
+   the work time and the run's profile: nothing else of the runtime is
+   kept, so its far stores die with it. *)
+let simulate opts program assignments =
   let rt = make_runtime opts in
   apply_assignments opts rt assignments;
   let ms = Runtime.memsys rt in
@@ -160,8 +162,25 @@ let eval opts program assignments =
     Machine.create ~nthreads:opts.nthreads ~seed:opts.seed
       ~honor_offload:opts.feat_offload ms program
   in
-  let result, work_ns = measure_work ms machine in
-  (result, work_ns, rt)
+  let _, work_ns = measure_work ms machine in
+  (work_ns, Runtime.profile rt)
+
+(* [simulate] behind a memo that lives for one search.  A fresh runtime
+   and a fixed-seed machine make a run a pure function of (options,
+   program, assignments), so a configuration the search has already
+   simulated returns its stored result.  The key holds the whole options
+   record because the placement search varies [cluster].  Only completed
+   runs are stored: one that raised raises again when repeated. *)
+let memo_eval () =
+  let memo = ref [] in
+  fun opts program assignments ->
+    let key = (opts, program, assignments) in
+    match List.assoc_opt key !memo with
+    | Some result -> result
+    | None ->
+      let result = simulate opts program assignments in
+      memo := (key, result) :: !memo;
+      result
 
 (* --- analysis aggregation ------------------------------------------------ *)
 
@@ -248,7 +267,7 @@ let summarize_sites program ~within sites =
 
 (* --- sizing --------------------------------------------------------------- *)
 
-let size_specs opts specs ~build_plan ~iter =
+let size_specs ~eval opts specs ~build_plan ~iter =
   let page = opts.params.Params.page_size in
   let budget = opts.local_budget in
   let body_ops_hint = 64 in
@@ -343,10 +362,8 @@ let size_specs opts specs ~build_plan ~iter =
                           })
                         nonseq
                   in
-                  match
-                    eval opts (build_plan ()) assignments
-                  with
-                  | _, work_ns, _ ->
+                  match eval opts (build_plan ()) assignments with
+                  | work_ns, _ ->
                     sample_logs :=
                       Decision.Size_sample
                         {
@@ -449,7 +466,7 @@ let size_specs opts specs ~build_plan ~iter =
     in
     let measure assignment =
       match eval opts (build_plan ()) (seq_assignments @ assignment) with
-      | _, work_ns, _ -> work_ns
+      | work_ns, _ -> work_ns
       | exception _ -> infinity
     in
     let best_joint =
@@ -499,8 +516,8 @@ let build_plan_for opts assignments ~instrument =
     instrument;
   }
 
-let optimize opts original =
-  Log.set_level (if opts.verbose then Log.Info else Log.Quiet);
+let search opts original =
+  let eval = memo_eval () in
   let log = ref [] in
   (* Controller phases happen in host time, which the simulation never
      sees; to still give them a trace lane we lay them out on a
@@ -526,7 +543,7 @@ let optimize opts original =
   (* Iteration 0: generic swap, fully instrumented. *)
   phase "profile";
   let prog0 = Instrument.run original in
-  let _, base_ns, rt0 = eval opts prog0 [] in
+  let base_ns, profile0 = eval opts prog0 [] in
   decide (Decision.Profile_run { iteration = 0; work_ns = base_ns });
   (* Placement axis: how stripes map to cluster nodes is searched like
      section sizing — measure the instrumented baseline under each
@@ -545,7 +562,7 @@ let optimize opts original =
                 cluster =
                   { opts.cluster with Mira_sim.Cluster.placement = pl } }
             in
-            let _, ns, _ = eval o prog0 [] in
+            let ns, _ = eval o prog0 [] in
             decide
               (Decision.Placement_sample
                  {
@@ -563,7 +580,6 @@ let optimize opts original =
       in
       best_o
   in
-  let profile0 = Runtime.profile rt0 in
   let heap = heap_sites original in
   (* Scope selection to the measured function's dynamic call tree:
      initialization code is not part of what the paper (or we) report. *)
@@ -653,7 +669,7 @@ let optimize opts original =
       in
       phase "size";
       let assignments, sample_log =
-        size_specs opts specs ~build_plan ~iter:!i
+        size_specs ~eval opts specs ~build_plan ~iter:!i
       in
       List.iter decide sample_log;
       List.iter
@@ -678,7 +694,7 @@ let optimize opts original =
       let plan = build_plan_for opts assignments ~instrument:true in
       let prog = Mira_passes.Pipeline.apply original plan ~params:opts.params in
       match eval opts prog assignments with
-      | _, work_ns, rt ->
+      | work_ns, run_profile ->
         let best_ns, _, _, _, _ = !best in
         decide
           (Decision.Measure { iteration = !i; work_ns; best_ns });
@@ -686,7 +702,7 @@ let optimize opts original =
           phase "accept";
           decide (Decision.Accept { iteration = !i; work_ns });
           best := (work_ns, prog, assignments, plan, !i);
-          profile := Runtime.profile rt;
+          profile := run_profile;
           if work_ns > 0.98 *. best_ns && not opts.always_accept then
             continue_ := false
         end
@@ -723,6 +739,13 @@ let optimize opts original =
     c_work_ns = best_ns;
     c_log = List.rev !log;
   }
+
+let optimize opts original =
+  let caller_level = Log.level () in
+  Log.set_level (if opts.verbose then Log.Info else Log.Quiet);
+  Fun.protect
+    ~finally:(fun () -> Log.set_level caller_level)
+    (fun () -> search opts original)
 
 let instantiate compiled =
   let opts = compiled.c_options in

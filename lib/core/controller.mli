@@ -61,7 +61,12 @@ type compiled = {
 }
 
 val optimize : options -> Mira_mir.Ir.program -> compiled
-(** Run the full iterative flow. *)
+(** Run the full iterative flow.  The search simulates each distinct
+    configuration (options, instrumented program, section assignments)
+    once: a repeat within the same call reuses the stored work time and
+    profile, so it gives the same decisions as a fresh run.  Nothing is
+    kept across calls.  The log level follows [verbose] during the
+    search, and the caller's level is restored on return. *)
 
 val instantiate :
   compiled -> Mira_runtime.Runtime.t * Mira_interp.Machine.t

@@ -227,6 +227,103 @@ let test_work_function () =
   let prog = G.build { G.config_default with G.num_edges = 100; num_nodes = 16 } in
   Alcotest.(check string) "work" "work" (C.work_function prog)
 
+(* Golden decisions of two small searches, captured before the controller
+   reused any simulation: a change to how the search evaluates
+   configurations must leave every rendered decision and the bits of the
+   best work time exactly as they were.  The second config samples two
+   placements on an erasure-coded cluster with an outage schedule, where
+   flat and rotate measure differently, so results stored without the
+   cluster in their key would show here. *)
+let pinned_graph () =
+  let cfg = { G.config_default with G.num_edges = 3_000; num_nodes = 300 } in
+  let far = G.far_bytes cfg in
+  ( G.build cfg,
+    { (C.options_default ~local_budget:(far / 4) ~far_capacity:(4 * far)) with
+      C.max_iterations = 2 } )
+
+let pinned_sampling iter best =
+  [
+    Printf.sprintf "iteration %d: functions=[work] sites=[2]" iter;
+    "  site 2: indirect(via site 1) elem=128B ro=false wo=false";
+    "  sample sec1 size=2K work=21.01ms";
+    "  sample sec1 size=6K work=18.65ms";
+    Printf.sprintf "  sample sec1 size=13K work=%s" best;
+    "  section sec1 line=128B size=13K set8 sites=[2]";
+  ]
+
+let check_pinned name opts prog ~log ~work_bits =
+  let render c = List.map Mira_telemetry.Decision.render c.C.c_log in
+  let first = C.optimize opts prog in
+  Alcotest.(check (list string)) (name ^ " decisions") log (render first);
+  Alcotest.(check int64) (name ^ " work_ns bits") work_bits
+    (Int64.bits_of_float first.C.c_work_ns);
+  let again = C.optimize opts prog in
+  Alcotest.(check (list string)) (name ^ " decisions, second search")
+    (render first) (render again);
+  Alcotest.(check int64) (name ^ " work_ns bits, second search")
+    (Int64.bits_of_float first.C.c_work_ns)
+    (Int64.bits_of_float again.C.c_work_ns)
+
+let test_pinned_decisions () =
+  let prog, opts = pinned_graph () in
+  check_pinned "graph" opts prog ~work_bits:4714129215017347598L
+    ~log:
+      ([ "initial swap run: work=94.040 ms" ]
+      @ pinned_sampling 1 "14.65ms"
+      @ [
+          "iteration 1: work=14.655 ms (best 94.040 ms)";
+          "iteration 1: accepted at 14.655 ms";
+        ]
+      @ pinned_sampling 2 "14.65ms"
+      @ [
+          "iteration 2: work=14.655 ms (best 14.655 ms)";
+          "iteration 2: regression, rolling back";
+        ])
+
+let test_pinned_placement_decisions () =
+  let prog, opts = pinned_graph () in
+  let module Cl = Mira_sim.Cluster in
+  let schedule =
+    Cl.schedule_of_seed ~overlap:false ~seed:7 ~nodes:4 ~crashes:2
+      ~horizon_ns:2e6 ~down_ns:2e5
+  in
+  let opts =
+    { opts with
+      C.cluster = Cl.ec ~chunk:256 ~nodes:4 ~k:2 ~m:1 schedule;
+      placement_candidates = [ Cl.Flat; Cl.Rotate ] }
+  in
+  check_pinned "placement" opts prog ~work_bits:4714148325302532471L
+    ~log:
+      ([
+         "initial swap run: work=94.702 ms";
+         "  sample placement=flat work=94.61ms";
+         "  sample placement=rotate work=94.70ms";
+       ]
+      @ pinned_sampling 1 "14.69ms"
+      @ [
+          "iteration 1: work=14.690 ms (best 94.702 ms)";
+          "iteration 1: accepted at 14.690 ms";
+        ]
+      @ pinned_sampling 2 "14.69ms"
+      @ [
+          "iteration 2: work=14.690 ms (best 14.690 ms)";
+          "iteration 2: regression, rolling back";
+        ])
+
+(* [optimize] picks its own log level from [verbose] but must hand the
+   caller's level back when it returns. *)
+let test_log_level_restored () =
+  let module Log = Mira_telemetry.Log in
+  let saved = Log.level () in
+  Fun.protect
+    ~finally:(fun () -> Log.set_level saved)
+    (fun () ->
+      Log.set_level Log.Debug;
+      let prog, opts = pinned_graph () in
+      ignore (C.optimize { opts with C.feat_sections = false } prog);
+      Alcotest.(check bool) "caller's Debug level kept" true
+        (Log.level () = Log.Debug))
+
 let suite =
   [
     Alcotest.test_case "planner stream" `Quick test_planner_sequential_stream;
@@ -242,4 +339,8 @@ let suite =
     Alcotest.test_case "rollback under faults" `Slow test_rollback_under_faults;
     Alcotest.test_case "work function" `Quick test_work_function;
     Alcotest.test_case "report" `Slow test_report;
+    Alcotest.test_case "pinned decisions" `Slow test_pinned_decisions;
+    Alcotest.test_case "pinned placement decisions" `Slow
+      test_pinned_placement_decisions;
+    Alcotest.test_case "log level restored" `Quick test_log_level_restored;
   ]

@@ -243,7 +243,7 @@ let test_performance_doc_guard () =
       "map_monotone"; "window"; "Bytes_le"; "stable_top_k"; "Regions";
       "dune exec bench/main.exe"; "--only micro";
       "sched dispatch (8 tenants)"; "net saturated window"; "host kevt/s";
-      "byte-identical";
+      "byte-identical"; "Controller search";
     ]
   in
   List.iter
