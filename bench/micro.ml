@@ -108,6 +108,54 @@ let bench_sched_dispatch =
       done;
       Sched.run s))
 
+(* A resident section load through the whole runtime access path
+   ([Runtime.memsys], 1 tenant, untraced): routing, profiling and
+   attribution around the section's own lookup. *)
+let bench_runtime_hit =
+  let module Runtime = Mira_runtime.Runtime in
+  let module Memsys = Mira_runtime.Memsys in
+  let module Manager = Mira_cache.Manager in
+  let rt =
+    Runtime.create (Runtime.Config.make ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22))
+  in
+  let ms = Runtime.memsys rt in
+  let mgr = Runtime.manager rt in
+  (match
+     Manager.add_section mgr ~clock:(ms.Memsys.clock ~tid:0)
+       (Section.config_default ~sec_id:1 ~name:"b" ~line:256 ~size:(1 lsl 17))
+   with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  Manager.assign_site mgr ~site:3 ~sec_id:1;
+  let base = ms.Memsys.alloc ~tid:0 ~site:3 ~bytes:(1 lsl 16) ~heap:true in
+  let ptrs =
+    Array.init 256 (fun i -> { base with Memsys.addr = base.Memsys.addr + (i * 256) })
+  in
+  ms.Memsys.enter ~tid:0 "bench";
+  Array.iter (fun ptr -> ignore (ms.Memsys.load ~tid:0 ~ptr ~len:8 ~native:false)) ptrs;
+  let i = ref 0 in
+  Test.make ~name:"runtime load hit (section)" (Staged.stage (fun () ->
+      i := (!i + 1) land 255;
+      ignore (ms.Memsys.load ~tid:0 ~ptr:ptrs.(!i) ~len:8 ~native:false)))
+
+(* 4 tenants whose start times are 1 us apart, each making 64 clock
+   moves of 1 ns: every move leaves its task the earliest, so the
+   scheduler continues it in place instead of parking and resuming it.
+   Only the 4 task starts are real dispatches. *)
+let bench_sched_in_place =
+  let module Sched = Mira_sim.Sched in
+  Test.make ~name:"sched 4 tenants, in-place advances" (Staged.stage (fun () ->
+      let s = Sched.create () in
+      for tenant = 0 to 3 do
+        let c = Sched.clock s ~tenant in
+        Sched.spawn s ~tenant ~at_ns:(float_of_int (tenant * 1000)) (fun () ->
+            if tenant > 0 then ignore (Mira_sim.Clock.wait_until c (float_of_int (tenant * 1000)));
+            for _ = 1 to 64 do
+              Mira_sim.Clock.advance c 1.0
+            done)
+      done;
+      Sched.run s))
+
 (* A bounded in-flight window under heavy backlog: 512 posts against a
    64-slot window, none retiring (the probe time never advances), so
    the in-flight set only grows.  Before the done-at-keyed heaps every
@@ -137,6 +185,8 @@ let tests () =
       bench_rptr;
       bench_value_codec;
       bench_sched_dispatch;
+      bench_sched_in_place;
+      bench_runtime_hit;
       bench_net_window;
     ]
 

@@ -15,7 +15,7 @@
     [flush_all] re-issues every still-dirty line after a failover),
     [discard_range] (drop without writeback), [drop_all] (end of
     lifetime), and telemetry ([publish], [reset_stats],
-    [metadata_bytes], and [counters] = (hits, misses-or-faults) for
+    [metadata_bytes], and [hits] and [misses] (faults, for swap) for
     profiler attribution). *)
 
 type handle = Section of Section.t | Swap of Swap_section.t
@@ -83,10 +83,10 @@ let metadata_bytes = function
   | Section s -> Section.metadata_bytes s
   | Swap s -> Swap_section.metadata_bytes s
 
-let counters = function
-  | Section s ->
-    let st = Section.stats s in
-    (st.Section.hits, st.Section.misses)
-  | Swap s ->
-    let st = Swap_section.stats s in
-    (st.Swap_section.hits, st.Swap_section.faults)
+let hits = function
+  | Section s -> (Section.stats s).Section.hits
+  | Swap s -> (Swap_section.stats s).Swap_section.hits
+
+let misses = function
+  | Section s -> (Section.stats s).Section.misses
+  | Swap s -> (Swap_section.stats s).Swap_section.faults

@@ -8,6 +8,7 @@ type t = {
   sections : (int, Section.t) Hashtbl.t;
   site_to_section : (int, int) Hashtbl.t;
   mutable section_bytes : int;
+  mutable generation : int;  (* bumped whenever routing may change *)
   mutable attribution : Mira_telemetry.Attribution.t option;
   mutable recovering : bool;
       (* Reconfiguration guard: [add_section]/[end_section] must not
@@ -30,11 +31,14 @@ let create net cluster ~budget ~page ~side =
     sections = Hashtbl.create 16;
     site_to_section = Hashtbl.create 16;
     section_bytes = 0;
+    generation = 0;
     attribution = None;
     recovering = false;
   }
 
 let budget t = t.budget
+let generation t = t.generation
+let bump t = t.generation <- t.generation + 1
 let swap t = t.swap
 let swap_handle t = t.swap_h
 let net t = t.net
@@ -188,6 +192,7 @@ let add_section t ~clock (cfg : Section.config) =
     | Some a -> Section.set_attribution section a
     | None -> ());
     Hashtbl.replace t.sections cfg.Section.sec_id section;
+    bump t;
     t.section_bytes <- t.section_bytes + cfg.Section.size;
     Swap_section.resize t.swap ~capacity:(swap_capacity t) ~clock;
     Ok section
@@ -221,6 +226,7 @@ let end_section t ~clock ~id =
         t.site_to_section []
     in
     List.iter (Hashtbl.remove t.site_to_section) orphans;
+    bump t;
     Swap_section.resize t.swap ~capacity:(swap_capacity t) ~clock
 
 let find_section t ~id = Hashtbl.find_opt t.sections id
@@ -228,9 +234,12 @@ let find_section t ~id = Hashtbl.find_opt t.sections id
 let assign_site t ~site ~sec_id =
   if not (Hashtbl.mem t.sections sec_id) then
     invalid_arg (Printf.sprintf "Manager.assign_site: no section %d" sec_id);
-  Hashtbl.replace t.site_to_section site sec_id
+  Hashtbl.replace t.site_to_section site sec_id;
+  bump t
 
-let unassign_site t ~site = Hashtbl.remove t.site_to_section site
+let unassign_site t ~site =
+  Hashtbl.remove t.site_to_section site;
+  bump t
 
 let route t ~site =
   match Hashtbl.find_opt t.site_to_section site with

@@ -72,6 +72,11 @@ val route_handle : t -> site:int -> Cache_section.handle
     section's when the site has none.  Callers no longer special-case
     swap. *)
 
+val generation : t -> int
+(** Changes whenever [route] or [find_section] may answer differently:
+    bumped by [add_section], [end_section], [assign_site] and
+    [unassign_site].  Callers that cache routing revalidate against it. *)
+
 val handles : t -> Cache_section.handle list
 (** Every live cache in id order, swap last. *)
 

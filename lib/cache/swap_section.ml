@@ -32,7 +32,6 @@ type page_state = {
   mutable dirty : bool;
   mutable ready_at : float;
   mutable refbit : bool;
-  mutable evict_first : bool;
   data : Bytes.t;
 }
 
@@ -44,13 +43,13 @@ type t = {
   mutable hand : int;
   mutable readahead : int -> int list;
   mutable extra_fault_ns : float;
-  mutable hint_count : int;  (* pages currently marked evict-first *)
+  mutable hinted : Mira_util.Index_set.t;  (* frames marked evict-first *)
   stats : stats;
   tr : Transfer.t;
 }
 
 let frame_make page = { pno = -1; dirty = false; ready_at = 0.0; refbit = false;
-                        evict_first = false; data = Bytes.make page '\000' }
+                        data = Bytes.make page '\000' }
 
 let create net far cfg =
   assert (cfg.page >= 8 && cfg.capacity >= cfg.page);
@@ -63,7 +62,7 @@ let create net far cfg =
     hand = 0;
     readahead = (fun _ -> []);
     extra_fault_ns = 0.0;
-    hint_count = 0;
+    hinted = Mira_util.Index_set.create nframes;
     stats = fresh_stats ();
     tr = Transfer.create net far ~side:cfg.side ~line:cfg.page ~section:"swap" ~lane:"swap";
   }
@@ -124,20 +123,16 @@ let release_frame t ~clock idx =
     Hashtbl.remove t.table frame.pno;
     frame.pno <- -1;
     frame.refbit <- false;
-    if frame.evict_first then t.hint_count <- t.hint_count - 1;
-    frame.evict_first <- false;
+    Mira_util.Index_set.remove t.hinted idx;
     t.stats.evictions <- t.stats.evictions + 1
   end
 
+(* Evict-first (hinted) frames win, lowest frame first; otherwise
+   CLOCK.  Only resident frames are ever hinted: every path that frees
+   a frame unhints it. *)
 let pick_victim t =
   let n = Array.length t.frames in
-  (* Evict-first pages (hinted) win; otherwise CLOCK. *)
-  let rec hinted i =
-    if i >= n then None
-    else if t.frames.(i).pno >= 0 && t.frames.(i).evict_first then Some i
-    else hinted (i + 1)
-  in
-  match (if t.hint_count > 0 then hinted 0 else None) with
+  match Mira_util.Index_set.min_elt t.hinted with
   | Some i -> i
   | None ->
     let rec sweep budget =
@@ -173,7 +168,7 @@ let install t ~clock ~pno ~ready_at =
   frame.dirty <- false;
   frame.ready_at <- ready_at;
   frame.refbit <- true;
-  frame.evict_first <- false;
+  Mira_util.Index_set.remove t.hinted idx;
   Hashtbl.replace t.table pno idx;
   idx
 
@@ -233,10 +228,7 @@ let ensure t ~clock ~pno =
       t.stats.stall_ns <- t.stats.stall_ns +. stall
     end;
     frame.refbit <- true;
-    if frame.evict_first then begin
-      t.hint_count <- t.hint_count - 1;
-      frame.evict_first <- false
-    end;
+    Mira_util.Index_set.remove t.hinted idx;
     idx
   | None -> fault t ~clock ~pno
 
@@ -272,12 +264,8 @@ let evict_hint t ~clock ~addr ~len =
       match Hashtbl.find_opt t.table pno with
       | None -> ()
       | Some idx ->
-        let frame = t.frames.(idx) in
-        writeback t ~clock frame ~sync:false;
-        if not frame.evict_first then begin
-          frame.evict_first <- true;
-          t.hint_count <- t.hint_count + 1
-        end)
+        writeback t ~clock t.frames.(idx) ~sync:false;
+        Mira_util.Index_set.add t.hinted idx)
 
 let flush_range t ~clock ~addr ~len =
   iter_pages t ~addr ~len (fun pno ->
@@ -295,8 +283,7 @@ let discard_range t ~addr ~len =
         Hashtbl.remove t.table pno;
         frame.pno <- -1;
         frame.refbit <- false;
-        if frame.evict_first then t.hint_count <- t.hint_count - 1;
-        frame.evict_first <- false;
+        Mira_util.Index_set.remove t.hinted idx;
         t.free_frames <- idx :: t.free_frames)
 
 (* Failover recovery: re-issue writebacks for all still-dirty pages
@@ -322,6 +309,7 @@ let resize t ~capacity ~clock =
   Array.iteri (fun idx frame -> if frame.pno >= 0 then release_frame t ~clock idx) old;
   Hashtbl.reset t.table;
   t.frames <- Array.init nframes (fun _ -> frame_make t.cfg.page);
+  t.hinted <- Mira_util.Index_set.create nframes;
   t.free_frames <- List.init nframes (fun i -> i);
   t.hand <- 0;
   t.cfg <- { t.cfg with capacity }

@@ -12,13 +12,33 @@ type site_stat = {
   mutable overhead_ns : float;
 }
 
-type frame = { fr_name : string; fr_enter : float }
+(* The sites a function has accessed, keyed by site id alone (no
+   generic hashing on the access path). *)
+module Site_set = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash s = s land max_int
+end)
+
+(* A frame carries what the access path updates, resolved once at
+   [enter]: the function's stats and its touched-site set. *)
+type frame = {
+  fr_name : string;
+  fr_enter : float;
+  fr_stat : fn_stat;
+  fr_sites : unit Site_set.t;
+}
+
+let site_cache_size = 64
 
 type t = {
   funcs : (string, fn_stat) Hashtbl.t;
   sites : (int, site_stat) Hashtbl.t;
-  touched : (string * int, unit) Hashtbl.t;  (* (function, site) pairs *)
-  stacks : (int, frame list ref) Hashtbl.t;  (* per-thread call stacks *)
+  site_cache : (int * site_stat) option array;
+      (* direct-mapped by site id over [sites], for [add_site_overhead] *)
+  touched : (string, unit Site_set.t) Hashtbl.t;  (* function -> sites *)
+  stacks : frame list ref Mira_util.Tid_map.t;  (* per-thread call stacks *)
   mutable strict : bool;  (* raise on mismatched enter/exit *)
 }
 
@@ -26,8 +46,9 @@ let create () =
   {
     funcs = Hashtbl.create 32;
     sites = Hashtbl.create 32;
+    site_cache = Array.make site_cache_size None;
     touched = Hashtbl.create 64;
-    stacks = Hashtbl.create 8;
+    stacks = Mira_util.Tid_map.create 8;
     strict = false;
   }
 
@@ -49,18 +70,29 @@ let site_stat t site =
     Hashtbl.replace t.sites site s;
     s
 
+let touched_sites t name =
+  match Hashtbl.find_opt t.touched name with
+  | Some s -> s
+  | None ->
+    let s = Site_set.create 8 in
+    Hashtbl.replace t.touched name s;
+    s
+
 let stack t tid =
-  match Hashtbl.find_opt t.stacks tid with
+  match Mira_util.Tid_map.find_opt t.stacks tid with
   | Some s -> s
   | None ->
     let s = ref [] in
-    Hashtbl.replace t.stacks tid s;
+    Mira_util.Tid_map.replace t.stacks tid s;
     s
 
 let enter t ~tid ~now name =
   let st = stack t tid in
-  st := { fr_name = name; fr_enter = now } :: !st;
-  (fn_stat t name).calls <- (fn_stat t name).calls + 1
+  let stat = fn_stat t name in
+  st :=
+    { fr_name = name; fr_enter = now; fr_stat = stat; fr_sites = touched_sites t name }
+    :: !st;
+  stat.calls <- stat.calls + 1
 
 exception Mismatched_exit of { name : string; tid : int; stack : string list }
 
@@ -87,7 +119,7 @@ let exit_ t ~tid ~now name =
     let rec pop = function
       | [] -> []
       | frame :: rest ->
-        let s = fn_stat t frame.fr_name in
+        let s = frame.fr_stat in
         s.total_ns <- s.total_ns +. (now -. frame.fr_enter);
         if String.equal frame.fr_name name then rest else pop rest
     in
@@ -97,20 +129,38 @@ let exit_ t ~tid ~now name =
 let current t ~tid =
   match !(stack t tid) with [] -> None | fr :: _ -> Some fr.fr_name
 
-let iter_stack t tid fn = List.iter (fun fr -> fn fr.fr_name) !(stack t tid)
+let innermost t ~tid ~default =
+  match !(stack t tid) with [] -> default | fr :: _ -> fr.fr_name
 
-let add_runtime t ~tid ~ns =
-  iter_stack t tid (fun name ->
-      let s = fn_stat t name in
-      s.runtime_ns <- s.runtime_ns +. ns)
+(* The per-access walks below are top-level recursions rather than
+   closures, so they allocate nothing. *)
+let rec add_runtime_frames ns = function
+  | [] -> ()
+  | fr :: rest ->
+    fr.fr_stat.runtime_ns <- fr.fr_stat.runtime_ns +. ns;
+    add_runtime_frames ns rest
 
-let add_event t ~tid ~hit =
-  iter_stack t tid (fun name ->
-      let s = fn_stat t name in
-      if hit then s.hits <- s.hits + 1 else s.misses <- s.misses + 1)
+let add_runtime t ~tid ~ns = add_runtime_frames ns !(stack t tid)
+
+let rec add_event_frames hit = function
+  | [] -> ()
+  | fr :: rest ->
+    let s = fr.fr_stat in
+    if hit then s.hits <- s.hits + 1 else s.misses <- s.misses + 1;
+    add_event_frames hit rest
+
+let add_event t ~tid ~hit = add_event_frames hit !(stack t tid)
 
 let add_site_overhead t ~site ~ns =
-  let s = site_stat t site in
+  let i = site land (site_cache_size - 1) in
+  let s =
+    match t.site_cache.(i) with
+    | Some (k, s) when k = site -> s
+    | _ ->
+      let s = site_stat t site in
+      t.site_cache.(i) <- Some (site, s);
+      s
+  in
   s.overhead_ns <- s.overhead_ns +. ns
 
 let add_alloc t ~site ~bytes =
@@ -118,10 +168,13 @@ let add_alloc t ~site ~bytes =
   s.alloc_bytes <- s.alloc_bytes + bytes;
   s.allocs <- s.allocs + 1
 
-let touch t ~tid ~site =
-  iter_stack t tid (fun name ->
-      if not (Hashtbl.mem t.touched (name, site)) then
-        Hashtbl.replace t.touched (name, site) ())
+let rec touch_frames site = function
+  | [] -> ()
+  | fr :: rest ->
+    if not (Site_set.mem fr.fr_sites site) then Site_set.replace fr.fr_sites site ();
+    touch_frames site rest
+
+let touch t ~tid ~site = touch_frames site !(stack t tid)
 
 let fn_stats t = Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.funcs []
 let site_stats t = Hashtbl.fold (fun site s acc -> (site, s) :: acc) t.sites []
@@ -181,10 +234,9 @@ let top_functions t ~frac =
     |> List.map fst
 
 let sites_of_function t name =
-  Hashtbl.fold
-    (fun (fn, site) () acc -> if String.equal fn name then site :: acc else acc)
-    t.touched []
-  |> List.sort_uniq compare
+  match Hashtbl.find_opt t.touched name with
+  | None -> []
+  | Some sites -> Site_set.fold (fun site () acc -> site :: acc) sites [] |> List.sort compare
 
 (* The paper picks the largest objects; we rank by the profiled
    runtime overhead each site actually caused (size as a tie-break) —
@@ -209,5 +261,6 @@ let largest_sites t ~frac ~among =
 let reset t =
   Hashtbl.reset t.funcs;
   Hashtbl.reset t.sites;
+  Array.fill t.site_cache 0 site_cache_size None;
   Hashtbl.reset t.touched;
-  Hashtbl.reset t.stacks
+  Mira_util.Tid_map.reset t.stacks

@@ -45,6 +45,9 @@ val exit_ : t -> tid:int -> now:float -> string -> unit
 val current : t -> tid:int -> string option
 (** The innermost open frame on [tid]'s stack, if any. *)
 
+val innermost : t -> tid:int -> default:string -> string
+(** [current] without the option: [default] when the stack is empty. *)
+
 val add_runtime : t -> tid:int -> ns:float -> unit
 (** Attribute runtime-overhead time to every function on [tid]'s stack. *)
 

@@ -104,6 +104,19 @@ module Regions = struct
     go [] t.head
 end
 
+(* A site's resolved routing: valid while the manager's generation and
+   the runtime's private-section generation are the ones it was
+   resolved under. *)
+type route = {
+  r_site : int;
+  r_mgen : int;
+  r_pgen : int;
+  r_shared : Cache.Cache_section.handle;
+  r_private : Cache.Cache_section.handle array;  (* per tid; [||] if shared *)
+}
+
+let route_cache_size = 256
+
 type t = {
   cfg : config;
   net : Sim.Net.t;
@@ -114,10 +127,12 @@ type t = {
   remote_space : Sim.Remote_alloc.t;
   local_alloc : Local_alloc.t;
   sched : Sim.Sched.t;
-  clocks : (int, Sim.Clock.t) Hashtbl.t;
-  offload_depth : (int, int ref) Hashtbl.t;
+  clocks : Sim.Clock.t Mira_util.Tid_map.t;
+  offload_depth : int ref Mira_util.Tid_map.t;
   site_ranges : (int, Regions.t) Hashtbl.t;
   private_sections : (int, int array) Hashtbl.t;  (* site -> per-tid sec ids *)
+  mutable private_gen : int;  (* bumped when [private_sections] changes *)
+  routes : route option array;  (* direct-mapped by site id *)
   lost_bytes : (int, int) Hashtbl.t;  (* site -> far bytes lost to crashes *)
   profile : Profile.t;
   attribution : Mira_telemetry.Attribution.t;
@@ -180,10 +195,12 @@ let create cfg =
     remote_space;
     local_alloc = Local_alloc.create remote_space ~chunk:cfg.alloc_chunk;
     sched;
-    clocks = Hashtbl.create 8;
-    offload_depth = Hashtbl.create 8;
+    clocks = Mira_util.Tid_map.create 8;
+    offload_depth = Mira_util.Tid_map.create 8;
     site_ranges = Hashtbl.create 32;
     private_sections = Hashtbl.create 8;
+    private_gen = 0;
+    routes = Array.make route_cache_size None;
     lost_bytes = Hashtbl.create 8;
     profile = Profile.create ();
     attribution;
@@ -204,46 +221,70 @@ let params t = t.cfg.params
    free-running (yield hook inert) until tasks are spawned on
    [sched t] and [Sched.run] dispatches more than one of them. *)
 let clock t tid =
-  match Hashtbl.find_opt t.clocks tid with
+  match Mira_util.Tid_map.find_opt t.clocks tid with
   | Some c -> c
   | None ->
     let c = Sim.Sched.clock t.sched ~tenant:tid in
-    Hashtbl.replace t.clocks tid c;
+    Mira_util.Tid_map.replace t.clocks tid c;
     c
 
 let sched t = t.sched
 let tenants t = t.cfg.tenants
 
 let offload_ref t tid =
-  match Hashtbl.find_opt t.offload_depth tid with
+  match Mira_util.Tid_map.find_opt t.offload_depth tid with
   | Some r -> r
   | None ->
     let r = ref 0 in
-    Hashtbl.replace t.offload_depth tid r;
+    Mira_util.Tid_map.replace t.offload_depth tid r;
     r
 
 let offloaded t tid = !(offload_ref t tid) > 0
 
 let set_private_sections t ~site ~sec_ids =
-  assert (Array.length sec_ids > 0);
-  Hashtbl.replace t.private_sections site sec_ids
+  if Array.length sec_ids = 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Runtime.set_private_sections: site %d needs at least one section id" site);
+  Hashtbl.replace t.private_sections site sec_ids;
+  t.private_gen <- t.private_gen + 1
 
-let clear_private_sections t = Hashtbl.reset t.private_sections
+let clear_private_sections t =
+  Hashtbl.reset t.private_sections;
+  t.private_gen <- t.private_gen + 1
 
-let route t ~tid ~site =
-  match Hashtbl.find_opt t.private_sections site with
-  | Some sec_ids ->
-    let idx = min tid (Array.length sec_ids - 1) in
-    Cache.Manager.find_section t.manager ~id:sec_ids.(idx)
-  | None -> Cache.Manager.route t.manager ~site
+let section_handle t id =
+  match Cache.Manager.find_section t.manager ~id with
+  | Some section -> Cache.Cache_section.Section section
+  | None -> Cache.Manager.swap_handle t.manager
+
+let resolve_route t ~site ~mgen =
+  let r_shared, r_private =
+    match Hashtbl.find_opt t.private_sections site with
+    | Some sec_ids ->
+      (Cache.Manager.swap_handle t.manager, Array.map (section_handle t) sec_ids)
+    | None -> (Cache.Manager.route_handle t.manager ~site, [||])
+  in
+  { r_site = site; r_mgen = mgen; r_pgen = t.private_gen; r_shared; r_private }
 
 (* Uniform dispatch: every access path below goes through a
    [Cache_section.handle], so the swap section is not a special case —
-   an unrouted site simply resolves to the swap handle. *)
+   an unrouted site simply resolves to the swap handle.  Routing is
+   resolved once per site and reused until a section is added or
+   ended, a site is (un)assigned, or private sections change. *)
 let route_h t ~tid ~site =
-  match route t ~tid ~site with
-  | Some section -> Cache.Cache_section.Section section
-  | None -> Cache.Manager.swap_handle t.manager
+  let mgen = Cache.Manager.generation t.manager in
+  let slot = site land (route_cache_size - 1) in
+  let r =
+    match t.routes.(slot) with
+    | Some r when r.r_site = site && r.r_mgen = mgen && r.r_pgen = t.private_gen -> r
+    | _ ->
+      let r = resolve_route t ~site ~mgen in
+      t.routes.(slot) <- Some r;
+      r
+  in
+  let n = Array.length r.r_private in
+  if n = 0 then r.r_shared else r.r_private.(min tid (n - 1))
 
 let regions_of t site =
   match Hashtbl.find_opt t.site_ranges site with
@@ -261,9 +302,7 @@ let live_far_bytes t = Sim.Remote_alloc.live_bytes t.remote_space
    (including cluster failover handling, so a crash surfacing during an
    access is attributed to the access that observed it). *)
 let set_attr_context t ~tid ~site =
-  let fn =
-    Option.value ~default:"(runtime)" (Profile.current t.profile ~tid)
-  in
+  let fn = Profile.innermost t.profile ~tid ~default:"(runtime)" in
   Mira_telemetry.Attribution.set_context t.attribution ~fn ~site;
   Mira_telemetry.Attribution.set_tenant t.attribution tid;
   Sim.Net.set_tenant t.net tid
@@ -477,18 +516,20 @@ let sync_cluster t ~clock:c =
     account_lost t
   end
 
-let attribute t ~tid ~site ~before ~after ~hits_before ~misses_before ~hits ~misses =
+(* [hits] and [misses] are the access's deltas of the handle's
+   counters. *)
+let attribute t ~tid ~site ~before ~after ~hits ~misses =
   let native = t.cfg.params.Sim.Params.native_mem_ns in
   let overhead = Float.max 0.0 (after -. before -. native) in
   if overhead > 0.0 then begin
     Profile.add_runtime t.profile ~tid ~ns:overhead;
     Profile.add_site_overhead t.profile ~site ~ns:overhead
   end;
-  if hits > hits_before then Profile.add_event t.profile ~tid ~hit:true;
-  if misses > misses_before then begin
+  if hits > 0 then Profile.add_event t.profile ~tid ~hit:true;
+  if misses > 0 then begin
     Profile.add_event t.profile ~tid ~hit:false;
     Mira_telemetry.Sketch.touch t.miss_sites
-      ~weight:(Int64.of_int (misses - misses_before))
+      ~weight:(Int64.of_int misses)
       (Printf.sprintf "site%d" site)
   end
 
@@ -505,15 +546,15 @@ let load t ~tid ~(ptr : Memsys.ptr) ~len ~native =
       Profile.touch t.profile ~tid ~site:ptr.Memsys.site;
       let before = Sim.Clock.now c in
       let h = route_h t ~tid ~site:ptr.Memsys.site in
-      let hb, mb = Cache.Cache_section.counters h in
+      let hb = Cache.Cache_section.hits h and mb = Cache.Cache_section.misses h in
       let v =
         if native then
           Cache.Cache_section.load_native h ~clock:c ~addr:ptr.Memsys.addr ~len
         else Cache.Cache_section.load h ~clock:c ~addr:ptr.Memsys.addr ~len
       in
-      let hits, misses = Cache.Cache_section.counters h in
       attribute t ~tid ~site:ptr.Memsys.site ~before ~after:(Sim.Clock.now c)
-        ~hits_before:hb ~misses_before:mb ~hits ~misses;
+        ~hits:(Cache.Cache_section.hits h - hb)
+        ~misses:(Cache.Cache_section.misses h - mb);
       end_access ~kind:"load" ~clock:c root;
       v
     end
@@ -531,13 +572,13 @@ let store t ~tid ~(ptr : Memsys.ptr) ~len ~native ~value =
       Profile.touch t.profile ~tid ~site:ptr.Memsys.site;
       let before = Sim.Clock.now c in
       let h = route_h t ~tid ~site:ptr.Memsys.site in
-      let hb, mb = Cache.Cache_section.counters h in
+      let hb = Cache.Cache_section.hits h and mb = Cache.Cache_section.misses h in
       if native then
         Cache.Cache_section.store_native h ~clock:c ~addr:ptr.Memsys.addr ~len value
       else Cache.Cache_section.store h ~clock:c ~addr:ptr.Memsys.addr ~len value;
-      let hits, misses = Cache.Cache_section.counters h in
       attribute t ~tid ~site:ptr.Memsys.site ~before ~after:(Sim.Clock.now c)
-        ~hits_before:hb ~misses_before:mb ~hits ~misses;
+        ~hits:(Cache.Cache_section.hits h - hb)
+        ~misses:(Cache.Cache_section.misses h - mb);
       end_access ~kind:"store" ~clock:c root
     end
 
@@ -598,7 +639,7 @@ let op_cost t ~tid ns =
   Sim.Clock.advance c scaled
 
 let reset_timing t =
-  Hashtbl.iter (fun _ c -> Sim.Clock.reset c) t.clocks;
+  Mira_util.Tid_map.iter (fun _ c -> Sim.Clock.reset c) t.clocks;
   Sim.Sched.reset_stats t.sched;
   Sim.Net.reset_stats t.net;
   Sim.Net.reset_link t.net;
@@ -608,14 +649,14 @@ let reset_timing t =
   Mira_telemetry.Sketch.reset t.miss_sites
 
 let elapsed t =
-  Hashtbl.fold (fun _ c acc -> Float.max acc (Sim.Clock.now c)) t.clocks 0.0
+  Mira_util.Tid_map.fold (fun _ c acc -> Float.max acc (Sim.Clock.now c)) t.clocks 0.0
 
 (* The audit-side stall total: what the thread clocks actually spent in
    [wait_until].  The attribution ledger's total can only be <= this
    (application-level synchronization — parallel-region joins — also
    stalls clocks but is not far-memory time). *)
 let clock_stall_ns t =
-  Hashtbl.fold (fun _ c acc -> acc +. Sim.Clock.stalled_ns c) t.clocks 0.0
+  Mira_util.Tid_map.fold (fun _ c acc -> acc +. Sim.Clock.stalled_ns c) t.clocks 0.0
 
 (* Pull-model telemetry: flatten the whole runtime's statistics —
    network, swap, every live section, allocator and profiler gauges —

@@ -113,7 +113,8 @@ val memsys : t -> Memsys.t
 
 val set_private_sections : t -> site:int -> sec_ids:int array -> unit
 (** Route [site] to per-thread sections: thread [i] uses
-    [sec_ids.(min i (len-1))] (read-only multithreading, §4.6). *)
+    [sec_ids.(min i (len-1))] (read-only multithreading, §4.6).
+    Raises [Invalid_argument] naming the site when [sec_ids] is empty. *)
 
 val clear_private_sections : t -> unit
 

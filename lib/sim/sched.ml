@@ -14,6 +14,13 @@
    interleaving is a pure function of the clocks — two runs with the
    same seeds replay byte-identically.
 
+   When the moving task would itself be the earliest entry, the yield
+   is elided: parking it and popping the queue would resume this very
+   task with the trace context and task-local state it had just saved,
+   so the task simply continues in place.  The elided step still bumps
+   the seqno and counts as a block and a dispatch, so every counter
+   equals that of the always-yield scheduler.
+
    Time keys are int64 fixed point in units of 2^-16 ns (the
    attribution ledger's tick), an exact total order even when two
    float timestamps differ below float printing precision.  The floats
@@ -55,18 +62,31 @@ type entry = {
    is globally unique, so this is a strict total order over entries —
    which is exactly why the event queue can be a binary heap: with no
    ties, heap pop order coincides with the old scan-for-min order. *)
-let entry_before a b =
-  a.at < b.at
-  || (a.at = b.at && (a.tenant < b.tenant || (a.tenant = b.tenant && a.seq < b.seq)))
+let precedes ~at ~tenant ~seq b =
+  at < b.at
+  || (at = b.at && (tenant < b.tenant || (tenant = b.tenant && seq < b.seq)))
+
+let entry_before a b = precedes ~at:a.at ~tenant:a.tenant ~seq:a.seq b
+
+(* Block counters are indexed by event kind, in the name order
+   [block_counts] reports. *)
+let block_kinds = [| Cache_fill; Fence; Net_completion 0; Timer |]
+
+let block_index = function
+  | Cache_fill -> 0
+  | Fence -> 1
+  | Net_completion _ -> 2
+  | Timer -> 3
 
 type t = {
   queue : entry Mira_util.Min_heap.t;  (* ordered by [entry_before] *)
   mutable seq : int;
   mutable live : int;  (* spawned tasks that have not returned *)
   mutable running : bool;
+  mutable current : int;  (* tenant of the task being run *)
   mutable dispatched : int;
   clocks : (int, Clock.t) Hashtbl.t;
-  blocks : (string, int) Hashtbl.t;  (* yields per event kind *)
+  blocks : int array;  (* yields per event kind, by [block_index] *)
   mutable tls_hooks : (unit -> unit -> unit) list;  (* newest first *)
 }
 
@@ -78,9 +98,10 @@ let create () =
     seq = 0;
     live = 0;
     running = false;
+    current = 0;
     dispatched = 0;
     clocks = Hashtbl.create 8;
-    blocks = Hashtbl.create 8;
+    blocks = Array.make (Array.length block_kinds) 0;
     tls_hooks = [];
   }
 
@@ -96,6 +117,22 @@ let add_tls t hook = t.tls_hooks <- hook :: t.tls_hooks
 let save_tls t = List.map (fun hook -> hook ()) t.tls_hooks
 let restore_tls entry = List.iter (fun restore -> restore ()) entry.tls
 
+let next_seq t =
+  t.seq <- t.seq + 1;
+  t.seq
+
+let count_block t ev =
+  let i = block_index ev in
+  t.blocks.(i) <- t.blocks.(i) + 1
+
+(* Would the running task, parked at [at] now, be the next entry out?
+   The parked entry's tenant is the running task's, whichever clock
+   moved. *)
+let runs_next t ~at =
+  Mira_util.Min_heap.is_empty t.queue
+  || precedes ~at ~tenant:t.current ~seq:(t.seq + 1)
+       (Mira_util.Min_heap.top t.queue)
+
 let clock t ~tenant =
   match Hashtbl.find_opt t.clocks tenant with
   | Some c -> c
@@ -104,20 +141,24 @@ let clock t ~tenant =
     (* The yield point: only fires while the scheduler loop is live and
        more than one task could be affected by the move — so clocks
        handed out before [run], after it returns, or in a 1-tenant run
-       behave exactly like free-running clocks. *)
+       behave exactly like free-running clocks.  A task that would run
+       next anyway continues in place (see the header). *)
     Clock.set_observer c
       (Some
          (fun ev now ->
-           if t.running && t.live > 1 then
-             Effect.perform (Yield { at = ticks_of_ns now; ev })));
+           if t.running && t.live > 1 then begin
+             let at = ticks_of_ns now in
+             if runs_next t ~at then begin
+               count_block t ev;
+               ignore (next_seq t);
+               t.dispatched <- t.dispatched + 1
+             end
+             else Effect.perform (Yield { at; ev })
+           end));
     Hashtbl.replace t.clocks tenant c;
     c
 
 let push t entry = Mira_util.Min_heap.push t.queue entry
-
-let next_seq t =
-  t.seq <- t.seq + 1;
-  t.seq
 
 let spawn ?at_ns t ~tenant f =
   let at =
@@ -129,11 +170,6 @@ let spawn ?at_ns t ~tenant f =
   push t { at; tenant; seq = next_seq t; resume = Start f; ctx = None; tls = [] }
 
 let pop_earliest t = Mira_util.Min_heap.pop t.queue
-
-let count_block t ev =
-  let k = Clock.event_name ev in
-  Hashtbl.replace t.blocks k
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.blocks k))
 
 let run t =
   if t.running then invalid_arg "Sched.run: already running";
@@ -169,6 +205,7 @@ let run t =
     | None -> ()
     | Some e ->
       t.dispatched <- t.dispatched + 1;
+      t.current <- e.tenant;
       Mira_telemetry.Trace.set_ctx e.ctx;
       restore_tls e;
       (match e.resume with
@@ -183,8 +220,10 @@ let run t =
 let dispatched t = t.dispatched
 
 let block_counts t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.blocks []
-  |> List.sort compare
+  Array.to_list block_kinds
+  |> List.filter_map (fun ev ->
+         let n = t.blocks.(block_index ev) in
+         if n > 0 then Some (Clock.event_name ev, n) else None)
 
 let elapsed_ns t =
   Hashtbl.fold (fun _ c acc -> Float.max acc (Clock.now c)) t.clocks 0.0
@@ -199,7 +238,7 @@ let publish t reg =
 
 let reset_stats t =
   t.dispatched <- 0;
-  Hashtbl.reset t.blocks
+  Array.fill t.blocks 0 (Array.length t.blocks) 0
 
 let reset t =
   if t.running then invalid_arg "Sched.reset: scheduler is running";
@@ -207,5 +246,5 @@ let reset t =
   t.seq <- 0;
   t.live <- 0;
   t.dispatched <- 0;
-  Hashtbl.reset t.blocks;
+  Array.fill t.blocks 0 (Array.length t.blocks) 0;
   Hashtbl.iter (fun _ c -> Clock.reset c) t.clocks

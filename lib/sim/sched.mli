@@ -5,8 +5,12 @@
     tenant contexts running as resumable tasks.  Each tenant owns a
     {!Clock.t} that is a {e view} over this scheduler: whenever a task
     moves its clock forward — compute time, or blocking on a typed
-    event (net completion, cache-line fill, fence, arrival timer) — it
-    yields, and the task with the globally earliest clock resumes.
+    event (net completion, cache-line fill, fence, arrival timer) — the
+    task with the globally earliest clock runs next.  The moving task
+    yields only when another task is earlier; otherwise it continues
+    in place, and the elided park-and-resume still counts as a dispatch
+    and a block, so the counters equal those of a scheduler that parks
+    on every move.
     Tenants thereby contend for the shared section cache, the net
     in-flight window, and the far cluster in exact simulated-time
     order.
@@ -75,8 +79,8 @@ val run : t -> unit
     re-entry.  Exceptions escaping a task abort the run and propagate. *)
 
 val dispatched : t -> int
-(** Total dispatches (task starts + resumes) — a determinism
-    fingerprint for tests. *)
+(** Total dispatches (task starts + resumes, counting the steps
+    continued in place) — a determinism fingerprint for tests. *)
 
 val block_counts : t -> (string * int) list
 (** Yields per typed-event kind ([cache_fill], [fence],

@@ -47,6 +47,14 @@ let ex_before a b =
   a.ex_value_ns > b.ex_value_ns
   || (a.ex_value_ns = b.ex_value_ns && a.ex_seq < b.ex_seq)
 
+(* Can an observation of [v] enter a reservoir of [n] slots holding
+   [l]?  The newest observation ranks after every equal value, so once
+   the reservoir is full it enters only by beating the slowest exemplar
+   outright.  When it cannot enter, the list is not rebuilt. *)
+let rec has_room v n = function
+  | [] -> true
+  | x :: rest -> if n = 1 then v > x.ex_value_ns else has_room v (n - 1) rest
+
 let hist_observe ?(trace = 0) h v =
   let i = bucket_of v in
   h.counts.(i) <- h.counts.(i) + 1;
@@ -54,17 +62,19 @@ let hist_observe ?(trace = 0) h v =
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v;
   h.obs_seq <- h.obs_seq + 1;
-  let ex = { ex_value_ns = v; ex_trace = trace; ex_seq = h.obs_seq } in
-  let rec insert = function
-    | [] -> [ ex ]
-    | x :: rest -> if ex_before ex x then ex :: x :: rest else x :: insert rest
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  h.exemplars <- take exemplar_cap (insert h.exemplars)
+  if has_room v exemplar_cap h.exemplars then begin
+    let ex = { ex_value_ns = v; ex_trace = trace; ex_seq = h.obs_seq } in
+    let rec insert = function
+      | [] -> [ ex ]
+      | x :: rest -> if ex_before ex x then ex :: x :: rest else x :: insert rest
+    in
+    let rec take n = function
+      | [] -> []
+      | _ when n = 0 -> []
+      | x :: rest -> x :: take (n - 1) rest
+    in
+    h.exemplars <- take exemplar_cap (insert h.exemplars)
+  end
 
 let hist_exemplars h = h.exemplars
 let hist_count h = Stats.online_count h.online

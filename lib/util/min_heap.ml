@@ -69,6 +69,10 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
+let top t =
+  if t.size = 0 then invalid_arg "Min_heap.top: empty heap";
+  t.data.(0)
+
 let pop t =
   if t.size = 0 then None
   else begin

@@ -27,6 +27,10 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Smallest element, not removed. *)
 
+val top : 'a t -> 'a
+(** Smallest element, not removed, without the option box of [peek].
+    Raises [Invalid_argument] on an empty heap. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 

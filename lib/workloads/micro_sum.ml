@@ -9,7 +9,8 @@ let config_default = { elems = 200_000; stride = 1; seed = 17 }
 let far_bytes cfg = 8 * cfg.elems
 
 let build cfg =
-  assert (cfg.stride >= 1);
+  if cfg.stride < 1 then
+    invalid_arg (Printf.sprintf "Micro_sum.build: stride must be >= 1 (got %d)" cfg.stride);
   let b = B.program "micro_sum" in
   let n = B.iconst cfg.elems in
   B.func b "init" [ ("a", T.Ptr T.I64) ] T.Unit (fun fb args ->

@@ -8,4 +8,6 @@ val config_default : config
 (** 200k 8-byte elements, stride 1. *)
 
 val build : config -> Mira_mir.Ir.program
+(** Raises [Invalid_argument] with the reason when [stride < 1]. *)
+
 val far_bytes : config -> int

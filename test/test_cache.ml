@@ -126,6 +126,30 @@ let test_swap_eviction_and_writeback () =
   Alcotest.(check int64) "data survives eviction" 1L
     (Swap.load sw ~clock ~addr:0 ~len:8)
 
+(* Hinted frames are evicted lowest frame first, whatever order the
+   hints came in; a hit on a hinted page withdraws its hint, and with
+   no hint left the CLOCK hand picks the victim. *)
+let test_swap_hinted_victims () =
+  let net, far, clock = make_env () in
+  let sw =
+    Swap.create net far { Swap.page = 4096; capacity = 8 * 4096; side = Net.One_sided }
+  in
+  let load page = ignore (Swap.load sw ~clock ~addr:(page * 4096) ~len:8) in
+  let resident page = Swap.resident sw ~addr:(page * 4096) in
+  let hint page = Swap.evict_hint sw ~clock ~addr:(page * 4096) ~len:8 in
+  for page = 0 to 7 do load page done;  (* page p in frame p *)
+  hint 5;
+  hint 2;
+  load 8;
+  Alcotest.(check (list bool)) "frame 2 first" [ false; true ] [ resident 2; resident 5 ];
+  load 9;
+  Alcotest.(check bool) "then frame 5" false (resident 5);
+  hint 6;
+  load 6;
+  load 10;
+  Alcotest.(check (list bool)) "hit withdrew the hint; CLOCK took frame 0"
+    [ true; false ] [ resident 6; resident 0 ]
+
 let test_swap_readahead () =
   let net, far, clock = make_env () in
   let sw = Swap.create net far { Swap.page = 4096; capacity = 65536; side = Net.One_sided } in
@@ -429,6 +453,7 @@ let suite =
     Alcotest.test_case "section discard" `Quick test_section_discard_range;
     Alcotest.test_case "swap basic" `Quick test_swap_basic;
     Alcotest.test_case "swap eviction" `Quick test_swap_eviction_and_writeback;
+    Alcotest.test_case "swap hinted victims" `Quick test_swap_hinted_victims;
     Alcotest.test_case "swap readahead" `Quick test_swap_readahead;
     Alcotest.test_case "swap resize" `Quick test_swap_resize;
     Alcotest.test_case "swap prefetch past capacity" `Quick test_swap_prefetch_past_capacity;

@@ -5,9 +5,12 @@
    - stable under duplicate keys once the caller folds an insertion
      index into [le] (the Sched recipe);
    - interleaved push/pop agrees with a sorted-list reference model;
-   - differential: Sched dispatch order on random N-tenant programs is
-     byte-identical to the old scan-for-min over an unordered list
-     (the implementation the heap replaced).
+   - differential: Sched's dispatch log, dispatch count and block
+     counts on random N-tenant programs equal those of the old
+     scan-for-min over an unordered list that parked on every clock
+     move (the implementation the heap and the in-place continuation
+     replaced), including moves of other tenants' clocks, exact-tick
+     ties and one tenant's long run of moves.
 
    docs/PERFORMANCE.md has a drift guard here too: it documents these
    structures and must keep naming them. *)
@@ -118,19 +121,27 @@ let qcheck_interleaved_model =
 (* --- differential: Sched dispatch vs the old scan ------------------------ *)
 
 (* The scheduler's park queue used to be an unordered list scanned with
-   List.fold_left for the earliest entry and List.filter to remove it.
-   The reference below replays a random N-tenant Advance program under
-   exactly that discipline — keys are the same (time ticks, tenant,
-   seqno) triples Sched uses — and the resulting dispatch log must be
-   byte-identical to what the heap-based Sched produces. *)
+   List.fold_left for the earliest entry and List.filter to remove it,
+   and every clock move used to park the moving task.  The reference
+   below replays a random N-tenant program under exactly that
+   discipline — keys are the same (time ticks, tenant, seqno) triples
+   Sched uses, and a move parks whenever more than one task is live —
+   and the dispatch log, the dispatch count and the block counts must
+   equal what Sched produces, although Sched continues a task in place
+   when it would be the next one out anyway.
+
+   A step is (clock, dt): the running task advances tenant [clock]'s
+   clock by [dt], which need not be its own.  A parked entry carries
+   the running task's tenant, whichever clock moved; after each step
+   the task logs (tenant, bits of that clock's time) once it runs
+   again. *)
 
 type ref_entry = {
   at : int64;  (* ticks, 2^-16 ns *)
   tenant : int;
   seq : int;
-  now : float;  (* tenant clock after the advance that parked it *)
-  pending_log : bool;  (* emit (tenant, now) when dispatched *)
-  remaining : float list;
+  log_clock : int option;  (* clock to log when dispatched *)
+  remaining : (int * float) list;
 }
 
 let entry_before a b =
@@ -151,17 +162,39 @@ let scan_pop entries =
     in
     Some (best, List.filter (fun e -> e != best) entries)
 
-let reference_log progs =
-  let log = ref [] in
+(* (dispatch log, dispatches, block counts) of the always-yield
+   scan-based scheduler. *)
+let reference_run progs =
+  let clocks = Array.make (List.length progs) 0.0 in
+  let log = ref [] and dispatched = ref 0 and timers = ref 0 in
+  let live = ref (List.length progs) in
   let next_seq = ref 0 in
   let fresh_seq () = let s = !next_seq in incr next_seq; s in
   let entries =
     ref
       (List.mapi
          (fun tenant steps ->
-           { at = 0L; tenant; seq = fresh_seq (); now = 0.0;
-             pending_log = false; remaining = steps })
+           { at = 0L; tenant; seq = fresh_seq (); log_clock = None;
+             remaining = steps })
          progs)
+  in
+  let emit tenant c = log := (tenant, Int64.bits_of_float clocks.(c)) :: !log in
+  (* Run [tenant]'s steps until one parks or the task returns. *)
+  let rec run tenant = function
+    | [] -> decr live
+    | (c, dt) :: more ->
+      clocks.(c) <- clocks.(c) +. dt;
+      if dt > 0.0 && !live > 1 then begin
+        incr timers;
+        entries :=
+          { at = Sched.ticks_of_ns clocks.(c); tenant; seq = fresh_seq ();
+            log_clock = Some c; remaining = more }
+          :: !entries
+      end
+      else begin
+        emit tenant c;
+        run tenant more
+      end
   in
   let running = ref true in
   while !running do
@@ -169,34 +202,39 @@ let reference_log progs =
     | None -> running := false
     | Some (e, rest) ->
       entries := rest;
-      if e.pending_log then
-        log := (e.tenant, Int64.bits_of_float e.now) :: !log;
-      (match e.remaining with
-      | [] -> ()  (* task body returned; nothing re-parks *)
-      | dt :: more ->
-        let now = e.now +. dt in
-        entries :=
-          { at = Sched.ticks_of_ns now; tenant = e.tenant;
-            seq = fresh_seq (); now; pending_log = true; remaining = more }
-          :: !entries)
+      incr dispatched;
+      Option.iter (emit e.tenant) e.log_clock;
+      run e.tenant e.remaining
   done;
-  List.rev !log
+  let blocks = if !timers > 0 then [ ("timer", !timers) ] else [] in
+  (List.rev !log, !dispatched, blocks)
 
-let sched_log progs =
+let sched_run progs =
   let s = Sched.create () in
   let log = ref [] in
   List.iteri
     (fun tenant steps ->
       Sched.spawn s ~tenant (fun () ->
-          let c = Sched.clock s ~tenant in
           List.iter
-            (fun dt ->
-              Clock.advance c dt;
-              log := (tenant, Int64.bits_of_float (Clock.now c)) :: !log)
+            (fun (c, dt) ->
+              let clock = Sched.clock s ~tenant:c in
+              Clock.advance clock dt;
+              log := (tenant, Int64.bits_of_float (Clock.now clock)) :: !log)
             steps))
     progs;
   Sched.run s;
-  List.rev !log
+  (List.rev !log, Sched.dispatched s, Sched.block_counts s)
+
+let own_clocks progs = List.mapi (fun tenant steps -> List.map (fun dt -> (tenant, dt)) steps) progs
+
+let progs_arb gen =
+  QCheck.make gen ~print:(fun progs ->
+      String.concat " | "
+        (List.map
+           (fun p ->
+             String.concat ","
+               (List.map (fun (c, dt) -> Printf.sprintf "%d:%g" c dt) p))
+           progs))
 
 let advance_progs_gen =
   QCheck.Gen.(
@@ -205,20 +243,56 @@ let advance_progs_gen =
       (list_size (int_range 1 25)
          (* small range with zero included: maximizes tick collisions,
             the case where tenant/seqno tie-breaks carry the order *)
-         (frequency [ (4, float_range 0.0 12.0); (1, return 0.0) ])))
+         (frequency [ (4, float_range 0.0 12.0); (1, return 0.0) ]))
+    >|= own_clocks)
 
-let advance_progs_arb =
-  QCheck.make advance_progs_gen ~print:(fun progs ->
-      String.concat " | "
-        (List.map
-           (fun p -> String.concat "," (List.map string_of_float p))
-           progs))
+(* Tasks that move other tenants' clocks as well as their own.  Mostly
+   whole-nanosecond moves, so a parked entry often ties the queue's top
+   on time and its tenant decides the order. *)
+let cross_progs_gen =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun tenants ->
+    list_repeat tenants
+      (list_size (int_range 1 20)
+         (pair (int_bound (tenants - 1))
+            (frequency
+               [ (3, map float_of_int (int_bound 4)); (1, float_range 0.0 12.0) ]))))
+
+(* Whole-nanosecond moves: tenants meet on exactly the same tick. *)
+let tie_progs_gen =
+  QCheck.Gen.(
+    int_range 2 6 >>= fun tenants ->
+    list_repeat tenants
+      (list_size (int_range 1 25) (oneofl [ 0.0; 1.0; 2.0; 4.0 ]))
+    >|= own_clocks)
+
+(* One tenant makes a long run of small moves while the others sleep
+   far ahead: most of its moves continue in place. *)
+let run_progs_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun others ->
+    list_size (int_range 50 300) (float_range 0.0 1.0) >>= fun busy ->
+    list_repeat others (list_size (int_range 1 3) (float_range 20.0 200.0))
+    >|= fun rest -> own_clocks (busy :: rest))
+
+let matches_reference name gen =
+  QCheck.Test.make ~name ~count:80 (progs_arb gen) (fun progs ->
+      sched_run progs = reference_run progs)
 
 let qcheck_sched_matches_scan =
-  QCheck.Test.make
-    ~name:"Sched dispatch order = old scan-based implementation" ~count:80
-    advance_progs_arb
-    (fun progs -> sched_log progs = reference_log progs)
+  matches_reference "Sched dispatch order = old scan-based implementation"
+    advance_progs_gen
+
+let qcheck_sched_cross_clocks =
+  matches_reference "Sched = always-yield scan, cross-tenant clocks"
+    cross_progs_gen
+
+let qcheck_sched_tick_ties =
+  matches_reference "Sched = always-yield scan, exact-tick ties" tie_progs_gen
+
+let qcheck_sched_long_run =
+  matches_reference "Sched = always-yield scan, one tenant's long run"
+    run_progs_gen
 
 (* --- docs/PERFORMANCE.md drift guard ------------------------------------- *)
 
@@ -243,7 +317,7 @@ let test_performance_doc_guard () =
       "map_monotone"; "window"; "Bytes_le"; "stable_top_k"; "Regions";
       "dune exec bench/main.exe"; "--only micro";
       "sched dispatch (8 tenants)"; "net saturated window"; "host kevt/s";
-      "byte-identical"; "Controller search";
+      "byte-identical"; "Controller search"; "Access path";
     ]
   in
   List.iter
@@ -263,4 +337,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_stable_with_index;
     QCheck_alcotest.to_alcotest qcheck_interleaved_model;
     QCheck_alcotest.to_alcotest qcheck_sched_matches_scan;
+    QCheck_alcotest.to_alcotest qcheck_sched_cross_clocks;
+    QCheck_alcotest.to_alcotest qcheck_sched_tick_ties;
+    QCheck_alcotest.to_alcotest qcheck_sched_long_run;
   ]

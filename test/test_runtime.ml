@@ -7,6 +7,7 @@ module Runtime = Mira_runtime.Runtime
 module Memsys = Mira_runtime.Memsys
 module Manager = Mira_cache.Manager
 module Section = Mira_cache.Section
+module Swap = Mira_cache.Swap_section
 module Remote_alloc = Mira_sim.Remote_alloc
 
 let test_rptr_roundtrip () =
@@ -217,6 +218,134 @@ let test_runtime_private_sections () =
   Alcotest.(check int) "tid0 in section 1" 1 (Section.stats s1).Section.misses;
   Alcotest.(check int) "tid1 in section 2" 1 (Section.stats s2).Section.misses
 
+(* Which caches served one load: "swap" and/or "section <id>", read
+   off the hit and miss counters around it. *)
+let served_by rt ~tid ptr =
+  let mgr = Runtime.manager rt in
+  let tally () =
+    let sw = Swap.stats (Manager.swap mgr) in
+    ("swap", sw.Swap.hits + sw.Swap.faults)
+    :: List.map
+         (fun s ->
+           let st = Section.stats s in
+           ( Printf.sprintf "section %d" (Section.config s).Section.sec_id,
+             st.Section.hits + st.Section.misses ))
+         (Manager.sections mgr)
+  in
+  let before = tally () in
+  ignore ((Runtime.memsys rt).Memsys.load ~tid ~ptr ~len:8 ~native:false);
+  List.filter_map
+    (fun (k, n) ->
+      if n > Option.value ~default:0 (List.assoc_opt k before) then Some k else None)
+    (tally ())
+
+let add_section mgr ~clock id =
+  match
+    Manager.add_section mgr ~clock
+      (Section.config_default ~sec_id:id ~name:"r" ~line:64 ~size:2048)
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* Routing is resolved once per site and then reused: every
+   reconfiguration must invalidate what was resolved before it. *)
+let test_runtime_route_invalidation () =
+  let rt = make_runtime () in
+  let ms = Runtime.memsys rt in
+  let mgr = Runtime.manager rt in
+  let clock = Mira_sim.Clock.create () in
+  let ptr = ms.Memsys.alloc ~tid:0 ~site:7 ~bytes:512 ~heap:true in
+  let routes name want =
+    (* twice: the second access runs on the cached route *)
+    for i = 1 to 2 do
+      Alcotest.(check (list string)) (Printf.sprintf "%s (%d)" name i) [ want ]
+        (served_by rt ~tid:0 ptr)
+    done
+  in
+  routes "unassigned" "swap";
+  ignore (add_section mgr ~clock 1);
+  routes "section added, site unassigned" "swap";
+  Manager.assign_site mgr ~site:7 ~sec_id:1;
+  routes "assigned" "section 1";
+  Manager.unassign_site mgr ~site:7;
+  routes "unassigned again" "swap";
+  Manager.assign_site mgr ~site:7 ~sec_id:1;
+  routes "reassigned" "section 1";
+  Manager.end_section mgr ~clock ~id:1;
+  routes "section ended" "swap";
+  let fresh = add_section mgr ~clock 1 in
+  Manager.assign_site mgr ~site:7 ~sec_id:1;
+  routes "same id re-added" "section 1";
+  Alcotest.(check int) "the new section served it" 2
+    ((Section.stats fresh).Section.hits + (Section.stats fresh).Section.misses)
+
+let test_runtime_private_route_invalidation () =
+  let rt = make_runtime () in
+  let ms = Runtime.memsys rt in
+  let mgr = Runtime.manager rt in
+  let clock = Mira_sim.Clock.create () in
+  let ptr = ms.Memsys.alloc ~tid:0 ~site:9 ~bytes:512 ~heap:true in
+  let routes name tid want =
+    for i = 1 to 2 do
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s, tid %d (%d)" name tid i)
+        [ want ] (served_by rt ~tid ptr)
+    done
+  in
+  ignore (add_section mgr ~clock 2);
+  ignore (add_section mgr ~clock 3);
+  routes "shared" 0 "swap";
+  Runtime.set_private_sections rt ~site:9 ~sec_ids:[| 2; 3 |];
+  routes "private" 0 "section 2";
+  routes "private" 1 "section 3";
+  routes "private, past the last" 5 "section 3";
+  Manager.end_section mgr ~clock ~id:3;
+  routes "private section ended" 1 "swap";
+  routes "other private section kept" 0 "section 2";
+  let fresh = add_section mgr ~clock 3 in
+  routes "same id re-added" 1 "section 3";
+  Alcotest.(check int) "the new section served it" 2
+    ((Section.stats fresh).Section.hits + (Section.stats fresh).Section.misses);
+  Runtime.clear_private_sections rt;
+  routes "cleared" 0 "swap";
+  Runtime.set_private_sections rt ~site:9 ~sec_ids:[| 3 |];
+  routes "set again" 0 "section 3";
+  Alcotest.check_raises "no section ids"
+    (Invalid_argument
+       "Runtime.set_private_sections: site 9 needs at least one section id")
+    (fun () -> Runtime.set_private_sections rt ~site:9 ~sec_ids:[||])
+
+(* Allocation guard for the hit path: minor words per resident section
+   load through [Runtime.memsys], 1 tenant, untraced.  It was 85 words
+   when every access made ~10 generic-hash lookups; the pinned figure
+   is what the dev profile allocates now (the section's own lookup, the
+   boxed clock moves and the boxed int64 result). *)
+let hit_words_pinned = 19.0
+
+let test_runtime_hit_words () =
+  let rt = make_runtime () in
+  let ms = Runtime.memsys rt in
+  let mgr = Runtime.manager rt in
+  ignore (add_section mgr ~clock:(Mira_sim.Clock.create ()) 1);
+  Manager.assign_site mgr ~site:4 ~sec_id:1;
+  let base = ms.Memsys.alloc ~tid:0 ~site:4 ~bytes:1024 ~heap:true in
+  let ptrs =
+    Array.init 16 (fun i -> { base with Memsys.addr = base.Memsys.addr + (64 * i) })
+  in
+  ms.Memsys.enter ~tid:0 "f";
+  Array.iter (fun ptr -> ignore (ms.Memsys.load ~tid:0 ~ptr ~len:8 ~native:false)) ptrs;
+  let n = 4096 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (ms.Memsys.load ~tid:0 ~ptr:ptrs.(i land 15) ~len:8 ~native:false)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let section = Option.get (Manager.find_section mgr ~id:1) in
+  Alcotest.(check int) "all hits" n ((Section.stats section).Section.hits);
+  if words > hit_words_pinned then
+    Alcotest.failf "%.2f minor words per section hit, pinned at %.0f" words
+      hit_words_pinned
+
 (* Regression: objects must never share a swap page / section line —
    two incoherent cached copies of the overlap would clobber each other
    (found by the DataFrame checksum guard). *)
@@ -265,4 +394,9 @@ let suite =
     Alcotest.test_case "runtime reset timing" `Quick test_runtime_reset_timing;
     Alcotest.test_case "runtime private sections" `Quick test_runtime_private_sections;
     Alcotest.test_case "runtime page segregation" `Quick test_runtime_no_page_sharing;
+    Alcotest.test_case "runtime route invalidation" `Quick
+      test_runtime_route_invalidation;
+    Alcotest.test_case "runtime private route invalidation" `Quick
+      test_runtime_private_route_invalidation;
+    Alcotest.test_case "runtime hit allocation" `Quick test_runtime_hit_words;
   ]

@@ -7,7 +7,9 @@
    - A 1-tenant scheduled run is bit-identical to the pre-scheduler
      free-running clock, and scheduling does not perturb any float
      arithmetic even when tasks interleave.
-   - The kv_serving workload built on top is seed-deterministic. *)
+   - The kv_serving workload built on top is seed-deterministic, and
+     pinned to golden values: checksum, time bits, dispatch and block
+     counters, timeline export. *)
 
 module Clock = Mira_sim.Clock
 module Sched = Mira_sim.Sched
@@ -178,6 +180,41 @@ let test_kv_deterministic () =
   let c = K.run { cfg with K.seed = cfg.K.seed + 1 } in
   Alcotest.(check bool) "seed matters" true (c.K.checksum <> a.K.checksum)
 
+(* Golden values recorded before the scheduler began continuing a task
+   in place instead of parking it when it would run next anyway: the
+   interleaving, every simulated figure, the dispatch and block
+   counters and the timeline export must not move by one bit. *)
+let kv_fingerprint ?timeline cfg =
+  let rt = Mira_runtime.Runtime.create (K.runtime_config cfg) in
+  let r = K.run_on ?timeline rt cfg in
+  let s = Mira_runtime.Runtime.sched rt in
+  ( (r.K.checksum, Int64.bits_of_float r.K.elapsed_ns,
+     Int64.bits_of_float r.K.agg_p999_ns),
+    (Sched.dispatched s, Sched.block_counts s),
+    rt )
+
+let check_kv_golden name (run, counts, _) ~golden:(run', counts') =
+  Alcotest.(check (triple int64 int64 int64)) (name ^ ": checksum, elapsed, p999 bits")
+    run' run;
+  Alcotest.(check (pair int (list (pair string int))))
+    (name ^ ": dispatched, block counts") counts' counts
+
+let test_kv_pinned_goldens () =
+  check_kv_golden "3 tenants" (kv_fingerprint (small_cfg 3))
+    ~golden:
+      ( (1022144450799174498L, 4693781915070637862L, 4666175360304848442L),
+        (7707, [ ("cache_fill", 155); ("timer", 7549) ]) );
+  let tl = K.Timeline.make ~interval_ns:50_000.0 () in
+  let ((_, _, rt) as fp) = kv_fingerprint ~timeline:tl (small_cfg 4) in
+  check_kv_golden "4 tenants + timeline" fp
+    ~golden:
+      ( (5216776624622018257L, 4693804170577492121L, 4666737621553279897L),
+        (10470, [ ("cache_fill", 222); ("timer", 10243) ]) );
+  let lines = List.map Mira_telemetry.Json.to_string (K.Timeline.jsonl tl ~rt) in
+  Alcotest.(check int) "timeline lines" 14 (List.length lines);
+  Alcotest.(check string) "timeline JSONL digest" "f0d7b149ee06c3af2daca2f824481466"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_kv_completes_all () =
   let cfg = small_cfg 2 in
   let r = K.run cfg in
@@ -290,6 +327,7 @@ let suite =
     Alcotest.test_case "1-tenant bit identity" `Quick
       test_single_tenant_bit_identity;
     Alcotest.test_case "kv_serving deterministic" `Quick test_kv_deterministic;
+    Alcotest.test_case "kv_serving pinned goldens" `Quick test_kv_pinned_goldens;
     Alcotest.test_case "kv_serving completes all" `Quick test_kv_completes_all;
     Alcotest.test_case "kv_serving validate" `Quick test_kv_validate;
     Alcotest.test_case "serving metrics documented" `Quick

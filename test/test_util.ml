@@ -146,6 +146,52 @@ let qcheck_round_up =
       let r = Misc.round_up x align in
       r >= x && r mod align = 0 && r - x < align)
 
+(* --- Index_set and Tid_map ------------------------------------------------- *)
+
+module Index_set = Mira_util.Index_set
+module Tid_map = Mira_util.Tid_map
+
+type set_op = Add of int | Remove of int
+
+(* Against a bool-array model, over sizes spanning one to three levels:
+   membership, emptiness and the minimum after every operation. *)
+let qcheck_index_set =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 31; 32; 33; 200; 1024; 1025; 5000 ] >>= fun n ->
+      list_size (int_range 0 200)
+        (map2 (fun add i -> if add then Add i else Remove i) bool (int_bound (n - 1)))
+      >|= fun ops -> (n, ops))
+  in
+  QCheck.Test.make ~name:"Index_set matches a bool-array model" ~count:300
+    (QCheck.make gen) (fun (n, ops) ->
+      let s = Index_set.create n and model = Array.make n false in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add i -> Index_set.add s i; model.(i) <- true
+          | Remove i -> Index_set.remove s i; model.(i) <- false);
+          let rec first i = if i >= n then None else if model.(i) then Some i else first (i + 1) in
+          Index_set.min_elt s = first 0
+          && Index_set.is_empty s = (first 0 = None)
+          && List.for_all (fun i -> Index_set.mem s i = model.(i)) (List.init n Fun.id))
+        ops)
+
+(* Same answers as a plain table, and folds in the plain table's order
+   (float sums over per-thread state depend on it), for small, large
+   and negative ids alike. *)
+let qcheck_tid_map =
+  QCheck.Test.make ~name:"Tid_map = Hashtbl, fold order included" ~count:300
+    QCheck.(list (pair (oneof [ int_bound 20; int_range (-5) (-1); int_range 4000 5000 ]) small_int))
+    (fun binds ->
+      let m = Tid_map.create 8 and h = Hashtbl.create 8 in
+      List.iter (fun (k, v) -> Tid_map.replace m k v; Hashtbl.replace h k v) binds;
+      let pairs fold t = fold (fun k v acc -> (k, v) :: acc) t [] in
+      pairs Tid_map.fold m = pairs Hashtbl.fold h
+      && List.for_all (fun (k, _) -> Tid_map.find_opt m k = Hashtbl.find_opt h k) binds
+      && Tid_map.find_opt m 21 = None
+      && (Tid_map.reset m; Tid_map.find_opt m 0 = None && pairs Tid_map.fold m = []))
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -166,4 +212,6 @@ let suite =
     Alcotest.test_case "misc clamp" `Quick test_misc_clamp;
     Alcotest.test_case "table render" `Quick test_table_render;
     QCheck_alcotest.to_alcotest qcheck_round_up;
+    QCheck_alcotest.to_alcotest qcheck_index_set;
+    QCheck_alcotest.to_alcotest qcheck_tid_map;
   ]

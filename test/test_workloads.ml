@@ -152,9 +152,21 @@ let test_micro_sum_strided () =
   let native = Mira_baselines.Native.create ~capacity:(1 lsl 20) () in
   ignore (Machine.run (Machine.create native p))
 
+let test_micro_sum_bad_stride () =
+  let module Ms = Mira_workloads.Micro_sum in
+  List.iter
+    (fun stride ->
+      Alcotest.check_raises
+        (Printf.sprintf "stride %d" stride)
+        (Invalid_argument
+           (Printf.sprintf "Micro_sum.build: stride must be >= 1 (got %d)" stride))
+        (fun () -> ignore (Ms.build { Ms.config_default with Ms.stride })))
+    [ 0; -3 ]
+
 let suite =
   suite
   @ [
       Alcotest.test_case "micro sum" `Quick test_micro_sum;
       Alcotest.test_case "micro sum strided" `Quick test_micro_sum_strided;
+      Alcotest.test_case "micro sum bad stride" `Quick test_micro_sum_bad_stride;
     ]
