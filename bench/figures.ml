@@ -88,13 +88,17 @@ let node_cfg ?(structure = Section.Set_assoc 8) ?(line = 128) ~size () =
 
 (* --- Figure 5: graph traversal, 4 systems ------------------------------- *)
 
-let fig5 () =
-  let prog = G.build graph_cfg in
+let graph_figure () =
   let far = G.far_bytes graph_cfg in
-  let ctx = Ctx.make ~far_bytes:far prog in
+  ( Ctx.make ~far_bytes:far (G.build graph_cfg),
+    far,
+    "Figure 5: graph traversal, relative performance vs local memory" )
+
+let fig5 () =
+  let ctx, far, title = graph_figure () in
   sweep ctx ~far_bytes:far ~ratios:ratios_wide
     ~systems:[ Fastswap; Leap; Aifm graph_aifm; Mira_sys mira_default ]
-    ~title:"Figure 5: graph traversal, relative performance vs local memory"
+    ~title
 
 (* --- Figure 6: effect of Mira techniques (cumulative) -------------------- *)
 
@@ -421,13 +425,17 @@ let fig15 () =
 
 (* --- Figures 16/17/18: the three applications ----------------------------- *)
 
-let fig16 () =
-  let prog = D.build df_cfg in
+let df_figure () =
   let far = D.far_bytes df_cfg in
-  let ctx = Ctx.make ~far_bytes:far prog |> Ctx.with_iterations 4 in
+  ( Ctx.make ~far_bytes:far (D.build df_cfg) |> Ctx.with_iterations 4,
+    far,
+    "Figure 16: DataFrame, relative performance vs local memory" )
+
+let fig16 () =
+  let ctx, far, title = df_figure () in
   sweep ctx ~far_bytes:far ~ratios:ratios_wide
     ~systems:[ Fastswap; Leap; Aifm D.aifm_gran; Mira_sys mira_default ]
-    ~title:"Figure 16: DataFrame, relative performance vs local memory"
+    ~title
 
 let fig17 () =
   let prog = Gpt.build gpt_cfg in
@@ -440,13 +448,36 @@ let fig17 () =
     ~systems:[ Fastswap; Leap; Mira_sys mira_default ]
     ~title:"Figure 17: GPT-2 inference, relative performance vs local memory"
 
-let fig18 () =
-  let prog = M.build mcf_cfg in
+let mcf_figure () =
   let far = M.far_bytes mcf_cfg in
-  let ctx = Ctx.make ~far_bytes:far prog in
+  ( Ctx.make ~far_bytes:far (M.build mcf_cfg),
+    far,
+    "Figure 18: MCF, relative performance vs local memory" )
+
+let fig18 () =
+  let ctx, far, title = mcf_figure () in
   sweep ctx ~far_bytes:far ~ratios:ratios_wide
     ~systems:[ Fastswap; Leap; Aifm M.aifm_gran; Mira_sys mira_default ]
-    ~title:"Figure 18: MCF, relative performance vs local memory"
+    ~title
+
+(* The paper's headline: Mira and FastSwap on Figures 5, 16 and 18 at
+   a small and a large local-memory ratio each, as one document (the
+   committed bench/baseline/BENCH_paper.json that CI gates). *)
+let paper () =
+  let figure setup ratios =
+    let ctx, far, title = setup () in
+    sweep_doc ctx ~far_bytes:far ~ratios ~systems:[ Fastswap; Mira_sys mira_default ]
+      ~title
+  in
+  let fig5 = figure graph_figure [ 0.2; 0.5 ] in
+  let fig16 = figure df_figure [ 0.15; 0.5 ] in
+  let fig18 = figure mcf_figure [ 0.15; 0.5 ] in
+  write_bench_json ~name:"paper"
+    (Mira_telemetry.Json.Obj
+       [
+         ("title", Mira_telemetry.Json.Str "paper");
+         ("figures", Mira_telemetry.Json.List [ fig5; fig16; fig18 ]);
+       ])
 
 (* --- Figures 19/20: runtime and metadata overhead at full memory ---------- *)
 
@@ -812,24 +843,12 @@ let figdp () =
   record "window=16 + batching + 2% loss"
     { dp with Mira_sim.Net.window = 16; coalesce = true; fault = Some fault };
   Table.print t;
-  match bench_json_dir () with
-  | None -> ()
-  | Some dir ->
-    let doc =
-      Mira_telemetry.Json.Obj
-        [ ("title", Mira_telemetry.Json.Str title);
-          ("far_bytes", Mira_telemetry.Json.Int far);
-          ("local_budget_bytes", Mira_telemetry.Json.Int budget);
-          ("rows", Mira_telemetry.Json.List (List.rev !rows)) ]
-    in
-    let path = Filename.concat dir ("BENCH_" ^ slug title ^ ".json") in
-    (try
-       let oc = open_out path in
-       output_string oc (Mira_telemetry.Json.to_string_pretty doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "[bench json: %s]\n" path
-     with Sys_error msg -> Printf.eprintf "[bench json skipped: %s]\n" msg)
+  write_bench_json ~name:(slug title)
+    (Mira_telemetry.Json.Obj
+       [ ("title", Mira_telemetry.Json.Str title);
+         ("far_bytes", Mira_telemetry.Json.Int far);
+         ("local_budget_bytes", Mira_telemetry.Json.Int budget);
+         ("rows", Mira_telemetry.Json.List (List.rev !rows)) ])
 
 (* --- Chaos: node crashes, failover, degraded mode ------------------------ *)
 
@@ -964,24 +983,12 @@ let figchaos () =
               ~crashes:1 ~horizon_ns ~down_ns })
     [ 11; 23 ];
   Table.print t;
-  match bench_json_dir () with
-  | None -> ()
-  | Some dir ->
-    let doc =
-      Mira_telemetry.Json.Obj
-        [ ("title", Mira_telemetry.Json.Str title);
-          ("far_bytes", Mira_telemetry.Json.Int far);
-          ("local_budget_bytes", Mira_telemetry.Json.Int budget);
-          ("rows", Mira_telemetry.Json.List (List.rev !rows)) ]
-    in
-    let path = Filename.concat dir "BENCH_chaos.json" in
-    (try
-       let oc = open_out path in
-       output_string oc (Mira_telemetry.Json.to_string_pretty doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "[bench json: %s]\n" path
-     with Sys_error msg -> Printf.eprintf "[bench json skipped: %s]\n" msg)
+  write_bench_json ~name:"chaos"
+    (Mira_telemetry.Json.Obj
+       [ ("title", Mira_telemetry.Json.Str title);
+         ("far_bytes", Mira_telemetry.Json.Int far);
+         ("local_budget_bytes", Mira_telemetry.Json.Int budget);
+         ("rows", Mira_telemetry.Json.List (List.rev !rows)) ])
 
 let all_figures =
   [

@@ -196,8 +196,9 @@ let outcome_json ~native (outcome, trajectory) name =
   Json.Obj (base @ traj)
 
 (* Sweep local-memory ratios for a list of systems; prints relative
-   slowdown vs native (1.00x = full-local-memory speed). *)
-let sweep ctx ~far_bytes ~ratios ~systems ~title =
+   slowdown vs native (1.00x = full-local-memory speed) and returns the
+   sweep's BENCH document. *)
+let sweep_doc ctx ~far_bytes ~ratios ~systems ~title =
   Printf.printf "\n### %s\n" title;
   let native =
     match run ctx ~budget:ctx.far_capacity Native with
@@ -235,20 +236,21 @@ let sweep ctx ~far_bytes ~ratios ~systems ~title =
         :: !rows)
     ratios;
   Table.print t;
+  Json.Obj
+    [
+      ("title", Json.Str title);
+      ("native_work_ms", Json.Float (native /. 1e6));
+      ("far_bytes", Json.Int far_bytes);
+      ("nthreads", Json.Int ctx.nthreads);
+      ("rows", Json.List (List.rev !rows));
+    ]
+
+(* Write [doc] as BENCH_<name>.json when MIRA_BENCH_JSON is set. *)
+let write_bench_json ~name doc =
   match bench_json_dir () with
   | None -> ()
   | Some dir ->
-    let doc =
-      Json.Obj
-        [
-          ("title", Json.Str title);
-          ("native_work_ms", Json.Float (native /. 1e6));
-          ("far_bytes", Json.Int far_bytes);
-          ("nthreads", Json.Int ctx.nthreads);
-          ("rows", Json.List (List.rev !rows));
-        ]
-    in
-    let path = Filename.concat dir ("BENCH_" ^ slug title ^ ".json") in
+    let path = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
     (* never lose a finished sweep to an unwritable output directory *)
     (try
        let oc = open_out path in
@@ -257,6 +259,9 @@ let sweep ctx ~far_bytes ~ratios ~systems ~title =
        close_out oc;
        Printf.printf "[bench json: %s]\n" path
      with Sys_error msg -> Printf.eprintf "[bench json skipped: %s]\n" msg)
+
+let sweep ctx ~far_bytes ~ratios ~systems ~title =
+  write_bench_json ~name:(slug title) (sweep_doc ctx ~far_bytes ~ratios ~systems ~title)
 
 let checksum_guard ctx ~budget =
   (* every system must compute the same program result *)

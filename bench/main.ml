@@ -13,6 +13,7 @@ let targets =
       ("micro", Micro.run);
       ("micro-sweep", Micro.sweep);
       ("serving", Serving.run);
+      ("paper", Figures.paper);
     ]
 
 let usage () =

@@ -107,18 +107,5 @@ let run () =
         :: !rows)
     tenant_counts;
   Table.print t;
-  match Harness.bench_json_dir () with
-  | None -> ()
-  | Some dir ->
-    let doc =
-      Json.Obj
-        [ ("title", Json.Str "serving"); ("rows", Json.List (List.rev !rows)) ]
-    in
-    let path = Filename.concat dir "BENCH_serving.json" in
-    (try
-       let oc = open_out path in
-       output_string oc (Json.to_string_pretty doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "[bench json: %s]\n" path
-     with Sys_error msg -> Printf.eprintf "[bench json skipped: %s]\n" msg)
+  Harness.write_bench_json ~name:"serving"
+    (Json.Obj [ ("title", Json.Str "serving"); ("rows", Json.List (List.rev !rows)) ])

@@ -34,6 +34,7 @@ type stats = {
   mutable evictions : int;
   mutable hinted_evictions : int;
   mutable writebacks : int;
+  mutable native_misses : int;
   mutable hit_ns : float;
   mutable miss_ns : float;
   mutable stall_ns : float;
@@ -49,6 +50,7 @@ let fresh_stats () =
     evictions = 0;
     hinted_evictions = 0;
     writebacks = 0;
+    native_misses = 0;
     hit_ns = 0.0;
     miss_ns = 0.0;
     stall_ns = 0.0;
@@ -64,7 +66,7 @@ type line_state = {
   mutable pinned : bool;
   mutable refbit : bool;
   mutable last_use : float;
-  data : Bytes.t;
+  mutable data : Bytes.t;  (* allocated at the line's first install *)
 }
 
 type t = {
@@ -98,7 +100,7 @@ let create net far cfg =
       pinned = false;
       refbit = false;
       last_use = 0.0;
-      data = Bytes.make cfg.line '\000';
+      data = Bytes.empty;
     }
   in
   {
@@ -126,6 +128,7 @@ let reset_stats t =
   d.evictions <- 0;
   d.hinted_evictions <- 0;
   d.writebacks <- 0;
+  d.native_misses <- 0;
   d.hit_ns <- 0.0;
   d.miss_ns <- 0.0;
   d.stall_ns <- 0.0;
@@ -143,6 +146,7 @@ let publish t reg =
   m (p "evictions") s.evictions;
   m (p "hinted_evictions") s.hinted_evictions;
   m (p "writebacks") s.writebacks;
+  m (p "native_misses") s.native_misses;
   m (p "bytes_fetched") s.bytes_fetched;
   g (p "hit_ns") s.hit_ns;
   g (p "miss_ns") s.miss_ns;
@@ -299,6 +303,9 @@ let install t ~clock ~tag ~ready_at =
   let slot = allocate_slot t ~clock tag in
   let line = t.lines.(slot) in
   let base = tag * t.cfg.line in
+  if Bytes.length line.data = 0 then line.data <- Bytes.create t.cfg.line;
+  (* Every install fills the whole line, write-no-fetch ones included
+     (they skip the network, not the copy). *)
   Mira_sim.Cluster.read t.tr.Transfer.far ~addr:base ~len:t.cfg.line ~dst:line.data ~dst_off:0;
   Transfer.drain_reconstruction t.tr ~clock;
   line.tag <- tag;
@@ -420,7 +427,9 @@ let load_native t ~clock ~addr ~len =
     Mira_sim.Clock.advance clock (params t).Mira_sim.Params.native_mem_ns;
     t.stats.hits <- t.stats.hits + 1;
     read_slot t slot ~addr ~len
-  | None -> load t ~clock ~addr ~len
+  | None ->
+    t.stats.native_misses <- t.stats.native_misses + 1;
+    load t ~clock ~addr ~len
 
 let store_native t ~clock ~addr ~len v =
   check_span t ~addr ~len;
@@ -431,7 +440,9 @@ let store_native t ~clock ~addr ~len v =
     Mira_sim.Clock.advance clock (params t).Mira_sim.Params.native_mem_ns;
     t.stats.hits <- t.stats.hits + 1;
     write_slot t slot ~addr ~len v
-  | None -> store t ~clock ~addr ~len v
+  | None ->
+    t.stats.native_misses <- t.stats.native_misses + 1;
+    store t ~clock ~addr ~len v
 
 let iter_tags t ~addr ~len fn =
   let first = line_of_addr t addr in

@@ -43,6 +43,9 @@ type stats = {
   mutable evictions : int;
   mutable hinted_evictions : int;  (** victims chosen via eviction hints *)
   mutable writebacks : int;
+  mutable native_misses : int;
+      (** native accesses that found their line absent (a residency
+          proof that failed at run time; served by the checked path) *)
   mutable hit_ns : float;  (** runtime overhead spent on the hit path *)
   mutable miss_ns : float;  (** blocking time spent on misses *)
   mutable stall_ns : float;  (** time waiting for in-flight prefetches *)

@@ -32,7 +32,7 @@ type page_state = {
   mutable dirty : bool;
   mutable ready_at : float;
   mutable refbit : bool;
-  data : Bytes.t;
+  mutable data : Bytes.t;  (* allocated at the frame's first install *)
 }
 
 type t = {
@@ -48,15 +48,15 @@ type t = {
   tr : Transfer.t;
 }
 
-let frame_make page = { pno = -1; dirty = false; ready_at = 0.0; refbit = false;
-                        data = Bytes.make page '\000' }
+let frame_make () =
+  { pno = -1; dirty = false; ready_at = 0.0; refbit = false; data = Bytes.empty }
 
 let create net far cfg =
   assert (cfg.page >= 8 && cfg.capacity >= cfg.page);
   let nframes = max 1 (cfg.capacity / cfg.page) in
   {
     cfg;
-    frames = Array.init nframes (fun _ -> frame_make cfg.page);
+    frames = Array.init nframes (fun _ -> frame_make ());
     table = Hashtbl.create (max 16 nframes);
     free_frames = List.init nframes (fun i -> i);
     hand = 0;
@@ -161,6 +161,7 @@ let allocate_frame t ~clock =
 let install t ~clock ~pno ~ready_at =
   let idx = allocate_frame t ~clock in
   let frame = t.frames.(idx) in
+  if Bytes.length frame.data = 0 then frame.data <- Bytes.create t.cfg.page;
   Mira_sim.Cluster.read t.tr.Transfer.far ~addr:(pno * t.cfg.page) ~len:t.cfg.page
     ~dst:frame.data ~dst_off:0;
   Transfer.drain_reconstruction t.tr ~clock;
@@ -304,11 +305,14 @@ let resize t ~capacity ~clock =
   assert (capacity >= t.cfg.page);
   let nframes = max 1 (capacity / t.cfg.page) in
   let old = t.frames in
-  (* Evict everything, reallocate the frame pool, and let demand paging
-     repopulate: simple and only used at (re)configuration points. *)
+  (* Evict everything and let demand paging repopulate: simple and only
+     used at (re)configuration points.  Released frames are empty, so
+     they are kept (with their bytes) as the new pool's first frames. *)
   Array.iteri (fun idx frame -> if frame.pno >= 0 then release_frame t ~clock idx) old;
   Hashtbl.reset t.table;
-  t.frames <- Array.init nframes (fun _ -> frame_make t.cfg.page);
+  t.frames <-
+    Array.init nframes (fun i ->
+        if i < Array.length old then old.(i) else frame_make ());
   t.hinted <- Mira_util.Index_set.create nframes;
   t.free_frames <- List.init nframes (fun i -> i);
   t.hand <- 0;

@@ -322,24 +322,28 @@ let size_specs ~eval opts specs ~build_plan ~iter =
        actually running the program (others at an equal share). *)
     let k = List.length nonseq in
     let equal_share = max page (avail / max 1 k) in
+    (* A section never outgrows its object: every size is clamped to
+       the site's resident bytes (rounded to whole lines). *)
+    let resident spec =
+      Mira_util.Misc.round_up
+        (max spec.Section_planner.sp_min_size spec.Section_planner.sp_total_bytes)
+        spec.Section_planner.sp_cfg.Section.line
+    in
+    let clamp_spec spec size =
+      Mira_util.Misc.round_up
+        (Mira_util.Misc.clamp ~lo:spec.Section_planner.sp_min_size
+           ~hi:(resident spec) size)
+        spec.Section_planner.sp_cfg.Section.line
+    in
     let sample_logs = ref [] in
     let candidates =
       List.mapi
         (fun idx spec ->
-          let resident =
-            Mira_util.Misc.round_up
-              (max spec.Section_planner.sp_min_size
-                 spec.Section_planner.sp_total_bytes)
-              spec.Section_planner.sp_cfg.Section.line
-          in
           let sample_sizes =
-            (if resident <= avail then [ resident ] else [])
+            (if resident spec <= avail then [ resident spec ] else [])
             @ List.map
                 (fun frac ->
-                  Mira_util.Misc.round_up
-                    (max spec.Section_planner.sp_min_size
-                       (int_of_float (float_of_int avail *. frac)))
-                    spec.Section_planner.sp_cfg.Section.line)
+                  clamp_spec spec (int_of_float (float_of_int avail *. frac)))
                 opts.size_samples
             |> List.sort_uniq compare
           in
@@ -357,7 +361,7 @@ let size_specs ~eval opts specs ~build_plan ~iter =
                             a_size =
                               (if j = idx then size
                                else
-                                 max s.Section_planner.sp_min_size
+                                 clamp_spec s
                                    (min equal_share (avail - size) / max 1 (k - 1)));
                           })
                         nonseq
@@ -397,15 +401,13 @@ let size_specs ~eval opts specs ~build_plan ~iter =
                   solution.Sizing.assignment
               with
               | Some s -> s
-              | None -> max spec.Section_planner.sp_min_size (avail / max 1 k)
+              | None -> clamp_spec spec (avail / max 1 k)
             in
             { a_spec = spec; a_size = size })
           nonseq
       | Error _ ->
         List.map
-          (fun spec ->
-            { a_spec = spec;
-              a_size = max spec.Section_planner.sp_min_size (avail / max 1 k) })
+          (fun spec -> { a_spec = spec; a_size = clamp_spec spec (avail / max 1 k) })
           nonseq
     in
     (* Per-spec sampling treats sections independently; also try two
@@ -430,17 +432,6 @@ let size_specs ~eval opts specs ~build_plan ~iter =
         worst := max !worst u
       done;
       !worst
-    in
-    let clamp_spec spec size =
-      let line = spec.Section_planner.sp_cfg.Section.line in
-      let resident =
-        Mira_util.Misc.round_up
-          (max spec.Section_planner.sp_min_size spec.Section_planner.sp_total_bytes)
-          line
-      in
-      Mira_util.Misc.round_up
-        (Mira_util.Misc.clamp ~lo:spec.Section_planner.sp_min_size ~hi:resident size)
-        line
     in
     let total_all =
       List.fold_left (fun acc s -> acc + s.Section_planner.sp_total_bytes) 0 nonseq

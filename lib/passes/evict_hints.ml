@@ -6,32 +6,16 @@ module Lifetime = Mira_analysis.Lifetime
    close enough that dead lines free space promptly. *)
 let behind_distance ~line ~elem = (2 * line / max 1 elem) + 8
 
-type ctx = {
-  line_of : int -> int option;
-  mutable next_reg : int;
-  loop_table : (Ir.reg, Pattern.loop_info) Hashtbl.t;
-}
-
-let fresh ctx =
-  let r = ctx.next_reg in
-  ctx.next_reg <- r + 1;
-  r
-
-let rec index_loops ctx (loops : Pattern.loop_info list) =
-  List.iter
-    (fun l ->
-      Hashtbl.replace ctx.loop_table l.Pattern.l_iv l;
-      index_loops ctx l.Pattern.l_children)
-    loops
-
 let remote_meta site = { Ir.am_site = site; am_remote = true; am_native = false }
 
-let flush_snippet ctx ~iv ~lo ~(g : Pattern.simple_gep) ~line ~dist =
-  let d = fresh ctx in
-  let cmp = fresh ctx in
-  let p = fresh ctx in
+(* Flush [line] bytes from element [d = at - dist] of [g]'s object if
+   [d >= lo]. *)
+let flush_behind ~fresh ~at ~dist ~lo ~(g : Pattern.simple_gep) ~line =
+  let d = fresh () in
+  let cmp = fresh () in
+  let p = fresh () in
   [
-    Ir.Bin (d, Ir.Sub, Ir.Oreg iv, Ir.Oint (Int64.of_int dist));
+    Ir.Bin (d, Ir.Sub, at, Ir.Oint (Int64.of_int dist));
     Ir.Cmp (cmp, Ir.Ge, Ir.Oreg d, lo);
     Ir.If
       {
@@ -53,67 +37,90 @@ let flush_snippet ctx ~iv ~lo ~(g : Pattern.simple_gep) ~line ~dist =
       };
   ]
 
+(* After a loop whose flushes ran once per line or chunk: the last
+   range a per-iteration flush would have reached, [behind] behind the
+   last induction value [at]. *)
+let flush_tail ~fresh ~at ~lo ~(g : Pattern.simple_gep) ~line =
+  flush_behind ~fresh ~at
+    ~dist:(behind_distance ~line ~elem:(Mira_mir.Types.size_of g.Pattern.g_elem))
+    ~lo ~g ~line
+
+(* Flush once per line: behind a gate that opens every [gate] index
+   units of [d - lo], where [gate] is the largest power of two at most
+   the iterations per line, times the step's power-of-two factor, so
+   consecutive flushed [line]-byte ranges still touch (a rounded-up
+   gate would leave gaps between them).  The lag is rounded up to whole steps, so
+   the first flush that passes [d >= lo] starts at [lo]. *)
+let gated_flush ~fresh ~iv ~lo ~step ~(g : Pattern.simple_gep) ~line =
+  let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
+  let behind = behind_distance ~line ~elem in
+  match step with
+  | Ir.Oint s when Int64.compare s 0L > 0 ->
+    let s = Int64.to_int s in
+    let per_line = max 1 (line / max 1 (elem * s)) in
+    let gate = (1 lsl Mira_util.Misc.log2 per_line) * (s land (-s)) in
+    let dist = Mira_util.Misc.round_up behind s in
+    let flush () = flush_behind ~fresh ~at:(Ir.Oreg iv) ~dist ~lo ~g ~line in
+    if gate <= 1 then flush ()
+    else begin
+      (* [(iv - dist - lo) land (gate-1) = 0]: with a constant [lo], a
+         compare of [iv land (gate-1)] against a constant *)
+      let mask = Int64.of_int (gate - 1) in
+      let key, phase, from_lo =
+        match lo with
+        | Ir.Oint l -> (Ir.Oreg iv, Int64.logand (Int64.add (Int64.of_int dist) l) mask, [])
+        | Ir.Oreg _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit ->
+          let r = fresh () in
+          (Ir.Oreg r, Int64.logand (Int64.of_int dist) mask, [ Ir.Bin (r, Ir.Sub, Ir.Oreg iv, lo) ])
+      in
+      let m = fresh () in
+      let z = fresh () in
+      from_lo
+      @ [
+          Ir.Bin (m, Ir.Land, key, Ir.Oint mask);
+          Ir.Cmp (z, Ir.Eq, Ir.Oreg m, Ir.Oint phase);
+          Ir.If { cond = Ir.Oreg z; then_ = flush (); else_ = [] };
+        ]
+    end
+  | Ir.Oint _ | Ir.Oreg _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit ->
+    flush_behind ~fresh ~at:(Ir.Oreg iv) ~dist:behind ~lo ~g ~line
+
 let defined_regs = Block_util.defined_regs
 
-let snippets_for_loop ctx (l : Pattern.loop_info) ~streaming ~lo body =
+(* [skip g] excludes the accesses whose flushing the caller schedules
+   itself.  With the loop's last induction value [last], the flush the
+   gate would leave out at the end runs once after the loop. *)
+let loop_snippets ~fresh ~line_of ~streaming (l : Pattern.loop_info) ~lo ~step ~last ~skip
+    body =
   let defs = defined_regs body in
   let seen = Hashtbl.create 8 in
-  List.concat_map
-    (fun (a : Pattern.access) ->
-      match (a.Pattern.a_gep, ctx.line_of a.Pattern.a_site) with
-      | Some g, Some line when streaming a.Pattern.a_site ->
-        let key = (g.Pattern.g_site, g.Pattern.g_base) in
-        (match (g.Pattern.g_index, Hashtbl.mem seen key) with
-        | (Pattern.Idx_iv | Pattern.Idx_iv_plus _), false
-          when not
-                 (match g.Pattern.g_base with
-                 | Ir.Oreg r -> Hashtbl.mem defs r
-                 | Ir.Oint _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit -> true) ->
-          Hashtbl.replace seen key ();
-          let dist = behind_distance ~line ~elem:a.Pattern.a_elem in
-          flush_snippet ctx ~iv:l.Pattern.l_iv ~lo ~g ~line ~dist
-        | _, _ -> [])
-      | Some _, Some _ | _, _ -> [])
-    l.Pattern.l_accesses
-
-let rec rewrite_block ctx ~streaming block =
-  List.map (rewrite_op ctx ~streaming) block
-
-and rewrite_op ctx ~streaming op =
-  match op with
-  | Ir.For ({ iv; lo; body; _ } as f) ->
-    let body = rewrite_block ctx ~streaming body in
-    let snippets =
-      match Hashtbl.find_opt ctx.loop_table iv with
-      | Some l when l.Pattern.l_children = [] ->
-        snippets_for_loop ctx l ~streaming ~lo body
-      | Some _ | None -> []
-    in
-    Ir.For { f with body = snippets @ body }
-  | Ir.ParFor ({ iv; lo; body; _ } as f) ->
-    let body = rewrite_block ctx ~streaming body in
-    let snippets =
-      match Hashtbl.find_opt ctx.loop_table iv with
-      | Some l when l.Pattern.l_children = [] ->
-        snippets_for_loop ctx l ~streaming ~lo body
-      | Some _ | None -> []
-    in
-    Ir.ParFor { f with body = snippets @ body }
-  | Ir.While w ->
-    Ir.While
-      { w with
-        cond = rewrite_block ctx ~streaming w.cond;
-        body = rewrite_block ctx ~streaming w.body }
-  | Ir.If i ->
-    Ir.If
-      { i with
-        then_ = rewrite_block ctx ~streaming i.then_;
-        else_ = rewrite_block ctx ~streaming i.else_ }
-  | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _ | Ir.I2f _
-  | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _ | Ir.Gep _ | Ir.Load _
-  | Ir.Store _ | Ir.Call _ | Ir.Ret _ | Ir.Prefetch _ | Ir.FlushEvict _
-  | Ir.EvictSite _ | Ir.ProfEnter _ | Ir.ProfExit _ ->
-    op
+  let groups =
+    List.concat_map
+      (fun (a : Pattern.access) ->
+        match (a.Pattern.a_gep, line_of a.Pattern.a_site) with
+        | Some g, Some line when streaming a.Pattern.a_site && not (skip g) ->
+          let key = (g.Pattern.g_site, g.Pattern.g_base) in
+          (match (g.Pattern.g_index, Hashtbl.mem seen key) with
+          | (Pattern.Idx_iv | Pattern.Idx_iv_plus _), false
+            when not
+                   (match g.Pattern.g_base with
+                   | Ir.Oreg r -> Hashtbl.mem defs r
+                   | Ir.Oint _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit -> true) ->
+            Hashtbl.replace seen key ();
+            [ (g, line) ]
+          | _, _ -> [])
+        | Some _, Some _ | _, _ -> [])
+      l.Pattern.l_accesses
+  in
+  let tail (g, line) =
+    match last with Some at -> flush_tail ~fresh ~at ~lo ~g ~line | None -> []
+  in
+  let flushes =
+    List.concat_map
+      (fun (g, line) -> gated_flush ~fresh ~iv:l.Pattern.l_iv ~lo ~step ~g ~line)
+      groups
+  in
+  (flushes, List.concat_map tail groups)
 
 (* Insert EvictSite after the last top-level loop touching each site. *)
 let insert_lifetime_ends result line_of body =
@@ -142,32 +149,26 @@ let insert_lifetime_ends result line_of body =
         [ op ])
     body
 
-let run_func program bindings ~line_of (f : Ir.func) =
-  let site_of_ty = Mira_analysis.Remotable_flow.site_of_ty program in
-  let param_sites =
-    match List.assoc_opt f.Ir.f_name bindings with Some b -> b | None -> []
-  in
-  let result = Pattern.analyze program f ~param_sites ~site_of_ty () in
-  (* Flush-behind only pays off for data this function streams through
-     once; a re-scanned read-write buffer would be written back and
-     refetched over and over. *)
-  let streaming site =
-    match Pattern.summary_for result site with
-    | Some ss -> ss.Pattern.ss_read_only || ss.Pattern.ss_write_only
-    | None -> false
-  in
-  let ctx = { line_of; next_reg = f.Ir.f_nregs; loop_table = Hashtbl.create 16 } in
-  index_loops ctx result.Pattern.r_loops;
-  let body = rewrite_block ctx ~streaming f.Ir.f_body in
-  let body = insert_lifetime_ends result line_of body in
-  { f with Ir.f_body = body; f_nregs = ctx.next_reg }
+(* Flush-behind only pays off for data a function streams through once;
+   a re-scanned read-write buffer would be written back and refetched
+   over and over. *)
+let streaming result site =
+  match Pattern.summary_for result site with
+  | Some ss -> ss.Pattern.ss_read_only || ss.Pattern.ss_write_only
+  | None -> false
 
-let run program ~line_of =
+let end_lifetimes program ~line_of =
   let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
+  let site_of_ty = Mira_analysis.Remotable_flow.site_of_ty program in
   {
     program with
     Ir.p_funcs =
       List.map
-        (fun (name, f) -> (name, run_func program bindings ~line_of f))
+        (fun (name, (f : Ir.func)) ->
+          let param_sites =
+            match List.assoc_opt name bindings with Some b -> b | None -> []
+          in
+          let result = Pattern.analyze program f ~param_sites ~site_of_ty () in
+          (name, { f with Ir.f_body = insert_lifetime_ends result line_of f.Ir.f_body }))
         program.Ir.p_funcs;
   }

@@ -39,10 +39,16 @@ let apply program plan ~params =
   let program = if plan.fuse then Fusion.run program else program in
   let program = Convert_remote.run program ~selected:plan.selected in
   let program =
-    if plan.prefetch then Prefetch_pass.run program ~params ~line_of else program
+    if plan.prefetch || plan.evict || plan.native then
+      Loop_hints.run program ~params ~line_of ~prefetch:plan.prefetch
+        ~evict:plan.evict ~native:plan.native
+    else program
   in
   let program =
-    if plan.evict then Evict_hints.run program ~line_of else program
+    if plan.prefetch then Prefetch_pass.chase program ~line_of else program
+  in
+  let program =
+    if plan.evict then Evict_hints.end_lifetimes program ~line_of else program
   in
   let program =
     if plan.native then Native_deref.run program ~line_of else program

@@ -2,11 +2,13 @@
     controller's plan dictates.
 
     Order matters: fusion first (it changes loop structure the other
-    passes analyze), then conversion to the rmem dialect, prefetching
-    and eviction hints (which need the rmem metas and section line
-    sizes), dereference-to-native last (it sees the final access
-    sequence), offloading, and finally optional instrumentation for the
-    next profiling run. *)
+    passes analyze), then conversion to the rmem dialect, the loop
+    hints (prefetch, flush-behind and, with [native], strip-mining of
+    streaming loops: they need the rmem metas and section line sizes),
+    pointer-chase prefetches and lifetime endings,
+    dereference-to-native for repeated elements (it sees the final
+    access sequence), offloading, and finally optional instrumentation
+    for the next profiling run. *)
 
 type plan = {
   selected : int list;  (** sites converted to remote (sectioned) *)

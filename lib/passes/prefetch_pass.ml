@@ -18,68 +18,65 @@ type ctx = {
   params : Mira_sim.Params.t;
   line_of : int -> int option;
   site_count : int -> int64 option;  (* constant element count of a site *)
-  mutable next_reg : int;
-  loop_table : (Ir.reg, Pattern.loop_info) Hashtbl.t;
+  fresh : unit -> Ir.reg;
 }
-
-let fresh ctx =
-  let r = ctx.next_reg in
-  ctx.next_reg <- r + 1;
-  r
-
-let rec index_loops ctx (loops : Pattern.loop_info list) =
-  List.iter
-    (fun l ->
-      Hashtbl.replace ctx.loop_table l.Pattern.l_iv l;
-      index_loops ctx l.Pattern.l_children)
-    loops
 
 let defined_regs = Block_util.defined_regs
 let operand_defined_in = Block_util.operand_defined_in
 
 let remote_meta site = { Ir.am_site = site; am_remote = true; am_native = false }
 
+(* Prefetch [line] bytes at element [at + offset] of [g]'s object,
+   guarded by the loop bound. *)
+let prefetch_ahead ~fresh ~at ~hi ~offset ~(g : Pattern.simple_gep) ~line =
+  let d = fresh () in
+  let cmp = fresh () in
+  let p = fresh () in
+  [
+    Ir.Bin (d, Ir.Add, at, Ir.Oint offset);
+    Ir.Cmp (cmp, Ir.Lt, Ir.Oreg d, hi);
+    Ir.If
+      {
+        cond = Ir.Oreg cmp;
+        then_ =
+          [
+            Ir.Gep
+              {
+                dst = p;
+                base = g.Pattern.g_base;
+                index = Ir.Oreg d;
+                elem = g.Pattern.g_elem;
+                field_off = 0;
+              };
+            Ir.Prefetch
+              { ptr = Ir.Oreg p; len = line; meta = remote_meta g.Pattern.g_site };
+          ];
+        else_ = [];
+      };
+  ]
+
+(* Lookahead in index units: [dist] iterations of [step], plus the
+   access's constant offset from the induction variable. *)
+let ahead_offset ~dist ~step (g : Pattern.simple_gep) =
+  let c = match g.Pattern.g_index with Pattern.Idx_iv_plus c -> c | _ -> 0L in
+  Int64.add (Int64.mul (Int64.of_int dist) step) c
+
 (* Build the guarded prefetch snippet for one access group, gated to
    fire once per half-line of progress (strength reduction). *)
 let sequential_snippet ctx ~iv ~hi ~step ~dist ~(g : Pattern.simple_gep) ~line =
-  let c = match g.Pattern.g_index with Pattern.Idx_iv_plus c -> c | _ -> 0L in
-  let offset = Int64.add (Int64.mul (Int64.of_int dist) step) c in
   let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
   let gate =
     Mira_util.Misc.next_pow2
       (max 1 (line / max 1 (elem * Int64.to_int (max 1L step)) / 2))
   in
-  let d = fresh ctx in
-  let cmp = fresh ctx in
-  let p = fresh ctx in
   let body =
-    [
-      Ir.Bin (d, Ir.Add, Ir.Oreg iv, Ir.Oint offset);
-      Ir.Cmp (cmp, Ir.Lt, Ir.Oreg d, hi);
-      Ir.If
-        {
-          cond = Ir.Oreg cmp;
-          then_ =
-            [
-              Ir.Gep
-                {
-                  dst = p;
-                  base = g.Pattern.g_base;
-                  index = Ir.Oreg d;
-                  elem = g.Pattern.g_elem;
-                  field_off = 0;
-                };
-              Ir.Prefetch
-                { ptr = Ir.Oreg p; len = line; meta = remote_meta g.Pattern.g_site };
-            ];
-          else_ = [];
-        };
-    ]
+    prefetch_ahead ~fresh:ctx.fresh ~at:(Ir.Oreg iv) ~hi
+      ~offset:(ahead_offset ~dist ~step g) ~g ~line
   in
   if gate <= 1 then body
   else begin
-    let m = fresh ctx in
-    let z = fresh ctx in
+    let m = ctx.fresh () in
+    let z = ctx.fresh () in
     [
       Ir.Bin (m, Ir.Land, Ir.Oreg iv, Ir.Oint (Int64.of_int (gate - 1)));
       Ir.Cmp (z, Ir.Eq, Ir.Oreg m, Ir.Oint 0L);
@@ -89,13 +86,12 @@ let sequential_snippet ctx ~iv ~hi ~step ~dist ~(g : Pattern.simple_gep) ~line =
 
 let indirect_snippet ctx ~iv ~hi ~step ~dist ~(outer : Pattern.simple_gep)
     ~(inner : Pattern.simple_gep) ~line =
-  let c = match inner.Pattern.g_index with Pattern.Idx_iv_plus c -> c | _ -> 0L in
-  let offset = Int64.add (Int64.mul (Int64.of_int dist) step) c in
-  let d = fresh ctx in
-  let cmp = fresh ctx in
-  let pa = fresh ctx in
-  let tv = fresh ctx in
-  let pb = fresh ctx in
+  let offset = ahead_offset ~dist ~step inner in
+  let d = ctx.fresh () in
+  let cmp = ctx.fresh () in
+  let pa = ctx.fresh () in
+  let tv = ctx.fresh () in
+  let pb = ctx.fresh () in
   [
     Ir.Bin (d, Ir.Add, Ir.Oreg iv, Ir.Oint offset);
     Ir.Cmp (cmp, Ir.Lt, Ir.Oreg d, hi);
@@ -157,15 +153,15 @@ let affine_snippet ctx ~ivs ~depth ~dist ~c0 ~terms ~count ~(g : Pattern.simple_
     (fun (d, coeff) ->
       match List.assoc_opt d ivs with
       | Some iv_reg ->
-        let t = fresh ctx in
+        let t = ctx.fresh () in
         ops := Ir.Bin (t, Ir.Mul, Ir.Oreg iv_reg, Ir.Oint coeff) :: !ops;
-        let a = fresh ctx in
+        let a = ctx.fresh () in
         ops := Ir.Bin (a, Ir.Add, !acc, Ir.Oreg t) :: !ops;
         acc := Ir.Oreg a
       | None -> ())
     terms;
-  let cmp = fresh ctx in
-  let p = fresh ctx in
+  let cmp = ctx.fresh () in
+  let p = ctx.fresh () in
   let body =
     List.rev !ops
     @ [
@@ -196,8 +192,8 @@ let affine_snippet ctx ~ivs ~depth ~dist ~c0 ~terms ~count ~(g : Pattern.simple_
     match List.assoc_opt depth ivs with
     | None -> body
     | Some iv_reg ->
-      let m = fresh ctx in
-      let z = fresh ctx in
+      let m = ctx.fresh () in
+      let z = ctx.fresh () in
       [
         Ir.Bin (m, Ir.Land, Ir.Oreg iv_reg, Ir.Oint (Int64.of_int (gate - 1)));
         Ir.Cmp (z, Ir.Eq, Ir.Oreg m, Ir.Oint 0L);
@@ -212,18 +208,22 @@ let preamble_len ~dist ~stride_elems ~elem ~line =
   let bytes = dist * Int64.to_int (max 1L stride_elems) * elem in
   Mira_util.Misc.round_up (Mira_util.Misc.clamp ~lo:line ~hi:32768 bytes) line
 
+let sequential_preamble ~fresh ~lo ~dist ~(g : Pattern.simple_gep) ~line =
+  let p = fresh () in
+  let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
+  let len = preamble_len ~dist ~stride_elems:1L ~elem ~line in
+  [
+    Ir.Gep
+      { dst = p; base = g.Pattern.g_base; index = lo; elem = g.Pattern.g_elem;
+        field_off = 0 };
+    Ir.Prefetch { ptr = Ir.Oreg p; len; meta = remote_meta g.Pattern.g_site };
+  ]
+
 let preamble_for_group ctx ~ivs ~depth ~lo ~dist ~(g : Pattern.simple_gep) ~line =
   let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
   match g.Pattern.g_index with
   | Pattern.Idx_iv | Pattern.Idx_iv_plus _ ->
-    let p = fresh ctx in
-    let len = preamble_len ~dist ~stride_elems:1L ~elem ~line in
-    [
-      Ir.Gep
-        { dst = p; base = g.Pattern.g_base; index = lo; elem = g.Pattern.g_elem;
-          field_off = 0 };
-      Ir.Prefetch { ptr = Ir.Oreg p; len; meta = remote_meta g.Pattern.g_site };
-    ]
+    sequential_preamble ~fresh:ctx.fresh ~lo ~dist ~g ~line
   | Pattern.Idx_affine { c0; terms } ->
     (* Start index with the inner iv at its lower bound (constant only). *)
     let lo_c = match lo with Ir.Oint c -> Some c | _ -> None in
@@ -243,15 +243,15 @@ let preamble_for_group ctx ~ivs ~depth ~lo ~dist ~(g : Pattern.simple_gep) ~line
             if d <> depth then begin
               match List.assoc_opt d ivs with
               | Some iv_reg ->
-                let t = fresh ctx in
+                let t = ctx.fresh () in
                 ops := Ir.Bin (t, Ir.Mul, Ir.Oreg iv_reg, Ir.Oint coeff) :: !ops;
-                let a = fresh ctx in
+                let a = ctx.fresh () in
                 ops := Ir.Bin (a, Ir.Add, !acc, Ir.Oreg t) :: !ops;
                 acc := Ir.Oreg a
               | None -> ()
             end)
           terms;
-        let p = fresh ctx in
+        let p = ctx.fresh () in
         let len = preamble_len ~dist ~stride_elems:s_inner ~elem ~line in
         List.rev !ops
         @ [
@@ -276,8 +276,9 @@ let group_key (g : Pattern.simple_gep) =
   (g.Pattern.g_site, g.Pattern.g_base, idx_class)
 
 (* Returns (preamble ops emitted before the loop, snippets for the
-   body start). *)
-let snippets_for_loop ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step body =
+   body start).  [skip g] excludes the accesses whose prefetching the
+   caller schedules itself. *)
+let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
   let defs = defined_regs body in
   let step_c = match step with Ir.Oint s -> s | _ -> 1L in
   let dist = distance_iters ~params:ctx.params ~body_ops:l.Pattern.l_body_ops in
@@ -286,7 +287,8 @@ let snippets_for_loop ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step body =
   let snippets = List.concat_map
     (fun (a : Pattern.access) ->
       match (a.Pattern.a_gep, ctx.line_of a.Pattern.a_site) with
-      | Some g, Some line when not (Hashtbl.mem seen (group_key g)) ->
+      | Some g, Some line
+        when (not (skip g)) && not (Hashtbl.mem seen (group_key g)) ->
         Hashtbl.replace seen (group_key g) ();
         if operand_defined_in defs g.Pattern.g_base then []
         else begin
@@ -329,16 +331,16 @@ let snippets_for_loop ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step body =
   (List.rev !preambles, snippets)
 
 (* Pointer-chase: prefetch the target of a freshly loaded remote pointer. *)
-let chase_expansion ctx op =
+let chase_expansion program ~line_of op =
   match op with
   | Ir.Load { dst; ty = Types.Ptr pointee; meta; _ }
     when meta.Ir.am_remote ->
     let target =
-      match Mira_analysis.Remotable_flow.site_of_ty ctx.program pointee with
+      match Mira_analysis.Remotable_flow.site_of_ty program pointee with
       | Some s -> s
       | None -> -1
     in
-    (match (target >= 0, ctx.line_of target) with
+    (match (target >= 0, line_of target) with
     | true, Some line ->
       [ op; Ir.Prefetch { ptr = Ir.Oreg dst; len = line; meta = remote_meta target } ]
     | _, _ -> [ op ])
@@ -347,49 +349,6 @@ let chase_expansion ctx op =
   | Ir.Store _ | Ir.Call _ | Ir.For _ | Ir.ParFor _ | Ir.While _ | Ir.If _
   | Ir.Ret _ | Ir.Prefetch _ | Ir.FlushEvict _ | Ir.EvictSite _
   | Ir.ProfEnter _ | Ir.ProfExit _ ->
-    [ op ]
-
-let rec rewrite_block ctx ~ivs block =
-  List.concat_map (rewrite_op ctx ~ivs) block
-
-and rewrite_op ctx ~ivs op =
-  match op with
-  | Ir.For ({ iv; lo; hi; step; body; _ } as f) ->
-    let ivs' = (List.length ivs, iv) :: ivs in
-    let body = rewrite_block ctx ~ivs:ivs' body in
-    let preamble, snippets =
-      match Hashtbl.find_opt ctx.loop_table iv with
-      | Some l when l.Pattern.l_children = [] ->
-        (* Innermost loops only: outer loops' accesses repeat per inner
-           trip and would spam duplicate prefetches. *)
-        snippets_for_loop ctx l ~ivs:ivs' ~lo ~hi ~step body
-      | Some _ | None -> ([], [])
-    in
-    List.concat preamble @ [ Ir.For { f with body = snippets @ body } ]
-  | Ir.ParFor ({ iv; lo; hi; step; body; _ } as f) ->
-    let ivs' = (List.length ivs, iv) :: ivs in
-    let body = rewrite_block ctx ~ivs:ivs' body in
-    let preamble, snippets =
-      match Hashtbl.find_opt ctx.loop_table iv with
-      | Some l when l.Pattern.l_children = [] ->
-        snippets_for_loop ctx l ~ivs:ivs' ~lo ~hi ~step body
-      | Some _ | None -> ([], [])
-    in
-    List.concat preamble @ [ Ir.ParFor { f with body = snippets @ body } ]
-  | Ir.While w ->
-    [ Ir.While
-        { w with
-          cond = rewrite_block ctx ~ivs w.cond;
-          body = rewrite_block ctx ~ivs w.body } ]
-  | Ir.If i ->
-    [ Ir.If
-        { i with
-          then_ = rewrite_block ctx ~ivs i.then_;
-          else_ = rewrite_block ctx ~ivs i.else_ } ]
-  | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _ | Ir.I2f _
-  | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _ | Ir.Gep _ | Ir.Load _
-  | Ir.Store _ | Ir.Call _ | Ir.Ret _ | Ir.Prefetch _ | Ir.FlushEvict _
-  | Ir.EvictSite _ | Ir.ProfEnter _ | Ir.ProfExit _ ->
     [ op ]
 
 (* Constant element counts per allocation site (program-wide scan). *)
@@ -416,35 +375,18 @@ let site_counts program =
     program.Ir.p_funcs;
   fun site -> Option.join (Hashtbl.find_opt counts site)
 
-let run_func program bindings ~params ~line_of ~site_count (f : Ir.func) =
-  let site_of_ty = Mira_analysis.Remotable_flow.site_of_ty program in
-  let param_sites =
-    match List.assoc_opt f.Ir.f_name bindings with Some b -> b | None -> []
-  in
-  let result = Pattern.analyze program f ~param_sites ~site_of_ty () in
-  let ctx =
-    {
-      program;
-      params;
-      line_of;
-      site_count;
-      next_reg = f.Ir.f_nregs;
-      loop_table = Hashtbl.create 16;
-    }
-  in
-  index_loops ctx result.Pattern.r_loops;
-  let body = rewrite_block ctx ~ivs:[] f.Ir.f_body in
-  let body = Ir.expand_ops (chase_expansion ctx) body in
-  { f with Ir.f_body = body; f_nregs = ctx.next_reg }
-
-let run program ~params ~line_of =
-  let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
+let context program ~params ~line_of =
   let site_count = site_counts program in
+  fun ~fresh -> { program; params; line_of; site_count; fresh }
+
+let chase program ~line_of =
   {
     program with
     Ir.p_funcs =
       List.map
         (fun (name, f) ->
-          (name, run_func program bindings ~params ~line_of ~site_count f))
+          ( name,
+            { f with Ir.f_body = Ir.expand_ops (chase_expansion program ~line_of) f.Ir.f_body }
+          ))
         program.Ir.p_funcs;
   }

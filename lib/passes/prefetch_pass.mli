@@ -1,7 +1,7 @@
 (** Adaptive prefetch insertion (§4.5).
 
-    Three program-guided prefetch shapes, all inserted as explicit rmem
-    ops with bounds guards:
+    Three program-guided prefetch shapes, all built as explicit rmem
+    ops with bounds guards ([Loop_hints] places the loop ones):
 
     - {b sequential/strided}: in a loop indexing a sectioned site with
       the induction variable, prefetch the line that iteration
@@ -18,13 +18,64 @@
     Only accesses already converted to the rmem dialect (selected
     sites with a cache section) are prefetched. *)
 
-val run :
+type ctx
+(** A function's prefetch context: the program, the cost parameters,
+    the section lines and a register supply. *)
+
+val context :
   Mira_mir.Ir.program ->
   params:Mira_sim.Params.t ->
   line_of:(int -> int option) ->
-  Mira_mir.Ir.program
-(** [line_of site] is the section line size for sectioned sites. *)
+  fresh:(unit -> Mira_mir.Ir.reg) ->
+  ctx
+(** [line_of site] is the section line size for sectioned sites; apply
+    once per program, then per function with its register supply. *)
+
+val loop_snippets :
+  ctx ->
+  Mira_analysis.Pattern.loop_info ->
+  ivs:(int * Mira_mir.Ir.reg) list ->
+  lo:Mira_mir.Ir.operand ->
+  hi:Mira_mir.Ir.operand ->
+  step:Mira_mir.Ir.operand ->
+  skip:(Mira_analysis.Pattern.simple_gep -> bool) ->
+  Mira_mir.Ir.block ->
+  Mira_mir.Ir.block list * Mira_mir.Ir.block
+(** For an innermost loop (its induction variables by depth in [ivs],
+    its own included): the preambles to emit before the loop and the
+    snippets to put at the start of its body.  Accesses whose gep
+    satisfies [skip] get neither. *)
+
+val chase : Mira_mir.Ir.program -> line_of:(int -> int option) -> Mira_mir.Ir.program
+(** Pointer chase: after each load of a remote pointer, prefetch one
+    line of its target's section. *)
 
 val distance_iters :
   params:Mira_sim.Params.t -> body_ops:int -> int
 (** Iterations of lookahead needed to hide one RTT (exposed for tests). *)
+
+val prefetch_ahead :
+  fresh:(unit -> Mira_mir.Ir.reg) ->
+  at:Mira_mir.Ir.operand ->
+  hi:Mira_mir.Ir.operand ->
+  offset:int64 ->
+  g:Mira_analysis.Pattern.simple_gep ->
+  line:int ->
+  Mira_mir.Ir.block
+(** Prefetch [line] bytes from element [at + offset] of [g]'s object
+    when that index is below [hi]. *)
+
+val ahead_offset :
+  dist:int -> step:int64 -> Mira_analysis.Pattern.simple_gep -> int64
+(** Index lookahead for [dist] iterations of [step], plus the access's
+    constant offset from the induction variable. *)
+
+val sequential_preamble :
+  fresh:(unit -> Mira_mir.Ir.reg) ->
+  lo:Mira_mir.Ir.operand ->
+  dist:int ->
+  g:Mira_analysis.Pattern.simple_gep ->
+  line:int ->
+  Mira_mir.Ir.block
+(** Before a loop: prefetch the first [dist] iterations' window of a
+    stream starting at element [lo]. *)

@@ -73,18 +73,29 @@ let row_of_json j =
             (Printf.sprintf "row %s: neither \"work_ms\" nor \"failed\"" r_key)))
     | _ -> Error "row without a numeric \"ratio\" or string \"config\" field")
 
-let of_json j =
+(* A document is one sweep, or (BENCH_paper) a list of sweeps under
+   "figures", whose rows are keyed by figure title and row key. *)
+let rec of_json j =
   let d_title =
     match Json.member "title" j with Some (Json.Str s) -> s | _ -> ""
   in
   let d_native_work_ms =
     Option.bind (Json.member "native_work_ms" j) Json.to_float_opt
   in
-  match Json.member "rows" j with
-  | Some (Json.List rows) ->
+  match (Json.member "rows" j, Json.member "figures" j) with
+  | Some (Json.List rows), _ ->
     let* d_rows = collect row_of_json rows in
     Ok { d_title; d_native_work_ms; d_rows }
-  | _ -> Error "document without a \"rows\" list"
+  | None, Some (Json.List figures) ->
+    let* docs = collect of_json figures in
+    let d_rows =
+      List.concat_map
+        (fun d ->
+          List.map (fun r -> { r with r_key = d.d_title ^ ": " ^ r.r_key }) d.d_rows)
+        docs
+    in
+    Ok { d_title; d_native_work_ms; d_rows }
+  | _ -> Error "document without a \"rows\" or \"figures\" list"
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with

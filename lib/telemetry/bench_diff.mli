@@ -4,7 +4,8 @@
     documents (BENCH_micro) key rows by local-memory ratio and nest
     per-system simulated work times; dataplane and chaos documents key
     rows by a config string (plus a seed for chaos) with one flat
-    [work_ms].  This module parses either shape into string-keyed rows
+    [work_ms]; BENCH_paper lists sweep documents under ["figures"] and
+    keys their rows by ["<figure title>: <row key>"].  This module parses either shape into string-keyed rows
     and compares two documents (a committed baseline and a fresh
     candidate) with a relative noise tolerance.  The comparison is
     pure so the test suite can exercise it on synthetic documents;
@@ -17,7 +18,8 @@ type outcome =
 type row = {
   r_key : string;
       (** ["ratio=<g>"] for sweep rows, ["<config>"] or
-          ["<config> seed=<n>"] for dataplane/chaos rows *)
+          ["<config> seed=<n>"] for dataplane/chaos rows, prefixed with
+          ["<figure title>: "] inside a ["figures"] document *)
   r_systems : (string * outcome) list;
       (** per-system outcomes; flat rows get a single ["work_ms"]
           pseudo-system *)

@@ -529,6 +529,17 @@ let test_diff_of_json () =
     Alcotest.(check bool) "outcomes parsed" true
       (List.assoc "mira" r.Diff.r_systems = Diff.Time_ms 3.0
       && List.assoc "aifm" r.Diff.r_systems = Diff.Failed "OOM"));
+  (* a "figures" document keys each sweep's rows by the sweep's title *)
+  (match
+     Diff.of_json
+       (Json.Obj
+          [ ("title", Json.Str "paper"); ("figures", Json.List [ doc; doc ]) ])
+   with
+  | Error e -> Alcotest.failf "figures doc rejected: %s" e
+  | Ok d ->
+    Alcotest.(check (list string)) "prefixed keys"
+      [ "micro: ratio=0.2"; "micro: ratio=0.2" ]
+      (List.map (fun r -> r.Diff.r_key) d.Diff.d_rows));
   (* malformed documents are errors, not crashes *)
   List.iter
     (fun bad ->
@@ -537,6 +548,7 @@ let test_diff_of_json () =
       | Error _ -> ())
     [
       Json.Obj [ ("title", Json.Str "x") ];
+      Json.Obj [ ("figures", Json.List [ Json.Obj [ ("title", Json.Str "x") ] ]) ];
       Json.Obj [ ("rows", Json.List [ Json.Obj [ ("ratio", Json.Str "x") ] ]) ];
       Json.Obj
         [

@@ -168,6 +168,57 @@ let test_swap_resize () =
   Alcotest.(check int) "capacity updated" 8192 (Swap.capacity_bytes sw);
   Alcotest.(check int64) "data survives resize" 9L (Swap.load sw ~clock ~addr:0 ~len:8)
 
+(* A resize keeps the released frames, bytes included, as the new
+   pool's first frames.  Across a shrink/grow history like the one
+   add_section/end_section drive, the resized swap must behave exactly
+   like a freshly created one of each capacity after the same
+   writebacks: same clock, statistics, bytes on the wire and data. *)
+let test_swap_resize_reuses_frames () =
+  let page = 4096 in
+  let cfg capacity = { Swap.page; capacity; side = Net.One_sided } in
+  let capacities = [ 16 * page; 3 * page; 24 * page; 8 * page; 8 * page ] in
+  let workload sw clock ~seed =
+    let sum = ref 0L in
+    for i = 0 to 299 do
+      let addr = (((i * 7) + seed) mod 32 * page) + (8 * (i mod 64)) in
+      if i mod 3 = 0 then Swap.store sw ~clock ~addr ~len:8 (Int64.of_int (i + seed))
+      else sum := Int64.add !sum (Swap.load sw ~clock ~addr ~len:8)
+    done;
+    !sum
+  in
+  let counters sw =
+    let st = Swap.stats sw in
+    [ st.Swap.hits; st.Swap.faults; st.Swap.evictions; st.Swap.writebacks;
+      st.Swap.bytes_fetched ]
+  in
+  let run ~reuse =
+    let net, far, clock = make_env () in
+    let sw = ref (Swap.create net far (cfg (List.hd capacities))) in
+    let sums = ref [] and retired = ref [ 0; 0; 0; 0; 0 ] in
+    List.iteri
+      (fun round capacity ->
+        sums := workload !sw clock ~seed:round :: !sums;
+        if reuse then Swap.resize !sw ~capacity ~clock
+        else begin
+          Swap.drop_all !sw ~clock;
+          retired := List.map2 ( + ) !retired (counters !sw);
+          sw := Swap.create net far (cfg capacity)
+        end)
+      (List.tl capacities);
+    sums := workload !sw clock ~seed:99 :: !sums;
+    let s = Net.stats net in
+    ( !sums,
+      List.map2 ( + ) !retired (counters !sw),
+      Clock.now clock,
+      (s.Net.bytes_in, s.Net.bytes_out, s.Net.msg_count) )
+  in
+  let sums, counts, now, wire = run ~reuse:true in
+  let sums', counts', now', wire' = run ~reuse:false in
+  Alcotest.(check (list int64)) "data" sums' sums;
+  Alcotest.(check (list int)) "hits, faults, evictions, writebacks, bytes" counts' counts;
+  Alcotest.(check (float 0.0)) "clock" now' now;
+  Alcotest.(check bool) "bytes on the wire" true (wire = wire')
+
 (* Readahead and prefetch requests that run past the end of far memory
    are skipped, not posted: a 16-page cluster with 7-page readahead
    faulting on page 12 reads ahead pages 13-15 only. *)
@@ -456,6 +507,7 @@ let suite =
     Alcotest.test_case "swap hinted victims" `Quick test_swap_hinted_victims;
     Alcotest.test_case "swap readahead" `Quick test_swap_readahead;
     Alcotest.test_case "swap resize" `Quick test_swap_resize;
+    Alcotest.test_case "swap resize reuses frames" `Quick test_swap_resize_reuses_frames;
     Alcotest.test_case "swap prefetch past capacity" `Quick test_swap_prefetch_past_capacity;
     Alcotest.test_case "transfer under EC, both caches" `Quick test_transfer_under_ec;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;

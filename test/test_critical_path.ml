@@ -24,6 +24,8 @@ let fixed_recipe =
         (64, [ R.Strided_read (2, 3); R.Seq_write 0 ]);
         (48, [ R.Rev_read 1; R.Seq_read 2 ]);
       ];
+    records = [];
+    streams = [];
   }
 
 (* Run [recipe] on a fresh Mira runtime under tracing; returns the

@@ -10,6 +10,7 @@ module Prefetch = Mira_passes.Prefetch_pass
 module Evict = Mira_passes.Evict_hints
 module Fusion = Mira_passes.Fusion
 module Native = Mira_passes.Native_deref
+module Loop_hints = Mira_passes.Loop_hints
 module Pipeline = Mira_passes.Pipeline
 module Machine = Mira_interp.Machine
 module Value = Mira_interp.Value
@@ -79,7 +80,9 @@ let test_prefetch_inserts () =
   let e = edges_site prog and n = nodes_site prog in
   let conv = Convert.run prog ~selected:[ e; n ] in
   let line_of site = if site = e then Some 1024 else if site = n then Some 128 else None in
-  let pf = Prefetch.run conv ~params ~line_of in
+  let pf =
+    Loop_hints.run conv ~params ~line_of ~prefetch:true ~evict:false ~native:false
+  in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify pf));
   let prefetches = count_ops (function Ir.Prefetch _ -> true | _ -> false) pf in
   (* sequential edges + two indirect node groups + preamble *)
@@ -96,7 +99,10 @@ let test_evict_inserts () =
   let e = edges_site prog in
   let conv = Convert.run prog ~selected:[ e ] in
   let line_of site = if site = e then Some 1024 else None in
-  let ev = Evict.run conv ~line_of in
+  let ev =
+    Loop_hints.run conv ~params ~line_of ~prefetch:false ~evict:true ~native:false
+    |> Evict.end_lifetimes ~line_of
+  in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify ev));
   let flushes = count_ops (function Ir.FlushEvict _ -> true | _ -> false) ev in
   Alcotest.(check bool) "flush-behind inserted" true (flushes > 0)
@@ -176,6 +182,46 @@ let test_native_deref_marks () =
   (* edges[i].to / .weight after .from, plus node field reuses *)
   Alcotest.(check bool) "subsequent accesses native" true (natives >= 2)
 
+(* Run [compiled] on a Mira runtime with the given sections, each
+   serving one site; returns the result, the sections, and the native
+   misses (a section's [native_misses]) that native loads took. *)
+let run_sectioned compiled sections =
+  let rt =
+    Mira_runtime.Runtime.create
+      (Mira_runtime.Runtime.Config.make ~local_budget:(1 lsl 17)
+         ~far_capacity:(1 lsl 22))
+  in
+  let mgr = Mira_runtime.Runtime.manager rt in
+  let clock = Mira_sim.Clock.create () in
+  let secs =
+    List.map
+      (fun (site, (cfg : Mira_cache.Section.config)) ->
+        match Mira_cache.Manager.add_section mgr ~clock cfg with
+        | Ok sec ->
+          Mira_cache.Manager.assign_site mgr ~site ~sec_id:cfg.Mira_cache.Section.sec_id;
+          sec
+        | Error m -> Alcotest.fail m)
+      sections
+  in
+  let misses () =
+    List.fold_left
+      (fun n sec -> n + (Mira_cache.Section.stats sec).Mira_cache.Section.native_misses)
+      0 secs
+  in
+  let load_misses = ref 0 in
+  let ms = Mira_runtime.Runtime.memsys rt in
+  let ms =
+    { ms with
+      Mira_runtime.Memsys.load =
+        (fun ~tid ~ptr ~len ~native ->
+          let before = misses () in
+          let v = ms.Mira_runtime.Memsys.load ~tid ~ptr ~len ~native in
+          load_misses := !load_misses + misses () - before;
+          v) }
+  in
+  let v = Machine.run (Machine.create ms compiled) in
+  (v, secs, !load_misses)
+
 let test_pipeline_preserves_semantics () =
   let prog = graph_program () in
   let e = edges_site prog and n = nodes_site prog in
@@ -186,30 +232,194 @@ let test_pipeline_preserves_semantics () =
   let v2 = run_native compiled in
   Alcotest.(check bool) "identical results" true (Value.equal v1 v2);
   (* and on the full Mira runtime with sections *)
-  let rt =
-    Mira_runtime.Runtime.create
-      (Mira_runtime.Runtime.Config.make ~local_budget:(1 lsl 17)
-         ~far_capacity:(1 lsl 22))
+  let v3, _, _ =
+    run_sectioned compiled
+      [
+        (e, Mira_cache.Section.config_default ~sec_id:1 ~name:"e" ~line:1024 ~size:(1 lsl 14));
+        ( n,
+          { (Mira_cache.Section.config_default ~sec_id:2 ~name:"n" ~line:128
+               ~size:(1 lsl 15))
+            with Mira_cache.Section.structure = Mira_cache.Section.Set_assoc 8 } );
+      ]
   in
-  let mgr = Mira_runtime.Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  (match
-     Mira_cache.Manager.add_section mgr ~clock
-       (Mira_cache.Section.config_default ~sec_id:1 ~name:"e" ~line:1024
-          ~size:(1 lsl 14))
-   with
-  | Ok _ -> Mira_cache.Manager.assign_site mgr ~site:e ~sec_id:1
-  | Error m -> Alcotest.fail m);
-  (match
-     Mira_cache.Manager.add_section mgr ~clock
-       { (Mira_cache.Section.config_default ~sec_id:2 ~name:"n" ~line:128
-            ~size:(1 lsl 15))
-         with Mira_cache.Section.structure = Mira_cache.Section.Set_assoc 8 }
-   with
-  | Ok _ -> Mira_cache.Manager.assign_site mgr ~site:n ~sec_id:2
-  | Error m -> Alcotest.fail m);
-  let v3 = Machine.run (Machine.create (Mira_runtime.Runtime.memsys rt) compiled) in
   Alcotest.(check bool) "sections produce same data" true (Value.equal v1 v3)
+
+let micro_program elems =
+  Mira_workloads.Micro_sum.build
+    { Mira_workloads.Micro_sum.config_default with Mira_workloads.Micro_sum.elems }
+
+let stream_plan lines =
+  { (Pipeline.plan_all ~selected:(List.map fst lines) ~lines) with Pipeline.offload = `None }
+
+let direct ~sec_id ~line =
+  { (Mira_cache.Section.config_default ~sec_id ~name:(string_of_int sec_id) ~line
+       ~size:(20 * line))
+    with Mira_cache.Section.structure = Mira_cache.Section.Direct }
+
+(* The strip-mined loads find their lines resident: each chunk's two
+   checked loads bring in every line its native loads read, with
+   prefetching on and (the loads alone) off.  Native loads elsewhere
+   (same-element reuse) count too; native stores do not: elements that
+   straddle a line make [Native_deref]'s store proofs fall back. *)
+let test_strip_mined_loads_resident () =
+  let check name prog stream sections =
+    let lines = List.map (fun (s, c) -> (s, c.Mira_cache.Section.line)) sections in
+    List.iter
+      (fun prefetch ->
+        let name = Printf.sprintf "%s (prefetch %b)" name prefetch in
+        let compiled =
+          Pipeline.apply prog { (stream_plan lines) with Pipeline.prefetch } ~params
+        in
+        let natives =
+          count_ops
+            (function
+              | Ir.Load { meta; _ } -> meta.Ir.am_native && meta.Ir.am_site = stream
+              | _ -> false)
+            compiled
+        in
+        Alcotest.(check bool) (name ^ " has native stream loads") true (natives > 0);
+        let v, secs, load_misses = run_sectioned compiled sections in
+        Alcotest.(check bool) (name ^ " same result") true (Value.equal (run_native prog) v);
+        let st = Mira_cache.Section.stats (List.hd secs) in
+        Alcotest.(check bool) (name ^ " stream section hit") true (st.Mira_cache.Section.hits > 0);
+        Alcotest.(check int) (name ^ " native load misses") 0 load_misses)
+      [ true; false ]
+  in
+  let micro = micro_program 20_000 in
+  let a = Mira_workloads.Workload_util.site_id micro "array" in
+  check "micro" micro a [ (a, direct ~sec_id:1 ~line:2048) ];
+  let graph = graph_program () in
+  let e = edges_site graph and n = nodes_site graph in
+  check "graph" graph e
+    [
+      (e, direct ~sec_id:1 ~line:2064);
+      ( n,
+        { (Mira_cache.Section.config_default ~sec_id:2 ~name:"n" ~line:128
+             ~size:(1 lsl 15))
+          with Mira_cache.Section.structure = Mira_cache.Section.Set_assoc 8 } );
+    ]
+
+(* The compiled streaming sum: per 256-element chunk one flush, one
+   prefetch, the chunk bound and two checked loads; inside, native
+   loads only; after the loop, the flush of the last range behind it. *)
+let micro_work_golden =
+  {|func.func @work(%0: ptr<i64>, %1: ptr<i64>) -> unit {
+  %2 = memref.alloca 1 x i64 {site = 0}
+  memref.store 0, %2 : i64
+  %9 = memref.gep %0[0] : i64 +0
+  rmem.prefetch %9, 4096 {site = 1}
+  scf.for %10 = 0 to 200000 step 256 {
+    %11 = arith.subi %10, 768
+    %12 = arith.cmpi ge, %11, 0
+    scf.if %12 {
+      %13 = memref.gep %0[%11] : i64 +0
+      rmem.flush_evict %13, 2048 {site = 1}
+    }
+    %14 = arith.addi %10, 334
+    %15 = arith.cmpi lt, %14, 200000
+    scf.if %15 {
+      %16 = memref.gep %0[%14] : i64 +0
+      rmem.prefetch %16, 2048 {site = 1}
+    }
+    %17 = arith.addi %10, 255
+    %19 = arith.subi %17, 199999
+    %20 = arith.shri %19, 63
+    %21 = arith.subi 0, %20
+    %22 = arith.andi %19, %21
+    %18 = arith.addi 199999, %22
+    %23 = memref.gep %0[%10] : i64 +0
+    %24 = rmem.load %23 : i64 {site = 1}
+    %25 = memref.gep %0[%18] : i64 +0
+    %26 = rmem.load %25 : i64 {site = 1}
+    %27 = arith.addi %18, 1
+    scf.for %3 = %10 to %27 step 1 {
+      %4 = memref.gep %0[%3] : i64 +0
+      %5 = rmem.load.native %4 : i64 {site = 1}
+      %6 = memref.load %2 : i64
+      %7 = arith.addi %6, %5
+      memref.store %7, %2 : i64
+    }
+  }
+  %28 = arith.subi 199999, 520
+  %29 = arith.cmpi ge, %28, 0
+  scf.if %29 {
+    %30 = memref.gep %0[%28] : i64 +0
+    rmem.flush_evict %30, 2048 {site = 1}
+  }
+  %8 = memref.load %2 : i64
+  memref.store %8, %1 : i64
+  func.return ()
+}|}
+
+let test_strip_mined_golden () =
+  let prog = micro_program 200_000 in
+  let a = Mira_workloads.Workload_util.site_id prog "array" in
+  let compiled = Pipeline.apply prog (stream_plan [ (a, 2048) ]) ~params in
+  Alcotest.(check string) "micro work" micro_work_golden
+    (Mira_mir.Printer.func_to_string (Ir.find_func compiled "work"))
+
+(* A loop that cannot be strip-mined (it calls a function) keeps the
+   gated flush-behind; with 86 elements per line the gate opens every
+   64 iterations (a rounded-up gate of 128 would leave gaps), and the
+   flushed ranges leave no line out. *)
+let test_gated_flush_covers_lines () =
+  let n = 3000 in
+  let rec_ty = T.struct_ "rec24" [ ("a", T.I64); ("b", T.I64); ("c", T.I64) ] in
+  let b = B.program "flush86" in
+  B.func b "id" [ ("x", T.I64) ] T.I64 (fun fb args -> B.ret fb (List.hd args));
+  B.func b "init" [ ("r", T.Ptr rec_ty) ] T.Unit (fun fb args ->
+      B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst n) (fun i ->
+          B.store fb T.I64 ~ptr:(B.gep fb ~base:(List.hd args) ~index:i ~elem:rec_ty ()) ~value:i));
+  B.func b "work" [ ("r", T.Ptr rec_ty) ] T.I64 (fun fb args ->
+      let acc, _ = B.alloc fb ~name:"acc" ~space:Ir.Stack T.I64 (B.iconst 1) in
+      B.store fb T.I64 ~ptr:acc ~value:(B.iconst 0);
+      B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst n) (fun i ->
+          let v = B.load fb T.I64 (B.gep fb ~base:(List.hd args) ~index:i ~elem:rec_ty ()) in
+          let w = B.call fb "id" [ v ] in
+          B.store fb T.I64 ~ptr:acc ~value:(B.bin fb Ir.Add (B.load fb T.I64 acc) w));
+      B.ret fb (B.load fb T.I64 acc));
+  B.func b "main" [] T.I64 (fun fb _ ->
+      let r, _ = B.alloc fb ~name:"recs" rec_ty (B.iconst n) in
+      ignore (B.call fb "init" [ r ]);
+      B.ret fb (B.call fb "work" [ r ]));
+  let prog = B.finish b ~entry:"main" in
+  let site = Mira_workloads.Workload_util.site_id prog "recs" in
+  let line = 86 * 24 in
+  let compiled = Pipeline.apply prog (stream_plan [ (site, line) ]) ~params in
+  let base = ref 0 and flushed = ref [] in
+  let ms = Mira_baselines.Native.create ~capacity:(1 lsl 24) () in
+  let ms =
+    { ms with
+      Mira_runtime.Memsys.alloc =
+        (fun ~tid ~site:s ~bytes ~heap ->
+          let p = ms.Mira_runtime.Memsys.alloc ~tid ~site:s ~bytes ~heap in
+          if s = site then base := p.Mira_runtime.Memsys.addr;
+          p);
+      flush_evict =
+        (fun ~tid ~ptr ~len ->
+          flushed := (ptr.Mira_runtime.Memsys.addr, len) :: !flushed;
+          ms.Mira_runtime.Memsys.flush_evict ~tid ~ptr ~len) }
+  in
+  Alcotest.(check bool) "same result" true
+    (Value.equal (run_native prog) (Machine.run (Machine.create ms compiled)));
+  Alcotest.(check bool) "not strip-mined" true
+    (count_ops (function Ir.Load { meta; _ } -> meta.Ir.am_native | _ -> false) compiled = 0);
+  (* the flushed ranges tile the array from its first byte, with no
+     gap between one range and the next (so no line can fall between
+     them), up to the range the tail flush ends on *)
+  let ranges = List.sort_uniq compare !flushed in
+  Alcotest.(check int) "first flush at the array start" !base (fst (List.hd ranges));
+  ignore
+    (List.fold_left
+       (fun reach (addr, len) ->
+         if addr > reach then
+           Alcotest.failf "bytes %d-%d never flushed" (reach - !base) (addr - !base);
+         max reach (addr + len))
+       !base ranges);
+  let last = List.fold_left (fun m (addr, _) -> max m addr) 0 ranges in
+  Alcotest.(check int) "tail flush behind the last element" (!base + ((n - 1 - 180) * 24)) last;
+  Alcotest.(check bool) "at most one flush per 64 iterations" true
+    (List.length ranges <= ((n - 180) / 64) + 2)
 
 let test_pipeline_all_workloads_preserved () =
   (* Every workload compiled with every optimization must compute the
@@ -254,5 +464,8 @@ let suite =
     Alcotest.test_case "fusion dependences" `Quick test_fusion_respects_dependences;
     Alcotest.test_case "native deref" `Quick test_native_deref_marks;
     Alcotest.test_case "pipeline semantics" `Quick test_pipeline_preserves_semantics;
+    Alcotest.test_case "strip-mined loads resident" `Quick test_strip_mined_loads_resident;
+    Alcotest.test_case "strip-mined micro golden" `Quick test_strip_mined_golden;
+    Alcotest.test_case "gated flush covers lines" `Quick test_gated_flush_covers_lines;
     Alcotest.test_case "pipeline all workloads" `Slow test_pipeline_all_workloads_preserved;
   ]

@@ -2,7 +2,8 @@
 
    A generator builds random (but always verifying) programs over a few
    far-memory arrays — nested loops, affine and data-dependent indexing
-   guarded by modulo, reads/writes, reductions.  The property: the full
+   guarded by modulo, reads/writes, reductions, and streaming loops over
+   record arrays with offset bounds, steps and fields.  The property: the full
    optimization pipeline (fusion, conversion, prefetching, eviction
    hints, native-deref) and every memory system must compute exactly
    the value the native baseline computes. *)
@@ -23,10 +24,31 @@ type stmt =
   | Strided_read of int * int  (** a[(i*s) mod n] *)
   | Rev_read of int  (** a[n-1-i] *)
 
+(* A streaming loop over an array of [words]-word records:
+   [for i = lo to hi step s] reading fields of element [i + off].  The
+   bounds put exactly [trip] iterations in the loop and [slack] (less
+   than a step) between the last one and [hi]. *)
+type stream_loop = {
+  s_arr : int;
+  s_lo : int;
+  s_trip : int;
+  s_step : int;
+  s_slack : int;
+  s_off : int;
+  s_fields : int list;
+}
+
 type recipe = {
   arrays : array_spec list;
   loops : (int * stmt list) list;  (** (trip count, body statements) *)
+  records : int list;  (** words per element of each record array *)
+  streams : stream_loop list;
 }
+
+let record_elems = 300
+
+let stream_hi s =
+  if s.s_trip = 0 then s.s_lo else s.s_lo + ((s.s_trip - 1) * s.s_step) + 1 + s.s_slack
 
 let pp_stmt = function
   | Seq_read a -> Printf.sprintf "read a%d[i]" a
@@ -35,14 +57,21 @@ let pp_stmt = function
   | Strided_read (a, s) -> Printf.sprintf "read a%d[i*%d mod n]" a s
   | Rev_read a -> Printf.sprintf "read a%d[n-1-i]" a
 
+let pp_stream s =
+  Printf.sprintf "for i=%d..%d step %d {r%d[i+%d].{%s}}" s.s_lo (stream_hi s) s.s_step
+    s.s_arr s.s_off
+    (String.concat "," (List.map string_of_int s.s_fields))
+
 let pp_recipe r =
-  Printf.sprintf "arrays=[%s] loops=[%s]"
+  Printf.sprintf "arrays=[%s] loops=[%s] records=[%s] streams=[%s]"
     (String.concat ";" (List.map (fun a -> string_of_int a.a_elems) r.arrays))
     (String.concat " | "
        (List.map
           (fun (trip, body) ->
             Printf.sprintf "%dx{%s}" trip (String.concat "," (List.map pp_stmt body)))
           r.loops))
+    (String.concat ";" (List.map string_of_int r.records))
+    (String.concat " | " (List.map pp_stream r.streams))
 
 let gen_recipe =
   QCheck.Gen.(
@@ -66,7 +95,22 @@ let gen_recipe =
          let* body = list_size (int_range 1 4) gen_stmt in
          return (trip, body))
     in
-    return { arrays; loops })
+    (* 8-, 24- and 128-byte records; 24 does not divide a line, so some
+       elements straddle two *)
+    let* records = list_size (int_range 1 2) (oneofl [ 1; 3; 16 ]) in
+    let gen_stream =
+      let* s_arr = int_bound (List.length records - 1) in
+      let words = List.nth records s_arr in
+      let* s_lo = oneof [ return 0; int_range 1 20 ] in
+      let* s_trip = oneof [ return 0; return 1; int_range 2 90 ] in
+      let* s_step = int_range 1 3 in
+      let* s_slack = int_bound (s_step - 1) in
+      let* s_off = int_bound 2 in
+      let* s_fields = list_size (int_range 1 2) (int_bound (words - 1)) in
+      return { s_arr; s_lo; s_trip; s_step; s_slack; s_off; s_fields }
+    in
+    let* streams = list_size (int_range 1 3) gen_stream in
+    return { arrays; loops; records; streams })
 
 let build_program (r : recipe) =
   let b = B.program "random" in
@@ -135,6 +179,39 @@ let build_program (r : recipe) =
                     bump (B.load fb T.I64 p))
                 body))
         r.loops;
+      let records =
+        List.mapi
+          (fun idx words ->
+            let ty =
+              if words = 1 then T.I64
+              else
+                T.struct_ (Printf.sprintf "rec%d" words)
+                  (List.init words (fun f -> (Printf.sprintf "f%d" f, T.I64)))
+            in
+            let ptr, _ =
+              B.alloc fb ~name:(Printf.sprintf "rr%d" idx) ty (B.iconst record_elems)
+            in
+            B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst record_elems) (fun i ->
+                for f = 0 to words - 1 do
+                  let p = B.gep fb ~base:ptr ~index:i ~elem:ty ~field_off:(8 * f) () in
+                  let v = B.bin fb Ir.Mul i (B.iconst (7 + f)) in
+                  B.store fb T.I64 ~ptr:p ~value:(B.bin fb Ir.Land v (B.iconst 0xFF))
+                done);
+            (ptr, ty))
+          r.records
+      in
+      List.iter
+        (fun st ->
+          let ptr, ty = List.nth records st.s_arr in
+          B.for_ fb ~lo:(B.iconst st.s_lo) ~hi:(B.iconst (stream_hi st))
+            ~step:(B.iconst st.s_step) (fun i ->
+              let idx = B.bin fb Ir.Add i (B.iconst st.s_off) in
+              List.iter
+                (fun f ->
+                  let p = B.gep fb ~base:ptr ~index:idx ~elem:ty ~field_off:(8 * f) () in
+                  bump (B.load fb T.I64 p))
+                st.s_fields))
+        r.streams;
       (* fold the arrays into the checksum *)
       List.iter
         (fun (ptr, elems) ->
@@ -205,8 +282,99 @@ let qcheck_controller_preserves =
       let v, _ = Mira.Controller.run compiled in
       Value.equal expected v)
 
+(* Loops of the strip-mined shape: a [For] whose body holds a [For]
+   starting at the outer induction variable. *)
+let strip_mined prog =
+  List.fold_left
+    (fun acc (_, f) ->
+      Ir.fold_ops
+        (fun n op ->
+          match op with
+          | Ir.For { iv; body; _ }
+            when List.exists
+                   (function Ir.For { lo = Ir.Oreg r; _ } -> r = iv | _ -> false)
+                   body ->
+            n + 1
+          | _ -> n)
+        acc f.Ir.f_body)
+    0 prog.Ir.p_funcs
+
+(* Iterations per 256-byte line of a stream loop. *)
+let per_line r st = 256 / (8 * List.nth r.records st.s_arr * st.s_step)
+
+(* Every site in its own small direct-mapped section, so lines are
+   evicted while the loops run. *)
+let run_sectioned compiled =
+  let module Rt = Mira_runtime.Runtime in
+  let rt = Rt.create (Rt.Config.make ~local_budget:(16 * 4096) ~far_capacity) in
+  let mgr = Rt.manager rt in
+  let clock = Mira_sim.Clock.create () in
+  List.iteri
+    (fun i (site : Ir.site_info) ->
+      let cfg =
+        { (Mira_cache.Section.config_default ~sec_id:(i + 1) ~name:site.Ir.si_name
+             ~line:256 ~size:1024)
+          with Mira_cache.Section.structure = Mira_cache.Section.Direct }
+      in
+      match Mira_cache.Manager.add_section mgr ~clock cfg with
+      | Ok _ -> Mira_cache.Manager.assign_site mgr ~site:site.Ir.si_id ~sec_id:(i + 1)
+      | Error m -> Alcotest.fail m)
+    compiled.Ir.p_sites;
+  run_on (Rt.memsys rt) compiled
+
+(* The generated streams reach the strip-mined path, in every shape the
+   pass must handle, and keep computing the native result both on the
+   native memory system and through real sections. *)
+let test_strip_mined_random () =
+  let rand = Random.State.make [| 16 |] in
+  let recipes = QCheck.Gen.generate ~rand ~n:60 gen_recipe in
+  let strips = ref 0 in
+  List.iter
+    (fun r ->
+      let prog = build_program r in
+      let sites = List.map (fun s -> s.Ir.si_id) prog.Ir.p_sites in
+      let plan =
+        Pipeline.plan_all ~selected:sites ~lines:(List.map (fun s -> (s, 256)) sites)
+      in
+      let compiled =
+        Pipeline.apply prog { plan with Pipeline.offload = `None }
+          ~params:Mira_sim.Params.default
+      in
+      let n = strip_mined compiled in
+      let want = List.length (List.filter (fun st -> per_line r st >= 2) r.streams) in
+      if n < want then
+        Alcotest.failf "%s: %d strip-mined loops, want at least %d" (pp_recipe r) n want;
+      strips := !strips + n;
+      let expected = native_value prog in
+      if not (Value.equal expected (native_value compiled)) then
+        Alcotest.failf "%s: compiled result differs from native" (pp_recipe r);
+      if not (Value.equal expected (run_sectioned compiled)) then
+        Alcotest.failf "%s: sectioned result differs from native" (pp_recipe r))
+    recipes;
+  let streams = List.concat_map (fun r -> List.map (fun st -> (r, st)) r.streams) recipes in
+  let covers what p =
+    if not (List.exists (fun (r, st) -> per_line r st >= 2 && p r st) streams) then
+      Alcotest.failf "no strip-mined stream with %s" what
+  in
+  covers "lo <> 0" (fun _ st -> st.s_lo <> 0);
+  covers "hi off the chunk grid" (fun r st ->
+      st.s_trip > 1 && (stream_hi st - st.s_lo) mod (per_line r st * st.s_step) <> 0);
+  List.iter
+    (fun step -> covers (Printf.sprintf "step %d" step) (fun _ st -> st.s_step = step))
+    [ 1; 2; 3 ];
+  covers "iv + c" (fun _ st -> st.s_off > 0);
+  List.iter
+    (fun words ->
+      covers (Printf.sprintf "%d-byte elements" (8 * words)) (fun r st ->
+          List.nth r.records st.s_arr = words))
+    [ 1; 3; 16 ];
+  covers "0 trips" (fun _ st -> st.s_trip = 0);
+  covers "1 trip" (fun _ st -> st.s_trip = 1);
+  Alcotest.(check bool) "strip-mined loops" true (!strips > 0)
+
 let suite =
   [
+    Alcotest.test_case "strip-mined random programs" `Quick test_strip_mined_random;
     QCheck_alcotest.to_alcotest qcheck_pipeline_preserves;
     QCheck_alcotest.to_alcotest qcheck_systems_agree;
     QCheck_alcotest.to_alcotest qcheck_controller_preserves;
