@@ -460,25 +460,6 @@ let fig18 () =
     ~systems:[ Fastswap; Leap; Aifm M.aifm_gran; Mira_sys mira_default ]
     ~title
 
-(* The paper's headline: Mira and FastSwap on Figures 5, 16 and 18 at
-   a small and a large local-memory ratio each, as one document (the
-   committed bench/baseline/BENCH_paper.json that CI gates). *)
-let paper () =
-  let figure setup ratios =
-    let ctx, far, title = setup () in
-    sweep_doc ctx ~far_bytes:far ~ratios ~systems:[ Fastswap; Mira_sys mira_default ]
-      ~title
-  in
-  let fig5 = figure graph_figure [ 0.2; 0.5 ] in
-  let fig16 = figure df_figure [ 0.15; 0.5 ] in
-  let fig18 = figure mcf_figure [ 0.15; 0.5 ] in
-  write_bench_json ~name:"paper"
-    (Mira_telemetry.Json.Obj
-       [
-         ("title", Mira_telemetry.Json.Str "paper");
-         ("figures", Mira_telemetry.Json.List [ fig5; fig16; fig18 ]);
-       ])
-
 (* --- Figures 19/20: runtime and metadata overhead at full memory ---------- *)
 
 let micro_cfg = Mira_workloads.Micro_sum.config_default
@@ -582,36 +563,104 @@ let fig21 () =
 
 (* --- Figure 22: selective transmission ------------------------------------ *)
 
-let fig22 () =
+(* The node section with whole lines (one-sided) and with the field
+   payload the planner picks for the node site (two-sided), each run
+   once: (transfer mode, work ns, net bytes in, net bytes out). *)
+let fig22_runs () =
   let prog = G.build graph_cfg in
   let far = G.far_bytes graph_cfg in
   let far_capacity = 4 * far in
   let budget = far / 4 in
   let e, n = graph_sites prog in
-  Printf.printf
-    "\n### Figure 22: selective transmission (node section, 25%% local)\n";
-  let t = Table.create ~header:[ "transfer"; "work (ms)"; "net in (KB)" ] in
-  List.iter
+  let planned =
+    match
+      SP.plan ~params:Mira_sim.Params.default ~summaries:(C.site_summaries prog [ n ])
+        ~site_bytes:(fun _ -> 0) ~first_id:2
+    with
+    | [ spec ] -> spec.SP.sp_cfg
+    | specs -> failwith (Printf.sprintf "fig22: %d node sections" (List.length specs))
+  in
+  let fields =
+    match planned.Section.payload with
+    | Some fields -> fields
+    | None -> failwith "fig22: the planner gave the node site no payload"
+  in
+  List.map
     (fun (name, payload, side) ->
       let plan = graph_plan prog ~eline:2048 ~nline:128 ~prefetch:true ~evict:true in
-      let es = edge_cfg () in
       let ns =
         { (node_cfg ~size:(max (32 * 1024) (budget / 2)) ()) with
           Section.payload; side }
       in
       let work_ns, rt =
         run_manual ~budget ~far_capacity ~prog ~plan
-          ~sections:[ (es, [ e ]); (ns, [ n ]) ] ()
+          ~sections:[ (edge_cfg (), [ e ]); (ns, [ n ]) ] ()
       in
       let stats = Mira_sim.Net.stats (Runtime.net rt) in
+      (name, work_ns, stats.Mira_sim.Net.bytes_in, stats.Mira_sim.Net.bytes_out))
+    [
+      (Printf.sprintf "whole %dB line (one-sided)" G.node_bytes, None,
+       Mira_sim.Net.One_sided);
+      ( Printf.sprintf "accessed fields only, %dB (two-sided)"
+          (List.fold_left (fun acc (_, len) -> acc + len) 0 fields),
+        Some fields, planned.Section.side );
+    ]
+
+let fig22_title = "Figure 22: selective transmission (node section, 25% local)"
+
+let fig22 () =
+  Printf.printf "\n### %s\n" fig22_title;
+  let t =
+    Table.create ~header:[ "transfer"; "work (ms)"; "net in (KB)"; "net out (KB)" ]
+  in
+  List.iter
+    (fun (name, work_ns, bytes_in, bytes_out) ->
       Table.add_row t
         [ name; Printf.sprintf "%.2f" (work_ns /. 1e6);
-          string_of_int (stats.Mira_sim.Net.bytes_in / 1024) ])
-    [
-      ("whole 128B line (one-sided)", None, Mira_sim.Net.One_sided);
-      ("accessed fields only, 24B (two-sided)", Some 24, Mira_sim.Net.Two_sided);
-    ];
+          string_of_int (bytes_in / 1024); string_of_int (bytes_out / 1024) ])
+    (fig22_runs ());
   Table.print t
+
+(* --- The gated paper headline ------------------------------------------- *)
+
+(* The paper's headline: Mira and FastSwap on Figures 5, 16 and 18 at
+   a small and a large local-memory ratio each, and Figure 22's work
+   time and bytes each way per transfer mode, as one document (the
+   committed bench/baseline/BENCH_paper.json that CI gates). *)
+let paper () =
+  let figure setup ratios =
+    let ctx, far, title = setup () in
+    sweep_doc ctx ~far_bytes:far ~ratios ~systems:[ Fastswap; Mira_sys mira_default ]
+      ~title
+  in
+  let fig5 = figure graph_figure [ 0.2; 0.5 ] in
+  let fig16 = figure df_figure [ 0.15; 0.5 ] in
+  let fig18 = figure mcf_figure [ 0.15; 0.5 ] in
+  let fig22 =
+    let open Mira_telemetry.Json in
+    Obj
+      [
+        ("title", Str fig22_title);
+        ( "rows",
+          List
+            (List.map
+               (fun (name, work_ns, bytes_in, bytes_out) ->
+                 Obj
+                   [
+                     ("config", Str name);
+                     ("work_ms", Float (work_ns /. 1e6));
+                     ("bytes_in", Int bytes_in);
+                     ("bytes_out", Int bytes_out);
+                   ])
+               (fig22_runs ())) );
+      ]
+  in
+  write_bench_json ~name:"paper"
+    (Mira_telemetry.Json.Obj
+       [
+         ("title", Mira_telemetry.Json.Str "paper");
+         ("figures", Mira_telemetry.Json.List [ fig5; fig16; fig18; fig22 ]);
+       ])
 
 (* --- Figure 23: data-access batching -------------------------------------- *)
 

@@ -53,8 +53,7 @@ type site_summary = {
   ss_kind : kind;
   ss_reads : int;
   ss_writes : int;
-  ss_fields_read : int list;
-  ss_fields_written : int list;
+  ss_fields : (int * int) list option;
   ss_elem : int;
   ss_read_only : bool;
   ss_write_only : bool;
@@ -75,7 +74,7 @@ type ptr_info = {
   p_chased : bool;  (* the base pointer was loaded from memory *)
   p_indirect : int option;  (* index values loaded from this site *)
   p_elem : int;  (* element size of the producing gep (bytes) *)
-  p_field : int;  (* field offset of the producing gep *)
+  p_field : int;  (* field offset within the element; -1 = unknown *)
   p_gep : simple_gep option;  (* reconstructible shape *)
 }
 
@@ -240,7 +239,11 @@ and walk_op ctx op : access list * loop_info list =
              p_chased = p.p_chased;
              p_indirect = indirect;
              p_elem = elem_bytes;
-             p_field = field_off;
+             (* A field of the element only when the base points at an
+                element boundary of the same element type. *)
+             p_field =
+               (if p.p_field = 0 && p.p_elem = elem_bytes then field_off
+                else -1);
              p_gep = gep;
            })
     | Bsym _ | Bnone -> set ctx dst Bnone);
@@ -365,11 +368,23 @@ let summarize accesses =
     (fun site accs acc ->
       let reads = List.filter (fun a -> a.a_rw = `R) accs in
       let writes = List.filter (fun a -> a.a_rw = `W) accs in
-      let fields rw_list =
-        List.map (fun a -> a.a_field) rw_list |> List.sort_uniq compare
-      in
       let elem =
         List.fold_left (fun m a -> max m a.a_elem) 8 accs
+      in
+      let field a =
+        let len = Types.size_of a.a_ty in
+        if a.a_field >= 0 && a.a_elem = elem && a.a_field + len <= elem then
+          Some (a.a_field, len)
+        else None
+      in
+      let fields =
+        List.fold_left
+          (fun acc a ->
+            match (acc, field a) with
+            | Some l, Some f -> Some (f :: l)
+            | _, _ -> None)
+          (Some []) accs
+        |> Option.map Mira_util.Misc.merge_extents
       in
       let kind =
         if List.exists (fun a -> a.a_pointer_chase) accs then Pointer_chase
@@ -399,8 +414,7 @@ let summarize accesses =
         ss_kind = kind;
         ss_reads = List.length reads;
         ss_writes = List.length writes;
-        ss_fields_read = fields reads;
-        ss_fields_written = fields writes;
+        ss_fields = fields;
         ss_elem = elem;
         ss_read_only = writes = [] && reads <> [];
         ss_write_only = reads = [] && writes <> [];

@@ -36,7 +36,8 @@ type access = {
   a_rw : [ `R | `W ];
   a_ty : Mira_mir.Types.ty;
   a_elem : int;  (** gep element size in bytes *)
-  a_field : int;  (** field offset within the element *)
+  a_field : int;  (** field offset within the element; -1 when the
+                      pointer is not known to start at an element *)
   a_stride : int64 option;  (** bytes advanced per innermost iteration *)
   a_indirect_via : int option;  (** site whose loaded values form the index *)
   a_pointer_chase : bool;  (** base pointer was itself loaded from memory *)
@@ -67,8 +68,10 @@ type site_summary = {
   ss_kind : kind;
   ss_reads : int;  (** static access count *)
   ss_writes : int;
-  ss_fields_read : int list;
-  ss_fields_written : int list;
+  ss_fields : (int * int) list option;
+      (** touched field extents [(offset, len)] within the element,
+          disjoint and ascending; [None] when some access does not map
+          to a field of the element *)
   ss_elem : int;  (** element size in bytes *)
   ss_read_only : bool;
   ss_write_only : bool;

@@ -7,7 +7,7 @@ type config = {
   size : int;
   structure : structure;
   side : Mira_sim.Net.side;
-  payload : int option;
+  payload : (int * int) list option;
   no_meta : bool;
   write_no_fetch : bool;
   read_discard : bool;
@@ -39,6 +39,7 @@ type stats = {
   mutable miss_ns : float;
   mutable stall_ns : float;
   mutable bytes_fetched : int;
+  mutable bytes_written : int;
   lat_fetch : Mira_telemetry.Metrics.hist;
 }
 
@@ -55,8 +56,11 @@ let fresh_stats () =
     miss_ns = 0.0;
     stall_ns = 0.0;
     bytes_fetched = 0;
+    bytes_written = 0;
     lat_fetch = Mira_telemetry.Metrics.hist_create ();
   }
+
+let poison = Transfer.poison
 
 type line_state = {
   mutable tag : int;  (* line index in far address space; -1 = empty *)
@@ -83,6 +87,17 @@ type t = {
 let create net far cfg =
   assert (cfg.line >= 8 && cfg.line mod 8 = 0);
   assert (cfg.size >= cfg.line);
+  let extents =
+    match cfg.payload with
+    | None -> [ (0, cfg.line) ]
+    | Some extents ->
+      assert (
+        extents <> []
+        && Mira_util.Misc.merge_extents extents = extents
+        && List.for_all (fun (off, len) -> off >= 0 && len > 0 && off + len <= cfg.line)
+             extents);
+      extents
+  in
   let nslots =
     match cfg.structure with
     | Direct | Full_assoc -> max 1 (cfg.size / cfg.line)
@@ -112,8 +127,8 @@ let create net far cfg =
     evict_hints = [];
     stats = fresh_stats ();
     tr =
-      Transfer.create net far ~side:cfg.side ~line:cfg.line ~section:cfg.sec_name
-        ~lane:("section:" ^ cfg.sec_name);
+      Transfer.create net far ~side:cfg.side ~line:cfg.line ~extents
+        ~section:cfg.sec_name ~lane:("section:" ^ cfg.sec_name);
   }
 
 let config t = t.cfg
@@ -133,6 +148,7 @@ let reset_stats t =
   d.miss_ns <- 0.0;
   d.stall_ns <- 0.0;
   d.bytes_fetched <- 0;
+  d.bytes_written <- 0;
   Mira_telemetry.Metrics.hist_reset d.lat_fetch
 
 let publish t reg =
@@ -148,6 +164,7 @@ let publish t reg =
   m (p "writebacks") s.writebacks;
   m (p "native_misses") s.native_misses;
   m (p "bytes_fetched") s.bytes_fetched;
+  m (p "bytes_written") s.bytes_written;
   g (p "hit_ns") s.hit_ns;
   g (p "miss_ns") s.miss_ns;
   g (p "stall_ns") s.stall_ns;
@@ -208,7 +225,8 @@ let writeback t ~clock line ~sync =
     Transfer.writeback t.tr ~clock ~base:(line.tag * t.cfg.line) ~data:line.data
       ~sync;
     line.dirty <- false;
-    t.stats.writebacks <- t.stats.writebacks + 1
+    t.stats.writebacks <- t.stats.writebacks + 1;
+    t.stats.bytes_written <- t.stats.bytes_written + t.tr.Transfer.payload
   end
 
 let release_slot t ~clock slot =
@@ -304,9 +322,11 @@ let install t ~clock ~tag ~ready_at =
   let line = t.lines.(slot) in
   let base = tag * t.cfg.line in
   if Bytes.length line.data = 0 then line.data <- Bytes.create t.cfg.line;
-  (* Every install fills the whole line, write-no-fetch ones included
-     (they skip the network, not the copy). *)
-  Mira_sim.Cluster.read t.tr.Transfer.far ~addr:base ~len:t.cfg.line ~dst:line.data ~dst_off:0;
+  (* Every install copies what crossed the wire, write-no-fetch ones
+     included (they skip the network, not the copy).  A payload line
+     holds only its field extents: every other byte is poison, so a
+     read the analysis did not foresee shows up as a wrong result. *)
+  Transfer.fill t.tr ~base ~dst:line.data;
   Transfer.drain_reconstruction t.tr ~clock;
   line.tag <- tag;
   line.dirty <- false;
@@ -322,7 +342,7 @@ let install t ~clock ~tag ~ready_at =
 
 (* --- access paths ------------------------------------------------------- *)
 
-let payload_bytes t = match t.cfg.payload with Some b -> b | None -> t.cfg.line
+let payload_bytes t = t.tr.Transfer.payload
 
 let touch t ~clock slot =
   let line = t.lines.(slot) in

@@ -21,8 +21,13 @@ type config = {
   size : int;  (** capacity in bytes (>= line) *)
   structure : structure;
   side : Mira_sim.Net.side;
-  payload : int option;  (** bytes actually transferred per line fetch;
-                             [None] = whole line (one-sided needs whole) *)
+  payload : (int * int) list option;
+      (** selective transmission: the [(offset, len)] extents within a
+          line that cross the wire, ascending and coalesced (as
+          [Mira_util.Misc.merge_extents] leaves them).  Fills,
+          prefetches and writebacks move exactly these bytes, and every
+          other byte of a resident line reads as [poison].  [None] =
+          whole line (one-sided needs whole) *)
   no_meta : bool;  (** compiler fully controls the lifetime: hits cost a
                        native access, no per-line runtime metadata *)
   write_no_fetch : bool;  (** write-only pattern: store misses allocate
@@ -49,10 +54,18 @@ type stats = {
   mutable hit_ns : float;  (** runtime overhead spent on the hit path *)
   mutable miss_ns : float;  (** blocking time spent on misses *)
   mutable stall_ns : float;  (** time waiting for in-flight prefetches *)
-  mutable bytes_fetched : int;
+  mutable bytes_fetched : int;  (** fill and prefetch payload bytes *)
+  mutable bytes_written : int;
+      (** writeback payload bytes to the data node (parity and copy
+          fan-out is [replication.bytes]) *)
   lat_fetch : Mira_telemetry.Metrics.hist;
       (** per-demand-miss blocking latency distribution *)
 }
+
+val poison : char
+(** The byte every non-payload offset of a payload section's line
+    holds (not zero: far memory is mostly zeros, which would hide a
+    read outside the payload). *)
 
 type t
 

@@ -64,7 +64,9 @@ let create net far cfg =
     extra_fault_ns = 0.0;
     hinted = Mira_util.Index_set.create nframes;
     stats = fresh_stats ();
-    tr = Transfer.create net far ~side:cfg.side ~line:cfg.page ~section:"swap" ~lane:"swap";
+    tr =
+      Transfer.create net far ~side:cfg.side ~line:cfg.page
+        ~extents:[ (0, cfg.page) ] ~section:"swap" ~lane:"swap";
   }
 
 let stats t = t.stats
@@ -162,8 +164,7 @@ let install t ~clock ~pno ~ready_at =
   let idx = allocate_frame t ~clock in
   let frame = t.frames.(idx) in
   if Bytes.length frame.data = 0 then frame.data <- Bytes.create t.cfg.page;
-  Mira_sim.Cluster.read t.tr.Transfer.far ~addr:(pno * t.cfg.page) ~len:t.cfg.page
-    ~dst:frame.data ~dst_off:0;
+  Transfer.fill t.tr ~base:(pno * t.cfg.page) ~dst:frame.data;
   Transfer.drain_reconstruction t.tr ~clock;
   frame.pno <- pno;
   frame.dirty <- false;

@@ -19,13 +19,26 @@ type t = {
   far : Cluster.t;
   side : Net.side;
   line : int;  (* bytes per line (page) *)
+  extents : (int * int) list;  (* what crosses the wire: [(off, len)] in a line *)
+  payload : int;  (* their total bytes *)
   section : string;  (* ledger key *)
   lane : string;  (* trace lane of this cache's spans *)
   mutable attribution : Attribution.t option;
 }
 
-let create net far ~side ~line ~section ~lane =
-  { net; far; side; line; section; lane; attribution = None }
+let create net far ~side ~line ~extents ~section ~lane =
+  let payload = List.fold_left (fun acc (_, len) -> acc + len) 0 extents in
+  { net; far; side; line; extents; payload; section; lane; attribution = None }
+
+(* --- line contents --------------------------------------------------------- *)
+
+let poison = '\xa5'
+
+(* Copy into [dst] what a fill of the line at [base] brings: the
+   extents from the cluster, and poison in every other byte. *)
+let fill t ~base ~dst =
+  if t.payload < t.line then Bytes.fill dst 0 t.line poison;
+  Cluster.read_extents t.far ~addr:base ~extents:t.extents ~dst
 
 let set_attribution t a = t.attribution <- Some a
 
@@ -191,25 +204,27 @@ let wait_ready t ~clock ~name ready_at =
 
 (* --- writeback ------------------------------------------------------------ *)
 
-(* Write the line at [base] back from [data]: store its bytes in the
-   cluster, then post the writeback — urgent and blocking when [sync]
-   (the wait is charged to [Writeback]), detached otherwise. *)
+(* Write the line at [base] back from [data]: store its extents in the
+   cluster, then post the writeback of their bytes — urgent and
+   blocking when [sync] (the wait is charged to [Writeback]), detached
+   otherwise. *)
 let writeback t ~clock ~base ~data ~sync =
-  Cluster.write t.far ~addr:base ~len:t.line ~src:data ~src_off:0;
+  Cluster.write_extents t.far ~addr:base ~extents:t.extents ~src:data;
   let node = Cluster.node_of_addr t.far ~addr:base in
   if sync then
     post_sync t ~clock Attribution.Writeback
-      (write_req t ?ctx:(child_ctx ~flow:false) ~node t.line)
-  else post_detached t ~clock (write_req t ?ctx:(child_ctx ~flow:true) ~node t.line);
+      (write_req t ?ctx:(child_ctx ~flow:false) ~node t.payload)
+  else
+    post_detached t ~clock (write_req t ?ctx:(child_ctx ~flow:true) ~node t.payload);
   (* Parity/copy fan-out: one detached write per live parity row, sized
-     to the scheme's true bytes-on-wire for this line (a mirror pays a
-     full copy per replica; EC pays the touched chunk union per row).
+     to the scheme's true bytes-on-wire for these extents (a mirror pays
+     the payload per replica; EC pays the touched chunk union per row).
      Asynchronous even for sync flushes: durability is eventual,
      consistency is the cluster's eager parity. *)
   List.iter
     (fun (node, bytes) ->
       post_detached t ~clock (write_req t ?ctx:(child_ctx ~flow:true) ~node bytes))
-    (Cluster.replica_payloads t.far ~addr:base ~len:t.line);
+    (Cluster.replica_payloads t.far ~addr:base ~extents:t.extents);
   (* If the data chunk's node was down, the write had to decode the old
      contents from survivors; that extra read traffic rides detached
      (the writeback itself is not blocked on it). *)

@@ -199,11 +199,37 @@ let heap_sites program =
     (List.concat_map (fun (_, f) -> f.Ir.f_body) program.Ir.p_funcs)
   |> List.sort_uniq compare
 
+(* Scope selection to the measured function's dynamic call tree:
+   initialization code is not part of what the paper (or we) report. *)
+let work_scope (original : Ir.program) =
+  let rec close acc name =
+    if List.mem name acc then acc
+    else begin
+      match List.assoc_opt name original.Ir.p_funcs with
+      | None -> acc
+      | Some f ->
+        Ir.fold_ops
+          (fun acc op ->
+            match op with
+            | Ir.Call { callee; _ } -> close acc callee
+            | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _
+            | Ir.I2f _ | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _
+            | Ir.Gep _ | Ir.Load _ | Ir.Store _ | Ir.For _ | Ir.ParFor _
+            | Ir.While _ | Ir.If _ | Ir.Ret _ | Ir.Prefetch _
+            | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _
+            | Ir.ProfExit _ ->
+              acc)
+          (name :: acc) f.Ir.f_body
+    end
+  in
+  close [] (work_function original)
+
 (* Merge a site's per-function summaries: the section must serve the
    most demanding pattern the site ever exhibits (a sequential scan
    still works in an element-line associative section, but a random
    update stream in a big-line direct section is disastrous), and the
-   read/write flags must hold across every scope. *)
+   read/write flags must hold across every scope of the measured call
+   tree. *)
 let demand_rank = function
   | Pattern.Pointer_chase -> 4
   | Pattern.Indirect _ -> 3
@@ -211,11 +237,31 @@ let demand_rank = function
   | Pattern.Strided _ -> 1
   | Pattern.Sequential _ -> 0
 
-let summarize_sites program ~within sites =
-  let per_fn =
-    Mira_analysis.Remotable_flow.analyze_all program
-    |> List.filter (fun (fn, _) -> List.mem fn within)
-  in
+(* The touched fields, by contrast, are a union over every function of
+   the program: a payload section's lines hold nothing else, so a field
+   only [init] or [checksum] touches must cross the wire too.  An
+   access with no resolved site could reach any object, and one that
+   maps to no field of the element could reach any byte: either keeps
+   the whole line. *)
+let site_fields all_fns ~elem site =
+  if List.exists (fun (_, (r : Pattern.result)) -> r.Pattern.r_unresolved > 0) all_fns
+  then None
+  else
+    List.fold_left
+      (fun acc (_, r) ->
+        match (acc, Pattern.summary_for r site) with
+        | None, _ -> None
+        | acc, None -> acc
+        | Some l, Some ss ->
+          if ss.Pattern.ss_elem <> elem then None
+          else Option.map (fun f -> l @ f) ss.Pattern.ss_fields)
+      (Some []) all_fns
+    |> Option.map Mira_util.Misc.merge_extents
+
+let site_summaries program sites =
+  let within = work_scope program in
+  let all_fns = Mira_analysis.Remotable_flow.analyze_all program in
+  let per_fn = List.filter (fun (fn, _) -> List.mem fn within) all_fns in
   List.filter_map
     (fun site ->
       let candidates =
@@ -235,7 +281,7 @@ let summarize_sites program ~within sites =
       match candidates with
       | [] -> None
       | (first, iv0) :: rest ->
-        let merged =
+        let merged, iv =
           List.fold_left
             (fun ((acc : Pattern.site_summary), iv) ((ss : Pattern.site_summary), iv') ->
               let kind =
@@ -248,12 +294,6 @@ let summarize_sites program ~within sites =
                   Pattern.ss_kind = kind;
                   ss_reads = acc.Pattern.ss_reads + ss.Pattern.ss_reads;
                   ss_writes = acc.Pattern.ss_writes + ss.Pattern.ss_writes;
-                  ss_fields_read =
-                    List.sort_uniq compare
-                      (acc.Pattern.ss_fields_read @ ss.Pattern.ss_fields_read);
-                  ss_fields_written =
-                    List.sort_uniq compare
-                      (acc.Pattern.ss_fields_written @ ss.Pattern.ss_fields_written);
                   ss_elem = max acc.Pattern.ss_elem ss.Pattern.ss_elem;
                   ss_read_only = acc.Pattern.ss_read_only && ss.Pattern.ss_read_only;
                   ss_write_only =
@@ -262,7 +302,8 @@ let summarize_sites program ~within sites =
                 (min (fst iv) (fst iv'), max (snd iv) (snd iv')) ))
             (first, iv0) rest
         in
-        Some merged)
+        let ss_fields = site_fields all_fns ~elem:merged.Pattern.ss_elem site in
+        Some ({ merged with Pattern.ss_fields }, iv))
     sites
 
 (* --- sizing --------------------------------------------------------------- *)
@@ -572,31 +613,7 @@ let search opts original =
       best_o
   in
   let heap = heap_sites original in
-  (* Scope selection to the measured function's dynamic call tree:
-     initialization code is not part of what the paper (or we) report. *)
-  let allowed_functions =
-    let rec close acc name =
-      if List.mem name acc then acc
-      else begin
-        match List.assoc_opt name original.Ir.p_funcs with
-        | None -> acc
-        | Some f ->
-          Ir.fold_ops
-            (fun acc op ->
-              match op with
-              | Ir.Call { callee; _ } -> close acc callee
-              | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _
-              | Ir.I2f _ | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _
-              | Ir.Gep _ | Ir.Load _ | Ir.Store _ | Ir.For _ | Ir.ParFor _
-              | Ir.While _ | Ir.If _ | Ir.Ret _ | Ir.Prefetch _
-              | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _
-              | Ir.ProfExit _ ->
-                acc)
-            (name :: acc) f.Ir.f_body
-      end
-    in
-    close [] (work_function original)
-  in
+  let allowed_functions = work_scope original in
   let best = ref (base_ns, prog0, [], Pipeline.plan_default, 0) in
   let profile = ref profile0 in
   let continue_ = ref opts.feat_sections in
@@ -624,7 +641,7 @@ let search opts original =
     if sites = [] then continue_ := false
     else begin
       phase "analyze";
-      let summaries = summarize_sites original ~within:allowed_functions sites in
+      let summaries = site_summaries original sites in
       List.iter
         (fun ((ss : Pattern.site_summary), _) ->
           decide

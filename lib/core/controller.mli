@@ -84,3 +84,14 @@ val measure_work :
 
 val work_function : Mira_mir.Ir.program -> string
 (** The measured function: ["work"] when defined, else the entry. *)
+
+val site_summaries :
+  Mira_mir.Ir.program ->
+  int list ->
+  (Mira_analysis.Pattern.site_summary * (int * int)) list
+(** What the planner is given for these sites: each accessed site's
+    summary merged over the measured function's call tree (the most
+    demanding pattern, read/write flags that hold in every scope), with
+    its lifetime interval.  The touched fields are the union over every
+    function of the program, or [None] when some access could reach a
+    byte outside them. *)

@@ -45,7 +45,7 @@ type decision = {
   d_line : int;
   d_structure : Section.structure;
   d_side : Mira_sim.Net.side;
-  d_payload : int option;
+  d_payload : (int * int) list option;
   d_no_meta : bool;
   d_write_no_fetch : bool;
   d_read_discard : bool;
@@ -54,13 +54,6 @@ type decision = {
 
 let decide ~params (ss : Pattern.site_summary) =
   let elem = ss.Pattern.ss_elem in
-  let fields_touched =
-    List.sort_uniq compare (ss.Pattern.ss_fields_read @ ss.Pattern.ss_fields_written)
-  in
-  (* Selective transmission applies when a strict subset of an element's
-     fields is touched; each field slot is 8 bytes in this IR. *)
-  let touched_bytes = 8 * List.length fields_touched in
-  let partial = elem > 8 && touched_bytes < elem / 2 in
   let seq_kind =
     match ss.Pattern.ss_kind with
     | Pattern.Sequential _ | Pattern.Strided _ -> true
@@ -75,8 +68,19 @@ let decide ~params (ss : Pattern.site_summary) =
     | Pattern.Indirect _ | Pattern.Pointer_chase -> Section.Set_assoc 8
     | Pattern.Random -> Section.Full_assoc
   in
+  (* Selective transmission applies when a strict subset of an
+     element's fields is touched and a line is exactly one element, so
+     the field extents are line offsets: the element must fill its line
+     and lines must tile the page-aligned objects. *)
+  let touched =
+    match ss.Pattern.ss_fields with
+    | Some fields -> List.fold_left (fun acc (_, len) -> acc + len) 0 fields
+    | None -> elem
+  in
   let side, payload =
-    if partial && not seq_kind then (Mira_sim.Net.Two_sided, Some touched_bytes)
+    if (not seq_kind) && elem > 8 && touched < elem / 2 && line = elem
+       && params.Params.page_size mod line = 0
+    then (Mira_sim.Net.Two_sided, ss.Pattern.ss_fields)
     else (Mira_sim.Net.One_sided, None)
   in
   (* Sequential read-only / write-only groups are true streams whose

@@ -11,8 +11,9 @@
       set-associative when a locality set exists (indirect / pointer
       chase), fully-associative otherwise;
     - side: one-sided when whole elements are consumed, two-sided with
-      a fields-only payload when the scope touches a strict subset of
-      fields (selective transmission, §4.5/§4.7);
+      a fields-only payload when the program touches a strict subset of
+      fields (selective transmission, §4.5/§4.7): the payload is the
+      touched field extents, and the section's lines hold only them;
     - flags: read-only sections drop lines without write-back,
       write-only sequential sections skip fetch-on-write, and
       fully-compiler-controlled sequential sections run metadata-free. *)

@@ -470,42 +470,64 @@ let read t ~addr ~len ~dst ~dst_off =
             ~dst_off:(dst_off + lpos))
   end
 
-(* Per-parity-row bytes-on-wire of a write: for every touched stripe,
-   the union of the touched intra-chunk intervals (a full-stripe write
+(* Per-parity-row bytes-on-wire of a write of the [extents]
+   [(off, len)] at [addr]: for every touched stripe, the union of the
+   touched intra-chunk intervals over all extents (a full-stripe write
    costs chunk = len/k per row; a single-chunk write costs its length
    on every row).  Rows whose parity node is down cost nothing. *)
-let row_wire_bytes t ~addr ~len =
-  if t.trivial || t.spec.m = 0 || len = 0 then [||]
+let row_wire_bytes t ~addr ~extents =
+  if t.trivial || t.spec.m = 0 then [||]
   else begin
     let k = t.spec.k and chunk = t.spec.chunk in
     let sb = stripe_bytes t in
+    let pieces = ref [] in
+    List.iter
+      (fun (off, len) ->
+        let pos = ref (addr + off) in
+        let stop = addr + off + len in
+        while !pos < stop do
+          let stripe = !pos / sb in
+          let e = min stop ((stripe + 1) * sb) in
+          let a = !pos - (stripe * sb) and b = e - (stripe * sb) in
+          let j0 = a / chunk and j1 = (b - 1) / chunk in
+          let lo = a mod chunk and hi = ((b - 1) mod chunk) + 1 in
+          pieces :=
+            (if j0 = j1 then [ (stripe, lo, hi) ]
+             else if j1 > j0 + 1 then [ (stripe, 0, chunk) ]
+             else [ (stripe, lo, chunk); (stripe, 0, hi) ])
+            @ !pieces;
+          pos := e
+        done)
+      extents;
     let rows = Array.make t.spec.m 0 in
-    let pos = ref addr in
-    let stop = addr + len in
-    while !pos < stop do
-      let stripe = !pos / sb in
-      let e = min stop ((stripe + 1) * sb) in
-      let a = !pos - (stripe * sb) and b = e - (stripe * sb) in
-      let j0 = a / chunk and j1 = (b - 1) / chunk in
-      let lo = a mod chunk and hi = ((b - 1) mod chunk) + 1 in
-      let u =
-        if j0 = j1 then hi - lo
-        else if j1 > j0 + 1 || hi >= lo then chunk
-        else chunk - lo + hi
-      in
+    let charge stripe u =
       for r = 0 to t.spec.m - 1 do
         if t.nodes.(node_of_slot t ~stripe ~slot:(k + r)).up then
           rows.(r) <- rows.(r) + u
-      done;
-      pos := e
-    done;
+      done
+    in
+    (* Sorted, a stripe's intervals are adjacent: grow the current
+       interval while the next one overlaps it, charge it otherwise. *)
+    let rec sweep stripe lo hi = function
+      | (s, l, h) :: rest when s = stripe && l <= hi -> sweep stripe lo (max hi h) rest
+      | next ->
+        charge stripe (hi - lo);
+        (match next with (s, l, h) :: rest -> sweep s l h rest | [] -> ())
+    in
+    (match List.sort compare !pieces with
+    | (s, l, h) :: rest -> sweep s l h rest
+    | [] -> ());
     rows
   end
 
-let replica_payloads t ~addr ~len =
-  let rows = row_wire_bytes t ~addr ~len in
+let replica_payloads t ~addr ~extents =
+  let rows = row_wire_bytes t ~addr ~extents in
   let k = t.spec.k in
-  let stripe = if t.trivial then 0 else addr / stripe_bytes t in
+  let stripe =
+    match extents with
+    | (off, _) :: _ when not t.trivial -> (addr + off) / stripe_bytes t
+    | _ -> 0
+  in
   Array.to_list rows
   |> List.mapi (fun r bytes ->
          (node_of_slot t ~stripe ~slot:(k + r), bytes))
@@ -526,7 +548,8 @@ let fold_delta t ~stripe ~slot ~off ~clen ~delta =
     end
   done
 
-let write t ~addr ~len ~src ~src_off =
+(* The data half of a write: bytes to the data chunk, deltas to parity. *)
+let write_data t ~addr ~len ~src ~src_off =
   if t.trivial then Far_store.write t.nodes.(0).store ~addr ~len ~src ~src_off
   else begin
     ensure_cap t (addr + len);
@@ -553,12 +576,37 @@ let write t ~addr ~len ~src ~src_off =
             ~src_off:(src_off + lpos);
           fold_delta t ~stripe ~slot ~off ~clen ~delta:old
         end;
-        if nd.up then nd.served_bytes <- nd.served_bytes + clen);
-    let rows = row_wire_bytes t ~addr ~len in
-    Array.iter
-      (fun b -> t.stats.replication_bytes <- t.stats.replication_bytes + b)
-      rows
+        if nd.up then nd.served_bytes <- nd.served_bytes + clen)
   end
+
+let account_rows t ~addr ~extents =
+  Array.iter
+    (fun b -> t.stats.replication_bytes <- t.stats.replication_bytes + b)
+    (row_wire_bytes t ~addr ~extents)
+
+let write t ~addr ~len ~src ~src_off =
+  write_data t ~addr ~len ~src ~src_off;
+  if not t.trivial then account_rows t ~addr ~extents:[ (0, len) ]
+
+(* Extent loops recurse instead of iterating a closure: a fill and a
+   writeback of every cache line take them. *)
+let rec read_extents t ~addr ~extents ~dst =
+  match extents with
+  | [] -> ()
+  | (off, len) :: rest ->
+    read t ~addr:(addr + off) ~len ~dst ~dst_off:off;
+    read_extents t ~addr ~extents:rest ~dst
+
+let rec write_pieces t ~addr ~extents ~src =
+  match extents with
+  | [] -> ()
+  | (off, len) :: rest ->
+    write_data t ~addr:(addr + off) ~len ~src ~src_off:off;
+    write_pieces t ~addr ~extents:rest ~src
+
+let write_extents t ~addr ~extents ~src =
+  write_pieces t ~addr ~extents ~src;
+  if not t.trivial then account_rows t ~addr ~extents
 
 let read_le t ~addr ~len =
   if t.trivial then Far_store.read_le t.nodes.(0).store ~addr ~len

@@ -204,13 +204,14 @@ val take_reconstruction : t -> int
     this as demand traffic and charges the stall to the [reconstruct]
     attribution cause. *)
 
-val replica_payloads : t -> addr:int -> len:int -> (int * int) list
-(** The extra remote writes a writeback of [addr, addr+len) owes under
-    the scheme: one [(node, bytes)] per live parity row, where [bytes]
-    is the per-stripe union of touched chunk intervals (so a
-    full-stripe write costs len/k per row, and a mirror write costs
-    len per copy).  Empty when m = 0.  [Cluster.write] adds the same
-    byte counts to [stats.replication_bytes]. *)
+val replica_payloads : t -> addr:int -> extents:(int * int) list -> (int * int) list
+(** The extra remote writes a writeback of the [(off, len)] extents at
+    [addr] owes under the scheme: one [(node, bytes)] per live parity
+    row, where [bytes] is the per-stripe union of the chunk intervals
+    the extents touch (so a full-stripe write costs len/k per row, and
+    a mirror write costs the written bytes per copy).  Empty when
+    m = 0.  [write_extents] ([write] for one extent) adds the same byte
+    counts to [stats.replication_bytes]. *)
 
 val stats : t -> stats
 
@@ -234,6 +235,16 @@ val publish : t -> Mira_telemetry.Metrics.t -> unit
 
 val read : t -> addr:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
 val write : t -> addr:int -> len:int -> src:Bytes.t -> src_off:int -> unit
+
+val read_extents : t -> addr:int -> extents:(int * int) list -> dst:Bytes.t -> unit
+(** Read each [(off, len)] extent at [addr + off] into [dst] at [off],
+    and nothing else. *)
+
+val write_extents : t -> addr:int -> extents:(int * int) list -> src:Bytes.t -> unit
+(** Store [src]'s bytes at each [(off, len)] extent to [addr + off] and
+    nothing else: the scattered write of a selective-transmission line,
+    accounted as one write (see [replica_payloads]). *)
+
 val read_le : t -> addr:int -> len:int -> int64
 val write_le : t -> addr:int -> len:int -> int64 -> unit
 val read_i64 : t -> addr:int -> int64

@@ -24,3 +24,12 @@ let clamp_f ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 let divide_ceil a b =
   assert (a >= 0 && b > 0);
   (a + b - 1) / b
+
+let merge_extents extents =
+  let rec go = function
+    | (o1, l1) :: (o2, l2) :: rest when o2 <= o1 + l1 ->
+      go ((o1, max (o1 + l1) (o2 + l2) - o1) :: rest)
+    | e :: rest -> e :: go rest
+    | [] -> []
+  in
+  go (List.sort compare extents)

@@ -24,3 +24,8 @@ val clamp_f : lo:float -> hi:float -> float -> float
 
 val divide_ceil : int -> int -> int
 (** Ceiling division of non-negative integers. *)
+
+val merge_extents : (int * int) list -> (int * int) list
+(** Sort [(offset, len)] extents by offset and coalesce the ones that
+    overlap or touch, so the result covers the same bytes with disjoint,
+    ascending extents. *)

@@ -529,17 +529,38 @@ let test_diff_of_json () =
     Alcotest.(check bool) "outcomes parsed" true
       (List.assoc "mira" r.Diff.r_systems = Diff.Time_ms 3.0
       && List.assoc "aifm" r.Diff.r_systems = Diff.Failed "OOM"));
-  (* a "figures" document keys each sweep's rows by the sweep's title *)
+  (* a "figures" document keys each sweep's rows by the sweep's title;
+     a figure of config rows (Fig 22's transfer modes, which also carry
+     byte counts) gates its flat work time *)
+  let modes =
+    Json.Obj
+      [
+        ("title", Json.Str "fig22");
+        ( "rows",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("config", Json.Str "whole");
+                  ("work_ms", Json.Float 20.0);
+                  ("bytes_in", Json.Int 9);
+                  ("bytes_out", Json.Int 8);
+                ];
+            ] );
+      ]
+  in
   (match
      Diff.of_json
        (Json.Obj
-          [ ("title", Json.Str "paper"); ("figures", Json.List [ doc; doc ]) ])
+          [ ("title", Json.Str "paper"); ("figures", Json.List [ doc; doc; modes ]) ])
    with
   | Error e -> Alcotest.failf "figures doc rejected: %s" e
   | Ok d ->
     Alcotest.(check (list string)) "prefixed keys"
-      [ "micro: ratio=0.2"; "micro: ratio=0.2" ]
-      (List.map (fun r -> r.Diff.r_key) d.Diff.d_rows));
+      [ "micro: ratio=0.2"; "micro: ratio=0.2"; "fig22: whole" ]
+      (List.map (fun r -> r.Diff.r_key) d.Diff.d_rows);
+    Alcotest.(check bool) "config row time" true
+      ((List.nth d.Diff.d_rows 2).Diff.r_systems = [ ("work_ms", Diff.Time_ms 20.0) ]));
   (* malformed documents are errors, not crashes *)
   List.iter
     (fun bad ->

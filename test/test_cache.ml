@@ -264,7 +264,7 @@ let test_transfer_under_ec () =
     Alcotest.(check bool) (name ^ ": fill charges reconstruct") true
       (Attribution.cause_ns ledger Attribution.Reconstruct > 0.0);
     store ~clock ~addr:0 ~len:8 7L;
-    let payloads = Cluster.replica_payloads far ~addr:0 ~len:line in
+    let payloads = Cluster.replica_payloads far ~addr:0 ~extents:[ (0, line) ] in
     Alcotest.(check int) (name ^ ": one live parity row") 1 (List.length payloads);
     let st = Net.stats net in
     let msgs = st.Net.msg_count and wb = st.Net.bytes_writeback in
@@ -291,6 +291,105 @@ let test_transfer_under_ec () =
       in
       Swap.set_attribution sw ledger;
       (Swap.load sw, Swap.store sw, Swap.flush_range sw))
+
+(* Selective transmission both ways.  A payload section holding the
+   fields at [payload_extents] of 128-byte elements fills, and writes
+   back, exactly those bytes: N dirty evictions post N x payload bytes,
+   the far copy of every other byte keeps its contents, and a resident
+   line holds poison there. *)
+let payload_extents = [ (0, 16); (40, 8) ]
+let payload_bytes = 24
+
+let payload_cfg ~line ~size =
+  { (cfg_of Section.Direct ~line ~size) with
+    Section.payload = Some payload_extents; side = Net.Two_sided }
+
+(* Far bytes that are never zero, so a lost or poisoned byte shows. *)
+let far_pattern len = Bytes.init len (fun i -> Char.chr (1 + (i * 7 land 0x7f)))
+
+(* Store [i] into field 40 of each of [n] elements through a direct
+   section of 4 lines: the first n - 4 lines are evicted dirty. *)
+let store_fields s ~clock ~model ~line n =
+  for i = 0 to n - 1 do
+    let addr = (i * line) + 40 in
+    Section.store s ~clock ~addr ~len:8 (Int64.of_int i);
+    Bytes.set_int64_le model addr (Int64.of_int i)
+  done
+
+let test_payload_writeback_bytes () =
+  let line = 128 and n = 12 in
+  let evicted = n - 4 in
+  let run cfg =
+    let net, far, clock = make_env () in
+    let model = far_pattern (n * line) in
+    Cluster.write far ~addr:0 ~len:(n * line) ~src:model ~src_off:0;
+    let s = Section.create net far cfg in
+    store_fields s ~clock ~model ~line n;
+    let st = Section.stats s in
+    Alcotest.(check int) "dirty evictions" evicted st.Section.writebacks;
+    let got = Bytes.create (evicted * line) in
+    Cluster.read far ~addr:0 ~len:(evicted * line) ~dst:got ~dst_off:0;
+    Alcotest.(check string) "far copy of the evicted lines"
+      (Bytes.sub_string model 0 (evicted * line)) (Bytes.to_string got);
+    ((Net.stats net).Net.bytes_writeback, st.Section.bytes_written)
+  in
+  let wire, written = run (payload_cfg ~line ~size:(4 * line)) in
+  Alcotest.(check int) "payload writebacks on the wire" (evicted * payload_bytes) wire;
+  Alcotest.(check int) "bytes_written" (evicted * payload_bytes) written;
+  let wire, written = run (cfg_of Section.Direct ~line ~size:(4 * line)) in
+  Alcotest.(check int) "whole-line writebacks on the wire" (evicted * line) wire;
+  Alcotest.(check int) "whole-line bytes_written" (evicted * line) written
+
+let test_payload_poison () =
+  let line = 128 in
+  let net, far, clock = make_env () in
+  let model = far_pattern (4 * line) in
+  Cluster.write far ~addr:0 ~len:(4 * line) ~src:model ~src_off:0;
+  let s = Section.create net far (payload_cfg ~line ~size:(4 * line)) in
+  let poison = Bytes.get_int64_le (Bytes.make 8 Section.poison) 0 in
+  Alcotest.(check int64) "payload field" (Bytes.get_int64_le model (line + 8))
+    (Section.load s ~clock ~addr:(line + 8) ~len:8);
+  Alcotest.(check int64) "field 40" (Bytes.get_int64_le model (line + 40))
+    (Section.load s ~clock ~addr:(line + 40) ~len:8);
+  List.iter
+    (fun off ->
+      Alcotest.(check int64) (Printf.sprintf "offset %d is poison" off) poison
+        (Section.load s ~clock ~addr:(line + off) ~len:8))
+    [ 16; 32; 48; 120 ]
+
+(* On a mirror and on EC(2,1), payload writebacks keep the redundancy
+   consistent: with the first line's data node down, decoding returns
+   every byte as written, and the fan-out is payload-sized. *)
+let test_payload_redundant () =
+  let line = 128 and n = 12 in
+  let check name spec ~down =
+    let outage = [ { Cluster.ev_node = down; ev_at = 1e15; ev_down_for = 1e15 } ] in
+    let far = Cluster.create ~capacity:(1 lsl 16) (spec outage) in
+    let model = far_pattern (n * line) in
+    Cluster.write far ~addr:0 ~len:(n * line) ~src:model ~src_off:0;
+    let replicated = (Cluster.stats far).Cluster.replication_bytes in
+    let net = Net.create Params.default and clock = Clock.create () in
+    let s = Section.create net far (payload_cfg ~line ~size:(4 * line)) in
+    store_fields s ~clock ~model ~line n;
+    Section.drop_all s ~clock;
+    Alcotest.(check int) (name ^ ": writebacks") n (Section.stats s).Section.writebacks;
+    Alcotest.(check int) (name ^ ": replication bytes") (n * payload_bytes)
+      ((Cluster.stats far).Cluster.replication_bytes - replicated);
+    Alcotest.(check int) (name ^ ": bytes on the wire") (2 * n * payload_bytes)
+      (Net.stats net).Net.bytes_writeback;
+    ignore (Cluster.poll far ~now:1.5e15);
+    Alcotest.(check int) (name ^ ": node down") 1 (Cluster.down_count far);
+    let got = Bytes.create (n * line) in
+    Cluster.read far ~addr:0 ~len:(n * line) ~dst:got ~dst_off:0;
+    Alcotest.(check bool) (name ^ ": decoded") true
+      ((Cluster.stats far).Cluster.reconstructions > 0);
+    Alcotest.(check string) (name ^ ": data after the crash") (Bytes.to_string model)
+      (Bytes.to_string got)
+  in
+  check "mirror" (fun ev -> Cluster.mirror ~nodes:2 ~copies:2 ev) ~down:0;
+  let ec ev = Cluster.ec ~chunk:256 ~nodes:3 ~k:2 ~m:1 ev in
+  check "ec(2,1)" ec
+    ~down:(Cluster.node_of_addr (Cluster.create ~capacity:(1 lsl 16) (ec [])) ~addr:0)
 
 let test_manager_budget () =
   let net, far, clock = make_env () in
@@ -510,6 +609,9 @@ let suite =
     Alcotest.test_case "swap resize reuses frames" `Quick test_swap_resize_reuses_frames;
     Alcotest.test_case "swap prefetch past capacity" `Quick test_swap_prefetch_past_capacity;
     Alcotest.test_case "transfer under EC, both caches" `Quick test_transfer_under_ec;
+    Alcotest.test_case "payload writeback bytes" `Quick test_payload_writeback_bytes;
+    Alcotest.test_case "payload poison" `Quick test_payload_poison;
+    Alcotest.test_case "payload on mirror and EC" `Quick test_payload_redundant;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;
     Alcotest.test_case "manager routing" `Quick test_manager_routing;
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 64 512);

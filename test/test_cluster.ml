@@ -279,7 +279,7 @@ let test_bytes_on_wire_scheme () =
   let ec42 = Cluster.create ~capacity:65536 (Cluster.ec ~nodes:6 ~k:4 ~m:2 []) in
   let wire t =
     List.fold_left (fun a (_, b) -> a + b) 0
-      (Cluster.replica_payloads t ~addr:0 ~len:4096)
+      (Cluster.replica_payloads t ~addr:0 ~extents:[ (0, 4096) ])
   in
   Alcotest.(check int) "mirror pays two full copies" (2 * 4096) (wire mirror3);
   Alcotest.(check int) "ec pays two chunk rows" 2048 (wire ec42);

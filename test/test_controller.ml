@@ -16,8 +16,7 @@ let summary ~site ~kind ~elem ~ro ~wo =
     ss_kind = kind;
     ss_reads = (if wo then 0 else 4);
     ss_writes = (if ro then 0 else 4);
-    ss_fields_read = (if wo then [] else [ 0 ]);
-    ss_fields_written = (if ro then [] else [ 0 ]);
+    ss_fields = Some [ (0, 8) ];
     ss_elem = elem;
     ss_read_only = ro;
     ss_write_only = wo;
@@ -78,9 +77,80 @@ let test_planner_selective_transmission () =
   | [ s ] ->
     Alcotest.(check bool) "two sided" true
       (s.SP.sp_cfg.Section.side = Mira_sim.Net.Two_sided);
-    Alcotest.(check (option int)) "partial payload" (Some 8)
-      s.SP.sp_cfg.Section.payload
+    Alcotest.(check (option (list (pair int int)))) "partial payload"
+      (Some [ (0, 8) ]) s.SP.sp_cfg.Section.payload
   | _ -> Alcotest.fail "expected 1 spec"
+
+(* The payload covers every field the program touches, not only the
+   fields of the measured call tree: [init] alone writes field 40, so a
+   line without it would hand [work] poison where native code reads the
+   value [init] wrote.  An access whose object cannot be resolved could
+   reach any byte, so it keeps whole lines. *)
+let fields_program ~unresolved =
+  let module B = Mira_mir.Builder in
+  let module T = Mira_mir.Types in
+  let module Ir = Mira_mir.Ir in
+  let rec_ty =
+    T.struct_ "rec" (List.init 16 (fun f -> (Printf.sprintf "f%d" f, T.I64)))
+  in
+  let n = B.iconst 64 in
+  let b = B.program "fields" in
+  B.func b "init" [ ("recs", T.Ptr rec_ty); ("idx", T.Ptr T.I64) ] T.Unit (fun fb args ->
+      match args with
+      | [ recs; idx ] ->
+        B.for_ fb ~lo:(B.iconst 0) ~hi:n (fun i ->
+            B.store fb T.I64
+              ~ptr:(B.gep fb ~base:recs ~index:i ~elem:rec_ty ~field_off:40 ())
+              ~value:i;
+            B.store fb T.I64
+              ~ptr:(B.gep fb ~base:idx ~index:i ~elem:T.I64 ())
+              ~value:(B.bin fb Ir.Rem (B.bin fb Ir.Mul i (B.iconst 17)) n))
+      | _ -> assert false);
+  B.func b "work" [ ("recs", T.Ptr rec_ty); ("idx", T.Ptr T.I64) ] T.Unit (fun fb args ->
+      match args with
+      | [ recs; idx ] ->
+        B.for_ fb ~lo:(B.iconst 0) ~hi:n (fun i ->
+            let j = B.load fb T.I64 (B.gep fb ~base:idx ~index:i ~elem:T.I64 ()) in
+            let j = B.bin fb Ir.Rem j n in
+            List.iter
+              (fun off ->
+                let p = B.gep fb ~base:recs ~index:j ~elem:rec_ty ~field_off:off () in
+                B.store fb T.I64 ~ptr:p
+                  ~value:(B.bin fb Ir.Add (B.load fb T.I64 p) (B.iconst 1)))
+              [ 0; 8 ])
+      | _ -> assert false);
+  (* Called on two objects, [peek]'s pointer resolves to neither. *)
+  if unresolved then
+    B.func b "peek" [ ("p", T.Ptr T.I64) ] T.I64 (fun fb args ->
+        match args with
+        | [ p ] -> B.ret fb (B.load fb T.I64 p)
+        | _ -> assert false);
+  B.func b "main" [] T.I64 (fun fb _ ->
+      let recs, _ = B.alloc fb ~name:"recs" rec_ty n in
+      let idx, _ = B.alloc fb ~name:"idx" T.I64 n in
+      ignore (B.call fb "init" [ recs; idx ]);
+      ignore (B.call fb "work" [ recs; idx ]);
+      if unresolved then begin
+        let other, _ = B.alloc fb ~name:"other" T.I64 n in
+        ignore (B.call fb "peek" [ idx ]);
+        ignore (B.call fb "peek" [ other ])
+      end;
+      B.ret fb (B.load fb T.I64 (B.gep fb ~base:recs ~index:(B.iconst 3) ~elem:rec_ty ~field_off:40 ())));
+  B.finish b ~entry:"main"
+
+let test_planner_fields_program_wide () =
+  let payload ~unresolved =
+    let prog = fields_program ~unresolved in
+    let site = Mira_workloads.Workload_util.site_id prog "recs" in
+    match SP.plan ~params ~summaries:(C.site_summaries prog [ site ])
+            ~site_bytes:(fun _ -> 8192) ~first_id:1 with
+    | [ s ] -> s.SP.sp_cfg.Section.payload
+    | specs -> Alcotest.failf "expected 1 spec, got %d" (List.length specs)
+  in
+  Alcotest.(check (option (list (pair int int)))) "fields of every function"
+    (Some [ (0, 16); (40, 8) ]) (payload ~unresolved:false);
+  Alcotest.(check (option (list (pair int int)))) "unresolved access: whole line"
+    None (payload ~unresolved:true)
 
 let test_planner_grouping () =
   (* identical streaming decisions merge even across disjoint lifetimes;
@@ -292,7 +362,7 @@ let test_pinned_placement_decisions () =
       C.cluster = Cl.ec ~chunk:256 ~nodes:4 ~k:2 ~m:1 schedule;
       placement_candidates = [ Cl.Flat; Cl.Rotate ] }
   in
-  check_pinned "placement" opts prog ~work_bits:4714148325302532471L
+  check_pinned "placement" opts prog ~work_bits:4714148315681805728L
     ~log:
       ([
          "initial swap run: work=94.702 ms";
@@ -328,6 +398,7 @@ let suite =
   [
     Alcotest.test_case "planner stream" `Quick test_planner_sequential_stream;
     Alcotest.test_case "planner indirect" `Quick test_planner_indirect;
+    Alcotest.test_case "planner fields program-wide" `Quick test_planner_fields_program_wide;
     Alcotest.test_case "planner random" `Quick test_planner_random_full;
     Alcotest.test_case "planner selective" `Quick test_planner_selective_transmission;
     Alcotest.test_case "planner grouping" `Quick test_planner_grouping;

@@ -26,6 +26,7 @@ let fixed_recipe =
       ];
     records = [];
     streams = [];
+    picks = [];
   }
 
 (* Run [recipe] on a fresh Mira runtime under tracing; returns the

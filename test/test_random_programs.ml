@@ -38,11 +38,25 @@ type stream_loop = {
   s_fields : int list;
 }
 
+(* A record array of [p_words]-word elements that only [p_fields] of
+   are ever touched: [p_trip] read-modify-writes of an element picked
+   through the values of array [p_via] ([p_indirect]) or by an LCG of
+   the induction variable.  The planner gives such a site a payload
+   section, whose lines hold only those fields. *)
+type pick = {
+  p_words : int;
+  p_fields : int list;
+  p_via : int;
+  p_indirect : bool;
+  p_trip : int;
+}
+
 type recipe = {
   arrays : array_spec list;
   loops : (int * stmt list) list;  (** (trip count, body statements) *)
   records : int list;  (** words per element of each record array *)
   streams : stream_loop list;
+  picks : pick list;
 }
 
 let record_elems = 300
@@ -62,8 +76,13 @@ let pp_stream s =
     s.s_arr s.s_off
     (String.concat "," (List.map string_of_int s.s_fields))
 
+let pp_pick p =
+  Printf.sprintf "%dx{rp%d[%s].{%s}+=1}" p.p_trip p.p_words
+    (if p.p_indirect then Printf.sprintf "a%d[i] mod n" p.p_via else "lcg(i)")
+    (String.concat "," (List.map string_of_int p.p_fields))
+
 let pp_recipe r =
-  Printf.sprintf "arrays=[%s] loops=[%s] records=[%s] streams=[%s]"
+  Printf.sprintf "arrays=[%s] loops=[%s] records=[%s] streams=[%s] picks=[%s]"
     (String.concat ";" (List.map (fun a -> string_of_int a.a_elems) r.arrays))
     (String.concat " | "
        (List.map
@@ -72,6 +91,7 @@ let pp_recipe r =
           r.loops))
     (String.concat ";" (List.map string_of_int r.records))
     (String.concat " | " (List.map pp_stream r.streams))
+    (String.concat " | " (List.map pp_pick r.picks))
 
 let gen_recipe =
   QCheck.Gen.(
@@ -110,7 +130,16 @@ let gen_recipe =
       return { s_arr; s_lo; s_trip; s_step; s_slack; s_off; s_fields }
     in
     let* streams = list_size (int_range 1 3) gen_stream in
-    return { arrays; loops; records; streams })
+    let gen_pick =
+      let* p_words = oneofl [ 8; 16 ] in
+      let* p_fields = list_size (int_range 1 3) (int_bound (p_words - 1)) in
+      let* p_via = arr in
+      let* p_indirect = bool in
+      let* p_trip = int_range 8 128 in
+      return { p_words; p_fields; p_via; p_indirect; p_trip }
+    in
+    let* picks = list_size (int_range 0 2) gen_pick in
+    return { arrays; loops; records; streams; picks })
 
 let build_program (r : recipe) =
   let b = B.program "random" in
@@ -212,6 +241,39 @@ let build_program (r : recipe) =
                   bump (B.load fb T.I64 p))
                 st.s_fields))
         r.streams;
+      List.iteri
+        (fun idx pk ->
+          let ty =
+            T.struct_ (Printf.sprintf "pick%d" pk.p_words)
+              (List.init pk.p_words (fun f -> (Printf.sprintf "f%d" f, T.I64)))
+          in
+          let ptr, _ =
+            B.alloc fb ~name:(Printf.sprintf "rp%d" idx) ty (B.iconst record_elems)
+          in
+          let n = B.iconst record_elems in
+          B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst pk.p_trip) (fun i ->
+              let j =
+                if pk.p_indirect then begin
+                  let vptr, velems = List.nth arrays pk.p_via in
+                  let vi = B.bin fb Ir.Rem i (B.iconst velems) in
+                  let v = B.load fb T.I64 (B.gep fb ~base:vptr ~index:vi ~elem:T.I64 ()) in
+                  B.bin fb Ir.Rem v n
+                end
+                else begin
+                  let x = B.bin fb Ir.Mul i (B.iconst 1103515245) in
+                  let x = B.bin fb Ir.Add x (B.iconst 12345) in
+                  let x = B.bin fb Ir.Land x (Ir.Oint 0x7FFFFFFFL) in
+                  B.bin fb Ir.Rem x n
+                end
+              in
+              List.iter
+                (fun f ->
+                  let p = B.gep fb ~base:ptr ~index:j ~elem:ty ~field_off:(8 * f) () in
+                  let v = B.bin fb Ir.Add (B.load fb T.I64 p) (B.iconst (f + 1)) in
+                  B.store fb T.I64 ~ptr:p ~value:v;
+                  bump v)
+                (List.sort_uniq compare pk.p_fields)))
+        r.picks;
       (* fold the arrays into the checksum *)
       List.iter
         (fun (ptr, elems) ->
@@ -302,19 +364,25 @@ let strip_mined prog =
 (* Iterations per 256-byte line of a stream loop. *)
 let per_line r st = 256 / (8 * List.nth r.records st.s_arr * st.s_step)
 
-(* Every site in its own small direct-mapped section, so lines are
-   evicted while the loops run. *)
-let run_sectioned compiled =
+(* Every site in its own small section, so lines are evicted while the
+   loops run: [planned site]'s configuration when it has one, else a
+   direct-mapped one of 256-byte lines. *)
+let run_sectioned ?(planned = fun _ -> None) compiled =
   let module Rt = Mira_runtime.Runtime in
+  let module Section = Mira_cache.Section in
   let rt = Rt.create (Rt.Config.make ~local_budget:(16 * 4096) ~far_capacity) in
   let mgr = Rt.manager rt in
   let clock = Mira_sim.Clock.create () in
   List.iteri
     (fun i (site : Ir.site_info) ->
       let cfg =
-        { (Mira_cache.Section.config_default ~sec_id:(i + 1) ~name:site.Ir.si_name
-             ~line:256 ~size:1024)
-          with Mira_cache.Section.structure = Mira_cache.Section.Direct }
+        match planned site.Ir.si_id with
+        | Some cfg ->
+          { cfg with Section.sec_id = i + 1; sec_name = site.Ir.si_name; size = 1024 }
+        | None ->
+          { (Section.config_default ~sec_id:(i + 1) ~name:site.Ir.si_name
+               ~line:256 ~size:1024)
+            with Section.structure = Section.Direct }
       in
       match Mira_cache.Manager.add_section mgr ~clock cfg with
       | Ok _ -> Mira_cache.Manager.assign_site mgr ~site:site.Ir.si_id ~sec_id:(i + 1)
@@ -372,9 +440,38 @@ let test_strip_mined_random () =
   covers "1 trip" (fun _ st -> st.s_trip = 1);
   Alcotest.(check bool) "strip-mined loops" true (!strips > 0)
 
+(* The generated picks reach payload sections, and running through the
+   planner's own payload configurations (lines holding only the touched
+   fields, poison elsewhere) computes the native result. *)
+let test_payload_random () =
+  let module SP = Mira.Section_planner in
+  let rand = Random.State.make [| 17 |] in
+  let recipes = QCheck.Gen.generate ~rand ~n:30 gen_recipe in
+  let payload_sections = ref 0 in
+  List.iter
+    (fun r ->
+      let prog = build_program r in
+      let sites = List.map (fun s -> s.Ir.si_id) prog.Ir.p_sites in
+      let specs =
+        SP.plan ~params:Mira_sim.Params.default
+          ~summaries:(Mira.Controller.site_summaries prog sites)
+          ~site_bytes:(fun _ -> 0) ~first_id:1
+        |> List.filter (fun s -> s.SP.sp_cfg.Mira_cache.Section.payload <> None)
+      in
+      payload_sections := !payload_sections + List.length specs;
+      let planned site =
+        List.find_opt (fun s -> List.mem site s.SP.sp_sites) specs
+        |> Option.map (fun s -> s.SP.sp_cfg)
+      in
+      if not (Value.equal (native_value prog) (run_sectioned ~planned prog)) then
+        Alcotest.failf "%s: payload-sectioned result differs from native" (pp_recipe r))
+    recipes;
+  Alcotest.(check bool) "payload sections" true (!payload_sections > 0)
+
 let suite =
   [
     Alcotest.test_case "strip-mined random programs" `Quick test_strip_mined_random;
+    Alcotest.test_case "payload sections on random programs" `Quick test_payload_random;
     QCheck_alcotest.to_alcotest qcheck_pipeline_preserves;
     QCheck_alcotest.to_alcotest qcheck_systems_agree;
     QCheck_alcotest.to_alcotest qcheck_controller_preserves;
