@@ -43,8 +43,8 @@ let run_manual ?(params = Mira_sim.Params.default) ?(nthreads = 1) ~budget
     ~far_capacity ~prog ~plan ~sections () =
   let rt =
     Runtime.create
-      Runtime.Config.(
-        make ~local_budget:budget ~far_capacity |> with_params params)
+      { (Runtime.config_default ~local_budget:budget ~far_capacity) with
+        Runtime.params }
   in
   let mgr = Runtime.manager rt in
   let clock = Mira_sim.Clock.create () in
@@ -509,8 +509,8 @@ let fig20 () =
       (* Mira: swap + a typical pair of sections *)
       let rt =
         Runtime.create
-          Runtime.Config.(
-            make ~local_budget:budget ~far_capacity |> with_params params)
+          { (Runtime.config_default ~local_budget:budget ~far_capacity) with
+            Runtime.params }
       in
       let mgr = Runtime.manager rt in
       let clock = Mira_sim.Clock.create () in
@@ -833,8 +833,8 @@ let figdp () =
   let run_dp dp =
     let rt =
       Runtime.create
-        Runtime.Config.(
-          make ~local_budget:budget ~far_capacity |> with_dataplane dp)
+        { (Runtime.config_default ~local_budget:budget ~far_capacity) with
+          Runtime.dataplane = dp }
     in
     let ms = Runtime.memsys rt in
     let measured =
@@ -890,7 +890,7 @@ let figdp () =
       Mira_sim.Net.Fault.drop_prob = 0.02; seed = 7 }
   in
   record "window=16 + batching + 2% loss"
-    { dp with Mira_sim.Net.window = 16; coalesce = true; fault = Some fault };
+    { Mira_sim.Net.window = 16; coalesce = true; fault = Some fault };
   Table.print t;
   write_bench_json ~name:(slug title)
     (Mira_telemetry.Json.Obj
@@ -921,8 +921,8 @@ let figchaos () =
   let run_chaos spec =
     let rt =
       Runtime.create
-        Runtime.Config.(
-          make ~local_budget:budget ~far_capacity |> with_cluster spec)
+        { (Runtime.config_default ~local_budget:budget ~far_capacity) with
+          Runtime.cluster = spec }
     in
     let ms = Runtime.memsys rt in
     let machine = Machine.create ~seed:42 ms measured in

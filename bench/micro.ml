@@ -4,7 +4,6 @@
    complementing the simulated-time figures. *)
 module Section = Mira_cache.Section
 module Swap = Mira_cache.Swap_section
-module Rptr = Mira_runtime.Rptr
 open Bechamel
 open Toolkit
 
@@ -36,7 +35,7 @@ let bench_swap_hit =
   let clock = Mira_sim.Clock.create () in
   let sw =
     Swap.create net far
-      { Swap.page = 4096; capacity = 1 lsl 20; side = Mira_sim.Net.One_sided }
+      { Swap.page = 4096; capacity = 1 lsl 20 }
   in
   for i = 0 to 127 do
     Swap.store sw ~clock ~addr:(i * 4096) ~len:8 1L
@@ -59,7 +58,7 @@ let bench_swap_evict ~hinted =
   let frames = 256 and pages = (1 lsl 22) / 4096 in
   let sw =
     Swap.create net far
-      { Swap.page = 4096; capacity = frames * 4096; side = Mira_sim.Net.One_sided }
+      { Swap.page = 4096; capacity = frames * 4096 }
   in
   for p = 0 to frames - 1 do
     ignore (Swap.load sw ~clock ~addr:(p * 4096) ~len:8)
@@ -73,13 +72,6 @@ let bench_swap_evict ~hinted =
       if hinted then Swap.evict_hint sw ~clock ~addr:(!last * 4096) ~len:8;
       last := if !last + 1 = pages then frames else !last + 1;
       ignore (Swap.load sw ~clock ~addr:(!last * 4096) ~len:8)))
-
-let bench_rptr =
-  let i = ref 0 in
-  Test.make ~name:"rptr encode+decode" (Staged.stage (fun () ->
-      incr i;
-      let v = Rptr.encode ~section:(!i land 0xFF) ~offset:(!i land 0xFFFFF) in
-      ignore (Rptr.section v + Rptr.offset v)))
 
 let bench_value_codec =
   let i = ref 0 in
@@ -116,7 +108,8 @@ let bench_runtime_hit =
   let module Memsys = Mira_runtime.Memsys in
   let module Manager = Mira_cache.Manager in
   let rt =
-    Runtime.create (Runtime.Config.make ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22))
+    Runtime.create
+      (Runtime.config_default ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22))
   in
   let ms = Runtime.memsys rt in
   let mgr = Runtime.manager rt in
@@ -182,7 +175,6 @@ let tests () =
       bench_swap_hit;
       bench_swap_evict ~hinted:false;
       bench_swap_evict ~hinted:true;
-      bench_rptr;
       bench_value_codec;
       bench_sched_dispatch;
       bench_sched_in_place;

@@ -57,6 +57,68 @@ let usage_error msg =
      Try 'mira_compare --help' for more information.";
   exit 2
 
+(* A file that cannot be written fails the run (exit 1), whichever
+   output it is. *)
+let write_file ~what path f =
+  try
+    let oc = open_out path in
+    f oc;
+    close_out oc
+  with Sys_error msg ->
+    Printf.eprintf "error: cannot write %s: %s\n" what msg;
+    exit 1
+
+let write_json ~what path j =
+  write_file ~what path (fun oc ->
+      output_string oc (Json.to_string_pretty j);
+      output_char oc '\n')
+
+(* The run's output files, written the same way for every workload.
+   [publish] adds the workload's own histograms to the critical-path
+   registry; [report] builds the --json document. *)
+let write_outputs rt ~publish ~report ~json_out ~trace_out ~flame_out
+    ~cpath_out =
+  Option.iter
+    (fun path ->
+      let n = List.length (Trace.events ()) in
+      write_file ~what:"trace" path (fun oc -> output_string oc (Trace.to_jsonl ()));
+      Printf.printf "trace written to %s (%d events, %d dropped)\n" path n
+        (Trace.dropped ()))
+    trace_out;
+  Option.iter
+    (fun path ->
+      (* Decompose the tail exemplars of every published histogram into
+         queue/wire/retry/fill/recovery/local segments; the folded
+         companion file is flamegraph.pl-compatible. *)
+      let reg = Mira.Report.runtime_metrics rt in
+      publish reg;
+      let evs = Trace.events () in
+      let what = "critical-path report" in
+      write_json ~what path (Mira_telemetry.Critical_path.report reg evs);
+      write_file ~what (path ^ ".folded") (fun oc ->
+          output_string oc (Mira_telemetry.Critical_path.folded reg evs));
+      Printf.printf "critical-path report written to %s (+ %s.folded)\n"
+        path path)
+    cpath_out;
+  if trace_out <> None || cpath_out <> None then Trace.disable ();
+  Option.iter
+    (fun path ->
+      let folded =
+        Mira_telemetry.Attribution.folded
+          (Mira_runtime.Runtime.attribution rt)
+      in
+      let frames =
+        String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 folded
+      in
+      write_file ~what:"flame output" path (fun oc -> output_string oc folded);
+      Printf.printf "flame stacks written to %s (%d stack(s))\n" path frames)
+    flame_out;
+  Option.iter
+    (fun path ->
+      write_json ~what:"report" path (report ());
+      Printf.printf "report written to %s\n" path)
+    json_out
+
 (* The kv workload is not a MIR program run through the interpreter:
    it drives Mira's runtime directly with N open-loop serving loops
    interleaved on the discrete-event scheduler, and reports tail
@@ -81,10 +143,10 @@ let serve_kv ratio tenants requests net_window net_coalesce timeline_out
     (cfg.K.slo_ns /. 1e3);
   if trace_out <> None || cpath_out <> None then Trace.enable ();
   let rt_cfg =
-    K.runtime_config cfg
-    |> Mira_runtime.Runtime.Config.with_dataplane
-         { Mira_sim.Net.dp_default with
-           Mira_sim.Net.window = net_window; coalesce = net_coalesce }
+    { (K.runtime_config cfg) with
+      Mira_runtime.Runtime.dataplane =
+        { Mira_sim.Net.dp_default with
+          Mira_sim.Net.window = net_window; coalesce = net_coalesce } }
   in
   let rt = Mira_runtime.Runtime.create rt_cfg in
   let timeline = Option.map (fun _ -> K.Timeline.make ()) timeline_out in
@@ -92,30 +154,25 @@ let serve_kv ratio tenants requests net_window net_coalesce timeline_out
   (match (timeline_out, timeline) with
    | Some path, Some tl ->
      let lines = K.Timeline.jsonl tl ~rt in
-     (try
-        let oc = open_out path in
-        List.iter
-          (fun j ->
-            output_string oc (Json.to_string j);
-            output_char oc '\n')
-          lines;
-        close_out oc;
-        let sat =
-          match K.Timeline.saturation_onset_ns tl with
-          | Some ns -> Printf.sprintf "saturation onset %.0f us" (ns /. 1e3)
-          | None -> "no saturated window"
-        in
-        let burn =
-          match K.Timeline.first_burn_ns tl with
-          | Some ns -> Printf.sprintf "first SLO burn %.0f us" (ns /. 1e3)
-          | None -> "no SLO burn"
-        in
-        Printf.printf "timeline written to %s (%d window(s); %s; %s)\n" path
-          (List.length lines - 1)
-          sat burn
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write timeline: %s\n" msg;
-        exit 1)
+     write_file ~what:"timeline" path (fun oc ->
+         List.iter
+           (fun j ->
+             output_string oc (Json.to_string j);
+             output_char oc '\n')
+           lines);
+     let sat =
+       match K.Timeline.saturation_onset_ns tl with
+       | Some ns -> Printf.sprintf "saturation onset %.0f us" (ns /. 1e3)
+       | None -> "no saturated window"
+     in
+     let burn =
+       match K.Timeline.first_burn_ns tl with
+       | Some ns -> Printf.sprintf "first SLO burn %.0f us" (ns /. 1e3)
+       | None -> "no SLO burn"
+     in
+     Printf.printf "timeline written to %s (%d window(s); %s; %s)\n" path
+       (List.length lines - 1)
+       sat burn
    | _ -> ());
   let t =
     Table.create
@@ -146,62 +203,8 @@ let serve_kv ratio tenants requests net_window net_coalesce timeline_out
     print_newline ();
     print_string (Mira.Report.runtime_stats rt)
   end;
-  (match trace_out with
-   | Some path ->
-     let n = List.length (Trace.events ()) in
-     (try
-        Trace.write_jsonl path;
-        Printf.printf "trace written to %s (%d events, %d dropped)\n" path n
-          (Trace.dropped ())
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write trace: %s\n" msg)
-   | None -> ());
-  (match cpath_out with
-   | Some path ->
-     (* The serving latency histograms join the runtime's registry so
-        tail requests decompose alongside the net/cache exemplars. *)
-     let reg = Mira.Report.runtime_metrics rt in
-     K.publish r reg;
-     let evs = Trace.events () in
-     let report = Mira_telemetry.Critical_path.report reg evs in
-     let folded = Mira_telemetry.Critical_path.folded reg evs in
-     (try
-        let oc = open_out path in
-        output_string oc (Json.to_string_pretty report);
-        output_char oc '\n';
-        close_out oc;
-        let oc = open_out (path ^ ".folded") in
-        output_string oc folded;
-        close_out oc;
-        Printf.printf "critical-path report written to %s (+ %s.folded)\n"
-          path path
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write critical-path report: %s\n" msg;
-        exit 1)
-   | None -> ());
-  if trace_out <> None || cpath_out <> None then Trace.disable ();
-  (match flame_out with
-   | Some path ->
-     let folded =
-       Mira_telemetry.Attribution.folded
-         (Mira_runtime.Runtime.attribution rt)
-     in
-     let frames =
-       String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 folded
-     in
-     (try
-        let oc = open_out path in
-        output_string oc folded;
-        close_out oc;
-        Printf.printf "flame stacks written to %s (%d stack(s))\n" path frames
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write flame output: %s\n" msg;
-        exit 1)
-   | None -> ());
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let report =
+  write_outputs rt ~publish:(K.publish r) ~json_out ~trace_out ~flame_out
+    ~cpath_out ~report:(fun () ->
       Json.Obj
         [
           ("workload", Json.Str "kv");
@@ -209,17 +212,7 @@ let serve_kv ratio tenants requests net_window net_coalesce timeline_out
           ("serving", K.report_json r);
           ("mira_runtime_stats", Mira.Report.runtime_stats_json rt);
           ("stall_attribution", Mira.Report.attribution_json rt);
-        ]
-    in
-    (try
-       let oc = open_out path in
-       output_string oc (Json.to_string_pretty report);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "report written to %s\n" path
-     with Sys_error msg ->
-       Printf.eprintf "error: cannot write report: %s\n" msg;
-       exit 1)
+        ])
 
 let compare_systems wname ratio iterations threads tenants requests
     net_window net_coalesce nodes ec timeline_out verbose json_out trace_out
@@ -232,6 +225,10 @@ let compare_systems wname ratio iterations threads tenants requests
          "--timeline requires the kv workload (the '%s' workload emits no \
           windows; windowed telemetry comes from the serving loops)"
          wname);
+  if wname = "kv" && (nodes <> 1 || ec <> None) then
+    usage_error
+      "--nodes/--ec require a MIR workload (the kv workload runs on one far \
+       node)";
   if iterations < 1 then
     usage_error (Printf.sprintf "invalid iterations %d (need >= 1)" iterations);
   if threads < 1 then
@@ -346,40 +343,6 @@ let compare_systems wname ratio iterations threads tenants requests
   let ms = Mira_runtime.Runtime.memsys rt in
   let v, mira = C.measure_work ms machine in
   results := ("mira", mira) :: !results;
-  (match trace_out with
-   | Some path ->
-     let n = List.length (Trace.events ()) in
-     (try
-        Trace.write_jsonl path;
-        Printf.printf "trace written to %s (%d events, %d dropped)\n" path n
-          (Trace.dropped ())
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write trace: %s\n" msg)
-   | None -> ());
-  (match cpath_out with
-   | Some path ->
-     (* Decompose the tail exemplars of every published histogram into
-        queue/wire/retry/fill/recovery/local segments; the folded
-        companion file is flamegraph.pl-compatible. *)
-     let reg = Mira.Report.runtime_metrics rt in
-     let evs = Trace.events () in
-     let report = Mira_telemetry.Critical_path.report reg evs in
-     let folded = Mira_telemetry.Critical_path.folded reg evs in
-     (try
-        let oc = open_out path in
-        output_string oc (Json.to_string_pretty report);
-        output_char oc '\n';
-        close_out oc;
-        let oc = open_out (path ^ ".folded") in
-        output_string oc folded;
-        close_out oc;
-        Printf.printf "critical-path report written to %s (+ %s.folded)\n"
-          path path
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write critical-path report: %s\n" msg;
-        exit 1)
-   | None -> ());
-  if trace_out <> None || cpath_out <> None then Trace.disable ();
   Printf.printf "%-10s %12.3f ms   checksum=%s  (%.2fx native)\n\n" "mira"
     (mira /. 1e6)
     (Format.asprintf "%a" Mira_interp.Value.pp v)
@@ -389,39 +352,19 @@ let compare_systems wname ratio iterations threads tenants requests
     print_newline ();
     print_string (Mira.Report.runtime_stats rt)
   end;
-  (match flame_out with
-   | Some path ->
-     let folded =
-       Mira_telemetry.Attribution.folded
-         (Mira_runtime.Runtime.attribution rt)
-     in
-     let frames =
-       String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 folded
-     in
-     (try
-        let oc = open_out path in
-        output_string oc folded;
-        close_out oc;
-        Printf.printf "flame stacks written to %s (%d stack(s))\n" path frames
-      with Sys_error msg ->
-        Printf.eprintf "error: cannot write flame output: %s\n" msg;
-        exit 1)
-   | None -> ());
-  match json_out with
-  | None -> ()
-  | Some path ->
-    let systems =
-      List.rev_map
-        (fun (name, ns) ->
-          Json.Obj
-            [
-              ("system", Json.Str name);
-              ("work_ms", Json.Float (ns /. 1e6));
-              ("slowdown_vs_native", Json.Float (ns /. native));
-            ])
-        !results
-    in
-    let report =
+  write_outputs rt ~publish:ignore ~json_out ~trace_out ~flame_out ~cpath_out
+    ~report:(fun () ->
+      let systems =
+        List.rev_map
+          (fun (name, ns) ->
+            Json.Obj
+              [
+                ("system", Json.Str name);
+                ("work_ms", Json.Float (ns /. 1e6));
+                ("slowdown_vs_native", Json.Float (ns /. native));
+              ])
+          !results
+      in
       Json.Obj
         [
           ("workload", Json.Str w.name);
@@ -433,17 +376,7 @@ let compare_systems wname ratio iterations threads tenants requests
           ("mira", Mira.Report.to_json compiled);
           ("mira_runtime_stats", Mira.Report.runtime_stats_json rt);
           ("stall_attribution", Mira.Report.attribution_json rt);
-        ]
-    in
-    (try
-       let oc = open_out path in
-       output_string oc (Json.to_string_pretty report);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "report written to %s\n" path
-     with Sys_error msg ->
-       Printf.eprintf "error: cannot write report: %s\n" msg;
-       exit 1)
+        ])
   end
 
 open Cmdliner

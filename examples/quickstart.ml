@@ -69,7 +69,7 @@ let () =
   (* 2. generic swap (what you get with no program knowledge) *)
   let swap =
     Mira_runtime.Runtime.(
-      memsys (create (Config.make ~local_budget:budget ~far_capacity)))
+      memsys (create (config_default ~local_budget:budget ~far_capacity)))
   in
   let sm = Machine.create ~seed:42 swap prog in
   let v1, swap_ns = C.measure_work swap sm in

@@ -4,11 +4,6 @@ let rec loop_sites (l : Pattern.loop_info) =
   List.map (fun (a : Pattern.access) -> a.Pattern.a_site) l.Pattern.l_accesses
   @ List.concat_map loop_sites l.Pattern.l_children
 
-let sites_in_phase (r : Pattern.result) i =
-  match List.nth_opt r.Pattern.r_loops i with
-  | Some l -> List.sort_uniq compare (loop_sites l)
-  | None -> []
-
 let phases_count (r : Pattern.result) = max 1 (List.length r.Pattern.r_loops)
 
 let site_phases (r : Pattern.result) =

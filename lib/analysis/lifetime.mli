@@ -16,9 +16,6 @@ val site_phases : Pattern.result -> (int * interval) list
 val phases_count : Pattern.result -> int
 (** Number of phases (top-level loops); at least 1. *)
 
-val sites_in_phase : Pattern.result -> int -> int list
-(** Sites touched (transitively) by top-level loop [i]. *)
-
 val dead_after : Pattern.result -> phase:int -> int list
 (** Sites whose last phase is [phase] — candidates for eviction hints
     placed right after that loop. *)

@@ -71,13 +71,6 @@ let depends_on t ~depth =
   | Loaded _ -> false
   | Unknown -> true
 
-let pp ppf = function
-  | Affine { c0; terms } ->
-    Format.fprintf ppf "%Ld" c0;
-    List.iter (fun (d, c) -> Format.fprintf ppf " + %Ld*iv%d" c d) terms
-  | Loaded site -> Format.fprintf ppf "loaded(site %d)" site
-  | Unknown -> Format.pp_print_string ppf "?"
-
 let equal a b =
   match (a, b) with
   | Affine x, Affine y -> x.c0 = y.c0 && x.terms = y.terms

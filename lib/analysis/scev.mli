@@ -23,8 +23,6 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 (** Product; affine only when one side is a constant. *)
 
-val neg : t -> t
-
 val const_value : t -> int64 option
 (** [Some c] iff the value is the constant [c]. *)
 
@@ -37,5 +35,4 @@ val innermost_stride : t -> depth:int -> int64 option
     the loop at [depth]". *)
 
 val depends_on : t -> depth:int -> bool
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

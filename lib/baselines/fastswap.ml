@@ -2,18 +2,13 @@ module Sim = Mira_sim
 module Rt = Mira_runtime
 module Cache = Mira_cache
 
-let readahead_pages = 8
-
 let create ?(params = Sim.Params.default) ~local_budget ~far_capacity () =
   let cfg =
-    Rt.Runtime.Config.(
-      make ~local_budget ~far_capacity |> with_params params)
+    { (Rt.Runtime.config_default ~local_budget ~far_capacity) with
+      Rt.Runtime.params }
   in
   let rt = Rt.Runtime.create cfg in
   let swap = Cache.Manager.swap (Rt.Runtime.manager rt) in
-  (* Linux cluster readahead: pull in the rest of the 8-page cluster. *)
-  Cache.Swap_section.set_readahead swap (fun pno ->
-      List.init (readahead_pages - 1) (fun i -> pno + i + 1));
   let ms = Rt.Runtime.memsys rt in
   {
     ms with

@@ -34,8 +34,8 @@ let majority_delta history =
 
 let create ?(params = Sim.Params.default) ~local_budget ~far_capacity () =
   let cfg =
-    Rt.Runtime.Config.(
-      make ~local_budget ~far_capacity |> with_params params)
+    { (Rt.Runtime.config_default ~local_budget ~far_capacity) with
+      Rt.Runtime.params }
   in
   let rt = Rt.Runtime.create cfg in
   let swap = Cache.Manager.swap (Rt.Runtime.manager rt) in

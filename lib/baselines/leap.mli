@@ -11,15 +11,6 @@
     observes FastSwap's more efficient Linux implementation); this is
     modelled by a small extra per-fault cost. *)
 
-val window_size : int
-(** Fault-history window (default 32). *)
-
-val max_prefetch : int
-(** Maximum prefetch depth (default 8). *)
-
-val extra_fault_cost_ns : float
-(** Data-path penalty vs FastSwap per fault. *)
-
 val majority_delta : int list -> int option
 (** Boyer-Moore majority vote over the successive deltas of a fault
     history (newest first); [None] when no stride wins a majority.

@@ -16,11 +16,9 @@ type t = {
          would race the rebudget against recovery writebacks). *)
 }
 
-let create net cluster ~budget ~page ~side =
+let create net cluster ~budget ~page =
   assert (budget >= page);
-  let swap =
-    Swap_section.create net cluster { Swap_section.page; capacity = budget; side }
-  in
+  let swap = Swap_section.create net cluster { Swap_section.page; capacity = budget } in
   {
     net;
     cluster;
@@ -36,14 +34,10 @@ let create net cluster ~budget ~page ~side =
     recovering = false;
   }
 
-let budget t = t.budget
 let generation t = t.generation
 let bump t = t.generation <- t.generation + 1
 let swap t = t.swap
 let swap_handle t = t.swap_h
-let net t = t.net
-let cluster t = t.cluster
-let far t = Mira_sim.Cluster.primary t.cluster
 
 let swap_capacity t = max t.page (t.budget - t.section_bytes)
 
@@ -255,9 +249,6 @@ let metadata_bytes t =
   List.fold_left
     (fun acc h -> acc + Cache_section.metadata_bytes h)
     0 (handles t)
-
-let drop_all t ~clock =
-  List.iter (fun h -> Cache_section.drop_all h ~clock) (handles t)
 
 let reset_stats t = List.iter Cache_section.reset_stats (handles t)
 

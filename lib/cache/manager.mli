@@ -9,22 +9,14 @@
 
 type t
 
-val create : Mira_sim.Net.t -> Mira_sim.Cluster.t -> budget:int -> page:int -> side:Mira_sim.Net.side -> t
+val create : Mira_sim.Net.t -> Mira_sim.Cluster.t -> budget:int -> page:int -> t
 (** The whole budget initially backs the swap section (the paper's
     initial, swap-everything configuration). *)
 
-val budget : t -> int
 val swap : t -> Swap_section.t
 
 val swap_handle : t -> Cache_section.handle
 (** The swap section as a [Cache_section.handle]. *)
-
-val net : t -> Mira_sim.Net.t
-
-val cluster : t -> Mira_sim.Cluster.t
-
-val far : t -> Mira_sim.Far_store.t
-(** The cluster's current primary store (changes on failover). *)
 
 val set_attribution : t -> Mira_telemetry.Attribution.t -> unit
 (** Route all cache-layer stalls into the given ledger: the swap
@@ -77,14 +69,8 @@ val generation : t -> int
     bumped by [add_section], [end_section], [assign_site] and
     [unassign_site].  Callers that cache routing revalidate against it. *)
 
-val handles : t -> Cache_section.handle list
-(** Every live cache in id order, swap last. *)
-
 val metadata_bytes : t -> int
 (** Total local-memory metadata of swap + sections. *)
-
-val drop_all : t -> clock:Mira_sim.Clock.t -> unit
-(** Empty every section and the swap cache (between runs). *)
 
 val reset_stats : t -> unit
 

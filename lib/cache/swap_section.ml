@@ -1,4 +1,4 @@
-type config = { page : int; capacity : int; side : Mira_sim.Net.side }
+type config = { page : int; capacity : int }
 
 type stats = {
   mutable hits : int;
@@ -65,7 +65,7 @@ let create net far cfg =
     hinted = Mira_util.Index_set.create nframes;
     stats = fresh_stats ();
     tr =
-      Transfer.create net far ~side:cfg.side ~line:cfg.page
+      Transfer.create net far ~side:Mira_sim.Net.One_sided ~line:cfg.page
         ~extents:[ (0, cfg.page) ] ~section:"swap" ~lane:"swap";
   }
 

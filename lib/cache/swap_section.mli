@@ -16,7 +16,6 @@
 type config = {
   page : int;  (** page size in bytes *)
   capacity : int;  (** resident-set budget in bytes *)
-  side : Mira_sim.Net.side;
 }
 
 type stats = {

@@ -23,7 +23,6 @@ type options = {
   cluster : Mira_sim.Cluster.spec;
   placement_candidates : Mira_sim.Cluster.placement list;
   max_iterations : int;
-  size_samples : float list;
   nthreads : int;
   tenants : int;
   seed : int;
@@ -46,7 +45,6 @@ let options_default ~local_budget ~far_capacity =
     cluster = Mira_sim.Cluster.spec_default;
     placement_candidates = [];
     max_iterations = 3;
-    size_samples = [ 0.15; 0.35; 0.7 ];
     nthreads = 1;
     tenants = 1;
     seed = 42;
@@ -80,14 +78,15 @@ let work_function (p : Ir.program) =
 
 let make_runtime opts =
   Runtime.create
-    Runtime.Config.(
-      make ~local_budget:opts.local_budget ~far_capacity:opts.far_capacity
-      |> with_params opts.params
-      |> with_page opts.params.Params.page_size
-      |> with_local_capacity (max opts.far_capacity (1 lsl 20))
-      |> with_dataplane opts.dataplane
-      |> with_cluster opts.cluster
-      |> with_tenants opts.tenants)
+    {
+      Runtime.params = opts.params;
+      local_budget = opts.local_budget;
+      far_capacity = opts.far_capacity;
+      local_capacity = max opts.far_capacity (1 lsl 20);
+      dataplane = opts.dataplane;
+      cluster = opts.cluster;
+      tenants = opts.tenants;
+    }
 
 (* Apply section assignments to a fresh runtime.  Read-only sections are
    split per-thread when running multithreaded (§4.6); shared writable
@@ -308,6 +307,9 @@ let site_summaries program sites =
 
 (* --- sizing --------------------------------------------------------------- *)
 
+(* Budget fractions sampled for a non-sequential section. *)
+let size_samples = [ 0.15; 0.35; 0.7 ]
+
 let size_specs ~eval opts specs ~build_plan ~iter =
   let page = opts.params.Params.page_size in
   let budget = opts.local_budget in
@@ -385,7 +387,7 @@ let size_specs ~eval opts specs ~build_plan ~iter =
             @ List.map
                 (fun frac ->
                   clamp_spec spec (int_of_float (float_of_int avail *. frac)))
-                opts.size_samples
+                size_samples
             |> List.sort_uniq compare
           in
           let options =

@@ -26,13 +26,11 @@ type options = {
           final runtime).  Empty (the default) keeps [cluster]'s own
           placement with no extra measurement runs. *)
   max_iterations : int;
-  size_samples : float list;  (** budget fractions sampled for non-
-                                  sequential sections *)
   nthreads : int;
   tenants : int;
       (** tenant contexts on every runtime the controller creates
-          ([Mira_runtime.Runtime.Config.with_tenants]); 1 = the
-          historical single-tenant mode *)
+          ([Mira_runtime.Runtime.config.tenants]); 1 = the historical
+          single-tenant mode *)
   seed : int;
   feat_sections : bool;  (** ablation toggles (Figures 6/15/21/23) *)
   feat_prefetch : bool;

@@ -32,8 +32,6 @@ let create ?(nthreads = 1) ?(seed = 42) ?(honor_offload = true) ms program =
     par_depth = 0;
   }
 
-let memsys t = t.ms
-let nthreads t = t.nthreads
 let ops_executed t = t.ops
 
 let params t = Sim.Net.params t.ms.Memsys.net

@@ -18,13 +18,6 @@ val create :
 (** [honor_offload] (default true) lets benchmarks disable offloading
     for ablation without recompiling. *)
 
-val memsys : t -> Mira_runtime.Memsys.t
-val nthreads : t -> int
-
-val call : t -> string -> Value.t list -> Value.t
-(** Invoke a function by name.  Raises [Failure] on arity mismatch or
-    runtime type errors. *)
-
 val run : t -> Value.t
 (** Invoke the entry function with no arguments. *)
 

@@ -3,8 +3,9 @@
     Pointers are serialized into 64 bits when stored to memory:
     bit 63 = address space (0 local / 1 far), bits 48-62 = allocation
     site + 1 (so the null pointer is all-zero), bits 0-47 = address.
-    This is a simulator device distinct from the paper's runtime
-    encoding, which is modelled by [Mira_runtime.Rptr]. *)
+    This is a simulator device distinct from the paper's section-id
+    pointer encoding (§5.2.1): the runtime routes each access by its
+    allocation site instead. *)
 
 type t =
   | Vunit

@@ -41,7 +41,6 @@ let bin fb op a b = def1 fb (fun r -> Ir.Bin (r, op, a, b))
 let fbin fb op a b = def1 fb (fun r -> Ir.Fbin (r, op, a, b))
 let cmp fb op a b = def1 fb (fun r -> Ir.Cmp (r, op, a, b))
 let fcmp fb op a b = def1 fb (fun r -> Ir.Fcmp (r, op, a, b))
-let not_ fb a = def1 fb (fun r -> Ir.Not (r, a))
 let i2f fb a = def1 fb (fun r -> Ir.I2f (r, a))
 let f2i fb a = def1 fb (fun r -> Ir.F2i (r, a))
 let mov fb a = def1 fb (fun r -> Ir.Mov (r, a))
@@ -57,8 +56,6 @@ let alloc fb ~name ?(space = Ir.Heap) elem count =
   let site = fresh_site fb.parent ~name ~elem in
   let ptr = def1 fb (fun dst -> Ir.Alloc { dst; site; elem; count; space }) in
   (ptr, site)
-
-let free fb ptr ~site = emit fb (Ir.Free { ptr; site })
 
 let gep fb ~base ~index ~elem ?(field_off = 0) () =
   def1 fb (fun dst -> Ir.Gep { dst; base; index; elem; field_off })

@@ -32,14 +32,10 @@ val finish : t -> entry:string -> Ir.program
 
 (** {1 Inside a function body} *)
 
-val fresh : fb -> Ir.reg
-val emit : fb -> Ir.op -> unit
-
 val bin : fb -> Ir.binop -> Ir.operand -> Ir.operand -> Ir.operand
 val fbin : fb -> Ir.fbinop -> Ir.operand -> Ir.operand -> Ir.operand
 val cmp : fb -> Ir.cmpop -> Ir.operand -> Ir.operand -> Ir.operand
 val fcmp : fb -> Ir.cmpop -> Ir.operand -> Ir.operand -> Ir.operand
-val not_ : fb -> Ir.operand -> Ir.operand
 val i2f : fb -> Ir.operand -> Ir.operand
 val f2i : fb -> Ir.operand -> Ir.operand
 val mov : fb -> Ir.operand -> Ir.operand
@@ -49,8 +45,6 @@ val alloc :
 (** [alloc fb ~name elem count] emits a heap (default) or stack
     allocation of [count * size_of elem] bytes and returns the pointer
     operand together with the allocation-site id. *)
-
-val free : fb -> Ir.operand -> site:int -> unit
 
 val gep :
   fb -> base:Ir.operand -> index:Ir.operand -> elem:Types.ty -> ?field_off:int ->

@@ -137,6 +137,3 @@ val op_count : block -> int
 val expand_ops : (op -> op list) -> block -> block
 (** Like [map_ops] but each op may be rewritten to a sequence
     (children first). *)
-
-val block_of : op -> block list
-(** Immediate child blocks of an op (loop/if bodies). *)

@@ -129,9 +129,6 @@ and pp_block_at indent ppf block =
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "\n")
     (pp_op_at indent) ppf block
 
-let pp_op ppf op = pp_op_at 0 ppf op
-let pp_block ppf block = pp_block_at 0 ppf block
-
 let pp_func ppf (f : Ir.func) =
   let attr =
     match (f.Ir.f_remotable, f.Ir.f_offloaded) with

@@ -5,11 +5,5 @@
     Operations carrying [am_remote] render in the [rmem] dialect;
     heap allocations render as [remotable.alloc]. *)
 
-val pp_operand : Format.formatter -> Ir.operand -> unit
-val pp_op : Format.formatter -> Ir.op -> unit
-val pp_block : Format.formatter -> Ir.block -> unit
-val pp_func : Format.formatter -> Ir.func -> unit
-val pp_program : Format.formatter -> Ir.program -> unit
-
 val func_to_string : Ir.func -> string
 val program_to_string : Ir.program -> string

@@ -21,11 +21,6 @@ let field_offset def name =
   in
   go 0 def.s_fields
 
-let field_ty def name =
-  match List.assoc_opt name def.s_fields with
-  | Some ty -> ty
-  | None -> raise Not_found
-
 let field_index def name =
   let rec go i = function
     | [] -> raise Not_found
@@ -42,8 +37,6 @@ let rec pp ppf = function
   | F64 -> Format.pp_print_string ppf "f64"
   | Ptr ty -> Format.fprintf ppf "ptr<%a>" pp ty
   | Struct { s_name; _ } -> Format.fprintf ppf "struct.%s" s_name
-
-let to_string ty = Format.asprintf "%a" pp ty
 
 (* Structs compare nominally (by name): recursive types like linked
    nodes would make a structural comparison diverge. *)

@@ -24,9 +24,6 @@ val size_of : ty -> int
 val field_offset : struct_def -> string -> int
 (** Byte offset of a named field.  Raises [Not_found]. *)
 
-val field_ty : struct_def -> string -> ty
-(** Type of a named field.  Raises [Not_found]. *)
-
 val field_index : struct_def -> string -> int
 (** Positional index of a named field.  Raises [Not_found]. *)
 
@@ -35,8 +32,6 @@ val struct_ : string -> (string * ty) list -> ty
 
 val pp : Format.formatter -> ty -> unit
 (** MLIR-ish rendering: [i64], [f64], [ptr<i64>], [struct.edge]. *)
-
-val to_string : ty -> string
 
 val equal : ty -> ty -> bool
 (** Structural on scalars/pointers; {e nominal} on structs (recursive

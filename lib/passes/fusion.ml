@@ -120,7 +120,3 @@ let run program =
         (fun (name, f) -> (name, run_func program bindings f))
         program.Ir.p_funcs;
   }
-
-let fusable program func op1 op2 =
-  let sm = Site_map.build program func in
-  fusable_loops sm op1 op2

@@ -9,7 +9,3 @@
     avg/min/max DataFrame example (Figure 23). *)
 
 val run : Mira_mir.Ir.program -> Mira_mir.Ir.program
-
-val fusable :
-  Mira_mir.Ir.program -> Mira_mir.Ir.func -> Mira_mir.Ir.op -> Mira_mir.Ir.op -> bool
-(** Exposed for tests: whether two loop ops can fuse. *)

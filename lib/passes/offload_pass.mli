@@ -12,6 +12,3 @@ val run :
 (** With [explicit], offload exactly those functions (they must be
     remotable); otherwise offload every function whose analysis
     benefit is positive. *)
-
-val mark_remotable : Mira_mir.Ir.program -> Mira_mir.Ir.program
-(** Only set [f_remotable] flags (no offloading decision). *)

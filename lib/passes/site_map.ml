@@ -54,9 +54,6 @@ let build ?(param_sites = []) program func =
     func.Ir.f_body;
   t
 
-let site_of_reg t r = t.sites.(r)
-let chased t r = t.chased_flags.(r)
-
 let site_of_operand t = function
   | Ir.Oreg r -> t.sites.(r)
   | Ir.Oint _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit -> -1

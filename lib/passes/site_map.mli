@@ -18,11 +18,6 @@ val build :
 (** [param_sites] binds parameter registers to allocation sites
     (computed interprocedurally by [Mira_analysis.Remotable_flow]). *)
 
-val site_of_reg : t -> Mira_mir.Ir.reg -> int
-(** -1 when unknown. *)
-
-val chased : t -> Mira_mir.Ir.reg -> bool
-
 val site_of_operand : t -> Mira_mir.Ir.operand -> int
 
 val gep_parts :

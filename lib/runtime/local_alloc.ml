@@ -73,4 +73,3 @@ let free t ~addr ~len =
   t.buffered <- t.buffered + len
 
 let refills t = t.refills
-let buffered_bytes t = t.buffered

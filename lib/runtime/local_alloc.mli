@@ -19,4 +19,3 @@ val free : t -> addr:int -> len:int -> unit
 (** Return a range to the local buffer. *)
 
 val refills : t -> int
-val buffered_bytes : t -> int

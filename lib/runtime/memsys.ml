@@ -27,5 +27,3 @@ type t = {
   reset_timing : unit -> unit;
   elapsed : unit -> float;
 }
-
-let thread_clock t tid = t.clock ~tid

@@ -57,6 +57,3 @@ type t = {
   elapsed : unit -> float;
       (** Max over all thread clocks (total simulated runtime so far). *)
 }
-
-val thread_clock : t -> int -> Mira_sim.Clock.t
-(** [clock] with the argument applied (convenience). *)

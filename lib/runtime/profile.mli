@@ -64,18 +64,12 @@ val touch : t -> tid:int -> site:int -> unit
 val fn_stats : t -> (string * fn_stat) list
 val site_stats : t -> (int * site_stat) list
 
-val overhead_ratio : fn_stat -> float
-(** Runtime time over remaining execution time (the paper's "cache
-    performance overhead"). *)
-
 val top_functions : t -> frac:float -> string list
 (** The ceil(frac * n) functions with the highest overhead ratio. *)
 
 val largest_sites : t -> frac:float -> among:string list -> int list
 (** The ceil(frac * n) costliest (then largest) allocation sites
     touched by [among]. *)
-
-val sites_of_function : t -> string -> int list
 
 val reset : t -> unit
 (** Clear every counter and stack. *)

@@ -6,12 +6,6 @@ type config = {
   local_budget : int;
   far_capacity : int;
   local_capacity : int;
-  page : int;
-  swap_side : Sim.Net.side;
-  alloc_chunk : int;
-  swap_readahead : int;
-      (* Linux-style cluster readahead width of the swap section (the
-         initial configuration behaves like an optimized kernel swap) *)
   dataplane : Sim.Net.dp_config;
   cluster : Sim.Cluster.spec;
   tenants : int;
@@ -19,38 +13,23 @@ type config = {
          scheduler; 1 = the historical serialized single-tenant mode *)
 }
 
-module Config = struct
-  type nonrec t = config
+let config_default ~local_budget ~far_capacity =
+  {
+    params = Sim.Params.default;
+    local_budget;
+    far_capacity;
+    local_capacity = max far_capacity (64 * 1024);
+    dataplane = Sim.Net.dp_default;
+    cluster = Sim.Cluster.spec_default;
+    tenants = 1;
+  }
 
-  let make ~local_budget ~far_capacity =
-    {
-      params = Sim.Params.default;
-      local_budget;
-      far_capacity;
-      local_capacity = max far_capacity (64 * 1024);
-      page = Sim.Params.default.Sim.Params.page_size;
-      swap_side = Sim.Net.One_sided;
-      alloc_chunk = 1 lsl 20;
-      swap_readahead = 8;
-      dataplane = Sim.Net.dp_default;
-      cluster = Sim.Cluster.spec_default;
-      tenants = 1;
-    }
+(* Linux-style cluster readahead width of the swap section: the initial
+   configuration behaves like an optimized kernel swap. *)
+let swap_readahead = 8
 
-  let with_params params c = { c with params }
-  let with_page page c = { c with page }
-  let with_swap_side swap_side c = { c with swap_side }
-  let with_readahead swap_readahead c = { c with swap_readahead }
-  let with_local_capacity local_capacity c = { c with local_capacity }
-  let with_alloc_chunk alloc_chunk c = { c with alloc_chunk }
-  let with_dataplane dataplane c = { c with dataplane }
-  let with_cluster cluster c = { c with cluster }
-
-  let with_tenants tenants c =
-    if tenants < 1 then
-      invalid_arg (Printf.sprintf "Config.with_tenants: %d (need >= 1)" tenants);
-    { c with tenants }
-end
+(* Local allocator refill granularity. *)
+let alloc_chunk = 1 lsl 20
 
 (* Per-site registry of live allocation ranges.  Iteration order is
    observable (it fixes flush/evict/discard submission order and the
@@ -95,13 +74,6 @@ module Regions = struct
         go n.next
     in
     go t.head
-
-  let to_list t =
-    let rec go acc = function
-      | None -> List.rev acc
-      | Some n -> go ((n.addr, n.len) :: acc) n.next
-    in
-    go [] t.head
 end
 
 (* A site's resolved routing: valid while the manager's generation and
@@ -152,18 +124,19 @@ let space_base = 4096
 let local_base = 64
 
 let create cfg =
+  if cfg.tenants < 1 then
+    invalid_arg (Printf.sprintf "Runtime.create: %d tenants (need >= 1)" cfg.tenants);
   let net = Sim.Net.create ~dp:cfg.dataplane cfg.params in
   let cluster = Sim.Cluster.create ~capacity:cfg.far_capacity cfg.cluster in
   let manager =
-    Cache.Manager.create net cluster ~budget:cfg.local_budget ~page:cfg.page
-      ~side:cfg.swap_side
+    Cache.Manager.create net cluster ~budget:cfg.local_budget
+      ~page:cfg.params.Sim.Params.page_size
   in
   let remote_space =
     Sim.Remote_alloc.create ~base:space_base ~limit:cfg.far_capacity
   in
-  if cfg.swap_readahead > 1 then
-    Cache.Swap_section.set_readahead (Cache.Manager.swap manager) (fun pno ->
-        List.init (cfg.swap_readahead - 1) (fun i -> pno + i + 1));
+  Cache.Swap_section.set_readahead (Cache.Manager.swap manager) (fun pno ->
+      List.init (swap_readahead - 1) (fun i -> pno + i + 1));
   let attribution = Mira_telemetry.Attribution.create () in
   Cache.Manager.set_attribution manager attribution;
   (* Every Queueing nanosecond the ledger charges flows on into the
@@ -193,7 +166,7 @@ let create cfg =
     local_store = Sim.Far_store.create ~capacity:cfg.local_capacity;
     local_space = Sim.Remote_alloc.create ~base:local_base ~limit:cfg.local_capacity;
     remote_space;
-    local_alloc = Local_alloc.create remote_space ~chunk:cfg.alloc_chunk;
+    local_alloc = Local_alloc.create remote_space ~chunk:alloc_chunk;
     sched;
     clocks = Mira_util.Tid_map.create 8;
     offload_depth = Mira_util.Tid_map.create 8;
@@ -294,9 +267,6 @@ let regions_of t site =
     Hashtbl.replace t.site_ranges site r;
     r
 
-let site_ranges t ~site = Regions.to_list (regions_of t site)
-let live_far_bytes t = Sim.Remote_alloc.live_bytes t.remote_space
-
 (* Key subsequent ledger charges under the innermost profiled function
    and the site being accessed; set before any code that may stall
    (including cluster failover handling, so a crash surfacing during an
@@ -381,7 +351,7 @@ let alloc t ~tid ~site ~bytes ~heap =
   let p = t.cfg.params in
   Sim.Clock.advance c p.Sim.Params.native_op_ns;
   if heap then begin
-    let bytes = Mira_util.Misc.round_up bytes t.cfg.page in
+    let bytes = Mira_util.Misc.round_up bytes t.cfg.params.Sim.Params.page_size in
     let addr, refilled = Local_alloc.alloc t.local_alloc bytes in
     if refilled then begin
       (* One RPC to the far node's allocator: an urgent (unbatched)

@@ -13,15 +13,10 @@
 
 type config = {
   params : Mira_sim.Params.t;
+      (** cost model; its [page_size] is the swap-section page size *)
   local_budget : int;  (** local DRAM available for caching far data *)
   far_capacity : int;  (** far-memory address-space size *)
   local_capacity : int;  (** local heap/stack space (not the cache) *)
-  page : int;  (** swap-section page size *)
-  swap_side : Mira_sim.Net.side;
-  alloc_chunk : int;  (** local allocator refill granularity *)
-  swap_readahead : int;  (** cluster readahead width of the swap section
-                             (Mira's initial config matches an optimized
-                             kernel swap); 0/1 disables *)
   dataplane : Mira_sim.Net.dp_config;
       (** network data-plane configuration: in-flight window, doorbell
           batching, fault injection ([Mira_sim.Net.dp_default] =
@@ -34,38 +29,25 @@ type config = {
       (** independent app contexts interleaving on the runtime's
           discrete-event scheduler ([sched]); 1 (the default) is the
           historical serialized single-tenant mode and is bit-identical
-          to it *)
+          to it.  Workloads spawn one task per tenant on [sched]. *)
 }
 
-(** Builder for [config]: [Config.make ~local_budget ~far_capacity]
-    gives the defaults (one-sided swap, 8-page readahead, legacy data
-    plane); pipe through [with_*] to customize:
+val config_default : local_budget:int -> far_capacity:int -> config
+(** Default parameters, legacy data plane, one far node, one tenant;
+    customize by record update:
 
-    {[ Config.make ~local_budget ~far_capacity
-       |> Config.with_page 4096
-       |> Config.with_readahead 0
-       |> Config.with_dataplane { Mira_sim.Net.dp_default with window = 8 } ]} *)
-module Config : sig
-  type t = config
+    {[ { (config_default ~local_budget ~far_capacity) with
+         dataplane = { Mira_sim.Net.dp_default with window = 8 } } ]}
 
-  val make : local_budget:int -> far_capacity:int -> t
-  val with_params : Mira_sim.Params.t -> t -> t
-  val with_page : int -> t -> t
-  val with_swap_side : Mira_sim.Net.side -> t -> t
-  val with_readahead : int -> t -> t
-  val with_local_capacity : int -> t -> t
-  val with_alloc_chunk : int -> t -> t
-  val with_dataplane : Mira_sim.Net.dp_config -> t -> t
-  val with_cluster : Mira_sim.Cluster.spec -> t -> t
-
-  val with_tenants : int -> t -> t
-  (** Number of tenant contexts (>= 1; raises [Invalid_argument]
-      otherwise).  Workloads spawn one task per tenant on [sched]. *)
-end
+    Every runtime's swap section is one-sided, pages at
+    [params.page_size], and reads ahead the rest of each 8-page cluster
+    (Mira's initial configuration matches an optimized kernel swap);
+    the local allocator refills 1 MiB at a time. *)
 
 type t
 
 val create : config -> t
+(** Raises [Invalid_argument] when [tenants < 1]. *)
 
 val manager : t -> Mira_cache.Manager.t
 val net : t -> Mira_sim.Net.t
@@ -85,7 +67,7 @@ val sched : t -> Mira_sim.Sched.t
     simulated time (see docs/CONCURRENCY.md). *)
 
 val tenants : t -> int
-(** The configured tenant count ([Config.with_tenants]). *)
+(** The configured tenant count ([config.tenants]). *)
 
 val attribution : t -> Mira_telemetry.Attribution.t
 (** The runtime's stall-attribution ledger.  Wired into every stall
@@ -117,11 +99,6 @@ val set_private_sections : t -> site:int -> sec_ids:int array -> unit
     Raises [Invalid_argument] naming the site when [sec_ids] is empty. *)
 
 val clear_private_sections : t -> unit
-
-val site_ranges : t -> site:int -> (int * int) list
-(** Live far-memory [(addr, len)] ranges allocated at [site]. *)
-
-val live_far_bytes : t -> int
 
 val lost_bytes_total : t -> int
 (** Far bytes wiped by node crashes with no surviving replica, restricted

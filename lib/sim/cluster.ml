@@ -4,11 +4,6 @@ type placement = Flat | Rotate
 
 let placement_name = function Flat -> "flat" | Rotate -> "rotate"
 
-let placement_of_name = function
-  | "flat" -> Some Flat
-  | "rotate" -> Some Rotate
-  | _ -> None
-
 type event = { ev_node : int; ev_at : float; ev_down_for : float }
 
 type spec = {
@@ -352,7 +347,6 @@ let group_down t ~stripe =
   !c
 
 let logical_size t = if t.trivial then Far_store.size t.nodes.(0).store else t.hw
-let size t = logical_size t
 
 let ensure_cap t limit =
   if limit > t.cap then
@@ -631,21 +625,6 @@ let read_i64 t ~addr =
 let write_i64 t ~addr v =
   if t.trivial then Far_store.write_i64 t.nodes.(0).store ~addr v
   else write_le t ~addr ~len:8 v
-
-let blit_within t ~src ~dst ~len =
-  if t.trivial then Far_store.blit_within t.nodes.(0).store ~src ~dst ~len
-  else begin
-    let buf = Bytes.create (min len 65536) in
-    let rec go off =
-      if off < len then begin
-        let n = min (Bytes.length buf) (len - off) in
-        read t ~addr:(src + off) ~len:n ~dst:buf ~dst_off:0;
-        write t ~addr:(dst + off) ~len:n ~src:buf ~src_off:0;
-        go (off + n)
-      end
-    in
-    if len > 0 then go 0
-  end
 
 (* --- crash / recovery ----------------------------------------------------- *)
 

@@ -40,7 +40,6 @@ type placement =
           cluster *)
 
 val placement_name : placement -> string
-val placement_of_name : string -> placement option
 
 type event = {
   ev_node : int;  (** which node crashes *)
@@ -249,8 +248,6 @@ val read_le : t -> addr:int -> len:int -> int64
 val write_le : t -> addr:int -> len:int -> int64 -> unit
 val read_i64 : t -> addr:int -> int64
 val write_i64 : t -> addr:int -> int64 -> unit
-val blit_within : t -> src:int -> dst:int -> len:int -> unit
-val size : t -> int
 
 val clear : t -> unit
 (** Reset between runs: zero every store, drain pending lost extents

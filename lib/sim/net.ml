@@ -100,14 +100,12 @@ module Fault = struct
     to_float (shift_right_logical z 11) /. 9007199254740992.0
 end
 
-type dp_config = {
-  window : int;
-  coalesce : bool;
-  coalesce_limit : int;
-  fault : Fault.t option;
-}
+type dp_config = { window : int; coalesce : bool; fault : Fault.t option }
 
-let dp_default = { window = 0; coalesce = false; coalesce_limit = 16; fault = None }
+let dp_default = { window = 0; coalesce = false; fault = None }
+
+(* Most requests one doorbell-batched message carries. *)
+let coalesce_limit = 16
 
 type status = Done | Timed_out | Node_down
 
@@ -275,26 +273,6 @@ module Interference = struct
   let reset t =
     Hashtbl.reset t.cells;
     Hashtbl.reset t.row_totals
-
-  let tenant_label tn = if tn < 0 then "-" else Printf.sprintf "t%d" tn
-
-  let to_json t =
-    let module J = Mira_telemetry.Json in
-    J.Obj
-      (List.map
-         (fun (w, row) ->
-           let row_cells =
-             List.filter_map
-               (fun (w', h, fp) ->
-                 if w' = w then
-                   Some (tenant_label h, J.Str (Int64.to_string fp))
-                 else None)
-               (cells t)
-           in
-           ( tenant_label w,
-             J.Obj
-               (("total_fp", J.Str (Int64.to_string row)) :: row_cells) ))
-         (rows t))
 end
 
 type t = {
@@ -758,7 +736,7 @@ let submit t ~now ?(urgent = false) ?(detached = false) (req : Request.t) =
       (req.Request.dir, req.Request.side, req.Request.purpose, req.Request.node)
     in
     match t.pending with
-    | Some b when b.key = key && List.length b.members < t.dp.coalesce_limit ->
+    | Some b when b.key = key && List.length b.members < coalesce_limit ->
       b.members <- (id, req, now, detached, tn) :: b.members;
       { id; issue_cpu_ns = 0.0 }
     | Some _ ->

@@ -42,8 +42,6 @@ type purpose = Demand | Prefetch | Writeback | Rpc
 (** Why the transfer happened; kept per-purpose in the statistics so
     the amplification and traffic figures can be produced. *)
 
-val purpose_name : purpose -> string
-
 (** {1 Requests} *)
 
 module Request : sig
@@ -110,8 +108,9 @@ end
 
 type dp_config = {
   window : int;  (** max in-flight posted messages; [0] = unbounded *)
-  coalesce : bool;  (** doorbell batching of adjacent submissions *)
-  coalesce_limit : int;  (** max requests merged into one message *)
+  coalesce : bool;
+      (** doorbell batching of adjacent submissions, at most 16 requests
+          per message *)
   fault : Fault.t option;  (** [None] = perfectly reliable link *)
 }
 
@@ -230,7 +229,7 @@ val submit : t -> now:float -> ?urgent:bool -> ?detached:bool -> Request.t -> sq
     writebacks) cannot leak completions.
 
     A pending batch is posted — its doorbell rings — when a different
-    kind of request is submitted, when it reaches [coalesce_limit],
+    kind of request is submitted, when it reaches 16 requests,
     or on [ring]/[poll]/[await]/[fence]. *)
 
 val ring : t -> now:float -> unit
@@ -279,10 +278,6 @@ val tenant : t -> int
 module Interference : sig
   type t
 
-  val record : t -> tenant:int -> holders:(int * int) list -> int64 -> unit
-  (** Charge [fp] fixed-point units of [tenant]'s queue stall against
-      [holders]; non-positive amounts are ignored. *)
-
   val row_fp : t -> tenant:int -> int64
   (** Total fixed-point queue stall recorded for one waiter. *)
 
@@ -291,18 +286,14 @@ module Interference : sig
 
   val cells : t -> (int * int * int64) list
   (** [(waiter, holder, fp)], sorted. *)
-
-  val reset : t -> unit
-  val to_json : t -> Mira_telemetry.Json.t
-  (** Rows keyed ["t<N>"] (["-"] = unbound), each an object of
-      [total_fp] plus per-holder fixed-point cells, all as decimal
-      strings (int64-exact). *)
 end
 
 val interference : t -> Interference.t
 val record_interference : t -> tenant:int -> holders:(int * int) list -> int64 -> unit
-(** The queue-sink entry point ([Interference.record] on this net's
-    matrix); wired to [Attribution.set_queue_sink] by the runtime.
+(** The queue-sink entry point: charge [fp] fixed-point units of
+    [tenant]'s queue stall against [holders] in this net's matrix
+    (non-positive amounts are ignored); wired to
+    [Attribution.set_queue_sink] by the runtime.
     Reset by [reset_stats] (with the rest of the counters), not by
     [reset_link]. *)
 

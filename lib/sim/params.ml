@@ -46,23 +46,3 @@ let default =
     prof_event_ns = 15.0;
     swap_lock_ns = 1_500.0;
   }
-
-let hit_overhead_ns t structure =
-  match structure with
-  | `Direct -> t.hit_direct_ns
-  | `Set -> t.hit_set_ns
-  | `Full -> t.hit_full_ns
-
-let pp ppf t =
-  Format.fprintf ppf
-    "native_op=%.1fns native_mem=%.1fns hit(direct/set/full)=%.0f/%.0f/%.0fns@\n\
-     rtt(1s/2s)=%.0f/%.0fns bw=%.2fB/ns msg_cpu=%.0fns remote_copy=%.3fns/B@\n\
-     page_fault=%.0fns page=%dB aifm(deref=%.0fns elem_meta=%dB obj_meta=%dB)@\n\
-     remote_slowdown=%.1fx rpc=%.0fns evict_check=%.1fns"
-    t.native_op_ns t.native_mem_ns t.hit_direct_ns t.hit_set_ns t.hit_full_ns
-    t.one_sided_rtt_ns t.two_sided_rtt_ns t.bandwidth_bytes_per_ns t.msg_cpu_ns
-    t.remote_copy_ns_per_byte t.page_fault_ns t.page_size t.aifm_deref_ns
-    t.aifm_elem_meta_bytes t.aifm_obj_meta_bytes t.remote_compute_slowdown
-    t.rpc_overhead_ns t.evict_check_ns;
-  Format.fprintf ppf "@\nprof_event=%.1fns swap_lock=%.0fns" t.prof_event_ns
-    t.swap_lock_ns

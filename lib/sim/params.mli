@@ -36,9 +36,3 @@ type t = {
 
 val default : t
 (** The defaults documented in DESIGN.md §5. *)
-
-val hit_overhead_ns : t -> [ `Direct | `Set | `Full ] -> float
-(** Hit overhead for the given cache structure. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render all fields, one per line. *)

@@ -37,7 +37,6 @@ type event = Clock.event =
 
 let ticks_per_ns = 65536.0
 let ticks_of_ns ns = Int64.of_float (Float.round (ns *. ticks_per_ns))
-let ns_of_ticks t = Int64.to_float t /. ticks_per_ns
 
 type resume =
   | Start of (unit -> unit)
@@ -239,12 +238,3 @@ let publish t reg =
 let reset_stats t =
   t.dispatched <- 0;
   Array.fill t.blocks 0 (Array.length t.blocks) 0
-
-let reset t =
-  if t.running then invalid_arg "Sched.reset: scheduler is running";
-  Mira_util.Min_heap.clear t.queue;
-  t.seq <- 0;
-  t.live <- 0;
-  t.dispatched <- 0;
-  Array.fill t.blocks 0 (Array.length t.blocks) 0;
-  Hashtbl.iter (fun _ c -> Clock.reset c) t.clocks

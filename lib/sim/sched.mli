@@ -33,13 +33,8 @@ type event = Clock.event =
   | Fence
   | Timer
 
-val ticks_per_ns : float
-(** 65536 — the fixed-point scale: 1 tick = 2{^-16} ns. *)
-
 val ticks_of_ns : float -> int64
 (** Nearest-tick conversion used for event-queue ordering keys. *)
-
-val ns_of_ticks : int64 -> float
 
 type t
 
@@ -50,9 +45,6 @@ val clock : t -> tenant:int -> Clock.t
     Clocks handed out before {!run} (setup), after it returns, or in a
     run with a single live task behave exactly like free-running
     clocks. *)
-
-val tenants : t -> int
-(** Number of tenant clocks created so far. *)
 
 val live : t -> int
 (** Spawned tasks that have not yet returned.  A telemetry sampler
@@ -96,8 +88,3 @@ val publish : t -> Mira_telemetry.Metrics.t -> unit
 val reset_stats : t -> unit
 (** Zero [dispatched] and the per-kind block counters without touching
     clocks or parked tasks (the runtime's [reset_timing] hook). *)
-
-val reset : t -> unit
-(** Drop parked tasks and counters and reset every tenant clock to 0
-    (between independent runs).  Raises [Invalid_argument] while
-    running. *)

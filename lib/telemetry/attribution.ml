@@ -103,7 +103,6 @@ let create () =
   }
 
 let set_enabled t on = t.enabled <- on
-let enabled t = t.enabled
 
 let set_context t ~fn ~site =
   t.ctx_fn <- fn;
@@ -242,11 +241,6 @@ let tenant_cause_fp t ~tenant cause =
     (fun k v acc ->
       if k.k_tenant = tenant && k.k_cause = idx then Int64.add acc !v else acc)
     t.cells 0L
-
-let tenants_seen t =
-  let seen = Hashtbl.create 8 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace seen k.k_tenant ()) t.cells;
-  Hashtbl.fold (fun tn () acc -> tn :: acc) seen [] |> List.sort compare
 
 let site_label site = if site < 0 then "-" else Printf.sprintf "site%d" site
 let tenant_label tn = if tn < 0 then "-" else Printf.sprintf "t%d" tn

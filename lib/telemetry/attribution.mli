@@ -29,19 +29,12 @@ val causes : cause list
 val cause_name : cause -> string
 (** Stable snake_case name, as used in metric names and flame stacks. *)
 
-val fp_of_ns : float -> int64
-(** Nanoseconds to ledger fixed point (2^-16 ns units). *)
-
-val ns_of_fp : int64 -> float
-
 val create : unit -> t
 (** A fresh, enabled ledger with empty context. *)
 
 val set_enabled : t -> bool -> unit
 (** When disabled, [charge] is a no-op; flipping this never touches
     simulated state. *)
-
-val enabled : t -> bool
 
 val set_context : t -> fn:string -> site:int -> unit
 (** Set the attribution context subsequent charges are keyed under:
@@ -106,20 +99,6 @@ val tenant_cause_fp : t -> tenant:int -> cause -> int64
 (** Exact fixed-point sum over all cells of one tenant and cause —
     e.g. [tenant_cause_fp t ~tenant Queueing] is the queue-stall
     bucket the interference matrix row must equal. *)
-
-val tenants_seen : t -> int list
-(** Distinct tenant keys with at least one cell, sorted ([-1] = the
-    not-tenant-bound context). *)
-
-val by_section : t -> (string * float * (cause * float) list) list
-(** Per-section rows: [(section, total_ns, per-cause breakdown)], in
-    deterministic order.  Likewise [by_site] ([site<N>] labels),
-    [by_function], and [by_tenant] ([t<N>] labels, ["-"] for
-    non-tenant-bound cells). *)
-
-val by_site : t -> (string * float * (cause * float) list) list
-val by_function : t -> (string * float * (cause * float) list) list
-val by_tenant : t -> (string * float * (cause * float) list) list
 
 val check : t -> (unit, string) result
 (** Double-entry audit: the cells must sum, per cause and in total, to

@@ -27,9 +27,6 @@ val validate : Trace.event list -> string list
     nonzero parents exist in the same trace and contain their children,
     and every flow start/end pair resolves to an emitted span. *)
 
-val spans_of_events : Trace.event list -> span list
-(** Completed spans, in end order.  Unmatched begins are dropped. *)
-
 type segment = Queue | Wire | Retry | Fill | Recovery | Local
 
 val segment_name : segment -> string
@@ -44,14 +41,11 @@ type decomposition = {
   d_spans : int;  (** spans walked in the containment tree *)
 }
 
-val decompose : span list -> root:span -> decomposition
-
-val root_of : span list -> trace:int -> span option
-(** The first-minted parentless span of [trace] — the originating
-    deref/fault rather than any later flow-linked child. *)
-
 val analyze : Trace.event list -> trace:int -> decomposition option
-(** [root_of] + [decompose] over reconstructed spans. *)
+(** Decompose [trace]'s root over the spans reconstructed from the
+    events: the first-minted parentless span of the trace (the
+    originating deref/fault rather than any later flow-linked child).
+    [None] when the trace has no completed root span. *)
 
 type exemplar_path = {
   p_hist : string;
@@ -63,8 +57,6 @@ val paths : Metrics.t -> Trace.event list -> exemplar_path list
 (** Decompositions for every traced exemplar of every histogram in the
     registry; untraced exemplars and traces whose spans were dropped
     are skipped. *)
-
-val decomposition_to_json : decomposition -> Json.t
 
 val report : Metrics.t -> Trace.event list -> Json.t
 (** [{dropped_events, schema_errors, exemplars: [{hist, value_ns, seq,

@@ -22,16 +22,11 @@
 
 type hist
 
-val nbuckets : int
-(** Number of quarter-octave histogram buckets (bucket [i] covers
-    [[2^(i/4), 2^((i+1)/4))] ns); shared by [Timeseries]' sparse
-    per-window histograms so window percentiles use the same scale. *)
-
 val bucket_of : float -> int
-(** Bucket index for a sample (clamped to [[0, nbuckets-1]]). *)
-
-val bucket_lo : int -> float
-(** Lower edge of bucket [i], in ns. *)
+(** Quarter-octave bucket index for a sample: bucket [i] covers
+    [[2^(i/4), 2^((i+1)/4))] ns, clamped to the bucket range.  Shared
+    by [Timeseries]' sparse per-window histograms so window percentiles
+    use the same scale. *)
 
 val bucket_hi : int -> float
 (** Upper edge of bucket [i] (the lower edge of bucket [i+1]). *)
@@ -60,7 +55,6 @@ val hist_exemplars : hist -> exemplar list
 
 val hist_count : hist -> int
 val hist_mean : hist -> float
-val hist_stddev : hist -> float
 val hist_min : hist -> float  (** 0 when empty *)
 
 val hist_max : hist -> float  (** 0 when empty *)

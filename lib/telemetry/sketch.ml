@@ -22,7 +22,6 @@ let create ~k =
   if k < 1 then invalid_arg (Printf.sprintf "Sketch.create: k = %d (need >= 1)" k);
   { k; tbl = Hashtbl.create (2 * k); total = 0L }
 
-let k t = t.k
 let total t = t.total
 
 (* Monitored-set minimum under the deterministic order: smallest count,
@@ -93,22 +92,3 @@ let merge_snapshots ~k a b =
 let reset t =
   Hashtbl.reset t.tbl;
   t.total <- 0L
-
-let to_json t =
-  Json.Obj
-    [
-      ("k", Json.Int t.k);
-      ("total", Json.Str (Int64.to_string t.total));
-      ("error_bound", Json.Str (Int64.to_string (error_bound t)));
-      ( "top",
-        Json.List
-          (List.map
-             (fun (key, count, err) ->
-               Json.Obj
-                 [
-                   ("key", Json.Str key);
-                   ("count", Json.Str (Int64.to_string count));
-                   ("err", Json.Str (Int64.to_string err));
-                 ])
-             (top t)) );
-    ]

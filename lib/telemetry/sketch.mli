@@ -18,8 +18,6 @@ type t
 val create : k:int -> t
 (** Raises [Invalid_argument] when [k < 1]. *)
 
-val k : t -> int
-
 val touch : ?weight:int64 -> t -> string -> unit
 (** Add [weight] (default 1; non-positive weights are ignored)
     occurrences of [key]. *)
@@ -47,4 +45,3 @@ val merge_snapshots :
     (the window-merge rule of the time-series ring). *)
 
 val reset : t -> unit
-val to_json : t -> Json.t

@@ -43,9 +43,7 @@ type window = {
 }
 
 type t = {
-  interval_ns : float;
   cap : int;
-  topk : int;
   mutable closed : window list;  (* newest first *)
   mutable nclosed : int;
   mutable cur : window;
@@ -62,24 +60,17 @@ let fresh_window ~start =
     w_tops = Hashtbl.create 4;
   }
 
-let create ?(cap = 256) ?(topk = 8) ~interval_ns () =
-  if not (interval_ns > 0.0) then
-    invalid_arg
-      (Printf.sprintf "Timeseries.create: interval_ns = %g (need > 0)"
-         interval_ns);
+let create ?(cap = 256) () =
   if cap < 2 then
     invalid_arg (Printf.sprintf "Timeseries.create: cap = %d (need >= 2)" cap);
   {
-    interval_ns;
     cap;
-    topk;
     closed = [];
     nclosed = 0;
     cur = fresh_window ~start:0.0;
     merges = 0;
   }
 
-let interval_ns t = t.interval_ns
 let merges t = t.merges
 
 (* --- recording into the current window ----------------------------------- *)
@@ -120,8 +111,11 @@ let set_top t name entries = Hashtbl.replace t.cur.w_tops name entries
 
 (* --- the bounded ring ---------------------------------------------------- *)
 
+(* Entries kept per name when two top-K snapshots merge. *)
+let topk = 8
+
 (* Merge [b] (the later window) into [a] (the earlier), in place. *)
-let merge_into topk a b =
+let merge_into a b =
   a.w_span <- a.w_span +. b.w_span;
   Hashtbl.iter
     (fun name v ->
@@ -170,7 +164,7 @@ let downsample t =
   let oldest_first = List.rev t.closed in
   let rec pair acc = function
     | a :: b :: rest ->
-      merge_into t.topk a b;
+      merge_into a b;
       pair (a :: acc) rest
     | [ last ] -> last :: acc
     | [] -> acc

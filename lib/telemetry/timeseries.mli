@@ -17,13 +17,9 @@
 
 type t
 
-val create : ?cap:int -> ?topk:int -> interval_ns:float -> unit -> t
-(** [cap] (default 256, min 2) bounds the closed-window ring; [topk]
-    (default 8) is the per-name entry budget used when merging top-K
-    snapshots.  Raises [Invalid_argument] on a non-positive
-    [interval_ns]. *)
-
-val interval_ns : t -> float
+val create : ?cap:int -> unit -> t
+(** [cap] (default 256, min 2) bounds the closed-window ring.  Merged
+    top-K snapshots keep the heaviest 8 entries per name. *)
 
 val add : t -> string -> int64 -> unit
 (** Add a (possibly negative) delta to a named counter in the current

@@ -85,7 +85,6 @@ let new_span () =
   sink.next_span <- sink.next_span + 1;
   sink.next_span
 
-let span_seq () = sink.next_span
 let current_ctx () = sink.ctx
 let set_ctx c = sink.ctx <- c
 
@@ -304,9 +303,3 @@ let to_jsonl () =
              ] );
        ]);
   Buffer.contents buf
-
-let write_jsonl path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl ()))

@@ -76,11 +76,6 @@ val new_trace : unit -> int
 val new_span : unit -> int
 (** Fresh nonzero span id (reset by [enable]/[clear]). *)
 
-val span_seq : unit -> int
-(** Current span-id high-water mark.  Snapshot before running an
-    access and compare after to learn whether any child spans were
-    created (used for conditional root emission). *)
-
 val current_ctx : unit -> span_ctx option
 (** Ambient context of the access being executed, if any. *)
 
@@ -127,18 +122,9 @@ val flow_end :
 val events : unit -> event list
 (** Buffered events, oldest first. *)
 
-val event_to_json : lanes:(string * int) list -> event -> Json.t
-(** One Chrome trace_event object; [lanes] maps lane names to numeric
-    tids.  [Begin]/[End] render as async [ph:"b"]/[ph:"e"] with the
-    hex trace id as ["id"] and [span]/[parent] injected into [args];
-    flows render as [ph:"s"]/[ph:"f"] with the hex span id. *)
-
 val to_jsonl : unit -> string
 (** The buffered trace as JSONL: one [thread_name] metadata record per
     lane, then one event per line, and a final [mira_trace_summary]
     metadata record carrying the drop count.  Loadable by Perfetto and
     [chrome://tracing] (after wrapping in a JSON array; see
     docs/OBSERVABILITY.md). *)
-
-val write_jsonl : string -> unit
-(** [write_jsonl path] writes [to_jsonl ()] to [path]. *)

@@ -28,8 +28,6 @@ let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (raw /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -37,7 +35,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

@@ -16,9 +16,6 @@ val median : float array -> float
 val geomean : float array -> float
 (** Geometric mean of positive values; 0 on the empty array. *)
 
-val sum : float array -> float
-(** Sum of all elements. *)
-
 val min_max : float array -> float * float
 (** Minimum and maximum.  Raises [Invalid_argument] on the empty array. *)
 

@@ -4,9 +4,6 @@ let create ~header = { header; rows = [] }
 
 let add_row t row = t.rows <- row :: t.rows
 
-let cell_f x = Printf.sprintf "%.3f" x
-let cell_pct x = Printf.sprintf "%.1f%%" (x *. 100.0)
-
 let pad width s =
   let len = String.length s in
   if len >= width then s else s ^ String.make (width - len) ' '

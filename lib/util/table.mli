@@ -16,9 +16,3 @@ val render : t -> string
 
 val print : t -> unit
 (** [render] to stdout, followed by a newline. *)
-
-val cell_f : float -> string
-(** Format a float cell with 3 significant decimals ("12.345"). *)
-
-val cell_pct : float -> string
-(** Format a ratio as a percentage cell ("42.1%"). *)

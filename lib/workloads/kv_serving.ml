@@ -106,8 +106,8 @@ let runtime_config cfg =
   let far_capacity =
     (2 * page) + (cfg.tenants * (round_up (data_bytes cfg) page + page))
   in
-  Runtime.Config.make ~local_budget ~far_capacity
-  |> Runtime.Config.with_tenants cfg.tenants
+  { (Runtime.config_default ~local_budget ~far_capacity) with
+    Runtime.tenants = cfg.tenants }
 
 (* Zipfian popularity: rank r (0-based) has weight (r+1)^-s.  Ranks are
    mapped onto key indices through a seed-deterministic permutation so
@@ -174,10 +174,11 @@ let serving_lane i = Printf.sprintf "serving.t%d" i
    timeline attached is byte-identical (checksum, latencies, report)
    to one without. *)
 module Timeline = struct
+  (* A window "burns" when its SLO-miss fraction exceeds this. *)
+  let burn_threshold = 0.01
+
   type t = {
     interval : float;
-    burn_threshold : float;  (* a window "burns" when miss_frac exceeds it *)
-    topk : int;
     ts : Timeseries.t;
     keys : Sketch.t;  (* hot keys of the current window; reset per boundary *)
     (* wired by [attach], before the sampler runs *)
@@ -192,16 +193,13 @@ module Timeline = struct
     prev_ifr : (int * int, int64) Hashtbl.t;
   }
 
-  let make ?(interval_ns = 250_000.0) ?(cap = 256) ?(burn_threshold = 0.01)
-      ?(topk = 8) () =
-    if not (burn_threshold >= 0.0) then
-      fail "Timeline: burn_threshold must be >= 0 (got %g)" burn_threshold;
+  let make ?(interval_ns = 250_000.0) () =
+    if not (interval_ns > 0.0) then
+      fail "Timeline: interval_ns must be > 0 (got %g)" interval_ns;
     {
       interval = interval_ns;
-      burn_threshold;
-      topk;
-      ts = Timeseries.create ~cap ~topk ~interval_ns ();
-      keys = Sketch.create ~k:topk;
+      ts = Timeseries.create ();
+      keys = Sketch.create ~k:8;
       net = None;
       miss_sites = None;
       bandwidth = 0.0;
@@ -244,10 +242,10 @@ module Timeline = struct
       cur
     |> List.sort entry_order
 
-  (* Close the window ending at [now]: sample the net, convert the
-     cumulative counters (bytes, interference cells, miss sites) into
-     per-window deltas, install the top-K snapshots, and roll. *)
-  let boundary t ~now =
+  (* Sample the net and convert the cumulative counters (bytes,
+     interference cells, miss sites) into deltas for the current
+     window. *)
+  let capture t ~now =
     (match t.net with
     | None -> ()
     | Some net ->
@@ -268,13 +266,18 @@ module Timeline = struct
             Hashtbl.replace t.prev_ifr (w, h) fp
           end)
         (Net.Interference.cells (Net.interference net)));
-    (match t.miss_sites with
+    match t.miss_sites with
     | None -> ()
     | Some sk ->
       let cur = Sketch.snapshot sk in
       let delta = diff_snapshot t.prev_miss_sites cur in
       if delta <> [] then Timeseries.set_top t.ts "miss_sites" delta;
-      t.prev_miss_sites <- cur);
+      t.prev_miss_sites <- cur
+
+  (* Close the window ending at [now]: capture the deltas, install the
+     hot-key snapshot, and roll. *)
+  let boundary t ~now =
+    capture t ~now;
     let keys = Sketch.snapshot t.keys in
     if keys <> [] then Timeseries.set_top t.ts "keys" keys;
     Sketch.reset t.keys;
@@ -289,33 +292,7 @@ module Timeline = struct
     if keys <> [] then begin
       Timeseries.set_top t.ts "keys" keys;
       Sketch.reset t.keys;
-      (match t.miss_sites with
-      | None -> ()
-      | Some sk ->
-        let cur = Sketch.snapshot sk in
-        let delta = diff_snapshot t.prev_miss_sites cur in
-        if delta <> [] then Timeseries.set_top t.ts "miss_sites" delta;
-        t.prev_miss_sites <- cur);
-      (match t.net with
-      | None -> ()
-      | Some net ->
-        Timeseries.sample t.ts "net.inflight"
-          (float_of_int (Net.in_flight net ~now));
-        let s = Net.stats net in
-        let bytes = s.Net.bytes_in + s.Net.bytes_out in
-        Timeseries.add t.ts "net.bytes" (Int64.of_int (bytes - t.prev_bytes));
-        t.prev_bytes <- bytes;
-        List.iter
-          (fun (w, h, fp) ->
-            let prev =
-              Option.value ~default:0L (Hashtbl.find_opt t.prev_ifr (w, h))
-            in
-            let d = Int64.sub fp prev in
-            if d > 0L then begin
-              Timeseries.add t.ts (Printf.sprintf "ifr.%d.%d" w h) d;
-              Hashtbl.replace t.prev_ifr (w, h) fp
-            end)
-          (Net.Interference.cells (Net.interference net)))
+      capture t ~now
     end;
     Timeseries.finish t.ts ~now_ns:now
 
@@ -336,7 +313,7 @@ module Timeline = struct
     let req, miss = window_requests t s in
     if req = 0L then 0.0 else Int64.to_float miss /. Int64.to_float req
 
-  let burning t s = miss_frac t s > t.burn_threshold
+  let burning t s = miss_frac t s > burn_threshold
 
   let wire_busy t s =
     if t.bandwidth > 0.0 && s.Timeseries.s_span_ns > 0.0 then
@@ -489,7 +466,7 @@ module Timeline = struct
         ("nwindows", Json.Int (Timeseries.nwindows t.ts));
         ("merges", Json.Int (Timeseries.merges t.ts));
         ("window_cap", Json.Int t.window_cap);
-        ("burn_threshold", Json.Float t.burn_threshold);
+        ("burn_threshold", Json.Float burn_threshold);
         ("sat_onset_ns", opt_ns (saturation_onset_ns t));
         ("first_burn_ns", opt_ns (first_burn_ns t));
         ("tenant_rows", Json.Obj rows);

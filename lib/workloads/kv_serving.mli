@@ -103,14 +103,12 @@ type report = {
 module Timeline : sig
   type t
 
-  val make :
-    ?interval_ns:float -> ?cap:int -> ?burn_threshold:float -> ?topk:int ->
-    unit -> t
-  (** Defaults: 250 us windows, a 256-window ring (older windows merge
-      pairwise when it fills — see {!Mira_telemetry.Timeseries}), burn
-      threshold 0.01, top-8 sketches. *)
-
-  val interval_ns : t -> float
+  val make : ?interval_ns:float -> unit -> t
+  (** [interval_ns] defaults to 250 us windows (raises
+      [Invalid_argument] unless positive).  The ring holds 256
+      windows (older windows merge pairwise when it fills — see
+      {!Mira_telemetry.Timeseries}), a window burns when more than 1%
+      of its requests miss the SLO, and the sketches keep the top 8. *)
 
   val saturation_onset_ns : t -> float option
   (** Start of the first saturated window (after the run). *)

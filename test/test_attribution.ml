@@ -227,8 +227,8 @@ let run_workload spec =
   let prog = Mira_workloads.Micro_sum.build micro_cfg in
   let rt =
     Runtime.create
-      Runtime.Config.(
-        make ~local_budget:(far / 4) ~far_capacity |> with_cluster spec)
+      { (Runtime.config_default ~local_budget:(far / 4) ~far_capacity) with
+        Runtime.cluster = spec }
   in
   let ms = Runtime.memsys rt in
   let measured =
@@ -282,7 +282,7 @@ let test_attribution_off_identical () =
     let far_capacity = Mira_util.Misc.round_up (4 * far) 4096 in
     let prog = Mira_workloads.Micro_sum.build micro_cfg in
     let rt =
-      Runtime.create Runtime.Config.(make ~local_budget:(far / 4) ~far_capacity)
+      Runtime.create (Runtime.config_default ~local_budget:(far / 4) ~far_capacity)
     in
     Attribution.set_enabled (Runtime.attribution rt) attr_on;
     let ms = Runtime.memsys rt in

@@ -24,7 +24,7 @@ let test_all_systems_agree () =
           ~local_budget:budget ~far_capacity () );
       ( "mira-swap",
         Mira_runtime.Runtime.(
-          memsys (create (Config.make ~local_budget:budget ~far_capacity))) );
+          memsys (create (config_default ~local_budget:budget ~far_capacity))) );
     ]
   in
   List.iter

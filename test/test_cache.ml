@@ -110,7 +110,7 @@ let test_section_discard_range () =
 
 let test_swap_basic () =
   let net, far, clock = make_env () in
-  let sw = Swap.create net far { Swap.page = 4096; capacity = 16384; side = Net.One_sided } in
+  let sw = Swap.create net far { Swap.page = 4096; capacity = 16384 } in
   Swap.store sw ~clock ~addr:100 ~len:8 13L;
   Alcotest.(check int64) "read" 13L (Swap.load sw ~clock ~addr:100 ~len:8);
   let st = Swap.stats sw in
@@ -119,7 +119,7 @@ let test_swap_basic () =
 
 let test_swap_eviction_and_writeback () =
   let net, far, clock = make_env () in
-  let sw = Swap.create net far { Swap.page = 4096; capacity = 8192; side = Net.One_sided } in
+  let sw = Swap.create net far { Swap.page = 4096; capacity = 8192 } in
   Swap.store sw ~clock ~addr:0 ~len:8 1L;
   Swap.store sw ~clock ~addr:4096 ~len:8 2L;
   Swap.store sw ~clock ~addr:8192 ~len:8 3L;  (* evicts a dirty page *)
@@ -132,7 +132,7 @@ let test_swap_eviction_and_writeback () =
 let test_swap_hinted_victims () =
   let net, far, clock = make_env () in
   let sw =
-    Swap.create net far { Swap.page = 4096; capacity = 8 * 4096; side = Net.One_sided }
+    Swap.create net far { Swap.page = 4096; capacity = 8 * 4096 }
   in
   let load page = ignore (Swap.load sw ~clock ~addr:(page * 4096) ~len:8) in
   let resident page = Swap.resident sw ~addr:(page * 4096) in
@@ -152,7 +152,7 @@ let test_swap_hinted_victims () =
 
 let test_swap_readahead () =
   let net, far, clock = make_env () in
-  let sw = Swap.create net far { Swap.page = 4096; capacity = 65536; side = Net.One_sided } in
+  let sw = Swap.create net far { Swap.page = 4096; capacity = 65536 } in
   Swap.set_readahead sw (fun pno -> [ pno + 1; pno + 2 ]);
   ignore (Swap.load sw ~clock ~addr:0 ~len:8);
   Alcotest.(check bool) "readahead pages present" true
@@ -162,7 +162,7 @@ let test_swap_readahead () =
 
 let test_swap_resize () =
   let net, far, clock = make_env () in
-  let sw = Swap.create net far { Swap.page = 4096; capacity = 65536; side = Net.One_sided } in
+  let sw = Swap.create net far { Swap.page = 4096; capacity = 65536 } in
   Swap.store sw ~clock ~addr:0 ~len:8 9L;
   Swap.resize sw ~capacity:8192 ~clock;
   Alcotest.(check int) "capacity updated" 8192 (Swap.capacity_bytes sw);
@@ -175,7 +175,7 @@ let test_swap_resize () =
    writebacks: same clock, statistics, bytes on the wire and data. *)
 let test_swap_resize_reuses_frames () =
   let page = 4096 in
-  let cfg capacity = { Swap.page; capacity; side = Net.One_sided } in
+  let cfg capacity = { Swap.page; capacity } in
   let capacities = [ 16 * page; 3 * page; 24 * page; 8 * page; 8 * page ] in
   let workload sw clock ~seed =
     let sum = ref 0L in
@@ -227,7 +227,7 @@ let test_swap_prefetch_past_capacity () =
     let net = Net.create Params.default in
     let far = Cluster.of_store (Far_store.create ~capacity:(16 * 4096)) in
     let sw =
-      Swap.create net far { Swap.page = 4096; capacity = 65536; side = Net.One_sided }
+      Swap.create net far { Swap.page = 4096; capacity = 65536 }
     in
     (sw, Clock.create ())
   in
@@ -287,7 +287,7 @@ let test_transfer_under_ec () =
       (Section.load s, Section.store s, Section.flush_range s));
   check "swap" (fun net far ledger ->
       let sw =
-        Swap.create net far { Swap.page = line; capacity = 4 * line; side = Net.One_sided }
+        Swap.create net far { Swap.page = line; capacity = 4 * line }
       in
       Swap.set_attribution sw ledger;
       (Swap.load sw, Swap.store sw, Swap.flush_range sw))
@@ -393,7 +393,7 @@ let test_payload_redundant () =
 
 let test_manager_budget () =
   let net, far, clock = make_env () in
-  let m = Manager.create net far ~budget:65536 ~page:4096 ~side:Net.One_sided in
+  let m = Manager.create net far ~budget:65536 ~page:4096 in
   let cfg = cfg_of Section.Direct ~line:64 ~size:16384 in
   (match Manager.add_section m ~clock cfg with
   | Ok _ -> ()
@@ -408,7 +408,7 @@ let test_manager_budget () =
 
 let test_manager_routing () =
   let net, far, clock = make_env () in
-  let m = Manager.create net far ~budget:65536 ~page:4096 ~side:Net.One_sided in
+  let m = Manager.create net far ~budget:65536 ~page:4096 in
   (match Manager.add_section m ~clock (cfg_of Section.Direct ~line:64 ~size:8192) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
@@ -484,7 +484,7 @@ let coherence_swap =
     (fun ops ->
       let net, far, clock = make_env () in
       let sw =
-        Swap.create net far { Swap.page = 4096; capacity = 16384; side = Net.One_sided }
+        Swap.create net far { Swap.page = 4096; capacity = 16384 }
       in
       let reference = Hashtbl.create 64 in
       let ok = ref true in

@@ -341,7 +341,7 @@ let test_crash_during_end_section () =
          [ { Cluster.ev_node = 0; ev_at = 10.0; ev_down_for = 1e4 } ])
   in
   let mgr =
-    Manager.create net cluster ~budget:65536 ~page:4096 ~side:Net.One_sided
+    Manager.create net cluster ~budget:65536 ~page:4096
   in
   let clock = Clock.create () in
   let cfg = Section.config_default ~sec_id:1 ~name:"s" ~line:64 ~size:4096 in
@@ -377,8 +377,8 @@ let run_workload spec =
   let prog = Mira_workloads.Micro_sum.build micro_cfg in
   let rt =
     Runtime.create
-      Runtime.Config.(
-        make ~local_budget:(far / 4) ~far_capacity |> with_cluster spec)
+      { (Runtime.config_default ~local_budget:(far / 4) ~far_capacity) with
+        Runtime.cluster = spec }
   in
   let ms = Runtime.memsys rt in
   let measured =

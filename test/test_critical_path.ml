@@ -37,7 +37,7 @@ let traced_run recipe =
   Trace.enable ();
   let rt =
     Runtime.create
-      (Runtime.Config.make ~local_budget:(16 * 4096)
+      (Runtime.config_default ~local_budget:(16 * 4096)
          ~far_capacity:R.far_capacity)
   in
   let _v = R.run_on (Runtime.memsys rt) prog in

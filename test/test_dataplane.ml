@@ -171,16 +171,18 @@ let test_coalescing_key_change_rings () =
   Alcotest.(check int) "one rider" 1 s.Net.coalesced
 
 let test_coalesce_limit () =
-  let dp = { Net.dp_default with Net.coalesce = true; Net.coalesce_limit = 2 } in
+  let dp = { Net.dp_default with Net.coalesce = true } in
   let net = Net.create ~dp p in
-  for _ = 1 to 5 do
+  for _ = 1 to 33 do
     ignore
       (Net.submit net ~now:0.0
          (Net.Request.read ~side:Net.One_sided ~purpose:Net.Prefetch 64))
   done;
   Net.ring net ~now:0.0;
-  (* 5 submissions at limit 2 -> batches of 2/2/1. *)
-  Alcotest.(check int) "three doorbells" 3 (Net.stats net).Net.doorbells
+  (* 33 submissions at the cap of 16 -> batches of 16/16/1. *)
+  let s = Net.stats net in
+  Alcotest.(check int) "three doorbells" 3 s.Net.doorbells;
+  Alcotest.(check int) "15 riders per full batch" 30 s.Net.coalesced
 
 let faulty ?(drop = 0.3) ?(seed = 11) ?(max_retries = 3) () =
   { Net.dp_default with
@@ -272,7 +274,7 @@ let test_swap_readahead_coalesces () =
     let far = Mira_sim.Cluster.of_store (Far_store.create ~capacity:(1 lsl 20)) in
     let swap =
       Swap.create net far
-        { Swap.page = 4096; capacity = 8 * 4096; side = Net.One_sided }
+        { Swap.page = 4096; capacity = 8 * 4096 }
     in
     Swap.set_readahead swap (fun pno -> List.init 7 (fun i -> pno + i + 1));
     let clock = Clock.create () in

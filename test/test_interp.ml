@@ -210,7 +210,7 @@ let test_parfor_speedup () =
   let time threads =
     let ms =
       Mira_runtime.Runtime.(
-        memsys (create (Config.make ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22))))
+        memsys (create (config_default ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22))))
     in
     let m = Machine.create ~nthreads:threads ms prog in
     snd (Machine.run_timed m)
@@ -257,7 +257,7 @@ let test_offload_rpc () =
      order (oacc=0, oarr=1). Run on the Mira runtime with offload honored. *)
   let ms =
     Mira_runtime.Runtime.(
-      memsys (create (Config.make ~local_budget:(1 lsl 16) ~far_capacity:(1 lsl 20))))
+      memsys (create (config_default ~local_budget:(1 lsl 16) ~far_capacity:(1 lsl 20))))
   in
   let m = Machine.create ~honor_offload:true ms prog in
   (match Machine.run m with

@@ -188,7 +188,7 @@ let test_native_deref_marks () =
 let run_sectioned compiled sections =
   let rt =
     Mira_runtime.Runtime.create
-      (Mira_runtime.Runtime.Config.make ~local_budget:(1 lsl 17)
+      (Mira_runtime.Runtime.config_default ~local_budget:(1 lsl 17)
          ~far_capacity:(1 lsl 22))
   in
   let mgr = Mira_runtime.Runtime.manager rt in

@@ -316,7 +316,7 @@ let qcheck_systems_agree =
       let budget = 16 * 4096 in
       let swap =
         Mira_runtime.Runtime.(
-          memsys (create (Config.make ~local_budget:budget ~far_capacity)))
+          memsys (create (config_default ~local_budget:budget ~far_capacity)))
       in
       let fs =
         Mira_baselines.Fastswap.create ~local_budget:budget ~far_capacity ()
@@ -370,7 +370,7 @@ let per_line r st = 256 / (8 * List.nth r.records st.s_arr * st.s_step)
 let run_sectioned ?(planned = fun _ -> None) compiled =
   let module Rt = Mira_runtime.Runtime in
   let module Section = Mira_cache.Section in
-  let rt = Rt.create (Rt.Config.make ~local_budget:(16 * 4096) ~far_capacity) in
+  let rt = Rt.create (Rt.config_default ~local_budget:(16 * 4096) ~far_capacity) in
   let mgr = Rt.manager rt in
   let clock = Mira_sim.Clock.create () in
   List.iteri

@@ -1,6 +1,5 @@
-(* Tests for the runtime layer: pointer encoding, the buffering local
-   allocator, profiling counters, and the section-based memory system. *)
-module Rptr = Mira_runtime.Rptr
+(* Tests for the runtime layer: the buffering local allocator,
+   profiling counters, and the section-based memory system. *)
 module Local_alloc = Mira_runtime.Local_alloc
 module Profile = Mira_runtime.Profile
 module Runtime = Mira_runtime.Runtime
@@ -9,41 +8,6 @@ module Manager = Mira_cache.Manager
 module Section = Mira_cache.Section
 module Swap = Mira_cache.Swap_section
 module Remote_alloc = Mira_sim.Remote_alloc
-
-let test_rptr_roundtrip () =
-  let cases = [ (0, 0); (1, 0); (42, 123456); (Rptr.max_section, Rptr.max_offset) ] in
-  List.iter
-    (fun (section, offset) ->
-      let v = Rptr.encode ~section ~offset in
-      Alcotest.(check int) "section" section (Rptr.section v);
-      Alcotest.(check int) "offset" offset (Rptr.offset v))
-    cases
-
-let test_rptr_local () =
-  let v = Rptr.encode_local 999 in
-  Alcotest.(check bool) "local" true (Rptr.is_local v);
-  Alcotest.(check int) "addr" 999 (Rptr.offset v);
-  let remote = Rptr.encode ~section:5 ~offset:10 in
-  Alcotest.(check bool) "remote" false (Rptr.is_local remote)
-
-let test_rptr_bounds () =
-  Alcotest.(check bool) "section too big" true
-    (try
-       ignore (Rptr.encode ~section:(Rptr.max_section + 1) ~offset:0);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "offset too big" true
-    (try
-       ignore (Rptr.encode ~section:0 ~offset:(Rptr.max_offset + 1));
-       false
-     with Invalid_argument _ -> true)
-
-let qcheck_rptr =
-  QCheck.Test.make ~name:"rptr roundtrip" ~count:1000
-    QCheck.(pair (int_bound Rptr.max_section) (int_bound 1_000_000_000))
-    (fun (section, offset) ->
-      let v = Rptr.encode ~section ~offset in
-      Rptr.section v = section && Rptr.offset v = offset)
 
 let test_local_alloc_buffers () =
   let remote = Remote_alloc.create ~base:0 ~limit:(1 lsl 20) in
@@ -110,10 +74,13 @@ let test_profile_selection () =
   | [ s ] -> Alcotest.(check int) "costliest site" 1 s
   | other -> Alcotest.failf "expected 1 site, got %d" (List.length other)
 
+(* Readahead off, so each test sees only the pages it touches. *)
 let make_runtime ?(budget = 1 lsl 16) () =
-  Runtime.create
-    Runtime.Config.(
-      make ~local_budget:budget ~far_capacity:(1 lsl 20) |> with_readahead 0)
+  let rt =
+    Runtime.create (Runtime.config_default ~local_budget:budget ~far_capacity:(1 lsl 20))
+  in
+  Swap.set_readahead (Manager.swap (Runtime.manager rt)) (fun _ -> []);
+  rt
 
 let test_runtime_alloc_load_store () =
   let rt = make_runtime () in
@@ -375,12 +342,38 @@ let test_runtime_no_page_sharing () =
   Alcotest.(check int64) "site2 intact" 2L
     (ms.Memsys.load ~tid:0 ~ptr:p2 ~len:8 ~native:false)
 
+(* The swap page is the cost model's page: a runtime built with 8 KiB
+   pages swaps and segregates allocations at 8 KiB. *)
+let test_runtime_page_from_params () =
+  let params = { Mira_sim.Params.default with Mira_sim.Params.page_size = 8192 } in
+  let rt =
+    Runtime.create
+      { (Runtime.config_default ~local_budget:(1 lsl 16) ~far_capacity:(1 lsl 20)) with
+        Runtime.params }
+  in
+  let swap = Manager.swap (Runtime.manager rt) in
+  Alcotest.(check int) "swap page" 8192 (Swap.config swap).Swap.page;
+  let ms = Runtime.memsys rt in
+  let p1 = ms.Memsys.alloc ~tid:0 ~site:1 ~bytes:24 ~heap:true in
+  let p2 = ms.Memsys.alloc ~tid:0 ~site:2 ~bytes:24 ~heap:true in
+  Alcotest.(check int) "allocations one page apart" 8192
+    (p2.Memsys.addr - p1.Memsys.addr);
+  ms.Memsys.store ~tid:0 ~ptr:p2 ~len:8 ~native:false ~value:9L;
+  Alcotest.(check int) "one fault for the page" 1 (Swap.stats swap).Swap.faults;
+  (* the faulting page and the rest of its 8-page readahead cluster *)
+  Alcotest.(check int) "8 KiB per page fetched" (8 * 8192)
+    (Swap.stats swap).Swap.bytes_fetched
+
+let test_runtime_rejects_zero_tenants () =
+  Alcotest.check_raises "tenants 0"
+    (Invalid_argument "Runtime.create: 0 tenants (need >= 1)") (fun () ->
+      ignore
+        (Runtime.create
+           { (Runtime.config_default ~local_budget:(1 lsl 16) ~far_capacity:(1 lsl 20)) with
+             Runtime.tenants = 0 }))
+
 let suite =
   [
-    Alcotest.test_case "rptr roundtrip" `Quick test_rptr_roundtrip;
-    Alcotest.test_case "rptr local" `Quick test_rptr_local;
-    Alcotest.test_case "rptr bounds" `Quick test_rptr_bounds;
-    QCheck_alcotest.to_alcotest qcheck_rptr;
     Alcotest.test_case "local_alloc buffers" `Quick test_local_alloc_buffers;
     Alcotest.test_case "local_alloc reuse" `Quick test_local_alloc_reuse;
     Alcotest.test_case "local_alloc fallback" `Quick test_local_alloc_fallback;
@@ -394,6 +387,9 @@ let suite =
     Alcotest.test_case "runtime reset timing" `Quick test_runtime_reset_timing;
     Alcotest.test_case "runtime private sections" `Quick test_runtime_private_sections;
     Alcotest.test_case "runtime page segregation" `Quick test_runtime_no_page_sharing;
+    Alcotest.test_case "runtime page from params" `Quick test_runtime_page_from_params;
+    Alcotest.test_case "runtime rejects zero tenants" `Quick
+      test_runtime_rejects_zero_tenants;
     Alcotest.test_case "runtime route invalidation" `Quick
       test_runtime_route_invalidation;
     Alcotest.test_case "runtime private route invalidation" `Quick

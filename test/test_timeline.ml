@@ -77,7 +77,7 @@ let test_sketch_merge () =
 (* --- windowed time-series ------------------------------------------------- *)
 
 let test_timeseries_telescoping () =
-  let ts = Timeseries.create ~interval_ns:100.0 () in
+  let ts = Timeseries.create () in
   Timeseries.add ts "reqs" 3L;
   Timeseries.sample ts "occ" 2.0;
   Timeseries.sample ts "occ" 6.0;
@@ -111,7 +111,7 @@ let test_timeseries_telescoping () =
   | [] -> Alcotest.fail "no windows")
 
 let test_timeseries_percentiles () =
-  let ts = Timeseries.create ~interval_ns:100.0 () in
+  let ts = Timeseries.create () in
   (* a single observation: every percentile clamps to the exact max *)
   Timeseries.observe ts "lat" 777.0;
   Timeseries.roll ts ~now_ns:100.0;
@@ -136,7 +136,7 @@ let test_timeseries_percentiles () =
   | ws -> Alcotest.failf "expected 2 windows, got %d" (List.length ws)
 
 let test_timeseries_downsample () =
-  let ts = Timeseries.create ~cap:4 ~interval_ns:10.0 () in
+  let ts = Timeseries.create ~cap:4 () in
   for i = 1 to 16 do
     Timeseries.add ts "c" 1L;
     Timeseries.observe ts "lat" 50.0;
@@ -256,9 +256,8 @@ let small_cfg ?(tenants = 3) ?(requests = 150) ?(seed = 7) () =
 
 let run_with_window ?timeline cfg window =
   let rt_cfg =
-    K.runtime_config cfg
-    |> Runtime.Config.with_dataplane
-         { Net.dp_default with Net.window }
+    { (K.runtime_config cfg) with
+      Runtime.dataplane = { Net.dp_default with Net.window } }
   in
   let rt = Runtime.create rt_cfg in
   let r = K.run_on ?timeline rt cfg in

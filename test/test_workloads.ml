@@ -51,7 +51,7 @@ let test_results_system_independent () =
       let budget = 1 lsl 16 in
       let swap =
         Mira_runtime.Runtime.(
-          memsys (create (Config.make ~local_budget:budget ~far_capacity)))
+          memsys (create (config_default ~local_budget:budget ~far_capacity)))
       in
       let got = Machine.run (Machine.create swap p) in
       Alcotest.(check bool) (name ^ " matches") true (Value.equal expected got))
@@ -141,7 +141,7 @@ let test_micro_sum () =
   Alcotest.(check bool) "sum" true (Value.equal v (Value.Vint expected));
   let swap =
     Mira_runtime.Runtime.(
-      memsys (create (Config.make ~local_budget:8192 ~far_capacity:(1 lsl 20))))
+      memsys (create (config_default ~local_budget:8192 ~far_capacity:(1 lsl 20))))
   in
   Alcotest.(check bool) "swap agrees" true
     (Value.equal v (Machine.run (Machine.create swap p)))
