@@ -25,15 +25,10 @@ let df_cfg = { D.config_default with D.rows = 40_000; groups = 20_000 }
 let mcf_cfg = { M.config_default with M.num_nodes = 5_000; num_arcs = 30_000; rounds = 2 }
 let gpt_cfg = { Gpt.config_default with Gpt.layers = 6; d_model = 32; seq = 16 }
 
-let gpt_params =
-  (* vectorized inference compute (see EXPERIMENTS.md) *)
-  { Mira_sim.Params.default with Mira_sim.Params.native_op_ns = 0.05; native_mem_ns = 0.3 }
-
 let ratios_wide = [ 0.15; 0.2; 0.3; 0.5; 0.8; 1.0 ]
 let ratios_narrow = [ 0.12; 0.2; 0.3; 0.5 ]
 
 let mira_default o = o
-let graph_aifm prog site = max 128 (Wu.elem_gran prog site)
 
 (* --- manual-section runner (deep-dive figures) --------------------------- *)
 
@@ -97,7 +92,7 @@ let graph_figure () =
 let fig5 () =
   let ctx, far, title = graph_figure () in
   sweep ctx ~far_bytes:far ~ratios:ratios_wide
-    ~systems:[ Fastswap; Leap; Aifm graph_aifm; Mira_sys mira_default ]
+    ~systems:[ Fastswap; Leap; Aifm G.aifm_gran; Mira_sys mira_default ]
     ~title
 
 (* --- Figure 6: effect of Mira techniques (cumulative) -------------------- *)
@@ -442,7 +437,7 @@ let fig17 () =
   let far = Gpt.far_bytes gpt_cfg in
   let ctx =
     Ctx.make ~far_bytes:far prog
-    |> Ctx.with_params gpt_params |> Ctx.with_iterations 4
+    |> Ctx.with_params Gpt.params |> Ctx.with_iterations 4
   in
   sweep ctx ~far_bytes:far ~ratios:ratios_narrow
     ~systems:[ Fastswap; Leap; Mira_sys mira_default ]
@@ -734,7 +729,7 @@ let fig24 () =
   let prog = Gpt.build cfg in
   thread_sweep
     ~title:"Figure 24: GPT-2 multithreaded scaling (read-only sharing)"
-    ~prog ~far:(Gpt.far_bytes cfg) ~params:gpt_params ~ratio:0.3
+    ~prog ~far:(Gpt.far_bytes cfg) ~params:Gpt.params ~ratio:0.3
     ~systems:[ Fastswap; Mira_sys mira_default ]
     ()
 

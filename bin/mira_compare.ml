@@ -24,8 +24,7 @@ let workload_of = function
     let module W = Mira_workloads.Graph_traversal in
     let cfg = W.config_default in
     { name = "graph"; program = W.build cfg; far_bytes = W.far_bytes cfg;
-      aifm_gran = (fun p s -> max 128 (Mira_workloads.Workload_util.elem_gran p s));
-      params = Mira_sim.Params.default }
+      aifm_gran = W.aifm_gran; params = Mira_sim.Params.default }
   | "dataframe" ->
     let module W = Mira_workloads.Dataframe in
     let cfg = W.config_default in
@@ -40,10 +39,7 @@ let workload_of = function
     let module W = Mira_workloads.Gpt2 in
     let cfg = { W.config_default with W.layers = 6; d_model = 32; seq = 16 } in
     { name = "gpt2"; program = W.build cfg; far_bytes = W.far_bytes cfg;
-      aifm_gran = W.aifm_gran;
-      params =
-        { Mira_sim.Params.default with Mira_sim.Params.native_op_ns = 0.05;
-          native_mem_ns = 0.3 } }
+      aifm_gran = W.aifm_gran; params = W.params }
   | other -> failwith ("unknown workload: " ^ other)
 
 (* CLI validation failures exit 2 with a usage line (never an uncaught

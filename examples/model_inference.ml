@@ -52,10 +52,7 @@ let () =
   (* 2. run it out of far memory, small local budget *)
   let far_capacity = 4 * far_bytes in
   let budget = max (12 * 4096) (far_bytes / 4) in
-  let params =
-    { Mira_sim.Params.default with Mira_sim.Params.native_op_ns = 0.05;
-      native_mem_ns = 0.3 }
-  in
+  let params = Gpt.params in
   let measured = Mira_passes.Instrument.run_only prog ~names:[ "work" ] in
   let time name ms =
     let machine = Machine.create ~seed:3 ms measured in

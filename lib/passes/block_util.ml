@@ -24,3 +24,5 @@ let defined_regs block =
 let operand_defined_in defs = function
   | Ir.Oreg r -> Hashtbl.mem defs r
   | Ir.Oint _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit -> false
+
+let remote_meta site = { Ir.am_site = site; am_remote = true; am_native = false }

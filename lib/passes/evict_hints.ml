@@ -6,8 +6,6 @@ module Lifetime = Mira_analysis.Lifetime
    close enough that dead lines free space promptly. *)
 let behind_distance ~line ~elem = (2 * line / max 1 elem) + 8
 
-let remote_meta site = { Ir.am_site = site; am_remote = true; am_native = false }
-
 (* Flush [line] bytes from element [d = at - dist] of [g]'s object if
    [d >= lo]. *)
 let flush_behind ~fresh ~at ~dist ~lo ~(g : Pattern.simple_gep) ~line =
@@ -31,7 +29,8 @@ let flush_behind ~fresh ~at ~dist ~lo ~(g : Pattern.simple_gep) ~line =
                 field_off = 0;
               };
             Ir.FlushEvict
-              { ptr = Ir.Oreg p; len = line; meta = remote_meta g.Pattern.g_site };
+              { ptr = Ir.Oreg p; len = line;
+                meta = Block_util.remote_meta g.Pattern.g_site };
           ];
         else_ = [];
       };
@@ -85,14 +84,12 @@ let gated_flush ~fresh ~iv ~lo ~step ~(g : Pattern.simple_gep) ~line =
   | Ir.Oint _ | Ir.Oreg _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit ->
     flush_behind ~fresh ~at:(Ir.Oreg iv) ~dist:behind ~lo ~g ~line
 
-let defined_regs = Block_util.defined_regs
-
 (* [skip g] excludes the accesses whose flushing the caller schedules
    itself.  With the loop's last induction value [last], the flush the
    gate would leave out at the end runs once after the loop. *)
 let loop_snippets ~fresh ~line_of ~streaming (l : Pattern.loop_info) ~lo ~step ~last ~skip
     body =
-  let defs = defined_regs body in
+  let defs = Block_util.defined_regs body in
   let seen = Hashtbl.create 8 in
   let groups =
     List.concat_map

@@ -14,8 +14,6 @@ type stream = {
   exclusive : bool;  (* the loads are all the body's accesses to the site *)
 }
 
-let remote_meta site = { Ir.am_site = site; am_remote = true; am_native = false }
-
 (* Per function: a register supply, the analysis and the plan's flags. *)
 type ctx = {
   fresh : unit -> Ir.reg;
@@ -186,7 +184,7 @@ let touch ~fresh ~at st ~field =
           elem = st.g.Pattern.g_elem; field_off = field };
       Ir.Load
         { dst = fresh (); ty = Types.I64; ptr = Ir.Oreg p;
-          meta = remote_meta st.g.Pattern.g_site };
+          meta = Block_util.remote_meta st.g.Pattern.g_site };
     ]
 
 let mark_native streams body =

@@ -21,11 +21,6 @@ type ctx = {
   fresh : unit -> Ir.reg;
 }
 
-let defined_regs = Block_util.defined_regs
-let operand_defined_in = Block_util.operand_defined_in
-
-let remote_meta site = { Ir.am_site = site; am_remote = true; am_native = false }
-
 (* Prefetch [line] bytes at element [at + offset] of [g]'s object,
    guarded by the loop bound. *)
 let prefetch_ahead ~fresh ~at ~hi ~offset ~(g : Pattern.simple_gep) ~line =
@@ -49,7 +44,8 @@ let prefetch_ahead ~fresh ~at ~hi ~offset ~(g : Pattern.simple_gep) ~line =
                 field_off = 0;
               };
             Ir.Prefetch
-              { ptr = Ir.Oreg p; len = line; meta = remote_meta g.Pattern.g_site };
+              { ptr = Ir.Oreg p; len = line;
+                meta = Block_util.remote_meta g.Pattern.g_site };
           ];
         else_ = [];
       };
@@ -113,7 +109,7 @@ let indirect_snippet ctx ~iv ~hi ~step ~dist ~(outer : Pattern.simple_gep)
                 dst = tv;
                 ty = Types.I64;
                 ptr = Ir.Oreg pa;
-                meta = remote_meta inner.Pattern.g_site;
+                meta = Block_util.remote_meta inner.Pattern.g_site;
               };
             Ir.Gep
               {
@@ -127,7 +123,7 @@ let indirect_snippet ctx ~iv ~hi ~step ~dist ~(outer : Pattern.simple_gep)
               {
                 ptr = Ir.Oreg pb;
                 len = line;
-                meta = remote_meta outer.Pattern.g_site;
+                meta = Block_util.remote_meta outer.Pattern.g_site;
               };
           ];
         else_ = [];
@@ -181,7 +177,7 @@ let affine_snippet ctx ~ivs ~depth ~dist ~c0 ~terms ~count ~(g : Pattern.simple_
                   };
                 Ir.Prefetch
                   { ptr = Ir.Oreg p; len = line;
-                    meta = remote_meta g.Pattern.g_site };
+                    meta = Block_util.remote_meta g.Pattern.g_site };
               ];
             else_ = [];
           };
@@ -216,7 +212,8 @@ let sequential_preamble ~fresh ~lo ~dist ~(g : Pattern.simple_gep) ~line =
     Ir.Gep
       { dst = p; base = g.Pattern.g_base; index = lo; elem = g.Pattern.g_elem;
         field_off = 0 };
-    Ir.Prefetch { ptr = Ir.Oreg p; len; meta = remote_meta g.Pattern.g_site };
+    Ir.Prefetch
+      { ptr = Ir.Oreg p; len; meta = Block_util.remote_meta g.Pattern.g_site };
   ]
 
 let preamble_for_group ctx ~ivs ~depth ~lo ~dist ~(g : Pattern.simple_gep) ~line =
@@ -259,7 +256,7 @@ let preamble_for_group ctx ~ivs ~depth ~lo ~dist ~(g : Pattern.simple_gep) ~line
               { dst = p; base = g.Pattern.g_base; index = !acc;
                 elem = g.Pattern.g_elem; field_off = 0 };
             Ir.Prefetch
-              { ptr = Ir.Oreg p; len; meta = remote_meta g.Pattern.g_site };
+              { ptr = Ir.Oreg p; len; meta = Block_util.remote_meta g.Pattern.g_site };
           ]
       end)
   | Pattern.Idx_loaded _ | Pattern.Idx_const _ | Pattern.Idx_other -> []
@@ -279,7 +276,7 @@ let group_key (g : Pattern.simple_gep) =
    body start).  [skip g] excludes the accesses whose prefetching the
    caller schedules itself. *)
 let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
-  let defs = defined_regs body in
+  let defs = Block_util.defined_regs body in
   let step_c = match step with Ir.Oint s -> s | _ -> 1L in
   let dist = distance_iters ~params:ctx.params ~body_ops:l.Pattern.l_body_ops in
   let preambles = ref [] in
@@ -290,7 +287,7 @@ let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
       | Some g, Some line
         when (not (skip g)) && not (Hashtbl.mem seen (group_key g)) ->
         Hashtbl.replace seen (group_key g) ();
-        if operand_defined_in defs g.Pattern.g_base then []
+        if Block_util.operand_defined_in defs g.Pattern.g_base then []
         else begin
           match g.Pattern.g_index with
           | Pattern.Idx_iv | Pattern.Idx_iv_plus _ ->
@@ -317,7 +314,7 @@ let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
             (match
                ( inner.Pattern.g_index,
                  ctx.line_of inner.Pattern.g_site,
-                 operand_defined_in defs inner.Pattern.g_base )
+                 Block_util.operand_defined_in defs inner.Pattern.g_base )
              with
             | (Pattern.Idx_iv | Pattern.Idx_iv_plus _), Some _, false ->
               indirect_snippet ctx ~iv:l.Pattern.l_iv ~hi ~step:step_c ~dist
@@ -342,7 +339,9 @@ let chase_expansion program ~line_of op =
     in
     (match (target >= 0, line_of target) with
     | true, Some line ->
-      [ op; Ir.Prefetch { ptr = Ir.Oreg dst; len = line; meta = remote_meta target } ]
+      [ op;
+        Ir.Prefetch
+          { ptr = Ir.Oreg dst; len = line; meta = Block_util.remote_meta target } ]
     | _, _ -> [ op ])
   | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _ | Ir.I2f _
   | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _ | Ir.Gep _ | Ir.Load _

@@ -22,26 +22,49 @@ let create ~base ~limit =
     high_water = 0;
   }
 
-let alloc t len =
-  assert (len > 0);
-  let len = align8 len in
-  (* First fit over the address-ordered free list. *)
-  let rec take acc = function
-    | [] -> raise Out_of_memory
+(* First fit over an address-ordered free list. *)
+let take ranges len =
+  let rec go acc = function
+    | [] -> None
     | r :: rest when r.len >= len ->
       let remainder =
         if r.len = len then rest
         else { addr = r.addr + len; len = r.len - len } :: rest
       in
-      (r.addr, List.rev_append acc remainder)
-    | r :: rest -> take (r :: acc) rest
+      Some (r.addr, List.rev_append acc remainder)
+    | r :: rest -> go (r :: acc) rest
   in
-  let addr, free_list = take [] t.free_list in
-  t.free_list <- free_list;
-  Hashtbl.replace t.live addr len;
-  t.live_bytes <- t.live_bytes + len;
-  if t.live_bytes > t.high_water then t.high_water <- t.live_bytes;
-  addr
+  go [] ranges
+
+(* Insert in address order, coalescing with neighbours. *)
+let insert ranges ({ addr; len } as range) =
+  let merge_next m = function
+    | r :: rest when m.addr + m.len = r.addr ->
+      { m with len = m.len + r.len } :: rest
+    | rest -> m :: rest
+  in
+  let rec go = function
+    | [] -> [ range ]
+    | r :: rest when addr + len < r.addr -> range :: r :: rest
+    | r :: rest when addr + len = r.addr -> { addr; len = len + r.len } :: rest
+    | r :: rest when r.addr + r.len = addr ->
+      merge_next { addr = r.addr; len = r.len + len } rest
+    | r :: rest when r.addr + r.len <= addr -> r :: go rest
+    | _ -> invalid_arg "Remote_alloc.insert: range overlaps free space"
+  in
+  go ranges
+
+let alloc t len =
+  assert (len > 0);
+  let len = align8 len in
+  match take t.free_list len with
+  | None -> raise Out_of_memory
+  | Some (addr, free_list) ->
+    t.free_list <- free_list;
+    Hashtbl.replace t.live addr len;
+    t.live_bytes <- t.live_bytes + len;
+    if t.live_bytes > t.high_water then t.high_water <- t.live_bytes;
+    addr
 
 let free t ~addr ~len =
   let len = align8 len in
@@ -53,23 +76,7 @@ let free t ~addr ~len =
          l len)
   | None -> invalid_arg (Printf.sprintf "Remote_alloc.free: %d not live" addr));
   t.live_bytes <- t.live_bytes - len;
-  (* Insert in address order, coalescing with neighbours. *)
-  let rec insert = function
-    | [] -> [ { addr; len } ]
-    | r :: rest when addr + len < r.addr -> { addr; len } :: r :: rest
-    | r :: rest when addr + len = r.addr ->
-      { addr; len = len + r.len } :: rest
-    | r :: rest when r.addr + r.len = addr ->
-      (match insert_merged { addr = r.addr; len = r.len + len } rest with
-      | merged -> merged)
-    | r :: rest when r.addr + r.len <= addr -> r :: insert rest
-    | _ -> invalid_arg "Remote_alloc.free: range overlaps free space"
-  and insert_merged m = function
-    | r :: rest when m.addr + m.len = r.addr ->
-      { m with len = m.len + r.len } :: rest
-    | rest -> m :: rest
-  in
-  t.free_list <- insert t.free_list
+  t.free_list <- insert t.free_list { addr; len }
 
 let live_bytes t = t.live_bytes
 let high_water t = t.high_water

@@ -7,6 +7,23 @@
 
 type t
 
+(** {1 Free lists}
+
+    The address-ordered, coalesced range list kept here and by the
+    local-node allocator's buffer. *)
+
+type range = { addr : int; len : int }
+
+val take : range list -> int -> (int * range list) option
+(** First fit: the base of [len] bytes cut from the lowest range that
+    holds them, and the list without them; [None] when none does. *)
+
+val insert : range list -> range -> range list
+(** Return a range, coalescing with its neighbours.  Raises
+    [Invalid_argument] when it overlaps free space. *)
+
+(** {1 The allocator} *)
+
 val create : base:int -> limit:int -> t
 (** Manage addresses in [\[base, limit)]. *)
 

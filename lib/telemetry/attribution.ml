@@ -297,8 +297,7 @@ let folded t =
   let lines =
     Hashtbl.fold
       (fun stack fp acc ->
-        let ns = Int64.to_float fp /. fp_scale in
-        (stack, Int64.of_float (Float.round ns)) :: acc)
+        (stack, Int64.of_float (Float.round (ns_of_fp fp))) :: acc)
       stacks []
     |> List.filter (fun (_, n) -> n > 0L)
     |> List.sort compare

@@ -23,6 +23,11 @@ type cause =
 
 type t
 
+val fp_of_ns : float -> int64
+(** Nanoseconds to the ledger's 2^-16 ns fixed point, truncating. *)
+
+val ns_of_fp : int64 -> float
+
 val causes : cause list
 (** All causes, in canonical (index) order. *)
 

@@ -14,11 +14,6 @@
    duration EXACTLY, as int64 arithmetic — the decomposition is audited
    by construction, never "approximately adds up". *)
 
-(* Same fixed-point unit as [Attribution]. *)
-let fp_scale = 65536.0
-let fp_of_ns ns = Int64.of_float (ns *. fp_scale)
-let ns_of_fp fp = Int64.to_float fp /. fp_scale
-
 type span = {
   s_id : int;
   s_trace : int;
@@ -176,7 +171,8 @@ let arg_float args name =
   | Some (Json.Int i) -> float_of_int i
   | _ -> 0.0
 
-let dur_fp s = Int64.sub (fp_of_ns s.s_end_ns) (fp_of_ns s.s_begin_ns)
+let dur_fp s =
+  Int64.sub (Attribution.fp_of_ns s.s_end_ns) (Attribution.fp_of_ns s.s_begin_ns)
 
 (* Decompose the containment tree rooted at [root]: walk every parented
    descendant, credit its self-time to a cause segment.  Net member
@@ -205,8 +201,8 @@ let decompose spans ~root =
     in
     let self = Int64.sub (dur_fp s) kids_fp in
     (if s.s_cat = "net" then begin
-       let q = fp_of_ns (arg_float s.s_args "queue_ns") in
-       let w = fp_of_ns (arg_float s.s_args "wire_ns") in
+       let q = Attribution.fp_of_ns (arg_float s.s_args "queue_ns") in
+       let w = Attribution.fp_of_ns (arg_float s.s_args "wire_ns") in
        (* Residual keeps the sum exact even where q + w round off. *)
        let r = Int64.sub self (Int64.add q w) in
        credit Queue q;
@@ -295,12 +291,13 @@ let decomposition_to_json d =
       ("root_name", Json.Str d.d_root.s_name);
       ("root_lane", Json.Str d.d_root.s_lane);
       ("spans", Json.Int d.d_spans);
-      ("total_ns", Json.Float (ns_of_fp d.d_total_fp));
+      ("total_ns", Json.Float (Attribution.ns_of_fp d.d_total_fp));
       ("total_fp", Json.Str (Int64.to_string d.d_total_fp));
       ( "segments_ns",
         Json.Obj
           (List.map
-             (fun (seg, fp) -> (segment_name seg, Json.Float (ns_of_fp fp)))
+             (fun (seg, fp) ->
+               (segment_name seg, Json.Float (Attribution.ns_of_fp fp)))
              d.d_segments) );
       ( "segments_fp",
         Json.Obj

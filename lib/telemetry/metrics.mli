@@ -25,8 +25,8 @@ type hist
 val bucket_of : float -> int
 (** Quarter-octave bucket index for a sample: bucket [i] covers
     [[2^(i/4), 2^((i+1)/4))] ns, clamped to the bucket range.  Shared
-    by [Timeseries]' sparse per-window histograms so window percentiles
-    use the same scale. *)
+    by the serving timeline's sparse per-window histograms
+    ([Kv_serving.Timeline]) so window percentiles use the same scale. *)
 
 val bucket_hi : int -> float
 (** Upper edge of bucket [i] (the lower edge of bucket [i+1]). *)

@@ -42,6 +42,6 @@ val merge_snapshots :
   k:int -> (string * int64) list -> (string * int64) list ->
   (string * int64) list
 (** Sum counts per key across two snapshots and keep the heaviest [k]
-    (the window-merge rule of the time-series ring). *)
+    (the window-merge rule of the serving timeline's ring). *)
 
 val reset : t -> unit

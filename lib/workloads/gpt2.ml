@@ -30,6 +30,10 @@ let far_bytes cfg =
 
 let aifm_gran program site = Workload_util.chunked_gran ~chunk:4096 program site
 
+let params =
+  { Mira_sim.Params.default with Mira_sim.Params.native_op_ns = 0.05;
+    native_mem_ns = 0.3 }
+
 (* c[i*n+j] is produced by [emit fb acc_value i j] *)
 let matmul cfg fb ~m ~n ~k ~a ~bt ~emit =
   let loop = if cfg.parallel then B.par_for else B.for_ in

@@ -36,3 +36,9 @@ val layer_weight_bytes : config -> int
 (** Weights of one layer (Figure 17's x-axis is relative to this). *)
 
 val aifm_gran : Mira_mir.Ir.program -> int -> int
+
+val params : Mira_sim.Params.t
+(** The vectorized-compute cost model GPT-2 runs under (native ops at
+    0.05 ns, native memory at 0.3 ns): an interpreter executes FLOPs
+    far slower relative to the network than SIMD inference does, which
+    would make the model look compute-bound (DESIGN.md §8 item 9). *)

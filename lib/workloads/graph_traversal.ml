@@ -159,3 +159,5 @@ let build cfg =
       let sum = B.call fb "checksum" [ nodes ] in
       B.ret fb sum);
   B.finish b ~entry:"main"
+
+let aifm_gran program site = max 128 (Workload_util.elem_gran program site)

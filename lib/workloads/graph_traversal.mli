@@ -32,3 +32,6 @@ val build : config -> Mira_mir.Ir.program
 
 val far_bytes : config -> int
 (** Total heap footprint (for local-memory-ratio sweeps). *)
+
+val aifm_gran : Mira_mir.Ir.program -> int -> int
+(** AIFM's per-object granularity: the element size, at least 128 B. *)

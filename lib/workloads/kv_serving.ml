@@ -9,7 +9,6 @@ module Trace = Mira_telemetry.Trace
 module Json = Mira_telemetry.Json
 module Prng = Mira_util.Prng
 module Stats = Mira_util.Stats
-module Timeseries = Mira_telemetry.Timeseries
 module Sketch = Mira_telemetry.Sketch
 module Attribution = Mira_telemetry.Attribution
 module Net = Mira_sim.Net
@@ -167,7 +166,7 @@ let serving_lane i = Printf.sprintf "serving.t%d" i
 (* --- time-resolved telemetry --------------------------------------------- *)
 
 (* Windowed observability over a serving run: a sampler task on the
-   scheduler rolls a [Timeseries] at fixed simulated-time boundaries,
+   scheduler closes a typed window at fixed simulated-time boundaries,
    and the per-request path records into the current window.  Entirely
    host-side — the sampler only reads shared state, and its clock is a
    scheduler clock outside the runtime's registry — so a run with a
@@ -177,53 +176,105 @@ module Timeline = struct
   (* A window "burns" when its SLO-miss fraction exceeds this. *)
   let burn_threshold = 0.01
 
+  (* Closed windows kept before adjacent pairs merge. *)
+  let ring_cap = 256
+
+  (* Entries per hot-key list, and per list of a merged window. *)
+  let topk = 8
+
+  type tenant = {
+    mutable requests : int;
+    mutable slo_miss : int;
+    (* sparse latency histogram: [Metrics.bucket_of] bucket -> count
+       (a window sees a handful of distinct latencies) *)
+    lat : (int, int) Hashtbl.t;
+    mutable lat_max : float;
+  }
+
+  type window = {
+    start : float;
+    mutable span : float;  (* spans add under merging *)
+    tenants : tenant array;
+    mutable bytes : int;  (* wire bytes, both directions *)
+    (* in-flight count sampled when the window closes; a merged window
+       keeps the larger max and the later sample *)
+    mutable inflight_max : int;
+    mutable inflight_last : int;
+    ifr : (int * int, int64) Hashtbl.t;  (* (waiter, holder) -> fp delta *)
+    mutable top_keys : (string * int64) list;
+    mutable top_miss_sites : (string * int64) list;
+  }
+
   type t = {
     interval : float;
-    ts : Timeseries.t;
     keys : Sketch.t;  (* hot keys of the current window; reset per boundary *)
     (* wired by [attach], before the sampler runs *)
     mutable net : Net.t option;
     mutable miss_sites : Sketch.t option;
     mutable bandwidth : float;  (* bytes/ns, for the wire-busy fraction *)
     mutable window_cap : int;
-    mutable ntenants : int;
     (* cumulative snapshots diffed at each boundary *)
     mutable prev_bytes : int;
     mutable prev_miss_sites : (string * int64) list;
     prev_ifr : (int * int, int64) Hashtbl.t;
+    (* the bounded ring *)
+    mutable cur : window;
+    mutable closed : window list;  (* newest first *)
+    mutable merges : int;  (* pairwise-merge passes performed *)
   }
+
+  let fresh_window ~ntenants ~start =
+    {
+      start;
+      span = 0.0;
+      tenants =
+        Array.init ntenants (fun _ ->
+            { requests = 0; slo_miss = 0; lat = Hashtbl.create 8; lat_max = 0.0 });
+      bytes = 0;
+      inflight_max = 0;
+      inflight_last = 0;
+      ifr = Hashtbl.create 8;
+      top_keys = [];
+      top_miss_sites = [];
+    }
 
   let make ?(interval_ns = 250_000.0) () =
     if not (interval_ns > 0.0) then
       fail "Timeline: interval_ns must be > 0 (got %g)" interval_ns;
     {
       interval = interval_ns;
-      ts = Timeseries.create ();
-      keys = Sketch.create ~k:8;
+      keys = Sketch.create ~k:topk;
       net = None;
       miss_sites = None;
       bandwidth = 0.0;
       window_cap = 0;
-      ntenants = 0;
       prev_bytes = 0;
       prev_miss_sites = [];
       prev_ifr = Hashtbl.create 16;
+      cur = fresh_window ~ntenants:0 ~start:0.0;
+      closed = [];
+      merges = 0;
     }
 
   let interval_ns t = t.interval
 
-  let attach t rt cfg =
+  let attach t rt (cfg : config) =
     t.net <- Some (Runtime.net rt);
     t.miss_sites <- Some (Runtime.miss_sites rt);
     t.bandwidth <- (Runtime.params rt).Mira_sim.Params.bandwidth_bytes_per_ns;
     t.window_cap <- (Net.dataplane (Runtime.net rt)).Net.window;
-    t.ntenants <- cfg.tenants
+    t.cur <- fresh_window ~ntenants:cfg.tenants ~start:0.0
+
+  let bump tbl k n =
+    Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
   (* Per-request instrumentation, called from the serving loop. *)
   let on_request t ~tenant ~key ~lat ~miss =
-    Timeseries.add t.ts (Printf.sprintf "t%d.requests" tenant) 1L;
-    Timeseries.observe t.ts (Printf.sprintf "t%d.lat" tenant) lat;
-    if miss then Timeseries.add t.ts (Printf.sprintf "t%d.slo_miss" tenant) 1L;
+    let tn = t.cur.tenants.(tenant) in
+    tn.requests <- tn.requests + 1;
+    if miss then tn.slo_miss <- tn.slo_miss + 1;
+    bump tn.lat (Metrics.bucket_of lat) 1;
+    if lat > tn.lat_max then tn.lat_max <- lat;
     Sketch.touch t.keys (Printf.sprintf "t%d:k%d" tenant key)
 
   let entry_order (ka, ca) (kb, cb) =
@@ -244,98 +295,157 @@ module Timeline = struct
 
   (* Sample the net and convert the cumulative counters (bytes,
      interference cells, miss sites) into deltas for the current
-     window. *)
+     window.  Runs once per window, as it closes. *)
   let capture t ~now =
+    let w = t.cur in
     (match t.net with
     | None -> ()
     | Some net ->
-      Timeseries.sample t.ts "net.inflight"
-        (float_of_int (Net.in_flight net ~now));
+      w.inflight_max <- Net.in_flight net ~now;
+      w.inflight_last <- w.inflight_max;
       let s = Net.stats net in
       let bytes = s.Net.bytes_in + s.Net.bytes_out in
-      Timeseries.add t.ts "net.bytes" (Int64.of_int (bytes - t.prev_bytes));
+      w.bytes <- bytes - t.prev_bytes;
       t.prev_bytes <- bytes;
       List.iter
-        (fun (w, h, fp) ->
+        (fun (wt, h, fp) ->
           let prev =
-            Option.value ~default:0L (Hashtbl.find_opt t.prev_ifr (w, h))
+            Option.value ~default:0L (Hashtbl.find_opt t.prev_ifr (wt, h))
           in
           let d = Int64.sub fp prev in
           if d > 0L then begin
-            Timeseries.add t.ts (Printf.sprintf "ifr.%d.%d" w h) d;
-            Hashtbl.replace t.prev_ifr (w, h) fp
+            Hashtbl.replace w.ifr (wt, h) d;
+            Hashtbl.replace t.prev_ifr (wt, h) fp
           end)
         (Net.Interference.cells (Net.interference net)));
     match t.miss_sites with
     | None -> ()
     | Some sk ->
       let cur = Sketch.snapshot sk in
-      let delta = diff_snapshot t.prev_miss_sites cur in
-      if delta <> [] then Timeseries.set_top t.ts "miss_sites" delta;
+      w.top_miss_sites <- diff_snapshot t.prev_miss_sites cur;
       t.prev_miss_sites <- cur
 
+  (* --- the bounded ring ---------------------------------------------------- *)
+
+  (* An empty list was never set.  Merging with one keeps the other
+     as it is, so a miss-site delta that no merge touched still lists
+     every site the runtime's sketch monitors (more than [topk]). *)
+  let merge_top a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | _ -> Sketch.merge_snapshots ~k:topk a b
+
+  (* Merge [b] (the later window) into [a] (the earlier), in place. *)
+  let merge_into a b =
+    a.span <- a.span +. b.span;
+    Array.iteri
+      (fun i tb ->
+        let ta = a.tenants.(i) in
+        ta.requests <- ta.requests + tb.requests;
+        ta.slo_miss <- ta.slo_miss + tb.slo_miss;
+        Hashtbl.iter (bump ta.lat) tb.lat;
+        ta.lat_max <- Float.max ta.lat_max tb.lat_max)
+      b.tenants;
+    a.bytes <- a.bytes + b.bytes;
+    a.inflight_max <- max a.inflight_max b.inflight_max;
+    a.inflight_last <- b.inflight_last;
+    Hashtbl.iter
+      (fun k v ->
+        let prev = Option.value ~default:0L (Hashtbl.find_opt a.ifr k) in
+        Hashtbl.replace a.ifr k (Int64.add prev v))
+      b.ifr;
+    a.top_keys <- merge_top a.top_keys b.top_keys;
+    a.top_miss_sites <- merge_top a.top_miss_sites b.top_miss_sites
+
+  (* Merge adjacent pairs oldest-first over the whole ring, halving the
+     slot count (an odd newest window stays unpaired): the ring covers
+     the whole run at a resolution that degrades by doubling. *)
+  let downsample t =
+    let rec pair acc = function
+      | a :: b :: rest ->
+        merge_into a b;
+        pair (a :: acc) rest
+      | [ last ] -> last :: acc
+      | [] -> acc
+    in
+    t.closed <- pair [] (List.rev t.closed);
+    t.merges <- t.merges + 1
+
+  let close_current t ~now =
+    let w = t.cur in
+    w.span <- Float.max 0.0 (now -. w.start);
+    if List.length t.closed >= ring_cap then downsample t;
+    t.closed <- w :: t.closed
+
   (* Close the window ending at [now]: capture the deltas, install the
-     hot-key snapshot, and roll. *)
+     hot-key snapshot, and open the next window. *)
   let boundary t ~now =
     capture t ~now;
-    let keys = Sketch.snapshot t.keys in
-    if keys <> [] then Timeseries.set_top t.ts "keys" keys;
+    t.cur.top_keys <- Sketch.snapshot t.keys;
     Sketch.reset t.keys;
-    Timeseries.roll t.ts ~now_ns:now
+    close_current t ~now;
+    t.cur <- fresh_window ~ntenants:(Array.length t.cur.tenants) ~start:now
 
-  (* End of run: flush whatever accumulated past the last boundary.
-     The net/interference flush only happens when the partial window
-     actually served requests (the key sketch is non-empty), so an
+  (* End of run: close the partial window past the last boundary, but
+     only when it served requests (the key sketch is non-empty), so an
      idle tail never resurrects an empty window. *)
   let finish t ~now =
     let keys = Sketch.snapshot t.keys in
     if keys <> [] then begin
-      Timeseries.set_top t.ts "keys" keys;
+      t.cur.top_keys <- keys;
       Sketch.reset t.keys;
-      capture t ~now
-    end;
-    Timeseries.finish t.ts ~now_ns:now
+      capture t ~now;
+      close_current t ~now:(Float.max now t.cur.start)
+    end
+
+  let windows t = List.rev t.closed
 
   (* --- per-window derived figures ---------------------------------------- *)
 
-  let counter s name =
-    Option.value ~default:0L (List.assoc_opt name s.Timeseries.s_counters)
+  (* Window percentile: the upper edge of the bucket holding the rank,
+     clamped to the observed max — conservative (never under-reports)
+     and deterministic. *)
+  let percentile tn p =
+    if tn.requests = 0 then 0.0
+    else begin
+      let rank =
+        max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int tn.requests)))
+      in
+      let rec walk cum = function
+        | [] -> tn.lat_max
+        | (b, c) :: rest ->
+          let cum = cum + c in
+          if cum >= rank then Float.min (Metrics.bucket_hi b) tn.lat_max
+          else walk cum rest
+      in
+      walk 0
+        (List.sort compare (Hashtbl.fold (fun b c acc -> (b, c) :: acc) tn.lat []))
+    end
 
-  let window_requests t s =
-    let req = ref 0L and miss = ref 0L in
-    for i = 0 to t.ntenants - 1 do
-      req := Int64.add !req (counter s (Printf.sprintf "t%d.requests" i));
-      miss := Int64.add !miss (counter s (Printf.sprintf "t%d.slo_miss" i))
-    done;
-    (!req, !miss)
+  let miss_frac w =
+    let sum f = Array.fold_left (fun acc tn -> acc + f tn) 0 w.tenants in
+    let req = sum (fun tn -> tn.requests) in
+    if req = 0 then 0.0
+    else float_of_int (sum (fun tn -> tn.slo_miss)) /. float_of_int req
 
-  let miss_frac t s =
-    let req, miss = window_requests t s in
-    if req = 0L then 0.0 else Int64.to_float miss /. Int64.to_float req
+  let burning w = miss_frac w > burn_threshold
 
-  let burning t s = miss_frac t s > burn_threshold
-
-  let wire_busy t s =
-    if t.bandwidth > 0.0 && s.Timeseries.s_span_ns > 0.0 then
-      Int64.to_float (counter s "net.bytes")
-      /. t.bandwidth /. s.Timeseries.s_span_ns
+  let wire_busy t w =
+    if t.bandwidth > 0.0 && w.span > 0.0 then
+      float_of_int w.bytes /. t.bandwidth /. w.span
     else 0.0
 
-  (* Saturation: with a bounded in-flight window, occupancy pinned at
-     the cap; with an unbounded window, the wire >= 95% busy. *)
-  let saturated t s =
-    if t.window_cap > 0 then
-      match List.assoc_opt "net.inflight" s.Timeseries.s_gauges with
-      | Some g -> g.Timeseries.g_max >= float_of_int t.window_cap
-      | None -> false
-    else wire_busy t s >= 0.95
+  (* Saturation: with a bounded in-flight window, the closing sample
+     pinned at the cap; with an unbounded window, the wire >= 95%
+     busy. *)
+  let saturated t w =
+    if t.window_cap > 0 then w.inflight_max >= t.window_cap
+    else wire_busy t w >= 0.95
 
   let first_start p t =
-    List.find_map
-      (fun s -> if p t s then Some s.Timeseries.s_start_ns else None)
-      (Timeseries.snapshots t.ts)
+    List.find_map (fun w -> if p w then Some w.start else None) (windows t)
 
-  let saturation_onset_ns t = first_start saturated t
+  let saturation_onset_ns t = first_start (saturated t) t
   let first_burn_ns t = first_start burning t
 
   (* --- JSONL export ------------------------------------------------------- *)
@@ -350,88 +460,62 @@ module Timeline = struct
              [ ("key", Json.Str k); ("count", Json.Str (Int64.to_string c)) ])
          entries)
 
-  (* Regroup the flat "ifr.<w>.<h>" window counters into nested rows;
-     fixed-point values export as decimal strings (int64-exact). *)
-  let interference_json s =
+  (* Interference cells as nested waiter -> holder rows; fixed-point
+     values export as decimal strings (int64-exact). *)
+  let interference_json w =
     let cells =
-      List.filter_map
-        (fun (name, v) ->
-          match String.split_on_char '.' name with
-          | [ "ifr"; w; h ] ->
-            (try Some (int_of_string w, int_of_string h, v)
-             with Failure _ -> None)
-          | _ -> None)
-        s.Timeseries.s_counters
+      Hashtbl.fold (fun (wt, h) v acc -> (wt, h, v) :: acc) w.ifr []
       |> List.sort compare
     in
-    let waiters = List.sort_uniq compare (List.map (fun (w, _, _) -> w) cells) in
+    let waiters = List.sort_uniq compare (List.map (fun (wt, _, _) -> wt) cells) in
     Json.Obj
       (List.map
-         (fun w ->
-           ( tenant_label w,
+         (fun wt ->
+           ( tenant_label wt,
              Json.Obj
                (List.filter_map
-                  (fun (w', h, v) ->
-                    if w' = w then
+                  (fun (wt', h, v) ->
+                    if wt' = wt then
                       Some (tenant_label h, Json.Str (Int64.to_string v))
                     else None)
                   cells) ))
          waiters)
 
-  let window_json t s =
-    let tenant_json i =
-      let h = List.assoc_opt (Printf.sprintf "t%d.lat" i) s.Timeseries.s_hists in
+  let window_json t w =
+    let tenant_json i tn =
       ( Printf.sprintf "t%d" i,
         Json.Obj
           [
-            ( "requests",
-              Json.Int (Int64.to_int (counter s (Printf.sprintf "t%d.requests" i))) );
-            ( "slo_miss",
-              Json.Int (Int64.to_int (counter s (Printf.sprintf "t%d.slo_miss" i))) );
-            ( "p50_ns",
-              Json.Float
-                (match h with Some h -> h.Timeseries.h_p50_ns | None -> 0.0) );
-            ( "p99_ns",
-              Json.Float
-                (match h with Some h -> h.Timeseries.h_p99_ns | None -> 0.0) );
+            ("requests", Json.Int tn.requests);
+            ("slo_miss", Json.Int tn.slo_miss);
+            ("p50_ns", Json.Float (percentile tn 50.0));
+            ("p99_ns", Json.Float (percentile tn 99.0));
           ] )
-    in
-    let inflight =
-      match List.assoc_opt "net.inflight" s.Timeseries.s_gauges with
-      | Some g -> [ ("inflight_max", Json.Float g.Timeseries.g_max);
-                    ("inflight_last", Json.Float g.Timeseries.g_last) ]
-      | None -> []
     in
     Json.Obj
       [
         ("type", Json.Str "window");
-        ("start_ns", Json.Float s.Timeseries.s_start_ns);
-        ("span_ns", Json.Float s.Timeseries.s_span_ns);
+        ("start_ns", Json.Float w.start);
+        ("span_ns", Json.Float w.span);
         ( "net",
           Json.Obj
-            (inflight
-            @ [
-                ("bytes", Json.Str (Int64.to_string (counter s "net.bytes")));
-                ("wire_busy", Json.Float (wire_busy t s));
-              ]) );
-        ( "tenants",
-          Json.Obj (List.init t.ntenants tenant_json) );
+            [
+              ("inflight_max", Json.Float (float_of_int w.inflight_max));
+              ("inflight_last", Json.Float (float_of_int w.inflight_last));
+              ("bytes", Json.Str (string_of_int w.bytes));
+              ("wire_busy", Json.Float (wire_busy t w));
+            ] );
+        ("tenants", Json.Obj (Array.to_list (Array.mapi tenant_json w.tenants)));
         ( "burn",
           Json.Obj
             [
-              ("miss_frac", Json.Float (miss_frac t s));
-              ("burning", Json.Bool (burning t s));
+              ("miss_frac", Json.Float (miss_frac w));
+              ("burning", Json.Bool (burning w));
             ] );
-        ("saturated", Json.Bool (saturated t s));
-        ( "top_keys",
-          top_json
-            (Option.value ~default:[]
-               (List.assoc_opt "keys" s.Timeseries.s_tops)) );
-        ( "top_miss_sites",
-          top_json
-            (Option.value ~default:[]
-               (List.assoc_opt "miss_sites" s.Timeseries.s_tops)) );
-        ("interference", interference_json s);
+        ("saturated", Json.Bool (saturated t w));
+        ("top_keys", top_json w.top_keys);
+        ("top_miss_sites", top_json w.top_miss_sites);
+        ("interference", interference_json w);
       ]
 
   (* Trailing summary line: onset figures plus the exact fixed-point
@@ -463,8 +547,8 @@ module Timeline = struct
       [
         ("type", Json.Str "summary");
         ("interval_ns", Json.Float t.interval);
-        ("nwindows", Json.Int (Timeseries.nwindows t.ts));
-        ("merges", Json.Int (Timeseries.merges t.ts));
+        ("nwindows", Json.Int (List.length t.closed));
+        ("merges", Json.Int t.merges);
         ("window_cap", Json.Int t.window_cap);
         ("burn_threshold", Json.Float burn_threshold);
         ("sat_onset_ns", opt_ns (saturation_onset_ns t));
@@ -473,7 +557,7 @@ module Timeline = struct
       ]
 
   let jsonl t ~rt =
-    List.map (window_json t) (Timeseries.snapshots t.ts) @ [ summary_json t ~rt ]
+    List.rev_map (window_json t) t.closed @ [ summary_json t ~rt ]
 end
 
 (* One tenant's open-loop serving task.  Runs as a scheduler task; every

@@ -85,30 +85,31 @@ type report = {
 
 (** Time-resolved telemetry over a serving run.
 
-    A [Timeline] attaches a windowed {!Mira_telemetry.Timeseries} to
-    the run: a sampler task on the scheduler wakes at every
-    [interval_ns] boundary of simulated time and closes the window —
-    per-tenant request/SLO-miss counters and latency percentiles, net
-    in-flight occupancy and wire bytes, per-window interference-matrix
-    deltas, and top-K hot keys / hot miss sites.  The sampler only
-    reads shared state and its clock lives outside the runtime's
-    registry, so a run with a timeline attached is byte-identical
-    (checksum, latencies, report JSON) to one without.
+    A [Timeline] attaches a sampler task to the run: it wakes at every
+    [interval_ns] boundary of simulated time and closes a typed window
+    — per-tenant request/SLO-miss counts and latency percentiles, wire
+    bytes, the net in-flight count sampled at the close, per-window
+    interference-matrix deltas, and top-K hot keys / hot miss sites.
+    The sampler only reads shared state and its clock lives outside
+    the runtime's registry, so a run with a timeline attached is
+    byte-identical (checksum, latencies, report JSON) to one without.
 
     Derived per window: the SLO {e burn rate} (window miss fraction vs
-    [burn_threshold]) and a {e saturation} flag — occupancy pinned at
-    the in-flight cap when a bounded window is configured, wire >= 95%
-    busy otherwise.  [saturation_onset_ns]/[first_burn_ns] are the
-    starts of the first such windows. *)
+    [burn_threshold]) and a {e saturation} flag — the closing in-flight
+    sample at the cap when a bounded window is configured (that sample
+    is all the flag sees), wire >= 95% busy otherwise.
+    [saturation_onset_ns]/[first_burn_ns] are the starts of the first
+    such windows. *)
 module Timeline : sig
   type t
 
   val make : ?interval_ns:float -> unit -> t
   (** [interval_ns] defaults to 250 us windows (raises
-      [Invalid_argument] unless positive).  The ring holds 256
-      windows (older windows merge pairwise when it fills — see
-      {!Mira_telemetry.Timeseries}), a window burns when more than 1%
-      of its requests miss the SLO, and the sketches keep the top 8. *)
+      [Invalid_argument] unless positive).  Fixed constants: the ring
+      holds 256 windows (when it fills, adjacent windows merge
+      pairwise, oldest first, so it still covers the whole run), a
+      window burns when more than 1% of its requests miss the SLO,
+      and the hot-key sketch and merged top-K lists keep the top 8. *)
 
   val saturation_onset_ns : t -> float option
   (** Start of the first saturated window (after the run). *)

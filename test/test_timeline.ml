@@ -1,15 +1,15 @@
-(* Time-resolved telemetry: the Space-Saving sketch's guarantees, the
-   windowed time-series ring (telescoping counters, percentile
-   clamping, pairwise downsampling at the cap), Json boundary
-   round-trips for int64-exact values, the scheduler's TLS
+(* Time-resolved telemetry: the Space-Saving sketch's guarantees, Json
+   boundary round-trips for int64-exact values, the scheduler's TLS
    save/restore across parks, the interference-matrix == queue-stall
    ledger invariant (as a QCheck property over random serving
-   configs), zero perturbation of an instrumented run, the named
+   configs), zero perturbation of an instrumented run, the serving
+   timeline's window ring seen through its JSONL (percentile clamping,
+   pairwise merging past 256 windows, telescoping counts, closing
+   in-flight samples), the named
    audit-failure message, the 8-tenant saturation-onset acceptance
    run, and a drift guard for docs/OBSERVABILITY.md's time-resolved
    telemetry section. *)
 module Sketch = Mira_telemetry.Sketch
-module Timeseries = Mira_telemetry.Timeseries
 module Attribution = Mira_telemetry.Attribution
 module Json = Mira_telemetry.Json
 module Net = Mira_sim.Net
@@ -73,101 +73,6 @@ let test_sketch_merge () =
   let m = Sketch.merge_snapshots ~k:2 a b in
   Alcotest.(check (list (pair string int64)))
     "sum per key, keep heaviest k" [ ("k1", 10L); ("k3", 9L) ] m
-
-(* --- windowed time-series ------------------------------------------------- *)
-
-let test_timeseries_telescoping () =
-  let ts = Timeseries.create () in
-  Timeseries.add ts "reqs" 3L;
-  Timeseries.sample ts "occ" 2.0;
-  Timeseries.sample ts "occ" 6.0;
-  Timeseries.roll ts ~now_ns:100.0;
-  Timeseries.add ts "reqs" 4L;
-  Timeseries.add ts "reqs" (-1L);
-  Timeseries.roll ts ~now_ns:200.0;
-  (* empty trailing window: finish drops it *)
-  Timeseries.finish ts ~now_ns:250.0;
-  let snaps = Timeseries.snapshots ts in
-  Alcotest.(check int) "empty tail dropped" 2 (List.length snaps);
-  let total =
-    List.fold_left
-      (fun acc (s : Timeseries.snapshot) ->
-        List.fold_left
-          (fun acc (name, v) -> if name = "reqs" then Int64.add acc v else acc)
-          acc s.Timeseries.s_counters)
-      0L snaps
-  in
-  Alcotest.(check int64) "window deltas telescope to aggregate" 6L total;
-  (match snaps with
-  | first :: _ ->
-    Alcotest.(check (float 0.0)) "span" 100.0 first.Timeseries.s_span_ns;
-    (match List.assoc_opt "occ" first.Timeseries.s_gauges with
-    | Some g ->
-      Alcotest.(check int) "gauge samples" 2 g.Timeseries.g_count;
-      Alcotest.(check (float 1e-9)) "gauge mean" 4.0 g.Timeseries.g_mean;
-      Alcotest.(check (float 0.0)) "gauge max" 6.0 g.Timeseries.g_max;
-      Alcotest.(check (float 0.0)) "gauge last" 6.0 g.Timeseries.g_last
-    | None -> Alcotest.fail "gauge missing")
-  | [] -> Alcotest.fail "no windows")
-
-let test_timeseries_percentiles () =
-  let ts = Timeseries.create () in
-  (* a single observation: every percentile clamps to the exact max *)
-  Timeseries.observe ts "lat" 777.0;
-  Timeseries.roll ts ~now_ns:100.0;
-  (* 99 fast + 1 slow: p50 stays in the fast bucket, max is exact *)
-  for _ = 1 to 99 do Timeseries.observe ts "lat" 100.0 done;
-  Timeseries.observe ts "lat" 10_000.0;
-  Timeseries.roll ts ~now_ns:200.0;
-  match Timeseries.snapshots ts with
-  | [ w1; w2 ] ->
-    let h1 = List.assoc "lat" w1.Timeseries.s_hists in
-    Alcotest.(check (float 0.0)) "single obs p50 exact" 777.0
-      h1.Timeseries.h_p50_ns;
-    Alcotest.(check (float 0.0)) "single obs p99 exact" 777.0
-      h1.Timeseries.h_p99_ns;
-    let h2 = List.assoc "lat" w2.Timeseries.s_hists in
-    Alcotest.(check int) "count" 100 h2.Timeseries.h_count;
-    Alcotest.(check (float 0.0)) "max exact" 10_000.0 h2.Timeseries.h_max_ns;
-    Alcotest.(check bool) "p50 conservative (upper bucket edge)" true
-      (h2.Timeseries.h_p50_ns >= 100.0 && h2.Timeseries.h_p50_ns < 150.0);
-    Alcotest.(check bool) "p99 below the outlier" true
-      (h2.Timeseries.h_p99_ns < 10_000.0)
-  | ws -> Alcotest.failf "expected 2 windows, got %d" (List.length ws)
-
-let test_timeseries_downsample () =
-  let ts = Timeseries.create ~cap:4 () in
-  for i = 1 to 16 do
-    Timeseries.add ts "c" 1L;
-    Timeseries.observe ts "lat" 50.0;
-    Timeseries.roll ts ~now_ns:(float_of_int i *. 10.0)
-  done;
-  let snaps = Timeseries.snapshots ts in
-  Alcotest.(check bool) "ring bounded" true (List.length snaps <= 4);
-  Alcotest.(check bool) "merged at least once" true (Timeseries.merges ts > 0);
-  let sum_c =
-    List.fold_left
-      (fun acc (s : Timeseries.snapshot) ->
-        Int64.add acc (List.assoc "c" s.Timeseries.s_counters))
-      0L snaps
-  in
-  Alcotest.(check int64) "counters survive merging" 16L sum_c;
-  let span =
-    List.fold_left
-      (fun acc (s : Timeseries.snapshot) -> acc +. s.Timeseries.s_span_ns)
-      0.0 snaps
-  in
-  Alcotest.(check (float 1e-9)) "spans add to full coverage" 160.0 span;
-  (* windows stay contiguous oldest-first after merging *)
-  let rec contiguous = function
-    | (a : Timeseries.snapshot) :: (b : Timeseries.snapshot) :: rest ->
-      Alcotest.(check (float 1e-9))
-        "contiguous" (a.Timeseries.s_start_ns +. a.Timeseries.s_span_ns)
-        b.Timeseries.s_start_ns;
-      contiguous (b :: rest)
-    | _ -> ()
-  in
-  contiguous snaps
 
 (* --- Json boundary round-trips -------------------------------------------- *)
 
@@ -359,6 +264,111 @@ let qcheck_interference_invariant =
         r.K.per_tenant;
       true)
 
+(* --- window ring and percentiles, through the export --------------------- *)
+
+(* Numeric member [k] of a JSON object, following [path] first. *)
+let num ?(path = []) k j =
+  let j =
+    List.fold_left
+      (fun j p ->
+        match Json.member p j with
+        | Some v -> v
+        | None -> Alcotest.failf "missing field %S" p)
+      j path
+  in
+  match Json.member k j with
+  | Some (Json.Float f) -> f
+  | Some (Json.Int n) -> float_of_int n
+  | _ -> Alcotest.failf "missing number %S" k
+
+(* One request: the window's percentiles clamp to the exact observed
+   latency, however wide its quarter-octave bucket. *)
+let test_single_request_window () =
+  let cfg = small_cfg ~tenants:1 ~requests:1 () in
+  let tl = K.Timeline.make () in
+  let rt, r = run_with_window ~timeline:tl cfg 4 in
+  let lat = r.K.per_tenant.(0).K.max_ns in
+  match jsonl_parts (K.Timeline.jsonl tl ~rt) with
+  | [ w ], _ ->
+    let path = [ "tenants"; "t0" ] in
+    Alcotest.(check (float 0.0)) "one request" 1.0 (num ~path "requests" w);
+    Alcotest.(check (float 0.0)) "p50 = latency" lat (num ~path "p50_ns" w);
+    Alcotest.(check (float 0.0)) "p99 = latency" lat (num ~path "p99_ns" w)
+  | ws, _ -> Alcotest.failf "expected 1 window, got %d" (List.length ws)
+
+(* Windows far shorter than the run: more than 256 close, so the ring
+   merges pairwise. *)
+let merged_run () =
+  let cfg = small_cfg ~tenants:2 ~requests:200 () in
+  let tl = K.Timeline.make ~interval_ns:2_000.0 () in
+  let rt, r = run_with_window ~timeline:tl cfg 2 in
+  let windows, summary = jsonl_parts (K.Timeline.jsonl tl ~rt) in
+  (r, windows, summary)
+
+(* After merging, the ring still covers the whole run from 0,
+   contiguously, within 256 windows, and no top-K list passes 8. *)
+let test_ring_downsampling () =
+  let _, windows, summary = merged_run () in
+  Alcotest.(check bool) "merged at least once" true
+    (num "merges" summary > 0.0);
+  let n = List.length windows in
+  Alcotest.(check bool) "ring bounded" true (n > 0 && n <= 256);
+  Alcotest.(check (float 0.0)) "summary counts the windows" (float_of_int n)
+    (num "nwindows" summary);
+  let start = num "start_ns" and span = num "span_ns" in
+  Alcotest.(check (float 0.0)) "first window starts at 0" 0.0
+    (start (List.hd windows));
+  ignore
+    (List.fold_left
+       (fun prev_end w ->
+         Alcotest.(check (float 1e-3)) "contiguous" prev_end (start w);
+         start w +. span w)
+       0.0 windows);
+  let last = List.nth windows (n - 1) in
+  Alcotest.(check (float 1e-3)) "spans add to the last window's end"
+    (start last +. span last)
+    (List.fold_left (fun acc w -> acc +. span w) 0.0 windows);
+  List.iter
+    (fun w ->
+      List.iter
+        (fun k ->
+          match Json.member k w with
+          | Some (Json.List l) ->
+            Alcotest.(check bool) (k ^ " keeps at most 8") true (List.length l <= 8)
+          | _ -> Alcotest.failf "missing %s" k)
+        [ "top_keys"; "top_miss_sites" ])
+    windows
+
+(* Across merges, each tenant's per-window counters sum to its
+   end-of-run totals, and every window's in-flight gauges are samples
+   taken as it closed: a merged window keeps the larger max and the
+   later last, so last <= max, and [saturated] is set exactly when max
+   reaches the in-flight window (2). *)
+let test_telescoping_gauges () =
+  let r, windows, _ = merged_run () in
+  Array.iter
+    (fun (tr : K.tenant_report) ->
+      Alcotest.(check int)
+        (Printf.sprintf "t%d requests telescope" tr.K.tenant)
+        tr.K.completed
+        (window_tenant_sum windows ~tenant:tr.K.tenant "requests");
+      Alcotest.(check int)
+        (Printf.sprintf "t%d slo misses telescope" tr.K.tenant)
+        tr.K.slo_miss
+        (window_tenant_sum windows ~tenant:tr.K.tenant "slo_miss"))
+    r.K.per_tenant;
+  List.iter
+    (fun w ->
+      let path = [ "net" ] in
+      let mx = num ~path "inflight_max" w and last = num ~path "inflight_last" w in
+      Alcotest.(check bool) "0 <= inflight_last <= inflight_max" true
+        (0.0 <= last && last <= mx);
+      match Json.member "saturated" w with
+      | Some (Json.Bool b) ->
+        Alcotest.(check bool) "saturated iff the sample hit the cap" (mx >= 2.0) b
+      | _ -> Alcotest.fail "missing saturated")
+    windows
+
 (* Acceptance: an oversubscribed 8-tenant run on a tight in-flight
    window.  The timeline must find a saturated window no later than
    the first SLO-burn window, and the hot-key sketch must name
@@ -442,12 +452,6 @@ let suite =
     Alcotest.test_case "sketch deterministic ties" `Quick
       test_sketch_deterministic_ties;
     Alcotest.test_case "sketch snapshot merge" `Quick test_sketch_merge;
-    Alcotest.test_case "timeseries telescoping + gauges" `Quick
-      test_timeseries_telescoping;
-    Alcotest.test_case "timeseries percentiles" `Quick
-      test_timeseries_percentiles;
-    Alcotest.test_case "timeseries ring downsampling" `Quick
-      test_timeseries_downsample;
     Alcotest.test_case "json int64/negative/empty round-trips" `Quick
       test_json_roundtrips;
     Alcotest.test_case "sched TLS save/restore across parks" `Quick
@@ -455,6 +459,12 @@ let suite =
     Alcotest.test_case "timeline is zero-perturbation" `Quick
       test_zero_perturbation;
     QCheck_alcotest.to_alcotest qcheck_interference_invariant;
+    Alcotest.test_case "single request: p50 = p99 = lat" `Quick
+      test_single_request_window;
+    Alcotest.test_case "timeseries ring downsampling" `Quick
+      test_ring_downsampling;
+    Alcotest.test_case "timeseries telescoping + gauges" `Quick
+      test_telescoping_gauges;
     Alcotest.test_case "8-tenant saturation precedes burn" `Quick
       test_saturation_acceptance;
     Alcotest.test_case "audit failure names bucket + fp delta" `Quick
