@@ -13,8 +13,7 @@
     data a preferred victim and writes it back asynchronously;
     [flush_range] writes back synchronously without evicting;
     [flush_all] re-issues every still-dirty line after a failover),
-    [discard_range] (drop without writeback), [drop_all] (end of
-    lifetime), and telemetry ([publish], [reset_stats],
+    [discard_range] (drop without writeback), and telemetry ([publish], [reset_stats],
     [metadata_bytes], and [hits] and [misses] (faults, for swap) for
     profiler attribution). *)
 
@@ -64,11 +63,6 @@ let flush_all h ~clock =
   match h with
   | Section s -> Section.flush_all s ~clock
   | Swap s -> Swap_section.flush_all s ~clock
-
-let drop_all h ~clock =
-  match h with
-  | Section s -> Section.drop_all s ~clock
-  | Swap s -> Swap_section.drop_all s ~clock
 
 let publish h reg =
   match h with

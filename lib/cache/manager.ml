@@ -11,9 +11,9 @@ type t = {
   mutable generation : int;  (* bumped whenever routing may change *)
   mutable attribution : Mira_telemetry.Attribution.t option;
   mutable recovering : bool;
-      (* Reconfiguration guard: [add_section]/[end_section] must not
-         interleave with failover recovery (a crash mid-[end_section]
-         would race the rebudget against recovery writebacks). *)
+      (* Reconfiguration guard: [add_section] must not interleave
+         with failover recovery (a crash mid-[add_section] would race
+         the rebudget against recovery writebacks). *)
 }
 
 let create net cluster ~budget ~page =
@@ -60,7 +60,7 @@ let handles t =
   List.map (fun s -> Cache_section.Section s) (sections t) @ [ t.swap_h ]
 
 (* Process any cluster crash/recovery events due by now.  Called at
-   every reconfiguration point (and by the runtime's access path), so
+   [add_section] (and by the runtime's access path), so
    incidents are handled before the cache or budget state changes —
    reconfiguration is effectively paused during recovery. *)
 let check_cluster t ~clock =
@@ -192,37 +192,6 @@ let add_section t ~clock (cfg : Section.config) =
     Ok section
   end
 
-let end_section t ~clock ~id =
-  (* Handle any pending failover first: a crash during [end_section]
-     must not interleave recovery writebacks with the rebudget below. *)
-  check_cluster t ~clock;
-  match Hashtbl.find_opt t.sections id with
-  | None -> ()
-  | Some section ->
-    Section.drop_all section ~clock;
-    (* Writeback-ordering barrier: the section's bytes are about to be
-       rebudgeted to swap, so its (asynchronous) final writebacks must
-       land before anything reuses the far ranges.  Only write traffic
-       is fenced — in-flight prefetches of other sections may overlap. *)
-    let now = Mira_sim.Clock.now clock in
-    let done_at =
-      Mira_sim.Net.fence ~dir:Mira_sim.Net.Request.Write t.net ~now
-    in
-    let stall =
-      Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Fence done_at
-    in
-    charge t Mira_telemetry.Attribution.Reconfig stall;
-    t.section_bytes <- t.section_bytes - (Section.config section).Section.size;
-    Hashtbl.remove t.sections id;
-    let orphans =
-      Hashtbl.fold
-        (fun site sec acc -> if sec = id then site :: acc else acc)
-        t.site_to_section []
-    in
-    List.iter (Hashtbl.remove t.site_to_section) orphans;
-    bump t;
-    Swap_section.resize t.swap ~capacity:(swap_capacity t) ~clock
-
 let find_section t ~id = Hashtbl.find_opt t.sections id
 
 let assign_site t ~site ~sec_id =
@@ -231,18 +200,9 @@ let assign_site t ~site ~sec_id =
   Hashtbl.replace t.site_to_section site sec_id;
   bump t
 
-let unassign_site t ~site =
-  Hashtbl.remove t.site_to_section site;
-  bump t
-
-let route t ~site =
-  match Hashtbl.find_opt t.site_to_section site with
-  | None -> None
-  | Some id -> Hashtbl.find_opt t.sections id
-
 let route_handle t ~site =
-  match route t ~site with
-  | Some section -> Cache_section.Section section
+  match Hashtbl.find_opt t.site_to_section site with
+  | Some id -> Cache_section.Section (Hashtbl.find t.sections id)
   | None -> t.swap_h
 
 let metadata_bytes t =

@@ -2,9 +2,10 @@
 
     Owns the swap section plus every live custom section, routes
     allocation sites to sections, and enforces the local-memory budget:
-    creating a section takes bytes away from the swap section, ending a
-    section (when analysis says its lifetime is over, §4.1/§6.2) gives
-    them back.  One section may serve several sites (similar patterns
+    creating a section takes bytes away from the swap section.  A
+    manager is configured once per run: every candidate configuration
+    the controller tries runs on a fresh runtime, so sections are never
+    torn down.  One section may serve several sites (similar patterns
     grouped together); a site not assigned anywhere runs on swap. *)
 
 type t
@@ -21,7 +22,7 @@ val swap_handle : t -> Cache_section.handle
 val set_attribution : t -> Mira_telemetry.Attribution.t -> unit
 (** Route all cache-layer stalls into the given ledger: the swap
     section, every live section, every section created later, plus the
-    manager's own failover-recovery and reconfiguration fence waits. *)
+    manager's own failover-recovery fence waits. *)
 
 val check_cluster : t -> clock:Mira_sim.Clock.t -> unit
 (** Process cluster crash/recovery events due by now.  On failover:
@@ -31,21 +32,14 @@ val check_cluster : t -> clock:Mira_sim.Clock.t -> unit
     recovery time recorded in [node.recovery_ns].  On a primary loss
     with no replica: fail in-flight requests and declare the outage to
     the network ([Net.set_down]); the run continues degraded.  Called
-    automatically at every reconfiguration point ([add_section],
-    [end_section]) so recovery never interleaves with a rebudget, and
-    by the runtime's access path. *)
+    on entry to [add_section], so recovery never interleaves with the
+    swap rebudget, and by the runtime's access path.  Reentrant calls
+    made during recovery return at once. *)
 
 val add_section :
   t -> clock:Mira_sim.Clock.t -> Section.config -> (Section.t, string) result
 (** Carve a new section out of the swap section's budget.  Fails if the
     remaining swap space would drop below one page, or the id exists. *)
-
-val end_section : t -> clock:Mira_sim.Clock.t -> id:int -> unit
-(** Write back, drop, and return the section's bytes to the swap
-    section.  A write [Net.fence] is waited out before the bytes are
-    rebudgeted, so the section's final (asynchronous) writebacks are
-    ordered before any reuse of the far ranges.  Site assignments to it
-    are removed.  No-op if absent. *)
 
 val find_section : t -> id:int -> Section.t option
 val sections : t -> Section.t list
@@ -54,20 +48,15 @@ val assign_site : t -> site:int -> sec_id:int -> unit
 (** Route an allocation site to a section.  Raises [Invalid_argument]
     if the section does not exist. *)
 
-val unassign_site : t -> site:int -> unit
-
-val route : t -> site:int -> Section.t option
-(** [None] means the swap section handles this site. *)
-
 val route_handle : t -> site:int -> Cache_section.handle
 (** Uniform routing: the assigned section's handle, or the swap
     section's when the site has none.  Callers no longer special-case
     swap. *)
 
 val generation : t -> int
-(** Changes whenever [route] or [find_section] may answer differently:
-    bumped by [add_section], [end_section], [assign_site] and
-    [unassign_site].  Callers that cache routing revalidate against it. *)
+(** Changes whenever [route_handle] or [find_section] may answer
+    differently: bumped by [add_section] and [assign_site].  Callers
+    that cache routing revalidate against it. *)
 
 val metadata_bytes : t -> int
 (** Total local-memory metadata of swap + sections. *)

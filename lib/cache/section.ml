@@ -67,7 +67,6 @@ type line_state = {
   mutable dirty : bool;
   mutable ready_at : float;
   mutable evictable : bool;
-  mutable pinned : bool;
   mutable refbit : bool;
   mutable last_use : float;
   mutable data : Bytes.t;  (* allocated at the line's first install *)
@@ -112,7 +111,6 @@ let create net far cfg =
       dirty = false;
       ready_at = 0.0;
       evictable = false;
-      pinned = false;
       refbit = false;
       last_use = 0.0;
       data = Bytes.empty;
@@ -240,7 +238,6 @@ let release_slot t ~clock slot =
     t.stats.evictions <- t.stats.evictions + 1;
     line.tag <- -1;
     line.evictable <- false;
-    line.pinned <- false;
     line.refbit <- false
   end
 
@@ -252,7 +249,7 @@ let pick_victim_full t =
       None
     | slot :: rest ->
       let line = t.lines.(slot) in
-      if line.tag >= 0 && line.evictable && not line.pinned then begin
+      if line.tag >= 0 && line.evictable then begin
         t.evict_hints <- rest;
         Some slot
       end
@@ -267,7 +264,6 @@ let pick_victim_full t =
       t.hand <- (t.hand + 1) mod n;
       let line = t.lines.(slot) in
       if budget = 0 then slot
-      else if line.pinned then sweep (budget - 1)
       else if line.refbit then begin
         line.refbit <- false;
         sweep (budget - 1)
@@ -286,7 +282,6 @@ let pick_victim_set t tag k =
     let line = t.lines.(slot) in
     let score =
       if line.tag < 0 then neg_infinity
-      else if line.pinned then infinity
       else if line.evictable then -1.0
       else line.last_use
     in
@@ -332,7 +327,6 @@ let install t ~clock ~tag ~ready_at =
   line.dirty <- false;
   line.ready_at <- ready_at;
   line.evictable <- false;
-  line.pinned <- false;
   line.refbit <- true;
   line.last_use <- Mira_sim.Clock.now clock;
   (match t.cfg.structure with
@@ -502,12 +496,6 @@ let flush_evict t ~clock ~addr ~len =
         | Full_assoc -> t.evict_hints <- slot :: t.evict_hints
         | Direct | Set_assoc _ -> ()))
 
-let mark_dont_evict t ~addr ~len ~pinned =
-  iter_tags t ~addr ~len (fun tag ->
-      match find_slot t tag with
-      | None -> ()
-      | Some slot -> t.lines.(slot).pinned <- pinned)
-
 let flush_range t ~clock ~addr ~len =
   iter_tags t ~addr ~len (fun tag ->
       match find_slot t tag with
@@ -521,15 +509,6 @@ let flush_all t ~clock =
   Array.iter
     (fun line -> if line.tag >= 0 then writeback t ~clock line ~sync:false)
     t.lines
-
-let drop_all t ~clock =
-  Array.iteri
-    (fun slot line -> if line.tag >= 0 then release_slot t ~clock slot)
-    t.lines;
-  Hashtbl.reset t.table;
-  t.free_slots <- List.init (Array.length t.lines) (fun i -> i);
-  t.evict_hints <- [];
-  t.hand <- 0
 
 let discard_range t ~addr ~len =
   iter_tags t ~addr ~len (fun tag ->
@@ -547,7 +526,6 @@ let discard_range t ~addr ~len =
         | Direct | Set_assoc _ -> ());
         line.tag <- -1;
         line.evictable <- false;
-        line.pinned <- false;
         line.refbit <- false)
 
 let resident t ~addr = find_slot t (line_of_addr t addr) <> None

@@ -106,17 +106,10 @@ val flush_evict : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 (** Eviction hint: asynchronously write back covered dirty lines and
     mark them evictable. *)
 
-val mark_dont_evict : t -> addr:int -> len:int -> pinned:bool -> unit
-(** Pin/unpin lines (shared-section multithreading support, §4.6). *)
-
 val flush_all : t -> clock:Mira_sim.Clock.t -> unit
 (** Failover recovery: asynchronously re-issue writebacks for all
     still-dirty lines without evicting anything, so the new primary
     receives every byte the crashed node lost. *)
-
-val drop_all : t -> clock:Mira_sim.Clock.t -> unit
-(** End of section lifetime: write back dirty lines (asynchronously)
-    and empty the section. *)
 
 val flush_range : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 (** Synchronous write-back (without eviction) of covered dirty lines;

@@ -309,14 +309,12 @@ let resize t ~capacity ~clock =
   (* Evict everything and let demand paging repopulate: simple and only
      used at (re)configuration points.  Released frames are empty, so
      they are kept (with their bytes) as the new pool's first frames. *)
-  Array.iteri (fun idx frame -> if frame.pno >= 0 then release_frame t ~clock idx) old;
-  Hashtbl.reset t.table;
+  drop_all t ~clock;
   t.frames <-
     Array.init nframes (fun i ->
         if i < Array.length old then old.(i) else frame_make ());
   t.hinted <- Mira_util.Index_set.create nframes;
   t.free_frames <- List.init nframes (fun i -> i);
-  t.hand <- 0;
   t.cfg <- { t.cfg with capacity }
 
 let resident t ~addr = Hashtbl.mem t.table (addr / t.cfg.page)

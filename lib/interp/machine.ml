@@ -315,8 +315,3 @@ and do_call t ~tid callee argv =
 let call t name argv = do_call t ~tid:0 name argv
 
 let run t = call t t.program.Ir.p_entry []
-
-let run_timed t =
-  let before = t.ms.Memsys.elapsed () in
-  let v = run t in
-  (v, t.ms.Memsys.elapsed () -. before)

@@ -21,9 +21,5 @@ val create :
 val run : t -> Value.t
 (** Invoke the entry function with no arguments. *)
 
-val run_timed : t -> Value.t * float
-(** [run] plus the total elapsed simulated nanoseconds (max over all
-    thread clocks) consumed by the call. *)
-
 val ops_executed : t -> int
 (** Dynamic op count since creation (sanity metric for tests). *)

@@ -72,17 +72,6 @@ let find_site p id =
   | Some s -> s
   | None -> raise Not_found
 
-let replace_func p f =
-  {
-    p with
-    p_funcs =
-      List.map
-        (fun (name, g) -> if String.equal name f.f_name then (name, f) else (name, g))
-        p.p_funcs;
-  }
-
-let map_blocks fn f = { f with f_body = fn f.f_body }
-
 let block_of = function
   | For { body; _ } | ParFor { body; _ } -> [ body ]
   | While { cond; body; _ } -> [ cond; body ]

@@ -114,13 +114,6 @@ val find_func : program -> string -> func
 val find_site : program -> int -> site_info
 (** Raises [Not_found]. *)
 
-val replace_func : program -> func -> program
-(** Replace the same-named function. *)
-
-val map_blocks : (block -> block) -> func -> func
-(** Apply a block transformation to the body (top level only; the
-    transformation is responsible for recursing if it needs to). *)
-
 val map_ops : (op -> op) -> block -> block
 (** Structure-preserving deep map over every op in a block, applied
     bottom-up (children first). *)

@@ -222,10 +222,6 @@ let set_private_sections t ~site ~sec_ids =
   Hashtbl.replace t.private_sections site sec_ids;
   t.private_gen <- t.private_gen + 1
 
-let clear_private_sections t =
-  Hashtbl.reset t.private_sections;
-  t.private_gen <- t.private_gen + 1
-
 let section_handle t id =
   match Cache.Manager.find_section t.manager ~id with
   | Some section -> Cache.Cache_section.Section section
@@ -243,8 +239,8 @@ let resolve_route t ~site ~mgen =
 (* Uniform dispatch: every access path below goes through a
    [Cache_section.handle], so the swap section is not a special case —
    an unrouted site simply resolves to the swap handle.  Routing is
-   resolved once per site and reused until a section is added or
-   ended, a site is (un)assigned, or private sections change. *)
+   resolved once per site and reused until a section is added, a site
+   is assigned, or private sections change. *)
 let route_h t ~tid ~site =
   let mgen = Cache.Manager.generation t.manager in
   let slot = site land (route_cache_size - 1) in

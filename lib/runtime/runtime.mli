@@ -98,8 +98,6 @@ val set_private_sections : t -> site:int -> sec_ids:int array -> unit
     [sec_ids.(min i (len-1))] (read-only multithreading, §4.6).
     Raises [Invalid_argument] naming the site when [sec_ids] is empty. *)
 
-val clear_private_sections : t -> unit
-
 val lost_bytes_total : t -> int
 (** Far bytes wiped by node crashes with no surviving replica, restricted
     to this run's live object ranges (degraded-mode accounting). *)

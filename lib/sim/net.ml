@@ -23,7 +23,7 @@ module Request = struct
            ([set_node_down]) only stall requests aimed at that node *)
     deadline_ns : float option;
     ctx : Trace.span_ctx option;
-        (* causal origin: rides through submit/ring/post/poll/await so
+        (* causal origin: rides through submit/ring/post/await so
            the reaped completion can be attributed to its access *)
   }
 
@@ -135,7 +135,7 @@ let status_name = function
   | Node_down -> "node_down"
 
 (* One per-member causal span, emitted when the completion's final
-   timing is known: at reap time (poll/await) for reapable requests —
+   timing is known: at reap time ([await]) for reapable requests —
    after any [fail_inflight] retargeting — and at post time for
    detached ones.  The span covers submitted_at..done_at on the net
    lane; a flow arrow links it back to the requesting span's lane.
@@ -201,15 +201,10 @@ type batch = {
 
 module Heap = Mira_util.Min_heap
 
-(* Heap orderings.  [le_done]/[le_gate] tolerate ties (tie order is
-   irrelevant: retirement, counting and fencing are set operations);
-   the completion index is made strict by the unique id so [poll]'s
-   reap order is exactly the old [(done_at, id)] sort. *)
+(* Heap orderings.  Both tolerate ties (tie order is irrelevant:
+   retirement, counting and fencing are set operations). *)
 let le_done (a, _, _) (b, _, _) = (a : float) <= b
 let le_gate (a : float) b = a <= b
-
-let le_cq (d1, i1) (d2, i2) =
-  (d1 : float) < d2 || (d1 = d2 && (i1 : int) <= i2)
 
 (* --- tenant interference matrix ------------------------------------------ *)
 
@@ -277,7 +272,7 @@ end
 
 type t = {
   params : Params.t;
-  mutable dp : dp_config;
+  dp : dp_config;
   mutable link_free_at : float;
   mutable next_id : int;
   inflight : (float * Request.dir * int) Heap.t;
@@ -291,10 +286,7 @@ type t = {
          done_at outside this heap is <= its minimum, so the window
          gate is its O(1) peek — see gate_time *)
   cq_tbl : (int, completion) Hashtbl.t;
-      (* unreaped completions by id (authoritative; await is O(1)) *)
-  cq_idx : (float * int) Heap.t;
-      (* reap index over cq_tbl keyed (done_at, id); entries whose id
-         has been reaped by [await] are stale and skipped by [poll] *)
+      (* unreaped completions by id; [await] removes its entry *)
   mutable pending : batch option;
   mutable down_until : float;
       (* far node unreachable until this instant: messages posted before
@@ -340,7 +332,6 @@ let create ?(dp = dp_default) params =
     inflight = Heap.create ~le:le_done;
     window_q = Heap.create ~le:le_gate;
     cq_tbl = Hashtbl.create 64;
-    cq_idx = Heap.create ~le:le_cq;
     pending = None;
     down_until = 0.0;
     node_down_until = Hashtbl.create 8;
@@ -358,24 +349,6 @@ let interference t = t.interference
 
 let record_interference t ~tenant ~holders fp =
   Interference.record t.interference ~tenant ~holders fp
-
-(* Rebuild [window_q] as the largest min(n, window) in-flight done_ats
-   (bounded-heap selection: push, then drop the minimum on overflow).
-   Needed whenever [window] changes out from under live traffic. *)
-let rebuild_window t =
-  Heap.clear t.window_q;
-  let w = t.dp.window in
-  if w > 0 then
-    Heap.iter
-      (fun (d, _, _) ->
-        Heap.push t.window_q d;
-        if Heap.length t.window_q > w then ignore (Heap.pop t.window_q))
-      t.inflight
-
-let set_dataplane t dp =
-  (match dp.fault with Some f -> Fault.validate f | None -> ());
-  t.dp <- dp;
-  rebuild_window t
 
 let reset_stats t =
   let s = t.stats in
@@ -404,7 +377,6 @@ let reset_link t =
   Heap.clear t.inflight;
   Heap.clear t.window_q;
   Hashtbl.reset t.cq_tbl;
-  Heap.clear t.cq_idx;
   t.pending <- None;
   t.down_until <- 0.0;
   Hashtbl.reset t.node_down_until
@@ -501,10 +473,6 @@ let gate_time t ~now =
   let w = t.dp.window in
   if w <= 0 || Heap.length t.window_q < w then now
   else match Heap.peek t.window_q with Some d -> d | None -> now
-
-let enqueue_completion t (c : completion) =
-  Hashtbl.replace t.cq_tbl c.id c;
-  Heap.push t.cq_idx (c.done_at, c.id)
 
 (* --- posting ------------------------------------------------------------- *)
 
@@ -640,7 +608,7 @@ let post t ~now members =
             queue_ns = Float.max 0.0 (issue_at -. submitted_at);
             holders }
         in
-        if detached then emit_member_span c else enqueue_completion t c)
+        if detached then emit_member_span c else Hashtbl.replace t.cq_tbl id c)
       members
   end
   else begin
@@ -705,7 +673,7 @@ let post t ~now members =
           holders;
         }
       in
-      if detached then emit_member_span c else enqueue_completion t c)
+      if detached then emit_member_span c else Hashtbl.replace t.cq_tbl id c)
     members
   end
 
@@ -750,32 +718,11 @@ let submit t ~now ?(urgent = false) ?(detached = false) (req : Request.t) =
 
 (* --- completion queue ---------------------------------------------------- *)
 
-(* The reap index pops in (done_at, id) order — the exact order the old
-   partition+sort produced.  Entries whose id is gone from the table
-   were reaped by [await]; they are skipped and discarded here. *)
-let poll t ~now =
-  ring t ~now;
-  let rec drain acc =
-    match Heap.peek t.cq_idx with
-    | Some (d, id) when d <= now -> (
-      ignore (Heap.pop t.cq_idx);
-      match Hashtbl.find_opt t.cq_tbl id with
-      | Some c ->
-        Hashtbl.remove t.cq_tbl id;
-        drain (c :: acc)
-      | None -> drain acc)
-    | _ -> List.rev acc
-  in
-  let ready = drain [] in
-  List.iter emit_member_span ready;
-  ready
-
 let await t ~now ~id =
   ring t ~now;
   match Hashtbl.find_opt t.cq_tbl id with
   | Some c ->
     Hashtbl.remove t.cq_tbl id;
-    (* The (done_at, id) index entry goes stale; poll skips it. *)
     emit_member_span c;
     c
   | None -> invalid_arg "Net.await: unknown or detached request id"
@@ -824,12 +771,6 @@ let fail_inflight t ~now =
       Hashtbl.replace t.cq_tbl c.id { c with status = Node_down; done_at = now })
     retargeted;
   let failed = List.length retargeted in
-  if failed > 0 then begin
-    (* Retargeting moved done_at keys: rebuild the reap index (rare
-       crash path; poll order must follow the new keys). *)
-    Heap.clear t.cq_idx;
-    Hashtbl.iter (fun id (c : completion) -> Heap.push t.cq_idx (c.done_at, id)) t.cq_tbl
-  end;
   (* Clamping down to [now] is monotone, so both heaps keep their
      invariants in place — no re-heapify. *)
   Heap.map_monotone

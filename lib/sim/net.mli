@@ -2,8 +2,8 @@
     far-memory node, redesigned as an {e asynchronous data plane}.
 
     Callers build typed requests ([Request.t]), post them to a
-    submission queue ([submit]), and reap typed completions from a
-    completion queue ([poll] / [await]).  The data plane adds three
+    submission queue ([submit]), and reap each typed completion by id
+    with [await].  The data plane adds three
     orthogonal mechanisms on top of the original analytical link model:
 
     - a {b bounded in-flight window}: at most [window] transfers may be
@@ -29,12 +29,12 @@
 
     With the default configuration ([dp_default]: unbounded window, no
     coalescing, no faults) the data plane is bit-identical to the
-    original blocking fetch/push model.  The synchronous veneers that
-    survived the redesign as a transition aid are gone: every caller —
-    the cache sections, the swap section, [Rpc], the baselines, the
-    tests — posts typed requests with [submit] and reaps completions
-    with [await]/[poll].  A blocking read is simply
-    [submit ~urgent:true] + [await] + a clock wait until [done_at]. *)
+    original blocking fetch/push model.  Every caller — the cache
+    sections, the swap section, [Rpc], the baselines, the tests —
+    posts typed requests with [submit] and reaps them with [await]
+    (or marks them [detached]).  A blocking read is simply
+    [submit ~urgent:true] + [await] + a clock wait until [done_at].
+    The configuration is fixed at [create]. *)
 
 type side = One_sided | Two_sided
 
@@ -62,7 +62,7 @@ module Request : sig
             configured. *)
     ctx : Mira_telemetry.Trace.span_ctx option;
         (** causal span context of the access that issued the request;
-            rides through submit/ring/post/poll/await (including
+            rides through submit/ring/post/await (including
             retries, coalescing and [fail_inflight] retargeting) so the
             reaped completion emits a member span tied to its trace.
             [None] (the default) emits nothing. *)
@@ -103,7 +103,7 @@ module Fault : sig
   (** Raises [Invalid_argument] with a descriptive message when the
       configuration is unusable: NaN or out-of-range probabilities,
       negative [delay_ns], non-positive [timeout_ns]/[backoff_ns], or
-      [max_retries < 0].  Called by [create] and [set_dataplane]. *)
+      [max_retries < 0].  Called by [create]. *)
 end
 
 type dp_config = {
@@ -198,14 +198,13 @@ type stats = {
 type t
 
 val create : ?dp:dp_config -> Params.t -> t
+(** Raises [Invalid_argument] when [dp.fault] fails [Fault.validate]. *)
+
 val params : t -> Params.t
 val stats : t -> stats
 val reset_stats : t -> unit
 
 val dataplane : t -> dp_config
-val set_dataplane : t -> dp_config -> unit
-(** Reconfigure window/batching/faults.  Takes effect for subsequent
-    submissions; callers normally set this once before a run. *)
 
 val publish : t -> Mira_telemetry.Metrics.t -> unit
 (** Export counters and latency histograms under [net.*] (including
@@ -225,20 +224,17 @@ val submit : t -> now:float -> ?urgent:bool -> ?detached:bool -> Request.t -> sq
 
     [detached] (default false) marks a fire-and-forget request: it is
     fully accounted (statistics, link occupancy, [fence]) but produces
-    no completion-queue entry, so callers that never reap (asynchronous
-    writebacks) cannot leak completions.
+    no completion-queue entry.  Every other request must be reaped
+    with [await] exactly once; the net keeps nothing for it after
+    that, so a run of submit+await pairs holds constant memory.
 
     A pending batch is posted — its doorbell rings — when a different
     kind of request is submitted, when it reaches 16 requests,
-    or on [ring]/[poll]/[await]/[fence]. *)
+    or on [ring]/[await]/[fence]. *)
 
 val ring : t -> now:float -> unit
 (** Ring the doorbell: post any pending batch at time [now].  No-op if
     nothing is pending. *)
-
-val poll : t -> now:float -> completion list
-(** Drain completions with [done_at <= now], oldest first (ties by
-    submission order).  Rings the doorbell first. *)
 
 val await : t -> now:float -> id:int -> completion
 (** Reap the completion for [id] regardless of its [done_at] — the
@@ -250,7 +246,7 @@ val fence : ?dir:Request.dir -> t -> now:float -> float
 (** Time at which every transfer submitted so far (restricted to
     direction [dir] if given) has completed; at least [now].  Rings the
     doorbell first.  [fence ~dir:Write] is the writeback flush barrier
-    used before RPCs and section teardown. *)
+    used before RPCs and after failover recovery. *)
 
 val in_flight : t -> now:float -> int
 (** Posted messages not yet complete at [now] (testing/telemetry). *)

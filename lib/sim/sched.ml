@@ -224,9 +224,6 @@ let block_counts t =
          let n = t.blocks.(block_index ev) in
          if n > 0 then Some (Clock.event_name ev, n) else None)
 
-let elapsed_ns t =
-  Hashtbl.fold (fun _ c acc -> Float.max acc (Clock.now c)) t.clocks 0.0
-
 let publish t reg =
   Mira_telemetry.Metrics.set_counter reg "sched.tenants" (tenants t);
   Mira_telemetry.Metrics.set_counter reg "sched.dispatched" t.dispatched;

@@ -33,9 +33,6 @@ type event = Clock.event =
   | Fence
   | Timer
 
-val ticks_of_ns : float -> int64
-(** Nearest-tick conversion used for event-queue ordering keys. *)
-
 type t
 
 val create : unit -> t
@@ -77,9 +74,6 @@ val dispatched : t -> int
 val block_counts : t -> (string * int) list
 (** Yields per typed-event kind ([cache_fill], [fence],
     [net_completion], [timer]), sorted by name. *)
-
-val elapsed_ns : t -> float
-(** Max over all tenant clocks. *)
 
 val publish : t -> Mira_telemetry.Metrics.t -> unit
 (** Export [sched.tenants], [sched.dispatched] and per-kind

@@ -16,7 +16,9 @@ type cause =
   | Fence  (** ordering fences (e.g. write fence before an offload RPC) *)
   | Writeback  (** synchronous writeback backpressure *)
   | Failover_recovery  (** node-failure detection and failover recovery *)
-  | Reconfig  (** reconfiguration barriers between program sections *)
+  | Reconfig
+      (** reconfiguration barriers; nothing charges it, since sections
+          are never torn down, but reports keep the bucket *)
   | Reconstruct
       (** degraded reads served by erasure-decoding k survivor chunks
           while a far node is down *)

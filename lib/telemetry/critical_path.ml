@@ -245,10 +245,6 @@ let root_of spans ~trace =
       else acc)
     None spans
 
-let analyze evs ~trace =
-  let spans = spans_of_events evs in
-  Option.map (fun root -> decompose spans ~root) (root_of spans ~trace)
-
 (* --- exemplar reports ---------------------------------------------------- *)
 
 type exemplar_path = {

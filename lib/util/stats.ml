@@ -4,15 +4,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else sum xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (acc /. float_of_int n)
-  end
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty array";
@@ -25,16 +16,6 @@ let percentile xs p =
   else begin
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
-
-let median xs = percentile xs 50.0
-
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let acc = Array.fold_left (fun a x -> a +. log x) 0.0 xs in
-    exp (acc /. float_of_int n)
   end
 
 let min_max xs =

@@ -3,18 +3,9 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0 on arrays shorter than 2. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation on a
     sorted copy.  Raises [Invalid_argument] on the empty array. *)
-
-val median : float array -> float
-(** 50th percentile. *)
-
-val geomean : float array -> float
-(** Geometric mean of positive values; 0 on the empty array. *)
 
 val min_max : float array -> float * float
 (** Minimum and maximum.  Raises [Invalid_argument] on the empty array. *)

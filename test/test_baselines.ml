@@ -10,6 +10,12 @@ let far_capacity = 1 lsl 22
 
 let run ms p = Machine.run (Machine.create ms p)
 
+(* [run] plus the simulated nanoseconds the run took on [ms]. *)
+let run_timed ?nthreads (ms : Mira_runtime.Memsys.t) p =
+  let before = ms.Mira_runtime.Memsys.elapsed () in
+  let v = Machine.run (Machine.create ?nthreads ms p) in
+  (v, ms.Mira_runtime.Memsys.elapsed () -. before)
+
 let test_all_systems_agree () =
   let p = prog () in
   let expected = run (Mira_baselines.Native.create ~capacity:far_capacity ()) p in
@@ -35,7 +41,7 @@ let test_all_systems_agree () =
 
 let test_far_memory_slower_than_native () =
   let p = prog () in
-  let time ms = snd (Machine.run_timed (Machine.create ms p)) in
+  let time ms = snd (run_timed ms p) in
   let native = time (Mira_baselines.Native.create ~capacity:far_capacity ()) in
   let budget = W.far_bytes small_cfg / 4 in
   let fs = time (Mira_baselines.Fastswap.create ~local_budget:budget ~far_capacity ()) in
@@ -45,7 +51,7 @@ let test_fastswap_degrades_with_less_memory () =
   let p = prog () in
   let time budget =
     let ms = Mira_baselines.Fastswap.create ~local_budget:budget ~far_capacity () in
-    snd (Machine.run_timed (Machine.create ms p))
+    snd (run_timed ms p)
   in
   let big = time (W.far_bytes small_cfg) in
   let small = time (W.far_bytes small_cfg / 8) in
@@ -73,9 +79,9 @@ let test_leap_majority_prefetch () =
   let leap = Mira_baselines.Leap.create ~local_budget:(1 lsl 16) ~far_capacity () in
   let fs_time =
     let ms = Mira_baselines.Fastswap.create ~local_budget:(1 lsl 16) ~far_capacity () in
-    snd (Machine.run_timed (Machine.create ms p))
+    snd (run_timed ms p)
   in
-  let v, leap_time = Machine.run_timed (Machine.create leap p) in
+  let v, leap_time = run_timed leap p in
   Alcotest.(check bool) "correct" true (Value.equal v (Value.Vint 0L));
   (* Leap's trend prefetch keeps it within ~2x of cluster readahead on a
      pure stream (it pays its data-path penalty but hides latency). *)
@@ -100,14 +106,14 @@ let test_aifm_oom_on_fine_granularity () =
 let test_aifm_deref_overhead_at_full_memory () =
   let p = prog () in
   let native = Mira_baselines.Native.create ~capacity:far_capacity () in
-  let native_t = snd (Machine.run_timed (Machine.create native p)) in
+  let native_t = snd (run_timed native p) in
   let aifm =
     Mira_baselines.Aifm.create
       ~gran:(fun _ -> 4096)
       ~local_budget:(2 * W.far_bytes small_cfg)
       ~far_capacity ()
   in
-  let aifm_t = snd (Machine.run_timed (Machine.create aifm p)) in
+  let aifm_t = snd (run_timed aifm p) in
   (* Even with all data cached, AIFM pays per-dereference overhead. *)
   Alcotest.(check bool) "aifm slower even at full memory" true
     (aifm_t > 1.5 *. native_t)
@@ -118,7 +124,7 @@ let test_fastswap_thread_contention () =
   let budget = W.far_bytes pcfg / 4 in
   let time threads =
     let ms = Mira_baselines.Fastswap.create ~local_budget:budget ~far_capacity () in
-    snd (Machine.run_timed (Machine.create ~nthreads:threads ms p))
+    snd (run_timed ~nthreads:threads ms p)
   in
   let t1 = time 1 in
   let t8 = time 8 in

@@ -10,6 +10,7 @@ module Cluster = Mira_sim.Cluster
 module Section = Mira_cache.Section
 module Swap = Mira_cache.Swap_section
 module Manager = Mira_cache.Manager
+module Cache_section = Mira_cache.Cache_section
 module Sizing = Mira_cache.Sizing
 module Attribution = Mira_telemetry.Attribution
 
@@ -65,16 +66,6 @@ let test_section_flush_evict_priority () =
   let st = Section.stats s in
   Alcotest.(check int) "hinted victim" 1 st.Section.hinted_evictions;
   Alcotest.(check bool) "hinted line gone" false (Section.resident s ~addr:64)
-
-let test_section_dont_evict () =
-  let net, far, clock = make_env () in
-  let s = Section.create net far (cfg_of Section.Full_assoc ~line:64 ~size:128) in
-  Section.store s ~clock ~addr:0 ~len:8 1L;
-  Section.mark_dont_evict s ~addr:0 ~len:8 ~pinned:true;
-  Section.store s ~clock ~addr:64 ~len:8 2L;
-  Section.store s ~clock ~addr:128 ~len:8 3L;
-  Section.store s ~clock ~addr:192 ~len:8 4L;
-  Alcotest.(check bool) "pinned survives" true (Section.resident s ~addr:0)
 
 let test_section_native_fallback () =
   let net, far, clock = make_env () in
@@ -169,10 +160,10 @@ let test_swap_resize () =
   Alcotest.(check int64) "data survives resize" 9L (Swap.load sw ~clock ~addr:0 ~len:8)
 
 (* A resize keeps the released frames, bytes included, as the new
-   pool's first frames.  Across a shrink/grow history like the one
-   add_section/end_section drive, the resized swap must behave exactly
-   like a freshly created one of each capacity after the same
-   writebacks: same clock, statistics, bytes on the wire and data. *)
+   pool's first frames.  Across a shrink/grow history, the resized
+   swap must behave exactly like a freshly created one of each
+   capacity after the same writebacks: same clock, statistics, bytes
+   on the wire and data. *)
 let test_swap_resize_reuses_frames () =
   let page = 4096 in
   let cfg capacity = { Swap.page; capacity } in
@@ -371,7 +362,7 @@ let test_payload_redundant () =
     let net = Net.create Params.default and clock = Clock.create () in
     let s = Section.create net far (payload_cfg ~line ~size:(4 * line)) in
     store_fields s ~clock ~model ~line n;
-    Section.drop_all s ~clock;
+    Section.flush_all s ~clock;
     Alcotest.(check int) (name ^ ": writebacks") n (Section.stats s).Section.writebacks;
     Alcotest.(check int) (name ^ ": replication bytes") (n * payload_bytes)
       ((Cluster.stats far).Cluster.replication_bytes - replicated);
@@ -403,8 +394,10 @@ let test_manager_budget () =
   let too_big = { (cfg_of Section.Direct ~line:64 ~size:65536) with Section.sec_id = 2 } in
   Alcotest.(check bool) "over budget rejected" true
     (Result.is_error (Manager.add_section m ~clock too_big));
-  Manager.end_section m ~clock ~id:1;
-  Alcotest.(check int) "swap restored" 65536 (Swap.capacity_bytes (Manager.swap m))
+  Alcotest.(check bool) "duplicate id rejected" true
+    (Result.is_error (Manager.add_section m ~clock cfg));
+  Alcotest.(check int) "rejections leave swap as it was" (65536 - 16384)
+    (Swap.capacity_bytes (Manager.swap m))
 
 let test_manager_routing () =
   let net, far, clock = make_env () in
@@ -412,11 +405,20 @@ let test_manager_routing () =
   (match Manager.add_section m ~clock (cfg_of Section.Direct ~line:64 ~size:8192) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
+  let gen = Manager.generation m in
   Manager.assign_site m ~site:3 ~sec_id:1;
-  Alcotest.(check bool) "routed" true (Manager.route m ~site:3 <> None);
-  Alcotest.(check bool) "unrouted" true (Manager.route m ~site:9 = None);
-  Manager.unassign_site m ~site:3;
-  Alcotest.(check bool) "unassigned" true (Manager.route m ~site:3 = None)
+  Alcotest.(check bool) "assignment bumps the generation" true
+    (Manager.generation m <> gen);
+  let routed site =
+    match Manager.route_handle m ~site with
+    | Cache_section.Section s -> Some (Section.config s).Section.sec_id
+    | Cache_section.Swap _ -> None
+  in
+  Alcotest.(check (option int)) "routed" (Some 1) (routed 3);
+  Alcotest.(check (option int)) "unrouted runs on swap" None (routed 9);
+  Alcotest.check_raises "unknown section"
+    (Invalid_argument "Manager.assign_site: no section 7") (fun () ->
+      Manager.assign_site m ~site:4 ~sec_id:7)
 
 (* --- the coherence property ---------------------------------------------- *)
 
@@ -472,7 +474,7 @@ let coherence_for structure line size =
           | Evict addr -> Section.flush_range s ~clock ~addr ~len:8)
         ops;
       (* Final drain: everything must land in the far store. *)
-      Section.drop_all s ~clock;
+      Section.flush_all s ~clock;
       Hashtbl.iter
         (fun addr v -> if Cluster.read_i64 far ~addr <> v then ok := false)
         reference;
@@ -503,7 +505,7 @@ let coherence_swap =
           | Flush addr -> Swap.evict_hint sw ~clock ~addr ~len:8
           | Evict addr -> Swap.flush_range sw ~clock ~addr ~len:8)
         ops;
-      Swap.drop_all sw ~clock;
+      Swap.flush_all sw ~clock;
       Hashtbl.iter
         (fun addr v -> if Cluster.read_i64 far ~addr <> v then ok := false)
         reference;
@@ -597,7 +599,6 @@ let suite =
     Alcotest.test_case "section writeback" `Quick test_section_writeback_on_evict;
     Alcotest.test_case "section prefetch ready" `Quick test_section_prefetch_ready_time;
     Alcotest.test_case "section evict hint" `Quick test_section_flush_evict_priority;
-    Alcotest.test_case "section dont-evict" `Quick test_section_dont_evict;
     Alcotest.test_case "section native fallback" `Quick test_section_native_fallback;
     Alcotest.test_case "section no_meta" `Quick test_section_no_meta_cheap_hits;
     Alcotest.test_case "section discard" `Quick test_section_discard_range;

@@ -328,12 +328,13 @@ let test_of_store_passthrough () =
   Alcotest.(check bool) "no events ever" true (Cluster.next_event_at t = infinity);
   Alcotest.(check int) "no incidents" 0 (List.length (Cluster.poll t ~now:1e12))
 
-(* --- crash during Manager.end_section ------------------------------------ *)
+(* --- crash during Manager.add_section ------------------------------------ *)
 
-let test_crash_during_end_section () =
-  (* A failover due exactly when [end_section] runs must be processed
+let test_crash_during_add_section () =
+  (* A failover due exactly when [add_section] runs must be processed
      before the rebudget: the manager recovers (dirty lines re-issued,
-     recovery time charged) and then tears the section down normally. *)
+     recovery time charged) and then carves the new section out of swap
+     normally. *)
   let net = Net.create Mira_sim.Params.default in
   let cluster =
     Cluster.create ~capacity:(1 lsl 20)
@@ -348,20 +349,24 @@ let test_crash_during_end_section () =
   (match Manager.add_section mgr ~clock cfg with
   | Ok s ->
     (* Dirty a few lines, then advance past the scheduled crash so the
-       failover fires inside end_section. *)
+       failover fires inside the second add_section. *)
     Section.store s ~clock ~addr:0 ~len:8 1L;
     Section.store s ~clock ~addr:64 ~len:8 2L;
     Clock.advance clock 1e6;
-    Manager.end_section mgr ~clock ~id:1
+    (match Manager.add_section mgr ~clock { cfg with Section.sec_id = 2 } with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m)
   | Error m -> Alcotest.fail m);
   let st = Cluster.stats cluster in
   Alcotest.(check int) "failover happened" 1 st.Cluster.failovers;
   Alcotest.(check bool) "recovery time charged" true
     (Mira_telemetry.Metrics.hist_count st.Cluster.recovery = 1);
-  Alcotest.(check int) "section gone" 0 (List.length (Manager.sections mgr));
+  Alcotest.(check int) "section added" 2 (List.length (Manager.sections mgr));
+  Alcotest.(check int) "swap rebudgeted" (65536 - 8192)
+    (Mira_cache.Swap_section.capacity_bytes (Manager.swap mgr));
   (* Post-failover state is coherent: survivors decode the written
      data. *)
-  Alcotest.(check int64) "data survived teardown" 1L (Cluster.read_i64 cluster ~addr:0);
+  Alcotest.(check int64) "data survived the crash" 1L (Cluster.read_i64 cluster ~addr:0);
   Alcotest.(check int64) "second line too" 2L (Cluster.read_i64 cluster ~addr:64);
   Alcotest.(check bool) "never degraded" false (Cluster.degraded cluster)
 
@@ -521,8 +526,8 @@ let suite =
     Alcotest.test_case "clear resets degraded + stats" `Quick
       test_clear_resets_degraded;
     Alcotest.test_case "of_store passthrough" `Quick test_of_store_passthrough;
-    Alcotest.test_case "crash during end_section" `Quick
-      test_crash_during_end_section;
+    Alcotest.test_case "crash during add_section" `Quick
+      test_crash_during_add_section;
     Alcotest.test_case "fault-tolerance doc guard" `Quick test_fault_doc_guard;
     QCheck_alcotest.to_alcotest qcheck_quorum_bit_identical;
     Alcotest.test_case "degraded run completes" `Slow test_degraded_run_completes;

@@ -9,8 +9,60 @@
 module Trace = Mira_telemetry.Trace
 module Metrics = Mira_telemetry.Metrics
 module CP = Mira_telemetry.Critical_path
+module Json = Mira_telemetry.Json
 module Runtime = Mira_runtime.Runtime
 module R = Test_random_programs
+
+(* The cause segments, in the order the report lists them. *)
+let segments = [ "queue"; "wire"; "retry"; "fill"; "recovery"; "local" ]
+
+(* One decomposed exemplar, read back from [CP.report]. *)
+type path = {
+  hist : string;
+  trace : int;
+  root : int;
+  root_lane : string;
+  spans : int;
+  total_fp : int64;
+  segments_fp : (string * int64) list;
+}
+
+let paths reg evs =
+  let field k j =
+    match Json.member k j with
+    | Some v -> v
+    | None -> Alcotest.failf "report lacks %S" k
+  in
+  let str k j =
+    match field k j with Json.Str s -> s | _ -> Alcotest.failf "%S not a string" k
+  in
+  let int k j =
+    match field k j with Json.Int i -> i | _ -> Alcotest.failf "%S not an int" k
+  in
+  let path ex =
+    let cp = field "critical_path" ex in
+    {
+      hist = str "hist" ex;
+      trace = int "trace" cp;
+      root = int "root" cp;
+      root_lane = str "root_lane" cp;
+      spans = int "spans" cp;
+      total_fp = Int64.of_string (str "total_fp" cp);
+      segments_fp =
+        (match field "segments_fp" cp with
+        | Json.Obj kvs ->
+          List.map
+            (fun (k, v) ->
+              match v with
+              | Json.Str s -> (k, Int64.of_string s)
+              | _ -> Alcotest.failf "segment %S not a string" k)
+            kvs
+        | _ -> Alcotest.fail "segments_fp not an object");
+    }
+  in
+  match field "exemplars" (CP.report reg evs) with
+  | Json.List exs -> List.map path exs
+  | _ -> Alcotest.fail "exemplars not a list"
 
 (* A fixed recipe with enough far traffic to populate every access
    histogram: sequential and strided reads (prefetchable), an indirect
@@ -52,7 +104,7 @@ let test_seeded_exemplars () =
   Alcotest.(check int) "nothing dropped" 0 dropped;
   Alcotest.(check (list string)) "schema well-formed" [] (CP.validate evs);
   let reg = Mira.Report.runtime_metrics rt in
-  let ps = CP.paths reg evs in
+  let ps = paths reg evs in
   Alcotest.(check bool) "at least one exemplar path" true (ps <> []);
   (* every histogram that recorded traced exemplars gets >= 1
      decomposition — the p99 a report shows always links to a trace *)
@@ -66,10 +118,10 @@ let test_seeded_exemplars () =
         Alcotest.(check bool)
           (name ^ " has a decomposed exemplar")
           true
-          (List.exists (fun p -> p.CP.p_hist = name) ps)
+          (List.exists (fun p -> p.hist = name) ps)
       | _ -> ())
     (Metrics.names reg);
-  let hists = List.map (fun p -> p.CP.p_hist) ps in
+  let hists = List.map (fun p -> p.hist) ps in
   Alcotest.(check bool) "covers swap faults" true
     (List.mem "swap.fault_latency" hists);
   Alcotest.(check bool) "covers net fetches" true
@@ -77,17 +129,15 @@ let test_seeded_exemplars () =
   (* exact fixed-point telescoping, per exemplar *)
   List.iter
     (fun p ->
-      let d = p.CP.p_decomp in
       let sum =
-        List.fold_left (fun acc (_, fp) -> Int64.add acc fp) 0L d.CP.d_segments
+        List.fold_left (fun acc (_, fp) -> Int64.add acc fp) 0L p.segments_fp
       in
       Alcotest.(check int64)
-        (Printf.sprintf "%s trace %d segments telescope" p.CP.p_hist
-           d.CP.d_trace)
-        d.CP.d_total_fp sum;
-      Alcotest.(check bool) "walked at least the root" true (d.CP.d_spans >= 1);
-      Alcotest.(check bool) "every segment present once" true
-        (List.length d.CP.d_segments = List.length CP.all_segments))
+        (Printf.sprintf "%s trace %d segments telescope" p.hist p.trace)
+        p.total_fp sum;
+      Alcotest.(check bool) "walked at least the root" true (p.spans >= 1);
+      Alcotest.(check (list string)) "every segment present once" segments
+        (List.map fst p.segments_fp))
     ps;
   (* the folded export carries the same exact sums: every line is
      [hist;root;segment <fp>] with a positive integer weight *)
@@ -124,11 +174,15 @@ let test_root_selection () =
   let reg = Mira.Report.runtime_metrics rt in
   List.iter
     (fun p ->
-      let root = p.CP.p_decomp.CP.d_root in
-      Alcotest.(check int) "root is parentless" 0 root.CP.s_parent;
+      Alcotest.(check bool) "root is parentless" true
+        (List.exists
+           (fun e ->
+             e.Trace.ev_phase = Trace.Begin && e.Trace.ev_trace = p.trace
+             && e.Trace.ev_span = p.root && e.Trace.ev_parent = 0)
+           evs);
       Alcotest.(check string) "root lives on the runtime lane" "runtime"
-        root.CP.s_lane)
-    (CP.paths reg evs)
+        p.root_lane)
+    (paths reg evs)
 
 (* --- validator ----------------------------------------------------------- *)
 
@@ -215,22 +269,28 @@ let test_decompose_synthetic () =
         else e)
       well_formed
   in
-  match CP.analyze evs ~trace:7 with
-  | None -> Alcotest.fail "no decomposition for trace 7"
-  | Some d ->
+  (* One exemplar naming trace 7 makes the report decompose it. *)
+  let reg = Metrics.create () in
+  let h = Metrics.hist_create () in
+  Metrics.hist_observe ~trace:7 h 3.0;
+  Metrics.set_hist reg "synthetic" h;
+  match paths reg evs with
+  | [ d ] ->
     let fp ns = Int64.of_float (ns *. 65536.0) in
-    Alcotest.(check int64) "total is the root duration" (fp 3.0) d.CP.d_total_fp;
-    Alcotest.(check int) "two spans walked" 2 d.CP.d_spans;
-    let seg s = List.assoc s d.CP.d_segments in
-    Alcotest.(check int64) "queue from args" (fp 0.25) (seg CP.Queue);
-    Alcotest.(check int64) "wire from args" (fp 0.5) (seg CP.Wire);
+    Alcotest.(check int) "trace 7" 7 d.trace;
+    Alcotest.(check int64) "total is the root duration" (fp 3.0) d.total_fp;
+    Alcotest.(check int) "two spans walked" 2 d.spans;
+    let seg s = List.assoc s d.segments_fp in
+    Alcotest.(check int64) "queue from args" (fp 0.25) (seg "queue");
+    Alcotest.(check int64) "wire from args" (fp 0.5) (seg "wire");
     (* child self = 1.0; residual after queue+wire lands in retry *)
-    Alcotest.(check int64) "retry takes the residual" (fp 0.25) (seg CP.Retry);
-    Alcotest.(check int64) "root keeps local time" (fp 2.0) (seg CP.Local);
+    Alcotest.(check int64) "retry takes the residual" (fp 0.25) (seg "retry");
+    Alcotest.(check int64) "root keeps local time" (fp 2.0) (seg "local");
     let sum =
-      List.fold_left (fun acc (_, v) -> Int64.add acc v) 0L d.CP.d_segments
+      List.fold_left (fun acc (_, v) -> Int64.add acc v) 0L d.segments_fp
     in
-    Alcotest.(check int64) "telescopes" d.CP.d_total_fp sum
+    Alcotest.(check int64) "telescopes" d.total_fp sum
+  | ps -> Alcotest.failf "%d decompositions for one exemplar" (List.length ps)
 
 (* --- doc drift guard ----------------------------------------------------- *)
 
@@ -267,10 +327,9 @@ let test_doc_drift_guard () =
   List.iter
     (fun s ->
       Alcotest.(check bool)
-        (Printf.sprintf "segment %S documented" (CP.segment_name s))
-        true
-        (contains doc (CP.segment_name s)))
-    CP.all_segments;
+        (Printf.sprintf "segment %S documented" s)
+        true (contains doc s))
+    segments;
   List.iter
     (fun key ->
       Alcotest.(check bool)

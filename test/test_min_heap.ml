@@ -187,7 +187,8 @@ let reference_run progs =
       if dt > 0.0 && !live > 1 then begin
         incr timers;
         entries :=
-          { at = Sched.ticks_of_ns clocks.(c); tenant; seq = fresh_seq ();
+          { at = Int64.of_float (Float.round (clocks.(c) *. 65536.0));
+            tenant; seq = fresh_seq ();
             log_clock = Some c; remaining = more }
           :: !entries
       end

@@ -234,15 +234,10 @@ let test_runtime_route_invalidation () =
   routes "section added, site unassigned" "swap";
   Manager.assign_site mgr ~site:7 ~sec_id:1;
   routes "assigned" "section 1";
-  Manager.unassign_site mgr ~site:7;
-  routes "unassigned again" "swap";
-  Manager.assign_site mgr ~site:7 ~sec_id:1;
-  routes "reassigned" "section 1";
-  Manager.end_section mgr ~clock ~id:1;
-  routes "section ended" "swap";
-  let fresh = add_section mgr ~clock 1 in
-  Manager.assign_site mgr ~site:7 ~sec_id:1;
-  routes "same id re-added" "section 1";
+  let fresh = add_section mgr ~clock 2 in
+  routes "another section added" "section 1";
+  Manager.assign_site mgr ~site:7 ~sec_id:2;
+  routes "reassigned" "section 2";
   Alcotest.(check int) "the new section served it" 2
     ((Section.stats fresh).Section.hits + (Section.stats fresh).Section.misses)
 
@@ -266,17 +261,14 @@ let test_runtime_private_route_invalidation () =
   routes "private" 0 "section 2";
   routes "private" 1 "section 3";
   routes "private, past the last" 5 "section 3";
-  Manager.end_section mgr ~clock ~id:3;
-  routes "private section ended" 1 "swap";
-  routes "other private section kept" 0 "section 2";
-  let fresh = add_section mgr ~clock 3 in
-  routes "same id re-added" 1 "section 3";
+  let fresh = add_section mgr ~clock 4 in
+  routes "section added" 1 "section 3";
+  Manager.assign_site mgr ~site:9 ~sec_id:4;
+  routes "private wins over an assignment" 0 "section 2";
+  Runtime.set_private_sections rt ~site:9 ~sec_ids:[| 4 |];
+  routes "set again" 1 "section 4";
   Alcotest.(check int) "the new section served it" 2
     ((Section.stats fresh).Section.hits + (Section.stats fresh).Section.misses);
-  Runtime.clear_private_sections rt;
-  routes "cleared" 0 "swap";
-  Runtime.set_private_sections rt ~site:9 ~sec_ids:[| 3 |];
-  routes "set again" 0 "section 3";
   Alcotest.check_raises "no section ids"
     (Invalid_argument
        "Runtime.set_private_sections: site 9 needs at least one section id")
