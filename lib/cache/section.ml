@@ -60,23 +60,37 @@ let fresh_stats () =
     lat_fetch = Mira_telemetry.Metrics.hist_create ();
   }
 
-let poison = Transfer.poison
+(* Per-slot runtime metadata: tag + flags + ready time + LRU stamp + a
+   table entry for associative structures.  The paper's point (§4.4) is
+   that compiler-controlled sections need none of it. *)
+let meta_per_slot cfg =
+  if cfg.no_meta then 0
+  else match cfg.structure with Direct -> 24 | Set_assoc _ -> 32 | Full_assoc -> 48
 
-type line_state = {
-  mutable tag : int;  (* line index in far address space; -1 = empty *)
-  mutable dirty : bool;
-  mutable ready_at : float;
-  mutable evictable : bool;
-  mutable refbit : bool;
-  mutable last_use : float;
-  mutable data : Bytes.t;  (* allocated at the line's first install *)
-}
+let slot_bytes cfg =
+  match cfg.payload with
+  | None -> cfg.line
+  | Some extents ->
+    List.fold_left (fun acc (_, len) -> acc + len) 0 extents + meta_per_slot cfg
 
+let dirty = 1 and evictable = 2 and refbit = 4  (* slot flag bits *)
+
+(* One slot per cached line, as parallel arrays: no per-slot record or
+   per-line buffer, and the float columns stay unboxed. *)
 type t = {
   cfg : config;
-  lines : line_state array;
-  table : (int, int) Hashtbl.t;  (* full-assoc: tag -> slot *)
-  mutable free_slots : int list;  (* full-assoc only *)
+  payload : int;  (* bytes a slot stores: the payload extents' total *)
+  remap : int array;
+      (* payload sections: line offset -> offset in the slot's packed
+         bytes, -1 outside the extents; empty for whole lines *)
+  tags : int array;  (* line index in far address space; -1 = empty *)
+  flags : Bytes.t;  (* [dirty] / [evictable] / [refbit] per slot *)
+  ready_at : Float.Array.t;
+  last_use : Float.Array.t;
+  data : Bytes.t;  (* slot i's bytes at [i * payload, (i + 1) * payload) *)
+  table : (int, int) Hashtbl.t;  (* full-assoc: tag -> slot (a stub otherwise) *)
+  mutable fresh : int;  (* full-assoc: slots from here on never held a line *)
+  mutable discarded : int list;  (* full-assoc: slots emptied by a discard *)
   mutable hand : int;  (* CLOCK sweep position, full-assoc *)
   mutable evict_hints : int list;  (* slots hinted evictable, full-assoc *)
   stats : stats;
@@ -86,47 +100,58 @@ type t = {
 let create net far cfg =
   assert (cfg.line >= 8 && cfg.line mod 8 = 0);
   assert (cfg.size >= cfg.line);
-  let extents =
+  let extents, remap =
     match cfg.payload with
-    | None -> [ (0, cfg.line) ]
+    | None -> ([ (0, cfg.line) ], [||])
     | Some extents ->
       assert (
         extents <> []
         && Mira_util.Misc.merge_extents extents = extents
         && List.for_all (fun (off, len) -> off >= 0 && len > 0 && off + len <= cfg.line)
              extents);
-      extents
+      let remap = Array.make cfg.line (-1) and packed = ref 0 in
+      List.iter
+        (fun (off, len) ->
+          for i = off to off + len - 1 do
+            remap.(i) <- !packed;
+            incr packed
+          done)
+        extents;
+      (extents, remap)
   in
+  let slots = cfg.size / slot_bytes cfg in
   let nslots =
     match cfg.structure with
-    | Direct | Full_assoc -> max 1 (cfg.size / cfg.line)
+    | Direct | Full_assoc -> max 1 slots
     | Set_assoc k ->
       assert (k >= 1);
-      let slots = max k (cfg.size / cfg.line) in
-      slots / k * k
+      max k slots / k * k
   in
-  let fresh_line () =
-    {
-      tag = -1;
-      dirty = false;
-      ready_at = 0.0;
-      evictable = false;
-      refbit = false;
-      last_use = 0.0;
-      data = Bytes.empty;
-    }
+  let tr =
+    Transfer.create net far ~side:cfg.side ~line:cfg.line ~extents
+      ~section:cfg.sec_name ~lane:("section:" ^ cfg.sec_name)
   in
+  let payload = tr.Transfer.payload in
   {
     cfg;
-    lines = Array.init nslots (fun _ -> fresh_line ());
-    table = Hashtbl.create (max 16 nslots);
-    free_slots = List.init nslots (fun i -> i);
+    payload;
+    remap;
+    tags = Array.make nslots (-1);
+    flags = Bytes.make nslots '\000';
+    ready_at = Float.Array.make nslots 0.0;
+    last_use = Float.Array.make nslots 0.0;
+    data = Bytes.create (nslots * payload);
+    table =
+      Hashtbl.create
+        (match cfg.structure with
+        | Full_assoc -> max 16 nslots
+        | Direct | Set_assoc _ -> 1);
+    fresh = 0;
+    discarded = [];
     hand = 0;
     evict_hints = [];
     stats = fresh_stats ();
-    tr =
-      Transfer.create net far ~side:cfg.side ~line:cfg.line ~extents
-        ~section:cfg.sec_name ~lane:("section:" ^ cfg.sec_name);
+    tr;
   }
 
 let config t = t.cfg
@@ -168,20 +193,7 @@ let publish t reg =
   g (p "stall_ns") s.stall_ns;
   Mira_telemetry.Metrics.set_hist reg (p "fetch_latency") s.lat_fetch
 
-(* Per-line runtime metadata: tag + flags + ready time + LRU stamp + a
-   table entry for associative structures.  The paper's point (§4.4) is
-   that compiler-controlled sections need none of it. *)
-let metadata_bytes t =
-  if t.cfg.no_meta then 0
-  else begin
-    let per_line =
-      match t.cfg.structure with
-      | Direct -> 24
-      | Set_assoc _ -> 32
-      | Full_assoc -> 48
-    in
-    per_line * Array.length t.lines
-  end
+let metadata_bytes t = meta_per_slot t.cfg * Array.length t.tags
 
 let params t = Mira_sim.Net.params t.tr.Transfer.net
 
@@ -194,21 +206,26 @@ let lookup_cost t =
 
 let line_of_addr t addr = addr / t.cfg.line
 
+let has t slot bit = Bytes.get_uint8 t.flags slot land bit <> 0
+
+let set_flags t slot ~on ~off =
+  Bytes.set_uint8 t.flags slot ((Bytes.get_uint8 t.flags slot lor on) land lnot off)
+
 (* --- slot lookup ------------------------------------------------------- *)
 
 let find_slot t tag =
   match t.cfg.structure with
   | Direct ->
-    let slot = tag mod Array.length t.lines in
-    if t.lines.(slot).tag = tag then Some slot else None
+    let slot = tag mod Array.length t.tags in
+    if t.tags.(slot) = tag then Some slot else None
   | Set_assoc k ->
-    let nsets = Array.length t.lines / k in
+    let nsets = Array.length t.tags / k in
     let set = tag mod nsets in
     let rec scan i =
       if i >= k then None
       else begin
         let slot = (set * k) + i in
-        if t.lines.(slot).tag = tag then Some slot else scan (i + 1)
+        if t.tags.(slot) = tag then Some slot else scan (i + 1)
       end
     in
     scan 0
@@ -218,27 +235,27 @@ let find_slot t tag =
 
 (* read_discard is a cost hint for clean lines; dirty data must always
    reach the far store or it would be lost. *)
-let writeback t ~clock line ~sync =
-  if line.dirty then begin
-    Transfer.writeback t.tr ~clock ~base:(line.tag * t.cfg.line) ~data:line.data
-      ~sync;
-    line.dirty <- false;
+let writeback t ~clock slot ~sync =
+  if has t slot dirty then begin
+    Transfer.writeback t.tr ~clock ~base:(t.tags.(slot) * t.cfg.line) ~data:t.data
+      ~off:(slot * t.payload) ~sync;
+    set_flags t slot ~on:0 ~off:dirty;
     t.stats.writebacks <- t.stats.writebacks + 1;
-    t.stats.bytes_written <- t.stats.bytes_written + t.tr.Transfer.payload
+    t.stats.bytes_written <- t.stats.bytes_written + t.payload
   end
 
 let release_slot t ~clock slot =
-  let line = t.lines.(slot) in
-  if line.tag >= 0 then begin
-    writeback t ~clock line ~sync:false;
+  let tag = t.tags.(slot) in
+  if tag >= 0 then begin
+    writeback t ~clock slot ~sync:false;
     (match t.cfg.structure with
-    | Full_assoc -> Hashtbl.remove t.table line.tag
+    | Full_assoc -> Hashtbl.remove t.table tag
     | Direct | Set_assoc _ -> ());
-    if line.evictable then t.stats.hinted_evictions <- t.stats.hinted_evictions + 1;
+    if has t slot evictable then
+      t.stats.hinted_evictions <- t.stats.hinted_evictions + 1;
     t.stats.evictions <- t.stats.evictions + 1;
-    line.tag <- -1;
-    line.evictable <- false;
-    line.refbit <- false
+    t.tags.(slot) <- -1;
+    set_flags t slot ~on:0 ~off:(evictable lor refbit)
   end
 
 let pick_victim_full t =
@@ -248,8 +265,7 @@ let pick_victim_full t =
       t.evict_hints <- [];
       None
     | slot :: rest ->
-      let line = t.lines.(slot) in
-      if line.tag >= 0 && line.evictable then begin
+      if t.tags.(slot) >= 0 && has t slot evictable then begin
         t.evict_hints <- rest;
         Some slot
       end
@@ -258,14 +274,13 @@ let pick_victim_full t =
   match from_hints t.evict_hints with
   | Some slot -> slot
   | None ->
-    let n = Array.length t.lines in
+    let n = Array.length t.tags in
     let rec sweep budget =
       let slot = t.hand in
       t.hand <- (t.hand + 1) mod n;
-      let line = t.lines.(slot) in
       if budget = 0 then slot
-      else if line.refbit then begin
-        line.refbit <- false;
+      else if has t slot refbit then begin
+        set_flags t slot ~on:0 ~off:refbit;
         sweep (budget - 1)
       end
       else slot
@@ -273,17 +288,16 @@ let pick_victim_full t =
     sweep (2 * n)
 
 let pick_victim_set t tag k =
-  let nsets = Array.length t.lines / k in
+  let nsets = Array.length t.tags / k in
   let set = tag mod nsets in
   let best = ref (set * k) in
   let best_score = ref infinity in
   for i = 0 to k - 1 do
     let slot = (set * k) + i in
-    let line = t.lines.(slot) in
     let score =
-      if line.tag < 0 then neg_infinity
-      else if line.evictable then -1.0
-      else line.last_use
+      if t.tags.(slot) < 0 then neg_infinity
+      else if has t slot evictable then -1.0
+      else Float.Array.get t.last_use slot
     in
     if score < !best_score then begin
       best := slot;
@@ -295,7 +309,7 @@ let pick_victim_set t tag k =
 let allocate_slot t ~clock tag =
   match t.cfg.structure with
   | Direct ->
-    let slot = tag mod Array.length t.lines in
+    let slot = tag mod Array.length t.tags in
     release_slot t ~clock slot;
     slot
   | Set_assoc k ->
@@ -303,10 +317,13 @@ let allocate_slot t ~clock tag =
     release_slot t ~clock slot;
     slot
   | Full_assoc ->
-    (match t.free_slots with
+    (match t.discarded with
     | slot :: rest ->
-      t.free_slots <- rest;
+      t.discarded <- rest;
       slot
+    | [] when t.fresh < Array.length t.tags ->
+      t.fresh <- t.fresh + 1;
+      t.fresh - 1
     | [] ->
       let slot = pick_victim_full t in
       release_slot t ~clock slot;
@@ -314,21 +331,15 @@ let allocate_slot t ~clock tag =
 
 let install t ~clock ~tag ~ready_at =
   let slot = allocate_slot t ~clock tag in
-  let line = t.lines.(slot) in
-  let base = tag * t.cfg.line in
-  if Bytes.length line.data = 0 then line.data <- Bytes.create t.cfg.line;
   (* Every install copies what crossed the wire, write-no-fetch ones
-     included (they skip the network, not the copy).  A payload line
-     holds only its field extents: every other byte is poison, so a
-     read the analysis did not foresee shows up as a wrong result. *)
-  Transfer.fill t.tr ~base ~dst:line.data;
+     included (they skip the network, not the copy), straight into the
+     slot's packed bytes. *)
+  Transfer.fill t.tr ~base:(tag * t.cfg.line) ~dst:t.data ~off:(slot * t.payload);
   Transfer.drain_reconstruction t.tr ~clock;
-  line.tag <- tag;
-  line.dirty <- false;
-  line.ready_at <- ready_at;
-  line.evictable <- false;
-  line.refbit <- true;
-  line.last_use <- Mira_sim.Clock.now clock;
+  t.tags.(slot) <- tag;
+  Bytes.set_uint8 t.flags slot refbit;
+  Float.Array.set t.ready_at slot ready_at;
+  Float.Array.set t.last_use slot (Mira_sim.Clock.now clock);
   (match t.cfg.structure with
   | Full_assoc -> Hashtbl.replace t.table tag slot
   | Direct | Set_assoc _ -> ());
@@ -336,19 +347,19 @@ let install t ~clock ~tag ~ready_at =
 
 (* --- access paths ------------------------------------------------------- *)
 
-let payload_bytes t = t.tr.Transfer.payload
-
 let touch t ~clock slot =
-  let line = t.lines.(slot) in
-  line.refbit <- true;
-  line.last_use <- Mira_sim.Clock.now clock;
+  Float.Array.set t.last_use slot (Mira_sim.Clock.now clock);
   (* Re-using a line cancels a pending eviction hint. *)
-  line.evictable <- false
+  set_flags t slot ~on:refbit ~off:evictable
 
-(* A hit on a line still in flight: a late prefetch. *)
-let wait_ready t ~clock line =
-  let stall = Transfer.wait_ready t.tr ~clock ~name:"late-prefetch" line.ready_at in
-  if stall > 0.0 then begin
+(* A hit on a line still in flight: a late prefetch.  The ready time is
+   compared in place: handing it to a function boxes it on every hit. *)
+let wait_ready t ~clock slot =
+  if Float.Array.get t.ready_at slot > Mira_sim.Clock.now clock then begin
+    let stall =
+      Transfer.wait_ready t.tr ~clock ~name:"late-prefetch"
+        (Float.Array.get t.ready_at slot)
+    in
     t.stats.late_prefetch <- t.stats.late_prefetch + 1;
     t.stats.stall_ns <- t.stats.stall_ns +. stall
   end
@@ -364,7 +375,7 @@ let ensure t ~clock ~addr ~for_write =
     let cost = if t.cfg.no_meta then 0.0 else lookup_cost t in
     Mira_sim.Clock.advance clock cost;
     t.stats.hit_ns <- t.stats.hit_ns +. cost;
-    wait_ready t ~clock t.lines.(slot);
+    wait_ready t ~clock slot;
     touch t ~clock slot;
     slot
   | None ->
@@ -383,10 +394,10 @@ let ensure t ~clock ~addr ~for_write =
       else begin
         let slot =
           Transfer.demand_read t.tr ~clock fill ~addr:(tag * t.cfg.line)
-            ~bytes:(payload_bytes t)
+            ~bytes:t.payload
             ~install:(fun ready_at -> install t ~clock ~tag ~ready_at)
         in
-        t.stats.bytes_fetched <- t.stats.bytes_fetched + payload_bytes t;
+        t.stats.bytes_fetched <- t.stats.bytes_fetched + t.payload;
         slot
       end
     in
@@ -398,62 +409,68 @@ let ensure t ~clock ~addr ~for_write =
     touch t ~clock slot;
     slot
 
+(* The offset of the scalar [addr, addr + len) within its slot's packed
+   bytes.  The span must lie in one line, and in a payload section
+   inside one extent: a slot holds nothing else. *)
 let check_span t ~addr ~len =
   assert (len > 0 && len <= 8);
-  assert (addr / t.cfg.line = (addr + len - 1) / t.cfg.line)
-
-(* Scalar access straight into the line buffer — no staging blit.  The
-   line itself is filled/written back by a single boundary copy against
-   the cluster store (install / writeback). *)
-let read_slot t slot ~addr ~len =
-  let line = t.lines.(slot) in
   let off = addr mod t.cfg.line in
-  Mira_util.Bytes_le.get line.data ~off ~len
+  assert (off + len <= t.cfg.line);
+  if Array.length t.remap = 0 then off
+  else begin
+    let packed = t.remap.(off) in
+    assert (packed >= 0 && t.remap.(off + len - 1) = packed + len - 1);
+    packed
+  end
 
-let write_slot t slot ~addr ~len v =
-  let line = t.lines.(slot) in
-  let off = addr mod t.cfg.line in
-  Mira_util.Bytes_le.set line.data ~off ~len v;
-  line.dirty <- true
+(* Scalar access straight into the slot's bytes — no staging blit.  The
+   slot itself is filled/written back in place against the cluster
+   store (install / writeback). *)
+let read_slot t slot ~off ~len =
+  Mira_util.Bytes_le.get t.data ~off:((slot * t.payload) + off) ~len
+
+let write_slot t slot ~off ~len v =
+  Mira_util.Bytes_le.set t.data ~off:((slot * t.payload) + off) ~len v;
+  set_flags t slot ~on:dirty ~off:0
 
 let load t ~clock ~addr ~len =
-  check_span t ~addr ~len;
+  let off = check_span t ~addr ~len in
   let slot = ensure t ~clock ~addr ~for_write:false in
   Mira_sim.Clock.advance clock (params t).Mira_sim.Params.native_mem_ns;
-  read_slot t slot ~addr ~len
+  read_slot t slot ~off ~len
 
 let store t ~clock ~addr ~len v =
-  check_span t ~addr ~len;
+  let off = check_span t ~addr ~len in
   let slot = ensure t ~clock ~addr ~for_write:true in
   Mira_sim.Clock.advance clock (params t).Mira_sim.Params.native_mem_ns;
-  write_slot t slot ~addr ~len v
+  write_slot t slot ~off ~len v
 
 (* Compiler-proved resident: native cost.  If the proof fails at run
    time (e.g. an over-eager pass), fall back to the full path so data
    stays correct — the only penalty is that the access is charged like
    a normal one. *)
 let load_native t ~clock ~addr ~len =
-  check_span t ~addr ~len;
+  let off = check_span t ~addr ~len in
   let tag = line_of_addr t addr in
   match find_slot t tag with
   | Some slot ->
-    wait_ready t ~clock t.lines.(slot);
+    wait_ready t ~clock slot;
     Mira_sim.Clock.advance clock (params t).Mira_sim.Params.native_mem_ns;
     t.stats.hits <- t.stats.hits + 1;
-    read_slot t slot ~addr ~len
+    read_slot t slot ~off ~len
   | None ->
     t.stats.native_misses <- t.stats.native_misses + 1;
     load t ~clock ~addr ~len
 
 let store_native t ~clock ~addr ~len v =
-  check_span t ~addr ~len;
+  let off = check_span t ~addr ~len in
   let tag = line_of_addr t addr in
   match find_slot t tag with
   | Some slot ->
-    wait_ready t ~clock t.lines.(slot);
+    wait_ready t ~clock slot;
     Mira_sim.Clock.advance clock (params t).Mira_sim.Params.native_mem_ns;
     t.stats.hits <- t.stats.hits + 1;
-    write_slot t slot ~addr ~len v
+    write_slot t slot ~off ~len v
   | None ->
     t.stats.native_misses <- t.stats.native_misses + 1;
     store t ~clock ~addr ~len v
@@ -475,12 +492,12 @@ let prefetch t ~clock ~addr ~len =
   let last = line_of_addr t (addr + len - 1) in
   if any_absent t first last then begin
     let posted =
-      Transfer.prefetch t.tr ~clock ~bytes:(payload_bytes t)
+      Transfer.prefetch t.tr ~clock ~bytes:t.payload
         ~resident:(fun tag -> find_slot t tag <> None)
         ~install:(fun tag ready_at -> ignore (install t ~clock ~tag ~ready_at))
         (List.init (last - first + 1) (fun i -> first + i))
     in
-    t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * payload_bytes t)
+    t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * t.payload)
   end
 
 let flush_evict t ~clock ~addr ~len =
@@ -489,9 +506,8 @@ let flush_evict t ~clock ~addr ~len =
       | None -> ()
       | Some slot ->
         Mira_sim.Clock.advance clock (params t).Mira_sim.Params.evict_check_ns;
-        let line = t.lines.(slot) in
-        writeback t ~clock line ~sync:false;
-        line.evictable <- true;
+        writeback t ~clock slot ~sync:false;
+        set_flags t slot ~on:evictable ~off:0;
         (match t.cfg.structure with
         | Full_assoc -> t.evict_hints <- slot :: t.evict_hints
         | Direct | Set_assoc _ -> ()))
@@ -500,32 +516,29 @@ let flush_range t ~clock ~addr ~len =
   iter_tags t ~addr ~len (fun tag ->
       match find_slot t tag with
       | None -> ()
-      | Some slot -> writeback t ~clock t.lines.(slot) ~sync:true)
+      | Some slot -> writeback t ~clock slot ~sync:true)
 
 (* Failover recovery: every still-dirty line is re-issued to the (new)
    primary asynchronously, without evicting anything.  Clean lines need
    nothing — their last writeback was replicated before the crash. *)
 let flush_all t ~clock =
-  Array.iter
-    (fun line -> if line.tag >= 0 then writeback t ~clock line ~sync:false)
-    t.lines
+  Array.iteri
+    (fun slot tag -> if tag >= 0 then writeback t ~clock slot ~sync:false)
+    t.tags
 
 let discard_range t ~addr ~len =
   iter_tags t ~addr ~len (fun tag ->
       match find_slot t tag with
       | None -> ()
       | Some slot ->
-        let line = t.lines.(slot) in
-        line.dirty <- false;
         (* Not an eviction in the statistical sense: bypass release_slot
            counters by clearing in place. *)
         (match t.cfg.structure with
         | Full_assoc ->
-          Hashtbl.remove t.table line.tag;
-          t.free_slots <- slot :: t.free_slots
+          Hashtbl.remove t.table tag;
+          t.discarded <- slot :: t.discarded
         | Direct | Set_assoc _ -> ());
-        line.tag <- -1;
-        line.evictable <- false;
-        line.refbit <- false)
+        t.tags.(slot) <- -1;
+        Bytes.set_uint8 t.flags slot 0)
 
 let resident t ~addr = find_slot t (line_of_addr t addr) <> None

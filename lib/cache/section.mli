@@ -6,11 +6,12 @@
     metadata-free mode — is produced by Mira's analysis/profiling
     pipeline; baselines use fixed configurations.
 
-    Sections move real bytes between the [Far_store] and per-line local
-    buffers, so system-wide data correctness is testable.  All timing
-    goes through the caller's [Clock]; misses block on the simulated
-    network, prefetched lines carry a [ready_at] and late accesses
-    stall until the data has "arrived". *)
+    Sections move real bytes between the [Far_store] and one packed
+    local buffer of [slot_bytes]-budgeted slots, so system-wide data
+    correctness is testable.  All timing goes through the caller's
+    [Clock]; misses block on the simulated network, prefetched lines
+    carry a [ready_at] and late accesses stall until the data has
+    "arrived". *)
 
 type structure = Direct | Set_assoc of int | Full_assoc
 
@@ -18,16 +19,17 @@ type config = {
   sec_id : int;
   sec_name : string;
   line : int;  (** line size in bytes, multiple of 8 *)
-  size : int;  (** capacity in bytes (>= line) *)
+  size : int;  (** capacity in bytes (>= line), spent in [slot_bytes] units *)
   structure : structure;
   side : Mira_sim.Net.side;
   payload : (int * int) list option;
       (** selective transmission: the [(offset, len)] extents within a
           line that cross the wire, ascending and coalesced (as
           [Mira_util.Misc.merge_extents] leaves them).  Fills,
-          prefetches and writebacks move exactly these bytes, and every
-          other byte of a resident line reads as [poison].  [None] =
-          whole line (one-sided needs whole) *)
+          prefetches and writebacks move exactly these bytes, a slot
+          stores only them (packed), and a load or store outside them,
+          or straddling two, fails an assertion.  [None] = whole line
+          (one-sided needs whole) *)
   no_meta : bool;  (** compiler fully controls the lifetime: hits cost a
                        native access, no per-line runtime metadata *)
   write_no_fetch : bool;  (** write-only pattern: store misses allocate
@@ -62,10 +64,13 @@ type stats = {
       (** per-demand-miss blocking latency distribution *)
 }
 
-val poison : char
-(** The byte every non-payload offset of a payload section's line
-    holds (not zero: far memory is mostly zeros, which would hide a
-    read outside the payload). *)
+val slot_bytes : config -> int
+(** What one cached line costs the section's capacity: [line] for a
+    whole-line section; for a payload section its extents' bytes plus
+    the per-slot metadata [metadata_bytes] counts (24, 32 or 48 B for
+    direct, set-associative and fully-associative, 0 in [no_meta]
+    mode).  A section of [size] S holds [S / slot_bytes] slots (whole
+    sets, at least one line or set). *)
 
 type t
 

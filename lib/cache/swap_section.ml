@@ -113,7 +113,7 @@ let metadata_bytes t = 32 * Array.length t.frames
 let writeback t ~clock frame ~sync =
   if frame.dirty then begin
     Transfer.writeback t.tr ~clock ~base:(frame.pno * t.cfg.page) ~data:frame.data
-      ~sync;
+      ~off:0 ~sync;
     frame.dirty <- false;
     t.stats.writebacks <- t.stats.writebacks + 1
   end
@@ -164,7 +164,7 @@ let install t ~clock ~pno ~ready_at =
   let idx = allocate_frame t ~clock in
   let frame = t.frames.(idx) in
   if Bytes.length frame.data = 0 then frame.data <- Bytes.create t.cfg.page;
-  Transfer.fill t.tr ~base:(pno * t.cfg.page) ~dst:frame.data;
+  Transfer.fill t.tr ~base:(pno * t.cfg.page) ~dst:frame.data ~off:0;
   Transfer.drain_reconstruction t.tr ~clock;
   frame.pno <- pno;
   frame.dirty <- false;

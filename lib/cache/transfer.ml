@@ -32,13 +32,10 @@ let create net far ~side ~line ~extents ~section ~lane =
 
 (* --- line contents --------------------------------------------------------- *)
 
-let poison = '\xa5'
-
-(* Copy into [dst] what a fill of the line at [base] brings: the
-   extents from the cluster, and poison in every other byte. *)
-let fill t ~base ~dst =
-  if t.payload < t.line then Bytes.fill dst 0 t.line poison;
-  Cluster.read_extents t.far ~addr:base ~extents:t.extents ~dst
+(* Copy what a fill of the line at [base] brings, its extents, into
+   [dst] packed from [off] on. *)
+let fill t ~base ~dst ~off =
+  Cluster.read_extents t.far ~addr:base ~extents:t.extents ~dst ~dst_off:off
 
 let set_attribution t a = t.attribution <- Some a
 
@@ -204,12 +201,12 @@ let wait_ready t ~clock ~name ready_at =
 
 (* --- writeback ------------------------------------------------------------ *)
 
-(* Write the line at [base] back from [data]: store its extents in the
-   cluster, then post the writeback of their bytes — urgent and
-   blocking when [sync] (the wait is charged to [Writeback]), detached
-   otherwise. *)
-let writeback t ~clock ~base ~data ~sync =
-  Cluster.write_extents t.far ~addr:base ~extents:t.extents ~src:data;
+(* Write the line at [base] back from its extents packed in [data] from
+   [off] on: store them in the cluster, then post the writeback of
+   their bytes — urgent and blocking when [sync] (the wait is charged
+   to [Writeback]), detached otherwise. *)
+let writeback t ~clock ~base ~data ~off ~sync =
+  Cluster.write_extents t.far ~addr:base ~extents:t.extents ~src:data ~src_off:off;
   let node = Cluster.node_of_addr t.far ~addr:base in
   if sync then
     post_sync t ~clock Attribution.Writeback

@@ -366,17 +366,19 @@ let size_specs ~eval opts specs ~build_plan ~iter =
     let k = List.length nonseq in
     let equal_share = max page (avail / max 1 k) in
     (* A section never outgrows its object: every size is clamped to
-       the site's resident bytes (rounded to whole lines). *)
-    let resident spec =
+       the site's resident bytes, one slot per line the object spans,
+       and rounded to whole slots. *)
+    let resident { Section_planner.sp_cfg = cfg; sp_total_bytes; sp_min_size; _ } =
+      let lines = Mira_util.Misc.divide_ceil sp_total_bytes cfg.Section.line in
       Mira_util.Misc.round_up
-        (max spec.Section_planner.sp_min_size spec.Section_planner.sp_total_bytes)
-        spec.Section_planner.sp_cfg.Section.line
+        (max sp_min_size (lines * Section.slot_bytes cfg))
+        (Section.slot_bytes cfg)
     in
     let clamp_spec spec size =
       Mira_util.Misc.round_up
         (Mira_util.Misc.clamp ~lo:spec.Section_planner.sp_min_size
            ~hi:(resident spec) size)
-        spec.Section_planner.sp_cfg.Section.line
+        (Section.slot_bytes spec.Section_planner.sp_cfg)
     in
     let sample_logs = ref [] in
     let candidates =

@@ -25,7 +25,7 @@ let notify t ev =
 
 (* A NaN delta fails every comparison and a negative-zero delta passes
    [>= 0.0], so both used to slip through the old [assert] and could
-   poison the monotonic time base (and with it every ledger audit).
+   corrupt the monotonic time base (and with it every ledger audit).
    Reject them loudly instead.  [%h] renders the exact bit pattern. *)
 let check_delta fn dt =
   if not (dt >= 0.0) || (dt = 0.0 && 1.0 /. dt < 0.0) then

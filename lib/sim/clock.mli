@@ -41,7 +41,7 @@ val now : t -> float
 val advance : t -> float -> unit
 (** [advance t dt] moves time forward by [dt] ns.  Raises
     [Invalid_argument] when [dt] is NaN, negative, or negative zero —
-    deltas that would silently poison the monotonic time base the
+    deltas that would silently corrupt the monotonic time base the
     stall-attribution ledger audits against. *)
 
 val wait_until : ?ev:event -> t -> float -> float

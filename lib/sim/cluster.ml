@@ -583,23 +583,24 @@ let write t ~addr ~len ~src ~src_off =
   if not t.trivial then account_rows t ~addr ~extents:[ (0, len) ]
 
 (* Extent loops recurse instead of iterating a closure: a fill and a
-   writeback of every cache line take them. *)
-let rec read_extents t ~addr ~extents ~dst =
+   writeback of every cache line take them.  The buffer side is packed:
+   each extent follows the previous one. *)
+let rec read_extents t ~addr ~extents ~dst ~dst_off =
   match extents with
   | [] -> ()
   | (off, len) :: rest ->
-    read t ~addr:(addr + off) ~len ~dst ~dst_off:off;
-    read_extents t ~addr ~extents:rest ~dst
+    read t ~addr:(addr + off) ~len ~dst ~dst_off;
+    read_extents t ~addr ~extents:rest ~dst ~dst_off:(dst_off + len)
 
-let rec write_pieces t ~addr ~extents ~src =
+let rec write_pieces t ~addr ~extents ~src ~src_off =
   match extents with
   | [] -> ()
   | (off, len) :: rest ->
-    write_data t ~addr:(addr + off) ~len ~src ~src_off:off;
-    write_pieces t ~addr ~extents:rest ~src
+    write_data t ~addr:(addr + off) ~len ~src ~src_off;
+    write_pieces t ~addr ~extents:rest ~src ~src_off:(src_off + len)
 
-let write_extents t ~addr ~extents ~src =
-  write_pieces t ~addr ~extents ~src;
+let write_extents t ~addr ~extents ~src ~src_off =
+  write_pieces t ~addr ~extents ~src ~src_off;
   if not t.trivial then account_rows t ~addr ~extents
 
 let read_le t ~addr ~len =

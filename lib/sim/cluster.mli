@@ -235,14 +235,17 @@ val publish : t -> Mira_telemetry.Metrics.t -> unit
 val read : t -> addr:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
 val write : t -> addr:int -> len:int -> src:Bytes.t -> src_off:int -> unit
 
-val read_extents : t -> addr:int -> extents:(int * int) list -> dst:Bytes.t -> unit
-(** Read each [(off, len)] extent at [addr + off] into [dst] at [off],
-    and nothing else. *)
+val read_extents :
+  t -> addr:int -> extents:(int * int) list -> dst:Bytes.t -> dst_off:int -> unit
+(** Read each [(off, len)] extent at [addr + off] into [dst], packed one
+    after the other from [dst_off] on, and nothing else. *)
 
-val write_extents : t -> addr:int -> extents:(int * int) list -> src:Bytes.t -> unit
-(** Store [src]'s bytes at each [(off, len)] extent to [addr + off] and
-    nothing else: the scattered write of a selective-transmission line,
-    accounted as one write (see [replica_payloads]). *)
+val write_extents :
+  t -> addr:int -> extents:(int * int) list -> src:Bytes.t -> src_off:int -> unit
+(** Store the extents packed in [src] from [src_off] on (as [read_extents]
+    leaves them) each at [addr + off], and nothing else: the scattered
+    write of a selective-transmission line, accounted as one write (see
+    [replica_payloads]). *)
 
 val read_le : t -> addr:int -> len:int -> int64
 val write_le : t -> addr:int -> len:int -> int64 -> unit

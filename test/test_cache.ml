@@ -286,16 +286,20 @@ let test_transfer_under_ec () =
 (* Selective transmission both ways.  A payload section holding the
    fields at [payload_extents] of 128-byte elements fills, and writes
    back, exactly those bytes: N dirty evictions post N x payload bytes,
-   the far copy of every other byte keeps its contents, and a resident
-   line holds poison there. *)
+   the far copy of every other byte keeps its contents, and a slot
+   stores only the payload, so an access outside it fails. *)
 let payload_extents = [ (0, 16); (40, 8) ]
 let payload_bytes = 24
 
-let payload_cfg ~line ~size =
-  { (cfg_of Section.Direct ~line ~size) with
-    Section.payload = Some payload_extents; side = Net.Two_sided }
+let payload_cfg ?(structure = Section.Direct) ?(extents = payload_extents) ~line
+    slots =
+  let cfg =
+    { (cfg_of structure ~line ~size:line) with
+      Section.payload = Some extents; side = Net.Two_sided }
+  in
+  { cfg with Section.size = slots * Section.slot_bytes cfg }
 
-(* Far bytes that are never zero, so a lost or poisoned byte shows. *)
+(* Far bytes that are never zero, so a lost or misplaced byte shows. *)
 let far_pattern len = Bytes.init len (fun i -> Char.chr (1 + (i * 7 land 0x7f)))
 
 (* Store [i] into field 40 of each of [n] elements through a direct
@@ -324,29 +328,81 @@ let test_payload_writeback_bytes () =
       (Bytes.sub_string model 0 (evicted * line)) (Bytes.to_string got);
     ((Net.stats net).Net.bytes_writeback, st.Section.bytes_written)
   in
-  let wire, written = run (payload_cfg ~line ~size:(4 * line)) in
+  let wire, written = run (payload_cfg ~line 4) in
   Alcotest.(check int) "payload writebacks on the wire" (evicted * payload_bytes) wire;
   Alcotest.(check int) "bytes_written" (evicted * payload_bytes) written;
   let wire, written = run (cfg_of Section.Direct ~line ~size:(4 * line)) in
   Alcotest.(check int) "whole-line writebacks on the wire" (evicted * line) wire;
   Alcotest.(check int) "whole-line bytes_written" (evicted * line) written
 
-let test_payload_poison () =
+let fails_check name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Assert_failure _ -> ()
+
+let test_payload_packed () =
   let line = 128 in
   let net, far, clock = make_env () in
   let model = far_pattern (4 * line) in
   Cluster.write far ~addr:0 ~len:(4 * line) ~src:model ~src_off:0;
-  let s = Section.create net far (payload_cfg ~line ~size:(4 * line)) in
-  let poison = Bytes.get_int64_le (Bytes.make 8 Section.poison) 0 in
+  let s = Section.create net far (payload_cfg ~line 4) in
   Alcotest.(check int64) "payload field" (Bytes.get_int64_le model (line + 8))
     (Section.load s ~clock ~addr:(line + 8) ~len:8);
   Alcotest.(check int64) "field 40" (Bytes.get_int64_le model (line + 40))
     (Section.load s ~clock ~addr:(line + 40) ~len:8);
+  Section.store s ~clock ~addr:(line + 44) ~len:4 7L;
+  Alcotest.(check int64) "stored in the second extent" 7L
+    (Section.load s ~clock ~addr:(line + 44) ~len:4);
   List.iter
     (fun off ->
-      Alcotest.(check int64) (Printf.sprintf "offset %d is poison" off) poison
-        (Section.load s ~clock ~addr:(line + off) ~len:8))
-    [ 16; 32; 48; 120 ]
+      fails_check (Printf.sprintf "load at offset %d" off) (fun () ->
+          Section.load s ~clock ~addr:(line + off) ~len:8);
+      fails_check (Printf.sprintf "store at offset %d" off) (fun () ->
+          Section.store s ~clock ~addr:(line + off) ~len:8 1L))
+    [ 12; 16; 32; 36; 48; 120 ];
+  (* Extents (0, 4) and (8, 8) pack to adjacent bytes; a load from 2 to
+     9 spans both and the gap between them. *)
+  let s = Section.create net far (payload_cfg ~extents:[ (0, 4); (8, 8) ] ~line 4) in
+  Alcotest.(check int64) "second extent" (Bytes.get_int64_le model 8)
+    (Section.load s ~clock ~addr:8 ~len:8);
+  fails_check "load straddling two extents" (fun () ->
+      Section.load s ~clock ~addr:2 ~len:8);
+  fails_check "store straddling two extents" (fun () ->
+      Section.store s ~clock ~addr:2 ~len:8 1L)
+
+(* A payload section spends its capacity in [slot_bytes] units, its
+   extents plus per-slot metadata; a whole-line section still in lines. *)
+let test_payload_slot_capacity () =
+  let line = 128 and size = 4096 in
+  let lines_before_eviction cfg =
+    let net, far, clock = make_env () in
+    let s = Section.create net far cfg in
+    let rec go n =
+      ignore (Section.load s ~clock ~addr:(n * line) ~len:8);
+      if (Section.stats s).Section.evictions = 0 then go (n + 1) else n
+    in
+    let n = go 0 in
+    (n, Section.metadata_bytes s)
+  in
+  let payload = { (payload_cfg ~structure:Section.Full_assoc ~line 1) with Section.size } in
+  let slot = Section.slot_bytes payload in
+  Alcotest.(check int) "slot bytes: payload + full-assoc metadata" (payload_bytes + 48) slot;
+  Alcotest.(check (list int)) "slot bytes by structure" [ 48; 56; payload_bytes ]
+    (List.map Section.slot_bytes
+       [
+         payload_cfg ~line 1;
+         payload_cfg ~structure:(Section.Set_assoc 2) ~line 1;
+         { (payload_cfg ~line 1) with Section.no_meta = true };
+       ]);
+  let n, meta = lines_before_eviction payload in
+  Alcotest.(check int) "payload lines before the first eviction" (size / slot) n;
+  Alcotest.(check int) "metadata per slot" (48 * n) meta;
+  Alcotest.(check bool) "packed bytes and metadata fit" true
+    ((n * payload_bytes) + meta <= size);
+  let whole = cfg_of Section.Full_assoc ~line ~size in
+  Alcotest.(check int) "whole-line slot bytes" line (Section.slot_bytes whole);
+  Alcotest.(check int) "whole lines before the first eviction" (size / line)
+    (fst (lines_before_eviction whole))
 
 (* On a mirror and on EC(2,1), payload writebacks keep the redundancy
    consistent: with the first line's data node down, decoding returns
@@ -360,7 +416,7 @@ let test_payload_redundant () =
     Cluster.write far ~addr:0 ~len:(n * line) ~src:model ~src_off:0;
     let replicated = (Cluster.stats far).Cluster.replication_bytes in
     let net = Net.create Params.default and clock = Clock.create () in
-    let s = Section.create net far (payload_cfg ~line ~size:(4 * line)) in
+    let s = Section.create net far (payload_cfg ~line 4) in
     store_fields s ~clock ~model ~line n;
     Section.flush_all s ~clock;
     Alcotest.(check int) (name ^ ": writebacks") n (Section.stats s).Section.writebacks;
@@ -611,7 +667,8 @@ let suite =
     Alcotest.test_case "swap prefetch past capacity" `Quick test_swap_prefetch_past_capacity;
     Alcotest.test_case "transfer under EC, both caches" `Quick test_transfer_under_ec;
     Alcotest.test_case "payload writeback bytes" `Quick test_payload_writeback_bytes;
-    Alcotest.test_case "payload poison" `Quick test_payload_poison;
+    Alcotest.test_case "payload packed" `Quick test_payload_packed;
+    Alcotest.test_case "payload slot capacity" `Quick test_payload_slot_capacity;
     Alcotest.test_case "payload on mirror and EC" `Quick test_payload_redundant;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;
     Alcotest.test_case "manager routing" `Quick test_manager_routing;

@@ -275,35 +275,46 @@ let test_runtime_private_route_invalidation () =
     (fun () -> Runtime.set_private_sections rt ~site:9 ~sec_ids:[||])
 
 (* Allocation guard for the hit path: minor words per resident section
-   load through [Runtime.memsys], 1 tenant, untraced.  It was 85 words
-   when every access made ~10 generic-hash lookups; the pinned figure
-   is what the dev profile allocates now (the section's own lookup, the
-   boxed clock moves and the boxed int64 result). *)
+   load through [Runtime.memsys], 1 tenant, untraced, on a whole-line
+   section and on a payload section (packed slots, remapped offsets).
+   It was 85 words when every access made ~10 generic-hash lookups; the
+   pinned figure is what the dev profile allocates now (the section's
+   own lookup, the boxed clock moves and the boxed int64 result). *)
 let hit_words_pinned = 19.0
 
 let test_runtime_hit_words () =
-  let rt = make_runtime () in
-  let ms = Runtime.memsys rt in
-  let mgr = Runtime.manager rt in
-  ignore (add_section mgr ~clock:(Mira_sim.Clock.create ()) 1);
-  Manager.assign_site mgr ~site:4 ~sec_id:1;
-  let base = ms.Memsys.alloc ~tid:0 ~site:4 ~bytes:1024 ~heap:true in
-  let ptrs =
-    Array.init 16 (fun i -> { base with Memsys.addr = base.Memsys.addr + (64 * i) })
+  let whole = Section.config_default ~sec_id:1 ~name:"r" ~line:64 ~size:2048 in
+  let payload =
+    { whole with Section.payload = Some [ (0, 8); (32, 8) ]; side = Mira_sim.Net.Two_sided }
   in
-  ms.Memsys.enter ~tid:0 "f";
-  Array.iter (fun ptr -> ignore (ms.Memsys.load ~tid:0 ~ptr ~len:8 ~native:false)) ptrs;
-  let n = 4096 in
-  let w0 = Gc.minor_words () in
-  for i = 0 to n - 1 do
-    ignore (ms.Memsys.load ~tid:0 ~ptr:ptrs.(i land 15) ~len:8 ~native:false)
-  done;
-  let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  let section = Option.get (Manager.find_section mgr ~id:1) in
-  Alcotest.(check int) "all hits" n ((Section.stats section).Section.hits);
-  if words > hit_words_pinned then
-    Alcotest.failf "%.2f minor words per section hit, pinned at %.0f" words
-      hit_words_pinned
+  List.iter
+    (fun (name, cfg) ->
+      let rt = make_runtime () in
+      let ms = Runtime.memsys rt in
+      let mgr = Runtime.manager rt in
+      (match Manager.add_section mgr ~clock:(Mira_sim.Clock.create ()) cfg with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      Manager.assign_site mgr ~site:4 ~sec_id:1;
+      let base = ms.Memsys.alloc ~tid:0 ~site:4 ~bytes:1024 ~heap:true in
+      let ptrs =
+        Array.init 16 (fun i ->
+            { base with Memsys.addr = base.Memsys.addr + (64 * i) + (32 * (i land 1)) })
+      in
+      ms.Memsys.enter ~tid:0 "f";
+      Array.iter (fun ptr -> ignore (ms.Memsys.load ~tid:0 ~ptr ~len:8 ~native:false)) ptrs;
+      let n = 4096 in
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        ignore (ms.Memsys.load ~tid:0 ~ptr:ptrs.(i land 15) ~len:8 ~native:false)
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      let section = Option.get (Manager.find_section mgr ~id:1) in
+      Alcotest.(check int) (name ^ ": all hits") n ((Section.stats section).Section.hits);
+      if words > hit_words_pinned then
+        Alcotest.failf "%s: %.2f minor words per section hit, pinned at %.0f" name
+          words hit_words_pinned)
+    [ ("whole line", whole); ("payload", payload) ]
 
 (* Regression: objects must never share a swap page / section line —
    two incoherent cached copies of the overlap would clobber each other
