@@ -73,6 +73,14 @@ let slot_bytes cfg =
   | Some extents ->
     List.fold_left (fun acc (_, len) -> acc + len) 0 extents + meta_per_slot cfg
 
+(* Metadata-free yet set-associative: with no tags to search, such a
+   section must hold its whole object.  The runtime fills it when the
+   object is allocated, nothing evicts from it, and every access costs
+   a native one.  (A metadata-free direct section is a stream window,
+   and a fully associative one a stream window shared by threads.) *)
+let resident_section cfg =
+  cfg.no_meta && match cfg.structure with Set_assoc _ -> true | Direct | Full_assoc -> false
+
 let dirty = 1 and evictable = 2 and refbit = 4  (* slot flag bits *)
 
 (* One slot per cached line, as parallel arrays: no per-slot record or
@@ -500,17 +508,20 @@ let prefetch t ~clock ~addr ~len =
     t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * t.payload)
   end
 
+(* A resident section never evicts, so a hint would only write back
+   lines early. *)
 let flush_evict t ~clock ~addr ~len =
-  iter_tags t ~addr ~len (fun tag ->
-      match find_slot t tag with
-      | None -> ()
-      | Some slot ->
-        Mira_sim.Clock.advance clock (params t).Mira_sim.Params.evict_check_ns;
-        writeback t ~clock slot ~sync:false;
-        set_flags t slot ~on:evictable ~off:0;
-        (match t.cfg.structure with
-        | Full_assoc -> t.evict_hints <- slot :: t.evict_hints
-        | Direct | Set_assoc _ -> ()))
+  if not (resident_section t.cfg) then
+    iter_tags t ~addr ~len (fun tag ->
+        match find_slot t tag with
+        | None -> ()
+        | Some slot ->
+          Mira_sim.Clock.advance clock (params t).Mira_sim.Params.evict_check_ns;
+          writeback t ~clock slot ~sync:false;
+          set_flags t slot ~on:evictable ~off:0;
+          (match t.cfg.structure with
+          | Full_assoc -> t.evict_hints <- slot :: t.evict_hints
+          | Direct | Set_assoc _ -> ()))
 
 let flush_range t ~clock ~addr ~len =
   iter_tags t ~addr ~len (fun tag ->

@@ -72,6 +72,13 @@ val slot_bytes : config -> int
     mode).  A section of [size] S holds [S / slot_bytes] slots (whole
     sets, at least one line or set). *)
 
+val resident_section : config -> bool
+(** A resident section: [no_meta] on a [Set_assoc] structure.  The controller sizes one to hold every line of its
+    objects; the runtime fills it when an object is allocated, eviction
+    hints skip it, and its accesses cost a native access.  A line that
+    is absent anyway (after [discard_range]) is fetched as a charged
+    miss. *)
+
 type t
 
 val create : Mira_sim.Net.t -> Mira_sim.Cluster.t -> config -> t
@@ -109,7 +116,7 @@ val prefetch : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 
 val flush_evict : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 (** Eviction hint: asynchronously write back covered dirty lines and
-    mark them evictable. *)
+    mark them evictable.  A no-op on a resident section. *)
 
 val flush_all : t -> clock:Mira_sim.Clock.t -> unit
 (** Failover recovery: asynchronously re-issue writebacks for all

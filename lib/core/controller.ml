@@ -90,7 +90,7 @@ let make_runtime opts =
 
 (* Apply section assignments to a fresh runtime.  Read-only sections are
    split per-thread when running multithreaded (§4.6); shared writable
-   sections are forced fully-associative. *)
+   sections other than resident ones are forced fully-associative. *)
 let apply_assignments opts rt assignments =
   let mgr = Runtime.manager rt in
   let clock = Mira_sim.Clock.create () in
@@ -124,7 +124,8 @@ let apply_assignments opts rt assignments =
       end
       else begin
         let structure =
-          if multi then Section.Full_assoc else base_cfg.Section.structure
+          if multi && not (Section.resident_section base_cfg) then Section.Full_assoc
+          else base_cfg.Section.structure
         in
         let id = fresh_id () in
         let cfg =
@@ -366,12 +367,13 @@ let size_specs ~eval opts specs ~build_plan ~iter =
     let k = List.length nonseq in
     let equal_share = max page (avail / max 1 k) in
     (* A section never outgrows its object: every size is clamped to
-       the site's resident bytes, one slot per line the object spans,
-       and rounded to whole slots. *)
+       the site's resident bytes, one slot per line the object spans
+       (whole sets), and rounded to whole slots. *)
     let resident { Section_planner.sp_cfg = cfg; sp_total_bytes; sp_min_size; _ } =
       let lines = Mira_util.Misc.divide_ceil sp_total_bytes cfg.Section.line in
+      let ways = match cfg.Section.structure with Section.Set_assoc k -> k | _ -> 1 in
       Mira_util.Misc.round_up
-        (max sp_min_size (lines * Section.slot_bytes cfg))
+        (max sp_min_size (Mira_util.Misc.round_up lines ways * Section.slot_bytes cfg))
         (Section.slot_bytes cfg)
     in
     let clamp_spec spec size =
@@ -380,15 +382,43 @@ let size_specs ~eval opts specs ~build_plan ~iter =
            ~hi:(resident spec) size)
         (Section.slot_bytes spec.Section_planner.sp_cfg)
     in
+    (* At its resident size a non-sequential section needs no metadata:
+       as a resident section (set-associative) it is filled when its
+       object is allocated and read at native cost.  Per-thread private
+       copies would each need their own fill, so they keep lookups. *)
+    let resident_form spec =
+      let cfg = spec.Section_planner.sp_cfg in
+      let ways = match cfg.Section.structure with Section.Set_assoc k -> k | _ -> 8 in
+      if cfg.Section.structure = Section.Direct
+         || (opts.nthreads > 1 && spec.Section_planner.sp_private_ok)
+      then None
+      else begin
+        let cfg = { cfg with Section.no_meta = true; structure = Section.Set_assoc ways } in
+        let spec = { spec with Section_planner.sp_cfg = cfg } in
+        Some (spec, resident spec)
+      end
+    in
+    (* The configuration a size stands for: from the resident size up,
+       the resident form. *)
+    let assign spec size =
+      match resident_form spec with
+      | Some (r, bytes) when size >= bytes -> { a_spec = r; a_size = bytes }
+      | Some _ | None -> { a_spec = spec; a_size = clamp_spec spec size }
+    in
     let sample_logs = ref [] in
     let candidates =
       List.mapi
         (fun idx spec ->
+          (* A looked-up section at least as large as the resident one
+             is slower and no smaller: it is not sampled. *)
+          let form = resident_form spec in
+          let top = match form with Some (_, bytes) -> bytes | None -> resident spec in
           let sample_sizes =
-            (if resident spec <= avail then [ resident spec ] else [])
-            @ List.map
+            (if top <= avail then [ top ] else [])
+            @ List.filter_map
                 (fun frac ->
-                  clamp_spec spec (int_of_float (float_of_int avail *. frac)))
+                  let size = clamp_spec spec (int_of_float (float_of_int avail *. frac)) in
+                  if size < top then Some size else None)
                 size_samples
             |> List.sort_uniq compare
           in
@@ -401,14 +431,8 @@ let size_specs ~eval opts specs ~build_plan ~iter =
                     seq_assignments
                     @ List.mapi
                         (fun j s ->
-                          {
-                            a_spec = s;
-                            a_size =
-                              (if j = idx then size
-                               else
-                                 clamp_spec s
-                                   (min equal_share (avail - size) / max 1 (k - 1)));
-                          })
+                          if j = idx then assign s size
+                          else assign s (min equal_share (avail - size) / max 1 (k - 1)))
                         nonseq
                   in
                   match eval opts (build_plan ()) assignments with
@@ -419,6 +443,7 @@ let size_specs ~eval opts specs ~build_plan ~iter =
                           iteration = iter;
                           sec_id = spec.Section_planner.sp_cfg.Section.sec_id;
                           size;
+                          resident = size = top && form <> None;
                           work_ns;
                         }
                       :: !sample_logs;
@@ -446,14 +471,11 @@ let size_specs ~eval opts specs ~build_plan ~iter =
                   solution.Sizing.assignment
               with
               | Some s -> s
-              | None -> clamp_spec spec (avail / max 1 k)
+              | None -> avail / max 1 k
             in
-            { a_spec = spec; a_size = size })
+            assign spec size)
           nonseq
-      | Error _ ->
-        List.map
-          (fun spec -> { a_spec = spec; a_size = clamp_spec spec (avail / max 1 k) })
-          nonseq
+      | Error _ -> List.map (fun spec -> assign spec (avail / max 1 k)) nonseq
     in
     (* Per-spec sampling treats sections independently; also try two
        joint allocations (space proportional to object size, and
@@ -487,14 +509,12 @@ let size_specs ~eval opts specs ~build_plan ~iter =
           let share =
             avail * spec.Section_planner.sp_total_bytes / max 1 total_all
           in
-          { a_spec = spec; a_size = clamp_spec spec share })
+          assign spec share)
         nonseq
     in
     let resident_greedy =
       (* Everything resident, relying on phase disjointness for space. *)
-      List.map
-        (fun spec -> { a_spec = spec; a_size = clamp_spec spec max_int })
-        nonseq
+      List.map (fun spec -> assign spec max_int) nonseq
     in
     let feasible assignment = phases_max assignment <= avail in
     let joint_candidates =
@@ -636,9 +656,15 @@ let search opts original =
            in
            List.filteri (fun i _ -> i < keep) fs)
     in
+    (* The selection widens each round (§4.1): it starts from the
+       accepted plan's sites, so an iteration extends that plan rather
+       than replacing it. *)
     let sites =
-      Profile.largest_sites !profile ~frac:(2.0 *. frac) ~among:funcs
-      |> List.filter (fun s -> List.mem s heap)
+      let _, _, accepted, _, _ = !best in
+      let kept = List.concat_map (fun a -> a.a_spec.Section_planner.sp_sites) accepted in
+      kept
+      @ (Profile.largest_sites !profile ~frac:(2.0 *. frac) ~among:funcs
+        |> List.filter (fun s -> List.mem s heap && not (List.mem s kept)))
     in
     phase "select";
     decide (Decision.Select { iteration = !i; functions = funcs; sites });
@@ -695,10 +721,12 @@ let search opts original =
                  line = cfg.Section.line;
                  size = a.a_size;
                  structure =
-                   (match cfg.Section.structure with
-                   | Section.Direct -> "direct"
-                   | Section.Set_assoc k -> Printf.sprintf "set%d" k
-                   | Section.Full_assoc -> "full");
+                   (if Section.resident_section cfg then "resident"
+                    else
+                      match cfg.Section.structure with
+                      | Section.Direct -> "direct"
+                      | Section.Set_assoc k -> Printf.sprintf "set%d" k
+                      | Section.Full_assoc -> "full");
                  sites = a.a_spec.Section_planner.sp_sites;
                }))
         assignments;

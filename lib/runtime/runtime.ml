@@ -347,6 +347,7 @@ let alloc t ~tid ~site ~bytes ~heap =
   let p = t.cfg.params in
   Sim.Clock.advance c p.Sim.Params.native_op_ns;
   if heap then begin
+    let requested = bytes in
     let bytes = Mira_util.Misc.round_up bytes t.cfg.params.Sim.Params.page_size in
     let addr, refilled = Local_alloc.alloc t.local_alloc bytes in
     if refilled then begin
@@ -388,6 +389,16 @@ let alloc t ~tid ~site ~bytes ~heap =
     end;
     Regions.add (regions_of t site) ~addr ~len:bytes;
     Profile.add_alloc t.profile ~site ~bytes;
+    (* A resident section holds its whole object: post the object's
+       lines now, so no access to it misses.  The requested bytes only:
+       nothing reads the page-rounded tail.  Lines a store allocates
+       without a fetch would only cross the wire to be overwritten. *)
+    (match route_h t ~tid ~site with
+    | Cache.Cache_section.Section s ->
+      let cfg = Cache.Section.config s in
+      if Cache.Section.resident_section cfg && not cfg.Cache.Section.write_no_fetch then
+        Cache.Section.prefetch s ~clock:c ~addr ~len:requested
+    | Cache.Cache_section.Swap _ -> ());
     { Memsys.space = Memsys.Far; addr; site }
   end
   else begin

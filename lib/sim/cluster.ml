@@ -619,14 +619,6 @@ let write_le t ~addr ~len v =
     write t ~addr ~len ~src:b ~src_off:0
   end
 
-let read_i64 t ~addr =
-  if t.trivial then Far_store.read_i64 t.nodes.(0).store ~addr
-  else read_le t ~addr ~len:8
-
-let write_i64 t ~addr v =
-  if t.trivial then Far_store.write_i64 t.nodes.(0).store ~addr v
-  else write_le t ~addr ~len:8 v
-
 (* --- crash / recovery ----------------------------------------------------- *)
 
 let nstripes_touched t =

@@ -249,8 +249,6 @@ val write_extents :
 
 val read_le : t -> addr:int -> len:int -> int64
 val write_le : t -> addr:int -> len:int -> int64 -> unit
-val read_i64 : t -> addr:int -> int64
-val write_i64 : t -> addr:int -> int64 -> unit
 
 val clear : t -> unit
 (** Reset between runs: zero every store, drain pending lost extents

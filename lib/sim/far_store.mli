@@ -14,7 +14,8 @@ val create : capacity:int -> t
 val capacity : t -> int
 
 val size : t -> int
-(** Bytes currently materialized (high-water of touched addresses). *)
+(** High-water mark of the addresses any access has touched.  Reads
+    past the written bytes return zeros and do not grow the store. *)
 
 val read : t -> addr:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
 (** Copy [len] bytes at far address [addr] into [dst] at [dst_off]. *)
@@ -29,9 +30,6 @@ val read_le : t -> addr:int -> len:int -> int64
 
 val write_le : t -> addr:int -> len:int -> int64 -> unit
 (** Little-endian scalar write of the value's [len] low bytes. *)
-
-val read_i64 : t -> addr:int -> int64
-val write_i64 : t -> addr:int -> int64 -> unit
 
 val blit_within : t -> src:int -> dst:int -> len:int -> unit
 (** Far-node-local copy (used by offloaded functions). *)

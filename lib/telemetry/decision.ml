@@ -17,7 +17,7 @@ type t =
       structure : string;
       sites : int list;
     }
-  | Size_sample of { iteration : int; sec_id : int; size : int; work_ns : float }
+  | Size_sample of { iteration : int; sec_id : int; size : int; resident : bool; work_ns : float }
   | Joint_sample of { iteration : int; work_ns : float }
   | Placement_sample of { iteration : int; placement : string; work_ns : float }
   | Measure of { iteration : int; work_ns : float; best_ns : float }
@@ -65,8 +65,9 @@ let render = function
   | Plan_section { name; line; size; structure; sites; _ } ->
     Printf.sprintf "  section %s line=%dB size=%dK %s sites=[%s]" name line
       (size / 1024) structure (ints sites)
-  | Size_sample { sec_id; size; work_ns; _ } ->
-    Printf.sprintf "  sample sec%d size=%dK work=%.2fms" sec_id (size / 1024)
+  | Size_sample { sec_id; size; resident; work_ns; _ } ->
+    Printf.sprintf "  sample sec%d size=%dK%s work=%.2fms" sec_id (size / 1024)
+      (if resident then " resident" else "")
       (work_ns /. 1e6)
   | Joint_sample { work_ns; _ } ->
     Printf.sprintf "  joint allocation: work=%.2fms" (work_ns /. 1e6)
@@ -111,11 +112,12 @@ let to_json d =
         ("structure", Json.Str structure);
         ("sites", Json.List (List.map (fun s -> Json.Int s) sites));
       ]
-  | Size_sample { sec_id; size; work_ns; _ } ->
+  | Size_sample { sec_id; size; resident; work_ns; _ } ->
     tag "size_sample"
       [
         ("sec_id", Json.Int sec_id);
         ("size_bytes", Json.Int size);
+        ("resident", Json.Bool resident);
         ("work_ns", Json.Float work_ns);
       ]
   | Joint_sample { work_ns; _ } ->

@@ -31,9 +31,12 @@ type t =
       size : int;
       structure : string;
       sites : int list;
-    }  (** one section of the accepted plan, with its sized capacity *)
-  | Size_sample of { iteration : int; sec_id : int; size : int; work_ns : float }
-      (** one sampled (section, size) profiling run *)
+    }
+      (** one section of the accepted plan, with its sized capacity;
+          [structure] is ["resident"] for a resident section *)
+  | Size_sample of { iteration : int; sec_id : int; size : int; resident : bool; work_ns : float }
+      (** one sampled (section, size) profiling run; [resident] when it
+          is the section's metadata-free resident form *)
   | Joint_sample of { iteration : int; work_ns : float }
       (** one whole-allocation candidate measurement *)
   | Placement_sample of { iteration : int; placement : string; work_ns : float }

@@ -40,13 +40,13 @@ let test_section_writeback_on_evict () =
   Section.store s ~clock ~addr:0 ~len:8 7L;
   (* line index 2 -> slot 0: evicts line 0, forcing writeback *)
   Section.store s ~clock ~addr:128 ~len:8 9L;
-  Alcotest.(check int64) "evicted data persisted" 7L (Cluster.read_i64 far ~addr:0);
+  Alcotest.(check int64) "evicted data persisted" 7L (Cluster.read_le far ~addr:0 ~len:8);
   Alcotest.(check int64) "reload" 7L (Section.load s ~clock ~addr:0 ~len:8)
 
 let test_section_prefetch_ready_time () =
   let net, far, clock = make_env () in
   let s = Section.create net far (cfg_of Section.Full_assoc ~line:64 ~size:1024) in
-  Cluster.write_i64 far ~addr:256 5L;
+  Cluster.write_le far ~addr:256 ~len:8 5L;
   Section.prefetch s ~clock ~addr:256 ~len:8;
   let before = Clock.now clock in
   let v = Section.load s ~clock ~addr:256 ~len:8 in
@@ -70,7 +70,7 @@ let test_section_flush_evict_priority () =
 let test_section_native_fallback () =
   let net, far, clock = make_env () in
   let s = Section.create net far (cfg_of Section.Direct ~line:64 ~size:256) in
-  Cluster.write_i64 far ~addr:0 77L;
+  Cluster.write_le far ~addr:0 ~len:8 77L;
   (* native load on an absent line must still return correct data *)
   Alcotest.(check int64) "fallback correct" 77L
     (Section.load_native s ~clock ~addr:0 ~len:8)
@@ -90,12 +90,12 @@ let test_section_no_meta_cheap_hits () =
 let test_section_discard_range () =
   let net, far, clock = make_env () in
   let s = Section.create net far (cfg_of Section.Full_assoc ~line:64 ~size:256) in
-  Cluster.write_i64 far ~addr:0 10L;
+  Cluster.write_le far ~addr:0 ~len:8 10L;
   ignore (Section.load s ~clock ~addr:0 ~len:8);
   Section.store s ~clock ~addr:0 ~len:8 99L;
   (* Simulate a far-side mutation, then discard the stale line. *)
   Section.discard_range s ~addr:0 ~len:8;
-  Cluster.write_i64 far ~addr:0 55L;
+  Cluster.write_le far ~addr:0 ~len:8 55L;
   Alcotest.(check int64) "fresh data after discard" 55L
     (Section.load s ~clock ~addr:0 ~len:8)
 
@@ -407,6 +407,74 @@ let test_payload_slot_capacity () =
 (* On a mirror and on EC(2,1), payload writebacks keep the redundancy
    consistent: with the first line's data node down, decoding returns
    every byte as written, and the fan-out is payload-sized. *)
+(* One object allocated into a resident section: a metadata-free
+   set-associative payload section with a slot for every line of the
+   object.  The runtime fills it at allocation, so every load and store
+   after that is a hit at native cost, with nothing missed or evicted;
+   eviction hints are ignored, and a line dropped by [discard_range]
+   comes back as a charged miss. *)
+let test_resident_section () =
+  let module Runtime = Mira_runtime.Runtime in
+  let module Memsys = Mira_runtime.Memsys in
+  let line = 128 and n = 32 and seeded = 1 lsl 16 in
+  let rt =
+    Runtime.create (Runtime.config_default ~local_budget:(1 lsl 16) ~far_capacity:(1 lsl 20))
+  in
+  let model = far_pattern seeded in
+  Cluster.write (Runtime.cluster rt) ~addr:0 ~len:seeded ~src:model ~src_off:0;
+  let cfg =
+    { (payload_cfg ~structure:(Section.Set_assoc 8) ~line n) with Section.no_meta = true }
+  in
+  let cfg = { cfg with Section.size = n * Section.slot_bytes cfg } in
+  Alcotest.(check bool) "resident" true (Section.resident_section cfg);
+  Alcotest.(check int) "a slot holds only the payload" (n * payload_bytes) cfg.Section.size;
+  let mgr = Runtime.manager rt in
+  (match Manager.add_section mgr ~clock:(Clock.create ()) cfg with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Manager.assign_site mgr ~site:3 ~sec_id:1;
+  let ms = Runtime.memsys rt in
+  let ptr = ms.Memsys.alloc ~tid:0 ~site:3 ~bytes:(n * line) ~heap:true in
+  let base = ptr.Memsys.addr in
+  Alcotest.(check bool) "object inside the seeded far bytes" true (base + (n * line) <= seeded);
+  let s = Option.get (Manager.find_section mgr ~id:1) in
+  for i = 0 to n - 1 do
+    if not (Section.resident s ~addr:(base + (i * line))) then
+      Alcotest.failf "line %d not filled at allocation" i
+  done;
+  let clock = ms.Memsys.clock ~tid:0 in
+  (* past every fill's arrival: no access waits on one *)
+  Clock.advance clock 1e6;
+  let at i off = { ptr with Memsys.addr = base + (i * line) + off } in
+  let access f =
+    let t0 = Clock.now clock in
+    let v = f () in
+    Alcotest.(check (float 1e-6)) "native cost" Params.default.Params.native_mem_ns
+      (Clock.now clock -. t0);
+    v
+  in
+  for i = 0 to n - 1 do
+    Alcotest.(check int64) "filled from far memory"
+      (Bytes.get_int64_le model (base + (i * line)))
+      (access (fun () -> ms.Memsys.load ~tid:0 ~ptr:(at i 0) ~len:8 ~native:false));
+    access (fun () -> ms.Memsys.store ~tid:0 ~ptr:(at i 40) ~len:8 ~native:false ~value:(Int64.of_int i));
+    Alcotest.(check int64) "stored value" (Int64.of_int i)
+      (access (fun () -> ms.Memsys.load ~tid:0 ~ptr:(at i 40) ~len:8 ~native:true))
+  done;
+  let st = Section.stats s in
+  Alcotest.(check (list int)) "hits, misses, evictions, late fills" [ 3 * n; 0; 0; 0 ]
+    [ st.Section.hits; st.Section.misses; st.Section.evictions; st.Section.late_prefetch ];
+  Alcotest.(check (float 0.0)) "hit_ns" 0.0 st.Section.hit_ns;
+  Section.flush_evict s ~clock ~addr:base ~len:(n * line);
+  Alcotest.(check int) "eviction hints write nothing back" 0 st.Section.writebacks;
+  Section.discard_range s ~addr:base ~len:line;
+  let t0 = Clock.now clock in
+  Alcotest.(check int64) "refetched after discard" (Bytes.get_int64_le model base)
+    (ms.Memsys.load ~tid:0 ~ptr:(at 0 0) ~len:8 ~native:true);
+  Alcotest.(check int) "one miss" 1 st.Section.misses;
+  Alcotest.(check bool) "the miss is charged" true
+    (st.Section.miss_ns > 0.0 && Clock.now clock -. t0 > Params.default.Params.native_mem_ns)
+
 let test_payload_redundant () =
   let line = 128 and n = 12 in
   let check name spec ~down =
@@ -532,7 +600,7 @@ let coherence_for structure line size =
       (* Final drain: everything must land in the far store. *)
       Section.flush_all s ~clock;
       Hashtbl.iter
-        (fun addr v -> if Cluster.read_i64 far ~addr <> v then ok := false)
+        (fun addr v -> if Cluster.read_le far ~addr ~len:8 <> v then ok := false)
         reference;
       !ok)
 
@@ -563,7 +631,7 @@ let coherence_swap =
         ops;
       Swap.flush_all sw ~clock;
       Hashtbl.iter
-        (fun addr v -> if Cluster.read_i64 far ~addr <> v then ok := false)
+        (fun addr v -> if Cluster.read_le far ~addr ~len:8 <> v then ok := false)
         reference;
       !ok)
 
@@ -670,6 +738,7 @@ let suite =
     Alcotest.test_case "payload packed" `Quick test_payload_packed;
     Alcotest.test_case "payload slot capacity" `Quick test_payload_slot_capacity;
     Alcotest.test_case "payload on mirror and EC" `Quick test_payload_redundant;
+    Alcotest.test_case "resident section" `Quick test_resident_section;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;
     Alcotest.test_case "manager routing" `Quick test_manager_routing;
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 64 512);

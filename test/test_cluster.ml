@@ -133,7 +133,7 @@ let test_failover_epoch () =
       (Cluster.mirror ~nodes:2 ~copies:2
          [ { Cluster.ev_node = 0; ev_at = 100.0; ev_down_for = 50.0 } ])
   in
-  Cluster.write_i64 t ~addr:0 42L;
+  Cluster.write_le t ~addr:0 ~len:8 42L;
   Alcotest.(check int) "epoch 0" 0 (Cluster.epoch t);
   Alcotest.(check bool) "redundant" true (Cluster.redundant t);
   Alcotest.(check (pair int int)) "scheme" (1, 1) (Cluster.scheme t);
@@ -152,7 +152,7 @@ let test_failover_epoch () =
   Alcotest.(check (float 0.0)) "node outage window" 150.0
     (Cluster.node_down_until t ~node:0);
   (* The surviving copy decodes the data: failover lost nothing. *)
-  Alcotest.(check int64) "data survived" 42L (Cluster.read_i64 t ~addr:0);
+  Alcotest.(check int64) "data survived" 42L (Cluster.read_le t ~addr:0 ~len:8);
   Alcotest.(check bool) "reconstruction counted" true
     ((Cluster.stats t).Cluster.reconstructions > 0);
   (* The crashed node returns at t=150 and is rebuilt from survivors. *)
@@ -163,7 +163,7 @@ let test_failover_epoch () =
     Alcotest.(check bool) "resynced bytes" true (resync_bytes > 0)
   | _ -> Alcotest.fail "expected exactly one Recovered");
   Alcotest.(check int) "node 0 serving again" 0 (Cluster.serving_node t);
-  Alcotest.(check int64) "rebuilt data" 42L (Cluster.read_i64 t ~addr:0);
+  Alcotest.(check int64) "rebuilt data" 42L (Cluster.read_le t ~addr:0 ~len:8);
   Alcotest.(check bool) "never degraded" false (Cluster.degraded t)
 
 (* Directed overlapping-two-node-outage test for m = 2: with two nodes
@@ -182,7 +182,7 @@ let test_overlapping_outages_m2 () =
          ])
   in
   let addrs = List.init (cap / 8) (fun i -> i * 8) in
-  List.iter (fun a -> Cluster.write_i64 t ~addr:a (v a)) addrs;
+  List.iter (fun a -> Cluster.write_le t ~addr:a ~len:8 (v a)) addrs;
   (match Cluster.poll t ~now:200.0 with
   | [ Cluster.Failover { down = 1; _ }; Cluster.Failover { down = 2; _ } ] -> ()
   | _ -> Alcotest.fail "expected two quorum-holding Failovers");
@@ -193,7 +193,7 @@ let test_overlapping_outages_m2 () =
     (fun a ->
       Alcotest.(check int64)
         (Printf.sprintf "decode addr %d" a)
-        (v a) (Cluster.read_i64 t ~addr:a))
+        (v a) (Cluster.read_le t ~addr:a ~len:8))
     addrs;
   Alcotest.(check bool) "double-erasure decodes counted" true
     ((Cluster.stats t).Cluster.reconstructions > 0);
@@ -203,7 +203,7 @@ let test_overlapping_outages_m2 () =
   Alcotest.(check int) "debt drained" 0 (Cluster.take_reconstruction t);
   (* Writes during the outage update surviving parity incrementally. *)
   List.iter
-    (fun a -> Cluster.write_i64 t ~addr:a (Int64.neg (v a)))
+    (fun a -> Cluster.write_le t ~addr:a ~len:8 (Int64.neg (v a)))
     (List.filteri (fun i _ -> i mod 5 = 0) addrs);
   (match Cluster.poll t ~now:1000.0 with
   | [ Cluster.Recovered _; Cluster.Recovered { whole = true; _ } ] -> ()
@@ -213,7 +213,7 @@ let test_overlapping_outages_m2 () =
       let expect = if a / 8 mod 5 = 0 then Int64.neg (v a) else v a in
       Alcotest.(check int64)
         (Printf.sprintf "post-recovery addr %d" a)
-        expect (Cluster.read_i64 t ~addr:a))
+        expect (Cluster.read_le t ~addr:a ~len:8))
     addrs;
   Alcotest.(check bool) "never degraded" false (Cluster.degraded t);
   Alcotest.(check int) "nothing lost" 0 (Cluster.stats t).Cluster.lost_bytes
@@ -233,13 +233,13 @@ let test_past_quorum_loss_accounting () =
          ])
   in
   let addrs = List.init (cap / 8) (fun i -> i * 8) in
-  List.iter (fun a -> Cluster.write_i64 t ~addr:a (v a)) addrs;
+  List.iter (fun a -> Cluster.write_le t ~addr:a ~len:8 (v a)) addrs;
   (match Cluster.poll t ~now:150.0 with
   | [ Cluster.Failover { failed = 0; _ } ] -> ()
   | _ -> Alcotest.fail "first crash holds quorum");
   (* One down of m = 1: reads still decode. *)
   List.iter
-    (fun a -> Alcotest.(check int64) "decode ok" (v a) (Cluster.read_i64 t ~addr:a))
+    (fun a -> Alcotest.(check int64) "decode ok" (v a) (Cluster.read_le t ~addr:a ~len:8))
     addrs;
   let lost_bytes =
     match Cluster.poll t ~now:250.0 with
@@ -260,11 +260,11 @@ let test_past_quorum_loss_accounting () =
       if in_lost a then
         Alcotest.(check int64)
           (Printf.sprintf "lost addr %d reads zero" a)
-          0L (Cluster.read_i64 t ~addr:a)
+          0L (Cluster.read_le t ~addr:a ~len:8)
       else
         Alcotest.(check int64)
           (Printf.sprintf "surviving addr %d intact" a)
-          (v a) (Cluster.read_i64 t ~addr:a))
+          (v a) (Cluster.read_le t ~addr:a ~len:8))
     addrs;
   Alcotest.(check int) "stats agree" lost_bytes (Cluster.stats t).Cluster.lost_bytes
 
@@ -301,7 +301,7 @@ let test_clear_resets_degraded () =
           [ { Cluster.ev_node = 0; ev_at = 100.0; ev_down_for = 50.0 } ]
       }
   in
-  Cluster.write_i64 t ~addr:0 9L;
+  Cluster.write_le t ~addr:0 ~len:8 9L;
   ignore (Cluster.poll t ~now:120.0);
   Cluster.observe_recovery t 123.0;
   Alcotest.(check bool) "degraded after loss" true (Cluster.degraded t);
@@ -318,13 +318,13 @@ let test_clear_resets_degraded () =
     (Mira_telemetry.Metrics.hist_count st.Cluster.recovery);
   Alcotest.(check int) "lost extents drained" 0
     (List.length (Cluster.take_lost_extents t));
-  Alcotest.(check int64) "stores zeroed" 0L (Cluster.read_i64 t ~addr:0)
+  Alcotest.(check int64) "stores zeroed" 0L (Cluster.read_le t ~addr:0 ~len:8)
 
 let test_of_store_passthrough () =
   let far = Far_store.create ~capacity:4096 in
   let t = Cluster.of_store far in
-  Cluster.write_i64 t ~addr:8 5L;
-  Alcotest.(check int64) "shared store" 5L (Far_store.read_i64 far ~addr:8);
+  Cluster.write_le t ~addr:8 ~len:8 5L;
+  Alcotest.(check int64) "shared store" 5L (Far_store.read_le far ~addr:8 ~len:8);
   Alcotest.(check bool) "no events ever" true (Cluster.next_event_at t = infinity);
   Alcotest.(check int) "no incidents" 0 (List.length (Cluster.poll t ~now:1e12))
 
@@ -366,8 +366,8 @@ let test_crash_during_add_section () =
     (Mira_cache.Swap_section.capacity_bytes (Manager.swap mgr));
   (* Post-failover state is coherent: survivors decode the written
      data. *)
-  Alcotest.(check int64) "data survived the crash" 1L (Cluster.read_i64 cluster ~addr:0);
-  Alcotest.(check int64) "second line too" 2L (Cluster.read_i64 cluster ~addr:64);
+  Alcotest.(check int64) "data survived the crash" 1L (Cluster.read_le cluster ~addr:0 ~len:8);
+  Alcotest.(check int64) "second line too" 2L (Cluster.read_le cluster ~addr:64 ~len:8);
   Alcotest.(check bool) "never degraded" false (Cluster.degraded cluster)
 
 (* --- end-to-end: bit-identical while within quorum ------------------------ *)

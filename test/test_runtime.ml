@@ -128,9 +128,9 @@ let test_runtime_flush_discard_sites () =
   ms.Memsys.store ~tid:0 ~ptr ~len:8 ~native:false ~value:11L;
   ms.Memsys.flush_sites ~tid:0 ~sites:[ 3 ];
   Alcotest.(check int64) "flushed to far" 11L
-    (Mira_sim.Far_store.read_i64 far ~addr:ptr.Memsys.addr);
+    (Mira_sim.Far_store.read_le far ~addr:ptr.Memsys.addr ~len:8);
   (* Far-side mutation then discard: next load must see the new value. *)
-  Mira_sim.Far_store.write_i64 far ~addr:ptr.Memsys.addr 22L;
+  Mira_sim.Far_store.write_le far ~addr:ptr.Memsys.addr ~len:8 22L;
   ms.Memsys.discard_sites ~tid:0 ~sites:[ 3 ];
   Alcotest.(check int64) "sees far mutation" 22L
     (ms.Memsys.load ~tid:0 ~ptr ~len:8 ~native:false)

@@ -72,9 +72,9 @@ let test_net_stats () =
 
 let test_far_store_rw () =
   let fs = Far_store.create ~capacity:(1 lsl 16) in
-  Far_store.write_i64 fs ~addr:128 0xDEADBEEFL;
-  Alcotest.(check int64) "read back" 0xDEADBEEFL (Far_store.read_i64 fs ~addr:128);
-  Alcotest.(check int64) "zero fill" 0L (Far_store.read_i64 fs ~addr:1024);
+  Far_store.write_le fs ~addr:128 ~len:8 0xDEADBEEFL;
+  Alcotest.(check int64) "read back" 0xDEADBEEFL (Far_store.read_le fs ~addr:128 ~len:8);
+  Alcotest.(check int64) "zero fill" 0L (Far_store.read_le fs ~addr:1024 ~len:8);
   let src = Bytes.of_string "hello world!" in
   Far_store.write fs ~addr:500 ~len:12 ~src ~src_off:0;
   let dst = Bytes.make 12 ' ' in
@@ -85,13 +85,33 @@ let test_far_store_capacity () =
   let fs = Far_store.create ~capacity:4096 in
   Alcotest.check_raises "over capacity"
     (Failure "Far_store: access at 4104 exceeds capacity 4096") (fun () ->
-      Far_store.write_i64 fs ~addr:4096 1L)
+      Far_store.write_le fs ~addr:4096 ~len:8 1L)
 
 let test_far_store_blit_within () =
   let fs = Far_store.create ~capacity:(1 lsl 12) in
-  Far_store.write_i64 fs ~addr:0 42L;
+  Far_store.write_le fs ~addr:0 ~len:8 42L;
   Far_store.blit_within fs ~src:0 ~dst:512 ~len:8;
-  Alcotest.(check int64) "copied" 42L (Far_store.read_i64 fs ~addr:512)
+  Alcotest.(check int64) "copied" 42L (Far_store.read_le fs ~addr:512 ~len:8)
+
+(* A read past the written bytes returns zeros and leaves the backing
+   buffer as it was; the touched high-water mark still moves. *)
+let test_far_store_read_past_written () =
+  let fs = Far_store.create ~capacity:(1 lsl 20) in
+  let chunk = 1 lsl 16 in
+  Far_store.write_le fs ~addr:(chunk - 4) ~len:4 0x0A0B0C0DL;
+  let words () = Obj.reachable_words (Obj.repr fs) in
+  let before = words () in
+  Alcotest.(check int64) "straddling the written end" 0x0A0B0C0DL
+    (Far_store.read_le fs ~addr:(chunk - 4) ~len:8);
+  Alcotest.(check int64) "past the written bytes" 0L
+    (Far_store.read_le fs ~addr:(1 lsl 19) ~len:8);
+  let dst = Bytes.make 16 'x' in
+  Far_store.read fs ~addr:(chunk - 8) ~len:16 ~dst ~dst_off:0;
+  Alcotest.(check string) "block read zero-filled"
+    "\000\000\000\000\r\012\011\n\000\000\000\000\000\000\000\000"
+    (Bytes.to_string dst);
+  Alcotest.(check int) "backing bytes not grown" before (words ());
+  Alcotest.(check int) "high-water mark" ((1 lsl 19) + 8) (Far_store.size fs)
 
 let test_remote_alloc_basic () =
   let ra = Remote_alloc.create ~base:64 ~limit:4096 in
@@ -176,6 +196,7 @@ let suite =
     Alcotest.test_case "far_store rw" `Quick test_far_store_rw;
     Alcotest.test_case "far_store capacity" `Quick test_far_store_capacity;
     Alcotest.test_case "far_store blit" `Quick test_far_store_blit_within;
+    Alcotest.test_case "far_store read past written" `Quick test_far_store_read_past_written;
     Alcotest.test_case "remote_alloc basic" `Quick test_remote_alloc_basic;
     Alcotest.test_case "remote_alloc exhaustion" `Quick test_remote_alloc_exhaustion;
     Alcotest.test_case "remote_alloc coalesce" `Quick test_remote_alloc_coalesce;
