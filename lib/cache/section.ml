@@ -10,7 +10,6 @@ type config = {
   payload : (int * int) list option;
   no_meta : bool;
   write_no_fetch : bool;
-  read_discard : bool;
 }
 
 let config_default ~sec_id ~name ~line ~size =
@@ -24,7 +23,6 @@ let config_default ~sec_id ~name ~line ~size =
     payload = None;
     no_meta = false;
     write_no_fetch = false;
-    read_discard = false;
   }
 
 type stats = {
@@ -241,8 +239,7 @@ let find_slot t tag =
 
 (* --- victim selection --------------------------------------------------- *)
 
-(* read_discard is a cost hint for clean lines; dirty data must always
-   reach the far store or it would be lost. *)
+(* Dirty data must always reach the far store or it would be lost. *)
 let writeback t ~clock slot ~sync =
   if has t slot dirty then begin
     Transfer.writeback t.tr ~clock ~base:(t.tags.(slot) * t.cfg.line) ~data:t.data

@@ -34,9 +34,6 @@ type config = {
                        native access, no per-line runtime metadata *)
   write_no_fetch : bool;  (** write-only pattern: store misses allocate
                               without fetching the old line contents *)
-  read_discard : bool;  (** read-only pattern hint: lines are expected
-                            clean, so eviction is free (dirty lines are
-                            still written back — correctness first) *)
 }
 
 val config_default : sec_id:int -> name:string -> line:int -> size:int -> config

@@ -1,29 +1,15 @@
 type candidate = {
   cand_id : int;
   options : (int * float) array;
-  live_from : int;
-  live_to : int;
 }
 
 type solution = { assignment : (int * int) list; total_overhead : float }
 
-let phases candidates =
-  List.fold_left (fun acc c -> max acc c.live_to) 0 candidates + 1
-
-let feasible ~budget ~usage = Array.for_all (fun u -> u <= budget) usage
-
-let add_usage usage c size sign =
-  for phase = c.live_from to c.live_to do
-    usage.(phase) <- usage.(phase) + (sign * size)
-  done
-
 let solve_brute ~budget candidates =
-  let nphases = phases candidates in
-  let usage = Array.make nphases 0 in
   let best = ref None in
-  let rec go acc total = function
+  let rec go acc used total = function
     | [] ->
-      if feasible ~budget ~usage then begin
+      if used <= budget then begin
         match !best with
         | Some (_, best_total) when best_total <= total -> ()
         | _ -> best := Some (List.rev acc, total)
@@ -31,12 +17,10 @@ let solve_brute ~budget candidates =
     | c :: rest ->
       Array.iter
         (fun (size, overhead) ->
-          add_usage usage c size 1;
-          go ((c.cand_id, size) :: acc) (total +. overhead) rest;
-          add_usage usage c size (-1))
+          go ((c.cand_id, size) :: acc) (used + size) (total +. overhead) rest)
         c.options
   in
-  go [] 0.0 candidates;
+  go [] 0 0.0 candidates;
   match !best with
   | Some (assignment, total_overhead) -> Ok { assignment; total_overhead }
   | None -> Error "no feasible section size assignment fits the budget"
@@ -44,8 +28,6 @@ let solve_brute ~budget candidates =
 (* Branch and bound: identical search ordered by overhead with a
    lower-bound prune (sum of per-candidate minima of the remainder). *)
 let solve ~budget candidates =
-  let nphases = phases candidates in
-  let usage = Array.make nphases 0 in
   let sorted_opts c =
     let opts = Array.copy c.options in
     Array.sort (fun (_, a) (_, b) -> compare a b) opts;
@@ -59,7 +41,7 @@ let solve ~budget candidates =
   in
   let best_total = ref infinity in
   let best = ref None in
-  let rec go acc total = function
+  let rec go acc used total = function
     | [] ->
       if total < !best_total then begin
         best_total := total;
@@ -70,15 +52,13 @@ let solve ~budget candidates =
       else
         Array.iter
           (fun (size, overhead) ->
-            add_usage usage c size 1;
-            (* Sizes are non-negative, so an already-exceeded phase can
-               only stay exceeded: prune infeasible prefixes. *)
-            if feasible ~budget ~usage then
-              go ((c.cand_id, size) :: acc) (total +. overhead) rest;
-            add_usage usage c size (-1))
+            (* Sizes are non-negative, so an exceeded budget can only
+               stay exceeded: prune infeasible prefixes. *)
+            if used + size <= budget then
+              go ((c.cand_id, size) :: acc) (used + size) (total +. overhead) rest)
           opts
   in
-  go [] 0.0 cands;
+  go [] 0 0.0 cands;
   match !best with
   | Some assignment ->
     (* Restore input order for a stable API. *)
@@ -89,23 +69,3 @@ let solve ~budget candidates =
     in
     Ok { assignment = in_order; total_overhead = !best_total }
   | None -> Error "no feasible section size assignment fits the budget"
-
-let interpolate curve size =
-  let n = Array.length curve in
-  if n = 0 then invalid_arg "Sizing.interpolate: empty curve";
-  let sorted = Array.copy curve in
-  Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
-  let smallest, s_ov = sorted.(0) in
-  let largest, l_ov = sorted.(n - 1) in
-  if size <= smallest then s_ov
-  else if size >= largest then l_ov
-  else begin
-    let rec seg i =
-      let x1, y1 = sorted.(i) in
-      let x2, y2 = sorted.(i + 1) in
-      if size <= x2 then
-        y1 +. ((y2 -. y1) *. float_of_int (size - x1) /. float_of_int (x2 - x1))
-      else seg (i + 1)
-    in
-    seg 0
-  end

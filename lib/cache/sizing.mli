@@ -1,19 +1,16 @@
 (** Cache-section size selection (§4.3).
 
     Each candidate section has a sampled size→overhead curve (from
-    profiling runs at a few sizes) and a lifetime interval in abstract
-    program phases.  We minimize total overhead subject to: at every
-    phase, the sizes of the sections live in that phase sum to at most
-    the budget.  The paper formulates this as an ILP; our instances are
-    tiny (a handful of sections × a handful of sampled sizes), so an
-    exact branch-and-bound enumeration finds the same optimum and is
-    verified against brute force in the tests. *)
+    profiling runs at a few sizes).  We minimize total overhead subject
+    to the chosen sizes summing to at most the budget, the one static
+    sum the cache manager enforces.  The paper formulates this as an
+    ILP; our instances are tiny (a handful of sections × a handful of
+    sampled sizes), so an exact branch-and-bound enumeration finds the
+    same optimum and is verified against brute force in the tests. *)
 
 type candidate = {
   cand_id : int;
   options : (int * float) array;  (** (size in bytes, overhead score) *)
-  live_from : int;  (** first phase (inclusive) in which the section is live *)
-  live_to : int;  (** last phase (inclusive) *)
 }
 
 type solution = { assignment : (int * int) list; total_overhead : float }
@@ -24,7 +21,3 @@ val solve : budget:int -> candidate list -> (solution, string) result
 
 val solve_brute : budget:int -> candidate list -> (solution, string) result
 (** Plain exhaustive enumeration (test oracle for [solve]). *)
-
-val interpolate : (int * float) array -> int -> float
-(** Piecewise-linear interpolation of a sampled curve at a size (clamped
-    to the sampled range); used to predict overheads between samples. *)

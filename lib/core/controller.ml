@@ -455,12 +455,10 @@ let size_specs ~eval opts specs ~build_plan ~iter =
           {
             Sizing.cand_id = spec.Section_planner.sp_cfg.Section.sec_id;
             options = Array.of_list options;
-            live_from = fst spec.Section_planner.sp_interval;
-            live_to = snd spec.Section_planner.sp_interval;
           })
         nonseq
     in
-    let ilp_assignment =
+    let assignments =
       match Sizing.solve ~budget:avail (List.filter (fun c -> Array.length c.Sizing.options > 0) candidates) with
       | Ok solution ->
         List.map
@@ -476,68 +474,6 @@ let size_specs ~eval opts specs ~build_plan ~iter =
             assign spec size)
           nonseq
       | Error _ -> List.map (fun spec -> assign spec (avail / max 1 k)) nonseq
-    in
-    (* Per-spec sampling treats sections independently; also try two
-       joint allocations (space proportional to object size, and
-       resident-greedy by profiled overhead) and keep whichever measures
-       best — phase-disjoint specs may share bytes, checked per phase. *)
-    let phases_max assignment =
-      let top =
-        List.fold_left
-          (fun acc a -> max acc (snd a.a_spec.Section_planner.sp_interval))
-          0 assignment
-      in
-      let worst = ref 0 in
-      for ph = 0 to top do
-        let u =
-          List.fold_left
-            (fun acc a ->
-              let lo, hi = a.a_spec.Section_planner.sp_interval in
-              if lo <= ph && ph <= hi then acc + a.a_size else acc)
-            0 assignment
-        in
-        worst := max !worst u
-      done;
-      !worst
-    in
-    let total_all =
-      List.fold_left (fun acc s -> acc + s.Section_planner.sp_total_bytes) 0 nonseq
-    in
-    let proportional =
-      List.map
-        (fun spec ->
-          let share =
-            avail * spec.Section_planner.sp_total_bytes / max 1 total_all
-          in
-          assign spec share)
-        nonseq
-    in
-    let resident_greedy =
-      (* Everything resident, relying on phase disjointness for space. *)
-      List.map (fun spec -> assign spec max_int) nonseq
-    in
-    let feasible assignment = phases_max assignment <= avail in
-    let joint_candidates =
-      List.filter feasible [ proportional; resident_greedy ]
-    in
-    let measure assignment =
-      match eval opts (build_plan ()) (seq_assignments @ assignment) with
-      | work_ns, _ -> work_ns
-      | exception _ -> infinity
-    in
-    let best_joint =
-      List.fold_left
-        (fun (best_t, best_a) cand ->
-          let t = measure cand in
-          sample_logs :=
-            Decision.Joint_sample { iteration = iter; work_ns = t }
-            :: !sample_logs;
-          if t < best_t then (t, cand) else (best_t, best_a))
-        (infinity, ilp_assignment) joint_candidates
-    in
-    let assignments =
-      let ilp_t = measure ilp_assignment in
-      if fst best_joint < ilp_t then snd best_joint else ilp_assignment
     in
     (seq_assignments @ assignments, List.rev !sample_logs)
   end
@@ -558,7 +494,7 @@ let build_plan_for opts assignments ~instrument =
   in
   let read_only_all =
     List.for_all
-      (fun a -> a.a_spec.Section_planner.sp_cfg.Section.read_discard)
+      (fun a -> a.a_spec.Section_planner.sp_private_ok)
       assignments
   in
   {
@@ -568,7 +504,7 @@ let build_plan_for opts assignments ~instrument =
     prefetch = opts.feat_prefetch;
     evict = opts.feat_evict && (opts.nthreads = 1 || read_only_all);
     native = opts.feat_native;
-    offload = (if opts.feat_offload then `Auto else `None);
+    offload = opts.feat_offload;
     instrument;
   }
 

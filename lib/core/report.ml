@@ -13,13 +13,14 @@ let side_name = function
   | Mira_sim.Net.One_sided -> "one-sided"
   | Mira_sim.Net.Two_sided -> "two-sided"
 
-let flags (cfg : Section.config) =
+let flags (spec : Section_planner.spec) =
+  let cfg = spec.Section_planner.sp_cfg in
   List.filter_map
     (fun (cond, name) -> if cond then Some name else None)
     [
       (cfg.Section.no_meta, "no-meta");
       (cfg.Section.write_no_fetch, "write-no-fetch");
-      (cfg.Section.read_discard, "read-discard");
+      (spec.Section_planner.sp_private_ok, "read-discard");
     ]
 
 let describe (c : Controller.compiled) =
@@ -37,7 +38,7 @@ let describe (c : Controller.compiled) =
         (plan.Pipeline.prefetch, "prefetch");
         (plan.Pipeline.evict, "evict-hints");
         (plan.Pipeline.native, "native-deref");
-        (plan.Pipeline.offload <> `None, "offload");
+        (plan.Pipeline.offload, "offload");
       ]
   in
   Buffer.add_string buf
@@ -57,7 +58,7 @@ let describe (c : Controller.compiled) =
              cfg.Section.line
              (a.Controller.a_size / 1024)
              (side_name cfg.Section.side)
-             (String.concat "," (flags cfg))
+             (String.concat "," (flags a.Controller.a_spec))
              (String.concat ","
                 (List.map string_of_int a.Controller.a_spec.Section_planner.sp_sites))))
       c.Controller.c_assignments
@@ -78,7 +79,7 @@ let to_json (c : Controller.compiled) =
         (plan.Pipeline.prefetch, "prefetch");
         (plan.Pipeline.evict, "evict-hints");
         (plan.Pipeline.native, "native-deref");
-        (plan.Pipeline.offload <> `None, "offload");
+        (plan.Pipeline.offload, "offload");
       ]
   in
   let sections =
@@ -92,7 +93,7 @@ let to_json (c : Controller.compiled) =
             ("line_bytes", Json.Int cfg.Section.line);
             ("size_bytes", Json.Int a.Controller.a_size);
             ("side", Json.Str (side_name cfg.Section.side));
-            ("flags", Json.List (List.map (fun f -> Json.Str f) (flags cfg)));
+            ("flags", Json.List (List.map (fun f -> Json.Str f) (flags a.Controller.a_spec)));
             ( "sites",
               Json.List
                 (List.map

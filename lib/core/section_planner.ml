@@ -36,7 +36,6 @@ type spec = {
   sp_min_size : int;
   sp_total_bytes : int;
   sp_private_ok : bool;
-  sp_interval : int * int;
 }
 
 (* The per-site configuration decision; sites deciding identically (and
@@ -48,7 +47,7 @@ type decision = {
   d_payload : (int * int) list option;
   d_no_meta : bool;
   d_write_no_fetch : bool;
-  d_read_discard : bool;
+  d_read_only : bool;
   d_seq : bool;
 }
 
@@ -100,7 +99,7 @@ let decide ~params (ss : Pattern.site_summary) =
        lines before any read, or unconditionally when the line is a
        single 8-byte slot (every store covers its entire line). *)
     d_write_no_fetch = (ss.Pattern.ss_write_only && seq_kind) || line <= 8;
-    d_read_discard = ss.Pattern.ss_read_only;
+    d_read_only = ss.Pattern.ss_read_only;
     d_seq = streaming;
   }
 
@@ -117,8 +116,8 @@ let plan ~params ~summaries ~site_bytes ~first_id =
      configuration alone — phased streams (GPT-2's per-layer weights)
      time-multiplex one small window naturally.  Non-streaming sections
      occupy space for their whole lifetime, so only lifetime-overlapping
-     sites merge; disjoint ones stay separate and the sizing ILP lets
-     them share the same bytes at different phases. *)
+     sites merge; disjoint ones stay separate sections, each with its
+     own share of the one static budget. *)
   let groups : (decision * (int * int) * int list) list ref = ref [] in
   List.iter
     (fun ((ss : Pattern.site_summary), interval, d) ->
@@ -137,7 +136,7 @@ let plan ~params ~summaries ~site_bytes ~first_id =
       groups := place !groups)
     decided;
   List.mapi
-    (fun i (d, interval, sites) ->
+    (fun i (d, _, sites) ->
       let sec_id = first_id + i in
       let name = Printf.sprintf "sec%d" sec_id in
       let min_size =
@@ -161,13 +160,10 @@ let plan ~params ~summaries ~site_bytes ~first_id =
             payload = d.d_payload;
             no_meta = d.d_no_meta;
             write_no_fetch = d.d_write_no_fetch;
-            read_discard = d.d_read_discard;
           };
         sp_seq = d.d_seq;
         sp_min_size = min_size;
         sp_total_bytes = total;
-        sp_private_ok =
-          (match d.d_read_discard with true -> true | false -> false);
-        sp_interval = interval;
+        sp_private_ok = d.d_read_only;
       })
     (List.rev !groups)

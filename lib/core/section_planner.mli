@@ -14,9 +14,9 @@
       a fields-only payload when the program touches a strict subset of
       fields (selective transmission, §4.5/§4.7): the payload is the
       touched field extents, and the section's lines hold only them;
-    - flags: read-only sections drop lines without write-back,
-      write-only sequential sections skip fetch-on-write, and
-      fully-compiler-controlled sequential sections run metadata-free. *)
+    - flags: read-only sections may be copied per thread, write-only
+      sequential sections skip fetch-on-write, and fully-compiler-
+      controlled sequential sections run metadata-free. *)
 
 type spec = {
   sp_sites : int list;  (** sites grouped into this section *)
@@ -25,7 +25,6 @@ type spec = {
   sp_min_size : int;  (** smallest useful size in bytes *)
   sp_total_bytes : int;  (** combined allocated bytes of the sites *)
   sp_private_ok : bool;  (** read-only: may be split per-thread *)
-  sp_interval : int * int;  (** lifetime phases (from, to) *)
 }
 
 val plan :

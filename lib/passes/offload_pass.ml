@@ -12,16 +12,13 @@ let mark_remotable program =
         program.Ir.p_funcs;
   }
 
-let run program ?explicit ~params () =
+let run program ~params =
   let program = mark_remotable program in
   let scores = Offload.analyze program ~params () in
   let chosen =
-    match explicit with
-    | Some names -> names
-    | None ->
-      List.filter_map
-        (fun s -> if Offload.should_offload s then Some s.Offload.o_name else None)
-        scores
+    List.filter_map
+      (fun s -> if Offload.should_offload s then Some s.Offload.o_name else None)
+      scores
   in
   let sites_of name =
     match List.find_opt (fun s -> String.equal s.Offload.o_name name) scores with

@@ -3,12 +3,6 @@
     allocation sites the caller must flush before / invalidate after
     the RPC. *)
 
-val run :
-  Mira_mir.Ir.program ->
-  ?explicit:string list ->
-  params:Mira_sim.Params.t ->
-  unit ->
-  Mira_mir.Ir.program
-(** With [explicit], offload exactly those functions (they must be
-    remotable); otherwise offload every function whose analysis
-    benefit is positive. *)
+val run : Mira_mir.Ir.program -> params:Mira_sim.Params.t -> Mira_mir.Ir.program
+(** Offload every remotable function whose analysis benefit is
+    positive. *)

@@ -5,7 +5,7 @@ type plan = {
   prefetch : bool;
   evict : bool;
   native : bool;
-  offload : [ `None | `Auto | `Only of string list ];
+  offload : bool;
   instrument : bool;
 }
 
@@ -17,7 +17,7 @@ let plan_default =
     prefetch = false;
     evict = false;
     native = false;
-    offload = `None;
+    offload = false;
     instrument = false;
   }
 
@@ -29,7 +29,7 @@ let plan_all ~selected ~lines =
     prefetch = true;
     evict = true;
     native = true;
-    offload = `Auto;
+    offload = true;
     instrument = false;
   }
 
@@ -53,12 +53,7 @@ let apply program plan ~params =
   let program =
     if plan.native then Native_deref.run program ~line_of else program
   in
-  let program =
-    match plan.offload with
-    | `None -> program
-    | `Auto -> Offload_pass.run program ~params ()
-    | `Only names -> Offload_pass.run program ~explicit:names ~params ()
-  in
+  let program = if plan.offload then Offload_pass.run program ~params else program in
   let program = if plan.instrument then Instrument.run program else program in
   Mira_mir.Verifier.verify_exn program;
   program

@@ -17,7 +17,7 @@ type plan = {
   prefetch : bool;
   evict : bool;
   native : bool;
-  offload : [ `None | `Auto | `Only of string list ];
+  offload : bool;
   instrument : bool;
 }
 
@@ -25,7 +25,7 @@ val plan_default : plan
 (** Everything off, nothing selected. *)
 
 val plan_all : selected:int list -> lines:(int * int) list -> plan
-(** All optimizations on, auto offloading, no instrumentation. *)
+(** All optimizations on, offloading included, no instrumentation. *)
 
 val apply :
   Mira_mir.Ir.program -> plan -> params:Mira_sim.Params.t -> Mira_mir.Ir.program

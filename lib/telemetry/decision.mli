@@ -38,7 +38,8 @@ type t =
       (** one sampled (section, size) profiling run; [resident] when it
           is the section's metadata-free resident form *)
   | Joint_sample of { iteration : int; work_ns : float }
-      (** one whole-allocation candidate measurement *)
+      (** one whole-allocation candidate measurement; no longer
+          emitted by the controller *)
   | Placement_sample of { iteration : int; placement : string; work_ns : float }
       (** one sampled cluster data-plane layout (stripe-to-node
           placement) measurement *)

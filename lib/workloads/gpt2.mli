@@ -41,4 +41,4 @@ val params : Mira_sim.Params.t
 (** The vectorized-compute cost model GPT-2 runs under (native ops at
     0.05 ns, native memory at 0.3 ns): an interpreter executes FLOPs
     far slower relative to the network than SIMD inference does, which
-    would make the model look compute-bound (DESIGN.md §8 item 9). *)
+    would make the model look compute-bound (DESIGN.md §8 item 8). *)

@@ -36,7 +36,7 @@ let test_planner_sequential_stream () =
     Alcotest.(check bool) "big line" true (s.SP.sp_cfg.Section.line >= 1024);
     Alcotest.(check bool) "no metadata" true s.SP.sp_cfg.Section.no_meta;
     Alcotest.(check bool) "streaming" true s.SP.sp_seq;
-    Alcotest.(check bool) "read discard" true s.SP.sp_cfg.Section.read_discard
+    Alcotest.(check bool) "read discard" true s.SP.sp_private_ok
   | _ -> Alcotest.failf "expected 1 spec, got %d" (List.length specs)
 
 let test_planner_indirect () =
@@ -323,8 +323,6 @@ let pinned_iterations ~works ~initial ~first ~best =
     "  site 2: indirect(via site 1) elem=128B ro=false wo=false";
     "  sample sec1 size=2K work=" ^ w2;
     "  sample sec1 size=5K resident work=" ^ w5;
-    "  joint allocation: work=" ^ w5;
-    "  joint allocation: work=" ^ w5;
     "  section sec1 line=128B size=5K resident sites=[2]";
     Printf.sprintf "iteration 1: work=%s ms (best %s ms)" first initial;
     Printf.sprintf "iteration 1: accepted at %s ms" first;
@@ -334,8 +332,6 @@ let pinned_iterations ~works ~initial ~first ~best =
     "  sample sec2 size=1K work=" ^ w1;
     "  sample sec2 size=3K work=" ^ w3;
     "  sample sec2 size=5K resident work=" ^ w5';
-    "  joint allocation: work=" ^ w5';
-    "  joint allocation: work=" ^ w5';
     "  section sec1 line=2064B size=10K direct sites=[1]";
     "  section sec2 line=128B size=5K resident sites=[2]";
     Printf.sprintf "iteration 2: work=%s ms (best %s ms)" best first;

@@ -249,7 +249,7 @@ let micro_program elems =
     { Mira_workloads.Micro_sum.config_default with Mira_workloads.Micro_sum.elems }
 
 let stream_plan lines =
-  { (Pipeline.plan_all ~selected:(List.map fst lines) ~lines) with Pipeline.offload = `None }
+  { (Pipeline.plan_all ~selected:(List.map fst lines) ~lines) with Pipeline.offload = false }
 
 let direct ~sec_id ~line =
   { (Mira_cache.Section.config_default ~sec_id ~name:(string_of_int sec_id) ~line
@@ -430,7 +430,7 @@ let test_pipeline_all_workloads_preserved () =
     in
     let lines = List.map (fun s -> (s, 256)) heap_sites in
     let plan = Pipeline.plan_all ~selected:heap_sites ~lines in
-    let plan = { plan with Pipeline.offload = `None } in
+    let plan = { plan with Pipeline.offload = false } in
     let compiled = Pipeline.apply prog plan ~params in
     Alcotest.(check bool) (name ^ " same result") true
       (Value.equal (run_native prog) (run_native compiled))

@@ -303,7 +303,7 @@ let qcheck_pipeline_preserves =
       let plan =
         Pipeline.plan_all ~selected:sites ~lines:(List.map (fun s -> (s, 256)) sites)
       in
-      let plan = { plan with Pipeline.offload = `None } in
+      let plan = { plan with Pipeline.offload = false } in
       let compiled = Pipeline.apply prog plan ~params:Mira_sim.Params.default in
       Value.equal expected (native_value compiled))
 
@@ -341,8 +341,20 @@ let qcheck_controller_preserves =
           with Mira.Controller.max_iterations = 2; seed = 9 }
       in
       let compiled = Mira.Controller.optimize opts prog in
+      let planned =
+        List.fold_left
+          (fun acc a -> acc + a.Mira.Controller.a_size)
+          0 compiled.Mira.Controller.c_assignments
+      in
+      let joint =
+        List.exists
+          (function Mira_telemetry.Decision.Joint_sample _ -> true | _ -> false)
+          compiled.Mira.Controller.c_log
+      in
       let v, _ = Mira.Controller.run compiled in
-      Value.equal expected v)
+      Value.equal expected v
+      && planned <= opts.Mira.Controller.local_budget
+      && not joint)
 
 (* Every site in a resident section: the planner's line, payload and
    flags, metadata-free and set-associative, with a slot for every
@@ -473,7 +485,7 @@ let test_strip_mined_random () =
         Pipeline.plan_all ~selected:sites ~lines:(List.map (fun s -> (s, 256)) sites)
       in
       let compiled =
-        Pipeline.apply prog { plan with Pipeline.offload = `None }
+        Pipeline.apply prog { plan with Pipeline.offload = false }
           ~params:Mira_sim.Params.default
       in
       let n = strip_mined compiled in
