@@ -65,6 +65,7 @@ let graph_plan prog ~eline ~nline ~prefetch ~evict =
   {
     Pipeline.selected = [ e; n ];
     lines = [ (e, eline); (n, nline) ];
+    resident = [];
     fuse = true;
     prefetch;
     evict;
@@ -293,6 +294,7 @@ let fig11_12 () =
     {
       Pipeline.selected = [ e; n; r ];
       lines = [ (e, 2048); (n, 128); (r, 8) ];
+      resident = [];
       fuse = true; prefetch = true; evict = true; native = true;
       offload = false; instrument = false;
     }

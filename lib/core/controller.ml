@@ -311,7 +311,7 @@ let site_summaries program sites =
 (* Budget fractions sampled for a non-sequential section. *)
 let size_samples = [ 0.15; 0.35; 0.7 ]
 
-let size_specs ~eval opts specs ~build_plan ~iter =
+let size_specs ~eval opts specs ~compile ~iter =
   let page = opts.params.Params.page_size in
   let budget = opts.local_budget in
   let body_ops_hint = 64 in
@@ -435,7 +435,7 @@ let size_specs ~eval opts specs ~build_plan ~iter =
                           else assign s (min equal_share (avail - size) / max 1 (k - 1)))
                         nonseq
                   in
-                  match eval opts (build_plan ()) assignments with
+                  match eval opts (compile assignments) assignments with
                   | work_ns, _ ->
                     sample_logs :=
                       Decision.Size_sample
@@ -497,9 +497,16 @@ let build_plan_for opts assignments ~instrument =
       (fun a -> a.a_spec.Section_planner.sp_private_ok)
       assignments
   in
+  let resident =
+    List.concat_map
+      (fun { a_spec = s; _ } ->
+        if Section.resident_section s.Section_planner.sp_cfg then s.Section_planner.sp_sites else [])
+      assignments
+  in
   {
     Pipeline.selected;
     lines;
+    resident;
     fuse = opts.feat_fusion;
     prefetch = opts.feat_prefetch;
     evict = opts.feat_evict && (opts.nthreads = 1 || read_only_all);
@@ -574,7 +581,8 @@ let search opts original =
   in
   let heap = heap_sites original in
   let allowed_functions = work_scope original in
-  let best = ref (base_ns, prog0, [], Pipeline.plan_default, 0) in
+  (* best work, its selection, assignments and plan, and its iteration *)
+  let best = ref (base_ns, [], [], Pipeline.plan_default, 0) in
   let profile = ref profile0 in
   let continue_ = ref opts.feat_sections in
   let i = ref 0 in
@@ -594,10 +602,13 @@ let search opts original =
     in
     (* The selection widens each round (§4.1): it starts from the
        accepted plan's sites, so an iteration extends that plan rather
-       than replacing it. *)
+       than replacing it.  They keep their order in the accepted
+       selection: the planner numbers sections in that order, so an
+       unchanged plan is the configuration already simulated. *)
     let sites =
-      let _, _, accepted, _, _ = !best in
-      let kept = List.concat_map (fun a -> a.a_spec.Section_planner.sp_sites) accepted in
+      let _, selected, accepted, _, _ = !best in
+      let assigned = List.concat_map (fun a -> a.a_spec.Section_planner.sp_sites) accepted in
+      let kept = List.filter (fun s -> List.mem s assigned) selected in
       kept
       @ (Profile.largest_sites !profile ~frac:(2.0 *. frac) ~among:funcs
         |> List.filter (fun s -> List.mem s heap && not (List.mem s kept)))
@@ -631,19 +642,16 @@ let search opts original =
         Section_planner.plan ~params:opts.params ~summaries ~site_bytes
           ~first_id:1
       in
-      let build_plan () =
-        (* Program used during size sampling: compiled for these specs
-           with minimal sizes (instrumented so `work` is measured). *)
-        let tentative =
-          List.map (fun s -> { a_spec = s; a_size = s.Section_planner.sp_min_size }) specs
-        in
-        Mira_passes.Pipeline.apply original
-          (build_plan_for opts tentative ~instrument:true)
+      (* A size sample runs the program compiled for its own
+         assignments (instrumented so `work` is measured): its resident
+         sections get no hints. *)
+      let compile assignments =
+        Pipeline.apply original (build_plan_for opts assignments ~instrument:true)
           ~params:opts.params
       in
       phase "size";
       let assignments, sample_log =
-        size_specs ~eval opts specs ~build_plan ~iter:!i
+        size_specs ~eval opts specs ~compile ~iter:!i
       in
       List.iter decide sample_log;
       List.iter
@@ -677,7 +685,7 @@ let search opts original =
         if work_ns < best_ns || opts.always_accept then begin
           phase "accept";
           decide (Decision.Accept { iteration = !i; work_ns });
-          best := (work_ns, prog, assignments, plan, !i);
+          best := (work_ns, sites, assignments, plan, !i);
           profile := run_profile;
           if work_ns > 0.98 *. best_ns && not opts.always_accept then
             continue_ := false

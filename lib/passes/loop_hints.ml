@@ -19,6 +19,7 @@ type ctx = {
   fresh : unit -> Ir.reg;
   params : Mira_sim.Params.t;
   line_of : int -> int option;
+  hint_line_of : int -> int option;  (* [line_of], but [None] where no hint goes *)
   prefetch : bool;
   evict : bool;
   native : bool;
@@ -217,15 +218,17 @@ let strip c ~dist ~hl ~iv ~lo ~hi ~step ~body streams =
   let k = List.fold_left (fun k st -> min k (per_line_iters st ~step)) max_int streams in
   let step64 = Int64.of_int step in
   let each f = List.concat_map f streams in
+  let hinted st = c.hint_line_of st.g.Pattern.g_site <> None in
+  let prefetched st = c.prefetch && hinted st in
   let preamble =
-    if c.prefetch then
-      each (fun st ->
-          Prefetch_pass.sequential_preamble ~fresh ~lo ~dist ~g:st.g ~line:st.line)
-    else []
+    each (fun st ->
+        if prefetched st then
+          Prefetch_pass.sequential_preamble ~fresh ~lo ~dist ~g:st.g ~line:st.line
+        else [])
   in
   let io = fresh () in
   let at = Ir.Oreg io in
-  let flushed st = c.evict && c.streaming st.g.Pattern.g_site in
+  let flushed st = c.evict && c.streaming st.g.Pattern.g_site && hinted st in
   let flushes =
     each (fun st ->
         if flushed st then
@@ -241,7 +244,7 @@ let strip c ~dist ~hl ~iv ~lo ~hi ~step ~body streams =
   in
   let prefetches =
     each (fun st ->
-        if c.prefetch then
+        if prefetched st then
           Prefetch_pass.prefetch_ahead ~fresh ~at ~hi
             ~offset:(Prefetch_pass.ahead_offset ~dist ~step:step64 st.g)
             ~g:st.g ~line:st.line
@@ -319,7 +322,7 @@ let innermost c (l : Pattern.loop_info) ~ivs ~parallel ~iv ~lo ~hi ~step body =
   in
   let flushes, tails =
     if c.evict then
-      Evict_hints.loop_snippets ~fresh:c.fresh ~line_of:c.line_of
+      Evict_hints.loop_snippets ~fresh:c.fresh ~line_of:c.hint_line_of
         ~streaming:c.streaming l ~lo ~step ~last ~skip body
     else ([], [])
   in
@@ -380,10 +383,10 @@ let rec index_loops tbl (loops : Pattern.loop_info list) =
       index_loops tbl l.Pattern.l_children)
     loops
 
-let run program ~params ~line_of ~prefetch ~evict ~native =
+let run program ~params ~line_of ~hint_line_of ~prefetch ~evict ~native =
   let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
   let site_of_ty = Mira_analysis.Remotable_flow.site_of_ty program in
-  let pf = Prefetch_pass.context program ~params ~line_of in
+  let pf = Prefetch_pass.context program ~params ~line_of ~hint_line_of in
   let run_func (f : Ir.func) =
     let param_sites =
       match List.assoc_opt f.Ir.f_name bindings with Some b -> b | None -> []
@@ -402,6 +405,7 @@ let run program ~params ~line_of ~prefetch ~evict ~native =
         fresh;
         params;
         line_of;
+        hint_line_of;
         prefetch;
         evict;
         native;

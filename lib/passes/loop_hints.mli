@@ -27,8 +27,11 @@ val run :
   Mira_mir.Ir.program ->
   params:Mira_sim.Params.t ->
   line_of:(int -> int option) ->
+  hint_line_of:(int -> int option) ->
   prefetch:bool ->
   evict:bool ->
   native:bool ->
   Mira_mir.Ir.program
-(** [line_of site] is the section line size for sectioned sites. *)
+(** [line_of site] is the section line size for sectioned sites;
+    streams are found with it.  [hint_line_of] answers the same but
+    [None] for the sites no prefetch or flush may target. *)

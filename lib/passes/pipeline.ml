@@ -1,6 +1,7 @@
 type plan = {
   selected : int list;
   lines : (int * int) list;
+  resident : int list;
   fuse : bool;
   prefetch : bool;
   evict : bool;
@@ -13,6 +14,7 @@ let plan_default =
   {
     selected = [];
     lines = [];
+    resident = [];
     fuse = false;
     prefetch = false;
     evict = false;
@@ -25,6 +27,7 @@ let plan_all ~selected ~lines =
   {
     selected;
     lines;
+    resident = [];
     fuse = true;
     prefetch = true;
     evict = true;
@@ -35,20 +38,22 @@ let plan_all ~selected ~lines =
 
 let apply program plan ~params =
   let line_of site = List.assoc_opt site plan.lines in
+  (* a resident section holds its whole object: nothing to hint *)
+  let hint_line_of site = if List.mem site plan.resident then None else line_of site in
   let program = Instrument.strip program in
   let program = if plan.fuse then Fusion.run program else program in
   let program = Convert_remote.run program ~selected:plan.selected in
   let program =
     if plan.prefetch || plan.evict || plan.native then
-      Loop_hints.run program ~params ~line_of ~prefetch:plan.prefetch
+      Loop_hints.run program ~params ~line_of ~hint_line_of ~prefetch:plan.prefetch
         ~evict:plan.evict ~native:plan.native
     else program
   in
   let program =
-    if plan.prefetch then Prefetch_pass.chase program ~line_of else program
+    if plan.prefetch then Prefetch_pass.chase program ~line_of:hint_line_of else program
   in
   let program =
-    if plan.evict then Evict_hints.end_lifetimes program ~line_of else program
+    if plan.evict then Evict_hints.end_lifetimes program ~line_of:hint_line_of else program
   in
   let program =
     if plan.native then Native_deref.run program ~line_of else program

@@ -13,6 +13,10 @@
 type plan = {
   selected : int list;  (** sites converted to remote (sectioned) *)
   lines : (int * int) list;  (** site -> section line size in bytes *)
+  resident : int list;
+      (** sites of resident sections: they get no prefetch,
+          flush-behind or lifetime-end hint, but are strip-mined and
+          dereferenced natively like any sectioned site *)
   fuse : bool;
   prefetch : bool;
   evict : bool;

@@ -17,6 +17,7 @@ type ctx = {
   program : Ir.program;
   params : Mira_sim.Params.t;
   line_of : int -> int option;
+  hint_line_of : int -> int option;  (* [line_of], but [None] where no hint goes *)
   site_count : int -> int64 option;  (* constant element count of a site *)
   fresh : unit -> Ir.reg;
 }
@@ -283,7 +284,7 @@ let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
   let seen = Hashtbl.create 8 in
   let snippets = List.concat_map
     (fun (a : Pattern.access) ->
-      match (a.Pattern.a_gep, ctx.line_of a.Pattern.a_site) with
+      match (a.Pattern.a_gep, ctx.hint_line_of a.Pattern.a_site) with
       | Some g, Some line
         when (not (skip g)) && not (Hashtbl.mem seen (group_key g)) ->
         Hashtbl.replace seen (group_key g) ();
@@ -374,9 +375,9 @@ let site_counts program =
     program.Ir.p_funcs;
   fun site -> Option.join (Hashtbl.find_opt counts site)
 
-let context program ~params ~line_of =
+let context program ~params ~line_of ~hint_line_of =
   let site_count = site_counts program in
-  fun ~fresh -> { program; params; line_of; site_count; fresh }
+  fun ~fresh -> { program; params; line_of; hint_line_of; site_count; fresh }
 
 let chase program ~line_of =
   {

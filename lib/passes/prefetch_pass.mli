@@ -26,9 +26,12 @@ val context :
   Mira_mir.Ir.program ->
   params:Mira_sim.Params.t ->
   line_of:(int -> int option) ->
+  hint_line_of:(int -> int option) ->
   fresh:(unit -> Mira_mir.Ir.reg) ->
   ctx
-(** [line_of site] is the section line size for sectioned sites; apply
+(** [line_of site] is the section line size for sectioned sites, and
+    [hint_line_of] the same for the sites a prefetch may target (an
+    indirect prefetch's index stream need only be sectioned); apply
     once per program, then per function with its register supply. *)
 
 val loop_snippets :

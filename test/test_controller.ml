@@ -315,7 +315,8 @@ let pinned_graph () =
    metadata a slot) below its resident size, and in its resident form
    (16 B a slot, no metadata); the search accepts the resident sample.
    Iteration 2 extends that plan with the edge array as a stream,
-   samples the node section again beside it, and accepts. *)
+   samples the node section again beside it, and accepts; its resident
+   sample is compiled with no prefetch into the node section. *)
 let pinned_iterations ~works ~initial ~first ~best =
   let w2, w5, w1, w3, w5' = works in
   [
@@ -353,11 +354,11 @@ let check_pinned name opts prog ~log ~work_bits =
 
 let test_pinned_decisions () =
   let prog, opts = pinned_graph () in
-  check_pinned "graph" opts prog ~work_bits:4686480001413100332L
+  check_pinned "graph" opts prog ~work_bits:4682803150692055778L
     ~log:
       ("initial swap run: work=94.040 ms"
-      :: pinned_iterations ~works:("18.09ms", "0.33ms", "20.63ms", "17.80ms", "0.21ms")
-           ~initial:"94.040" ~first:"0.327" ~best:"0.211")
+      :: pinned_iterations ~works:("18.09ms", "0.33ms", "20.63ms", "17.80ms", "0.12ms")
+           ~initial:"94.040" ~first:"0.327" ~best:"0.117")
 
 let test_pinned_placement_decisions () =
   let prog, opts = pinned_graph () in
@@ -371,15 +372,52 @@ let test_pinned_placement_decisions () =
       C.cluster = Cl.ec ~chunk:256 ~nodes:4 ~k:2 ~m:1 schedule;
       placement_candidates = [ Cl.Flat; Cl.Rotate ] }
   in
-  check_pinned "placement" opts prog ~work_bits:4686480001413100332L
+  check_pinned "placement" opts prog ~work_bits:4682803150692055778L
     ~log:
       ([
          "initial swap run: work=94.702 ms";
          "  sample placement=flat work=94.61ms";
          "  sample placement=rotate work=94.70ms";
        ]
-      @ pinned_iterations ~works:("18.08ms", "0.35ms", "20.77ms", "17.96ms", "0.21ms")
-          ~initial:"94.702" ~first:"0.346" ~best:"0.211")
+      @ pinned_iterations ~works:("18.08ms", "0.35ms", "20.77ms", "17.96ms", "0.12ms")
+          ~initial:"94.702" ~first:"0.346" ~best:"0.117")
+
+(* Two more iterations after the accepted [2,1] plan select the same
+   sites in the same order, so they plan the same sections (with the
+   same ids) rather than a renumbered copy of the plan. *)
+let test_repeated_plan_keeps_sections () =
+  let prog, opts = pinned_graph () in
+  let c = C.optimize { opts with C.max_iterations = 4 } prog in
+  let module D = Mira_telemetry.Decision in
+  (* iteration [i]'s select and section lines, without the iteration *)
+  let planned i =
+    let prefix = Printf.sprintf "iteration %d: " i in
+    let n = String.length prefix in
+    List.filter_map
+      (fun d ->
+        match d with
+        | (D.Select _ | D.Plan_section _) when D.iteration d = i ->
+          let line = D.render d in
+          Some
+            (if String.starts_with ~prefix line then
+               String.sub line n (String.length line - n)
+             else line)
+        | _ -> None)
+      c.C.c_log
+  in
+  Alcotest.(check (list string)) "iteration 2"
+    [
+      "functions=[work] sites=[2,1]";
+      "  section sec1 line=2064B size=10K direct sites=[1]";
+      "  section sec2 line=128B size=5K resident sites=[2]";
+    ]
+    (planned 2);
+  List.iter
+    (fun i ->
+      Alcotest.(check (list string)) (Printf.sprintf "iteration %d" i) (planned 2)
+        (planned i))
+    [ 3; 4 ];
+  Alcotest.(check int) "iteration 2's plan kept" 2 c.C.c_iterations
 
 (* [optimize] picks its own log level from [verbose] but must hand the
    caller's level back when it returns. *)
@@ -414,5 +452,7 @@ let suite =
     Alcotest.test_case "pinned decisions" `Slow test_pinned_decisions;
     Alcotest.test_case "pinned placement decisions" `Slow
       test_pinned_placement_decisions;
+    Alcotest.test_case "repeated plan keeps its sections" `Slow
+      test_repeated_plan_keeps_sections;
     Alcotest.test_case "log level restored" `Quick test_log_level_restored;
   ]

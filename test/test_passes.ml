@@ -81,7 +81,8 @@ let test_prefetch_inserts () =
   let conv = Convert.run prog ~selected:[ e; n ] in
   let line_of site = if site = e then Some 1024 else if site = n then Some 128 else None in
   let pf =
-    Loop_hints.run conv ~params ~line_of ~prefetch:true ~evict:false ~native:false
+    Loop_hints.run conv ~params ~line_of ~hint_line_of:line_of ~prefetch:true ~evict:false
+      ~native:false
   in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify pf));
   let prefetches = count_ops (function Ir.Prefetch _ -> true | _ -> false) pf in
@@ -100,7 +101,8 @@ let test_evict_inserts () =
   let conv = Convert.run prog ~selected:[ e ] in
   let line_of site = if site = e then Some 1024 else None in
   let ev =
-    Loop_hints.run conv ~params ~line_of ~prefetch:false ~evict:true ~native:false
+    Loop_hints.run conv ~params ~line_of ~hint_line_of:line_of ~prefetch:false ~evict:true
+      ~native:false
     |> Evict.end_lifetimes ~line_of
   in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify ev));
@@ -421,6 +423,51 @@ let test_gated_flush_covers_lines () =
   Alcotest.(check bool) "at most one flush per 64 iterations" true
     (List.length ranges <= ((n - 180) / 64) + 2)
 
+(* A resident section holds its whole object, so the node site gets
+   no prefetch, flush-behind or lifetime end; the edge loop is still
+   strip-mined around it.  Without a resident section the edge stream
+   still carries the indirect prefetch of nodes, and so does a resident
+   edge stream. *)
+let test_resident_gets_no_hints () =
+  let prog = graph_program () in
+  let e = edges_site prog and n = nodes_site prog in
+  let plan = Pipeline.plan_all ~selected:[ e; n ] ~lines:[ (e, 2064); (n, 128) ] in
+  let hints site =
+    count_ops (function
+      | Ir.Prefetch { meta; _ } | Ir.FlushEvict { meta; _ } -> meta.Ir.am_site = site
+      | Ir.EvictSite s -> s = site
+      | _ -> false)
+  in
+  let compiled = Pipeline.apply prog { plan with Pipeline.resident = [ n ] } ~params in
+  Alcotest.(check int) "no hint names the resident site" 0 (hints n compiled);
+  Alcotest.(check bool) "the edges are still prefetched" true
+    (count_ops (function Ir.Prefetch { meta; _ } -> meta.Ir.am_site = e | _ -> false) compiled
+     > 0);
+  (* the strip-mined shape: a chunk loop around a loop from its start *)
+  let strip_mined =
+    count_ops (function
+      | Ir.For { iv; body; _ } ->
+        List.exists (function Ir.For { lo = Ir.Oreg r; _ } -> r = iv | _ -> false) body
+      | _ -> false)
+  in
+  Alcotest.(check bool) "the edge loop is strip-mined" true (strip_mined compiled > 0);
+  Alcotest.(check bool) "same result" true (Value.equal (run_native prog) (run_native compiled));
+  (* the indirect snippet: a guarded load of an edge, then a prefetch
+     of the node it names *)
+  let indirect =
+    count_ops (function
+      | Ir.If { then_; _ } ->
+        List.exists (function Ir.Load { meta; _ } -> meta.Ir.am_site = e | _ -> false) then_
+        && List.exists (function Ir.Prefetch { meta; _ } -> meta.Ir.am_site = n | _ -> false) then_
+      | _ -> false)
+  in
+  Alcotest.(check bool) "indirect prefetch without a resident section" true
+    (indirect (Pipeline.apply prog plan ~params) > 0);
+  (* a resident index stream still feeds the prefetch of its target *)
+  let compiled = Pipeline.apply prog { plan with Pipeline.resident = [ e ] } ~params in
+  Alcotest.(check int) "no hint names a resident stream" 0 (hints e compiled);
+  Alcotest.(check bool) "indirect prefetch through a resident stream" true (indirect compiled > 0)
+
 let test_pipeline_all_workloads_preserved () =
   (* Every workload compiled with every optimization must compute the
      same checksum as its uncompiled form. *)
@@ -467,5 +514,6 @@ let suite =
     Alcotest.test_case "strip-mined loads resident" `Quick test_strip_mined_loads_resident;
     Alcotest.test_case "strip-mined micro golden" `Quick test_strip_mined_golden;
     Alcotest.test_case "gated flush covers lines" `Quick test_gated_flush_covers_lines;
+    Alcotest.test_case "resident sites get no hints" `Quick test_resident_gets_no_hints;
     Alcotest.test_case "pipeline all workloads" `Slow test_pipeline_all_workloads_preserved;
   ]

@@ -360,7 +360,9 @@ let qcheck_controller_preserves =
    flags, metadata-free and set-associative, with a slot for every
    line the site allocates (measured on a first run).  The runtime
    fills each object at allocation, so no line is evicted or missed,
-   and the result is native's. *)
+   and the result is native's: for the program as built, and compiled
+   through the pipeline with every site resident, which then places no
+   prefetch, flush or lifetime-end hint. *)
 let qcheck_resident_preserves =
   QCheck.Test.make ~name:"resident sections preserve random programs" ~count:30
     (QCheck.make ~print:pp_recipe gen_recipe)
@@ -375,54 +377,79 @@ let qcheck_resident_preserves =
           ~summaries:(Mira.Controller.site_summaries prog sites)
           ~site_bytes:(fun _ -> 0) ~first_id:1
       in
+      let planned site =
+        List.find_opt (fun s -> List.mem site s.SP.sp_sites) specs
+        |> Option.fold ~some:(fun s -> s.SP.sp_cfg)
+             ~none:(Section.config_default ~sec_id:0 ~name:"" ~line:64 ~size:64)
+      in
       let create () = Rt.create (Rt.config_default ~local_budget:far_capacity ~far_capacity) in
       let probe = create () in
       ignore (run_on (Rt.memsys probe) prog);
       let allocated = Mira_runtime.Profile.site_stats (Rt.profile probe) in
-      let rt = create () in
-      let mgr = Rt.manager rt in
-      let clock = Mira_sim.Clock.create () in
-      List.iteri
-        (fun i (site, (st : Mira_runtime.Profile.site_stat)) ->
-          let cfg =
-            List.find_opt (fun s -> List.mem site s.SP.sp_sites) specs
-            |> Option.fold ~some:(fun s -> s.SP.sp_cfg)
-                 ~none:(Section.config_default ~sec_id:0 ~name:"" ~line:64 ~size:64)
-          in
-          let cfg =
-            { cfg with
-              Section.sec_id = i + 1;
-              sec_name = Printf.sprintf "r%d" site;
-              structure = Section.Set_assoc 8;
-              no_meta = true }
-          in
-          (* an object may straddle one line more than its bytes fill *)
-          let lines =
-            Mira_util.Misc.divide_ceil st.Mira_runtime.Profile.alloc_bytes cfg.Section.line
-            + st.Mira_runtime.Profile.allocs
-          in
-          let cfg =
-            { cfg with Section.size = Mira_util.Misc.round_up lines 8 * Section.slot_bytes cfg }
-          in
-          assert (Section.resident_section cfg);
-          match Mira_cache.Manager.add_section mgr ~clock cfg with
-          | Ok _ -> Mira_cache.Manager.assign_site mgr ~site ~sec_id:(i + 1)
-          | Error m -> Alcotest.fail m)
-        allocated;
-      let same = Value.equal (native_value prog) (run_on (Rt.memsys rt) prog) in
-      (* filled at allocation and never evicted: only the lines a store
-         installs without a fetch can miss *)
-      List.iteri
-        (fun i _ ->
-          let s = Option.get (Mira_cache.Manager.find_section mgr ~id:(i + 1)) in
-          let st = Section.stats s in
-          if st.Section.evictions > 0
-             || (st.Section.misses > 0 && not (Section.config s).Section.write_no_fetch)
-          then
-            QCheck.Test.fail_reportf "section %s: %d misses, %d evictions"
-              (Section.config s).Section.sec_name st.Section.misses st.Section.evictions)
-        allocated;
-      same)
+      let run_resident prog =
+        let rt = create () in
+        let mgr = Rt.manager rt in
+        let clock = Mira_sim.Clock.create () in
+        List.iteri
+          (fun i (site, (st : Mira_runtime.Profile.site_stat)) ->
+            let cfg =
+              { (planned site) with
+                Section.sec_id = i + 1;
+                sec_name = Printf.sprintf "r%d" site;
+                structure = Section.Set_assoc 8;
+                no_meta = true }
+            in
+            (* an object may straddle one line more than its bytes fill *)
+            let lines =
+              Mira_util.Misc.divide_ceil st.Mira_runtime.Profile.alloc_bytes cfg.Section.line
+              + st.Mira_runtime.Profile.allocs
+            in
+            let cfg =
+              { cfg with Section.size = Mira_util.Misc.round_up lines 8 * Section.slot_bytes cfg }
+            in
+            assert (Section.resident_section cfg);
+            match Mira_cache.Manager.add_section mgr ~clock cfg with
+            | Ok _ -> Mira_cache.Manager.assign_site mgr ~site ~sec_id:(i + 1)
+            | Error m -> Alcotest.fail m)
+          allocated;
+        let v = run_on (Rt.memsys rt) prog in
+        (* filled at allocation and never evicted: only the lines a store
+           installs without a fetch can miss *)
+        List.iteri
+          (fun i _ ->
+            let s = Option.get (Mira_cache.Manager.find_section mgr ~id:(i + 1)) in
+            let st = Section.stats s in
+            if st.Section.evictions > 0
+               || (st.Section.misses > 0 && not (Section.config s).Section.write_no_fetch)
+            then
+              QCheck.Test.fail_reportf "section %s: %d misses, %d evictions"
+                (Section.config s).Section.sec_name st.Section.misses st.Section.evictions)
+          allocated;
+        v
+      in
+      let plan =
+        Pipeline.plan_all ~selected:sites
+          ~lines:(List.map (fun s -> (s, (planned s).Section.line)) sites)
+      in
+      let compiled =
+        Pipeline.apply prog
+          { plan with Pipeline.offload = false; resident = sites }
+          ~params:Mira_sim.Params.default
+      in
+      let hints =
+        List.fold_left
+          (fun acc (_, f) ->
+            Ir.fold_ops
+              (fun n op ->
+                match op with
+                | Ir.Prefetch _ | Ir.FlushEvict _ | Ir.EvictSite _ -> n + 1
+                | _ -> n)
+              acc f.Ir.f_body)
+          0 compiled.Ir.p_funcs
+      in
+      if hints > 0 then QCheck.Test.fail_reportf "%d hints into resident sections" hints;
+      let expected = native_value prog in
+      Value.equal expected (run_resident prog) && Value.equal expected (run_resident compiled))
 
 (* Loops of the strip-mined shape: a [For] whose body holds a [For]
    starting at the outer induction variable. *)
