@@ -31,6 +31,7 @@ type stats = {
   mutable late_prefetch : int;
   mutable evictions : int;
   mutable hinted_evictions : int;
+  mutable admit_rejects : int;
   mutable writebacks : int;
   mutable native_misses : int;
   mutable hit_ns : float;
@@ -48,6 +49,7 @@ let fresh_stats () =
     late_prefetch = 0;
     evictions = 0;
     hinted_evictions = 0;
+    admit_rejects = 0;
     writebacks = 0;
     native_misses = 0;
     hit_ns = 0.0;
@@ -99,6 +101,15 @@ type t = {
   mutable discarded : int list;  (* full-assoc: slots emptied by a discard *)
   mutable hand : int;  (* CLOCK sweep position, full-assoc *)
   mutable evict_hints : int list;  (* slots hinted evictable, full-assoc *)
+  counts : (int, int ref) Hashtbl.t;
+      (* full-assoc: accesses per line tag, cached or not, aged *)
+  line_count : int ref array;  (* full-assoc: slot -> its line's [counts] cell *)
+  mutable accesses : int;  (* full-assoc: accesses since the counts last aged *)
+  aging_period : int;  (* accesses per halving: ten capacities in words *)
+  mutable counts_peak : int;  (* high-water entries of [counts] *)
+  mutable probation : int;
+      (* full-assoc: the latest demand fill's slot until the next CLOCK
+         choice; -1 = none *)
   stats : stats;
   tr : Transfer.t;
 }
@@ -156,6 +167,19 @@ let create net far cfg =
     discarded = [];
     hand = 0;
     evict_hints = [];
+    counts =
+      Hashtbl.create
+        (match cfg.structure with
+        | Full_assoc -> max 16 (2 * nslots)
+        | Direct | Set_assoc _ -> 1);
+    line_count =
+      (match cfg.structure with
+      | Full_assoc -> Array.make nslots (ref 0)
+      | Direct | Set_assoc _ -> [||]);
+    accesses = 0;
+    aging_period = 10 * nslots * payload / 8;
+    counts_peak = 0;
+    probation = -1;
     stats = fresh_stats ();
     tr;
   }
@@ -171,6 +195,7 @@ let reset_stats t =
   d.late_prefetch <- 0;
   d.evictions <- 0;
   d.hinted_evictions <- 0;
+  d.admit_rejects <- 0;
   d.writebacks <- 0;
   d.native_misses <- 0;
   d.hit_ns <- 0.0;
@@ -190,6 +215,7 @@ let publish t reg =
   m (p "late_prefetch") s.late_prefetch;
   m (p "evictions") s.evictions;
   m (p "hinted_evictions") s.hinted_evictions;
+  m (p "admit_rejects") s.admit_rejects;
   m (p "writebacks") s.writebacks;
   m (p "native_misses") s.native_misses;
   m (p "bytes_fetched") s.bytes_fetched;
@@ -199,7 +225,8 @@ let publish t reg =
   g (p "stall_ns") s.stall_ns;
   Mira_telemetry.Metrics.set_hist reg (p "fetch_latency") s.lat_fetch
 
-let metadata_bytes t = meta_per_slot t.cfg * Array.length t.tags
+(* Each access count is a tag and a count: 16 B. *)
+let metadata_bytes t = (meta_per_slot t.cfg * Array.length t.tags) + (16 * t.counts_peak)
 
 let params t = Mira_sim.Net.params t.tr.Transfer.net
 
@@ -263,8 +290,42 @@ let release_slot t ~clock slot =
     set_flags t slot ~on:0 ~off:(evictable lor refbit)
   end
 
+(* --- access counts (full-assoc) ------------------------------------------- *)
+
+(* A cached line's count cell is also its slot's [line_count], so a
+   hit counts without a lookup. *)
+let count_cell t tag =
+  match Hashtbl.find t.counts tag with
+  | c -> c
+  | exception Not_found ->
+    let c = ref 0 in
+    Hashtbl.add t.counts tag c;
+    t.counts_peak <- max t.counts_peak (Hashtbl.length t.counts);
+    c
+
+(* Counts are read only when a victim is chosen, so they age there: the
+   first choice after each [aging_period] accesses halves every count
+   and drops the uncached lines' that reach zero (a cached line's cell
+   must stay its slot's).  This keeps the halving's allocation off the
+   hit path. *)
+let age_counts t =
+  if t.accesses >= t.aging_period then begin
+    t.accesses <- 0;
+    Hashtbl.filter_map_inplace
+      (fun tag c ->
+        c := !c / 2;
+        if !c = 0 && not (Hashtbl.mem t.table tag) then None else Some c)
+      t.counts
+  end
+
+(* Hinted-evictable slots first.  Otherwise CLOCK picks a candidate,
+   skipping the probationary slot (the latest demand fill), and the
+   probationary line is evicted instead only when it was accessed
+   strictly less often: a line touched once cannot push out a hot one,
+   yet a tie keeps CLOCK's recency order.  Either way the line faces
+   this test once; if it stays, it is an ordinary line from then on,
+   which keeps CLOCK's order over a prefetched stream. *)
 let pick_victim_full t =
-  (* Hinted-evictable slots first, then CLOCK over the rest. *)
   let rec from_hints = function
     | [] ->
       t.evict_hints <- [];
@@ -283,14 +344,23 @@ let pick_victim_full t =
     let rec sweep budget =
       let slot = t.hand in
       t.hand <- (t.hand + 1) mod n;
-      if budget = 0 then slot
+      if slot = t.probation && n > 1 then sweep budget
+      else if budget = 0 then slot
       else if has t slot refbit then begin
         set_flags t slot ~on:0 ~off:refbit;
         sweep (budget - 1)
       end
       else slot
     in
-    sweep (2 * n)
+    let candidate = sweep (2 * n) in
+    let p = t.probation in
+    t.probation <- -1;
+    age_counts t;
+    if p >= 0 && !(t.line_count.(p)) < !(t.line_count.(candidate)) then begin
+      t.stats.admit_rejects <- t.stats.admit_rejects + 1;
+      p
+    end
+    else candidate
 
 let pick_victim_set t tag k =
   let nsets = Array.length t.tags / k in
@@ -334,7 +404,9 @@ let allocate_slot t ~clock tag =
       release_slot t ~clock slot;
       slot)
 
-let install t ~clock ~tag ~ready_at =
+(* In a fully associative section a demand fill makes its slot
+   probationary; a prefetched line never is. *)
+let install t ~clock ~tag ~ready_at ~demand =
   let slot = allocate_slot t ~clock tag in
   (* Every install copies what crossed the wire, write-no-fetch ones
      included (they skip the network, not the copy), straight into the
@@ -346,7 +418,10 @@ let install t ~clock ~tag ~ready_at =
   Float.Array.set t.ready_at slot ready_at;
   Float.Array.set t.last_use slot (Mira_sim.Clock.now clock);
   (match t.cfg.structure with
-  | Full_assoc -> Hashtbl.replace t.table tag slot
+  | Full_assoc ->
+    Hashtbl.replace t.table tag slot;
+    t.line_count.(slot) <- count_cell t tag;
+    if demand then t.probation <- slot
   | Direct | Set_assoc _ -> ());
   slot
 
@@ -355,7 +430,12 @@ let install t ~clock ~tag ~ready_at =
 let touch t ~clock slot =
   Float.Array.set t.last_use slot (Mira_sim.Clock.now clock);
   (* Re-using a line cancels a pending eviction hint. *)
-  set_flags t slot ~on:refbit ~off:evictable
+  set_flags t slot ~on:refbit ~off:evictable;
+  match t.cfg.structure with
+  | Full_assoc ->
+    t.accesses <- t.accesses + 1;
+    incr t.line_count.(slot)
+  | Direct | Set_assoc _ -> ()
 
 (* A hit on a line still in flight: a late prefetch.  The ready time is
    compared in place: handing it to a function boxes it on every hit. *)
@@ -394,13 +474,13 @@ let ensure t ~clock ~addr ~for_write =
         (* No fetch: the store covers the whole line (or the compiler
            proved full coverage before any read); local bookkeeping only. *)
         Mira_sim.Clock.advance clock p.Mira_sim.Params.evict_check_ns;
-        install t ~clock ~tag ~ready_at:(Mira_sim.Clock.now clock)
+        install t ~clock ~tag ~ready_at:(Mira_sim.Clock.now clock) ~demand:true
       end
       else begin
         let slot =
           Transfer.demand_read t.tr ~clock fill ~addr:(tag * t.cfg.line)
             ~bytes:t.payload
-            ~install:(fun ready_at -> install t ~clock ~tag ~ready_at)
+            ~install:(fun ready_at -> install t ~clock ~tag ~ready_at ~demand:true)
         in
         t.stats.bytes_fetched <- t.stats.bytes_fetched + t.payload;
         slot
@@ -499,7 +579,7 @@ let prefetch t ~clock ~addr ~len =
     let posted =
       Transfer.prefetch t.tr ~clock ~bytes:t.payload
         ~resident:(fun tag -> find_slot t tag <> None)
-        ~install:(fun tag ready_at -> ignore (install t ~clock ~tag ~ready_at))
+        ~install:(fun tag ready_at -> ignore (install t ~clock ~tag ~ready_at ~demand:false))
         (List.init (last - first + 1) (fun i -> first + i))
     in
     t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * t.payload)
@@ -516,6 +596,7 @@ let flush_evict t ~clock ~addr ~len =
           Mira_sim.Clock.advance clock (params t).Mira_sim.Params.evict_check_ns;
           writeback t ~clock slot ~sync:false;
           set_flags t slot ~on:evictable ~off:0;
+          if slot = t.probation then t.probation <- -1;
           (match t.cfg.structure with
           | Full_assoc -> t.evict_hints <- slot :: t.evict_hints
           | Direct | Set_assoc _ -> ()))
@@ -547,6 +628,7 @@ let discard_range t ~addr ~len =
           t.discarded <- slot :: t.discarded
         | Direct | Set_assoc _ -> ());
         t.tags.(slot) <- -1;
+        if slot = t.probation then t.probation <- -1;
         Bytes.set_uint8 t.flags slot 0)
 
 let resident t ~addr = find_slot t (line_of_addr t addr) <> None

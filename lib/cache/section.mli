@@ -14,6 +14,21 @@
     "arrived". *)
 
 type structure = Direct | Set_assoc of int | Full_assoc
+(** Where a line may live, and so how a victim is chosen.  [Direct]: one
+    slot per line, which the new line evicts.  [Set_assoc k]: any of its
+    set's [k] slots; the victim is an empty slot, else a hinted-evictable
+    one, else the least recently used.  [Full_assoc]: any slot; the
+    victim is a hinted-evictable slot if there is one.  Otherwise CLOCK
+    picks a candidate, skipping the {e probationary} slot, which the
+    latest demand miss filled (a prefetched line is never probationary;
+    a discarded or hinted slot stops being so).  The probationary line
+    is evicted instead of the candidate only when its access count is
+    strictly lower; if it stays, it is an ordinary line from then on.
+    A fully associative section counts the checked accesses to every
+    line it has served, cached or not.  The first victim choice after
+    every [10 * slots * payload / 8] accesses (ten capacities in 8-byte
+    words) halves all counts and drops the uncached lines' that reach
+    zero. *)
 
 type config = {
   sec_id : int;
@@ -37,7 +52,8 @@ type config = {
 }
 
 val config_default : sec_id:int -> name:string -> line:int -> size:int -> config
-(** Fully-associative, one-sided, whole-line payload, all optimizations
+(** Fully-associative (CLOCK with frequency admission, see
+    [structure]), one-sided, whole-line payload, all optimizations
     off. *)
 
 type stats = {
@@ -46,6 +62,9 @@ type stats = {
   mutable late_prefetch : int;  (** hits that stalled on an in-flight line *)
   mutable evictions : int;
   mutable hinted_evictions : int;  (** victims chosen via eviction hints *)
+  mutable admit_rejects : int;
+      (** fully associative: evictions of the probationary line in place
+          of CLOCK's candidate, which had the higher access count *)
   mutable writebacks : int;
   mutable native_misses : int;
       (** native accesses that found their line absent (a residency
@@ -92,7 +111,11 @@ val set_attribution : t -> Mira_telemetry.Attribution.t -> unit
     with the section name.  Off (no charges) until set. *)
 
 val metadata_bytes : t -> int
-(** Local-memory metadata footprint (0 in [no_meta] mode). *)
+(** Local-memory metadata footprint: [slot_bytes]' per-slot metadata
+    (0 in [no_meta] mode), plus 16 B for each entry of a fully
+    associative section's access counts at their high-water mark.  The
+    counts are reported only: they do not reduce the slots that
+    [slot_bytes] budgets. *)
 
 val load : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
 (** Read [len] (1..8) bytes at far address [addr]; must not straddle a

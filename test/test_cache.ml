@@ -99,6 +99,100 @@ let test_section_discard_range () =
   Alcotest.(check int64) "fresh data after discard" 55L
     (Section.load s ~clock ~addr:0 ~len:8)
 
+(* --- fully associative victim choice: CLOCK with frequency admission --- *)
+
+(* [loads] Zipf 0.99 line loads (line [r] has rank [r]) from a fixed
+   seed, through a [slots]-line fully associative section. *)
+let zipf_trace_hits ~slots ~lines ~loads =
+  let line = 64 in
+  let net, far, clock = make_env () in
+  let s = Section.create net far (cfg_of Section.Full_assoc ~line ~size:(slots * line)) in
+  let cum = Array.make lines 0.0 in
+  for r = 0 to lines - 1 do
+    cum.(r) <- (if r = 0 then 0.0 else cum.(r - 1)) +. (1.0 /. Float.pow (float (r + 1)) 0.99)
+  done;
+  let rng = Mira_util.Prng.create 7 in
+  for _ = 1 to loads do
+    let u = Mira_util.Prng.float rng cum.(lines - 1) in
+    let lo = ref 0 and hi = ref (lines - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cum.(mid) > u then hi := mid else lo := mid + 1
+    done;
+    ignore (Section.load s ~clock ~addr:(!lo * line) ~len:8)
+  done;
+  (Section.stats s).Section.hits
+
+(* 32 slots over 256 lines, as each kv_zipf tenant's section.  Plain
+   CLOCK (recency only) scored 10,194 hits on this trace: a line
+   touched once pushed out lines touched hundreds of times. *)
+let test_full_assoc_zipf_hits () =
+  let clock_hits = 10_194 in
+  let hits = zipf_trace_hits ~slots:32 ~lines:256 ~loads:20_000 in
+  Alcotest.(check int) "hits with frequency admission" 13_008 hits;
+  Alcotest.(check bool) "more than plain CLOCK" true (hits > clock_hits)
+
+(* A stream prefetched [distance] lines ahead through 8 slots: only the
+   lines before the first prefetch lands miss, exactly as under plain
+   CLOCK, so no prefetched line is evicted before its use. *)
+let test_full_assoc_prefetch_stream () =
+  let line = 64 in
+  let run distance =
+    let net, far, clock = make_env () in
+    let s = Section.create net far (cfg_of Section.Full_assoc ~line ~size:(8 * line)) in
+    for l = 0 to 255 do
+      Section.prefetch s ~clock ~addr:((l + distance) * line) ~len:line;
+      for w = 0 to (line / 8) - 1 do
+        ignore (Section.load s ~clock ~addr:((l * line) + (8 * w)) ~len:8)
+      done
+    done;
+    let st = Section.stats s in
+    (st.Section.misses, st.Section.late_prefetch, st.Section.admit_rejects)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "(misses, late prefetches, admission rejects) at distance 1 and 2"
+    [ (1, 127, 0); (2, 84, 0) ]
+    [ run 1; run 2 ]
+
+(* Lines 0-2 loaded five times each and line 3 once fill a 4-slot
+   section; line 3's slot is then the probationary one. *)
+let probation_setup () =
+  let net, far, clock = make_env () in
+  let s = Section.create net far (cfg_of Section.Full_assoc ~line:64 ~size:256) in
+  let load l = ignore (Section.load s ~clock ~addr:(l * 64) ~len:8) in
+  List.iter (fun l -> for _ = 1 to 5 do load l done) [ 0; 1; 2 ];
+  load 3;
+  (s, clock, load)
+
+let test_full_assoc_probation () =
+  let resident s lines = List.map (fun l -> Section.resident s ~addr:(l * 64)) lines in
+  let rejects s = (Section.stats s).Section.admit_rejects in
+  (* A hint clears probation: once re-used, line 3 (2 accesses) is an
+     ordinary line, so CLOCK's candidate, line 0 (5), goes. *)
+  let s, clock, load = probation_setup () in
+  Section.flush_evict s ~clock ~addr:(3 * 64) ~len:8;
+  load 3;
+  load 4;
+  Alcotest.(check (list bool)) "hinted: CLOCK's candidate evicted" [ false; true; true ]
+    (resident s [ 0; 3; 4 ]);
+  Alcotest.(check int) "hinted: no rejection" 0 (rejects s);
+  (* Line 4's demand fill is probationary: 1 access against CLOCK's
+     candidate line 1 (5), so line 4 goes instead. *)
+  load 5;
+  Alcotest.(check (list bool)) "demand fill on probation evicted" [ true; false; true ]
+    (resident s [ 1; 4; 5 ]);
+  Alcotest.(check int) "one rejection" 1 (rejects s);
+  (* A discard clears probation, and a prefetch that reuses the
+     discarded slot is never probationary: line 6 (0 accesses) stays
+     and CLOCK's candidate, line 0, goes. *)
+  let s, clock, load = probation_setup () in
+  Section.discard_range s ~addr:(3 * 64) ~len:8;
+  Section.prefetch s ~clock ~addr:(6 * 64) ~len:8;
+  load 4;
+  Alcotest.(check (list bool)) "discarded, then prefetched: CLOCK's candidate evicted"
+    [ false; true; true ] (resident s [ 0; 6; 4 ]);
+  Alcotest.(check int) "discarded: no rejection" 0 (rejects s)
+
 let test_swap_basic () =
   let net, far, clock = make_env () in
   let sw = Swap.create net far { Swap.page = 4096; capacity = 16384 } in
@@ -396,9 +490,10 @@ let test_payload_slot_capacity () =
        ]);
   let n, meta = lines_before_eviction payload in
   Alcotest.(check int) "payload lines before the first eviction" (size / slot) n;
-  Alcotest.(check int) "metadata per slot" (48 * n) meta;
-  Alcotest.(check bool) "packed bytes and metadata fit" true
-    ((n * payload_bytes) + meta <= size);
+  (* and 16 B per access count: the [n] lines and the one that evicted *)
+  Alcotest.(check int) "metadata per slot and count" ((48 * n) + (16 * (n + 1))) meta;
+  Alcotest.(check bool) "packed bytes and slot metadata fit" true
+    ((n * (payload_bytes + 48)) <= size);
   let whole = cfg_of Section.Full_assoc ~line ~size in
   Alcotest.(check int) "whole-line slot bytes" line (Section.slot_bytes whole);
   Alcotest.(check int) "whole lines before the first eviction" (size / line)
@@ -546,7 +641,13 @@ let test_manager_routing () =
 
 (* --- the coherence property ---------------------------------------------- *)
 
-type op = Load of int | Store of int * int64 | Pf of int | Flush of int | Evict of int
+type op =
+  | Load of int
+  | Store of int * int64
+  | Pf of int
+  | Flush of int
+  | Evict of int
+  | Discard of int  (* flush_range, then discard_range, as callers do *)
 
 let op_gen space =
   QCheck.Gen.(
@@ -561,18 +662,22 @@ let op_gen space =
         (1, map (fun a -> Pf (a * 8 mod space)) (int_bound (space / 8)));
         (1, map (fun a -> Flush (a * 8 mod space)) (int_bound (space / 8)));
         (1, map (fun a -> Evict (a * 8 mod space)) (int_bound (space / 8)));
+        (1, map (fun a -> Discard (a * 8 mod space)) (int_bound (space / 8)));
       ])
 
-let coherence_for structure line size =
-  let space = 8192 in
+(* A [space] a few times the section's [size] makes lines come back
+   while others are cached: hits, and victim choices between counted
+   lines. *)
+let coherence_for ?(space = 8192) structure line size =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "coherence %s line=%d size=%d"
+      (Printf.sprintf "coherence %s line=%d size=%d%s"
          (match structure with
          | Section.Direct -> "direct"
          | Section.Set_assoc k -> Printf.sprintf "set%d" k
          | Section.Full_assoc -> "full")
-         line size)
+         line size
+         (if space = 8192 then "" else Printf.sprintf " space=%d" space))
     ~count:60
     QCheck.(make (QCheck.Gen.list_size (QCheck.Gen.int_bound 200) (op_gen space)))
     (fun ops ->
@@ -595,7 +700,10 @@ let coherence_for structure line size =
             Section.store s ~clock ~addr ~len:8 v
           | Pf addr -> Section.prefetch s ~clock ~addr ~len:8
           | Flush addr -> Section.flush_evict s ~clock ~addr ~len:8
-          | Evict addr -> Section.flush_range s ~clock ~addr ~len:8)
+          | Evict addr -> Section.flush_range s ~clock ~addr ~len:8
+          | Discard addr ->
+            Section.flush_range s ~clock ~addr ~len:8;
+            Section.discard_range s ~addr ~len:8)
         ops;
       (* Final drain: everything must land in the far store. *)
       Section.flush_all s ~clock;
@@ -627,7 +735,10 @@ let coherence_swap =
             Swap.store sw ~clock ~addr ~len:8 v
           | Pf addr -> Swap.prefetch_page sw ~clock ~page:(addr / 4096)
           | Flush addr -> Swap.evict_hint sw ~clock ~addr ~len:8
-          | Evict addr -> Swap.flush_range sw ~clock ~addr ~len:8)
+          | Evict addr -> Swap.flush_range sw ~clock ~addr ~len:8
+          | Discard addr ->
+            Swap.flush_range sw ~clock ~addr ~len:8;
+            Swap.discard_range sw ~addr ~len:8)
         ops;
       Swap.flush_all sw ~clock;
       Hashtbl.iter
@@ -702,6 +813,9 @@ let suite =
     Alcotest.test_case "section native fallback" `Quick test_section_native_fallback;
     Alcotest.test_case "section no_meta" `Quick test_section_no_meta_cheap_hits;
     Alcotest.test_case "section discard" `Quick test_section_discard_range;
+    Alcotest.test_case "full-assoc zipf hits" `Quick test_full_assoc_zipf_hits;
+    Alcotest.test_case "full-assoc prefetch stream" `Quick test_full_assoc_prefetch_stream;
+    Alcotest.test_case "full-assoc probation" `Quick test_full_assoc_probation;
     Alcotest.test_case "swap basic" `Quick test_swap_basic;
     Alcotest.test_case "swap eviction" `Quick test_swap_eviction_and_writeback;
     Alcotest.test_case "swap hinted victims" `Quick test_swap_hinted_victims;
@@ -720,6 +834,7 @@ let suite =
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 64 512);
     QCheck_alcotest.to_alcotest (coherence_for (Section.Set_assoc 4) 64 1024);
     QCheck_alcotest.to_alcotest (coherence_for Section.Full_assoc 128 1024);
+    QCheck_alcotest.to_alcotest (coherence_for ~space:1024 Section.Full_assoc 64 256);
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 256 512);
     QCheck_alcotest.to_alcotest coherence_swap;
     Alcotest.test_case "sizing simple" `Quick test_sizing_simple;
