@@ -149,6 +149,50 @@ let bench_sched_in_place =
       done;
       Sched.run s))
 
+(* The latency figures of one 4-tenant serving report, as
+   [Kv_serving.run_on] computes them: p50/p99/p999/max of each tenant's
+   10k latencies, then p50/p99/p999 of the 40k aggregate. *)
+let bench_kv_report =
+  let rng = Mira_util.Prng.create 5 in
+  let lats =
+    Array.init 4 (fun _ -> Array.init 10_000 (fun _ -> Mira_util.Prng.float rng 5e4))
+  in
+  Test.make ~name:"kv report percentiles (4x10k + 40k)" (Staged.stage (fun () ->
+      Array.iter
+        (fun l -> ignore (Mira_util.Stats.percentiles l [| 50.0; 99.0; 99.9; 100.0 |]))
+        lats;
+      ignore
+        (Mira_util.Stats.percentiles
+           (Array.concat (Array.to_list lats))
+           [| 50.0; 99.0; 99.9 |])))
+
+(* 4 tenants on a runtime's scheduler, a quarter ns apart, each making
+   64 clock moves of 1 ns: every move leaves another tenant earlier, so
+   each is a real park and resume, with the runtime's TLS hook saving
+   and restoring the attribution and net context. *)
+let bench_sched_runtime_tls =
+  let module Runtime = Mira_runtime.Runtime in
+  let module Sched = Mira_sim.Sched in
+  let rt =
+    Runtime.create
+      { (Runtime.config_default ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22)) with
+        Runtime.tenants = 4 }
+  in
+  let ms = Runtime.memsys rt in
+  let sched = Runtime.sched rt in
+  let clocks = Array.init 4 (fun tid -> ms.Mira_runtime.Memsys.clock ~tid) in
+  (* the stagger persists: every tenant moves by the same amount *)
+  Array.iteri (fun i c -> ignore (Mira_sim.Clock.wait_until c (float_of_int i *. 0.25))) clocks;
+  Test.make ~name:"sched yield with runtime TLS (4 tenants)" (Staged.stage (fun () ->
+      Array.iteri
+        (fun tenant c ->
+          Sched.spawn sched ~tenant (fun () ->
+              for _ = 1 to 64 do
+                Mira_sim.Clock.advance c 1.0
+              done))
+        clocks;
+      Sched.run sched))
+
 (* A bounded in-flight window under heavy backlog: 512 posts against a
    64-slot window, none retiring (the probe time never advances), so
    the in-flight set only grows.  Before the done-at-keyed heaps every
@@ -179,6 +223,8 @@ let tests () =
       bench_sched_dispatch;
       bench_sched_in_place;
       bench_runtime_hit;
+      bench_kv_report;
+      bench_sched_runtime_tls;
       bench_net_window;
     ]
 

@@ -28,6 +28,7 @@ type frame = {
   fr_enter : float;
   fr_stat : fn_stat;
   fr_sites : unit Site_set.t;
+  mutable fr_last_site : int;  (* the site this frame touched last *)
 }
 
 let site_cache_size = 64
@@ -90,7 +91,13 @@ let enter t ~tid ~now name =
   let st = stack t tid in
   let stat = fn_stat t name in
   st :=
-    { fr_name = name; fr_enter = now; fr_stat = stat; fr_sites = touched_sites t name }
+    {
+      fr_name = name;
+      fr_enter = now;
+      fr_stat = stat;
+      fr_sites = touched_sites t name;
+      fr_last_site = min_int;
+    }
     :: !st;
   stat.calls <- stat.calls + 1
 
@@ -133,23 +140,18 @@ let innermost t ~tid ~default =
   match !(stack t tid) with [] -> default | fr :: _ -> fr.fr_name
 
 (* The per-access walks below are top-level recursions rather than
-   closures, so they allocate nothing. *)
-let rec add_runtime_frames ns = function
-  | [] -> ()
-  | fr :: rest ->
-    fr.fr_stat.runtime_ns <- fr.fr_stat.runtime_ns +. ns;
-    add_runtime_frames ns rest
-
-let add_runtime t ~tid ~ns = add_runtime_frames ns !(stack t tid)
-
-let rec add_event_frames hit = function
+   closures, so they allocate nothing.  An access charges its overhead
+   and its events in one walk of the stack. *)
+let rec charge_frames ns hit miss = function
   | [] -> ()
   | fr :: rest ->
     let s = fr.fr_stat in
-    if hit then s.hits <- s.hits + 1 else s.misses <- s.misses + 1;
-    add_event_frames hit rest
+    if ns > 0.0 then s.runtime_ns <- s.runtime_ns +. ns;
+    if hit then s.hits <- s.hits + 1;
+    if miss then s.misses <- s.misses + 1;
+    charge_frames ns hit miss rest
 
-let add_event t ~tid ~hit = add_event_frames hit !(stack t tid)
+let charge t ~tid ~ns ~hit ~miss = charge_frames ns hit miss !(stack t tid)
 
 let add_site_overhead t ~site ~ns =
   let i = site land (site_cache_size - 1) in
@@ -168,10 +170,16 @@ let add_alloc t ~site ~bytes =
   s.alloc_bytes <- s.alloc_bytes + bytes;
   s.allocs <- s.allocs + 1
 
+(* Accesses repeat a site far more often than they change it, and a
+   touched set only grows until [reset] drops it with the frames, so a
+   frame skips the set lookup for the site it touched last. *)
 let rec touch_frames site = function
   | [] -> ()
   | fr :: rest ->
-    if not (Site_set.mem fr.fr_sites site) then Site_set.replace fr.fr_sites site ();
+    if fr.fr_last_site <> site then begin
+      fr.fr_last_site <- site;
+      if not (Site_set.mem fr.fr_sites site) then Site_set.replace fr.fr_sites site ()
+    end;
     touch_frames site rest
 
 let touch t ~tid ~site = touch_frames site !(stack t tid)

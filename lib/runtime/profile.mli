@@ -48,11 +48,9 @@ val current : t -> tid:int -> string option
 val innermost : t -> tid:int -> default:string -> string
 (** [current] without the option: [default] when the stack is empty. *)
 
-val add_runtime : t -> tid:int -> ns:float -> unit
-(** Attribute runtime-overhead time to every function on [tid]'s stack. *)
-
-val add_event : t -> tid:int -> hit:bool -> unit
-(** Count a cache hit or miss against the stack's functions. *)
+val charge : t -> tid:int -> ns:float -> hit:bool -> miss:bool -> unit
+(** Charge one access to every function on [tid]'s stack: [ns] of
+    runtime overhead when positive, and a cache hit and/or miss. *)
 
 val add_alloc : t -> site:int -> bytes:int -> unit
 

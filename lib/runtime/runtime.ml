@@ -111,6 +111,7 @@ type t = {
   miss_sites : Mira_telemetry.Sketch.t;
       (* hot miss sites across the whole run (Space-Saving top-K),
          sampled per window by the timeline exporter *)
+  site_labels : (int, string) Hashtbl.t;  (* site -> its [miss_sites] key *)
   mutable nthreads : int;
 }
 
@@ -178,6 +179,7 @@ let create cfg =
     profile = Profile.create ();
     attribution;
     miss_sites = Mira_telemetry.Sketch.create ~k:16;
+    site_labels = Hashtbl.create 16;
     nthreads = 1;
   }
 
@@ -493,22 +495,26 @@ let sync_cluster t ~clock:c =
     account_lost t
   end
 
+(* A site's key in the miss-site sketch, formatted once per site. *)
+let site_label t site =
+  match Hashtbl.find_opt t.site_labels site with
+  | Some l -> l
+  | None ->
+    let l = Printf.sprintf "site%d" site in
+    Hashtbl.replace t.site_labels site l;
+    l
+
 (* [hits] and [misses] are the access's deltas of the handle's
    counters. *)
 let attribute t ~tid ~site ~before ~after ~hits ~misses =
   let native = t.cfg.params.Sim.Params.native_mem_ns in
   let overhead = Float.max 0.0 (after -. before -. native) in
-  if overhead > 0.0 then begin
-    Profile.add_runtime t.profile ~tid ~ns:overhead;
-    Profile.add_site_overhead t.profile ~site ~ns:overhead
-  end;
-  if hits > 0 then Profile.add_event t.profile ~tid ~hit:true;
-  if misses > 0 then begin
-    Profile.add_event t.profile ~tid ~hit:false;
+  Profile.charge t.profile ~tid ~ns:overhead ~hit:(hits > 0) ~miss:(misses > 0);
+  if overhead > 0.0 then Profile.add_site_overhead t.profile ~site ~ns:overhead;
+  if misses > 0 then
     Mira_telemetry.Sketch.touch t.miss_sites
       ~weight:(Int64.of_int misses)
-      (Printf.sprintf "site%d" site)
-  end
+      (site_label t site)
 
 let load t ~tid ~(ptr : Memsys.ptr) ~len ~native =
   let c = clock t tid in

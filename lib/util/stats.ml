@@ -1,14 +1,72 @@
-let sum xs = Array.fold_left ( +. ) 0.0 xs
+(* Summation is a plain loop: [Array.fold_left ( +. )] boxes every
+   element and every partial sum.  The order is left to right, as the
+   fold's was, so means are unchanged to the bit. *)
+let sum (xs : float array) =
+  let s = ref 0.0 in
+  for i = 0 to Array.length xs - 1 do
+    s := !s +. xs.(i)
+  done;
+  !s
 
 let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else sum xs /. float_of_int n
 
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty array";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
+(* [compare]'s order on floats: NaN first, then ascending. *)
+let before (x : float) y = x < y || (x <> x && y = y)
+
+(* Sorts a flat float array in place: insertion sort over runs of
+   [run_length] elements, then bottom-up merges through one scratch
+   array.  The generic [Array.sort] boxes both operands of every
+   comparison; this allocates nothing per element. *)
+let run_length = 16
+
+let merge src dst lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !i < mid && (!j >= hi || not (before src.(!j) src.(!i))) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+let sort (a : float array) =
+  let n = Array.length a in
+  for r = 0 to (n - 1) / run_length do
+    let lo = r * run_length in
+    for i = lo + 1 to min n (lo + run_length) - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && before x a.(!j) do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  done;
+  let src = ref a and dst = ref (Array.create_float n) in
+  let width = ref run_length in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+      merge !src !dst !lo mid hi;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
+(* Linear interpolation between the two ranks around [p]. *)
+let ranked sorted p =
+  let n = Array.length sorted in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
   let hi = int_of_float (ceil rank) in
@@ -18,11 +76,18 @@ let percentile xs p =
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
 
-let min_max xs =
-  if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
-  Array.fold_left
-    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
-    (xs.(0), xs.(0)) xs
+let percentiles xs ps =
+  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
+  Array.iter
+    (fun p ->
+      if not (p >= 0.0 && p <= 100.0) then
+        invalid_arg (Printf.sprintf "Stats.percentile: p must be in [0,100] (got %g)" p))
+    ps;
+  let sorted = Array.copy xs in
+  sort sorted;
+  Array.map (ranked sorted) ps
+
+let percentile xs p = (percentiles xs [| p |]).(0)
 
 type online = { mutable count : int; mutable m : float; mutable s : float }
 

@@ -5,10 +5,15 @@ val mean : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation on a
-    sorted copy.  Raises [Invalid_argument] on the empty array. *)
+    sorted copy.  Raises [Invalid_argument] on the empty array and on a
+    [p] outside [\[0,100\]] or NaN. *)
 
-val min_max : float array -> float * float
-(** Minimum and maximum.  Raises [Invalid_argument] on the empty array. *)
+val percentiles : float array -> float array -> float array
+(** [percentiles xs ps] is [Array.map (percentile xs) ps], bit for bit,
+    from one sorted copy of [xs]; the sort allocates nothing per
+    element.  The order is [compare]'s (NaN first), so
+    [percentiles xs [|100.0|]] is the maximum of a NaN-free [xs].
+    Raises as {!percentile} does. *)
 
 type online
 (** Online (Welford) accumulator for mean/variance without storing samples. *)

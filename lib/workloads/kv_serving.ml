@@ -716,22 +716,26 @@ let run_on ?timeline rt cfg =
   let per_tenant =
     Array.mapi
       (fun i st ->
-        let lats = st.ts_lats in
+        let q = Stats.percentiles st.ts_lats [| 50.0; 99.0; 99.9; 100.0 |] in
         {
           tenant = i;
           completed = cfg.requests;
-          mean_ns = Stats.mean lats;
-          p50_ns = Stats.percentile lats 50.0;
-          p99_ns = Stats.percentile lats 99.0;
-          p999_ns = Stats.percentile lats 99.9;
-          max_ns = snd (Stats.min_max lats);
+          mean_ns = Stats.mean st.ts_lats;
+          p50_ns = q.(0);
+          p99_ns = q.(1);
+          p999_ns = q.(2);
+          max_ns = q.(3);
           slo_miss = st.ts_slo_miss;
           slo_miss_frac = float_of_int st.ts_slo_miss /. float_of_int cfg.requests;
           lat_hist = st.ts_hist;
         })
       states
   in
-  let all = Array.concat (Array.to_list (Array.map (fun s -> s.ts_lats) states)) in
+  let agg =
+    Stats.percentiles
+      (Array.concat (Array.to_list (Array.map (fun s -> s.ts_lats) states)))
+      [| 50.0; 99.0; 99.9 |]
+  in
   let total = cfg.tenants * cfg.requests in
   let misses = Array.fold_left (fun a s -> a + s.ts_slo_miss) 0 states in
   let checksum =
@@ -743,9 +747,9 @@ let run_on ?timeline rt cfg =
     elapsed_ns = elapsed;
     throughput_rps =
       (if elapsed > 0.0 then float_of_int total /. (elapsed *. 1e-9) else 0.0);
-    agg_p50_ns = Stats.percentile all 50.0;
-    agg_p99_ns = Stats.percentile all 99.0;
-    agg_p999_ns = Stats.percentile all 99.9;
+    agg_p50_ns = agg.(0);
+    agg_p99_ns = agg.(1);
+    agg_p999_ns = agg.(2);
     agg_slo_miss_frac = float_of_int misses /. float_of_int total;
     checksum;
   }

@@ -39,8 +39,7 @@ let test_profile_attribution () =
   let p = Profile.create () in
   Profile.enter p ~tid:0 ~now:0.0 "outer";
   Profile.enter p ~tid:0 ~now:10.0 "inner";
-  Profile.add_runtime p ~tid:0 ~ns:5.0;
-  Profile.add_event p ~tid:0 ~hit:false;
+  Profile.charge p ~tid:0 ~ns:5.0 ~hit:false ~miss:true;
   Profile.exit_ p ~tid:0 ~now:50.0 "inner";
   Profile.exit_ p ~tid:0 ~now:100.0 "outer";
   let stats = Profile.fn_stats p in
@@ -52,16 +51,34 @@ let test_profile_attribution () =
   Alcotest.(check (float 1e-9)) "inner runtime" 5.0 inner.Profile.runtime_ns;
   Alcotest.(check int) "miss counted" 1 inner.Profile.misses
 
+(* A frame skips the set lookup for a repeated site; every site still
+   lands in the touched set of every open function, and a reset starts
+   the sets afresh. *)
+let test_profile_touched_sites () =
+  let p = Profile.create () in
+  let sites name = List.sort compare (Profile.largest_sites p ~frac:1.0 ~among:[ name ]) in
+  Profile.enter p ~tid:0 ~now:0.0 "outer";
+  Profile.enter p ~tid:0 ~now:1.0 "inner";
+  List.iter (fun site -> Profile.touch p ~tid:0 ~site) [ 3; 3; 1; 3; 1 ];
+  Profile.exit_ p ~tid:0 ~now:2.0 "inner";
+  Profile.touch p ~tid:0 ~site:2;
+  Alcotest.(check (list int)) "inner" [ 1; 3 ] (sites "inner");
+  Alcotest.(check (list int)) "outer" [ 1; 2; 3 ] (sites "outer");
+  Profile.reset p;
+  Profile.enter p ~tid:0 ~now:0.0 "outer";
+  Profile.touch p ~tid:0 ~site:2;
+  Alcotest.(check (list int)) "after reset" [ 2 ] (sites "outer")
+
 let test_profile_selection () =
   let p = Profile.create () in
   Profile.enter p ~tid:0 ~now:0.0 "hot";
   Profile.touch p ~tid:0 ~site:1;
-  Profile.add_runtime p ~tid:0 ~ns:1000.0;
+  Profile.charge p ~tid:0 ~ns:1000.0 ~hit:false ~miss:false;
   Profile.add_site_overhead p ~site:1 ~ns:1000.0;
   Profile.exit_ p ~tid:0 ~now:1100.0 "hot";
   Profile.enter p ~tid:0 ~now:1100.0 "cold";
   Profile.touch p ~tid:0 ~site:2;
-  Profile.add_runtime p ~tid:0 ~ns:10.0;
+  Profile.charge p ~tid:0 ~ns:10.0 ~hit:false ~miss:false;
   Profile.add_site_overhead p ~site:2 ~ns:10.0;
   Profile.exit_ p ~tid:0 ~now:2200.0 "cold";
   Profile.add_alloc p ~site:1 ~bytes:100;
@@ -316,6 +333,37 @@ let test_runtime_hit_words () =
           words hit_words_pinned)
     [ ("whole line", whole); ("payload", payload) ]
 
+(* Allocation guard for one serving report's latency figures, read the
+   way [Kv_serving.run_on] reads them: p50/p99/p999/max of each of 4
+   tenants' 10k latencies, then p50/p99/p999 of the 40k aggregate.
+   Each array is sorted once, in a copy, with a sort that boxes
+   nothing.  The copies and the aggregate go straight to the major
+   heap, so the minor words left are a few small result arrays: 0.006
+   a request.  It was ~560 when each figure copied its array and ran
+   the generic sort over boxed floats. *)
+let report_words_pinned = 0.01
+
+let test_serving_report_words () =
+  let tenants = 4 and requests = 10_000 in
+  let rng = Mira_util.Prng.create 3 in
+  let lats =
+    Array.init tenants (fun _ ->
+        Array.init requests (fun _ -> 1e3 +. Mira_util.Prng.float rng 5e4))
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter
+    (fun l -> ignore (Mira_util.Stats.percentiles l [| 50.0; 99.0; 99.9; 100.0 |]))
+    lats;
+  ignore
+    (Mira_util.Stats.percentiles
+       (Array.concat (Array.to_list lats))
+       [| 50.0; 99.0; 99.9 |]);
+  let words = (Gc.minor_words () -. w0) /. float_of_int (tenants * requests) in
+  if words > report_words_pinned then
+    Alcotest.failf
+      "%.4f minor words per request for the report's percentiles, pinned at %.2f"
+      words report_words_pinned
+
 (* Regression: objects must never share a swap page / section line —
    two incoherent cached copies of the overlap would clobber each other
    (found by the DataFrame checksum guard). *)
@@ -382,6 +430,7 @@ let suite =
     Alcotest.test_case "local_alloc fallback" `Quick test_local_alloc_fallback;
     Alcotest.test_case "profile attribution" `Quick test_profile_attribution;
     Alcotest.test_case "profile selection" `Quick test_profile_selection;
+    Alcotest.test_case "profile touched sites" `Quick test_profile_touched_sites;
     Alcotest.test_case "runtime alloc/load/store" `Quick test_runtime_alloc_load_store;
     Alcotest.test_case "runtime section routing" `Quick test_runtime_section_routing;
     Alcotest.test_case "runtime free reuse" `Quick test_runtime_free_reuses;
@@ -398,4 +447,5 @@ let suite =
     Alcotest.test_case "runtime private route invalidation" `Quick
       test_runtime_private_route_invalidation;
     Alcotest.test_case "runtime hit allocation" `Quick test_runtime_hit_words;
+    Alcotest.test_case "serving report allocation" `Quick test_serving_report_words;
   ]

@@ -89,6 +89,54 @@ let test_stats_percentile_edges () =
   (* and the original array stays untouched *)
   Alcotest.(check (float 1e-9)) "input not sorted in place" 5.0 unsorted.(0)
 
+let test_stats_percentile_bad_p () =
+  let xs = [| 1.0; 2.0; 3.0 |] in
+  List.iter
+    (fun (p, shown) ->
+      let reason = Printf.sprintf "Stats.percentile: p must be in [0,100] (got %s)" shown in
+      Alcotest.check_raises ("percentile " ^ shown) (Invalid_argument reason) (fun () ->
+          ignore (Stats.percentile xs p));
+      Alcotest.check_raises ("percentiles " ^ shown) (Invalid_argument reason) (fun () ->
+          ignore (Stats.percentiles xs [| 50.0; p |])))
+    [ (-1.0, "-1"); (100.5, "100.5"); (Float.nan, "nan"); (Float.infinity, "inf") ]
+
+(* The copy-and-sort reference [Stats.percentile] used to be. *)
+let naive_percentile xs p =
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  let rank = p /. 100.0 *. float_of_int (n - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  if lo = hi then sorted.(lo)
+  else
+    let frac = rank -. float_of_int lo in
+    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+
+(* Values with many ties (small integers) mixed with spread-out ones
+   and infinities.  Negative zero is left out: [compare] ties it with
+   zero, so which of the two a sort puts first is unspecified. *)
+let qcheck_percentiles =
+  let value =
+    QCheck.Gen.(
+      map
+        (fun x -> if x = 0.0 then 0.0 else x)
+        (frequency
+           [
+             (4, map float_of_int (int_range (-3) 3));
+             (4, float_range (-1e6) 1e6);
+             (1, oneofl [ infinity; neg_infinity ]);
+           ]))
+  in
+  let gen = QCheck.Gen.(array_size (int_range 1 300) value) in
+  let ps = [| 0.0; 50.0; 99.0; 99.9; 100.0 |] in
+  QCheck.Test.make ~name:"percentiles = copy-and-sort reference, bit for bit" ~count:500
+    (QCheck.make ~print:QCheck.Print.(array float) gen)
+    (fun xs ->
+      let bits = Array.map Int64.bits_of_float in
+      let want = bits (Array.map (naive_percentile xs) ps) in
+      bits (Stats.percentiles xs ps) = want
+      && bits (Array.map (Stats.percentile xs) ps) = want)
+
 let test_stats_online () =
   let o = Stats.online_create () in
   let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
@@ -201,11 +249,13 @@ let suite =
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats percentile edges" `Quick
       test_stats_percentile_edges;
+    Alcotest.test_case "stats percentile bad p" `Quick test_stats_percentile_bad_p;
     Alcotest.test_case "stats online" `Quick test_stats_online;
     Alcotest.test_case "misc round" `Quick test_misc_round;
     Alcotest.test_case "misc pow2" `Quick test_misc_pow2;
     Alcotest.test_case "misc clamp" `Quick test_misc_clamp;
     Alcotest.test_case "table render" `Quick test_table_render;
+    QCheck_alcotest.to_alcotest qcheck_percentiles;
     QCheck_alcotest.to_alcotest qcheck_round_up;
     QCheck_alcotest.to_alcotest qcheck_index_set;
     QCheck_alcotest.to_alcotest qcheck_tid_map;
