@@ -41,14 +41,7 @@ let run_manual ?(params = Mira_sim.Params.default) ?(nthreads = 1) ~budget
       { (Runtime.config_default ~local_budget:budget ~far_capacity) with
         Runtime.params }
   in
-  let mgr = Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  List.iter
-    (fun (cfg, sites) ->
-      match Manager.add_section mgr ~clock cfg with
-      | Ok _ -> List.iter (fun s -> Manager.assign_site mgr ~site:s ~sec_id:cfg.Section.sec_id) sites
-      | Error m -> failwith m)
-    sections;
+  Runtime.configure rt { Manager.sections; per_thread = [] };
   let compiled =
     Mira_passes.Pipeline.apply prog plan ~params
     |> Mira_passes.Instrument.run_only ~names:[ C.work_function prog ]

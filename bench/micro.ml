@@ -112,14 +112,12 @@ let bench_runtime_hit =
       (Runtime.config_default ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22))
   in
   let ms = Runtime.memsys rt in
-  let mgr = Runtime.manager rt in
-  (match
-     Manager.add_section mgr ~clock:(ms.Memsys.clock ~tid:0)
-       (Section.config_default ~sec_id:1 ~name:"b" ~line:256 ~size:(1 lsl 17))
-   with
-  | Ok _ -> ()
-  | Error e -> failwith e);
-  Manager.assign_site mgr ~site:3 ~sec_id:1;
+  Runtime.configure rt
+    {
+      Manager.sections =
+        [ (Section.config_default ~sec_id:1 ~name:"b" ~line:256 ~size:(1 lsl 17), [ 3 ]) ];
+      per_thread = [];
+    };
   let base = ms.Memsys.alloc ~tid:0 ~site:3 ~bytes:(1 lsl 16) ~heap:true in
   let ptrs =
     Array.init 256 (fun i -> { base with Memsys.addr = base.Memsys.addr + (i * 256) })

@@ -1,12 +1,13 @@
 (** The local-memory cache manager.
 
-    Owns the swap section plus every live custom section, routes
-    allocation sites to sections, and enforces the local-memory budget:
-    creating a section takes bytes away from the swap section.  A
-    manager is configured once per run: every candidate configuration
-    the controller tries runs on a fresh runtime, so sections are never
-    torn down.  One section may serve several sites (similar patterns
-    grouped together); a site not assigned anywhere runs on swap. *)
+    Owns the swap section plus every custom section, routes allocation
+    sites to sections, and enforces the local-memory budget: the
+    sections' bytes come out of the swap section's.  A manager's layout
+    is set by one [configure] call, before the runtime's first
+    allocation: every candidate configuration the controller tries runs
+    on a fresh runtime, so a layout never changes once set.  One section
+    may serve several sites (similar patterns grouped together); a site
+    no section serves runs on swap. *)
 
 type t
 
@@ -15,9 +16,6 @@ val create : Mira_sim.Net.t -> Mira_sim.Cluster.t -> budget:int -> page:int -> t
     initial, swap-everything configuration). *)
 
 val swap : t -> Swap_section.t
-
-val swap_handle : t -> Cache_section.handle
-(** The swap section as a [Cache_section.handle]. *)
 
 val set_attribution : t -> Mira_telemetry.Attribution.t -> unit
 (** Route all cache-layer stalls into the given ledger: the swap
@@ -32,31 +30,36 @@ val check_cluster : t -> clock:Mira_sim.Clock.t -> unit
     recovery time recorded in [node.recovery_ns].  On a primary loss
     with no replica: fail in-flight requests and declare the outage to
     the network ([Net.set_down]); the run continues degraded.  Called
-    on entry to [add_section], so recovery never interleaves with the
-    swap rebudget, and by the runtime's access path.  Reentrant calls
-    made during recovery return at once. *)
+    by the runtime's access path, so a crash due before the first
+    access is handled at that access.  Reentrant calls made during
+    recovery (other tenants' accesses while it waits) return at once. *)
 
-val add_section :
-  t -> clock:Mira_sim.Clock.t -> Section.config -> (Section.t, string) result
-(** Carve a new section out of the swap section's budget.  Fails if the
-    remaining swap space would drop below one page, or the id exists. *)
+type layout = {
+  sections : (Section.config * int list) list;
+      (** each section, in creation order, with the sites it serves *)
+  per_thread : (int * int array) list;
+      (** [(site, ids)]: thread [i] uses section [ids.(min i (n-1))]
+          (read-only multithreading, §4.6).  Overrides a shared route
+          of the same site. *)
+}
+
+val configure : t -> layout -> unit
+(** Create the layout's sections in order and route their sites, then
+    size the swap section, still empty, to the budget they leave.
+    Raises [Failure "section N already exists"] or [Failure "section N
+    (B B) exceeds local budget (U B used of T)"] for the first section
+    that does not fit (the swap section keeps at least one page), and
+    [Invalid_argument] naming the site when a per-thread id list is
+    empty or names no section of the layout, or when the manager is
+    already configured. *)
 
 val find_section : t -> id:int -> Section.t option
 val sections : t -> Section.t list
 
-val assign_site : t -> site:int -> sec_id:int -> unit
-(** Route an allocation site to a section.  Raises [Invalid_argument]
-    if the section does not exist. *)
-
-val route_handle : t -> site:int -> Cache_section.handle
-(** Uniform routing: the assigned section's handle, or the swap
-    section's when the site has none.  Callers no longer special-case
-    swap. *)
-
-val generation : t -> int
-(** Changes whenever [route_handle] or [find_section] may answer
-    differently: bumped by [add_section] and [assign_site].  Callers
-    that cache routing revalidate against it. *)
+val route_handle : t -> tid:int -> site:int -> Cache_section.handle
+(** The handle serving thread [tid]'s accesses to [site]: its
+    per-thread section, its shared section, or the swap section's when
+    no section serves it.  Resolved once per site and cached. *)
 
 val metadata_bytes : t -> int
 (** Total local-memory metadata of swap + sections. *)

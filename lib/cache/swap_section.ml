@@ -295,26 +295,14 @@ let flush_all t ~clock =
     (fun frame -> if frame.pno >= 0 then writeback t ~clock frame ~sync:false)
     t.frames
 
-let drop_all t ~clock =
-  Array.iteri (fun idx frame -> if frame.pno >= 0 then release_frame t ~clock idx)
-    t.frames;
-  Hashtbl.reset t.table;
-  t.free_frames <- List.init (Array.length t.frames) (fun i -> i);
-  t.hand <- 0
-
-let resize t ~capacity ~clock =
+let resize t ~capacity =
+  if Hashtbl.length t.table > 0 then invalid_arg "Swap_section.resize: pages resident";
   assert (capacity >= t.cfg.page);
   let nframes = max 1 (capacity / t.cfg.page) in
-  let old = t.frames in
-  (* Evict everything and let demand paging repopulate: simple and only
-     used at (re)configuration points.  Released frames are empty, so
-     they are kept (with their bytes) as the new pool's first frames. *)
-  drop_all t ~clock;
-  t.frames <-
-    Array.init nframes (fun i ->
-        if i < Array.length old then old.(i) else frame_make ());
+  t.frames <- Array.init nframes (fun _ -> frame_make ());
   t.hinted <- Mira_util.Index_set.create nframes;
   t.free_frames <- List.init nframes (fun i -> i);
+  t.hand <- 0;
   t.cfg <- { t.cfg with capacity }
 
 let resident t ~addr = Hashtbl.mem t.table (addr / t.cfg.page)

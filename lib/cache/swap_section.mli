@@ -52,8 +52,11 @@ val set_readahead : t -> (int -> int list) -> unit
 val set_extra_fault_ns : t -> float -> unit
 (** Extra serialization cost charged per fault (lock contention). *)
 
-val resize : t -> capacity:int -> clock:Mira_sim.Clock.t -> unit
-(** Change the resident budget; shrinking evicts pages immediately. *)
+val resize : t -> capacity:int -> unit
+(** Set the resident budget of a section that holds no page yet: the
+    cache manager sizes the swap section once, when it sets the layout,
+    before the runtime's first allocation.  Raises [Invalid_argument]
+    when a page is resident. *)
 
 val capacity_bytes : t -> int
 
@@ -82,6 +85,5 @@ val flush_all : t -> clock:Mira_sim.Clock.t -> unit
 (** Failover recovery: asynchronously re-issue writebacks for all
     still-dirty pages without evicting them. *)
 
-val drop_all : t -> clock:Mira_sim.Clock.t -> unit
 val resident : t -> addr:int -> bool
 val metadata_bytes : t -> int

@@ -6,17 +6,20 @@
     execution mode, and the profiler, and exposes it all as a
     [Memsys.t] for the interpreter.
 
-    Configuration (which sections exist, which allocation sites route
-    where, per-thread private sections) is applied from outside by the
-    iterative controller in [Mira].  A freshly created runtime has only
-    the swap section — the paper's initial swap-everything setup. *)
+    A freshly created runtime has only the swap section — the paper's
+    initial swap-everything setup.  Its cache layout (which sections
+    exist, which allocation sites route where, per-thread sections) is
+    set by one [configure] call before its first allocation: the
+    iterative controller in [Mira] runs each candidate configuration on
+    a fresh runtime. *)
 
 type config = {
   params : Mira_sim.Params.t;
       (** cost model; its [page_size] is the swap-section page size *)
   local_budget : int;  (** local DRAM available for caching far data *)
-  far_capacity : int;  (** far-memory address-space size *)
-  local_capacity : int;  (** local heap/stack space (not the cache) *)
+  far_capacity : int;
+      (** far-memory address-space size; local heap/stack space (not
+          the cache) is bounded by the larger of it and 1 MiB *)
   dataplane : Mira_sim.Net.dp_config;
       (** network data-plane configuration: in-flight window, doorbell
           batching, fault injection ([Mira_sim.Net.dp_default] =
@@ -93,10 +96,11 @@ val clock_stall_ns : t -> float
 val memsys : t -> Memsys.t
 (** The interface the interpreter executes against. *)
 
-val set_private_sections : t -> site:int -> sec_ids:int array -> unit
-(** Route [site] to per-thread sections: thread [i] uses
-    [sec_ids.(min i (len-1))] (read-only multithreading, §4.6).
-    Raises [Invalid_argument] naming the site when [sec_ids] is empty. *)
+val configure : t -> Mira_cache.Manager.layout -> unit
+(** Set the runtime's whole cache layout ([Mira_cache.Manager.configure]):
+    its sections, the sites each serves, and per-thread section ids.
+    It may run once, before the runtime's first allocation; a second
+    call, or a call after an allocation, raises [Invalid_argument]. *)
 
 val lost_bytes_total : t -> int
 (** Far bytes wiped by node crashes with no surviving replica, restricted

@@ -1,6 +1,5 @@
 type call_cost = {
   send_done_at : float;
-  overhead_ns : float;
   fence_wait_ns : float;
 }
 
@@ -9,18 +8,15 @@ type call_cost = {
    body.  The old API left that to caller discipline ([push] defaults
    to fire-and-forget); the data-plane [fence] makes it explicit. *)
 let issue net ~now ~args_bytes =
-  let p = Net.params net in
   let barrier = Net.fence ~dir:Net.Request.Write net ~now in
   let sq =
     Net.submit net ~now:barrier ~urgent:true
       (Net.Request.write ~side:Net.Two_sided ~purpose:Net.Rpc args_bytes)
   in
   let c = Net.await net ~now:barrier ~id:sq.Net.id in
-  let fence_wait_ns = barrier -. now in
   {
-    send_done_at = c.Net.done_at +. p.Params.rpc_overhead_ns;
-    overhead_ns = sq.Net.issue_cpu_ns +. p.Params.rpc_overhead_ns +. fence_wait_ns;
-    fence_wait_ns;
+    send_done_at = c.Net.done_at +. (Net.params net).Params.rpc_overhead_ns;
+    fence_wait_ns = barrier -. now;
   }
 
 let complete net ~body_done_at ~ret_bytes =

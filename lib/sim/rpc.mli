@@ -8,7 +8,6 @@
 
 type call_cost = {
   send_done_at : float;  (** when the far node may start executing *)
-  overhead_ns : float;  (** fixed + transfer cost excluding the body *)
   fence_wait_ns : float;
       (** time spent waiting on the writeback fence before the
           arguments could ship (0 when nothing was outstanding) *)

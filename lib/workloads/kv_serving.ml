@@ -646,28 +646,25 @@ let run_on ?timeline rt cfg =
     fail "runtime has %d tenants but config wants %d" (Runtime.tenants rt)
       cfg.tenants;
   let ms = Runtime.memsys rt in
-  let mgr = Runtime.manager rt in
   let sched = Runtime.sched rt in
   ms.Memsys.set_nthreads cfg.tenants;
-  (* Setup: per-tenant far data and private section, then zero the
-     clocks so measurement starts at t=0 for every tenant. *)
-  let bases = Array.make cfg.tenants 0 in
-  for i = 0 to cfg.tenants - 1 do
-    let p =
-      ms.Memsys.alloc ~tid:i ~site:(site_of_tenant i) ~bytes:(data_bytes cfg)
-        ~heap:true
-    in
-    bases.(i) <- p.Memsys.addr;
-    let sc =
-      Section.config_default ~sec_id:(sec_id_of_tenant i)
-        ~name:(Printf.sprintf "kv%d" i) ~line:cfg.line ~size:(sec_bytes cfg)
-    in
-    (match Manager.add_section mgr ~clock:(ms.Memsys.clock ~tid:i) sc with
-    | Ok _ -> ()
-    | Error e -> fail "section for tenant %d: %s" i e);
-    Manager.assign_site mgr ~site:(site_of_tenant i)
-      ~sec_id:(sec_id_of_tenant i)
-  done;
+  (* Setup: one section per tenant, then each tenant's far data, then
+     zero the clocks so measurement starts at t=0 for every tenant. *)
+  Runtime.configure rt
+    {
+      Manager.sections =
+        List.init cfg.tenants (fun i ->
+            ( Section.config_default ~sec_id:(sec_id_of_tenant i)
+                ~name:(Printf.sprintf "kv%d" i) ~line:cfg.line ~size:(sec_bytes cfg),
+              [ site_of_tenant i ] ));
+      per_thread = [];
+    };
+  let bases =
+    Array.init cfg.tenants (fun i ->
+        (ms.Memsys.alloc ~tid:i ~site:(site_of_tenant i) ~bytes:(data_bytes cfg)
+           ~heap:true)
+          .Memsys.addr)
+  in
   ms.Memsys.reset_timing ();
   let master = Prng.create cfg.seed in
   let gen = make_generator cfg master in

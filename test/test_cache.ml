@@ -245,68 +245,6 @@ let test_swap_readahead () =
   let st = Swap.stats sw in
   Alcotest.(check int) "readahead count" 2 st.Swap.readahead_pages
 
-let test_swap_resize () =
-  let net, far, clock = make_env () in
-  let sw = Swap.create net far { Swap.page = 4096; capacity = 65536 } in
-  Swap.store sw ~clock ~addr:0 ~len:8 9L;
-  Swap.resize sw ~capacity:8192 ~clock;
-  Alcotest.(check int) "capacity updated" 8192 (Swap.capacity_bytes sw);
-  Alcotest.(check int64) "data survives resize" 9L (Swap.load sw ~clock ~addr:0 ~len:8)
-
-(* A resize keeps the released frames, bytes included, as the new
-   pool's first frames.  Across a shrink/grow history, the resized
-   swap must behave exactly like a freshly created one of each
-   capacity after the same writebacks: same clock, statistics, bytes
-   on the wire and data. *)
-let test_swap_resize_reuses_frames () =
-  let page = 4096 in
-  let cfg capacity = { Swap.page; capacity } in
-  let capacities = [ 16 * page; 3 * page; 24 * page; 8 * page; 8 * page ] in
-  let workload sw clock ~seed =
-    let sum = ref 0L in
-    for i = 0 to 299 do
-      let addr = (((i * 7) + seed) mod 32 * page) + (8 * (i mod 64)) in
-      if i mod 3 = 0 then Swap.store sw ~clock ~addr ~len:8 (Int64.of_int (i + seed))
-      else sum := Int64.add !sum (Swap.load sw ~clock ~addr ~len:8)
-    done;
-    !sum
-  in
-  let counters sw =
-    let st = Swap.stats sw in
-    [ st.Swap.hits; st.Swap.faults; st.Swap.evictions; st.Swap.writebacks;
-      st.Swap.bytes_fetched ]
-  in
-  let run ~reuse =
-    let net, far, clock = make_env () in
-    let sw = ref (Swap.create net far (cfg (List.hd capacities))) in
-    let sums = ref [] and retired = ref [ 0; 0; 0; 0; 0 ] in
-    List.iteri
-      (fun round capacity ->
-        sums := workload !sw clock ~seed:round :: !sums;
-        if reuse then Swap.resize !sw ~capacity ~clock
-        else begin
-          Swap.drop_all !sw ~clock;
-          retired := List.map2 ( + ) !retired (counters !sw);
-          sw := Swap.create net far (cfg capacity)
-        end)
-      (List.tl capacities);
-    sums := workload !sw clock ~seed:99 :: !sums;
-    let s = Net.stats net in
-    ( !sums,
-      List.map2 ( + ) !retired (counters !sw),
-      Clock.now clock,
-      (s.Net.bytes_in, s.Net.bytes_out, s.Net.msg_count) )
-  in
-  let sums, counts, now, wire = run ~reuse:true in
-  let sums', counts', now', wire' = run ~reuse:false in
-  Alcotest.(check (list int64)) "data" sums' sums;
-  Alcotest.(check (list int)) "hits, faults, evictions, writebacks, bytes" counts' counts;
-  Alcotest.(check (float 0.0)) "clock" now' now;
-  Alcotest.(check bool) "bytes on the wire" true (wire = wire')
-
-(* Readahead and prefetch requests that run past the end of far memory
-   are skipped, not posted: a 16-page cluster with 7-page readahead
-   faulting on page 12 reads ahead pages 13-15 only. *)
 let test_swap_prefetch_past_capacity () =
   let mk () =
     let net = Net.create Params.default in
@@ -524,10 +462,7 @@ let test_resident_section () =
   Alcotest.(check bool) "resident" true (Section.resident_section cfg);
   Alcotest.(check int) "a slot holds only the payload" (n * payload_bytes) cfg.Section.size;
   let mgr = Runtime.manager rt in
-  (match Manager.add_section mgr ~clock:(Clock.create ()) cfg with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  Manager.assign_site mgr ~site:3 ~sec_id:1;
+  Runtime.configure rt { Manager.sections = [ (cfg, [ 3 ]) ]; per_thread = [] };
   let ms = Runtime.memsys rt in
   let ptr = ms.Memsys.alloc ~tid:0 ~site:3 ~bytes:(n * line) ~heap:true in
   let base = ptr.Memsys.addr in
@@ -602,42 +537,47 @@ let test_payload_redundant () =
     ~down:(Cluster.node_of_addr (Cluster.create ~capacity:(1 lsl 16) (ec [])) ~addr:0)
 
 let test_manager_budget () =
-  let net, far, clock = make_env () in
+  let net, far, _ = make_env () in
   let m = Manager.create net far ~budget:65536 ~page:4096 in
-  let cfg = cfg_of Section.Direct ~line:64 ~size:16384 in
-  (match Manager.add_section m ~clock cfg with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  Manager.configure m
+    { Manager.sections = [ (cfg_of Section.Direct ~line:64 ~size:16384, []) ]; per_thread = [] };
   Alcotest.(check int) "swap shrank" (65536 - 16384)
     (Swap.capacity_bytes (Manager.swap m));
+  (* A layout that does not fit leaves the swap section as it was. *)
+  let m = Manager.create net far ~budget:65536 ~page:4096 in
   let too_big = { (cfg_of Section.Direct ~line:64 ~size:65536) with Section.sec_id = 2 } in
-  Alcotest.(check bool) "over budget rejected" true
-    (Result.is_error (Manager.add_section m ~clock too_big));
-  Alcotest.(check bool) "duplicate id rejected" true
-    (Result.is_error (Manager.add_section m ~clock cfg));
-  Alcotest.(check int) "rejections leave swap as it was" (65536 - 16384)
+  Alcotest.check_raises "over budget rejected"
+    (Failure "section 2 (65536 B) exceeds local budget (0 B used of 65536)") (fun () ->
+      Manager.configure m { Manager.sections = [ (too_big, []) ]; per_thread = [] });
+  Alcotest.(check int) "rejection leaves swap as it was" 65536
     (Swap.capacity_bytes (Manager.swap m))
 
 let test_manager_routing () =
-  let net, far, clock = make_env () in
+  let net, far, _ = make_env () in
   let m = Manager.create net far ~budget:65536 ~page:4096 in
-  (match Manager.add_section m ~clock (cfg_of Section.Direct ~line:64 ~size:8192) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let gen = Manager.generation m in
-  Manager.assign_site m ~site:3 ~sec_id:1;
-  Alcotest.(check bool) "assignment bumps the generation" true
-    (Manager.generation m <> gen);
-  let routed site =
-    match Manager.route_handle m ~site with
+  let sec id = { (cfg_of Section.Direct ~line:64 ~size:8192) with Section.sec_id = id } in
+  Manager.configure m
+    {
+      Manager.sections = [ (sec 1, [ 3; 5 ]); (sec 2, []); (sec 3, []) ];
+      per_thread = [ (5, [| 2; 3 |]) ];
+    };
+  let routed ?(tid = 0) site =
+    match Manager.route_handle m ~tid ~site with
     | Cache_section.Section s -> Some (Section.config s).Section.sec_id
     | Cache_section.Swap _ -> None
   in
-  Alcotest.(check (option int)) "routed" (Some 1) (routed 3);
-  Alcotest.(check (option int)) "unrouted runs on swap" None (routed 9);
+  (* twice: the second lookup runs on the cached route *)
+  for _ = 1 to 2 do
+    Alcotest.(check (option int)) "routed" (Some 1) (routed 3);
+    Alcotest.(check (option int)) "unrouted runs on swap" None (routed 9);
+    Alcotest.(check (option int)) "per-thread wins, tid 0" (Some 2) (routed 5);
+    Alcotest.(check (option int)) "per-thread, tid 1" (Some 3) (routed ~tid:1 5);
+    Alcotest.(check (option int)) "per-thread, past the last" (Some 3) (routed ~tid:5 5)
+  done;
+  let m = Manager.create net far ~budget:65536 ~page:4096 in
   Alcotest.check_raises "unknown section"
-    (Invalid_argument "Manager.assign_site: no section 7") (fun () ->
-      Manager.assign_site m ~site:4 ~sec_id:7)
+    (Invalid_argument "Manager.configure: site 4: no section 7") (fun () ->
+      Manager.configure m { Manager.sections = [ (sec 1, []) ]; per_thread = [ (4, [| 7 |]) ] })
 
 (* --- the coherence property ---------------------------------------------- *)
 
@@ -820,8 +760,6 @@ let suite =
     Alcotest.test_case "swap eviction" `Quick test_swap_eviction_and_writeback;
     Alcotest.test_case "swap hinted victims" `Quick test_swap_hinted_victims;
     Alcotest.test_case "swap readahead" `Quick test_swap_readahead;
-    Alcotest.test_case "swap resize" `Quick test_swap_resize;
-    Alcotest.test_case "swap resize reuses frames" `Quick test_swap_resize_reuses_frames;
     Alcotest.test_case "swap prefetch past capacity" `Quick test_swap_prefetch_past_capacity;
     Alcotest.test_case "transfer under EC, both caches" `Quick test_transfer_under_ec;
     Alcotest.test_case "payload writeback bytes" `Quick test_payload_writeback_bytes;

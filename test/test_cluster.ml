@@ -328,49 +328,46 @@ let test_of_store_passthrough () =
   Alcotest.(check bool) "no events ever" true (Cluster.next_event_at t = infinity);
   Alcotest.(check int) "no incidents" 0 (List.length (Cluster.poll t ~now:1e12))
 
-(* --- crash during Manager.add_section ------------------------------------ *)
+(* --- crash due before the first access ----------------------------------- *)
 
-let test_crash_during_add_section () =
-  (* A failover due exactly when [add_section] runs must be processed
-     before the rebudget: the manager recovers (dirty lines re-issued,
-     recovery time charged) and then carves the new section out of swap
-     normally. *)
-  let net = Net.create Mira_sim.Params.default in
-  let cluster =
-    Cluster.create ~capacity:(1 lsl 20)
-      (Cluster.mirror ~nodes:2 ~copies:2
-         [ { Cluster.ev_node = 0; ev_at = 10.0; ev_down_for = 1e4 } ])
+let test_crash_before_first_access () =
+  (* Setting the layout touches no cluster state: a failover due before
+     the first far access is processed at that access, like any other
+     crash, and the surviving mirror serves the data. *)
+  let rt =
+    Runtime.create
+      { (Runtime.config_default ~local_budget:65536 ~far_capacity:(1 lsl 20)) with
+        Runtime.cluster =
+          Cluster.mirror ~nodes:2 ~copies:2
+            [ { Cluster.ev_node = 0; ev_at = 1.0; ev_down_for = 1e4 } ] }
   in
-  let mgr =
-    Manager.create net cluster ~budget:65536 ~page:4096
+  let cluster = Runtime.cluster rt in
+  Runtime.configure rt
+    {
+      Manager.sections =
+        [ (Section.config_default ~sec_id:1 ~name:"s" ~line:64 ~size:4096, [ 3 ]) ];
+      per_thread = [];
+    };
+  let ms = Runtime.memsys rt in
+  let ptr = ms.Mira_runtime.Memsys.alloc ~tid:0 ~site:3 ~bytes:128 ~heap:true in
+  let addr = ptr.Mira_runtime.Memsys.addr in
+  Cluster.write_le cluster ~addr ~len:8 1L;
+  Cluster.write_le cluster ~addr:(addr + 64) ~len:8 2L;
+  Alcotest.(check bool) "crash due" true
+    (Cluster.next_event_at cluster <= Clock.now (ms.Mira_runtime.Memsys.clock ~tid:0));
+  Alcotest.(check int) "not processed before the first access" 0
+    (Cluster.stats cluster).Cluster.failovers;
+  let load a =
+    ms.Mira_runtime.Memsys.load ~tid:0 ~ptr:{ ptr with Mira_runtime.Memsys.addr = a } ~len:8
+      ~native:false
   in
-  let clock = Clock.create () in
-  let cfg = Section.config_default ~sec_id:1 ~name:"s" ~line:64 ~size:4096 in
-  (match Manager.add_section mgr ~clock cfg with
-  | Ok s ->
-    (* Dirty a few lines, then advance past the scheduled crash so the
-       failover fires inside the second add_section. *)
-    Section.store s ~clock ~addr:0 ~len:8 1L;
-    Section.store s ~clock ~addr:64 ~len:8 2L;
-    Clock.advance clock 1e6;
-    (match Manager.add_section mgr ~clock { cfg with Section.sec_id = 2 } with
-    | Ok _ -> ()
-    | Error m -> Alcotest.fail m)
-  | Error m -> Alcotest.fail m);
+  Alcotest.(check int64) "data survived the crash" 1L (load addr);
   let st = Cluster.stats cluster in
-  Alcotest.(check int) "failover happened" 1 st.Cluster.failovers;
-  Alcotest.(check bool) "recovery time charged" true
-    (Mira_telemetry.Metrics.hist_count st.Cluster.recovery = 1);
-  Alcotest.(check int) "section added" 2 (List.length (Manager.sections mgr));
-  Alcotest.(check int) "swap rebudgeted" (65536 - 8192)
-    (Mira_cache.Swap_section.capacity_bytes (Manager.swap mgr));
-  (* Post-failover state is coherent: survivors decode the written
-     data. *)
-  Alcotest.(check int64) "data survived the crash" 1L (Cluster.read_le cluster ~addr:0 ~len:8);
-  Alcotest.(check int64) "second line too" 2L (Cluster.read_le cluster ~addr:64 ~len:8);
+  Alcotest.(check int) "failover at the first access" 1 st.Cluster.failovers;
+  Alcotest.(check int) "recovery time recorded" 1
+    (Mira_telemetry.Metrics.hist_count st.Cluster.recovery);
+  Alcotest.(check int64) "second line too" 2L (load (addr + 64));
   Alcotest.(check bool) "never degraded" false (Cluster.degraded cluster)
-
-(* --- end-to-end: bit-identical while within quorum ------------------------ *)
 
 let micro_cfg =
   { Mira_workloads.Micro_sum.config_default with
@@ -526,8 +523,8 @@ let suite =
     Alcotest.test_case "clear resets degraded + stats" `Quick
       test_clear_resets_degraded;
     Alcotest.test_case "of_store passthrough" `Quick test_of_store_passthrough;
-    Alcotest.test_case "crash during add_section" `Quick
-      test_crash_during_add_section;
+    Alcotest.test_case "crash due before the first access" `Quick
+      test_crash_before_first_access;
     Alcotest.test_case "fault-tolerance doc guard" `Quick test_fault_doc_guard;
     QCheck_alcotest.to_alcotest qcheck_quorum_bit_identical;
     Alcotest.test_case "degraded run completes" `Slow test_degraded_run_completes;

@@ -194,15 +194,15 @@ let run_sectioned compiled sections =
          ~far_capacity:(1 lsl 22))
   in
   let mgr = Mira_runtime.Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
+  Mira_runtime.Runtime.configure rt
+    {
+      Mira_cache.Manager.sections = List.map (fun (site, cfg) -> (cfg, [ site ])) sections;
+      per_thread = [];
+    };
   let secs =
     List.map
-      (fun (site, (cfg : Mira_cache.Section.config)) ->
-        match Mira_cache.Manager.add_section mgr ~clock cfg with
-        | Ok sec ->
-          Mira_cache.Manager.assign_site mgr ~site ~sec_id:cfg.Mira_cache.Section.sec_id;
-          sec
-        | Error m -> Alcotest.fail m)
+      (fun (_, (cfg : Mira_cache.Section.config)) ->
+        Option.get (Mira_cache.Manager.find_section mgr ~id:cfg.Mira_cache.Section.sec_id))
       sections
   in
   let misses () =

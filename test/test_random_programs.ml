@@ -389,9 +389,9 @@ let qcheck_resident_preserves =
       let run_resident prog =
         let rt = create () in
         let mgr = Rt.manager rt in
-        let clock = Mira_sim.Clock.create () in
-        List.iteri
-          (fun i (site, (st : Mira_runtime.Profile.site_stat)) ->
+        let sections =
+          List.mapi
+            (fun i (site, (st : Mira_runtime.Profile.site_stat)) ->
             let cfg =
               { (planned site) with
                 Section.sec_id = i + 1;
@@ -408,10 +408,10 @@ let qcheck_resident_preserves =
               { cfg with Section.size = Mira_util.Misc.round_up lines 8 * Section.slot_bytes cfg }
             in
             assert (Section.resident_section cfg);
-            match Mira_cache.Manager.add_section mgr ~clock cfg with
-            | Ok _ -> Mira_cache.Manager.assign_site mgr ~site ~sec_id:(i + 1)
-            | Error m -> Alcotest.fail m)
-          allocated;
+            (cfg, [ site ]))
+            allocated
+        in
+        Rt.configure rt { Mira_cache.Manager.sections; per_thread = [] };
         let v = run_on (Rt.memsys rt) prog in
         (* filled at allocation and never evicted: only the lines a store
            installs without a fetch can miss *)
@@ -478,10 +478,9 @@ let run_sectioned ?(planned = fun _ -> None) compiled =
   let module Rt = Mira_runtime.Runtime in
   let module Section = Mira_cache.Section in
   let rt = Rt.create (Rt.config_default ~local_budget:(16 * 4096) ~far_capacity) in
-  let mgr = Rt.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  List.iteri
-    (fun i (site : Ir.site_info) ->
+  let sections =
+    List.mapi
+      (fun i (site : Ir.site_info) ->
       let cfg =
         match planned site.Ir.si_id with
         | Some cfg ->
@@ -491,10 +490,10 @@ let run_sectioned ?(planned = fun _ -> None) compiled =
                ~line:256 ~size:1024)
             with Section.structure = Section.Direct }
       in
-      match Mira_cache.Manager.add_section mgr ~clock cfg with
-      | Ok _ -> Mira_cache.Manager.assign_site mgr ~site:site.Ir.si_id ~sec_id:(i + 1)
-      | Error m -> Alcotest.fail m)
-    compiled.Ir.p_sites;
+      (cfg, [ site.Ir.si_id ]))
+      compiled.Ir.p_sites
+  in
+  Rt.configure rt { Mira_cache.Manager.sections; per_thread = [] };
   run_on (Rt.memsys rt) compiled
 
 (* The generated streams reach the strip-mined path, in every shape the

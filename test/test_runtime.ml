@@ -116,12 +116,8 @@ let test_runtime_section_routing () =
   let rt = make_runtime () in
   let ms = Runtime.memsys rt in
   let mgr = Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
   let cfg = Section.config_default ~sec_id:1 ~name:"s" ~line:64 ~size:4096 in
-  (match Manager.add_section mgr ~clock cfg with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  Manager.assign_site mgr ~site:7 ~sec_id:1;
+  Runtime.configure rt { Manager.sections = [ (cfg, [ 7 ]) ]; per_thread = [] };
   let ptr = ms.Memsys.alloc ~tid:0 ~site:7 ~bytes:1024 ~heap:true in
   ms.Memsys.store ~tid:0 ~ptr ~len:8 ~native:false ~value:3L;
   let section = Option.get (Manager.find_section mgr ~id:1) in
@@ -183,17 +179,8 @@ let test_runtime_private_sections () =
   let rt = make_runtime () in
   let ms = Runtime.memsys rt in
   let mgr = Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  List.iter
-    (fun id ->
-      match
-        Manager.add_section mgr ~clock
-          (Section.config_default ~sec_id:id ~name:"p" ~line:64 ~size:2048)
-      with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e)
-    [ 1; 2 ];
-  Runtime.set_private_sections rt ~site:5 ~sec_ids:[| 1; 2 |];
+  let sec id = (Section.config_default ~sec_id:id ~name:"p" ~line:64 ~size:2048, []) in
+  Runtime.configure rt { Manager.sections = [ sec 1; sec 2 ]; per_thread = [ (5, [| 1; 2 |]) ] };
   let ptr = ms.Memsys.alloc ~tid:0 ~site:5 ~bytes:512 ~heap:true in
   ignore (ms.Memsys.load ~tid:0 ~ptr ~len:8 ~native:false);
   ignore (ms.Memsys.load ~tid:1 ~ptr ~len:8 ~native:false);
@@ -202,94 +189,32 @@ let test_runtime_private_sections () =
   Alcotest.(check int) "tid0 in section 1" 1 (Section.stats s1).Section.misses;
   Alcotest.(check int) "tid1 in section 2" 1 (Section.stats s2).Section.misses
 
-(* Which caches served one load: "swap" and/or "section <id>", read
-   off the hit and miss counters around it. *)
-let served_by rt ~tid ptr =
-  let mgr = Runtime.manager rt in
-  let tally () =
-    let sw = Swap.stats (Manager.swap mgr) in
-    ("swap", sw.Swap.hits + sw.Swap.faults)
-    :: List.map
-         (fun s ->
-           let st = Section.stats s in
-           ( Printf.sprintf "section %d" (Section.config s).Section.sec_id,
-             st.Section.hits + st.Section.misses ))
-         (Manager.sections mgr)
+(* One configure call, before the first allocation, sets the layout;
+   a layout that cannot be built fails with the reason. *)
+let test_runtime_configure_validation () =
+  let sec ?(size = 2048) id =
+    (Section.config_default ~sec_id:id ~name:"v" ~line:64 ~size, [])
   in
-  let before = tally () in
-  ignore ((Runtime.memsys rt).Memsys.load ~tid ~ptr ~len:8 ~native:false);
-  List.filter_map
-    (fun (k, n) ->
-      if n > Option.value ~default:0 (List.assoc_opt k before) then Some k else None)
-    (tally ())
-
-let add_section mgr ~clock id =
-  match
-    Manager.add_section mgr ~clock
-      (Section.config_default ~sec_id:id ~name:"r" ~line:64 ~size:2048)
-  with
-  | Ok s -> s
-  | Error e -> Alcotest.fail e
-
-(* Routing is resolved once per site and then reused: every
-   reconfiguration must invalidate what was resolved before it. *)
-let test_runtime_route_invalidation () =
+  let configure_fresh layout = Runtime.configure (make_runtime ()) layout in
+  Alcotest.check_raises "over budget"
+    (Failure "section 2 (65536 B) exceeds local budget (2048 B used of 65536)")
+    (fun () ->
+      configure_fresh { Manager.sections = [ sec 1; sec ~size:65536 2 ]; per_thread = [] });
+  Alcotest.check_raises "duplicate id" (Failure "section 1 already exists") (fun () ->
+      configure_fresh { Manager.sections = [ sec 1; sec 1 ]; per_thread = [] });
+  Alcotest.check_raises "no per-thread ids"
+    (Invalid_argument "Manager.configure: site 9 needs at least one section id")
+    (fun () -> configure_fresh { Manager.sections = [ sec 1 ]; per_thread = [ (9, [||]) ] });
   let rt = make_runtime () in
-  let ms = Runtime.memsys rt in
-  let mgr = Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  let ptr = ms.Memsys.alloc ~tid:0 ~site:7 ~bytes:512 ~heap:true in
-  let routes name want =
-    (* twice: the second access runs on the cached route *)
-    for i = 1 to 2 do
-      Alcotest.(check (list string)) (Printf.sprintf "%s (%d)" name i) [ want ]
-        (served_by rt ~tid:0 ptr)
-    done
-  in
-  routes "unassigned" "swap";
-  ignore (add_section mgr ~clock 1);
-  routes "section added, site unassigned" "swap";
-  Manager.assign_site mgr ~site:7 ~sec_id:1;
-  routes "assigned" "section 1";
-  let fresh = add_section mgr ~clock 2 in
-  routes "another section added" "section 1";
-  Manager.assign_site mgr ~site:7 ~sec_id:2;
-  routes "reassigned" "section 2";
-  Alcotest.(check int) "the new section served it" 2
-    ((Section.stats fresh).Section.hits + (Section.stats fresh).Section.misses)
-
-let test_runtime_private_route_invalidation () =
+  Runtime.configure rt { Manager.sections = [ sec 1 ]; per_thread = [] };
+  Alcotest.check_raises "second call"
+    (Invalid_argument "Manager.configure: the layout is already set") (fun () ->
+      Runtime.configure rt { Manager.sections = []; per_thread = [] });
   let rt = make_runtime () in
-  let ms = Runtime.memsys rt in
-  let mgr = Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  let ptr = ms.Memsys.alloc ~tid:0 ~site:9 ~bytes:512 ~heap:true in
-  let routes name tid want =
-    for i = 1 to 2 do
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s, tid %d (%d)" name tid i)
-        [ want ] (served_by rt ~tid ptr)
-    done
-  in
-  ignore (add_section mgr ~clock 2);
-  ignore (add_section mgr ~clock 3);
-  routes "shared" 0 "swap";
-  Runtime.set_private_sections rt ~site:9 ~sec_ids:[| 2; 3 |];
-  routes "private" 0 "section 2";
-  routes "private" 1 "section 3";
-  routes "private, past the last" 5 "section 3";
-  let fresh = add_section mgr ~clock 4 in
-  routes "section added" 1 "section 3";
-  Manager.assign_site mgr ~site:9 ~sec_id:4;
-  routes "private wins over an assignment" 0 "section 2";
-  Runtime.set_private_sections rt ~site:9 ~sec_ids:[| 4 |];
-  routes "set again" 1 "section 4";
-  Alcotest.(check int) "the new section served it" 2
-    ((Section.stats fresh).Section.hits + (Section.stats fresh).Section.misses);
-  Alcotest.check_raises "no section ids"
-    (Invalid_argument
-       "Runtime.set_private_sections: site 9 needs at least one section id")
-    (fun () -> Runtime.set_private_sections rt ~site:9 ~sec_ids:[||])
+  ignore ((Runtime.memsys rt).Memsys.alloc ~tid:0 ~site:1 ~bytes:64 ~heap:true);
+  Alcotest.check_raises "after the first allocation"
+    (Invalid_argument "Runtime.configure: the runtime has already allocated") (fun () ->
+      Runtime.configure rt { Manager.sections = [ sec 1 ]; per_thread = [] })
 
 (* Allocation guard for the hit path: minor words per resident section
    load through [Runtime.memsys], 1 tenant, untraced, on a whole-line
@@ -309,10 +234,7 @@ let test_runtime_hit_words () =
       let rt = make_runtime () in
       let ms = Runtime.memsys rt in
       let mgr = Runtime.manager rt in
-      (match Manager.add_section mgr ~clock:(Mira_sim.Clock.create ()) cfg with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
-      Manager.assign_site mgr ~site:4 ~sec_id:1;
+      Runtime.configure rt { Manager.sections = [ (cfg, [ 4 ]) ]; per_thread = [] };
       let base = ms.Memsys.alloc ~tid:0 ~site:4 ~bytes:1024 ~heap:true in
       let ptrs =
         Array.init 16 (fun i ->
@@ -370,14 +292,12 @@ let test_serving_report_words () =
 let test_runtime_no_page_sharing () =
   let rt = make_runtime () in
   let ms = Runtime.memsys rt in
-  let mgr = Runtime.manager rt in
-  let clock = Mira_sim.Clock.create () in
-  (match
-     Manager.add_section mgr ~clock
-       (Section.config_default ~sec_id:1 ~name:"s" ~line:2048 ~size:8192)
-   with
-  | Ok _ -> Manager.assign_site mgr ~site:1 ~sec_id:1
-  | Error e -> Alcotest.fail e);
+  Runtime.configure rt
+    {
+      Manager.sections =
+        [ (Section.config_default ~sec_id:1 ~name:"s" ~line:2048 ~size:8192, [ 1 ]) ];
+      per_thread = [];
+    };
   (* site 1 sectioned, site 2 on swap, allocated back to back *)
   let p1 = ms.Memsys.alloc ~tid:0 ~site:1 ~bytes:24 ~heap:true in
   let p2 = ms.Memsys.alloc ~tid:0 ~site:2 ~bytes:24 ~heap:true in
@@ -442,10 +362,8 @@ let suite =
     Alcotest.test_case "runtime page from params" `Quick test_runtime_page_from_params;
     Alcotest.test_case "runtime rejects zero tenants" `Quick
       test_runtime_rejects_zero_tenants;
-    Alcotest.test_case "runtime route invalidation" `Quick
-      test_runtime_route_invalidation;
-    Alcotest.test_case "runtime private route invalidation" `Quick
-      test_runtime_private_route_invalidation;
+    Alcotest.test_case "runtime configure validation" `Quick
+      test_runtime_configure_validation;
     Alcotest.test_case "runtime hit allocation" `Quick test_runtime_hit_words;
     Alcotest.test_case "serving report allocation" `Quick test_serving_report_words;
   ]
