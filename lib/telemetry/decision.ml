@@ -23,6 +23,7 @@ type t =
   | Measure of { iteration : int; work_ns : float; best_ns : float }
   | Accept of { iteration : int; work_ns : float }
   | Rollback of { iteration : int; reason : string }
+  | Repeat of { iteration : int; decided_at : int }
 
 let iteration = function
   | Profile_run { iteration; _ }
@@ -34,7 +35,8 @@ let iteration = function
   | Placement_sample { iteration; _ }
   | Measure { iteration; _ }
   | Accept { iteration; _ }
-  | Rollback { iteration; _ } ->
+  | Rollback { iteration; _ }
+  | Repeat { iteration; _ } ->
     iteration
 
 let name = function
@@ -48,6 +50,7 @@ let name = function
   | Measure _ -> "measure"
   | Accept _ -> "accept"
   | Rollback _ -> "rollback"
+  | Repeat _ -> "repeat"
 
 let ints xs = String.concat "," (List.map string_of_int xs)
 
@@ -81,6 +84,9 @@ let render = function
     Printf.sprintf "iteration %d: accepted at %.3f ms" iteration (work_ns /. 1e6)
   | Rollback { iteration; reason } ->
     Printf.sprintf "iteration %d: %s, rolling back" iteration reason
+  | Repeat { iteration; decided_at } ->
+    Printf.sprintf "iteration %d: selection decided at iteration %d, skipped" iteration
+      decided_at
 
 let to_json d =
   let tag n fields =
@@ -130,3 +136,4 @@ let to_json d =
       [ ("work_ns", Json.Float work_ns); ("best_ns", Json.Float best_ns) ]
   | Accept { work_ns; _ } -> tag "accept" [ ("work_ns", Json.Float work_ns) ]
   | Rollback { reason; _ } -> tag "rollback" [ ("reason", Json.Str reason) ]
+  | Repeat { decided_at; _ } -> tag "repeat" [ ("decided_at", Json.Int decided_at) ]

@@ -47,6 +47,9 @@ type t =
       (** the compiled candidate's measured work time vs best so far *)
   | Accept of { iteration : int; work_ns : float }
   | Rollback of { iteration : int; reason : string }
+  | Repeat of { iteration : int; decided_at : int }
+      (** the iteration's selection was accepted or rolled back at
+          iteration [decided_at]; it is not planned or measured again *)
 
 val iteration : t -> int
 

@@ -383,8 +383,8 @@ let test_pinned_placement_decisions () =
           ~initial:"94.702" ~first:"0.346" ~best:"0.117")
 
 (* Two more iterations after the accepted [2,1] plan select the same
-   sites in the same order, so they plan the same sections (with the
-   same ids) rather than a renumbered copy of the plan. *)
+   sites in the same order: that selection is decided, so they are
+   skipped, and iteration 2's plan is the one returned. *)
 let test_repeated_plan_keeps_sections () =
   let prog, opts = pinned_graph () in
   let c = C.optimize { opts with C.max_iterations = 4 } prog in
@@ -396,7 +396,7 @@ let test_repeated_plan_keeps_sections () =
     List.filter_map
       (fun d ->
         match d with
-        | (D.Select _ | D.Plan_section _) when D.iteration d = i ->
+        | (D.Select _ | D.Plan_section _ | D.Repeat _) when D.iteration d = i ->
           let line = D.render d in
           Some
             (if String.starts_with ~prefix line then
@@ -414,7 +414,8 @@ let test_repeated_plan_keeps_sections () =
     (planned 2);
   List.iter
     (fun i ->
-      Alcotest.(check (list string)) (Printf.sprintf "iteration %d" i) (planned 2)
+      Alcotest.(check (list string)) (Printf.sprintf "iteration %d" i)
+        [ "functions=[work] sites=[2,1]"; "selection decided at iteration 2, skipped" ]
         (planned i))
     [ 3; 4 ];
   Alcotest.(check int) "iteration 2's plan kept" 2 c.C.c_iterations

@@ -277,6 +277,12 @@ let test_decision_render () =
   Alcotest.(check string) "rollback"
     "iteration 1: regression, rolling back"
     (Decision.render (Decision.Rollback { iteration = 1; reason = "regression" }));
+  let repeat = Decision.Repeat { iteration = 4; decided_at = 2 } in
+  Alcotest.(check string) "repeat"
+    "iteration 4: selection decided at iteration 2, skipped" (Decision.render repeat);
+  (match Json.member "decided_at" (Decision.to_json repeat) with
+  | Some (Json.Int 2) -> ()
+  | _ -> Alcotest.fail "repeat json missing decided_at");
   let d = Decision.Accept { iteration = 3; work_ns = 2e6 } in
   Alcotest.(check int) "iteration" 3 (Decision.iteration d);
   Alcotest.(check string) "name" "accept" (Decision.name d);
