@@ -11,28 +11,28 @@ let create n =
   in
   { levels = build n [] }
 
-let add t i =
-  let rec go l i =
-    if l < Array.length t.levels then begin
-      let w = t.levels.(l) and j = i / word_bits in
-      let was = w.(j) in
-      w.(j) <- was lor (1 lsl (i mod word_bits));
-      if was = 0 then go (l + 1) j
-    end
-  in
-  go 0 i
+(* Set bit [i] at level [l] and, when its word was empty, the
+   word's summary bit one level up.  Top-level recursions, not local
+   closures: [add] and [remove] run on every swap access. *)
+let rec add_at levels l i =
+  if l < Array.length levels then begin
+    let w = levels.(l) and j = i / word_bits in
+    let was = w.(j) in
+    w.(j) <- was lor (1 lsl (i mod word_bits));
+    if was = 0 then add_at levels (l + 1) j
+  end
 
+let add t i = add_at t.levels 0 i
 let mem t i = t.levels.(0).(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
 
-let remove t i =
-  let rec go l i =
-    if l < Array.length t.levels then begin
-      let w = t.levels.(l) and j = i / word_bits in
-      w.(j) <- w.(j) land lnot (1 lsl (i mod word_bits));
-      if w.(j) = 0 then go (l + 1) j
-    end
-  in
-  if mem t i then go 0 i
+let rec remove_at levels l i =
+  if l < Array.length levels then begin
+    let w = levels.(l) and j = i / word_bits in
+    w.(j) <- w.(j) land lnot (1 lsl (i mod word_bits));
+    if w.(j) = 0 then remove_at levels (l + 1) j
+  end
+
+let remove t i = if mem t i then remove_at t.levels 0 i
 
 let is_empty t = t.levels.(Array.length t.levels - 1).(0) = 0
 

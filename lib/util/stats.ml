@@ -89,23 +89,24 @@ let percentiles xs ps =
 
 let percentile xs p = (percentiles xs [| p |]).(0)
 
-type online = { mutable count : int; mutable m : float; mutable s : float }
+(* All floats, so the record is stored flat and an update boxes
+   nothing; the count stays exact up to 2^53 samples. *)
+type online = { mutable count : float; mutable m : float; mutable s : float }
 
-let online_create () = { count = 0; m = 0.0; s = 0.0 }
+let online_create () = { count = 0.0; m = 0.0; s = 0.0 }
 
 let online_add o x =
-  o.count <- o.count + 1;
+  o.count <- o.count +. 1.0;
   let delta = x -. o.m in
-  o.m <- o.m +. (delta /. float_of_int o.count);
+  o.m <- o.m +. (delta /. o.count);
   o.s <- o.s +. (delta *. (x -. o.m))
 
-let online_count o = o.count
+let online_count o = int_of_float o.count
 let online_mean o = o.m
 
 let online_reset o =
-  o.count <- 0;
+  o.count <- 0.0;
   o.m <- 0.0;
   o.s <- 0.0
 
-let online_stddev o =
-  if o.count < 2 then 0.0 else sqrt (o.s /. float_of_int o.count)
+let online_stddev o = if o.count < 2.0 then 0.0 else sqrt (o.s /. o.count)
