@@ -221,6 +221,33 @@ let qcheck_index_set =
           && List.for_all (fun i -> Index_set.mem s i = model.(i)) (List.init n Fun.id))
         ops)
 
+(* The accumulator keeps its count as a float so its record is flat;
+   against the int-count Welford it replaced, the count, mean and
+   stddev are the same bits on any stream. *)
+let qcheck_online_welford =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 300)
+        (oneof [ float_bound_inclusive 1e4; float_range (-1e12) 1e12; float ]))
+  in
+  QCheck.Test.make ~name:"Stats.online matches the int-count Welford" ~count:300
+    (QCheck.make gen) (fun xs ->
+      let o = Stats.online_create () in
+      let count = ref 0 and m = ref 0.0 and s = ref 0.0 in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun x ->
+          Stats.online_add o x;
+          incr count;
+          let delta = x -. !m in
+          m := !m +. (delta /. float_of_int !count);
+          s := !s +. (delta *. (x -. !m));
+          let sd = if !count < 2 then 0.0 else sqrt (!s /. float_of_int !count) in
+          Stats.online_count o = !count
+          && same (Stats.online_mean o) !m
+          && same (Stats.online_stddev o) sd)
+        xs)
+
 (* Same answers as a plain table, and folds in the plain table's order
    (float sums over per-thread state depend on it), for small, large
    and negative ids alike. *)
@@ -258,5 +285,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_percentiles;
     QCheck_alcotest.to_alcotest qcheck_round_up;
     QCheck_alcotest.to_alcotest qcheck_index_set;
+    QCheck_alcotest.to_alcotest qcheck_online_welford;
     QCheck_alcotest.to_alcotest qcheck_tid_map;
   ]
