@@ -45,6 +45,25 @@ let bench_swap_hit =
       i := (!i + 1) land 127;
       ignore (Swap.load sw ~clock ~addr:(!i * 4096) ~len:8)))
 
+(* The page path a FastSwap run spends its host time on: a load
+   stream over 512 pages through a 64-frame swap section that reads
+   ahead the 7 pages after each faulting page, one store in four, so a
+   fault posts a demand read and 7 prefetches, and installing them
+   evicts 8 frames and writes back the dirty ones.  One op is one load
+   or store: one fault per 8 ops, every op moves a page. *)
+let bench_swap_fault =
+  let net = Mira_sim.Net.create Mira_sim.Params.default in
+  let far = Mira_sim.Cluster.of_store (Mira_sim.Far_store.create ~capacity:(1 lsl 22)) in
+  let clock = Mira_sim.Clock.create () in
+  let sw = Swap.create net far { Swap.page = 4096; capacity = 64 * 4096 } in
+  Swap.set_readahead sw (fun _ -> (1, 7));
+  let i = ref 0 in
+  Test.make ~name:"swap fault, 7-page readahead" (Staged.stage (fun () ->
+      i := (!i + 1) land 511;
+      let addr = (!i * 4096) + (8 * (!i land 7)) in
+      if !i land 3 = 0 then Swap.store sw ~clock ~addr ~len:8 1L
+      else ignore (Swap.load sw ~clock ~addr ~len:8)))
+
 (* Steady-state eviction in a full 256-frame swap cache: every load of
    a page outside the warm set faults and evicts.  With [~hinted] the
    page loaded last is marked evict-first before each load; it sits in
@@ -217,6 +236,7 @@ let tests () =
       bench_swap_hit;
       bench_swap_evict ~hinted:false;
       bench_swap_evict ~hinted:true;
+      bench_swap_fault;
       bench_value_codec;
       bench_sched_dispatch;
       bench_sched_in_place;

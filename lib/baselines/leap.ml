@@ -49,12 +49,12 @@ let create ?(params = Sim.Params.default) ~local_budget ~far_capacity () =
       | None ->
         (* No trend: shrink the window like Leap's controller. *)
         state.depth <- max 1 (state.depth / 2);
-        []
+        (1, 0)
       | Some delta ->
         (* A fault despite an active trend means the previous prefetch
            was insufficient or wrong; grow cautiously. *)
         state.depth <- min max_prefetch (state.depth * 2);
-        List.init state.depth (fun i -> pno + (delta * (i + 1))));
+        (delta, state.depth));
   let ms = Rt.Runtime.memsys rt in
   {
     ms with

@@ -137,7 +137,6 @@ type completion = {
   id : int;
   req : Request.t;
   submitted_at : float;  (** when [submit] accepted the request *)
-  posted_at : float;  (** when its doorbell rang (>= submitted_at) *)
   done_at : float;  (** completion (or final failure-detection) time *)
   attempts : int;  (** 1 + retries actually performed *)
   status : status;

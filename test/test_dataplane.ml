@@ -294,7 +294,7 @@ let test_swap_readahead_coalesces () =
       Swap.create net far
         { Swap.page = 4096; capacity = 8 * 4096 }
     in
-    Swap.set_readahead swap (fun pno -> List.init 7 (fun i -> pno + i + 1));
+    Swap.set_readahead swap (fun _ -> (1, 7));
     let clock = Clock.create () in
     for i = 0 to 255 do
       ignore (Swap.load swap ~clock ~addr:(i * 512) ~len:8)
