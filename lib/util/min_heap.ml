@@ -67,8 +67,6 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
 let top t =
   if t.size = 0 then invalid_arg "Min_heap.top: empty heap";
   t.data.(0)

@@ -10,7 +10,7 @@
     order among ties is unspecified; callers that need stability must
     fold an insertion index into [le].
 
-    [push]/[pop] are O(log n), [peek] O(1), and the backing array
+    [push]/[pop] are O(log n), [top] O(1), and the backing array
     doubles on demand, so a heap that is pushed and popped in steady
     state allocates nothing per operation. *)
 
@@ -24,12 +24,9 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** Smallest element, not removed. *)
-
 val top : 'a t -> 'a
-(** Smallest element, not removed, without the option box of [peek].
-    Raises [Invalid_argument] on an empty heap. *)
+(** Smallest element, not removed.  Raises [Invalid_argument] on an
+    empty heap. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)

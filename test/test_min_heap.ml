@@ -25,12 +25,11 @@ let test_empty () =
   let h = Heap.create ~le:(fun (a : int) b -> a <= b) in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
   Alcotest.(check int) "length" 0 (Heap.length h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek h);
   Alcotest.(check (option int)) "pop" None (Heap.pop h);
   Heap.push h 3;
   Heap.push h 1;
   Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
+  Alcotest.(check int) "top min" 1 (Heap.top h);
   Alcotest.(check int) "length 3" 3 (Heap.length h);
   Heap.clear h;
   Alcotest.(check bool) "cleared" true (Heap.is_empty h);
