@@ -131,6 +131,55 @@ let test_fastswap_thread_contention () =
   (* swap-lock contention must erode scaling: 8 threads cannot be 8x *)
   Alcotest.(check bool) "sublinear scaling" true (t8 > t1 /. 8.0)
 
+(* The compute contract of [Memsys.t] the interpreter charges against:
+   [clock ~tid] is one object for the life of the memory system, and
+   [op_cost ~tid ns] adds exactly [ns] to it, or [ns] scaled by
+   [remote_compute_slowdown] while the thread runs offloaded on a
+   system that models offload. *)
+let test_compute_contract () =
+  let module Ms = Mira_runtime.Memsys in
+  let module Clock = Mira_sim.Clock in
+  let p = Mira_sim.Params.default in
+  let budget = 1 lsl 16 in
+  let slow = p.Mira_sim.Params.remote_compute_slowdown in
+  let systems =
+    [
+      ("native", Mira_baselines.Native.create ~capacity:far_capacity (), 1.0);
+      ("fastswap", Mira_baselines.Fastswap.create ~local_budget:budget ~far_capacity (), slow);
+      ("leap", Mira_baselines.Leap.create ~local_budget:budget ~far_capacity (), slow);
+      ("aifm", Mira_baselines.Aifm.create ~local_budget:budget ~far_capacity (), 1.0);
+      ( "mira",
+        Mira_runtime.Runtime.(
+          memsys (create (config_default ~local_budget:budget ~far_capacity))),
+        slow );
+    ]
+  in
+  List.iter
+    (fun (name, (ms : Ms.t), scale) ->
+      let check what tid ns expected_scale =
+        let c = ms.Ms.clock ~tid in
+        let before = Clock.now c in
+        ms.Ms.op_cost ~tid ns;
+        Alcotest.(check int64) (Printf.sprintf "%s: %s" name what)
+          (Int64.bits_of_float (before +. (ns *. expected_scale)))
+          (Int64.bits_of_float (Clock.now c))
+      in
+      let c0 = ms.Ms.clock ~tid:0 and c1 = ms.Ms.clock ~tid:1 in
+      check "op_cost" 0 0.1 1.0;
+      check "op_cost again" 0 0.05 1.0;
+      check "op_cost, thread 1" 1 0.3 1.0;
+      ms.Ms.offload_begin ~tid:0;
+      check "offloaded op_cost" 0 0.7 scale;
+      check "op_cost, other thread" 1 0.7 1.0;
+      ms.Ms.offload_end ~tid:0;
+      check "op_cost after offload" 0 0.7 1.0;
+      ms.Ms.reset_timing ();
+      Alcotest.(check bool) (name ^ ": same clock") true (ms.Ms.clock ~tid:0 == c0);
+      Alcotest.(check bool) (name ^ ": same clock, thread 1") true
+        (ms.Ms.clock ~tid:1 == c1);
+      check "op_cost after reset" 0 0.1 1.0)
+    systems
+
 let test_leap_majority_vote () =
   let module L = Mira_baselines.Leap in
   (* steady stride of 1 (newest first: 9,8,7,...) *)
@@ -155,4 +204,5 @@ let suite =
     Alcotest.test_case "aifm metadata oom" `Quick test_aifm_oom_on_fine_granularity;
     Alcotest.test_case "aifm deref overhead" `Quick test_aifm_deref_overhead_at_full_memory;
     Alcotest.test_case "fastswap contention" `Quick test_fastswap_thread_contention;
+    Alcotest.test_case "compute contract" `Quick test_compute_contract;
   ]
