@@ -5,7 +5,8 @@
     thread's simulated clock; loads/stores move real data through the
     memory system; [ParFor] partitions iterations over the configured
     number of simulated threads with fork/join clock semantics;
-    offloaded functions run in far-node mode behind an RPC.
+    offloaded functions run in far-node mode behind an RPC.  Each
+    function body is compiled to closures on its first call.
 
     The machine is deterministic given its seed (the [rand_int]
     intrinsic is the only source of randomness). *)

@@ -36,7 +36,7 @@ let bits_ptr bits =
 
 let encode ty v =
   match (ty, v) with
-  | _, Vint i when Types.equal ty Types.F64 -> Int64.bits_of_float (Int64.to_float i)
+  | Types.F64, Vint i -> Int64.bits_of_float (Int64.to_float i)
   | Types.F64, Vfloat f -> Int64.bits_of_float f
   | Types.F64, _ -> invalid_arg "Value.encode: expected float"
   | (Types.I64 | Types.Bool), Vint i -> i

@@ -32,8 +32,13 @@ type t = {
       (** Invalidate cached data of the given sites without write-back
           (executed after an offloaded call mutated far memory). *)
   clock : tid:int -> Mira_sim.Clock.t;
+      (** The thread's clock: the same object on every call, also after
+          [reset_timing], so callers may keep it. *)
   op_cost : tid:int -> float -> unit;
-      (** Charge compute time (scaled if the thread runs offloaded). *)
+      (** Charge compute time: advance [clock ~tid] by exactly [ns], or
+          by [ns *. remote_compute_slowdown] between [offload_begin] and
+          [offload_end] on systems that model offload.  The interpreter
+          advances the clock itself outside offload. *)
   enter : tid:int -> string -> unit;  (** profiling: function entry *)
   exit_ : tid:int -> string -> unit;
   offload_begin : tid:int -> unit;
