@@ -350,8 +350,8 @@ let fig11_12 () =
   (* the ILP choice from the sampled curves *)
   let cands =
     [
-      { Mira_cache.Sizing.cand_id = 2; options = Array.of_list !node_curve };
-      { Mira_cache.Sizing.cand_id = 3; options = Array.of_list !rnd_curve };
+      { Mira_cache.Sizing.cand_id = 2; options = Array.of_list !node_curve; aborted = [] };
+      { Mira_cache.Sizing.cand_id = 3; options = Array.of_list !rnd_curve; aborted = [] };
     ]
   in
   (match Mira_cache.Sizing.solve ~budget:avail cands with

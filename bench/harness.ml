@@ -73,8 +73,9 @@ end
 let measured ctx = Mira_passes.Instrument.run_only ctx.prog ~names:[ C.work_function ctx.prog ]
 
 (* Simulated work time for one system at one local-memory budget;
-   for Mira also the (iteration, work_ns) trajectory from the
-   controller's decision trace. *)
+   for Mira also the trajectory from the controller's decision trace:
+   each iteration's work_ns, or aborted_past_ns for a measure stopped
+   past twice the best. *)
 let run_detail ctx ~budget system =
   let p = ctx.params in
   try
@@ -119,9 +120,11 @@ let run_detail ctx ~budget system =
         List.filter_map
           (function
             | Decision.Profile_run { iteration; work_ns } ->
-              Some (iteration, work_ns)
+              Some (iteration, "work_ns", work_ns)
             | Decision.Measure { iteration; work_ns; _ } ->
-              Some (iteration, work_ns)
+              Some (iteration, "work_ns", work_ns)
+            | Decision.Measure_aborted { iteration; limit_ns; _ } ->
+              Some (iteration, "aborted_past_ns", limit_ns)
             | _ -> None)
           compiled.C.c_log
       in
@@ -187,9 +190,8 @@ let outcome_json ~native (outcome, trajectory) name =
         ( "iterations",
           Json.List
             (List.map
-               (fun (i, ns) ->
-                 Json.Obj
-                   [ ("iteration", Json.Int i); ("work_ns", Json.Float ns) ])
+               (fun (i, field, ns) ->
+                 Json.Obj [ ("iteration", Json.Int i); (field, Json.Float ns) ])
                points) );
       ]
   in

@@ -1,6 +1,7 @@
 type candidate = {
   cand_id : int;
   options : (int * float) array;
+  aborted : int list;
 }
 
 type solution = { assignment : (int * int) list; total_overhead : float }
@@ -26,11 +27,15 @@ let solve_brute ~budget candidates =
   | None -> Error "no feasible section size assignment fits the budget"
 
 (* Branch and bound: identical search ordered by overhead with a
-   lower-bound prune (sum of per-candidate minima of the remainder). *)
+   lower-bound prune (sum of per-candidate minima of the remainder).
+   Among equal overheads a measured option is tried before an aborted
+   one, and only a strictly lower total replaces the best, so a tie goes
+   to the measured option. *)
 let solve ~budget candidates =
   let sorted_opts c =
     let opts = Array.copy c.options in
-    Array.sort (fun (_, a) (_, b) -> compare a b) opts;
+    let key (size, overhead) = (overhead, List.mem size c.aborted) in
+    Array.sort (fun a b -> compare (key a) (key b)) opts;
     opts
   in
   let cands = List.map (fun c -> (c, sorted_opts c)) candidates in

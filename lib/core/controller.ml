@@ -140,35 +140,95 @@ let measure_work ms machine =
   in
   (result, work_ns)
 
+(* A size sample or a measure whose work time passes [abort_factor]
+   times the best work time known has lost: its run is stopped there. *)
+let abort_factor = 2.0
+
+type outcome =
+  | Completed of float * Profile.t  (** work time and the run's profile *)
+  | Aborted of float  (** stopped once its work time passed this *)
+
+(* [ms] with every thread clock limited to [limit] ns of work time:
+   each entry to [work] arms the clocks handed out so far, and those
+   handed out later, at the time left to it; the exit disarms them.
+   A clock checks its limit when it stalls (see [Clock.set_limit]). *)
+let bounded (ms : Mira_runtime.Memsys.t) limit =
+  let module Clock = Mira_sim.Clock in
+  let clocks = ref [] and armed = ref infinity in
+  let spent = ref 0.0 and entered = ref 0.0 in
+  let arm at =
+    armed := at;
+    List.iter (fun c -> Clock.set_limit c at) !clocks
+  in
+  let clock ~tid =
+    let c = ms.clock ~tid in
+    if not (List.memq c !clocks) then begin
+      clocks := c :: !clocks;
+      Clock.set_limit c !armed
+    end;
+    c
+  in
+  {
+    ms with
+    clock;
+    enter =
+      (fun ~tid name ->
+        ms.enter ~tid name;
+        if name = "work" then begin
+          entered := Clock.now (clock ~tid);
+          arm (!entered +. limit -. !spent)
+        end);
+    exit_ =
+      (fun ~tid name ->
+        if name = "work" then begin
+          spent := !spent +. (Clock.now (clock ~tid) -. !entered);
+          arm infinity
+        end;
+        ms.exit_ ~tid name);
+  }
+
 (* Evaluate a (program, assignments) pair on a fresh runtime; the
-   program must already carry the instrumentation it needs.  Returns
-   the work time and the run's profile: nothing else of the runtime is
-   kept, so its far stores die with it. *)
-let simulate opts program assignments =
+   program must already carry the instrumentation it needs.  Nothing
+   of the runtime is kept but the run's profile, so its far stores die
+   with it.  A run whose work time passes [limit] is stopped there, and
+   the trace events it emitted are dropped: they would hang off the
+   access it stopped in, whose span never closes. *)
+let simulate ~limit opts program assignments =
   let rt = make_runtime opts assignments in
   let ms = Runtime.memsys rt in
+  let ms = if Float.is_finite limit then bounded ms limit else ms in
   let machine =
     Machine.create ~nthreads:opts.nthreads ~seed:opts.seed
       ~honor_offload:opts.feat_offload ms program
   in
-  let _, work_ns = measure_work ms machine in
-  (work_ns, Runtime.profile rt)
+  let rewind = Trace.mark () in
+  match measure_work ms machine with
+  | _, work_ns when work_ns > limit -> Aborted limit (* passed it computing *)
+  | _, work_ns -> Completed (work_ns, Runtime.profile rt)
+  | exception Mira_sim.Clock.Past_limit ->
+    rewind ();
+    Aborted limit
 
 (* [simulate] behind a memo that lives for one search.  A fresh runtime
    and a fixed-seed machine make a run a pure function of (options,
    program, assignments), so a configuration the search has already
-   simulated returns its stored result.  The key holds the whole options
-   record because the placement search varies [cluster].  Only completed
-   runs are stored: one that raised raises again when repeated. *)
+   simulated returns what a new run would: a completed run its result,
+   or an abort if its work time passes the new limit; a run aborted at
+   [l] an abort under any limit up to [l].  Only a run aborted under a
+   smaller limit runs again.  The key holds the whole options record
+   because the placement search varies [cluster].  A run that raised
+   raises again when repeated. *)
 let memo_eval () =
   let memo = ref [] in
-  fun opts program assignments ->
+  fun ~limit opts program assignments ->
     let key = (opts, program, assignments) in
     match List.assoc_opt key !memo with
-    | Some result -> result
-    | None ->
-      let result = simulate opts program assignments in
-      memo := (key, result) :: !memo;
+    | Some (Completed (work_ns, _)) when work_ns > limit -> Aborted limit
+    | Some (Completed _ as result) -> result
+    | Some (Aborted past) when limit <= past -> Aborted limit
+    | Some (Aborted _) | None ->
+      let result = simulate ~limit opts program assignments in
+      memo := (key, result) :: List.remove_assoc key !memo;
       result
 
 (* --- analysis aggregation ------------------------------------------------ *)
@@ -300,7 +360,7 @@ let site_summaries program sites =
 (* Budget fractions sampled for a non-sequential section. *)
 let size_samples = [ 0.15; 0.35; 0.7 ]
 
-let size_specs ~eval opts specs ~compile ~iter =
+let size_specs ~eval opts specs ~compile ~iter ~best_ns =
   let page = opts.params.Params.page_size in
   let budget = opts.local_budget in
   let body_ops_hint = 64 in
@@ -394,6 +454,11 @@ let size_specs ~eval opts specs ~compile ~iter =
       | Some (r, bytes) when size >= bytes -> { a_spec = r; a_size = bytes }
       | Some _ | None -> { a_spec = spec; a_size = clamp_spec spec size }
     in
+    (* Each section's sizes run largest first, so its own fastest sample
+       bounds its smaller ones; they are logged and scored in ascending
+       order.  A sample that fails is dropped; an aborted one is scored
+       with the bound it passed (see Sizing). *)
+    let fastest = ref best_ns in
     let sample_logs = ref [] in
     let candidates =
       List.mapi
@@ -411,7 +476,8 @@ let size_specs ~eval opts specs ~compile ~iter =
                 size_samples
             |> List.sort_uniq compare
           in
-          let options =
+          let sec_id = spec.Section_planner.sp_cfg.Section.sec_id in
+          let samples =
             List.filter_map
               (fun size ->
                 if size > avail then None
@@ -424,26 +490,33 @@ let size_specs ~eval opts specs ~compile ~iter =
                           else assign s (min equal_share (avail - size) / max 1 (k - 1)))
                         nonseq
                   in
-                  match eval opts (compile assignments) assignments with
-                  | work_ns, _ ->
-                    sample_logs :=
-                      Decision.Size_sample
-                        {
-                          iteration = iter;
-                          sec_id = spec.Section_planner.sp_cfg.Section.sec_id;
-                          size;
-                          resident = size = top && form <> None;
-                          work_ns;
-                        }
-                      :: !sample_logs;
-                    Some (size, work_ns)
+                  let resident = size = top && form <> None in
+                  let limit = abort_factor *. !fastest in
+                  match eval ~limit opts (compile assignments) assignments with
+                  | Completed (work_ns, _) ->
+                    fastest := Float.min !fastest work_ns;
+                    Some
+                      ( Decision.Size_sample
+                          { iteration = iter; sec_id; size; resident; work_ns },
+                        (size, work_ns) )
+                  | Aborted limit_ns ->
+                    Some
+                      ( Decision.Sample_aborted
+                          { iteration = iter; sec_id; size; resident; limit_ns },
+                        (size, limit_ns) )
                   | exception _ -> None
                 end)
-              sample_sizes
+              (List.rev sample_sizes)
+            |> List.rev
           in
+          sample_logs := List.rev_append (List.map fst samples) !sample_logs;
           {
-            Sizing.cand_id = spec.Section_planner.sp_cfg.Section.sec_id;
-            options = Array.of_list options;
+            Sizing.cand_id = sec_id;
+            options = Array.of_list (List.map snd samples);
+            aborted =
+              List.filter_map
+                (function Decision.Sample_aborted { size; _ }, _ -> Some size | _ -> None)
+                samples;
           })
         nonseq
     in
@@ -506,6 +579,11 @@ let build_plan_for opts assignments ~instrument =
 
 let search opts original =
   let eval = memo_eval () in
+  let unbounded opts program assignments =
+    match eval ~limit:infinity opts program assignments with
+    | Completed (work_ns, profile) -> (work_ns, profile)
+    | Aborted _ -> assert false (* no limit *)
+  in
   let log = ref [] in
   (* Controller phases happen in host time, which the simulation never
      sees; to still give them a trace lane we lay them out on a
@@ -531,7 +609,7 @@ let search opts original =
   (* Iteration 0: generic swap, fully instrumented. *)
   phase "profile";
   let prog0 = Instrument.run original in
-  let base_ns, profile0 = eval opts prog0 [] in
+  let base_ns, profile0 = unbounded opts prog0 [] in
   decide (Decision.Profile_run { iteration = 0; work_ns = base_ns });
   (* Placement axis: how stripes map to cluster nodes is searched like
      section sizing — measure the instrumented baseline under each
@@ -550,7 +628,7 @@ let search opts original =
                 cluster =
                   { opts.cluster with Mira_sim.Cluster.placement = pl } }
             in
-            let ns, _ = eval o prog0 [] in
+            let ns, _ = unbounded o prog0 [] in
             decide
               (Decision.Placement_sample
                  {
@@ -643,8 +721,9 @@ let search opts original =
           ~params:opts.params
       in
       phase "size";
+      let best_ns, _, _, _, _ = !best in
       let assignments, sample_log =
-        size_specs ~eval opts specs ~compile ~iter:!i
+        size_specs ~eval opts specs ~compile ~iter:!i ~best_ns
       in
       List.iter decide sample_log;
       List.iter
@@ -671,9 +750,9 @@ let search opts original =
       let plan = build_plan_for opts assignments ~instrument:true in
       let prog = Mira_passes.Pipeline.apply original plan ~params:opts.params in
       decided := (sites, !i) :: !decided;
-      match eval opts prog assignments with
-      | work_ns, run_profile ->
-        let best_ns, _, _, _, _ = !best in
+      let limit = if opts.always_accept then infinity else abort_factor *. best_ns in
+      match eval ~limit opts prog assignments with
+      | Completed (work_ns, run_profile) ->
         decide
           (Decision.Measure { iteration = !i; work_ns; best_ns });
         if work_ns < best_ns || opts.always_accept then begin
@@ -690,6 +769,17 @@ let search opts original =
           phase "rollback";
           decide (Decision.Rollback { iteration = !i; reason = "regression" })
         end
+      | Aborted limit_ns ->
+        decide (Decision.Measure_aborted { iteration = !i; limit_ns; best_ns });
+        phase "rollback";
+        decide
+          (Decision.Rollback
+             {
+               iteration = !i;
+               reason =
+                 Printf.sprintf "aborted past %.3f ms (%gx best)" (limit_ns /. 1e6)
+                   abort_factor;
+             })
       | exception e ->
         phase "rollback";
         decide

@@ -63,8 +63,11 @@ val optimize : options -> Mira_mir.Ir.program -> compiled
     configuration (options, instrumented program, section assignments)
     once: a repeat within the same call reuses the stored work time and
     profile, so it gives the same decisions as a fresh run.  Nothing is
-    kept across calls.  The log level follows [verbose] during the
-    search, and the caller's level is restored on return. *)
+    kept across calls.  A size sample or a measure is stopped once its
+    work time passes twice the best known, and logged as
+    [Sample_aborted] or [Measure_aborted] (not under [always_accept],
+    whose measures run to the end).  The log level follows [verbose]
+    during the search, and the caller's level is restored on return. *)
 
 val instantiate :
   compiled -> Mira_runtime.Runtime.t * Mira_interp.Machine.t

@@ -13,12 +13,16 @@ let event_name = function
 type t = {
   mutable now : float;
   mutable stalled : float;
+  mutable limit : float;  (* infinity when unset *)
   mutable observer : (event -> float -> unit) option;
 }
 
-let create () = { now = 0.0; stalled = 0.0; observer = None }
+exception Past_limit
+
+let create () = { now = 0.0; stalled = 0.0; limit = infinity; observer = None }
 let now t = t.now
 let set_observer t obs = t.observer <- obs
+let set_limit t limit = t.limit <- limit
 
 let notify t ev =
   match t.observer with None -> () | Some f -> f ev t.now
@@ -43,6 +47,7 @@ let wait_event t ~ev deadline =
     let stall = deadline -. t.now in
     t.now <- deadline;
     t.stalled <- t.stalled +. stall;
+    if deadline > t.limit then raise Past_limit;
     notify t ev;
     stall
   end
@@ -54,4 +59,5 @@ let stalled_ns t = t.stalled
 
 let reset t =
   t.now <- 0.0;
-  t.stalled <- 0.0
+  t.stalled <- 0.0;
+  t.limit <- infinity

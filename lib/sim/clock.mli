@@ -38,6 +38,18 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time in nanoseconds. *)
 
+exception Past_limit
+(** Raised by the stall that takes a clock past its {!set_limit}. *)
+
+val set_limit : t -> float -> unit
+(** [set_limit t l] makes the first stall ({!wait_until} or
+    {!wait_event}) that ends past [l] ns raise [Past_limit], after the
+    clock has moved; a stall to exactly [l] does not.  {!advance} is
+    not checked, so compute costs nothing more: a clock it takes past
+    [l] raises at its next stall.  [infinity], the initial limit, sets
+    none.  The controller uses it to stop a run that has already lost,
+    and a losing run loses on stalls. *)
+
 val advance : t -> float -> unit
 (** [advance t dt] moves time forward by [dt] ns.  Raises
     [Invalid_argument] when [dt] is NaN, negative, or negative zero —
@@ -52,7 +64,8 @@ val wait_until : ?ev:event -> t -> float -> float
 
 val wait_event : t -> ev:event -> float -> float
 (** [wait_until] with a mandatory event kind (the migrated data-path
-    call sites: net completions, cache fills, fences). *)
+    call sites: net completions, cache fills, fences).  Both raise
+    [Past_limit] when the deadline is past the clock's limit. *)
 
 val stalled_ns : t -> float
 (** Total time this clock has spent in [wait_until] stalls since
@@ -60,8 +73,8 @@ val stalled_ns : t -> float
     attribution ledger is checked against. *)
 
 val reset : t -> unit
-(** Set time back to 0 and clear the stall accumulator (between
-    independent runs).  The scheduler hook, if any, is kept. *)
+(** Set time back to 0, clear the stall accumulator and the limit
+    (between independent runs).  The scheduler hook, if any, is kept. *)
 
 val set_observer : t -> (event -> float -> unit) option -> unit
 (** Install (or clear) the movement hook: called with the event kind

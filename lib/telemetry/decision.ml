@@ -18,9 +18,17 @@ type t =
       sites : int list;
     }
   | Size_sample of { iteration : int; sec_id : int; size : int; resident : bool; work_ns : float }
+  | Sample_aborted of {
+      iteration : int;
+      sec_id : int;
+      size : int;
+      resident : bool;
+      limit_ns : float;
+    }
   | Joint_sample of { iteration : int; work_ns : float }
   | Placement_sample of { iteration : int; placement : string; work_ns : float }
   | Measure of { iteration : int; work_ns : float; best_ns : float }
+  | Measure_aborted of { iteration : int; limit_ns : float; best_ns : float }
   | Accept of { iteration : int; work_ns : float }
   | Rollback of { iteration : int; reason : string }
   | Repeat of { iteration : int; decided_at : int }
@@ -31,9 +39,11 @@ let iteration = function
   | Analyze { iteration; _ }
   | Plan_section { iteration; _ }
   | Size_sample { iteration; _ }
+  | Sample_aborted { iteration; _ }
   | Joint_sample { iteration; _ }
   | Placement_sample { iteration; _ }
   | Measure { iteration; _ }
+  | Measure_aborted { iteration; _ }
   | Accept { iteration; _ }
   | Rollback { iteration; _ }
   | Repeat { iteration; _ } ->
@@ -45,9 +55,11 @@ let name = function
   | Analyze _ -> "analyze"
   | Plan_section _ -> "plan_section"
   | Size_sample _ -> "size_sample"
+  | Sample_aborted _ -> "sample_aborted"
   | Joint_sample _ -> "joint_sample"
   | Placement_sample _ -> "placement_sample"
   | Measure _ -> "measure"
+  | Measure_aborted _ -> "measure_aborted"
   | Accept _ -> "accept"
   | Rollback _ -> "rollback"
   | Repeat _ -> "repeat"
@@ -72,6 +84,10 @@ let render = function
     Printf.sprintf "  sample sec%d size=%dK%s work=%.2fms" sec_id (size / 1024)
       (if resident then " resident" else "")
       (work_ns /. 1e6)
+  | Sample_aborted { sec_id; size; resident; limit_ns; _ } ->
+    Printf.sprintf "  sample sec%d size=%dK%s aborted past %.2fms" sec_id (size / 1024)
+      (if resident then " resident" else "")
+      (limit_ns /. 1e6)
   | Joint_sample { work_ns; _ } ->
     Printf.sprintf "  joint allocation: work=%.2fms" (work_ns /. 1e6)
   | Placement_sample { placement; work_ns; _ } ->
@@ -80,6 +96,9 @@ let render = function
   | Measure { iteration; work_ns; best_ns } ->
     Printf.sprintf "iteration %d: work=%.3f ms (best %.3f ms)" iteration
       (work_ns /. 1e6) (best_ns /. 1e6)
+  | Measure_aborted { iteration; limit_ns; best_ns } ->
+    Printf.sprintf "iteration %d: aborted past %.3f ms (best %.3f ms)" iteration
+      (limit_ns /. 1e6) (best_ns /. 1e6)
   | Accept { iteration; work_ns } ->
     Printf.sprintf "iteration %d: accepted at %.3f ms" iteration (work_ns /. 1e6)
   | Rollback { iteration; reason } ->
@@ -126,6 +145,14 @@ let to_json d =
         ("resident", Json.Bool resident);
         ("work_ns", Json.Float work_ns);
       ]
+  | Sample_aborted { sec_id; size; resident; limit_ns; _ } ->
+    tag "sample_aborted"
+      [
+        ("sec_id", Json.Int sec_id);
+        ("size_bytes", Json.Int size);
+        ("resident", Json.Bool resident);
+        ("aborted_past_ns", Json.Float limit_ns);
+      ]
   | Joint_sample { work_ns; _ } ->
     tag "joint_sample" [ ("work_ns", Json.Float work_ns) ]
   | Placement_sample { placement; work_ns; _ } ->
@@ -134,6 +161,9 @@ let to_json d =
   | Measure { work_ns; best_ns; _ } ->
     tag "measure"
       [ ("work_ns", Json.Float work_ns); ("best_ns", Json.Float best_ns) ]
+  | Measure_aborted { limit_ns; best_ns; _ } ->
+    tag "measure_aborted"
+      [ ("aborted_past_ns", Json.Float limit_ns); ("best_ns", Json.Float best_ns) ]
   | Accept { work_ns; _ } -> tag "accept" [ ("work_ns", Json.Float work_ns) ]
   | Rollback { reason; _ } -> tag "rollback" [ ("reason", Json.Str reason) ]
   | Repeat { decided_at; _ } -> tag "repeat" [ ("decided_at", Json.Int decided_at) ]

@@ -37,6 +37,15 @@ type t =
   | Size_sample of { iteration : int; sec_id : int; size : int; resident : bool; work_ns : float }
       (** one sampled (section, size) profiling run; [resident] when it
           is the section's metadata-free resident form *)
+  | Sample_aborted of {
+      iteration : int;
+      sec_id : int;
+      size : int;
+      resident : bool;
+      limit_ns : float;
+    }
+      (** a size sample stopped once its work time passed [limit_ns]:
+          twice the best work time known when it ran *)
   | Joint_sample of { iteration : int; work_ns : float }
       (** one whole-allocation candidate measurement; no longer
           emitted by the controller *)
@@ -45,6 +54,9 @@ type t =
           placement) measurement *)
   | Measure of { iteration : int; work_ns : float; best_ns : float }
       (** the compiled candidate's measured work time vs best so far *)
+  | Measure_aborted of { iteration : int; limit_ns : float; best_ns : float }
+      (** the compiled candidate's run stopped once its work time passed
+          [limit_ns], twice [best_ns]; a [Rollback] follows *)
   | Accept of { iteration : int; work_ns : float }
   | Rollback of { iteration : int; reason : string }
   | Repeat of { iteration : int; decided_at : int }

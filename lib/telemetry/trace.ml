@@ -77,6 +77,16 @@ let set_limit n = sink.limit <- max 1 n
 let set_ctrl_limit n = sink.ctrl_limit <- max 0 n
 let dropped () = sink.dropped
 
+let mark () =
+  let buf = sink.buf and count = sink.count and ctrl_count = sink.ctrl_count in
+  let dropped = sink.dropped and ctx = sink.ctx in
+  fun () ->
+    sink.buf <- buf;
+    sink.count <- count;
+    sink.ctrl_count <- ctrl_count;
+    sink.dropped <- dropped;
+    sink.ctx <- ctx
+
 let new_trace () =
   sink.next_trace <- sink.next_trace + 1;
   sink.next_trace

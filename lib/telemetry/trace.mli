@@ -68,6 +68,13 @@ val set_ctrl_limit : int -> unit
 
 val dropped : unit -> int
 
+val mark : unit -> unit -> unit
+(** [mark ()] returns [rewind], which puts the sink back as it is now:
+    every event buffered or dropped in between is forgotten and the
+    ambient context restored.  Ids are not reused.  For a run stopped
+    part-way, whose spans would reference an access span that never
+    closes. *)
+
 (** {1 Span contexts} *)
 
 val new_trace : unit -> int

@@ -762,8 +762,8 @@ let qcheck_page_table =
 let test_sizing_simple () =
   let candidates =
     [
-      { Sizing.cand_id = 1; options = [| (100, 10.0); (200, 4.0) |] };
-      { Sizing.cand_id = 2; options = [| (100, 8.0); (200, 2.0) |] };
+      { Sizing.cand_id = 1; options = [| (100, 10.0); (200, 4.0) |]; aborted = [] };
+      { Sizing.cand_id = 2; options = [| (100, 8.0); (200, 2.0) |]; aborted = [] };
     ]
   in
   (* (200,4)+(200,2) would be 6 but needs 400 > 300; the optimum mixes
@@ -777,7 +777,7 @@ let test_sizing_simple () =
 
 let test_sizing_infeasible () =
   let candidates =
-    [ { Sizing.cand_id = 1; options = [| (500, 1.0) |] } ]
+    [ { Sizing.cand_id = 1; options = [| (500, 1.0) |]; aborted = [] } ]
   in
   Alcotest.(check bool) "infeasible" true
     (Result.is_error (Sizing.solve ~budget:100 candidates))
@@ -801,7 +801,7 @@ let qcheck_sizing_matches_brute =
     (QCheck.make gen)
     (fun (budget, cands) ->
       let candidates =
-        List.mapi (fun i options -> { Sizing.cand_id = i; options }) cands
+        List.mapi (fun i options -> { Sizing.cand_id = i; options; aborted = [] }) cands
       in
       let fits s =
         List.fold_left (fun acc (_, size) -> acc + size) 0 s.Sizing.assignment <= budget
@@ -812,6 +812,57 @@ let qcheck_sizing_matches_brute =
         && Float.abs (a.Sizing.total_overhead -. b.Sizing.total_overhead) < 1e-9
       | Error _, Error _ -> true
       | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* Candidates as the controller builds them: each option's size is
+   distinct, and an aborted option is scored at least as high as every
+   measured option of its candidate (its abort bound, never below what
+   a measured sample of the same section took).  Ties are drawn on
+   purpose: a bound equal to a measured score is the case the tie rule
+   settles. *)
+let gen_bounded_candidates =
+  QCheck.Gen.(
+    let candidate =
+      let* sizes = map (List.sort_uniq compare) (list_size (int_range 1 4) (int_range 10 300)) in
+      let* drawn =
+        flatten_l (List.map (fun size -> pair (return size) (pair bool (int_range 1 20))) sizes)
+      in
+      let* slack = int_range 0 3 in
+      let measured =
+        List.filter_map (fun (_, (ab, score)) -> if ab then None else Some (float_of_int score)) drawn
+      in
+      let bound = List.fold_left Float.max 0.0 measured +. float_of_int slack in
+      return
+        ( Array.of_list
+            (List.map (fun (size, (ab, score)) -> (size, if ab then bound else float_of_int score)) drawn),
+          List.filter_map (fun (size, (ab, _)) -> if ab then Some size else None) drawn )
+    in
+    pair (int_range 100 600) (list_size (int_range 1 4) candidate))
+
+let qcheck_sizing_aborted_matches_brute =
+  QCheck.Test.make ~name:"sizing with aborted options == brute force" ~count:300
+    (QCheck.make gen_bounded_candidates)
+    (fun (budget, cands) ->
+      let candidates =
+        List.mapi (fun i (options, aborted) -> { Sizing.cand_id = i; options; aborted }) cands
+      in
+      match (Sizing.solve ~budget candidates, Sizing.solve_brute ~budget candidates) with
+      | Ok a, Ok b -> Float.abs (a.Sizing.total_overhead -. b.Sizing.total_overhead) < 1e-9
+      | Error _, Error _ -> true
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+let qcheck_sizing_prefers_measured =
+  QCheck.Test.make ~name:"sizing never picks an aborted size over a measured one"
+    ~count:300
+    (QCheck.make gen_bounded_candidates)
+    (fun (_, cands) ->
+      let options, aborted = List.hd cands in
+      let candidate = { Sizing.cand_id = 0; options; aborted } in
+      let measured = Array.exists (fun (size, _) -> not (List.mem size aborted)) options in
+      (* every option fits: the choice is the scores' alone *)
+      match Sizing.solve ~budget:max_int [ candidate ] with
+      | Ok { Sizing.assignment = [ (0, size) ]; _ } ->
+        (not measured) || not (List.mem size aborted)
+      | Ok _ | Error _ -> false)
 
 let suite =
   [
@@ -850,4 +901,6 @@ let suite =
     Alcotest.test_case "sizing simple" `Quick test_sizing_simple;
     Alcotest.test_case "sizing infeasible" `Quick test_sizing_infeasible;
     QCheck_alcotest.to_alcotest qcheck_sizing_matches_brute;
+    QCheck_alcotest.to_alcotest qcheck_sizing_aborted_matches_brute;
+    QCheck_alcotest.to_alcotest qcheck_sizing_prefers_measured;
   ]

@@ -300,10 +300,12 @@ let test_work_function () =
 (* Golden decisions of two small searches, captured before the controller
    reused any simulation: a change to how the search evaluates
    configurations must leave every rendered decision and the bits of the
-   best work time exactly as they were.  The second config samples two
-   placements on an erasure-coded cluster with an outage schedule, where
-   flat and rotate measure differently, so results stored without the
-   cluster in their key would show here. *)
+   best work time exactly as they were.  Only the losing samples'
+   records differ: a sample is stopped once its work passes twice the
+   best, and reads "aborted past" that bound.  The second
+   config samples two placements on an erasure-coded cluster with an
+   outage schedule, where flat and rotate measure differently, so
+   results stored without the cluster in their key would show here. *)
 let pinned_graph () =
   let cfg = { G.config_default with G.num_edges = 3_000; num_nodes = 300 } in
   let far = G.far_bytes cfg in
@@ -312,27 +314,29 @@ let pinned_graph () =
       C.max_iterations = 2 } )
 
 (* Iteration 1 samples the payload node section (set8, 16 B + 32 B of
-   metadata a slot) below its resident size, and in its resident form
-   (16 B a slot, no metadata); the search accepts the resident sample.
-   Iteration 2 extends that plan with the edge array as a stream,
-   samples the node section again beside it, and accepts; its resident
-   sample is compiled with no prefetch into the node section. *)
-let pinned_iterations ~works ~initial ~first ~best =
-  let w2, w5, w1, w3, w5' = works in
+   metadata a slot) in its resident form (16 B a slot, no metadata),
+   and then below its resident size, where it is stopped past twice the
+   resident sample; the search accepts the resident sample.  Iteration 2
+   extends that plan with the edge array as a stream, samples the node
+   section again beside it, and accepts; its resident sample is
+   compiled with no prefetch into the node section.  [samples] are the
+   sample lines' records, in the order logged (ascending size). *)
+let pinned_iterations ~samples ~initial ~first ~best =
+  let s2, s5, s1, s3, s5' = samples in
   [
     "iteration 1: functions=[work] sites=[2]";
     "  site 2: indirect(via site 1) elem=128B ro=false wo=false";
-    "  sample sec1 size=2K work=" ^ w2;
-    "  sample sec1 size=5K resident work=" ^ w5;
+    "  sample sec1 size=2K " ^ s2;
+    "  sample sec1 size=5K resident " ^ s5;
     "  section sec1 line=128B size=5K resident sites=[2]";
     Printf.sprintf "iteration 1: work=%s ms (best %s ms)" first initial;
     Printf.sprintf "iteration 1: accepted at %s ms" first;
     "iteration 2: functions=[work] sites=[2,1]";
     "  site 2: indirect(via site 1) elem=128B ro=false wo=false";
     "  site 1: sequential(24B) elem=24B ro=true wo=false";
-    "  sample sec2 size=1K work=" ^ w1;
-    "  sample sec2 size=3K work=" ^ w3;
-    "  sample sec2 size=5K resident work=" ^ w5';
+    "  sample sec2 size=1K " ^ s1;
+    "  sample sec2 size=3K " ^ s3;
+    "  sample sec2 size=5K resident " ^ s5';
     "  section sec1 line=2064B size=10K direct sites=[1]";
     "  section sec2 line=128B size=5K resident sites=[2]";
     Printf.sprintf "iteration 2: work=%s ms (best %s ms)" best first;
@@ -357,7 +361,10 @@ let test_pinned_decisions () =
   check_pinned "graph" opts prog ~work_bits:4682803150692055778L
     ~log:
       ("initial swap run: work=94.040 ms"
-      :: pinned_iterations ~works:("18.09ms", "0.33ms", "20.63ms", "17.80ms", "0.12ms")
+      :: pinned_iterations
+           ~samples:
+             ( "aborted past 0.65ms", "work=0.33ms", "aborted past 0.23ms",
+               "aborted past 0.23ms", "work=0.12ms" )
            ~initial:"94.040" ~first:"0.327" ~best:"0.117")
 
 let test_pinned_placement_decisions () =
@@ -379,8 +386,40 @@ let test_pinned_placement_decisions () =
          "  sample placement=flat work=94.61ms";
          "  sample placement=rotate work=94.70ms";
        ]
-      @ pinned_iterations ~works:("18.08ms", "0.35ms", "20.77ms", "17.96ms", "0.12ms")
+      @ pinned_iterations
+          ~samples:
+            ( "aborted past 0.69ms", "work=0.35ms", "aborted past 0.23ms",
+              "aborted past 0.23ms", "work=0.12ms" )
           ~initial:"94.702" ~first:"0.346" ~best:"0.117")
+
+(* A two-thread search over the parallel edge loop: iteration 2's
+   smaller node-section samples lose to the resident one and are
+   stopped inside the parallel region, where each worker's clock
+   carries the limit.  Stopping them must not disturb anything else:
+   a second search decides the same, and the chosen plan's own
+   unbounded run takes exactly the work time the search measured. *)
+let test_parallel_search_aborts () =
+  let cfg = { G.config_default with G.num_edges = 3_000; num_nodes = 300; parallel = true } in
+  let far = G.far_bytes cfg in
+  let prog = G.build cfg in
+  let opts =
+    { (C.options_default ~local_budget:(far / 4) ~far_capacity:(4 * far)) with
+      C.max_iterations = 2; nthreads = 2 }
+  in
+  let render c = List.map Mira_telemetry.Decision.render c.C.c_log in
+  let first = C.optimize opts prog in
+  let again = C.optimize opts prog in
+  Alcotest.(check bool) "a losing sample was aborted" true
+    (List.exists
+       (function Mira_telemetry.Decision.Sample_aborted _ -> true | _ -> false)
+       first.C.c_log);
+  Alcotest.(check (list string)) "decisions, second search" (render first) (render again);
+  let _, run_ns = C.run first in
+  Alcotest.(check int64) "work_ns bits of the plan's own run"
+    (Int64.bits_of_float first.C.c_work_ns) (Int64.bits_of_float run_ns);
+  Alcotest.(check int64) "work_ns bits, second search"
+    (Int64.bits_of_float first.C.c_work_ns)
+    (Int64.bits_of_float again.C.c_work_ns)
 
 (* Two more iterations after the accepted [2,1] plan select the same
    sites in the same order: that selection is decided, so they are
@@ -456,4 +495,5 @@ let suite =
     Alcotest.test_case "repeated plan keeps its sections" `Slow
       test_repeated_plan_keeps_sections;
     Alcotest.test_case "log level restored" `Quick test_log_level_restored;
+    Alcotest.test_case "parallel search aborts" `Slow test_parallel_search_aborts;
   ]

@@ -20,6 +20,47 @@ let test_clock_basic () =
   Clock.reset c;
   Alcotest.(check (float 0.0)) "reset" 0.0 (Clock.now c)
 
+(* A limit stops the first stall that ends past it, after the clock
+   has moved; a stall to exactly the limit is not past it.  Compute
+   ([advance]) is not checked: a clock it takes past the limit raises
+   at its next stall. *)
+let test_clock_limit () =
+  let raises f = match f () with _ -> false | exception Clock.Past_limit -> true in
+  let c = Clock.create () in
+  Clock.set_limit c 10.0;
+  Alcotest.(check (float 0.0)) "wait to the limit" 10.0 (Clock.wait_until c 10.0);
+  Alcotest.(check bool) "wait past the limit raises" true
+    (raises (fun () -> Clock.wait_event c ~ev:Clock.Cache_fill 10.5));
+  Alcotest.(check (float 0.0)) "the move was made" 10.5 (Clock.now c);
+  Alcotest.(check (float 0.0)) "the stall was counted" 10.5 (Clock.stalled_ns c);
+  Clock.reset c;
+  Alcotest.(check (float 0.0)) "reset clears the limit" 20.0 (Clock.wait_until c 20.0);
+  Clock.set_limit c 30.0;
+  Clock.advance c 10.0;
+  Alcotest.(check (float 0.0)) "advance to the limit" 30.0 (Clock.now c);
+  Clock.advance c 1.0;
+  Alcotest.(check (float 0.0)) "advance past the limit does not raise" 31.0 (Clock.now c);
+  Alcotest.(check (float 0.0)) "a passed deadline is no stall" 0.0 (Clock.wait_until c 31.0);
+  Alcotest.(check bool) "the next stall raises" true
+    (raises (fun () -> Clock.wait_until c 31.5));
+  Clock.set_limit c infinity;
+  Alcotest.(check (float 0.0)) "infinity sets none" 1e9 (Clock.wait_until c (31.5 +. 1e9))
+
+let qcheck_clock_unlimited =
+  QCheck.Test.make ~name:"a clock with no limit never raises Past_limit" ~count:200
+    QCheck.(list (pair bool (float_bound_inclusive 1e12)))
+    (fun moves ->
+      let c = Clock.create () in
+      List.for_all
+        (fun (wait, dt) ->
+          match
+            if wait then ignore (Clock.wait_until c (Clock.now c +. dt))
+            else Clock.advance c dt
+          with
+          | () -> true
+          | exception Clock.Past_limit -> false)
+        moves)
+
 (* Blocking one-shot transfer on the data plane (what the retired
    fetch/push veneers did): submit, await, return (issue cpu, done_at). *)
 let sync_read net ?(urgent = true) ~side ~purpose ~now bytes =
@@ -189,6 +230,8 @@ let test_rpc_cost () =
 let suite =
   [
     Alcotest.test_case "clock basic" `Quick test_clock_basic;
+    Alcotest.test_case "clock limit" `Quick test_clock_limit;
+    QCheck_alcotest.to_alcotest qcheck_clock_unlimited;
     Alcotest.test_case "net latency" `Quick test_net_latency_ordering;
     Alcotest.test_case "net bandwidth" `Quick test_net_bandwidth_serializes;
     Alcotest.test_case "net async" `Quick test_net_async_cheaper;

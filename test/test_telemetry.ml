@@ -356,6 +356,37 @@ let test_end_to_end_report () =
       | Error e -> Alcotest.failf "bad trace line: %s" e)
     lines
 
+(* A traced search whose losing samples are stopped part-way: the
+   stopped runs' events are dropped with them, so what the sink holds
+   is well formed (no span left open, no child of the access span a run
+   was stopped in), and tracing changes no decision. *)
+let test_traced_search_with_aborts () =
+  let cfg = { G.config_default with G.num_edges = 3_000; num_nodes = 300 } in
+  let far = G.far_bytes cfg in
+  let prog = G.build cfg in
+  let opts =
+    { (C.options_default ~local_budget:(far / 4) ~far_capacity:(4 * far)) with
+      C.max_iterations = 2 }
+  in
+  let render c = List.map Decision.render c.C.c_log in
+  let untraced = C.optimize opts prog in
+  (* the swap-only profile run alone emits ~300k events *)
+  Trace.set_limit 1_000_000;
+  Trace.enable ();
+  let traced = C.optimize opts prog in
+  let events = Trace.events () and dropped = Trace.dropped () in
+  Trace.disable ();
+  Trace.clear ();
+  Trace.set_limit 200_000;
+  Alcotest.(check bool) "a sample was aborted" true
+    (List.exists (function Decision.Sample_aborted _ -> true | _ -> false) traced.C.c_log);
+  Alcotest.(check (list string)) "same decisions traced" (render untraced) (render traced);
+  Alcotest.(check int) "nothing dropped" 0 dropped;
+  Alcotest.(check bool) "runs traced" true
+    (List.exists (fun e -> e.Trace.ev_phase = Trace.Begin && e.Trace.ev_parent <> 0) events);
+  Alcotest.(check (list string)) "trace well formed" []
+    (Mira_telemetry.Critical_path.validate events)
+
 (* Telemetry must never perturb the simulation: work time with the
    trace sink and the stall-attribution ledger enabled equals work
    time with both disabled. *)
@@ -434,6 +465,7 @@ let suite =
     Alcotest.test_case "log lazy formatting" `Quick test_log_lazy;
     Alcotest.test_case "decision render" `Quick test_decision_render;
     Alcotest.test_case "end-to-end report" `Slow test_end_to_end_report;
+    Alcotest.test_case "traced search with aborts" `Slow test_traced_search_with_aborts;
     Alcotest.test_case "no perturbation" `Slow test_no_perturbation;
     Alcotest.test_case "reset clears stats" `Slow test_reset_clears_stats;
   ]
