@@ -23,18 +23,7 @@ let () =
 
   (* 1. what the lifetime analysis sees in the forward pass *)
   let work = Ir.find_func prog "work" in
-  let result =
-    Pattern.analyze prog work
-      ~param_sites:
-        (match
-           List.assoc_opt "work"
-             (Mira_analysis.Remotable_flow.param_sites_of_program prog)
-         with
-        | Some b -> b
-        | None -> [])
-      ~site_of_ty:(Mira_analysis.Remotable_flow.site_of_ty prog)
-      ()
-  in
+  let result = Pattern.analyze (Mira_analysis.Remotable_flow.build prog) work in
   Printf.printf "the forward pass has %d phases (top-level loop nests)\n"
     (Lifetime.phases_count result);
   Printf.printf "weight lifetimes by allocation site:\n";

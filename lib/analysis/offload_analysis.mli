@@ -15,14 +15,12 @@ type score = {
 }
 
 val analyze :
-  Mira_mir.Ir.program ->
-  params:Mira_sim.Params.t ->
-  ?default_trip:int ->
-  ?miss_rate:float ->
-  unit ->
-  score list
-(** Scores for every remotable function.  [miss_rate] estimates the
-    fraction of far accesses that would miss the local cache when NOT
-    offloaded (default 0.5; profiling refines it in the controller). *)
+  Remotable_flow.t -> Mira_mir.Ir.program -> params:Mira_sim.Params.t -> score list
+(** Scores for every remotable function, in definition order: the
+    functions that touch only resolvable far objects and their own
+    stack data, and call only remotable functions or intrinsics (the
+    entry function never is).  Far accesses are assumed to miss the
+    local cache half the time when not offloaded, and a loop without
+    constant bounds to run 64 times. *)
 
 val should_offload : score -> bool

@@ -85,7 +85,6 @@ type binding =
 
 type ctx = {
   site_of_ty : Types.ty -> int option;
-  elem_of_site : int -> int;
   env : binding array;
   mutable all_accesses : access list;
   mutable unresolved : int;
@@ -423,16 +422,12 @@ let summarize accesses =
     sites []
   |> List.sort (fun a b -> compare a.ss_site b.ss_site)
 
-let analyze program func ?(param_sites = []) ~site_of_ty () =
-  let elem_of_site site =
-    match Ir.find_site program site with
-    | info -> Types.size_of info.Ir.si_elem
-    | exception Not_found -> 8
-  in
+let analyze facts func =
+  let site_of_ty = Remotable_flow.site_of_ty facts in
+  let param_sites = Remotable_flow.param_sites facts func.Ir.f_name in
   let ctx =
     {
       site_of_ty;
-      elem_of_site;
       env = Array.make (max 1 func.Ir.f_nregs) Bnone;
       all_accesses = [];
       unresolved = 0;
@@ -475,6 +470,9 @@ let analyze program func ?(param_sites = []) ~site_of_ty () =
     r_sites = List.map (fun s -> s.ss_site) summaries;
     r_unresolved = ctx.unresolved;
   }
+
+let analyze_all facts (program : Ir.program) =
+  List.map (fun (name, f) -> (name, analyze facts f)) program.Ir.p_funcs
 
 let summary_for result site =
   List.find_opt (fun s -> s.ss_site = site) result.r_summaries

@@ -86,13 +86,12 @@ type result = {
                            leaving them on the default path) *)
 }
 
-val analyze :
-  Mira_mir.Ir.program ->
-  Mira_mir.Ir.func ->
-  ?param_sites:(Mira_mir.Ir.reg * int) list ->
-  site_of_ty:(Mira_mir.Types.ty -> int option) ->
-  unit ->
-  result
+val analyze : Remotable_flow.t -> Mira_mir.Ir.func -> result
+(** Resolves sites with the program's type-based aliasing and the
+    function's call-graph parameter bindings. *)
+
+val analyze_all : Remotable_flow.t -> Mira_mir.Ir.program -> (string * result) list
+(** [analyze] for every function, in definition order. *)
 
 val summary_for : result -> int -> site_summary option
 val kind_to_string : kind -> string

@@ -1,87 +1,75 @@
 module Ir = Mira_mir.Ir
 module Types = Mira_mir.Types
 
-(* Heap sites only: stack allocations are never remote targets.  Sites
-   are "heap" if any Alloc op with that site uses the Heap space; we
-   conservatively scan the whole program once. *)
-let heap_sites program =
-  let heap = Hashtbl.create 16 in
-  List.iter
-    (fun (_, f) ->
-      Ir.iter_ops
-        (fun op ->
-          match op with
-          | Ir.Alloc { site; space = Ir.Heap; _ } -> Hashtbl.replace heap site ()
-          | Ir.Alloc _ | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _
-          | Ir.I2f _ | Ir.F2i _ | Ir.Mov _ | Ir.Free _ | Ir.Gep _ | Ir.Load _
-          | Ir.Store _ | Ir.Call _ | Ir.For _ | Ir.ParFor _ | Ir.While _
-          | Ir.If _ | Ir.Ret _ | Ir.Prefetch _ | Ir.FlushEvict _
-          | Ir.EvictSite _ | Ir.ProfEnter _ | Ir.ProfExit _ ->
-            ())
-        f.Ir.f_body)
-    program.Ir.p_funcs;
-  heap
+type t = {
+  heap : int list;
+  counts : (int, int64 option) Hashtbl.t;
+  types : (Types.ty * int option) list;  (* element type -> its only heap site *)
+  bindings : (string, (Ir.reg * int) list) Hashtbl.t;
+  calls : (string, string list) Hashtbl.t;
+}
 
-let site_of_ty program ty =
-  let heap = heap_sites program in
-  let matches =
-    List.filter
-      (fun s -> Hashtbl.mem heap s.Ir.si_id && Types.equal s.Ir.si_elem ty)
-      program.Ir.p_sites
-  in
-  match matches with [ s ] -> Some s.Ir.si_id | [] | _ :: _ :: _ -> None
+let heap_sites t = t.heap
+let site_count t site = Option.join (Hashtbl.find_opt t.counts site)
 
-(* Lightweight per-function register -> site resolution used to read
-   call-site argument sites (pre-order walk; sound because the IR is
-   statically single-assignment). *)
-let reg_sites ~param_sites ~resolver (f : Ir.func) =
-  let sites = Array.make (max 1 f.Ir.f_nregs) (-1) in
-  let of_operand = function
-    | Ir.Oreg r -> sites.(r)
-    | Ir.Oint _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit -> -1
-  in
+let site_of_ty t ty =
+  List.find_map (fun (e, s) -> if Types.equal e ty then Some s else None) t.types
+  |> Option.join
+
+let param_sites t name = Option.value ~default:[] (Hashtbl.find_opt t.bindings name)
+let callees t name = Option.value ~default:[] (Hashtbl.find_opt t.calls name)
+
+type regs = {
+  sites : int array;
+  geps : (Ir.operand * Ir.operand * Types.ty * int) option array;
+}
+
+let site_of_operand r = function
+  | Ir.Oreg x -> r.sites.(x)
+  | Ir.Oint _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit -> -1
+
+let gep_parts r x = r.geps.(x)
+
+let regs t (f : Ir.func) =
+  let n = max 1 f.Ir.f_nregs in
+  let r = { sites = Array.make n (-1); geps = Array.make n None } in
+  let of_ty ty = Option.value ~default:(-1) (site_of_ty t ty) in
+  let bound = param_sites t f.Ir.f_name in
   List.iter
-    (fun (r, ty) ->
-      match List.assoc_opt r param_sites with
-      | Some s -> sites.(r) <- s
-      | None ->
-        (match ty with
-        | Types.Ptr pointee ->
-          sites.(r) <- (match resolver pointee with Some s -> s | None -> -1)
-        | Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _ -> ()))
+    (fun (x, ty) ->
+      match (List.assoc_opt x bound, ty) with
+      | Some s, _ -> r.sites.(x) <- s
+      | None, Types.Ptr pointee -> r.sites.(x) <- of_ty pointee
+      | None, (Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _) -> ())
     f.Ir.f_params;
   Ir.iter_ops
     (fun op ->
       match op with
-      | Ir.Alloc { dst; site; _ } -> sites.(dst) <- site
-      | Ir.Gep { dst; base; _ } -> sites.(dst) <- of_operand base
-      | Ir.Mov (dst, src) -> sites.(dst) <- of_operand src
-      | Ir.Load { dst; ty = Types.Ptr pointee; _ } ->
-        sites.(dst) <- (match resolver pointee with Some s -> s | None -> -1)
+      | Ir.Alloc { dst; site; _ } -> r.sites.(dst) <- site
+      | Ir.Gep { dst; base; index; elem; field_off } ->
+        r.sites.(dst) <- site_of_operand r base;
+        r.geps.(dst) <- Some (base, index, elem, field_off)
+      | Ir.Mov (dst, src) -> r.sites.(dst) <- site_of_operand r src
+      | Ir.Load { dst; ty = Types.Ptr pointee; _ } -> r.sites.(dst) <- of_ty pointee
       | Ir.Load _ | Ir.Store _ | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _
       | Ir.Not _ | Ir.I2f _ | Ir.F2i _ | Ir.Free _ | Ir.Call _ | Ir.For _
       | Ir.ParFor _ | Ir.While _ | Ir.If _ | Ir.Ret _ | Ir.Prefetch _
       | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _ | Ir.ProfExit _ -> ())
     f.Ir.f_body;
-  (sites, of_operand)
+  r
 
 (* Interprocedural parameter-site bindings: a callee parameter is bound
    to a site when every call site passes a pointer into that site;
    conflicting call sites make it unknown. *)
-let param_sites_of_program program =
-  let resolver = site_of_ty program in
-  let bindings : (string, (Ir.reg * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let get name = try Hashtbl.find bindings name with Not_found -> [] in
+let bind_params t (program : Ir.program) =
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 4 do
     changed := false;
     incr rounds;
     List.iter
-      (fun (caller_name, caller) ->
-        let _, of_operand =
-          reg_sites ~param_sites:(get caller_name) ~resolver caller
-        in
+      (fun (_, caller) ->
+        let r = regs t caller in
         Ir.iter_ops
           (fun op ->
             match op with
@@ -93,8 +81,8 @@ let param_sites_of_program program =
                   (fun i arg ->
                     match List.nth_opt cf.Ir.f_params i with
                     | Some (preg, Types.Ptr _) ->
-                      let s = of_operand arg in
-                      let current = get callee in
+                      let s = site_of_operand r arg in
+                      let current = param_sites t callee in
                       let updated =
                         match List.assoc_opt preg current with
                         | None when s >= 0 -> Some ((preg, s) :: current)
@@ -105,7 +93,7 @@ let param_sites_of_program program =
                       in
                       (match updated with
                       | Some b ->
-                        Hashtbl.replace bindings callee b;
+                        Hashtbl.replace t.bindings callee b;
                         changed := true
                       | None -> ())
                     | Some _ | None -> ())
@@ -118,99 +106,57 @@ let param_sites_of_program program =
               ())
           caller.Ir.f_body)
       program.Ir.p_funcs
-  done;
-  List.map (fun (name, _) -> (name, get name)) program.Ir.p_funcs
+  done
 
-let analyze_all program =
-  let resolver = site_of_ty program in
-  let bindings = param_sites_of_program program in
-  List.map
-    (fun (name, f) ->
-      let param_sites =
-        match List.assoc_opt name bindings with Some b -> b | None -> []
-      in
-      (name, Pattern.analyze program f ~param_sites ~site_of_ty:resolver ()))
-    program.Ir.p_funcs
-
-let callees f =
-  Ir.fold_ops
-    (fun acc op ->
-      match op with
-      | Ir.Call { callee; _ } -> callee :: acc
-      | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _ | Ir.I2f _
-      | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _ | Ir.Gep _ | Ir.Load _
-      | Ir.Store _ | Ir.For _ | Ir.ParFor _ | Ir.While _ | Ir.If _ | Ir.Ret _
-      | Ir.Prefetch _ | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _
-      | Ir.ProfExit _ ->
-        acc)
-    [] f.Ir.f_body
-  |> List.sort_uniq compare
-
-let function_sites program =
-  let results = analyze_all program in
-  let direct =
-    List.map
-      (fun (name, (r : Pattern.result)) -> (name, r.Pattern.r_sites))
-      results
-  in
-  (* Close over calls to a fixpoint (call graphs here are small DAGs). *)
-  let table = Hashtbl.create 16 in
-  List.iter (fun (name, sites) -> Hashtbl.replace table name sites) direct;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (name, f) ->
-        let current = try Hashtbl.find table name with Not_found -> [] in
-        let from_callees =
-          List.concat_map
-            (fun callee -> try Hashtbl.find table callee with Not_found -> [])
-            (callees f)
-        in
-        let merged = List.sort_uniq compare (current @ from_callees) in
-        if merged <> current then begin
-          Hashtbl.replace table name merged;
-          changed := true
-        end)
-      program.Ir.p_funcs
-  done;
-  List.map
-    (fun (name, _) -> (name, try Hashtbl.find table name with Not_found -> []))
-    program.Ir.p_funcs
-
-let remotable_functions program =
-  let results = analyze_all program in
-  let resolved name =
-    match List.assoc_opt name results with
-    | Some r -> r.Pattern.r_unresolved = 0
-    | None -> false
-  in
-  (* Fixpoint: start with everything locally-clean, remove functions
-     calling non-remotable ones. *)
-  let remotable = Hashtbl.create 16 in
+let build (program : Ir.program) =
+  let heap = Hashtbl.create 16 in
+  let counts = Hashtbl.create 16 in
+  let calls = Hashtbl.create 16 in
   List.iter
     (fun (name, f) ->
-      (* The entry function stays on the compute node by definition. *)
-      if resolved name && not (String.equal name program.Ir.p_entry) then
-        Hashtbl.replace remotable name f)
+      let called =
+        Ir.fold_ops
+          (fun called op ->
+            match op with
+            | Ir.Alloc { site; space; count; _ } ->
+              (match space with Ir.Heap -> Hashtbl.replace heap site () | Ir.Stack -> ());
+              (match (count, Hashtbl.find_opt counts site) with
+              | Ir.Oint n, Some (Some m) when m <> n -> Hashtbl.replace counts site None
+              | Ir.Oint _, Some _ -> ()
+              | Ir.Oint n, None -> Hashtbl.replace counts site (Some n)
+              | (Ir.Oreg _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit), _ ->
+                Hashtbl.replace counts site None);
+              called
+            | Ir.Call { callee; _ } -> callee :: called
+            | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _ | Ir.I2f _
+            | Ir.F2i _ | Ir.Mov _ | Ir.Free _ | Ir.Gep _ | Ir.Load _ | Ir.Store _
+            | Ir.For _ | Ir.ParFor _ | Ir.While _ | Ir.If _ | Ir.Ret _
+            | Ir.Prefetch _ | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _
+            | Ir.ProfExit _ ->
+              called)
+          [] f.Ir.f_body
+      in
+      Hashtbl.replace calls name (List.sort_uniq compare called))
     program.Ir.p_funcs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun name f ->
-        let bad =
-          List.exists
-            (fun callee ->
-              (not (Hashtbl.mem remotable callee))
-              && not (List.mem callee Mira_mir.Verifier.intrinsics))
-            (callees f)
-        in
-        if bad then begin
-          Hashtbl.remove remotable name;
-          changed := true
-        end)
-      (Hashtbl.copy remotable)
-  done;
-  Hashtbl.fold (fun name _ acc -> name :: acc) remotable []
-  |> List.sort compare
+  let types =
+    List.fold_left
+      (fun acc (s : Ir.site_info) ->
+        if not (Hashtbl.mem heap s.Ir.si_id) then acc
+        else if List.exists (fun (e, _) -> Types.equal e s.Ir.si_elem) acc then
+          List.map
+            (fun (e, site) -> if Types.equal e s.Ir.si_elem then (e, None) else (e, site))
+            acc
+        else (s.Ir.si_elem, Some s.Ir.si_id) :: acc)
+      [] program.Ir.p_sites
+  in
+  let t =
+    {
+      heap = Hashtbl.fold (fun s () acc -> s :: acc) heap [] |> List.sort compare;
+      counts;
+      types;
+      bindings = Hashtbl.create 16;
+      calls;
+    }
+  in
+  bind_params t program;
+  t

@@ -1,33 +1,53 @@
-(** Remotable-object dataflow (§5.2.1).
+(** Remotable-object dataflow (§5.2.1): the site facts of a program.
 
     Type-based alias analysis: each allocation site declares an element
     type, so a pointer whose pointee type is allocated at exactly one
-    site must point into that site's objects (the paper combines
+    heap site must point into that site's objects (the paper combines
     SSA-based forward dataflow with type-based aliasing; our structured
-    IR keeps the SSA part inside [Pattern]).
+    IR keeps the SSA part inside [Pattern]).  Call-graph parameter
+    bindings carry a caller's sites into its callees.
 
-    Also computes which functions are {e remotable} — they touch only
-    resolvable far objects, their own stack data, and call only other
-    remotable functions or intrinsics — and which sites each function
-    accesses (transitively), which offloading needs for its
-    flush/invalidate barriers. *)
+    One value holds every such fact of a program, built by one scan of
+    its ops.  No pass adds an allocation, a call or a parameter, so the
+    value built from a compile's input serves each of its passes; the
+    registers a pass adds are resolved by {!regs} on the body it sees. *)
 
-val site_of_ty : Mira_mir.Ir.program -> Mira_mir.Types.ty -> int option
+type t
+
+val build : Mira_mir.Ir.program -> t
+
+val heap_sites : t -> int list
+(** Sites with a heap allocation, ascending: stack allocations are
+    never remote targets. *)
+
+val site_count : t -> int -> int64 option
+(** The constant element count every allocation of the site uses, if
+    there is one. *)
+
+val site_of_ty : t -> Mira_mir.Types.ty -> int option
 (** The unique heap allocation site with this element type, if any. *)
 
-val function_sites : Mira_mir.Ir.program -> (string * int list) list
-(** Per function: all allocation sites accessed, including through
-    direct calls (one level of transitive closure to a fixpoint). *)
+val param_sites : t -> string -> (Mira_mir.Ir.reg * int) list
+(** A function's parameter registers bound to the site every call site
+    passes (conflicting call sites bind [-1]). *)
 
-val remotable_functions : Mira_mir.Ir.program -> string list
-(** Functions eligible for far-memory offloading. *)
+val callees : t -> string -> string list
+(** A function's direct callees, intrinsics included, sorted. *)
 
-val param_sites_of_program :
-  Mira_mir.Ir.program -> (string * (Mira_mir.Ir.reg * int) list) list
-(** Interprocedural parameter-site bindings: parameter registers bound
-    to the allocation site every call site passes (conflicts -> -1). *)
+type regs
+(** One function's register -> site resolution.  The IR is statically
+    single-assignment, so one pre-order walk resolves every pointer
+    register to its base allocation site: [Alloc] introduces a site,
+    [Gep]/[Mov] propagate it, a parameter takes its binding, and a
+    pointer [Load] or an unbound pointer parameter resolves through
+    {!site_of_ty}. *)
 
-val analyze_all :
-  Mira_mir.Ir.program -> (string * Pattern.result) list
-(** [Pattern.analyze] for every function, with the program's
-    type-based site resolver and call-graph parameter bindings. *)
+val regs : t -> Mira_mir.Ir.func -> regs
+
+val site_of_operand : regs -> Mira_mir.Ir.operand -> int
+(** [-1] when unresolved. *)
+
+val gep_parts :
+  regs -> Mira_mir.Ir.reg ->
+  (Mira_mir.Ir.operand * Mira_mir.Ir.operand * Mira_mir.Types.ty * int) option
+(** For a register defined by [Gep]: (base, index, elem, field_off). *)

@@ -9,6 +9,7 @@ module Machine = Mira_interp.Machine
 module Value = Mira_interp.Value
 module Pattern = Mira_analysis.Pattern
 module Lifetime = Mira_analysis.Lifetime
+module Flow = Mira_analysis.Remotable_flow
 module Pipeline = Mira_passes.Pipeline
 module Instrument = Mira_passes.Instrument
 module Decision = Mira_telemetry.Decision
@@ -233,43 +234,12 @@ let memo_eval () =
 
 (* --- analysis aggregation ------------------------------------------------ *)
 
-let heap_sites program =
-  Ir.fold_ops
-    (fun acc op ->
-      match op with
-      | Ir.Alloc { site; space = Ir.Heap; _ } -> site :: acc
-      | Ir.Alloc _ | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _
-      | Ir.I2f _ | Ir.F2i _ | Ir.Mov _ | Ir.Free _ | Ir.Gep _ | Ir.Load _
-      | Ir.Store _ | Ir.Call _ | Ir.For _ | Ir.ParFor _ | Ir.While _ | Ir.If _
-      | Ir.Ret _ | Ir.Prefetch _ | Ir.FlushEvict _ | Ir.EvictSite _
-      | Ir.ProfEnter _ | Ir.ProfExit _ ->
-        acc)
-    []
-    (List.concat_map (fun (_, f) -> f.Ir.f_body) program.Ir.p_funcs)
-  |> List.sort_uniq compare
-
 (* Scope selection to the measured function's dynamic call tree:
    initialization code is not part of what the paper (or we) report. *)
-let work_scope (original : Ir.program) =
+let work_scope facts (original : Ir.program) =
   let rec close acc name =
-    if List.mem name acc then acc
-    else begin
-      match List.assoc_opt name original.Ir.p_funcs with
-      | None -> acc
-      | Some f ->
-        Ir.fold_ops
-          (fun acc op ->
-            match op with
-            | Ir.Call { callee; _ } -> close acc callee
-            | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _
-            | Ir.I2f _ | Ir.F2i _ | Ir.Mov _ | Ir.Alloc _ | Ir.Free _
-            | Ir.Gep _ | Ir.Load _ | Ir.Store _ | Ir.For _ | Ir.ParFor _
-            | Ir.While _ | Ir.If _ | Ir.Ret _ | Ir.Prefetch _
-            | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _
-            | Ir.ProfExit _ ->
-              acc)
-          (name :: acc) f.Ir.f_body
-    end
+    if List.mem name acc || not (List.mem_assoc name original.Ir.p_funcs) then acc
+    else List.fold_left close (name :: acc) (Flow.callees facts name)
   in
   close [] (work_function original)
 
@@ -307,9 +277,9 @@ let site_fields all_fns ~elem site =
       (Some []) all_fns
     |> Option.map Mira_util.Misc.merge_extents
 
-let site_summaries program sites =
-  let within = work_scope program in
-  let all_fns = Mira_analysis.Remotable_flow.analyze_all program in
+(* [within] is the measured call tree and [all_fns] every function's
+   analysis, both computed once per search. *)
+let summaries_within ~within ~all_fns sites =
   let per_fn = List.filter (fun (fn, _) -> List.mem fn within) all_fns in
   List.filter_map
     (fun site ->
@@ -354,6 +324,11 @@ let site_summaries program sites =
         let ss_fields = site_fields all_fns ~elem:merged.Pattern.ss_elem site in
         Some ({ merged with Pattern.ss_fields }, iv))
     sites
+
+let site_summaries program sites =
+  let facts = Flow.build program in
+  summaries_within ~within:(work_scope facts program)
+    ~all_fns:(Pattern.analyze_all facts program) sites
 
 (* --- sizing --------------------------------------------------------------- *)
 
@@ -646,8 +621,11 @@ let search opts original =
       in
       best_o
   in
-  let heap = heap_sites original in
-  let allowed_functions = work_scope original in
+  (* the site facts and the analysis of the program the search compiles *)
+  let facts = Flow.build original in
+  let heap = Flow.heap_sites facts in
+  let allowed_functions = work_scope facts original in
+  let all_fns = Pattern.analyze_all facts original in
   (* best work, its selection, assignments and plan, and its iteration *)
   let best = ref (base_ns, [], [], Pipeline.plan_default, 0) in
   let profile = ref profile0 in
@@ -689,7 +667,7 @@ let search opts original =
     | None when sites = [] -> continue_ := false
     | None -> begin
       phase "analyze";
-      let summaries = site_summaries original sites in
+      let summaries = summaries_within ~within:allowed_functions ~all_fns sites in
       List.iter
         (fun ((ss : Pattern.site_summary), _) ->
           decide

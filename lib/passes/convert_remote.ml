@@ -1,12 +1,10 @@
 module Ir = Mira_mir.Ir
+module Flow = Mira_analysis.Remotable_flow
 
-let convert_func program bindings selected (f : Ir.func) =
-  let param_sites =
-    match List.assoc_opt f.Ir.f_name bindings with Some b -> b | None -> []
-  in
-  let sm = Site_map.build ~param_sites program f in
+let convert_func facts selected (f : Ir.func) =
+  let regs = Flow.regs facts f in
   let meta_for ptr (old : Ir.access_meta) =
-    let site = Site_map.site_of_operand sm ptr in
+    let site = Flow.site_of_operand regs ptr in
     if site >= 0 && List.mem site selected then
       { old with Ir.am_site = site; am_remote = true }
     else old
@@ -27,12 +25,9 @@ let convert_func program bindings selected (f : Ir.func) =
   in
   { f with Ir.f_body = body }
 
-let run program ~selected =
-  let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
+let run facts program ~selected =
   {
     program with
     Ir.p_funcs =
-      List.map
-        (fun (name, f) -> (name, convert_func program bindings selected f))
-        program.Ir.p_funcs;
+      List.map (fun (name, f) -> (name, convert_func facts selected f)) program.Ir.p_funcs;
   }

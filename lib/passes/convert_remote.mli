@@ -7,4 +7,7 @@
     accesses keep the default swap path — the analysis trades
     completeness for soundness. *)
 
-val run : Mira_mir.Ir.program -> selected:int list -> Mira_mir.Ir.program
+val run :
+  Mira_analysis.Remotable_flow.t -> Mira_mir.Ir.program -> selected:int list ->
+  Mira_mir.Ir.program
+(** The site facts are the program's ({!Mira_analysis.Remotable_flow.build}). *)

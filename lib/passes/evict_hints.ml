@@ -154,18 +154,13 @@ let streaming result site =
   | Some ss -> ss.Pattern.ss_read_only || ss.Pattern.ss_write_only
   | None -> false
 
-let end_lifetimes program ~line_of =
-  let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
-  let site_of_ty = Mira_analysis.Remotable_flow.site_of_ty program in
+let end_lifetimes facts program ~line_of =
   {
     program with
     Ir.p_funcs =
       List.map
         (fun (name, (f : Ir.func)) ->
-          let param_sites =
-            match List.assoc_opt name bindings with Some b -> b | None -> []
-          in
-          let result = Pattern.analyze program f ~param_sites ~site_of_ty () in
+          let result = Pattern.analyze facts f in
           (name, { f with Ir.f_body = insert_lifetime_ends result line_of f.Ir.f_body }))
         program.Ir.p_funcs;
   }

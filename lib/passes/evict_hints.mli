@@ -35,6 +35,7 @@ val loop_snippets :
     neither. *)
 
 val end_lifetimes :
+  Mira_analysis.Remotable_flow.t ->
   Mira_mir.Ir.program -> line_of:(int -> int option) -> Mira_mir.Ir.program
 (** Insert the lifetime [EvictSite]s. *)
 

@@ -8,4 +8,4 @@
     into one scan that fetches every array once — the paper's
     avg/min/max DataFrame example (Figure 23). *)
 
-val run : Mira_mir.Ir.program -> Mira_mir.Ir.program
+val run : Mira_analysis.Remotable_flow.t -> Mira_mir.Ir.program -> Mira_mir.Ir.program

@@ -383,15 +383,9 @@ let rec index_loops tbl (loops : Pattern.loop_info list) =
       index_loops tbl l.Pattern.l_children)
     loops
 
-let run program ~params ~line_of ~hint_line_of ~prefetch ~evict ~native =
-  let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
-  let site_of_ty = Mira_analysis.Remotable_flow.site_of_ty program in
-  let pf = Prefetch_pass.context program ~params ~line_of ~hint_line_of in
+let run facts program ~params ~line_of ~hint_line_of ~prefetch ~evict ~native =
   let run_func (f : Ir.func) =
-    let param_sites =
-      match List.assoc_opt f.Ir.f_name bindings with Some b -> b | None -> []
-    in
-    let result = Pattern.analyze program f ~param_sites ~site_of_ty () in
+    let result = Pattern.analyze facts f in
     let next = ref f.Ir.f_nregs in
     let fresh () =
       let r = !next in
@@ -411,7 +405,7 @@ let run program ~params ~line_of ~hint_line_of ~prefetch ~evict ~native =
         native;
         streaming = Evict_hints.streaming result;
         loops;
-        pf = pf ~fresh;
+        pf = Prefetch_pass.context facts ~params ~line_of ~hint_line_of ~fresh;
       }
     in
     let body = rewrite_block c ~ivs:[] f.Ir.f_body in

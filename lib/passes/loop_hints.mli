@@ -24,6 +24,7 @@
     flush covers the last range behind it. *)
 
 val run :
+  Mira_analysis.Remotable_flow.t ->
   Mira_mir.Ir.program ->
   params:Mira_sim.Params.t ->
   line_of:(int -> int option) ->

@@ -1,5 +1,6 @@
 module Ir = Mira_mir.Ir
 module Types = Mira_mir.Types
+module Flow = Mira_analysis.Remotable_flow
 
 (* Key identifying "the same element": the gep's base and index
    operands.  Two geps with equal base+index but different field
@@ -7,11 +8,8 @@ module Types = Mira_mir.Types
    cache line. *)
 type key = Ir.operand * Ir.operand
 
-let mark_block program bindings line_of (f : Ir.func) =
-  let param_sites =
-    match List.assoc_opt f.Ir.f_name bindings with Some b -> b | None -> []
-  in
-  let sm = Site_map.build ~param_sites program f in
+let mark_block facts line_of (f : Ir.func) =
+  let regs = Flow.regs facts f in
   let elem_fits site elem_bytes =
     match line_of site with Some line -> elem_bytes <= line | None -> false
   in
@@ -25,7 +23,7 @@ let mark_block program bindings line_of (f : Ir.func) =
   and go_op seen op =
     match op with
     | Ir.Load ({ ptr = Ir.Oreg r; meta; _ } as l) when meta.Ir.am_remote ->
-      (match Site_map.gep_parts sm r with
+      (match Flow.gep_parts regs r with
       | Some (base, index, elem, _field) when elem_fits meta.Ir.am_site (Types.size_of elem) ->
         let key = (base, index) in
         if Hashtbl.mem seen key then
@@ -36,7 +34,7 @@ let mark_block program bindings line_of (f : Ir.func) =
         end
       | Some _ | None -> op)
     | Ir.Store ({ ptr = Ir.Oreg r; meta; _ } as s) when meta.Ir.am_remote ->
-      (match Site_map.gep_parts sm r with
+      (match Flow.gep_parts regs r with
       | Some (base, index, elem, _field) when elem_fits meta.Ir.am_site (Types.size_of elem) ->
         let key = (base, index) in
         if Hashtbl.mem seen key then
@@ -66,12 +64,8 @@ let mark_block program bindings line_of (f : Ir.func) =
   in
   { f with Ir.f_body = go (Hashtbl.create 8) f.Ir.f_body }
 
-let run program ~line_of =
-  let bindings = Mira_analysis.Remotable_flow.param_sites_of_program program in
+let run facts program ~line_of =
   {
     program with
-    Ir.p_funcs =
-      List.map
-        (fun (name, f) -> (name, mark_block program bindings line_of f))
-        program.Ir.p_funcs;
+    Ir.p_funcs = List.map (fun (name, f) -> (name, mark_block facts line_of f)) program.Ir.p_funcs;
   }

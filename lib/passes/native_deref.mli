@@ -13,6 +13,7 @@
     it only costs performance (see [Mira_cache.Section]). *)
 
 val run :
+  Mira_analysis.Remotable_flow.t ->
   Mira_mir.Ir.program ->
   line_of:(int -> int option) ->
   Mira_mir.Ir.program

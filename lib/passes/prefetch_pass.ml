@@ -1,6 +1,7 @@
 module Ir = Mira_mir.Ir
 module Types = Mira_mir.Types
 module Pattern = Mira_analysis.Pattern
+module Flow = Mira_analysis.Remotable_flow
 
 let distance_iters ~params ~body_ops =
   let p = params in
@@ -14,11 +15,10 @@ let distance_iters ~params ~body_ops =
   Mira_util.Misc.clamp ~lo:1 ~hi:8192 (int_of_float d)
 
 type ctx = {
-  program : Ir.program;
+  facts : Flow.t;
   params : Mira_sim.Params.t;
   line_of : int -> int option;
   hint_line_of : int -> int option;  (* [line_of], but [None] where no hint goes *)
-  site_count : int -> int64 option;  (* constant element count of a site *)
   fresh : unit -> Ir.reg;
 }
 
@@ -301,7 +301,7 @@ let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
           | Pattern.Idx_affine { c0; terms } ->
             (* Needs every referenced iv in scope and a constant object
                size to guard against running past the allocation. *)
-            (match ctx.site_count g.Pattern.g_site with
+            (match Flow.site_count ctx.facts g.Pattern.g_site with
             | Some count
               when List.for_all (fun (d, _) -> List.mem_assoc d ivs) terms ->
               preambles :=
@@ -329,12 +329,12 @@ let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
   (List.rev !preambles, snippets)
 
 (* Pointer-chase: prefetch the target of a freshly loaded remote pointer. *)
-let chase_expansion program ~line_of op =
+let chase_expansion facts ~line_of op =
   match op with
   | Ir.Load { dst; ty = Types.Ptr pointee; meta; _ }
     when meta.Ir.am_remote ->
     let target =
-      match Mira_analysis.Remotable_flow.site_of_ty program pointee with
+      match Flow.site_of_ty facts pointee with
       | Some s -> s
       | None -> -1
     in
@@ -351,42 +351,17 @@ let chase_expansion program ~line_of op =
   | Ir.ProfEnter _ | Ir.ProfExit _ ->
     [ op ]
 
-(* Constant element counts per allocation site (program-wide scan). *)
-let site_counts program =
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun (_, f) ->
-      Ir.iter_ops
-        (fun op ->
-          match op with
-          | Ir.Alloc { site; count = Ir.Oint n; _ } ->
-            (match Hashtbl.find_opt counts site with
-            | Some (Some m) when m <> n -> Hashtbl.replace counts site None
-            | Some _ -> ()
-            | None -> Hashtbl.replace counts site (Some n))
-          | Ir.Alloc { site; _ } -> Hashtbl.replace counts site None
-          | Ir.Bin _ | Ir.Fbin _ | Ir.Cmp _ | Ir.Fcmp _ | Ir.Not _ | Ir.I2f _
-          | Ir.F2i _ | Ir.Mov _ | Ir.Free _ | Ir.Gep _ | Ir.Load _ | Ir.Store _
-          | Ir.Call _ | Ir.For _ | Ir.ParFor _ | Ir.While _ | Ir.If _ | Ir.Ret _
-          | Ir.Prefetch _ | Ir.FlushEvict _ | Ir.EvictSite _ | Ir.ProfEnter _
-          | Ir.ProfExit _ ->
-            ())
-        f.Ir.f_body)
-    program.Ir.p_funcs;
-  fun site -> Option.join (Hashtbl.find_opt counts site)
+let context facts ~params ~line_of ~hint_line_of ~fresh =
+  { facts; params; line_of; hint_line_of; fresh }
 
-let context program ~params ~line_of ~hint_line_of =
-  let site_count = site_counts program in
-  fun ~fresh -> { program; params; line_of; hint_line_of; site_count; fresh }
-
-let chase program ~line_of =
+let chase facts program ~line_of =
   {
     program with
     Ir.p_funcs =
       List.map
         (fun (name, f) ->
           ( name,
-            { f with Ir.f_body = Ir.expand_ops (chase_expansion program ~line_of) f.Ir.f_body }
+            { f with Ir.f_body = Ir.expand_ops (chase_expansion facts ~line_of) f.Ir.f_body }
           ))
         program.Ir.p_funcs;
   }

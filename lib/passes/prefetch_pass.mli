@@ -19,11 +19,11 @@
     sites with a cache section) are prefetched. *)
 
 type ctx
-(** A function's prefetch context: the program, the cost parameters,
-    the section lines and a register supply. *)
+(** A function's prefetch context: the program's site facts, the cost
+    parameters, the section lines and a register supply. *)
 
 val context :
-  Mira_mir.Ir.program ->
+  Mira_analysis.Remotable_flow.t ->
   params:Mira_sim.Params.t ->
   line_of:(int -> int option) ->
   hint_line_of:(int -> int option) ->
@@ -31,8 +31,7 @@ val context :
   ctx
 (** [line_of site] is the section line size for sectioned sites, and
     [hint_line_of] the same for the sites a prefetch may target (an
-    indirect prefetch's index stream need only be sectioned); apply
-    once per program, then per function with its register supply. *)
+    indirect prefetch's index stream need only be sectioned). *)
 
 val loop_snippets :
   ctx ->
@@ -49,7 +48,9 @@ val loop_snippets :
     snippets to put at the start of its body.  Accesses whose gep
     satisfies [skip] get neither. *)
 
-val chase : Mira_mir.Ir.program -> line_of:(int -> int option) -> Mira_mir.Ir.program
+val chase :
+  Mira_analysis.Remotable_flow.t ->
+  Mira_mir.Ir.program -> line_of:(int -> int option) -> Mira_mir.Ir.program
 (** Pointer chase: after each load of a remote pointer, prefetch one
     line of its target's section. *)
 

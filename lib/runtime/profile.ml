@@ -10,6 +10,7 @@ type site_stat = {
   mutable alloc_bytes : int;
   mutable allocs : int;
   mutable overhead_ns : float;
+  mutable misses : int;
 }
 
 (* The sites a function has accessed, keyed by site id alone (no
@@ -37,7 +38,7 @@ type t = {
   funcs : (string, fn_stat) Hashtbl.t;
   sites : (int, site_stat) Hashtbl.t;
   site_cache : (int * site_stat) option array;
-      (* direct-mapped by site id over [sites], for [add_site_overhead] *)
+      (* direct-mapped by site id over [sites], for the access path *)
   touched : (string, unit Site_set.t) Hashtbl.t;  (* function -> sites *)
   stacks : frame list ref Mira_util.Tid_map.t;  (* per-thread call stacks *)
   mutable strict : bool;  (* raise on mismatched enter/exit *)
@@ -67,7 +68,7 @@ let site_stat t site =
   match Hashtbl.find_opt t.sites site with
   | Some s -> s
   | None ->
-    let s = { alloc_bytes = 0; allocs = 0; overhead_ns = 0.0 } in
+    let s = { alloc_bytes = 0; allocs = 0; overhead_ns = 0.0; misses = 0 } in
     Hashtbl.replace t.sites site s;
     s
 
@@ -153,17 +154,22 @@ let rec charge_frames ns hit miss = function
 
 let charge t ~tid ~ns ~hit ~miss = charge_frames ns hit miss !(stack t tid)
 
-let add_site_overhead t ~site ~ns =
+let cached_site_stat t site =
   let i = site land (site_cache_size - 1) in
-  let s =
-    match t.site_cache.(i) with
-    | Some (k, s) when k = site -> s
-    | _ ->
-      let s = site_stat t site in
-      t.site_cache.(i) <- Some (site, s);
-      s
-  in
+  match t.site_cache.(i) with
+  | Some (k, s) when k = site -> s
+  | _ ->
+    let s = site_stat t site in
+    t.site_cache.(i) <- Some (site, s);
+    s
+
+let add_site_overhead t ~site ~ns =
+  let s = cached_site_stat t site in
   s.overhead_ns <- s.overhead_ns +. ns
+
+let add_site_misses t ~site ~n =
+  let s = cached_site_stat t site in
+  s.misses <- s.misses + n
 
 let add_alloc t ~site ~bytes =
   let s = site_stat t site in

@@ -20,6 +20,7 @@ type site_stat = {
   mutable alloc_bytes : int;
   mutable allocs : int;
   mutable overhead_ns : float;  (** runtime time attributable to this site *)
+  mutable misses : int;  (** demand misses on this site's objects *)
 }
 
 type t
@@ -55,6 +56,8 @@ val charge : t -> tid:int -> ns:float -> hit:bool -> miss:bool -> unit
 val add_alloc : t -> site:int -> bytes:int -> unit
 
 val add_site_overhead : t -> site:int -> ns:float -> unit
+
+val add_site_misses : t -> site:int -> n:int -> unit
 
 val touch : t -> tid:int -> site:int -> unit
 (** Record that the current function(s) accessed [site]. *)

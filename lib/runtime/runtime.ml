@@ -87,10 +87,6 @@ type t = {
   lost_bytes : (int, int) Hashtbl.t;  (* site -> far bytes lost to crashes *)
   profile : Profile.t;
   attribution : Mira_telemetry.Attribution.t;
-  miss_sites : Mira_telemetry.Sketch.t;
-      (* hot miss sites across the whole run (Space-Saving top-K),
-         sampled per window by the timeline exporter *)
-  site_labels : (int, string) Hashtbl.t;  (* site -> its [miss_sites] key *)
   mutable nthreads : int;
 }
 
@@ -159,15 +155,12 @@ let create cfg =
     lost_bytes = Hashtbl.create 8;
     profile = Profile.create ();
     attribution;
-    miss_sites = Mira_telemetry.Sketch.create ~k:16;
-    site_labels = Hashtbl.create 16;
     nthreads = 1;
   }
 
 let manager t = t.manager
 let net t = t.net
 let attribution t = t.attribution
-let miss_sites t = t.miss_sites
 let cluster t = t.cluster
 let far_store t = Sim.Cluster.primary t.cluster
 let profile t = t.profile
@@ -446,15 +439,6 @@ let sync_cluster t ~clock:c =
     account_lost t
   end
 
-(* A site's key in the miss-site sketch, formatted once per site. *)
-let site_label t site =
-  match Hashtbl.find_opt t.site_labels site with
-  | Some l -> l
-  | None ->
-    let l = Printf.sprintf "site%d" site in
-    Hashtbl.replace t.site_labels site l;
-    l
-
 (* [hits] and [misses] are the access's deltas of the handle's
    counters. *)
 let attribute t ~tid ~site ~before ~after ~hits ~misses =
@@ -462,10 +446,7 @@ let attribute t ~tid ~site ~before ~after ~hits ~misses =
   let overhead = Float.max 0.0 (after -. before -. native) in
   Profile.charge t.profile ~tid ~ns:overhead ~hit:(hits > 0) ~miss:(misses > 0);
   if overhead > 0.0 then Profile.add_site_overhead t.profile ~site ~ns:overhead;
-  if misses > 0 then
-    Mira_telemetry.Sketch.touch t.miss_sites
-      ~weight:(Int64.of_int misses)
-      (site_label t site)
+  if misses > 0 then Profile.add_site_misses t.profile ~site ~n:misses
 
 let load t ~tid ~(ptr : Memsys.ptr) ~len ~native =
   let c = clock t tid in
@@ -579,8 +560,7 @@ let reset_timing t =
   Sim.Net.reset_link t.net;
   Cache.Manager.reset_stats t.manager;
   Profile.reset t.profile;
-  Mira_telemetry.Attribution.reset t.attribution;
-  Mira_telemetry.Sketch.reset t.miss_sites
+  Mira_telemetry.Attribution.reset t.attribution
 
 let elapsed t =
   Mira_util.Tid_map.fold (fun _ c acc -> Float.max acc (Sim.Clock.now c)) t.clocks 0.0

@@ -82,12 +82,6 @@ val attribution : t -> Mira_telemetry.Attribution.t
     across task parks via a TLS hook, so multi-tenant charges land
     under the tenant that actually stalled. *)
 
-val miss_sites : t -> Mira_telemetry.Sketch.t
-(** Hot miss sites across the run: a Space-Saving top-K over
-    ["site<N>"] keys, touched on every recorded demand miss and
-    cleared by [reset_timing].  Sampled per window by the timeline
-    exporter. *)
-
 val clock_stall_ns : t -> float
 (** Sum of [Mira_sim.Clock.stalled_ns] over all thread clocks — the
     audit-side total the ledger is checked against.  Published as

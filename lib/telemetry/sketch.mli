@@ -8,8 +8,11 @@
     reported count exceeds the true count by at most its [err]
     (itself bounded by [total/k] = [error_bound]).
 
-    Used for hot keys in the serving workload and hot miss sites in
-    the runtime, sampled per time window.  Deterministic by
+    Used for hot keys in the serving workload, sampled per time
+    window.  The timeline's hot miss sites are not sketched: they are
+    the runtime profile's exact per-site miss counts, listed in
+    [snapshot]'s order and merged with [merge_snapshots], so they stay
+    exact however many sites miss.  Deterministic by
     construction — eviction ties break on the key — and host-side
     only: touching a sketch never advances a simulated clock. *)
 

@@ -2,6 +2,7 @@ module Clock = Mira_sim.Clock
 module Sched = Mira_sim.Sched
 module Runtime = Mira_runtime.Runtime
 module Memsys = Mira_runtime.Memsys
+module Profile = Mira_runtime.Profile
 module Section = Mira_cache.Section
 module Manager = Mira_cache.Manager
 module Metrics = Mira_telemetry.Metrics
@@ -210,7 +211,7 @@ module Timeline = struct
     keys : Sketch.t;  (* hot keys of the current window; reset per boundary *)
     (* wired by [attach], before the sampler runs *)
     mutable net : Net.t option;
-    mutable miss_sites : Sketch.t option;
+    mutable profile : Profile.t option;
     mutable bandwidth : float;  (* bytes/ns, for the wire-busy fraction *)
     mutable window_cap : int;
     (* cumulative snapshots diffed at each boundary *)
@@ -245,7 +246,7 @@ module Timeline = struct
       interval = interval_ns;
       keys = Sketch.create ~k:topk;
       net = None;
-      miss_sites = None;
+      profile = None;
       bandwidth = 0.0;
       window_cap = 0;
       prev_bytes = 0;
@@ -260,7 +261,7 @@ module Timeline = struct
 
   let attach t rt (cfg : config) =
     t.net <- Some (Runtime.net rt);
-    t.miss_sites <- Some (Runtime.miss_sites rt);
+    t.profile <- Some (Runtime.profile rt);
     t.bandwidth <- (Runtime.params rt).Mira_sim.Params.bandwidth_bytes_per_ns;
     t.window_cap <- (Net.dataplane (Runtime.net rt)).Net.window;
     t.cur <- fresh_window ~ntenants:cfg.tenants ~start:0.0
@@ -280,9 +281,8 @@ module Timeline = struct
   let entry_order (ka, ca) (kb, cb) =
     match Int64.compare cb ca with 0 -> String.compare ka kb | c -> c
 
-  (* Per-window view of a cumulative sketch snapshot: count deltas of
-     the currently monitored keys (keys evicted between boundaries are
-     lost — the usual sketch approximation, still deterministic). *)
+  (* Per-window view of cumulative per-site miss counts: each site's
+     count delta, heaviest first. *)
   let diff_snapshot prev cur =
     let tbl = Hashtbl.create 16 in
     List.iter (fun (k, c) -> Hashtbl.replace tbl k c) prev;
@@ -318,10 +318,17 @@ module Timeline = struct
             Hashtbl.replace t.prev_ifr (wt, h) fp
           end)
         (Net.Interference.cells (Net.interference net)));
-    match t.miss_sites with
+    match t.profile with
     | None -> ()
-    | Some sk ->
-      let cur = Sketch.snapshot sk in
+    | Some p ->
+      let cur =
+        List.filter_map
+          (fun (site, (st : Profile.site_stat)) ->
+            if st.Profile.misses > 0 then
+              Some (Printf.sprintf "site%d" site, Int64.of_int st.Profile.misses)
+            else None)
+          (Profile.site_stats p)
+      in
       w.top_miss_sites <- diff_snapshot t.prev_miss_sites cur;
       t.prev_miss_sites <- cur
 
@@ -329,7 +336,7 @@ module Timeline = struct
 
   (* An empty list was never set.  Merging with one keeps the other
      as it is, so a miss-site delta that no merge touched still lists
-     every site the runtime's sketch monitors (more than [topk]). *)
+     every site that missed in its window (more than [topk]). *)
   let merge_top a b =
     match (a, b) with
     | [], l | l, [] -> l

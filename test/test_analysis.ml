@@ -65,7 +65,7 @@ let graph_like () =
 
 let analyze prog name =
   let f = Ir.find_func prog name in
-  Pattern.analyze prog f ~site_of_ty:(Flow.site_of_ty prog) ()
+  Pattern.analyze (Flow.build prog) f
 
 let test_pattern_sequential_and_indirect () =
   let prog = graph_like () in
@@ -179,8 +179,9 @@ let test_lifetime_phases () =
 let test_site_of_ty_unique () =
   let prog = graph_like () in
   let edge_ty = T.Struct { T.s_name = "e2"; s_fields = [] } in
-  Alcotest.(check (option int)) "edge site" (Some 0) (Flow.site_of_ty prog edge_ty);
-  Alcotest.(check (option int)) "unknown type" None (Flow.site_of_ty prog T.F64)
+  let facts = Flow.build prog in
+  Alcotest.(check (option int)) "edge site" (Some 0) (Flow.site_of_ty facts edge_ty);
+  Alcotest.(check (option int)) "unknown type" None (Flow.site_of_ty facts T.F64)
 
 let test_param_sites () =
   let b = B.program "pp" in
@@ -197,16 +198,16 @@ let test_param_sites () =
       ignore (B.call fb "use" [ a ]);
       B.ret fb (B.iconst 0));
   let prog = B.finish b ~entry:"main" in
-  let bindings = Flow.param_sites_of_program prog in
-  let use_bindings = List.assoc "use" bindings in
+  let use_bindings = Flow.param_sites (Flow.build prog) "use" in
   Alcotest.(check (option int)) "param bound to site 0" (Some 0)
     (List.assoc_opt 0 use_bindings)
 
 let test_remotable_functions () =
   let prog = graph_like () in
   (* main is the entry: never remotable *)
+  let scores = Offload.analyze (Flow.build prog) prog ~params:Mira_sim.Params.default in
   Alcotest.(check (list string)) "entry excluded" []
-    (Flow.remotable_functions prog)
+    (List.map (fun s -> s.Offload.o_name) scores)
 
 let test_offload_scoring () =
   let b = B.program "offl" in
@@ -229,7 +230,7 @@ let test_offload_scoring () =
       let v = B.call fb "scan" [ a ] in
       B.ret fb v);
   let prog = B.finish b ~entry:"main" in
-  let scores = Offload.analyze prog ~params:Mira_sim.Params.default () in
+  let scores = Offload.analyze (Flow.build prog) prog ~params:Mira_sim.Params.default in
   match List.find_opt (fun s -> s.Offload.o_name = "scan") scores with
   | Some s ->
     Alcotest.(check bool) "scan is offload-worthy" true (Offload.should_offload s);

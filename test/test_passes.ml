@@ -12,6 +12,7 @@ module Fusion = Mira_passes.Fusion
 module Native = Mira_passes.Native_deref
 module Loop_hints = Mira_passes.Loop_hints
 module Pipeline = Mira_passes.Pipeline
+module Flow = Mira_analysis.Remotable_flow
 module Machine = Mira_interp.Machine
 module Value = Mira_interp.Value
 
@@ -58,8 +59,9 @@ let test_instrument_only () =
 
 let test_convert_marks_selected () =
   let prog = graph_program () in
+  let facts = Flow.build prog in
   let e = edges_site prog and n = nodes_site prog in
-  let conv = Convert.run prog ~selected:[ e; n ] in
+  let conv = Convert.run facts prog ~selected:[ e; n ] in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify conv));
   let remote_loads =
     count_ops
@@ -67,7 +69,7 @@ let test_convert_marks_selected () =
       conv
   in
   Alcotest.(check bool) "loads converted" true (remote_loads > 0);
-  let conv_none = Convert.run prog ~selected:[] in
+  let conv_none = Convert.run facts prog ~selected:[] in
   Alcotest.(check int) "nothing selected, nothing converted" 0
     (count_ops
        (function
@@ -77,12 +79,13 @@ let test_convert_marks_selected () =
 
 let test_prefetch_inserts () =
   let prog = graph_program () in
+  let facts = Flow.build prog in
   let e = edges_site prog and n = nodes_site prog in
-  let conv = Convert.run prog ~selected:[ e; n ] in
+  let conv = Convert.run facts prog ~selected:[ e; n ] in
   let line_of site = if site = e then Some 1024 else if site = n then Some 128 else None in
   let pf =
-    Loop_hints.run conv ~params ~line_of ~hint_line_of:line_of ~prefetch:true ~evict:false
-      ~native:false
+    Loop_hints.run facts conv ~params ~line_of ~hint_line_of:line_of ~prefetch:true
+      ~evict:false ~native:false
   in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify pf));
   let prefetches = count_ops (function Ir.Prefetch _ -> true | _ -> false) pf in
@@ -97,13 +100,14 @@ let test_prefetch_distance () =
 
 let test_evict_inserts () =
   let prog = graph_program () in
+  let facts = Flow.build prog in
   let e = edges_site prog in
-  let conv = Convert.run prog ~selected:[ e ] in
+  let conv = Convert.run facts prog ~selected:[ e ] in
   let line_of site = if site = e then Some 1024 else None in
   let ev =
-    Loop_hints.run conv ~params ~line_of ~hint_line_of:line_of ~prefetch:false ~evict:true
-      ~native:false
-    |> Evict.end_lifetimes ~line_of
+    Loop_hints.run facts conv ~params ~line_of ~hint_line_of:line_of ~prefetch:false
+      ~evict:true ~native:false
+    |> Evict.end_lifetimes facts ~line_of
   in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify ev));
   let flushes = count_ops (function Ir.FlushEvict _ -> true | _ -> false) ev in
@@ -142,8 +146,9 @@ let count_loops prog =
 
 let test_fusion_fuses_independent () =
   let prog = fusable_program () in
+  let facts = Flow.build prog in
   let before = count_loops prog in
-  let fused = Fusion.run prog in
+  let fused = Fusion.run facts prog in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify fused));
   Alcotest.(check int) "two writers fused" (before - 1) (count_loops fused);
   (* semantics preserved *)
@@ -164,15 +169,17 @@ let test_fusion_respects_dependences () =
           ignore (B.load fb T.I64 p));
       B.ret fb (B.iconst 0));
   let prog = B.finish b ~entry:"main" in
-  let fused = Fusion.run prog in
+  let facts = Flow.build prog in
+  let fused = Fusion.run facts prog in
   Alcotest.(check int) "loops unchanged" (count_loops prog) (count_loops fused)
 
 let test_native_deref_marks () =
   let prog = graph_program () in
+  let facts = Flow.build prog in
   let e = edges_site prog and n = nodes_site prog in
-  let conv = Convert.run prog ~selected:[ e; n ] in
+  let conv = Convert.run facts prog ~selected:[ e; n ] in
   let line_of site = if site = e || site = n then Some 1024 else None in
-  let marked = Native.run conv ~line_of in
+  let marked = Native.run facts conv ~line_of in
   Alcotest.(check bool) "verifies" true (Result.is_ok (Verifier.verify marked));
   let natives =
     count_ops
@@ -499,6 +506,117 @@ let test_pipeline_all_workloads_preserved () =
        { Mira_workloads.Gpt2.config_default with
          Mira_workloads.Gpt2.layers = 2; d_model = 8; seq = 4 })
 
+(* The compiled IR of every workload at test scale, under [plan_all]
+   with offloading on and off, pinned by digest.  The printed program
+   leaves out the sites an offloaded function flushes, so they are
+   digested with it.  A change to the passes that must not change what
+   they emit keeps these; one that means to updates them. *)
+let pinned_workloads =
+  [
+    ( "graph",
+      fun () ->
+        Mira_workloads.Graph_traversal.build
+          { Mira_workloads.Graph_traversal.config_default with
+            Mira_workloads.Graph_traversal.num_edges = 500; num_nodes = 64 } );
+    ( "micro_sum",
+      fun () ->
+        Mira_workloads.Micro_sum.build
+          { Mira_workloads.Micro_sum.config_default with
+            Mira_workloads.Micro_sum.elems = 1000 } );
+    ( "dataframe",
+      fun () ->
+        Mira_workloads.Dataframe.build
+          { Mira_workloads.Dataframe.config_default with
+            Mira_workloads.Dataframe.rows = 500; groups = 32 } );
+    ( "mcf",
+      fun () ->
+        Mira_workloads.Mcf.build
+          { Mira_workloads.Mcf.config_default with
+            Mira_workloads.Mcf.num_nodes = 100; num_arcs = 400; rounds = 2 } );
+    ( "gpt2",
+      fun () ->
+        Mira_workloads.Gpt2.build
+          { Mira_workloads.Gpt2.config_default with
+            Mira_workloads.Gpt2.layers = 2; d_model = 8; seq = 4 } );
+  ]
+
+let compiled_ir_digest prog ~offload =
+  let sites = List.map (fun s -> s.Ir.si_id) prog.Ir.p_sites in
+  let plan = Pipeline.plan_all ~selected:sites ~lines:(List.map (fun s -> (s, 256)) sites) in
+  let compiled = Pipeline.apply prog { plan with Pipeline.offload } ~params in
+  let flushed =
+    List.map
+      (fun (name, f) ->
+        name ^ ":" ^ String.concat "," (List.map string_of_int f.Ir.f_offload_sites))
+      compiled.Ir.p_funcs
+  in
+  Mira_mir.Printer.program_to_string compiled ^ String.concat ";" flushed
+  |> Digest.string |> Digest.to_hex
+
+(* name -> (offload on, offload off) *)
+let pinned_digests =
+  [
+    ("graph", ("01458c9d2cd6945241c7fb969ab0540c", "bb852abf72d76031a0396fbfb211b6c2"));
+    ("micro_sum", ("491618fc2de7b2830fc92ef9f0e146b3", "a1fa22c22189897664958a7dfeee19dd"));
+    ("dataframe", ("d897eaf9d1fcb798f813e40db1a237b3", "591f7d7433332c77478519beef1e2001"));
+    ("mcf", ("e32975550f006f85da5dad850ae3cfae", "decb17db5c419cac3e83ffd83bd6204e"));
+    ("gpt2", ("6f563f65c4be474257188b03c6a2b689", "bc4d1b88f2e443983a4882cd84cada17"));
+  ]
+
+(* [Pipeline.apply] builds its input's site facts once and hands them
+   to every pass, which holds only while no pass changes them: the
+   first pass whose output has other facts than its input, if any. *)
+let pass_changing_facts prog =
+  let view p =
+    let facts = Flow.build p in
+    ( Flow.heap_sites facts,
+      List.map (fun s -> Flow.site_count facts s.Ir.si_id) p.Ir.p_sites,
+      List.map (fun s -> Flow.site_of_ty facts s.Ir.si_elem) p.Ir.p_sites,
+      List.map (fun (name, _) -> (Flow.param_sites facts name, Flow.callees facts name))
+        p.Ir.p_funcs )
+  in
+  let facts = Flow.build prog in
+  let sites = List.map (fun s -> s.Ir.si_id) prog.Ir.p_sites in
+  let line_of s = if List.mem s sites then Some 256 else None in
+  let passes =
+    [
+      ("fusion", Fusion.run facts);
+      ("convert", fun p -> Convert.run facts p ~selected:sites);
+      ( "loop hints",
+        fun p ->
+          Loop_hints.run facts p ~params ~line_of ~hint_line_of:line_of ~prefetch:true
+            ~evict:true ~native:true );
+      ("chase", fun p -> Prefetch.chase facts p ~line_of);
+      ("lifetimes", fun p -> Evict.end_lifetimes facts p ~line_of);
+      ("native deref", fun p -> Native.run facts p ~line_of);
+      ("offload", fun p -> Mira_passes.Offload_pass.run facts p ~params);
+      ("instrument", Instrument.run);
+    ]
+  in
+  let before = view prog in
+  let rec first p = function
+    | [] -> None
+    | (name, pass) :: rest ->
+      let p = pass p in
+      if view p <> before then Some name else first p rest
+  in
+  first prog passes
+
+let test_compiled_ir_pinned () =
+  List.iter
+    (fun (name, build) ->
+      let prog = build () in
+      let on, off = List.assoc name pinned_digests in
+      Alcotest.(check string) (name ^ " offload on") on (compiled_ir_digest prog ~offload:true);
+      Alcotest.(check string) (name ^ " offload off") off (compiled_ir_digest prog ~offload:false);
+      Alcotest.(check (option string)) (name ^ " site facts kept") None (pass_changing_facts prog))
+    pinned_workloads
+
+let qcheck_passes_keep_facts =
+  QCheck.Test.make ~name:"passes keep random programs' site facts" ~count:60
+    (QCheck.make ~print:Test_random_programs.pp_recipe Test_random_programs.gen_recipe)
+    (fun recipe -> pass_changing_facts (Test_random_programs.build_program recipe) = None)
+
 let suite =
   [
     Alcotest.test_case "instrument" `Quick test_instrument;
@@ -516,4 +634,6 @@ let suite =
     Alcotest.test_case "gated flush covers lines" `Quick test_gated_flush_covers_lines;
     Alcotest.test_case "resident sites get no hints" `Quick test_resident_gets_no_hints;
     Alcotest.test_case "pipeline all workloads" `Slow test_pipeline_all_workloads_preserved;
+    Alcotest.test_case "compiled IR pinned" `Quick test_compiled_ir_pinned;
+    QCheck_alcotest.to_alcotest qcheck_passes_keep_facts;
   ]
