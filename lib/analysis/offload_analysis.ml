@@ -114,8 +114,7 @@ let remotable_functions facts program results =
   done;
   Hashtbl.mem remotable
 
-let analyze facts program ~params =
-  let results = Pattern.analyze_all facts program in
+let analyze facts results program ~params =
   let remotable = remotable_functions facts program results in
   let sites_of = function_sites facts program results in
   List.filter_map

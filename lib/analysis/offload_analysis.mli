@@ -15,8 +15,12 @@ type score = {
 }
 
 val analyze :
-  Remotable_flow.t -> Mira_mir.Ir.program -> params:Mira_sim.Params.t -> score list
-(** Scores for every remotable function, in definition order: the
+  Remotable_flow.t -> (string * Pattern.result) list -> Mira_mir.Ir.program ->
+  params:Mira_sim.Params.t -> score list
+(** [analyze facts results program ~params], [results] being
+    [Pattern.analyze_all facts] of [program] before or after the passes
+    (they keep every access's object).  Scores for
+    every remotable function, in definition order: the
     functions that touch only resolvable far objects and their own
     stack data, and call only remotable functions or intrinsics (the
     entry function never is).  Far accesses are assumed to miss the

@@ -626,6 +626,7 @@ let search opts original =
   let heap = Flow.heap_sites facts in
   let allowed_functions = work_scope facts original in
   let all_fns = Pattern.analyze_all facts original in
+  let analysis = (facts, all_fns) in
   (* best work, its selection, assignments and plan, and its iteration *)
   let best = ref (base_ns, [], [], Pipeline.plan_default, 0) in
   let profile = ref profile0 in
@@ -695,7 +696,7 @@ let search opts original =
          assignments (instrumented so `work` is measured): its resident
          sections get no hints. *)
       let compile assignments =
-        Pipeline.apply original (build_plan_for opts assignments ~instrument:true)
+        Pipeline.apply ~analysis original (build_plan_for opts assignments ~instrument:true)
           ~params:opts.params
       in
       phase "size";
@@ -726,7 +727,7 @@ let search opts original =
         assignments;
       phase "compile";
       let plan = build_plan_for opts assignments ~instrument:true in
-      let prog = Mira_passes.Pipeline.apply original plan ~params:opts.params in
+      let prog = Mira_passes.Pipeline.apply ~analysis original plan ~params:opts.params in
       decided := (sites, !i) :: !decided;
       let limit = if opts.always_accept then infinity else abort_factor *. best_ns in
       match eval ~limit opts prog assignments with
@@ -772,7 +773,7 @@ let search opts original =
   (* Final compilation: no profiling except the measured work function. *)
   let final_plan = { plan with Pipeline.instrument = false } in
   let final_prog =
-    Mira_passes.Pipeline.apply original final_plan ~params:opts.params
+    Mira_passes.Pipeline.apply ~analysis original final_plan ~params:opts.params
     |> Instrument.run_only ~names:[ work_function original ]
   in
   {

@@ -1,8 +1,8 @@
 module Ir = Mira_mir.Ir
 module Offload = Mira_analysis.Offload_analysis
 
-let run facts program ~params =
-  let scores = Offload.analyze facts program ~params in
+let run facts results program ~params =
+  let scores = Offload.analyze facts results program ~params in
   {
     program with
     Ir.p_funcs =

@@ -5,6 +5,7 @@
 
 val run :
   Mira_analysis.Remotable_flow.t ->
+  (string * Mira_analysis.Pattern.result) list ->
   Mira_mir.Ir.program -> params:Mira_sim.Params.t -> Mira_mir.Ir.program
 (** Offload every remotable function whose analysis benefit is
     positive. *)

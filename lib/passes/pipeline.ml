@@ -36,14 +36,20 @@ let plan_all ~selected ~lines =
     instrument = false;
   }
 
-let apply program plan ~params =
+let apply ?analysis program plan ~params =
   let line_of site = List.assoc_opt site plan.lines in
   (* a resident section holds its whole object: nothing to hint *)
   let hint_line_of site = if List.mem site plan.resident then None else line_of site in
   let program = Instrument.strip program in
   (* no pass adds an allocation, a call or a parameter: the input's
      site facts hold for every pass *)
-  let facts = Mira_analysis.Remotable_flow.build program in
+  let facts, results =
+    match analysis with
+    | Some (facts, results) -> (facts, Lazy.from_val results)
+    | None ->
+      let facts = Mira_analysis.Remotable_flow.build program in
+      (facts, lazy (Mira_analysis.Pattern.analyze_all facts program))
+  in
   let program = if plan.fuse then Fusion.run facts program else program in
   let program = Convert_remote.run facts program ~selected:plan.selected in
   let program =
@@ -63,7 +69,10 @@ let apply program plan ~params =
   let program =
     if plan.native then Native_deref.run facts program ~line_of else program
   in
-  let program = if plan.offload then Offload_pass.run facts program ~params else program in
+  let program =
+    if plan.offload then Offload_pass.run facts (Lazy.force results) program ~params
+    else program
+  in
   let program = if plan.instrument then Instrument.run program else program in
   Mira_mir.Verifier.verify_exn program;
   program

@@ -32,6 +32,10 @@ val plan_all : selected:int list -> lines:(int * int) list -> plan
 (** All optimizations on, offloading included, no instrumentation. *)
 
 val apply :
+  ?analysis:
+    Mira_analysis.Remotable_flow.t * (string * Mira_analysis.Pattern.result) list ->
   Mira_mir.Ir.program -> plan -> params:Mira_sim.Params.t -> Mira_mir.Ir.program
 (** The result is re-verified; raises [Failure] if a pass produced
-    malformed IR (a pass bug, not a user error). *)
+    malformed IR (a pass bug, not a user error).  [analysis], the
+    input's [Remotable_flow.build] and [Pattern.analyze_all], spares a
+    caller compiling one program many times redoing them per compile. *)

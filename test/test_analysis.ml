@@ -202,10 +202,14 @@ let test_param_sites () =
   Alcotest.(check (option int)) "param bound to site 0" (Some 0)
     (List.assoc_opt 0 use_bindings)
 
+let offload_scores prog =
+  let facts = Flow.build prog in
+  Offload.analyze facts (Pattern.analyze_all facts prog) prog ~params:Mira_sim.Params.default
+
 let test_remotable_functions () =
   let prog = graph_like () in
   (* main is the entry: never remotable *)
-  let scores = Offload.analyze (Flow.build prog) prog ~params:Mira_sim.Params.default in
+  let scores = offload_scores prog in
   Alcotest.(check (list string)) "entry excluded" []
     (List.map (fun s -> s.Offload.o_name) scores)
 
@@ -230,7 +234,7 @@ let test_offload_scoring () =
       let v = B.call fb "scan" [ a ] in
       B.ret fb v);
   let prog = B.finish b ~entry:"main" in
-  let scores = Offload.analyze (Flow.build prog) prog ~params:Mira_sim.Params.default in
+  let scores = offload_scores prog in
   match List.find_opt (fun s -> s.Offload.o_name = "scan") scores with
   | Some s ->
     Alcotest.(check bool) "scan is offload-worthy" true (Offload.should_offload s);

@@ -589,7 +589,10 @@ let pass_changing_facts prog =
       ("chase", fun p -> Prefetch.chase facts p ~line_of);
       ("lifetimes", fun p -> Evict.end_lifetimes facts p ~line_of);
       ("native deref", fun p -> Native.run facts p ~line_of);
-      ("offload", fun p -> Mira_passes.Offload_pass.run facts p ~params);
+      ( "offload",
+        fun p ->
+          let results = Mira_analysis.Pattern.analyze_all facts p in
+          Mira_passes.Offload_pass.run facts results p ~params );
       ("instrument", Instrument.run);
     ]
   in

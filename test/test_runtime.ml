@@ -221,7 +221,8 @@ let test_runtime_configure_validation () =
    section and on a payload section (packed slots, remapped offsets).
    It was 85 words when every access made ~10 generic-hash lookups; the
    pinned figure is what the dev profile allocates now (the section's
-   own lookup, the boxed clock moves and the boxed int64 result). *)
+   own lookup, the boxed clock moves and the boxed int64 result); the
+   release profile, with cross-module inlining, allocates 17. *)
 let hit_words_pinned = 19.0
 
 let test_runtime_hit_words () =
@@ -288,10 +289,10 @@ let test_compute_op_words () =
    tenants' 10k latencies, then p50/p99/p999 of the 40k aggregate.
    Each array is sorted once, in a copy, with a sort that boxes
    nothing.  The copies and the aggregate go straight to the major
-   heap, so the minor words left are a few small result arrays: 0.006
-   a request.  It was ~560 when each figure copied its array and ran
-   the generic sort over boxed floats. *)
-let report_words_pinned = 0.01
+   heap, so the minor words left are a few small result arrays: 0.0051
+   a request in both profiles.  It was ~560 when each figure copied its
+   array and ran the generic sort over boxed floats. *)
+let report_words_pinned = 0.006
 
 let test_serving_report_words () =
   let tenants = 4 and requests = 10_000 in
@@ -311,7 +312,7 @@ let test_serving_report_words () =
   let words = (Gc.minor_words () -. w0) /. float_of_int (tenants * requests) in
   if words > report_words_pinned then
     Alcotest.failf
-      "%.4f minor words per request for the report's percentiles, pinned at %.2f"
+      "%.4f minor words per request for the report's percentiles, pinned at %.3f"
       words report_words_pinned
 
 (* Refactor oracle for the swap page path: a FastSwap-configured
@@ -491,8 +492,10 @@ let test_swap_path_oracle () =
    and a quarter write back.  The figure includes the access's own
    wrapper (~19 words, see [hit_words_pinned]).  It was 244 words when
    every message built a completion, boxed its float tuples and hashed
-   its id, and every fault built its readahead list and closures. *)
-let page_words_pinned = 141.0
+   its id, and every fault built its readahead list and closures.  The
+   dev profile allocates 138.8 words a page and the release profile
+   133.0; the pin is the larger, rounded up. *)
+let page_words_pinned = 139.0
 
 let test_swap_page_words () =
   let page = 4096 in
