@@ -321,12 +321,7 @@ let compare_systems wname ratio iterations threads tenants requests
   let opts =
     { (C.options_default ~local_budget:budget ~far_capacity) with
       C.params = w.params; max_iterations = iterations; nthreads = threads;
-      tenants; dataplane; cluster; verbose;
-      placement_candidates =
-        (* Non-trivial data planes let the controller search the
-           stripe-to-node layout like any other dimension. *)
-        (if cluster = Mira_sim.Cluster.spec_default then []
-         else [ Mira_sim.Cluster.Flat; Mira_sim.Cluster.Rotate ]) }
+      tenants; dataplane; cluster; verbose }
   in
   let compiled = C.optimize opts w.program in
   let rt, machine = C.instantiate compiled in

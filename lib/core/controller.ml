@@ -22,7 +22,6 @@ type options = {
   far_capacity : int;
   dataplane : Mira_sim.Net.dp_config;
   cluster : Mira_sim.Cluster.spec;
-  placement_candidates : Mira_sim.Cluster.placement list;
   max_iterations : int;
   nthreads : int;
   tenants : int;
@@ -44,7 +43,6 @@ let options_default ~local_budget ~far_capacity =
     far_capacity;
     dataplane = Mira_sim.Net.dp_default;
     cluster = Mira_sim.Cluster.spec_default;
-    placement_candidates = [];
     max_iterations = 3;
     nthreads = 1;
     tenants = 1;
@@ -586,40 +584,26 @@ let search opts original =
   let prog0 = Instrument.run original in
   let base_ns, profile0 = unbounded opts prog0 [] in
   decide (Decision.Profile_run { iteration = 0; work_ns = base_ns });
-  (* Placement axis: how stripes map to cluster nodes is searched like
-     section sizing — measure the instrumented baseline under each
-     candidate layout and keep the fastest one for every subsequent
-     compile and the final runtime. *)
+  (* Placement axis: on a cluster other than the default single node,
+     how stripes map to nodes is searched like section sizing — measure
+     the instrumented baseline under each layout and keep the fastest
+     one for every subsequent compile and the final runtime. *)
   let opts =
-    match opts.placement_candidates with
-    | [] -> opts
-    | cands ->
+    if opts.cluster = Mira_sim.Cluster.spec_default then opts
+    else begin
       phase "placement";
-      let scored =
-        List.map
-          (fun pl ->
-            let o =
-              { opts with
-                cluster =
-                  { opts.cluster with Mira_sim.Cluster.placement = pl } }
-            in
-            let ns, _ = unbounded o prog0 [] in
-            decide
-              (Decision.Placement_sample
-                 {
-                   iteration = 0;
-                   placement = Mira_sim.Cluster.placement_name pl;
-                   work_ns = ns;
-                 });
-            (ns, o))
-          cands
+      let sample pl =
+        let o = { opts with cluster = { opts.cluster with Mira_sim.Cluster.placement = pl } } in
+        let ns, _ = unbounded o prog0 [] in
+        decide
+          (Decision.Placement_sample
+             { iteration = 0; placement = Mira_sim.Cluster.placement_name pl; work_ns = ns });
+        (ns, o)
       in
-      let _, best_o =
-        List.fold_left
-          (fun (bn, bo) (n, o) -> if n < bn then (n, o) else (bn, bo))
-          (List.hd scored) (List.tl scored)
-      in
-      best_o
+      let flat_ns, flat = sample Mira_sim.Cluster.Flat in
+      let rotate_ns, rotate = sample Mira_sim.Cluster.Rotate in
+      if rotate_ns < flat_ns then rotate else flat
+    end
   in
   (* the site facts and the analysis of the program the search compiles *)
   let facts = Flow.build original in

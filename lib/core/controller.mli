@@ -19,12 +19,11 @@ type options = {
           creates (window, doorbell batching, fault injection) *)
   cluster : Mira_sim.Cluster.spec;
       (** far-memory cluster topology and crash schedule for every
-          runtime the controller creates *)
-  placement_candidates : Mira_sim.Cluster.placement list;
-      (** data-plane layouts to sample during optimization (searched
-          like section sizes; the fastest wins and is carried into the
-          final runtime).  Empty (the default) keeps [cluster]'s own
-          placement with no extra measurement runs. *)
+          runtime the controller creates.  On any spec but
+          [Cluster.spec_default] the search first samples the [Flat]
+          and [Rotate] stripe layouts, like section sizes, and carries
+          the fastest into every compile and the final runtime; the
+          default keeps its own placement with no extra runs. *)
   max_iterations : int;
   nthreads : int;
   tenants : int;

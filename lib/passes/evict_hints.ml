@@ -6,43 +6,13 @@ module Lifetime = Mira_analysis.Lifetime
    close enough that dead lines free space promptly. *)
 let behind_distance ~line ~elem = (2 * line / max 1 elem) + 8
 
-(* Flush [line] bytes from element [d = at - dist] of [g]'s object if
-   [d >= lo]. *)
-let flush_behind ~fresh ~at ~dist ~lo ~(g : Pattern.simple_gep) ~line =
-  let d = fresh () in
-  let cmp = fresh () in
-  let p = fresh () in
-  [
-    Ir.Bin (d, Ir.Sub, at, Ir.Oint (Int64.of_int dist));
-    Ir.Cmp (cmp, Ir.Ge, Ir.Oreg d, lo);
-    Ir.If
-      {
-        cond = Ir.Oreg cmp;
-        then_ =
-          [
-            Ir.Gep
-              {
-                dst = p;
-                base = g.Pattern.g_base;
-                index = Ir.Oreg d;
-                elem = g.Pattern.g_elem;
-                field_off = 0;
-              };
-            Ir.FlushEvict
-              { ptr = Ir.Oreg p; len = line;
-                meta = Block_util.remote_meta g.Pattern.g_site };
-          ];
-        else_ = [];
-      };
-  ]
-
 (* After a loop whose flushes ran once per line or chunk: the last
    range a per-iteration flush would have reached, [behind] behind the
    last induction value [at]. *)
 let flush_tail ~fresh ~at ~lo ~(g : Pattern.simple_gep) ~line =
-  flush_behind ~fresh ~at
-    ~dist:(behind_distance ~line ~elem:(Mira_mir.Types.size_of g.Pattern.g_elem))
-    ~lo ~g ~line
+  let behind = behind_distance ~line ~elem:(Mira_mir.Types.size_of g.Pattern.g_elem) in
+  Block_util.guarded_hint ~fresh (Block_util.Flush_behind behind) ~at ~bound:lo
+    ~g ~line
 
 (* Flush once per line: behind a gate that opens every [gate] index
    units of [d - lo], where [gate] is the largest power of two at most
@@ -59,7 +29,10 @@ let gated_flush ~fresh ~iv ~lo ~step ~(g : Pattern.simple_gep) ~line =
     let per_line = max 1 (line / max 1 (elem * s)) in
     let gate = (1 lsl Mira_util.Misc.log2 per_line) * (s land (-s)) in
     let dist = Mira_util.Misc.round_up behind s in
-    let flush () = flush_behind ~fresh ~at:(Ir.Oreg iv) ~dist ~lo ~g ~line in
+    let flush () =
+      Block_util.guarded_hint ~fresh (Block_util.Flush_behind dist)
+        ~at:(Ir.Oreg iv) ~bound:lo ~g ~line
+    in
     if gate <= 1 then flush ()
     else begin
       (* [(iv - dist - lo) land (gate-1) = 0]: with a constant [lo], a
@@ -82,14 +55,14 @@ let gated_flush ~fresh ~iv ~lo ~step ~(g : Pattern.simple_gep) ~line =
         ]
     end
   | Ir.Oint _ | Ir.Oreg _ | Ir.Ofloat _ | Ir.Obool _ | Ir.Ounit ->
-    flush_behind ~fresh ~at:(Ir.Oreg iv) ~dist:behind ~lo ~g ~line
+    Block_util.guarded_hint ~fresh (Block_util.Flush_behind behind) ~at:(Ir.Oreg iv) ~bound:lo
+      ~g ~line
 
 (* [skip g] excludes the accesses whose flushing the caller schedules
    itself.  With the loop's last induction value [last], the flush the
    gate would leave out at the end runs once after the loop. *)
 let loop_snippets ~fresh ~line_of ~streaming (l : Pattern.loop_info) ~lo ~step ~last ~skip
-    body =
-  let defs = Block_util.defined_regs body in
+    ~defs =
   let seen = Hashtbl.create 8 in
   let groups =
     List.concat_map

@@ -24,7 +24,7 @@ val loop_snippets :
   step:Mira_mir.Ir.operand ->
   last:Mira_mir.Ir.operand option ->
   skip:(Mira_analysis.Pattern.simple_gep -> bool) ->
-  Mira_mir.Ir.block ->
+  defs:(Mira_mir.Ir.reg, unit) Hashtbl.t ->
   Mira_mir.Ir.block * Mira_mir.Ir.block
 (** For an innermost loop: flush-behind snippets for its sequential
     accesses to [streaming] sites, each gated to one iteration in the
@@ -32,7 +32,7 @@ val loop_snippets :
     line is flushed; and, given the loop's last induction value
     [last], the ops to run after the loop that flush the lines behind
     it the gate left out.  Accesses whose gep satisfies [skip] get
-    neither. *)
+    neither; [defs] holds the registers the loop body defines. *)
 
 val end_lifetimes :
   Mira_analysis.Remotable_flow.t ->
@@ -46,17 +46,6 @@ val streaming : Mira_analysis.Pattern.result -> int -> bool
 (** Sites the analyzed function only reads or only writes: the ones a
     flush-behind pays off for. *)
 
-val flush_behind :
-  fresh:(unit -> Mira_mir.Ir.reg) ->
-  at:Mira_mir.Ir.operand ->
-  dist:int ->
-  lo:Mira_mir.Ir.operand ->
-  g:Mira_analysis.Pattern.simple_gep ->
-  line:int ->
-  Mira_mir.Ir.block
-(** Flush [line] bytes from element [at - dist] of [g]'s object when
-    that index is at least [lo]. *)
-
 val flush_tail :
   fresh:(unit -> Mira_mir.Ir.reg) ->
   at:Mira_mir.Ir.operand ->
@@ -64,6 +53,7 @@ val flush_tail :
   g:Mira_analysis.Pattern.simple_gep ->
   line:int ->
   Mira_mir.Ir.block
-(** [flush_behind] at {!behind_distance}: after a loop whose last
-    induction value is [at], the last range a per-iteration flush would
-    have reached. *)
+(** The flush of [line] bytes {!behind_distance} elements behind [at],
+    when that index is at least [lo]: after a loop whose last induction
+    value is [at], the last range a per-iteration flush would have
+    reached. *)

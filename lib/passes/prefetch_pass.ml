@@ -22,53 +22,20 @@ type ctx = {
   fresh : unit -> Ir.reg;
 }
 
-(* Prefetch [line] bytes at element [at + offset] of [g]'s object,
-   guarded by the loop bound. *)
-let prefetch_ahead ~fresh ~at ~hi ~offset ~(g : Pattern.simple_gep) ~line =
-  let d = fresh () in
-  let cmp = fresh () in
-  let p = fresh () in
-  [
-    Ir.Bin (d, Ir.Add, at, Ir.Oint offset);
-    Ir.Cmp (cmp, Ir.Lt, Ir.Oreg d, hi);
-    Ir.If
-      {
-        cond = Ir.Oreg cmp;
-        then_ =
-          [
-            Ir.Gep
-              {
-                dst = p;
-                base = g.Pattern.g_base;
-                index = Ir.Oreg d;
-                elem = g.Pattern.g_elem;
-                field_off = 0;
-              };
-            Ir.Prefetch
-              { ptr = Ir.Oreg p; len = line;
-                meta = Block_util.remote_meta g.Pattern.g_site };
-          ];
-        else_ = [];
-      };
-  ]
-
 (* Lookahead in index units: [dist] iterations of [step], plus the
    access's constant offset from the induction variable. *)
 let ahead_offset ~dist ~step (g : Pattern.simple_gep) =
   let c = match g.Pattern.g_index with Pattern.Idx_iv_plus c -> c | _ -> 0L in
   Int64.add (Int64.mul (Int64.of_int dist) step) c
 
-(* Build the guarded prefetch snippet for one access group, gated to
-   fire once per half-line of progress (strength reduction). *)
-let sequential_snippet ctx ~iv ~hi ~step ~dist ~(g : Pattern.simple_gep) ~line =
+(* [body] gated to fire once per half-line of progress of [iv], which
+   advances [step] elements of [g] an iteration: the strength
+   reduction a real compiler would apply to a hot snippet. *)
+let per_half_line ctx ~iv ~step ~(g : Pattern.simple_gep) ~line body =
   let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
   let gate =
     Mira_util.Misc.next_pow2
       (max 1 (line / max 1 (elem * Int64.to_int (max 1L step)) / 2))
-  in
-  let body =
-    prefetch_ahead ~fresh:ctx.fresh ~at:(Ir.Oreg iv) ~hi
-      ~offset:(ahead_offset ~dist ~step g) ~g ~line
   in
   if gate <= 1 then body
   else begin
@@ -80,6 +47,36 @@ let sequential_snippet ctx ~iv ~hi ~step ~dist ~(g : Pattern.simple_gep) ~line =
       Ir.If { cond = Ir.Oreg z; then_ = body; else_ = [] };
     ]
   end
+
+(* [c + sum coeff_d * iv_d] over the [terms] whose induction variable
+   is in scope in [ivs]: its ops and the operand holding it. *)
+let affine_index ctx ~ivs ~c terms =
+  List.fold_left
+    (fun (ops, acc) (d, coeff) ->
+      match List.assoc_opt d ivs with
+      | Some iv ->
+        let t = ctx.fresh () in
+        let a = ctx.fresh () in
+        ( ops @ [ Ir.Bin (t, Ir.Mul, Ir.Oreg iv, Ir.Oint coeff);
+                  Ir.Bin (a, Ir.Add, acc, Ir.Oreg t) ],
+          Ir.Oreg a )
+      | None -> (ops, acc))
+    ([], Ir.Oint c) terms
+
+(* Prefetch [len] bytes from element [index] of [g]'s object. *)
+let prefetch_at ~fresh ~index ~(g : Pattern.simple_gep) ~len =
+  let p = fresh () in
+  [
+    Ir.Gep { dst = p; base = g.Pattern.g_base; index; elem = g.Pattern.g_elem; field_off = 0 };
+    Ir.Prefetch { ptr = Ir.Oreg p; len; meta = Block_util.remote_meta g.Pattern.g_site };
+  ]
+
+(* The guarded prefetch snippet for one access group. *)
+let sequential_snippet ctx ~iv ~hi ~step ~dist ~(g : Pattern.simple_gep) ~line =
+  per_half_line ctx ~iv ~step ~g ~line
+    (Block_util.guarded_hint ~fresh:ctx.fresh
+       (Block_util.Prefetch_ahead (ahead_offset ~dist ~step g))
+       ~at:(Ir.Oreg iv) ~bound:hi ~g ~line)
 
 let indirect_snippet ctx ~iv ~hi ~step ~dist ~(outer : Pattern.simple_gep)
     ~(inner : Pattern.simple_gep) ~line =
@@ -137,66 +134,21 @@ let indirect_snippet ctx ~iv ~hi ~step ~dist ~(outer : Pattern.simple_gep)
 let affine_snippet ctx ~ivs ~depth ~dist ~c0 ~terms ~count ~(g : Pattern.simple_gep)
     ~line =
   let s_inner = match List.assoc_opt depth terms with Some s -> s | None -> 1L in
-  (* Gate the (hot) snippet to once per half-line of progress: the
-     strength reduction a real compiler would apply. *)
-  let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
-  let gate =
-    Mira_util.Misc.next_pow2
-      (max 1 (line / max 1 (elem * Int64.to_int (max 1L s_inner)) / 2))
+  let ops, index =
+    affine_index ctx ~ivs ~c:(Int64.add c0 (Int64.mul (Int64.of_int dist) s_inner)) terms
   in
-  let acc = ref (Ir.Oint (Int64.add c0 (Int64.mul (Int64.of_int dist) s_inner))) in
-  let ops = ref [] in
-  List.iter
-    (fun (d, coeff) ->
-      match List.assoc_opt d ivs with
-      | Some iv_reg ->
-        let t = ctx.fresh () in
-        ops := Ir.Bin (t, Ir.Mul, Ir.Oreg iv_reg, Ir.Oint coeff) :: !ops;
-        let a = ctx.fresh () in
-        ops := Ir.Bin (a, Ir.Add, !acc, Ir.Oreg t) :: !ops;
-        acc := Ir.Oreg a
-      | None -> ())
-    terms;
   let cmp = ctx.fresh () in
-  let p = ctx.fresh () in
+  let then_ = prefetch_at ~fresh:ctx.fresh ~index ~g ~len:line in
   let body =
-    List.rev !ops
+    ops
     @ [
-        Ir.Cmp (cmp, Ir.Lt, !acc, Ir.Oint count);
-        Ir.If
-          {
-            cond = Ir.Oreg cmp;
-            then_ =
-              [
-                Ir.Gep
-                  {
-                    dst = p;
-                    base = g.Pattern.g_base;
-                    index = !acc;
-                    elem = g.Pattern.g_elem;
-                    field_off = 0;
-                  };
-                Ir.Prefetch
-                  { ptr = Ir.Oreg p; len = line;
-                    meta = Block_util.remote_meta g.Pattern.g_site };
-              ];
-            else_ = [];
-          };
+        Ir.Cmp (cmp, Ir.Lt, index, Ir.Oint count);
+        Ir.If { cond = Ir.Oreg cmp; then_; else_ = [] };
       ]
   in
-  if gate <= 1 then body
-  else begin
-    match List.assoc_opt depth ivs with
-    | None -> body
-    | Some iv_reg ->
-      let m = ctx.fresh () in
-      let z = ctx.fresh () in
-      [
-        Ir.Bin (m, Ir.Land, Ir.Oreg iv_reg, Ir.Oint (Int64.of_int (gate - 1)));
-        Ir.Cmp (z, Ir.Eq, Ir.Oreg m, Ir.Oint 0L);
-        Ir.If { cond = Ir.Oreg z; then_ = body; else_ = [] };
-      ]
-  end
+  match List.assoc_opt depth ivs with
+  | None -> body
+  | Some iv -> per_half_line ctx ~iv ~step:s_inner ~g ~line body
 
 (* Loop preamble: prefetch the first window of a streaming access
    before the loop starts, so the loop's opening iterations do not
@@ -206,16 +158,8 @@ let preamble_len ~dist ~stride_elems ~elem ~line =
   Mira_util.Misc.round_up (Mira_util.Misc.clamp ~lo:line ~hi:32768 bytes) line
 
 let sequential_preamble ~fresh ~lo ~dist ~(g : Pattern.simple_gep) ~line =
-  let p = fresh () in
   let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
-  let len = preamble_len ~dist ~stride_elems:1L ~elem ~line in
-  [
-    Ir.Gep
-      { dst = p; base = g.Pattern.g_base; index = lo; elem = g.Pattern.g_elem;
-        field_off = 0 };
-    Ir.Prefetch
-      { ptr = Ir.Oreg p; len; meta = Block_util.remote_meta g.Pattern.g_site };
-  ]
+  prefetch_at ~fresh ~index:lo ~g ~len:(preamble_len ~dist ~stride_elems:1L ~elem ~line)
 
 let preamble_for_group ctx ~ivs ~depth ~lo ~dist ~(g : Pattern.simple_gep) ~line =
   let elem = Mira_mir.Types.size_of g.Pattern.g_elem in
@@ -234,31 +178,12 @@ let preamble_for_group ctx ~ivs ~depth ~lo ~dist ~(g : Pattern.simple_gep) ~line
       in
       if not outer_ok then []
       else begin
-        let acc = ref (Ir.Oint (Int64.add c0 (Int64.mul lo_c s_inner))) in
-        let ops = ref [] in
-        List.iter
-          (fun (d, coeff) ->
-            if d <> depth then begin
-              match List.assoc_opt d ivs with
-              | Some iv_reg ->
-                let t = ctx.fresh () in
-                ops := Ir.Bin (t, Ir.Mul, Ir.Oreg iv_reg, Ir.Oint coeff) :: !ops;
-                let a = ctx.fresh () in
-                ops := Ir.Bin (a, Ir.Add, !acc, Ir.Oreg t) :: !ops;
-                acc := Ir.Oreg a
-              | None -> ()
-            end)
-          terms;
-        let p = ctx.fresh () in
+        let ops, index =
+          affine_index ctx ~ivs ~c:(Int64.add c0 (Int64.mul lo_c s_inner))
+            (List.filter (fun (d, _) -> d <> depth) terms)
+        in
         let len = preamble_len ~dist ~stride_elems:s_inner ~elem ~line in
-        List.rev !ops
-        @ [
-            Ir.Gep
-              { dst = p; base = g.Pattern.g_base; index = !acc;
-                elem = g.Pattern.g_elem; field_off = 0 };
-            Ir.Prefetch
-              { ptr = Ir.Oreg p; len; meta = Block_util.remote_meta g.Pattern.g_site };
-          ]
+        ops @ prefetch_at ~fresh:ctx.fresh ~index ~g ~len
       end)
   | Pattern.Idx_loaded _ | Pattern.Idx_const _ | Pattern.Idx_other -> []
 
@@ -276,8 +201,7 @@ let group_key (g : Pattern.simple_gep) =
 (* Returns (preamble ops emitted before the loop, snippets for the
    body start).  [skip g] excludes the accesses whose prefetching the
    caller schedules itself. *)
-let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip body =
-  let defs = Block_util.defined_regs body in
+let loop_snippets ctx (l : Pattern.loop_info) ~ivs ~lo ~hi ~step ~skip ~defs =
   let step_c = match step with Ir.Oint s -> s | _ -> 1L in
   let dist = distance_iters ~params:ctx.params ~body_ops:l.Pattern.l_body_ops in
   let preambles = ref [] in

@@ -41,12 +41,13 @@ val loop_snippets :
   hi:Mira_mir.Ir.operand ->
   step:Mira_mir.Ir.operand ->
   skip:(Mira_analysis.Pattern.simple_gep -> bool) ->
-  Mira_mir.Ir.block ->
+  defs:(Mira_mir.Ir.reg, unit) Hashtbl.t ->
   Mira_mir.Ir.block list * Mira_mir.Ir.block
 (** For an innermost loop (its induction variables by depth in [ivs],
-    its own included): the preambles to emit before the loop and the
-    snippets to put at the start of its body.  Accesses whose gep
-    satisfies [skip] get neither. *)
+    its own included, and the registers its body defines in [defs]):
+    the preambles to emit before the loop and the snippets to put at
+    the start of its body.  Accesses whose gep satisfies [skip] get
+    neither. *)
 
 val chase :
   Mira_analysis.Remotable_flow.t ->
@@ -57,17 +58,6 @@ val chase :
 val distance_iters :
   params:Mira_sim.Params.t -> body_ops:int -> int
 (** Iterations of lookahead needed to hide one RTT (exposed for tests). *)
-
-val prefetch_ahead :
-  fresh:(unit -> Mira_mir.Ir.reg) ->
-  at:Mira_mir.Ir.operand ->
-  hi:Mira_mir.Ir.operand ->
-  offset:int64 ->
-  g:Mira_analysis.Pattern.simple_gep ->
-  line:int ->
-  Mira_mir.Ir.block
-(** Prefetch [line] bytes from element [at + offset] of [g]'s object
-    when that index is below [hi]. *)
 
 val ahead_offset :
   dist:int -> step:int64 -> Mira_analysis.Pattern.simple_gep -> int64

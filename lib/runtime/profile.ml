@@ -2,8 +2,6 @@ type fn_stat = {
   mutable calls : int;
   mutable total_ns : float;
   mutable runtime_ns : float;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 type site_stat = {
@@ -60,7 +58,7 @@ let fn_stat t name =
   match Hashtbl.find_opt t.funcs name with
   | Some s -> s
   | None ->
-    let s = { calls = 0; total_ns = 0.0; runtime_ns = 0.0; hits = 0; misses = 0 } in
+    let s = { calls = 0; total_ns = 0.0; runtime_ns = 0.0 } in
     Hashtbl.replace t.funcs name s;
     s
 
@@ -141,18 +139,15 @@ let innermost t ~tid ~default =
   match !(stack t tid) with [] -> default | fr :: _ -> fr.fr_name
 
 (* The per-access walks below are top-level recursions rather than
-   closures, so they allocate nothing.  An access charges its overhead
-   and its events in one walk of the stack. *)
-let rec charge_frames ns hit miss = function
+   closures, so they allocate nothing. *)
+let rec charge_frames ns = function
   | [] -> ()
   | fr :: rest ->
     let s = fr.fr_stat in
-    if ns > 0.0 then s.runtime_ns <- s.runtime_ns +. ns;
-    if hit then s.hits <- s.hits + 1;
-    if miss then s.misses <- s.misses + 1;
-    charge_frames ns hit miss rest
+    s.runtime_ns <- s.runtime_ns +. ns;
+    charge_frames ns rest
 
-let charge t ~tid ~ns ~hit ~miss = charge_frames ns hit miss !(stack t tid)
+let charge t ~tid ~ns = if ns > 0.0 then charge_frames ns !(stack t tid)
 
 let cached_site_stat t site =
   let i = site land (site_cache_size - 1) in

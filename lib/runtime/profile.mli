@@ -12,8 +12,6 @@ type fn_stat = {
   mutable calls : int;
   mutable total_ns : float;  (** inclusive wall (simulated) time *)
   mutable runtime_ns : float;  (** inclusive time in the far-memory runtime *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 type site_stat = {
@@ -49,9 +47,9 @@ val current : t -> tid:int -> string option
 val innermost : t -> tid:int -> default:string -> string
 (** [current] without the option: [default] when the stack is empty. *)
 
-val charge : t -> tid:int -> ns:float -> hit:bool -> miss:bool -> unit
-(** Charge one access to every function on [tid]'s stack: [ns] of
-    runtime overhead when positive, and a cache hit and/or miss. *)
+val charge : t -> tid:int -> ns:float -> unit
+(** Charge one access's [ns] of runtime overhead, when positive, to
+    every function on [tid]'s stack. *)
 
 val add_alloc : t -> site:int -> bytes:int -> unit
 

@@ -439,12 +439,11 @@ let sync_cluster t ~clock:c =
     account_lost t
   end
 
-(* [hits] and [misses] are the access's deltas of the handle's
-   counters. *)
-let attribute t ~tid ~site ~before ~after ~hits ~misses =
+(* [misses] is the access's delta of the handle's miss counter. *)
+let attribute t ~tid ~site ~before ~after ~misses =
   let native = t.cfg.params.Sim.Params.native_mem_ns in
   let overhead = Float.max 0.0 (after -. before -. native) in
-  Profile.charge t.profile ~tid ~ns:overhead ~hit:(hits > 0) ~miss:(misses > 0);
+  Profile.charge t.profile ~tid ~ns:overhead;
   if overhead > 0.0 then Profile.add_site_overhead t.profile ~site ~ns:overhead;
   if misses > 0 then Profile.add_site_misses t.profile ~site ~n:misses
 
@@ -461,14 +460,13 @@ let load t ~tid ~(ptr : Memsys.ptr) ~len ~native =
       Profile.touch t.profile ~tid ~site:ptr.Memsys.site;
       let before = Sim.Clock.now c in
       let h = route_h t ~tid ~site:ptr.Memsys.site in
-      let hb = Cache.Cache_section.hits h and mb = Cache.Cache_section.misses h in
+      let mb = Cache.Cache_section.misses h in
       let v =
         if native then
           Cache.Cache_section.load_native h ~clock:c ~addr:ptr.Memsys.addr ~len
         else Cache.Cache_section.load h ~clock:c ~addr:ptr.Memsys.addr ~len
       in
       attribute t ~tid ~site:ptr.Memsys.site ~before ~after:(Sim.Clock.now c)
-        ~hits:(Cache.Cache_section.hits h - hb)
         ~misses:(Cache.Cache_section.misses h - mb);
       end_access ~kind:"load" ~clock:c root;
       v
@@ -487,12 +485,11 @@ let store t ~tid ~(ptr : Memsys.ptr) ~len ~native ~value =
       Profile.touch t.profile ~tid ~site:ptr.Memsys.site;
       let before = Sim.Clock.now c in
       let h = route_h t ~tid ~site:ptr.Memsys.site in
-      let hb = Cache.Cache_section.hits h and mb = Cache.Cache_section.misses h in
+      let mb = Cache.Cache_section.misses h in
       if native then
         Cache.Cache_section.store_native h ~clock:c ~addr:ptr.Memsys.addr ~len value
       else Cache.Cache_section.store h ~clock:c ~addr:ptr.Memsys.addr ~len value;
       attribute t ~tid ~site:ptr.Memsys.site ~before ~after:(Sim.Clock.now c)
-        ~hits:(Cache.Cache_section.hits h - hb)
         ~misses:(Cache.Cache_section.misses h - mb);
       end_access ~kind:"store" ~clock:c root
     end

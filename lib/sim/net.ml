@@ -21,21 +21,17 @@ module Request = struct
     node : int;
         (* far node the transfer targets; per-node outage windows
            ([set_node_down]) only stall requests aimed at that node *)
-    deadline_ns : float option;
     ctx : Trace.span_ctx option;
         (* causal origin: rides through submit/ring/post/await so
            the reaped completion can be attributed to its access *)
   }
 
-  let make ?(node = 0) ?deadline_ns ?ctx ~dir ~side ~purpose bytes =
+  let make ?(node = 0) ?ctx ~dir ~side ~purpose bytes =
     assert (bytes > 0);
-    { dir; side; purpose; bytes; node; deadline_ns; ctx }
+    { dir; side; purpose; bytes; node; ctx }
 
-  let read ?node ?deadline_ns ?ctx ~side ~purpose bytes =
-    make ?node ?deadline_ns ?ctx ~dir:Read ~side ~purpose bytes
-
-  let write ?node ?deadline_ns ?ctx ~side ~purpose bytes =
-    make ?node ?deadline_ns ?ctx ~dir:Write ~side ~purpose bytes
+  let read ?node ?ctx ~side ~purpose bytes = make ?node ?ctx ~dir:Read ~side ~purpose bytes
+  let write ?node ?ctx ~side ~purpose bytes = make ?node ?ctx ~dir:Write ~side ~purpose bytes
 end
 
 let ctx_trace (req : Request.t) =
@@ -511,7 +507,7 @@ let wire_attempt t ~start ~bytes ~side ~purpose ~inbound =
    and [retry] (failed attempts' loss-detection windows and backoffs:
    the pieces the ledger charges per cause), and the attempt count in
    [t.attempts]; returns the status. *)
-let run_attempts t ~id ~posted_at ~bytes ~side ~purpose ~inbound ~deadline =
+let run_attempts t ~id ~posted_at ~bytes ~side ~purpose ~inbound =
   let s = t.stats and a = t.att in
   match t.dp.fault with
   | None ->
@@ -523,7 +519,6 @@ let run_attempts t ~id ~posted_at ~bytes ~side ~purpose ~inbound ~deadline =
     t.attempts <- 1;
     Done
   | Some f ->
-    let timeout = match deadline with Some d -> d | None -> f.Fault.timeout_ns in
     let rec go ~issue_at ~attempt ~retry_ns =
       wire_attempt t ~start:issue_at ~bytes ~side ~purpose ~inbound;
       if attempt = 1 then a.first <- a.start;
@@ -540,6 +535,7 @@ let run_attempts t ~id ~posted_at ~bytes ~side ~purpose ~inbound ~deadline =
         Done
       end
       else begin
+        let timeout = f.Fault.timeout_ns in
         Metrics.hist_observe s.lat_attempt timeout;
         let detect = issue_at +. timeout in
         if attempt > f.Fault.max_retries then begin
@@ -670,7 +666,7 @@ let post t ~now ~n ~bytes members =
     end
     else
       run_attempts t ~id:id0 ~posted_at:issue_at ~bytes ~side:r0.Request.side
-        ~purpose:r0.Request.purpose ~inbound ~deadline:r0.Request.deadline_ns
+        ~purpose:r0.Request.purpose ~inbound
   in
   add_inflight t ~done_at:a.done_at ~dir:r0.Request.dir ~tenant:t0;
   s.doorbells <- s.doorbells + 1;

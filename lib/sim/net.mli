@@ -56,10 +56,6 @@ module Request : sig
         (** far node the transfer targets (default 0); per-node outage
             windows ([set_node_down]) only stall requests aimed at that
             node, and batching never coalesces across nodes *)
-    deadline_ns : float option;
-        (** per-request loss-detection timer; [None] uses the fault
-            model's [timeout_ns].  Ignored when no faults are
-            configured. *)
     ctx : Mira_telemetry.Trace.span_ctx option;
         (** causal span context of the access that issued the request;
             rides through submit/ring/post/await (including
@@ -69,13 +65,11 @@ module Request : sig
   }
 
   val read :
-    ?node:int -> ?deadline_ns:float -> ?ctx:Mira_telemetry.Trace.span_ctx ->
-    side:side -> purpose:purpose -> int -> t
+    ?node:int -> ?ctx:Mira_telemetry.Trace.span_ctx -> side:side -> purpose:purpose -> int -> t
   (** [read ~side ~purpose bytes] — an inbound transfer request. *)
 
   val write :
-    ?node:int -> ?deadline_ns:float -> ?ctx:Mira_telemetry.Trace.span_ctx ->
-    side:side -> purpose:purpose -> int -> t
+    ?node:int -> ?ctx:Mira_telemetry.Trace.span_ctx -> side:side -> purpose:purpose -> int -> t
   (** [write ~side ~purpose bytes] — an outbound transfer request. *)
 end
 

@@ -375,9 +375,7 @@ let test_pinned_placement_decisions () =
       ~horizon_ns:2e6 ~down_ns:2e5
   in
   let opts =
-    { opts with
-      C.cluster = Cl.ec ~chunk:256 ~nodes:4 ~k:2 ~m:1 schedule;
-      placement_candidates = [ Cl.Flat; Cl.Rotate ] }
+    { opts with C.cluster = Cl.ec ~chunk:256 ~nodes:4 ~k:2 ~m:1 schedule }
   in
   check_pinned "placement" opts prog ~work_bits:4682803150692055778L
     ~log:
