@@ -6,38 +6,27 @@
     variant, so nothing above the cache layer special-cases the swap
     section: "no section assigned" simply routes to [Swap].
 
-    The operations: lookup (load/store, plus the compiler-proved
-    resident [load_native]/[store_native], which the swap section
-    serves through its page table like any access), asynchronous
+    The operations: lookup ([access]: a load or a store, checked or
+    compiler-proved resident, which the swap section serves through its
+    page table like any access), asynchronous
     insertion ([prefetch_range]), writeback ([evict_hint] marks covered
     data a preferred victim and writes it back asynchronously;
     [flush_range] writes back synchronously without evicting;
     [flush_all] re-issues every still-dirty line after a failover),
     [discard_range] (drop without writeback), and telemetry ([publish], [reset_stats],
-    [metadata_bytes], and [hits] and [misses] (faults, for swap) for
+    [metadata_bytes], and [misses] (faults, for swap) for
     profiler attribution). *)
 
 type handle = Section of Section.t | Swap of Swap_section.t
 
-let load h ~clock ~addr ~len =
+(* A load, or with [write] a store of [v] (returning 0L). *)
+let access h ~clock ~addr ~len ~native ~write v =
   match h with
-  | Section s -> Section.load s ~clock ~addr ~len
+  | Section s -> Section.access s ~clock ~addr ~len ~native ~write v
+  | Swap s when write ->
+    Swap_section.store s ~clock ~addr ~len v;
+    0L
   | Swap s -> Swap_section.load s ~clock ~addr ~len
-
-let store h ~clock ~addr ~len v =
-  match h with
-  | Section s -> Section.store s ~clock ~addr ~len v
-  | Swap s -> Swap_section.store s ~clock ~addr ~len v
-
-let load_native h ~clock ~addr ~len =
-  match h with
-  | Section s -> Section.load_native s ~clock ~addr ~len
-  | Swap s -> Swap_section.load s ~clock ~addr ~len
-
-let store_native h ~clock ~addr ~len v =
-  match h with
-  | Section s -> Section.store_native s ~clock ~addr ~len v
-  | Swap s -> Swap_section.store s ~clock ~addr ~len v
 
 let prefetch_range h ~clock ~addr ~len =
   match h with
@@ -76,10 +65,6 @@ let reset_stats = function
 let metadata_bytes = function
   | Section s -> Section.metadata_bytes s
   | Swap s -> Swap_section.metadata_bytes s
-
-let hits = function
-  | Section s -> (Section.stats s).Section.hits
-  | Swap s -> (Swap_section.stats s).Swap_section.hits
 
 let misses = function
   | Section s -> (Section.stats s).Section.misses

@@ -117,18 +117,20 @@ val metadata_bytes : t -> int
     counts are reported only: they do not reduce the slots that
     [slot_bytes] budgets. *)
 
+val access :
+  t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> native:bool -> write:bool ->
+  int64 -> int64
+(** Read [len] (1..8) bytes at far address [addr], or with [write] store
+    the value given (a store returns 0L); the span must not straddle a
+    line boundary.  Advances the clock by lookup/miss/stall costs.  A
+    [native] access is compiler-proved resident: native cost, no lookup;
+    it falls back to the full path if the line is (unexpectedly)
+    absent, so data is always correct even if the proof was wrong. *)
+
 val load : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
-(** Read [len] (1..8) bytes at far address [addr]; must not straddle a
-    line boundary.  Advances the clock by lookup/miss/stall costs. *)
+(** A checked, non-native read. *)
 
 val store : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
-
-val load_native : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
-(** Compiler-proved resident access: native cost, no lookup.  Falls back
-    to the full path if the line is (unexpectedly) absent, so data is
-    always correct even if the proof was wrong. *)
-
-val store_native : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
 
 val prefetch : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 (** Asynchronously fetch all lines covering [addr, addr+len); only the

@@ -16,7 +16,7 @@
     order.
 
     {b Determinism.}  Parked tasks are ordered by the triple
-    [(time, tenant id, seqno)] where time is int64 fixed point in
+    [(time, tenant id, seqno)] where time is integer fixed point in
     units of 2{^-16} ns (the attribution ledger's tick — see
     [Clock.advance]'s validation) and seqno is the global submission
     counter.  The interleaving is a pure function of the tasks' clock

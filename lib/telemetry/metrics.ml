@@ -6,14 +6,45 @@ module Stats = Mira_util.Stats
 let buckets_per_octave = 4
 let nbuckets = 176
 
-let bucket_of v =
+let log2_bucket v =
   if v < 1.0 then 0
-  else begin
-    let idx =
-      int_of_float (Float.log2 v *. float_of_int buckets_per_octave)
+  else
+    Mira_util.Misc.clamp ~lo:0 ~hi:(nbuckets - 1)
+      (int_of_float (Float.log2 v *. float_of_int buckets_per_octave))
+
+(* [edges.(i)]: the least float that [log2_bucket] puts in bucket [i]
+   or above, by bisection over the bits of the floats in [1, 2^44]
+   (ordered as their bits are); [edges.(nbuckets)] is 2^44. *)
+let edges =
+  let bucket b = log2_bucket (Int64.float_of_bits b) in
+  Array.init (nbuckets + 1) (fun i ->
+      let lo = ref (Int64.bits_of_float 1.0) and hi = ref (Int64.bits_of_float 0x1p44) in
+      if bucket !lo >= i then hi := !lo;
+      while Int64.sub !hi !lo > 1L do
+        let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+        if bucket mid >= i then hi := mid else lo := mid
+      done;
+      Int64.float_of_bits !hi)
+
+(* [log2_bucket] without the C call: the exponent's first bucket, plus
+   the edges up to the next octave's first that the value reaches
+   (log2's rounding puts a value just below a power of two in the next
+   octave), then a step down should log2 be lower than the exponent. *)
+let bucket_of v =
+  if v >= 1.0 && v < 0x1p44 then begin
+    let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) - 1023 in
+    let b = buckets_per_octave * e in
+    let i =
+      ref
+        (b + Bool.to_int (v >= edges.(b + 1)) + Bool.to_int (v >= edges.(b + 2))
+        + Bool.to_int (v >= edges.(b + 3)) + Bool.to_int (v >= edges.(b + 4)))
     in
-    Mira_util.Misc.clamp ~lo:0 ~hi:(nbuckets - 1) idx
+    while v < edges.(!i) do
+      decr i
+    done;
+    !i
   end
+  else log2_bucket v
 
 let bucket_lo i = Float.pow 2.0 (float_of_int i /. float_of_int buckets_per_octave)
 let bucket_hi i = bucket_lo (i + 1)

@@ -24,7 +24,9 @@ type hist
 
 val bucket_of : float -> int
 (** Quarter-octave bucket index for a sample: bucket [i] covers
-    [[2^(i/4), 2^((i+1)/4))] ns, clamped to the bucket range.  Shared
+    [[2^(i/4), 2^((i+1)/4))] ns, clamped to the bucket range: exactly
+    [int_of_float (Float.log2 v *. 4.0)], clamped, without calling
+    log2 for values in [[1, 2^44)].  Shared
     by the serving timeline's sparse per-window histograms
     ([Kv_serving.Timeline]) so window percentiles use the same scale. *)
 

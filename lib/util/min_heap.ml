@@ -1,8 +1,9 @@
 (* Array-backed binary min-heap.  The classic sift-up/sift-down pair
    over a growable array: parent of [i] is [(i-1)/2], children are
    [2i+1] and [2i+2], and the invariant is [le parent child] along
-   every edge.  No per-operation allocation once the array has grown
-   to the working-set size. *)
+   every edge.  As [le] is total, [not (le a b)] means [b] strictly
+   precedes [a]: one call of [le] per step.  No per-operation
+   allocation once the array has grown to the working-set size. *)
 
 type 'a t = {
   le : 'a -> 'a -> bool;
@@ -24,40 +25,23 @@ let grow t x =
 
 let sift_up t i0 =
   let d = t.data in
-  let x = d.(i0) in
-  let i = ref i0 in
-  while
-    !i > 0
-    &&
-    let p = (!i - 1) / 2 in
-    if t.le x d.(p) && not (t.le d.(p) x) then begin
-      d.(!i) <- d.(p);
-      i := p;
-      true
-    end
-    else false
-  do
-    ()
+  let x = d.(i0) and i = ref i0 in
+  while !i > 0 && not (t.le d.((!i - 1) / 2) x) do
+    d.(!i) <- d.((!i - 1) / 2);
+    i := (!i - 1) / 2
   done;
   d.(!i) <- x
 
+(* [!c] is the earlier child of [!i]. *)
 let sift_down t i0 =
   let d = t.data and n = t.size in
-  let x = d.(i0) in
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 in
-    if l >= n then continue := false
-    else begin
-      let r = l + 1 in
-      let c = if r < n && t.le d.(r) d.(l) && not (t.le d.(l) d.(r)) then r else l in
-      if t.le d.(c) x && not (t.le x d.(c)) then begin
-        d.(!i) <- d.(c);
-        i := c
-      end
-      else continue := false
-    end
+  let x = d.(i0) and i = ref i0 and c = ref ((2 * i0) + 1) in
+  if !c + 1 < n && not (t.le d.(!c) d.(!c + 1)) then incr c;
+  while !c < n && not (t.le x d.(!c)) do
+    d.(!i) <- d.(!c);
+    i := !c;
+    c := (2 * !i) + 1;
+    if !c + 1 < n && not (t.le d.(!c) d.(!c + 1)) then incr c
   done;
   d.(!i) <- x
 

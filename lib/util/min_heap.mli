@@ -1,7 +1,8 @@
 (** Array-backed binary min-heap over a caller-supplied ordering.
 
     The ordering is given at {!create} as [le a b] meaning "a comes no
-    later than b".  When [le] is a strict total order (no two stored
+    later than b".  It must be total: of two distinct stored elements,
+    at least one comes no later than the other.  When [le] is a strict total order (no two stored
     elements compare equal both ways — e.g. Sched's
     [(time, tenant, seqno)] keys where the seqno is globally unique),
     the pop sequence is exactly the [le]-sorted push sequence, which

@@ -18,6 +18,19 @@ let log2 x =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 x
 
+(* A multiply with its high bits folded down: a table indexes by the
+   low bits, where a bare multiply (or the identity) puts power-of-two
+   strides of keys in one bucket. *)
+let hash_int x =
+  let h = x * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash = hash_int
+end)
+
 (* Typed: machine comparisons, not a C call to the polymorphic compare. *)
 let clamp ~lo ~hi (x : int) = if x < lo then lo else if x > hi then hi else x
 let clamp_f ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x

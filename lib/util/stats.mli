@@ -9,9 +9,10 @@ val percentile : float array -> float -> float
     [p] outside [\[0,100\]] or NaN. *)
 
 val percentiles : float array -> float array -> float array
-(** [percentiles xs ps] is [Array.map (percentile xs) ps], bit for bit,
-    from one sorted copy of [xs]; the sort allocates nothing per
-    element.  The order is [compare]'s (NaN first), so
+(** [percentiles xs ps] is [Array.map (percentile xs) ps], bit for bit.
+    Each figure reads the ranks a stable sort of [xs] by [compare]
+    (NaN first) would hold, selected in one copy of [xs] without
+    sorting it and without allocating per element; so
     [percentiles xs [|100.0|]] is the maximum of a NaN-free [xs].
     Raises as {!percentile} does. *)
 

@@ -73,7 +73,7 @@ let test_section_native_fallback () =
   Cluster.write_le far ~addr:0 ~len:8 77L;
   (* native load on an absent line must still return correct data *)
   Alcotest.(check int64) "fallback correct" 77L
-    (Section.load_native s ~clock ~addr:0 ~len:8)
+    (Section.access s ~clock ~addr:0 ~len:8 ~native:true ~write:false 0L)
 
 let test_section_no_meta_cheap_hits () =
   let net, far, clock = make_env () in

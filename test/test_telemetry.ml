@@ -126,6 +126,42 @@ let test_hist_edges () =
     [ 0.0; 50.0; 99.0; 100.0 ];
   Alcotest.(check (float 0.0)) "single mean" 123.0 (Metrics.hist_mean h)
 
+(* [Metrics.bucket_of] steps over precomputed bucket edges instead of
+   calling log2; it must bucket every value as the log2 formula does.
+   Checked within 2000 ulps of every quarter-octave edge (where log2's
+   rounding decides), over log-uniform values from 2^-4 to 2^50, and on
+   the values the formula still serves (below 1, NaN, infinities, from
+   2^44 up). *)
+let log2_bucket v =
+  if v < 1.0 then 0
+  else Mira_util.Misc.clamp ~lo:0 ~hi:175 (int_of_float (Float.log2 v *. 4.0))
+
+let test_bucket_of_exact () =
+  let mismatches = ref 0 and checked = ref 0 in
+  let check v =
+    incr checked;
+    if Metrics.bucket_of v <> log2_bucket v then begin
+      if !mismatches < 5 then
+        Printf.eprintf "bucket_of %h = %d, log2 formula %d\n" v (Metrics.bucket_of v)
+          (log2_bucket v);
+      incr mismatches
+    end
+  in
+  for i = 0 to 180 do
+    let edge = Int64.bits_of_float (Float.pow 2.0 (float_of_int i /. 4.0)) in
+    for d = -2000 to 2000 do
+      check (Int64.float_of_bits (Int64.add edge (Int64.of_int d)))
+    done
+  done;
+  let rng = Mira_util.Prng.create 11 in
+  for _ = 1 to 200_000 do
+    check (Float.pow 2.0 (Mira_util.Prng.float rng 54.0 -. 4.0))
+  done;
+  List.iter check
+    [ 0.0; -0.0; -1.0; 0.5; Float.pred 1.0; Float.nan; infinity; neg_infinity;
+      0x1p44; Float.pred 0x1p44; 1e300; max_float; min_float ];
+  Alcotest.(check int) (Printf.sprintf "mismatches over %d values" !checked) 0 !mismatches
+
 let test_exemplar_reservoir () =
   let h = Metrics.hist_create () in
   List.iter
@@ -458,6 +494,7 @@ let suite =
     Alcotest.test_case "hist empty" `Quick test_hist_empty;
     Alcotest.test_case "hist percentiles" `Quick test_hist_percentiles;
     Alcotest.test_case "hist edge cases" `Quick test_hist_edges;
+    Alcotest.test_case "bucket_of = log2 formula" `Quick test_bucket_of_exact;
     Alcotest.test_case "exemplar reservoir" `Quick test_exemplar_reservoir;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "trace sink" `Quick test_trace_sink;

@@ -100,10 +100,13 @@ let test_stats_percentile_bad_p () =
           ignore (Stats.percentiles xs [| 50.0; p |])))
     [ (-1.0, "-1"); (100.5, "100.5"); (Float.nan, "nan"); (Float.infinity, "inf") ]
 
-(* The copy-and-sort reference [Stats.percentile] used to be. *)
+(* The sort-based reference [Stats.percentiles] used to be: a stable
+   sort by [compare]'s order (NaN first), as its own insertion-plus-
+   merge sort was, so ties of both zero signs and of NaN payloads keep
+   their input order here as they did there. *)
 let naive_percentile xs p =
   let sorted = Array.copy xs in
-  Array.sort compare sorted;
+  Array.stable_sort compare sorted;
   let n = Array.length sorted in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
@@ -112,24 +115,24 @@ let naive_percentile xs p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
-(* Values with many ties (small integers) mixed with spread-out ones
-   and infinities.  Negative zero is left out: [compare] ties it with
-   zero, so which of the two a sort puts first is unspecified. *)
+(* Values with many ties (small integers, zeros of both signs, NaNs of
+   two payloads) mixed with spread-out ones and infinities; arrays of
+   one element, and of up to 300. *)
 let qcheck_percentiles =
   let value =
     QCheck.Gen.(
-      map
-        (fun x -> if x = 0.0 then 0.0 else x)
-        (frequency
-           [
-             (4, map float_of_int (int_range (-3) 3));
-             (4, float_range (-1e6) 1e6);
-             (1, oneofl [ infinity; neg_infinity ]);
-           ]))
+      frequency
+        [
+          (4, map float_of_int (int_range (-3) 3));
+          (4, float_range (-1e6) 1e6);
+          (1, oneofl [ infinity; neg_infinity ]);
+          (2, oneofl [ 0.0; -0.0 ]);
+          (1, oneofl [ Float.nan; Int64.float_of_bits 0x7ff8000000000001L ]);
+        ])
   in
-  let gen = QCheck.Gen.(array_size (int_range 1 300) value) in
+  let gen = QCheck.Gen.(array_size (oneof [ return 1; int_range 1 300 ]) value) in
   let ps = [| 0.0; 50.0; 99.0; 99.9; 100.0 |] in
-  QCheck.Test.make ~name:"percentiles = copy-and-sort reference, bit for bit" ~count:500
+  QCheck.Test.make ~name:"percentiles = copy-and-sort reference, bit for bit" ~count:1000
     (QCheck.make ~print:QCheck.Print.(array float) gen)
     (fun xs ->
       let bits = Array.map Int64.bits_of_float in
