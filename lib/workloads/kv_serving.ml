@@ -676,8 +676,7 @@ let run_on ?timeline rt cfg =
   let master = Prng.create cfg.seed in
   let gen = make_generator cfg master in
   let states =
-    Array.init cfg.tenants (fun i ->
-        ignore i;
+    Array.init cfg.tenants (fun _ ->
         {
           ts_lats = Array.make cfg.requests 0.0;
           ts_checksum = 0L;
