@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks of the runtime's real (wall-clock) hot
-   paths: cache lookups per structure, the swap fault path, pointer
-   encoding, and the value codec.  These measure the simulator itself,
+   paths: cache lookups per structure, a section miss, the swap fault
+   path, pointer encoding, and the value codec.  These measure the simulator itself,
    complementing the simulated-time figures. *)
 module Section = Mira_cache.Section
 module Swap = Mira_cache.Swap_section
@@ -28,6 +28,23 @@ let bench_section_hit name structure =
   Test.make ~name (Staged.stage (fun () ->
       i := (!i + 1) land 255;
       ignore (Section.load s ~clock ~addr:(!i * 256) ~len:8)))
+
+(* A kv-style section miss: a fully associative section (CLOCK with
+   frequency admission) of 16 lines of 4 KiB, each op storing into the
+   next of 1024 lines in turn, so every op misses, fills a whole line
+   and writes a dirty victim back. *)
+let bench_section_miss =
+  let net = Mira_sim.Net.create Mira_sim.Params.default in
+  let far = Mira_sim.Cluster.of_store (Mira_sim.Far_store.create ~capacity:(1 lsl 23)) in
+  let clock = Mira_sim.Clock.create () in
+  let s =
+    Section.create net far
+      (Section.config_default ~sec_id:1 ~name:"kv" ~line:4096 ~size:(16 * 4096))
+  in
+  let i = ref 0 in
+  Test.make ~name:"section miss (full, 4 KiB, dirty victim)" (Staged.stage (fun () ->
+      i := (!i + 1) land 1023;
+      Section.store s ~clock ~addr:((!i * 4096) + 64) ~len:8 (Int64.of_int !i)))
 
 let bench_swap_hit =
   let net = Mira_sim.Net.create Mira_sim.Params.default in
@@ -233,6 +250,7 @@ let tests () =
       bench_section_hit "section hit (direct)" Section.Direct;
       bench_section_hit "section hit (set8)" (Section.Set_assoc 8);
       bench_section_hit "section hit (full)" Section.Full_assoc;
+      bench_section_miss;
       bench_swap_hit;
       bench_swap_evict ~hinted:false;
       bench_swap_evict ~hinted:true;
