@@ -1,5 +1,6 @@
 module Ir = Mira_mir.Ir
 module Types = Mira_mir.Types
+module Flow = Remotable_flow
 
 type gep_shape =
   | Idx_iv
@@ -42,7 +43,6 @@ type loop_info = {
   l_body_ops : int;
   l_straight : bool;
   l_accesses : access list;
-  l_sites : int list;
   l_children : loop_info list;
 }
 
@@ -74,7 +74,6 @@ type result = {
 (* --- walker environment -------------------------------------------------- *)
 
 type ptr_info = {
-  p_site : int;
   p_off : Scev.t;  (* byte offset within the object, if affine *)
   p_chased : bool;  (* the base pointer was loaded from memory *)
   p_indirect : int option;  (* index values loaded from this site *)
@@ -89,7 +88,7 @@ type binding =
   | Bptr of ptr_info
 
 type ctx = {
-  site_of_ty : Types.ty -> int option;
+  regs : Flow.regs;  (* every register's site *)
   env : binding array;
   mutable all_accesses : access list;
   mutable unresolved : int;
@@ -98,7 +97,6 @@ type ctx = {
   mutable top : bool;  (* in a loop body's own ops, not in an If or a While *)
   mutable straight : bool;  (* no call or While seen in the current loop body *)
   iv_plus : Ir.reg array;  (* [iv] for [iv], [iv + literals] and a gep's pointer there, all made in its loop's own ops; -1 else *)
-  mutable sites : int list;  (* [am_site] of the current loop body's loads and stores *)
 }
 
 let operand_sym ctx = function
@@ -139,14 +137,20 @@ let index_shape ctx index =
             | Scev.Affine _ | Scev.Loaded _ | Scev.Unknown -> Idx_other))
       end)
 
-let access_of ctx ~rw ~ty ~ptr ~meta (p : ptr_info) =
+(* A pointer to the start of an element of [elem]. *)
+let elem_ptr ~off ~chased elem =
+  Bptr
+    { p_off = off; p_chased = chased; p_indirect = None; p_elem = Types.size_of elem;
+      p_field = 0; p_gep = None }
+
+let access_of ctx ~site ~rw ~ty ~ptr ~meta (p : ptr_info) =
   let stride =
     match ctx.loop with
     | Some (depth, _, _) -> Scev.innermost_stride p.p_off ~depth
     | None -> None
   in
   {
-    a_site = p.p_site;
+    a_site = site;
     a_rw = rw;
     a_ty = ty;
     a_elem = p.p_elem;
@@ -162,6 +166,17 @@ let access_of ctx ~rw ~ty ~ptr ~meta (p : ptr_info) =
       | Some (_, _, iv), Ir.Oreg p -> ctx.top && ctx.iv_plus.(p) = iv
       | (Some _ | None), _ -> false);
   }
+
+(* The access through [ptr], recorded when its site resolves. *)
+let record ctx ~rw ~ty ~ptr ~meta =
+  match (Flow.site_of_operand ctx.regs ptr, operand_binding ctx ptr) with
+  | site, Bptr p when site >= 0 ->
+    let acc = access_of ctx ~site ~rw ~ty ~ptr ~meta p in
+    ctx.all_accesses <- acc :: ctx.all_accesses;
+    Some acc
+  | _, (Bptr _ | Bsym _ | Bnone) ->
+    ctx.unresolved <- ctx.unresolved + 1;
+    None
 
 (* [r] is [iv] plus literals (or a gep's pointer at that index) when
    [x] is and the op sits in the current loop's own ops. *)
@@ -222,18 +237,8 @@ and walk_op ctx op : access list * loop_info list =
     (match (a, operand_binding ctx a) with Ir.Oreg x, Bsym _ -> follow ctx r x | _, _ -> ());
     set ctx r (operand_binding ctx a);
     ([], [])
-  | Ir.Alloc { dst; site; elem; _ } ->
-    set ctx dst
-      (Bptr
-         {
-           p_site = site;
-           p_off = Scev.const 0L;
-           p_chased = false;
-           p_indirect = None;
-           p_elem = Types.size_of elem;
-           p_field = 0;
-           p_gep = None;
-         });
+  | Ir.Alloc { dst; elem; _ } ->
+    set ctx dst (elem_ptr ~off:(Scev.const 0L) ~chased:false elem);
     ([], [])
   | Ir.Free _ -> ([], [])
   | Ir.Gep { dst; base; index; elem; field_off } ->
@@ -255,12 +260,11 @@ and walk_op ctx op : access list * loop_info list =
       let gep =
         Some
           { g_base = base; g_elem = elem; g_field = field_off;
-            g_site = p.p_site; g_index = shape }
+            g_site = Flow.site_of_operand ctx.regs base; g_index = shape }
       in
       set ctx dst
         (Bptr
            {
-             p_site = p.p_site;
              p_off = off;
              p_chased = p.p_chased;
              p_indirect = indirect;
@@ -276,49 +280,19 @@ and walk_op ctx op : access list * loop_info list =
     | Bsym _ | Bnone -> set ctx dst Bnone);
     ([], [])
   | Ir.Load { dst; ty; ptr; meta } ->
-    ctx.sites <- meta.Ir.am_site :: ctx.sites;
-    (match operand_binding ctx ptr with
-    | Bptr p when p.p_site >= 0 ->
-      let acc = access_of ctx ~rw:`R ~ty ~ptr ~meta p in
-      ctx.all_accesses <- acc :: ctx.all_accesses;
-      (match ty with
-      | Types.Ptr pointee ->
-        (* Loaded a pointer: type-based aliasing gives the target site. *)
-        let target_site =
-          match ctx.site_of_ty pointee with Some s -> s | None -> -1
-        in
-        set ctx dst
-          (Bptr
-             {
-               p_site = target_site;
-               p_off = Scev.Unknown;
-               p_chased = true;
-               p_indirect = None;
-               p_elem = Types.size_of pointee;
-               p_field = 0;
-               p_gep = None;
-             })
-      | Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _ ->
-        set ctx dst (Bsym { sym = Scev.Loaded p.p_site; from_gep = p.p_gep }));
-      ([ acc ], [])
-    | Bptr _ | Bsym _ | Bnone ->
-      ctx.unresolved <- ctx.unresolved + 1;
-      set_sym ctx dst Scev.Unknown;
-      ([], []))
-  | Ir.Store { ty; ptr; meta; _ } ->
-    ctx.sites <- meta.Ir.am_site :: ctx.sites;
-    (match operand_binding ctx ptr with
-    | Bptr p when p.p_site >= 0 ->
-      let acc = access_of ctx ~rw:`W ~ty ~ptr ~meta p in
-      ctx.all_accesses <- acc :: ctx.all_accesses;
-      ([ acc ], [])
-    | Bptr _ | Bsym _ | Bnone ->
-      ctx.unresolved <- ctx.unresolved + 1;
-      ([], []))
-  | Ir.Call { dst; callee; args = _ } ->
-    (* Intra-procedural: the callee's effects are summarized separately;
-       a returned pointer gets a type-based site if resolvable. *)
-    ignore callee;
+    let acc = record ctx ~rw:`R ~ty ~ptr ~meta in
+    (match (ty, acc) with
+    | Types.Ptr pointee, _ ->
+      (* resolved or not, as in [regs]: its site is its pointee type's *)
+      set ctx dst (elem_ptr ~off:Scev.Unknown ~chased:true pointee)
+    | (Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _), Some a ->
+      set ctx dst (Bsym { sym = Scev.Loaded a.a_site; from_gep = a.a_gep })
+    | (Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _), None ->
+      set_sym ctx dst Scev.Unknown);
+    (Option.to_list acc, [])
+  | Ir.Store { ty; ptr; meta; _ } -> (Option.to_list (record ctx ~rw:`W ~ty ~ptr ~meta), [])
+  | Ir.Call { dst; callee = _; args = _ } ->
+    (* Intra-procedural: the callee's effects are summarized separately. *)
     ctx.straight <- false;
     set_sym ctx dst Scev.Unknown;
     ([], [])
@@ -356,7 +330,6 @@ and walk_loop ctx ~iv ~lo ~hi ~step ~body ~parallel =
   let saved_depth = ctx.depth in
   let saved_top = ctx.top in
   let saved_straight = ctx.straight in
-  let saved_sites = ctx.sites in
   let depth = ctx.depth in
   let lo_sym = operand_sym ctx lo in
   let step_sym = operand_sym ctx step in
@@ -364,14 +337,11 @@ and walk_loop ctx ~iv ~lo ~hi ~step ~body ~parallel =
   set_sym ctx iv iv_sym;
   ctx.loop <- Some (depth, iv_sym, iv);
   ctx.iv_plus.(iv) <- iv;
-  ctx.sites <- [];
   ctx.depth <- depth + 1;
   ctx.top <- true;
   ctx.straight <- true;
   let accesses, children = walk_block ctx body in
   let straight = ctx.straight in
-  let sites = ctx.sites in
-  ctx.sites <- saved_sites;
   ctx.loop <- saved_loop;
   ctx.depth <- saved_depth;
   ctx.top <- saved_top;
@@ -399,7 +369,6 @@ and walk_loop ctx ~iv ~lo ~hi ~step ~body ~parallel =
     l_body_ops = Ir.op_count body;
     l_straight = straight;
     l_accesses = accesses;
-    l_sites = sites;
     l_children = children;
   }
 
@@ -475,47 +444,31 @@ let summarize accesses =
   |> List.sort (fun a b -> compare a.ss_site b.ss_site)
 
 let analyze facts func =
-  let site_of_ty = Remotable_flow.site_of_ty facts in
-  let param_sites = Remotable_flow.param_sites facts func.Ir.f_name in
+  let n = max 1 func.Ir.f_nregs in
   let ctx =
     {
-      site_of_ty;
-      env = Array.make (max 1 func.Ir.f_nregs) Bnone;
+      regs = Flow.regs facts func;
+      env = Array.make n Bnone;
       all_accesses = [];
       unresolved = 0;
       loop = None;
       depth = 0;
       top = true;
       straight = true;
-      iv_plus = Array.make (max 1 func.Ir.f_nregs) (-1);
-      sites = [];
+      iv_plus = Array.make n (-1);
     }
   in
   List.iter
     (fun (r, ty) ->
-      match ty with
-      | Types.Ptr pointee ->
-        let site =
-          match List.assoc_opt r param_sites with
-          | Some s -> s
-          | None -> (match site_of_ty pointee with Some s -> s | None -> -1)
-        in
-        (* Treat the parameter as the object base: absolute offsets may
-           be wrong for interior pointers, but stride classification
-           only needs offsets relative to the pointer, which are exact. *)
-        ctx.env.(r) <-
-          Bptr
-            {
-              p_site = site;
-              p_off = Scev.const 0L;
-              p_chased = false;
-              p_indirect = None;
-              p_elem = Types.size_of pointee;
-              p_field = 0;
-              p_gep = None;
-            }
-      | Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _ ->
-        ctx.env.(r) <- Bsym { sym = Scev.Unknown; from_gep = None })
+      ctx.env.(r) <-
+        (match ty with
+        | Types.Ptr pointee ->
+          (* Treat the parameter as the object base: absolute offsets may
+             be wrong for interior pointers, but stride classification
+             only needs offsets relative to the pointer, which are exact. *)
+          elem_ptr ~off:(Scev.const 0L) ~chased:false pointee
+        | Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _ ->
+          Bsym { sym = Scev.Unknown; from_gep = None }))
     func.Ir.f_params;
   let _, loops = walk_block ctx func.Ir.f_body in
   let accesses = List.rev ctx.all_accesses in

@@ -59,7 +59,6 @@ type loop_info = {
   l_body_ops : int;
   l_straight : bool;  (** the body, nested loops included, has no call and no [While] *)
   l_accesses : access list;  (** direct body (incl. ifs, excl. nested loops) *)
-  l_sites : int list;  (** [am_site] of every load and store where [l_accesses] looks, resolved or not *)
   l_children : loop_info list;
 }
 
@@ -94,8 +93,10 @@ type result = {
 }
 
 val analyze : Remotable_flow.t -> Mira_mir.Ir.func -> result
-(** Resolves sites with the program's type-based aliasing and the
-    function's call-graph parameter bindings. *)
+(** Takes every access's site from {!Remotable_flow.regs}: an access
+    is recorded exactly when its pointer resolves to a site, and
+    [r_unresolved] counts the rest.  The walk itself adds only the
+    shape: offsets, strides, indirection, chasing and geps. *)
 
 val analyze_all : Remotable_flow.t -> Mira_mir.Ir.program -> (string * result) list
 (** [analyze] for every function, in definition order. *)

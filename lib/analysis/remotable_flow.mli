@@ -3,9 +3,10 @@
     Type-based alias analysis: each allocation site declares an element
     type, so a pointer whose pointee type is allocated at exactly one
     heap site must point into that site's objects (the paper combines
-    SSA-based forward dataflow with type-based aliasing; our structured
-    IR keeps the SSA part inside [Pattern]).  Call-graph parameter
-    bindings carry a caller's sites into its callees.
+    SSA-based forward dataflow with type-based aliasing; here the SSA
+    part is {!regs}, which [Pattern] and the passes all read).
+    Call-graph parameter bindings carry a caller's sites into its
+    callees.
 
     One value holds every such fact of a program, built by one scan of
     its ops.  No pass adds an allocation, a call or a parameter, so the

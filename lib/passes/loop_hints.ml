@@ -40,11 +40,13 @@ let streams ~line_of ~defs ~step (l : Pattern.loop_info) =
         ({ Pattern.g_base = Ir.Oreg b; g_index = Pattern.Idx_iv | Pattern.Idx_iv_plus _; _ } as g)
       when a.Pattern.a_own && a.Pattern.a_rw = `R && a.Pattern.a_meta.Ir.am_remote
            && Types.size_of a.Pattern.a_ty > 0 && not (Hashtbl.mem defs b) ->
-      Some (a.Pattern.a_meta.Ir.am_site, a.Pattern.a_ptr, g)
+      Some (a.Pattern.a_site, a.Pattern.a_ptr, g)
     | Some _ | None -> None
   in
   let loads = if l.Pattern.l_straight then List.filter_map load l.Pattern.l_accesses else [] in
-  let accesses site = List.length (List.filter (( = ) site) l.Pattern.l_sites) in
+  let accesses site =
+    List.length (List.filter (fun (a : Pattern.access) -> a.Pattern.a_site = site) l.Pattern.l_accesses)
+  in
   let offset (g : Pattern.simple_gep) =
     match g.Pattern.g_index with
     | Pattern.Idx_iv_plus c -> c
@@ -56,7 +58,7 @@ let streams ~line_of ~defs ~step (l : Pattern.loop_info) =
   |> List.filter_map (fun site ->
          let mine = List.filter (fun (s, _, _) -> s = site) loads in
          let gs = List.map (fun (_, _, g) -> g) mine in
-         let g = { (List.hd gs) with Pattern.g_site = site } in
+         let g = List.hd gs in
          let same (g' : Pattern.simple_gep) =
            g'.Pattern.g_base = g.Pattern.g_base
            && Types.equal g'.Pattern.g_elem g.Pattern.g_elem

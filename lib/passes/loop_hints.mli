@@ -32,8 +32,9 @@ val run :
       base defined outside the loop, with one [c] (integer literals
       the body adds to [iv]) and one element type, each at a field
       that ends inside the element.
-    The stream is {e exclusive} when those loads are all of the loads
-    and stores marked with the site in the body, branches included.
+    The stream is {e exclusive} when those loads are all of the body's
+    loads and stores of the site ({!Mira_analysis.Pattern.access}'s
+    [a_site]), branches included.
 
     The loop becomes an outer loop over chunks of [k] iterations ([k]
     per line of its densest stream) around the original loop

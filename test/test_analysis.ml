@@ -91,9 +91,9 @@ let test_pattern_loop_tree () =
 
 (* The facts the loop-hint pass reads its streams from: the pointer an
    access dereferences, its metadata, whether it goes through a gep of
-   its loop body's own ops at the loop's iv plus literals, the sites of
-   the body's loads and stores, and whether the body calls or nests a
-   [While]. *)
+   its loop body's own ops at the loop's iv plus literals, the site of
+   each of the body's loads and stores, and whether the body calls or
+   nests a [While]. *)
 let test_pattern_loop_facts () =
   let b = B.program "facts" in
   B.func b "id" [ ("x", T.I64) ] T.I64 (fun fb args -> B.ret fb (List.hd args));
@@ -114,6 +114,7 @@ let test_pattern_loop_facts () =
           B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst 8) (fun _ -> ignore (B.load fb T.I64 p)));
       B.ret fb (B.iconst 0));
   let prog = B.finish b ~entry:"main" in
+  let arr = Mira_workloads.Workload_util.site_id prog "arr" in
   let own (l : Pattern.loop_info) = List.map (fun a -> a.Pattern.a_own) l.Pattern.l_accesses in
   match (analyze prog "main").Pattern.r_loops with
   | [ plain; calls; outer ] ->
@@ -121,7 +122,8 @@ let test_pattern_loop_facts () =
     Alcotest.(check bool) "a call breaks it" false calls.Pattern.l_straight;
     (* own gep; copied pointer; Mul by 1; a register holding 0; in the If *)
     Alcotest.(check (list bool)) "own geps" [ true; false; false; false; false ] (own plain);
-    Alcotest.(check int) "every load and store's site" 5 (List.length plain.Pattern.l_sites);
+    Alcotest.(check int) "every load and store's site" 5
+      (List.length (List.filter (fun a -> a.Pattern.a_site = arr) plain.Pattern.l_accesses));
     (match plain.Pattern.l_accesses with
     | load :: copy :: _ ->
       Alcotest.(check bool) "its pointer" false (load.Pattern.a_ptr = copy.Pattern.a_ptr);
@@ -130,6 +132,43 @@ let test_pattern_loop_facts () =
     Alcotest.(check (list (list bool))) "a gep of the enclosing loop" [ [ false ] ]
       (List.map own outer.Pattern.l_children)
   | loops -> Alcotest.failf "want three loops, got %d" (List.length loops)
+
+(* [t[0][i]] in a function whose table [t] two callers bind to
+   different sites, with the table's element type allocated at both:
+   the table load has no site, the base loaded through it has its
+   pointee type's, and the access through that base is recorded with
+   it, as [Remotable_flow.regs] resolves it. *)
+let test_pattern_loaded_base () =
+  let tab = T.Ptr T.I64 in
+  let b = B.program "tables" in
+  B.func b "work" [ ("t", T.Ptr tab) ] T.I64 (fun fb args ->
+      let a = B.load fb tab (List.hd args) in
+      B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst 64) (fun i ->
+          ignore (B.load fb T.I64 (B.gep fb ~base:a ~index:i ~elem:T.I64 ())));
+      B.ret fb (B.iconst 0));
+  B.func b "main" [] T.I64 (fun fb _ ->
+      let a, _ = B.alloc fb ~name:"arr" T.I64 (B.iconst 64) in
+      let table name =
+        let t, _ = B.alloc fb ~name tab (B.iconst 1) in
+        B.store fb tab ~ptr:t ~value:a;
+        t
+      in
+      let t0 = table "t0" in
+      let t1 = table "t1" in
+      ignore (B.call fb "work" [ t0 ]);
+      ignore (B.call fb "work" [ t1 ]);
+      B.ret fb (B.iconst 0));
+  let prog = B.finish b ~entry:"main" in
+  let r = analyze prog "work" in
+  let arr = Mira_workloads.Workload_util.site_id prog "arr" in
+  Alcotest.(check int) "only the table load unresolved" 1 r.Pattern.r_unresolved;
+  match r.Pattern.r_loops with
+  | [ l ] ->
+    Alcotest.(check (list int)) "t[0][i] is arr's" [ arr ]
+      (List.map (fun a -> a.Pattern.a_site) l.Pattern.l_accesses);
+    Alcotest.(check (list bool)) "through a loaded pointer" [ true ]
+      (List.map (fun a -> a.Pattern.a_pointer_chase) l.Pattern.l_accesses)
+  | loops -> Alcotest.failf "want one loop, got %d" (List.length loops)
 
 let test_pattern_affine_shape () =
   (* a[i*8 + j] must be recognized as an affine gep shape. *)
@@ -291,6 +330,7 @@ let suite =
     Alcotest.test_case "pattern seq+indirect" `Quick test_pattern_sequential_and_indirect;
     Alcotest.test_case "pattern loop tree" `Quick test_pattern_loop_tree;
     Alcotest.test_case "pattern loop facts" `Quick test_pattern_loop_facts;
+    Alcotest.test_case "pattern loaded base" `Quick test_pattern_loaded_base;
     Alcotest.test_case "pattern affine" `Quick test_pattern_affine_shape;
     Alcotest.test_case "pattern pointer chase" `Quick test_pattern_pointer_chase;
     Alcotest.test_case "lifetime phases" `Quick test_lifetime_phases;

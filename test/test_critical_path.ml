@@ -79,6 +79,7 @@ let fixed_recipe =
     records = [];
     streams = [];
     picks = [];
+    tabled = None;
   }
 
 (* Run [recipe] on a fresh Mira runtime under tracing; returns the
