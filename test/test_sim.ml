@@ -46,6 +46,43 @@ let test_clock_limit () =
   Clock.set_limit c infinity;
   Alcotest.(check (float 0.0)) "infinity sets none" 1e9 (Clock.wait_until c (31.5 +. 1e9))
 
+(* [advance]'s contract: a delta that is NaN, negative or negative
+   zero raises with the same text; +0.0 does not move the clock and
+   calls no observer; a positive delta calls it once, with [Timer]; and
+   constant advances on a clock with no observer allocate nothing. *)
+let test_clock_advance_contract () =
+  let prefix = "Clock.advance: invalid time delta" in
+  let c = Clock.create () in
+  let seen = ref [] in
+  Clock.set_observer c (Some (fun ev -> seen := ev :: !seen));
+  Clock.advance c 2.0;
+  List.iter
+    (fun (name, dt) ->
+      match Clock.advance c dt with
+      | () -> Alcotest.failf "advance %s did not raise" name
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) ("advance " ^ name ^ " raises") prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix))))
+    [ ("nan", Float.nan); ("-0.0", -0.0); ("-1.0", -1.0); ("-infinity", Float.neg_infinity) ];
+  Alcotest.(check (float 0.0)) "a rejected delta does not move the clock" 2.0 (Clock.now c);
+  Alcotest.(check int) "a rejected delta calls no observer" 1 (List.length !seen);
+  seen := [];
+  Clock.advance c 0.0;
+  Alcotest.(check (float 0.0)) "+0.0 leaves now" 2.0 (Clock.now c);
+  Alcotest.(check int) "+0.0 calls no observer" 0 (List.length !seen);
+  Clock.advance c 0.5;
+  Alcotest.(check (float 0.0)) "a positive delta moves the clock" 2.5 (Clock.now c);
+  Alcotest.(check bool) "a positive delta calls the observer once, with Timer" true
+    (!seen = [ Clock.Timer ]);
+  let c = Clock.create () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000_000 do
+    Clock.advance c 1.0
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "1M advances allocate nothing" 0.0 words;
+  Alcotest.(check (float 0.0)) "1M advances" 1e6 (Clock.now c)
+
 let qcheck_clock_unlimited =
   QCheck.Test.make ~name:"a clock with no limit never raises Past_limit" ~count:200
     QCheck.(list (pair bool (float_bound_inclusive 1e12)))
@@ -231,6 +268,7 @@ let suite =
   [
     Alcotest.test_case "clock basic" `Quick test_clock_basic;
     Alcotest.test_case "clock limit" `Quick test_clock_limit;
+    Alcotest.test_case "clock advance contract" `Quick test_clock_advance_contract;
     QCheck_alcotest.to_alcotest qcheck_clock_unlimited;
     Alcotest.test_case "net latency" `Quick test_net_latency_ordering;
     Alcotest.test_case "net bandwidth" `Quick test_net_bandwidth_serializes;
