@@ -5,7 +5,8 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --list       # available targets
      dune exec bench/main.exe -- --only fig5  # one figure
-     dune exec bench/main.exe -- --only fig5,fig18,micro *)
+     dune exec bench/main.exe -- --only fig5,fig18,micro
+     dune exec bench/main.exe -- --only 'micro:swap hit path'  # one micro case alone *)
 
 let targets =
   Figures.all_figures
@@ -17,9 +18,10 @@ let targets =
     ]
 
 let usage () =
-  print_endline "usage: main.exe [--list | --only <id>[,<id>...]]";
+  print_endline "usage: main.exe [--list | --only <id>[,<id>...] | --only micro:<case>]";
   print_endline "targets:";
-  List.iter (fun (name, _) -> Printf.printf "  %s\n" name) targets
+  List.iter (fun (name, _) -> Printf.printf "  %s\n" name) targets;
+  List.iter (Printf.printf "  micro:%s\n") Micro.case_names
 
 let run_target (name, fn) =
   Printf.printf "\n================ %s ================\n%!" name;
@@ -32,6 +34,10 @@ let () =
   let args = Array.to_list Sys.argv in
   match args with
   | _ :: "--list" :: _ -> usage ()
+  | _ :: "--only" :: id :: _ when String.starts_with ~prefix:"micro:" id ->
+    (* a case name may hold commas, so the rest of the id is one name *)
+    let case = String.sub id 6 (String.length id - 6) in
+    run_target (id, fun () -> Micro.run_case case)
   | _ :: "--only" :: ids :: _ ->
     let wanted = String.split_on_char ',' ids in
     let known = List.filter (fun (n, _) -> List.mem n wanted) targets in
