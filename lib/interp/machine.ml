@@ -2,12 +2,13 @@ module Ir = Mira_mir.Ir
 module Types = Mira_mir.Types
 module Memsys = Mira_runtime.Memsys
 module Sim = Mira_sim
+module Attribution = Mira_telemetry.Attribution
 
 exception Return of Value.t
 
 type frame = {
   regs : Value.t array;  (* registers, then the function's constants *)
-  mutable stack_allocs : Value.t list;  (* stack pointers to free on exit *)
+  mutable stack_allocs : Memsys.ptr list;  (* stack allocations to free on exit *)
 }
 
 (* A compiled op or block: runs on thread [tid] against a frame. *)
@@ -74,52 +75,92 @@ let[@inline] tick t tid =
   t.ops <- t.ops + 1;
   charge t tid t.op_ns
 
-let int_binop op a b =
+(* Operand reads: the form an op expects inline, any other through
+   [Value]'s coercion (a bool or pointer as an int, an int as a float). *)
+let[@inline] int_of = function Value.Vint i -> i | v -> Value.as_int v
+let[@inline] float_of = function Value.Vfloat f -> f | v -> Value.as_float v
+let[@inline] ptr_of = function Value.Vptr p -> p | v -> Value.as_ptr v
+let[@inline] bool_of = function Value.Vbool b -> b | v -> Value.as_bool v
+let[@inline] vbool b = if b then Value.Vbool true else Value.Vbool false  (* static *)
+
+let quot a b = if b = 0L then failwith "division by zero" else Int64.div a b
+let modulo a b = if b = 0L then failwith "remainder by zero" else Int64.rem a b
+let[@inline] shift v = Int64.to_int (int_of v) land 63
+
+(* Each op's closure is picked when it is compiled, per operator and
+   per loaded or stored type, and does its work itself.  Float
+   comparisons are IEEE: NaN is unordered. *)
+let bin r a b : Ir.binop -> code =
   let open Int64 in
-  match op with
-  | Ir.Add -> add a b
-  | Ir.Sub -> sub a b
-  | Ir.Mul -> mul a b
-  | Ir.Div -> if b = 0L then failwith "division by zero" else div a b
-  | Ir.Rem -> if b = 0L then failwith "remainder by zero" else rem a b
-  | Ir.Land -> logand a b
-  | Ir.Lor -> logor a b
-  | Ir.Lxor -> logxor a b
-  | Ir.Shl -> shift_left a (to_int b land 63)
-  | Ir.Shr -> shift_right_logical a (to_int b land 63)
+  function
+  | Ir.Add -> fun _ { regs; _ } -> regs.(r) <- Vint (add (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Sub -> fun _ { regs; _ } -> regs.(r) <- Vint (sub (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Mul -> fun _ { regs; _ } -> regs.(r) <- Vint (mul (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Div -> fun _ { regs; _ } -> regs.(r) <- Vint (quot (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Rem -> fun _ { regs; _ } -> regs.(r) <- Vint (modulo (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Land -> fun _ { regs; _ } -> regs.(r) <- Vint (logand (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Lor -> fun _ { regs; _ } -> regs.(r) <- Vint (logor (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Lxor -> fun _ { regs; _ } -> regs.(r) <- Vint (logxor (int_of regs.(a)) (int_of regs.(b)))
+  | Ir.Shl -> fun _ { regs; _ } -> regs.(r) <- Vint (shift_left (int_of regs.(a)) (shift regs.(b)))
+  | Ir.Shr ->
+    fun _ { regs; _ } -> regs.(r) <- Vint (shift_right_logical (int_of regs.(a)) (shift regs.(b)))
 
-let float_binop op a b =
-  match op with
-  | Ir.Fadd -> a +. b
-  | Ir.Fsub -> a -. b
-  | Ir.Fmul -> a *. b
-  | Ir.Fdiv -> a /. b
+let cmp r a b : Ir.cmpop -> code = function
+  | Ir.Eq -> fun _ { regs; _ } -> regs.(r) <- vbool (int_of regs.(a) = int_of regs.(b))
+  | Ir.Ne -> fun _ { regs; _ } -> regs.(r) <- vbool (int_of regs.(a) <> int_of regs.(b))
+  | Ir.Lt -> fun _ { regs; _ } -> regs.(r) <- vbool (int_of regs.(a) < int_of regs.(b))
+  | Ir.Le -> fun _ { regs; _ } -> regs.(r) <- vbool (int_of regs.(a) <= int_of regs.(b))
+  | Ir.Gt -> fun _ { regs; _ } -> regs.(r) <- vbool (int_of regs.(a) > int_of regs.(b))
+  | Ir.Ge -> fun _ { regs; _ } -> regs.(r) <- vbool (int_of regs.(a) >= int_of regs.(b))
 
-let cmp_int op a b =
-  let c = Int64.compare a b in
-  match op with
-  | Ir.Eq -> c = 0
-  | Ir.Ne -> c <> 0
-  | Ir.Lt -> c < 0
-  | Ir.Le -> c <= 0
-  | Ir.Gt -> c > 0
-  | Ir.Ge -> c >= 0
+let fbin r a b : Ir.fbinop -> code = function
+  | Ir.Fadd -> fun _ { regs; _ } -> regs.(r) <- Vfloat (float_of regs.(a) +. float_of regs.(b))
+  | Ir.Fsub -> fun _ { regs; _ } -> regs.(r) <- Vfloat (float_of regs.(a) -. float_of regs.(b))
+  | Ir.Fmul -> fun _ { regs; _ } -> regs.(r) <- Vfloat (float_of regs.(a) *. float_of regs.(b))
+  | Ir.Fdiv -> fun _ { regs; _ } -> regs.(r) <- Vfloat (float_of regs.(a) /. float_of regs.(b))
 
-let cmp_float op a b =
-  match op with
-  | Ir.Eq -> a = b
-  | Ir.Ne -> a <> b
-  | Ir.Lt -> a < b
-  | Ir.Le -> a <= b
-  | Ir.Gt -> a > b
-  | Ir.Ge -> a >= b
+let fcmp r a b : Ir.cmpop -> code = function
+  | Ir.Eq -> fun _ { regs; _ } -> regs.(r) <- vbool (float_of regs.(a) = float_of regs.(b))
+  | Ir.Ne -> fun _ { regs; _ } -> regs.(r) <- vbool (float_of regs.(a) <> float_of regs.(b))
+  | Ir.Lt -> fun _ { regs; _ } -> regs.(r) <- vbool (float_of regs.(a) < float_of regs.(b))
+  | Ir.Le -> fun _ { regs; _ } -> regs.(r) <- vbool (float_of regs.(a) <= float_of regs.(b))
+  | Ir.Gt -> fun _ { regs; _ } -> regs.(r) <- vbool (float_of regs.(a) > float_of regs.(b))
+  | Ir.Ge -> fun _ { regs; _ } -> regs.(r) <- vbool (float_of regs.(a) >= float_of regs.(b))
 
-let vbool b = if b then Value.Vbool true else Value.Vbool false  (* static, not allocated *)
+(* Loads and stores move one 8-byte word.  A store reads its pointer,
+   then its value, which it encodes as [Value.encode] does. *)
+let[@inline] load t tid regs p native = t.ms.Memsys.load ~tid ~ptr:(ptr_of regs.(p)) ~len:8 ~native
+let[@inline] store t tid pv native bits = t.ms.Memsys.store ~tid ~ptr:pv ~len:8 ~native ~value:bits
 
-let load_len ty = match ty with Types.Unit -> 0 | _ -> 8
+let load_op t dst ty ptr native : code =
+  match ty with
+  | Types.I64 -> fun tid { regs; _ } -> regs.(dst) <- Vint (load t tid regs ptr native)
+  | Types.F64 ->
+    fun tid { regs; _ } -> regs.(dst) <- Vfloat (Int64.float_of_bits (load t tid regs ptr native))
+  | Types.Bool -> fun tid { regs; _ } -> regs.(dst) <- vbool (load t tid regs ptr native <> 0L)
+  | Types.Ptr _ ->
+    fun tid { regs; _ } -> regs.(dst) <- Vptr (Value.bits_ptr (load t tid regs ptr native))
+  | Types.Unit -> fun _ { regs; _ } -> ignore (ptr_of regs.(ptr)); regs.(dst) <- Vunit
+  | Types.Struct _ ->
+    fun tid { regs; _ } -> regs.(dst) <- Value.decode ty (load t tid regs ptr native)
 
-let shift_ptr (p : Memsys.ptr) delta =
-  { p with Memsys.addr = p.Memsys.addr + delta }
+let store_op t ty ptr value native : code =
+  match ty with
+  | Types.I64 | Types.Bool ->
+    fun tid { regs; _ } ->
+      let pv = ptr_of regs.(ptr) in store t tid pv native (int_of regs.(value))
+  | Types.F64 ->
+    fun tid { regs; _ } ->
+      let pv = ptr_of regs.(ptr) in
+      store t tid pv native (Int64.bits_of_float (float_of regs.(value)))
+  | Types.Ptr _ ->
+    fun tid { regs; _ } ->
+      let pv = ptr_of regs.(ptr) in
+      store t tid pv native (Value.ptr_bits (ptr_of regs.(value)))
+  | Types.Unit -> fun _ { regs; _ } -> ignore (ptr_of regs.(ptr))
+  | Types.Struct _ ->
+    fun tid { regs; _ } ->
+      let pv = ptr_of regs.(ptr) in store t tid pv native (Value.encode ty regs.(value))
 
 (* Constants get frame slots past the registers, filled once in the
    function's frame template, so every operand is a slot index. *)
@@ -148,62 +189,44 @@ let rec compile_block t cx block : code =
 
 and compile_op t cx op : code =
   let s = slot cx in
-  let unary r a f = let a = s a in fun _ { regs; _ } -> regs.(r) <- f regs.(a) in
-  let binary r a b f =
-    let a = s a and b = s b in
-    fun _ { regs; _ } -> regs.(r) <- f regs.(a) regs.(b)
-  in
   match op with
-  | Ir.Bin (r, o, a, b) ->
-    binary r a b (fun x y -> Value.Vint (int_binop o (Value.as_int x) (Value.as_int y)))
-  | Ir.Fbin (r, o, a, b) ->
-    binary r a b (fun x y -> Value.Vfloat (float_binop o (Value.as_float x) (Value.as_float y)))
-  | Ir.Cmp (r, o, a, b) ->
-    binary r a b (fun x y -> vbool (cmp_int o (Value.as_int x) (Value.as_int y)))
-  | Ir.Fcmp (r, o, a, b) ->
-    binary r a b (fun x y -> vbool (cmp_float o (Value.as_float x) (Value.as_float y)))
-  | Ir.Not (r, a) -> unary r a (fun v -> vbool (not (Value.as_bool v)))
-  | Ir.I2f (r, a) -> unary r a (fun v -> Value.Vfloat (Int64.to_float (Value.as_int v)))
-  | Ir.F2i (r, a) -> unary r a (fun v -> Value.Vint (Int64.of_float (Value.as_float v)))
-  | Ir.Mov (r, a) -> unary r a Fun.id
+  | Ir.Bin (r, o, a, b) -> bin r (s a) (s b) o
+  | Ir.Cmp (r, o, a, b) -> cmp r (s a) (s b) o
+  | Ir.Fbin (r, o, a, b) -> fbin r (s a) (s b) o
+  | Ir.Fcmp (r, o, a, b) -> fcmp r (s a) (s b) o
+  | Ir.Not (r, a) -> let a = s a in fun _ { regs; _ } -> regs.(r) <- vbool (not (bool_of regs.(a)))
+  | Ir.I2f (r, a) ->
+    let a = s a in fun _ { regs; _ } -> regs.(r) <- Vfloat (Int64.to_float (int_of regs.(a)))
+  | Ir.F2i (r, a) ->
+    let a = s a in fun _ { regs; _ } -> regs.(r) <- Vint (Int64.of_float (float_of regs.(a)))
+  | Ir.Mov (r, a) -> let a = s a in fun _ { regs; _ } -> regs.(r) <- regs.(a)
   | Ir.Alloc { dst; site; elem; count; space } ->
     let count = s count and size = Types.size_of elem in
     let heap = match space with Ir.Heap -> true | Ir.Stack -> false in
     fun tid fr ->
-      let n = Int64.to_int (Value.as_int fr.regs.(count)) in
-      let v = Value.Vptr (t.ms.Memsys.alloc ~tid ~site ~bytes:(max 8 (n * size)) ~heap) in
-      if not heap then fr.stack_allocs <- v :: fr.stack_allocs;
-      fr.regs.(dst) <- v
+      let n = Int64.to_int (int_of fr.regs.(count)) in
+      let p = t.ms.Memsys.alloc ~tid ~site ~bytes:(max 8 (n * size)) ~heap in
+      if not heap then fr.stack_allocs <- p :: fr.stack_allocs;
+      fr.regs.(dst) <- Vptr p
   | Ir.Free { ptr; site = _ } ->
     let ptr = s ptr in
-    fun tid { regs; _ } -> t.ms.Memsys.free ~tid ~ptr:(Value.as_ptr regs.(ptr))
+    fun tid { regs; _ } -> t.ms.Memsys.free ~tid ~ptr:(ptr_of regs.(ptr))
   | Ir.Gep { dst; base; index; elem; field_off } ->
     let base = s base and index = s index and size = Types.size_of elem in
     fun _ { regs; _ } ->
-      let bp = Value.as_ptr regs.(base) in
-      let idx = Int64.to_int (Value.as_int regs.(index)) in
-      regs.(dst) <- Value.Vptr (shift_ptr bp ((idx * size) + field_off))
-  | Ir.Load { dst; ty; ptr; meta } ->
-    let ptr = s ptr and len = load_len ty and native = meta.Ir.am_native in
-    fun tid { regs; _ } ->
-      let pv = Value.as_ptr regs.(ptr) in
-      if len = 0 then regs.(dst) <- Value.Vunit
-      else regs.(dst) <- Value.decode ty (t.ms.Memsys.load ~tid ~ptr:pv ~len ~native)
-  | Ir.Store { ty; ptr; value; meta } ->
-    let ptr = s ptr and value = s value in
-    let len = load_len ty and native = meta.Ir.am_native in
-    fun tid { regs; _ } ->
-      let pv = Value.as_ptr regs.(ptr) in
-      if len > 0 then
-        t.ms.Memsys.store ~tid ~ptr:pv ~len ~native ~value:(Value.encode ty regs.(value))
+      let bp = ptr_of regs.(base) in
+      let idx = Int64.to_int (int_of regs.(index)) in
+      regs.(dst) <- Vptr { bp with Memsys.addr = bp.Memsys.addr + (idx * size) + field_off }
+  | Ir.Load { dst; ty; ptr; meta } -> load_op t dst ty (s ptr) meta.Ir.am_native
+  | Ir.Store { ty; ptr; value; meta } -> store_op t ty (s ptr) (s value) meta.Ir.am_native
   | Ir.Call { dst; callee; args } ->
     let call = compile_call t callee (Array.of_list (List.map s args)) in
     fun tid fr -> fr.regs.(dst) <- call tid fr
   | Ir.For { iv; lo; hi; step; body } ->
     let lo = s lo and hi = s hi and step = s step and body = compile_block t cx body in
     fun tid ({ regs; _ } as fr) ->
-      let hi = Value.as_int regs.(hi) and step = Value.as_int regs.(step) in
-      let i = ref (Value.as_int regs.(lo)) in
+      let hi = int_of regs.(hi) and step = int_of regs.(step) in
+      let i = ref (int_of regs.(lo)) in
       while Int64.compare !i hi < 0 do
         regs.(iv) <- Value.Vint !i;
         body tid fr;
@@ -218,7 +241,7 @@ and compile_op t cx op : code =
     let body = compile_block t cx body in
     fun tid fr ->
       cond tid fr;
-      while Value.as_bool fr.regs.(cond_val) do
+      while bool_of fr.regs.(cond_val) do
         body tid fr;
         charge t tid t.op_ns;
         cond tid fr
@@ -226,26 +249,25 @@ and compile_op t cx op : code =
   | Ir.If { cond; then_; else_ } ->
     let cond = s cond in
     let then_ = compile_block t cx then_ and else_ = compile_block t cx else_ in
-    fun tid fr -> if Value.as_bool fr.regs.(cond) then then_ tid fr else else_ tid fr
+    fun tid fr -> if bool_of fr.regs.(cond) then then_ tid fr else else_ tid fr
   | Ir.Ret v -> let v = s v in fun _ { regs; _ } -> raise (Return regs.(v))
   | Ir.Prefetch { ptr; len; meta = _ } ->
     let ptr = s ptr in
     fun tid { regs; _ } ->
       if not (Value.is_null regs.(ptr)) then
-        t.ms.Memsys.prefetch ~tid ~ptr:(Value.as_ptr regs.(ptr)) ~len
+        t.ms.Memsys.prefetch ~tid ~ptr:(ptr_of regs.(ptr)) ~len
   | Ir.FlushEvict { ptr; len; meta = _ } ->
     let ptr = s ptr in
     fun tid { regs; _ } ->
       if not (Value.is_null regs.(ptr)) then
-        t.ms.Memsys.flush_evict ~tid ~ptr:(Value.as_ptr regs.(ptr)) ~len
+        t.ms.Memsys.flush_evict ~tid ~ptr:(ptr_of regs.(ptr)) ~len
   | Ir.EvictSite site -> fun tid _ -> t.ms.Memsys.evict_site ~tid ~site
   | Ir.ProfEnter name -> fun tid _ -> charge t tid t.prof_ns; t.ms.Memsys.enter ~tid name
   | Ir.ProfExit name -> fun tid _ -> charge t tid t.prof_ns; t.ms.Memsys.exit_ ~tid name
 
 and exec_parfor t ~tid frame ~iv ~lo ~hi ~step ~body =
-  let lo = Value.as_int frame.regs.(lo) in
-  let hi = Value.as_int frame.regs.(hi) in
-  let step = Value.as_int frame.regs.(step) in
+  let lo = int_of frame.regs.(lo) and hi = int_of frame.regs.(hi) in
+  let step = int_of frame.regs.(step) in
   (* The trip count rounds up: a span that is not a multiple of [step]
      still runs its last, partial step. *)
   let total = Int64.to_int (Int64.div (Int64.add (Int64.sub hi lo) (Int64.pred step)) step) in
@@ -276,9 +298,7 @@ and exec_parfor t ~tid frame ~iv ~lo ~hi ~step ~body =
         wframe.regs.(iv) <- Value.Vint i;
         body wtid wframe
       done;
-      List.iter
-        (fun v -> t.ms.Memsys.free ~tid:wtid ~ptr:(Value.as_ptr v))
-        wframe.stack_allocs;
+      List.iter (fun ptr -> t.ms.Memsys.free ~tid:wtid ~ptr) wframe.stack_allocs;
       max_end := Float.max !max_end (Sim.Clock.now clock)
     done;
     (* Join: every participating clock advances to the barrier. *)
@@ -319,7 +339,7 @@ and compile_call t callee args : int -> frame -> Value.t =
         if f.Ir.f_offloaded && t.honor_offload then offloaded_call t ~tid f frame body
         else run_body tid frame body
       in
-      List.iter (fun v -> t.ms.Memsys.free ~tid ~ptr:(Value.as_ptr v)) frame.stack_allocs;
+      List.iter (fun ptr -> t.ms.Memsys.free ~tid ~ptr) frame.stack_allocs;
       result
 
 and compile_func t f =
@@ -336,7 +356,7 @@ and run_body tid frame body =
 and offloaded_call t ~tid f frame body =
   let callee = f.Ir.f_name in
   let attr = t.ms.Memsys.attribution in
-  Mira_telemetry.Attribution.set_context attr ~fn:callee ~site:(-1);
+  Attribution.set_context attr ~fn:callee ~site:(-1);
   t.ms.Memsys.flush_sites ~tid ~sites:f.Ir.f_offload_sites;
   let clock = clock t tid in
   let args_bytes = 8 * List.length f.Ir.f_params in
@@ -346,29 +366,25 @@ and offloaded_call t ~tid f frame body =
   (* The issue wait covers the pre-RPC write fence first, then the
      argument ship on the wire. *)
   let fence_part = Float.min stall (Float.max 0.0 call_cost.Sim.Rpc.fence_wait_ns) in
-  Mira_telemetry.Attribution.charge attr Mira_telemetry.Attribution.Fence fence_part;
-  Mira_telemetry.Attribution.charge attr Mira_telemetry.Attribution.Demand_wire
-    (stall -. fence_part);
+  Attribution.charge attr Attribution.Fence fence_part;
+  Attribution.charge attr Attribution.Demand_wire (stall -. fence_part);
   t.ms.Memsys.offload_begin ~tid;
   t.offload.(tid) <- t.offload.(tid) + 1;
   let v = run_body tid frame body in
   t.ms.Memsys.offload_end ~tid;
   t.offload.(tid) <- t.offload.(tid) - 1;
-  let done_at =
-    Sim.Rpc.complete t.ms.Memsys.net ~body_done_at:(Sim.Clock.now clock) ~ret_bytes:8
-  in
-  Mira_telemetry.Attribution.set_context attr ~fn:callee ~site:(-1);
-  Mira_telemetry.Attribution.charge attr Mira_telemetry.Attribution.Demand_wire
-    (Sim.Clock.wait_until clock done_at);
+  let done_at = Sim.Rpc.complete t.ms.Memsys.net ~body_done_at:(Sim.Clock.now clock) ~ret_bytes:8 in
+  Attribution.set_context attr ~fn:callee ~site:(-1);
+  Attribution.charge attr Attribution.Demand_wire (Sim.Clock.wait_until clock done_at);
   t.ms.Memsys.discard_sites ~tid ~sites:f.Ir.f_offload_sites;
   v
 
 and compile_intrinsic t name args =
-  let float_fn f = fun _ fr -> Value.Vfloat (f (Value.as_float fr.regs.(args.(0)))) in
+  let float_fn f = fun _ fr -> Value.Vfloat (f (float_of fr.regs.(args.(0)))) in
   match (name, Array.length args) with
   | "rand_int", 1 ->
     fun _ fr ->
-      let b = Int64.to_int (Value.as_int fr.regs.(args.(0))) in
+      let b = Int64.to_int (int_of fr.regs.(args.(0))) in
       if b <= 0 then Value.Vint 0L
       else Value.Vint (Int64.of_int (Mira_util.Prng.int t.prng b))
   | "exp", 1 -> float_fn exp

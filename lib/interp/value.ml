@@ -34,23 +34,6 @@ let bits_ptr bits =
   let addr = Int64.to_int (Int64.logand bits addr_mask) in
   { Memsys.space; addr; site }
 
-let encode ty v =
-  match (ty, v) with
-  | Types.F64, Vint i -> Int64.bits_of_float (Int64.to_float i)
-  | Types.F64, Vfloat f -> Int64.bits_of_float f
-  | Types.F64, _ -> invalid_arg "Value.encode: expected float"
-  | (Types.I64 | Types.Bool), Vint i -> i
-  | (Types.I64 | Types.Bool), Vbool b -> if b then 1L else 0L
-  | (Types.I64 | Types.Bool), Vptr p -> ptr_bits p
-  | (Types.I64 | Types.Bool), Vfloat f -> Int64.of_float f
-  | Types.Ptr _, Vptr p -> ptr_bits p
-  | Types.Ptr _, Vint 0L -> 0L
-  | Types.Ptr _, Vint i -> i  (* pre-serialized pointer bits *)
-  | Types.Ptr _, _ -> invalid_arg "Value.encode: expected pointer"
-  | (Types.Unit | Types.Struct _), _ ->
-    invalid_arg "Value.encode: cannot store unit/struct directly"
-  | (Types.I64 | Types.Bool), Vunit -> invalid_arg "Value.encode: unit"
-
 let decode ty bits =
   match ty with
   | Types.I64 -> Vint bits
@@ -83,6 +66,14 @@ let as_ptr = function
   | Vint bits -> bits_ptr bits
   | Vbool _ | Vfloat _ | Vunit -> invalid_arg "Value.as_ptr"
 
+(* A stored int is a pointer's pre-serialized bits, 0 the null pointer. *)
+let encode ty v =
+  match ty with
+  | Types.I64 | Types.Bool -> as_int v
+  | Types.F64 -> Int64.bits_of_float (as_float v)
+  | Types.Ptr _ -> ptr_bits (as_ptr v)
+  | Types.Unit | Types.Struct _ -> invalid_arg "Value.encode: cannot store unit/struct directly"
+
 let pp ppf = function
   | Vunit -> Format.pp_print_string ppf "()"
   | Vbool b -> Format.pp_print_bool ppf b
@@ -92,11 +83,5 @@ let pp ppf = function
     let space = match p.Memsys.space with Memsys.Local -> "local" | Memsys.Far -> "far" in
     Format.fprintf ppf "<%s:%d@%d>" space p.Memsys.site p.Memsys.addr
 
-let equal a b =
-  match (a, b) with
-  | Vunit, Vunit -> true
-  | Vbool x, Vbool y -> x = y
-  | Vint x, Vint y -> Int64.equal x y
-  | Vfloat x, Vfloat y -> x = y
-  | Vptr x, Vptr y -> x = y
-  | (Vunit | Vbool _ | Vint _ | Vfloat _ | Vptr _), _ -> false
+(* Structural: floats compare as IEEE numbers, so NaN equals nothing. *)
+let equal (a : t) b = a = b

@@ -32,22 +32,20 @@ let mark t = t.tm.mark <- t.tm.now
 let since_mark t = t.tm.now -. t.tm.mark
 let set_observer t obs = t.observer <- obs
 let set_limit t limit = t.tm.limit <- limit
-let notify t ev = match t.observer with None -> () | Some f -> f ev
 
-(* A NaN delta fails every comparison and a negative-zero delta passes
-   [>= 0.0], so both used to slip through the old [assert] and could
-   corrupt the monotonic time base (and with it every ledger audit).
-   Reject them loudly instead.  [%h] renders the exact bit pattern. *)
-let check_delta fn dt =
-  if not (dt >= 0.0) || (dt = 0.0 && 1.0 /. dt < 0.0) then
-    invalid_arg (Printf.sprintf "Clock.%s: invalid time delta %h ns" fn dt)
+(* A NaN, negative or negative-zero delta would corrupt the monotonic
+   time base (and with it every ledger audit); [%h] renders its exact
+   bits.  Out of line, so that [advance] inlines: a positive delta is
+   an add and the observer match, and only +0.0 of the rest is valid. *)
+let[@inline never] invalid_delta dt =
+  invalid_arg (Printf.sprintf "Clock.advance: invalid time delta %h ns" dt)
 
-let advance t dt =
-  check_delta "advance" dt;
+let[@inline] advance t dt =
   if dt > 0.0 then begin
     t.tm.now <- t.tm.now +. dt;
-    notify t Timer
+    match t.observer with None -> () | Some f -> f Timer
   end
+  else if not (dt = 0.0 && 1.0 /. dt > 0.0) then invalid_delta dt
 
 let wait_event t ~ev deadline =
   let tm = t.tm in
@@ -56,7 +54,7 @@ let wait_event t ~ev deadline =
     tm.now <- deadline;
     tm.stalled <- tm.stalled +. stall;
     if deadline > tm.limit then raise Past_limit;
-    notify t ev;
+    (match t.observer with None -> () | Some f -> f ev);
     stall
   end
   else 0.0
