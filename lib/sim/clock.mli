@@ -59,10 +59,10 @@ val set_limit : t -> float -> unit
     and a losing run loses on stalls. *)
 
 val advance : t -> float -> unit
-(** [advance t dt] moves time forward by [dt] ns.  Raises
-    [Invalid_argument] when [dt] is NaN, negative, or negative zero —
-    deltas that would silently corrupt the monotonic time base the
-    stall-attribution ledger audits against. *)
+(** [advance t dt] moves time forward by [dt] ns and calls the observer
+    once, with [Timer]; +0.0 does nothing.  Raises [Invalid_argument]
+    when [dt] is NaN, negative or negative zero: deltas that would
+    corrupt the monotonic time base the stall ledger audits against. *)
 
 val wait_until : ?ev:event -> t -> float -> float
 (** [wait_until t deadline] advances to [deadline] if it is in the
