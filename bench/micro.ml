@@ -201,9 +201,9 @@ let bench_kv_report name =
 
 (* 4 tenants on a runtime's scheduler, a quarter ns apart, each making
    64 clock moves of 1 ns: every move leaves another tenant earlier, so
-   each is a real park and resume, with the runtime's TLS hook saving
-   and restoring the attribution and net context. *)
-let bench_sched_runtime_tls name =
+   each is a real park and resume, the parked entry saving and restoring
+   the trace context and the ledger's fn/site/tenant. *)
+let bench_sched_runtime_park name =
   let module Runtime = Mira_runtime.Runtime in
   let module Sched = Mira_sim.Sched in
   let rt =
@@ -284,7 +284,7 @@ let cases =
     ("sched 4 tenants, in-place advances", 1, bench_sched_in_place);
     ("runtime load hit (section)", 1, bench_runtime_hit);
     ("kv report percentiles (4x10k + 40k)", 1, bench_kv_report);
-    ("sched yield with runtime TLS (4 tenants)", 1, bench_sched_runtime_tls);
+    ("sched park with ledger context (4 tenants)", 1, bench_sched_runtime_park);
     ("net saturated window", 1, bench_net_window);
     ("interp compute op (native)", interp_ops, bench_interp_compute);
   ]

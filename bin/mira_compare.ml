@@ -231,6 +231,12 @@ let compare_systems wname ratio iterations threads tenants requests
     usage_error (Printf.sprintf "invalid threads %d (need >= 1)" threads);
   if tenants < 1 then
     usage_error (Printf.sprintf "invalid tenants %d (need >= 1)" tenants);
+  if wname <> "kv" && tenants <> 1 then
+    usage_error
+      (Printf.sprintf
+         "--tenants requires the kv workload (the '%s' workload runs one \
+          tenant; got --tenants %d)"
+         wname tenants);
   if net_window < 0 then
     usage_error
       (Printf.sprintf "invalid net-window %d (need >= 0; 0 = unbounded)"
@@ -395,9 +401,10 @@ let threads_arg =
 let tenants_arg =
   Arg.(value & opt int 1
        & info [ "tenants" ]
-           ~doc:"tenant contexts interleaved on the discrete-event \
-                 scheduler (the kv workload runs one serving loop per \
-                 tenant; 1 = the historical single-tenant mode)")
+           ~doc:"kv workload: tenants, each running its own serving loop \
+                 interleaved with the others on the discrete-event \
+                 scheduler (MIR workloads run one tenant; any other \
+                 value exits 2)")
 
 let requests_arg =
   Arg.(value & opt int Mira_workloads.Kv_serving.config_default.requests

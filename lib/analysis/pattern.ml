@@ -75,7 +75,9 @@ type result = {
 
 type ptr_info = {
   p_off : Scev.t;  (* byte offset within the object, if affine *)
-  p_chased : bool;  (* the base pointer was loaded from memory *)
+  p_loaded_at : int;
+      (* depth of the load that gave the base pointer, -1 if not loaded;
+         a loop this deep or deeper sees one base *)
   p_indirect : int option;  (* index values loaded from this site *)
   p_elem : int;  (* element size of the producing gep (bytes) *)
   p_field : int;  (* field offset within the element; -1 = unknown *)
@@ -137,17 +139,21 @@ let index_shape ctx index =
             | Scev.Affine _ | Scev.Loaded _ | Scev.Unknown -> Idx_other))
       end)
 
-(* A pointer to the start of an element of [elem]. *)
-let elem_ptr ~off ~chased elem =
+(* A pointer to the start of an element of [elem]; a loaded one is
+   loaded at depth [loaded_at]. *)
+let elem_ptr ?(loaded_at = -1) elem =
   Bptr
-    { p_off = off; p_chased = chased; p_indirect = None; p_elem = Types.size_of elem;
-      p_field = 0; p_gep = None }
+    { p_off = Scev.const 0L; p_loaded_at = loaded_at; p_indirect = None;
+      p_elem = Types.size_of elem; p_field = 0; p_gep = None }
 
 let access_of ctx ~site ~rw ~ty ~ptr ~meta (p : ptr_info) =
+  (* Offsets are relative to the base, so they give a stride only
+     where the base is one: not in a loop that loads it anew. *)
   let stride =
     match ctx.loop with
-    | Some (depth, _, _) -> Scev.innermost_stride p.p_off ~depth
-    | None -> None
+    | Some (depth, _, _) when p.p_loaded_at <= depth ->
+      Scev.innermost_stride p.p_off ~depth
+    | Some _ | None -> None
   in
   {
     a_site = site;
@@ -157,7 +163,7 @@ let access_of ctx ~site ~rw ~ty ~ptr ~meta (p : ptr_info) =
     a_field = p.p_field;
     a_stride = stride;
     a_indirect_via = p.p_indirect;
-    a_pointer_chase = p.p_chased;
+    a_pointer_chase = p.p_loaded_at >= 0;
     a_gep = p.p_gep;
     a_ptr = ptr;
     a_meta = meta;
@@ -238,7 +244,7 @@ and walk_op ctx op : access list * loop_info list =
     set ctx r (operand_binding ctx a);
     ([], [])
   | Ir.Alloc { dst; elem; _ } ->
-    set ctx dst (elem_ptr ~off:(Scev.const 0L) ~chased:false elem);
+    set ctx dst (elem_ptr elem);
     ([], [])
   | Ir.Free _ -> ([], [])
   | Ir.Gep { dst; base; index; elem; field_off } ->
@@ -266,7 +272,7 @@ and walk_op ctx op : access list * loop_info list =
         (Bptr
            {
              p_off = off;
-             p_chased = p.p_chased;
+             p_loaded_at = p.p_loaded_at;
              p_indirect = indirect;
              p_elem = elem_bytes;
              (* A field of the element only when the base points at an
@@ -284,7 +290,7 @@ and walk_op ctx op : access list * loop_info list =
     (match (ty, acc) with
     | Types.Ptr pointee, _ ->
       (* resolved or not, as in [regs]: its site is its pointee type's *)
-      set ctx dst (elem_ptr ~off:Scev.Unknown ~chased:true pointee)
+      set ctx dst (elem_ptr ~loaded_at:ctx.depth pointee)
     | (Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _), Some a ->
       set ctx dst (Bsym { sym = Scev.Loaded a.a_site; from_gep = a.a_gep })
     | (Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _), None ->
@@ -406,8 +412,13 @@ let summarize accesses =
           (Some []) accs
         |> Option.map Mira_util.Misc.merge_extents
       in
+      (* an access through a loaded base that it walks at a constant
+         stride is a stream over that base, not a chase *)
+      let chases a =
+        a.a_pointer_chase && (match a.a_stride with Some s -> s = 0L | None -> true)
+      in
       let kind =
-        if List.exists (fun a -> a.a_pointer_chase) accs then Pointer_chase
+        if List.exists chases accs then Pointer_chase
         else begin
           match List.find_opt (fun a -> a.a_indirect_via <> None) accs with
           | Some a ->
@@ -466,7 +477,7 @@ let analyze facts func =
           (* Treat the parameter as the object base: absolute offsets may
              be wrong for interior pointers, but stride classification
              only needs offsets relative to the pointer, which are exact. *)
-          elem_ptr ~off:(Scev.const 0L) ~chased:false pointee
+          elem_ptr pointee
         | Types.Unit | Types.Bool | Types.I64 | Types.F64 | Types.Struct _ ->
           Bsym { sym = Scev.Unknown; from_gep = None }))
     func.Ir.f_params;

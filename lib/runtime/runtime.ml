@@ -108,7 +108,11 @@ let local_base = 64
 let create cfg =
   if cfg.tenants < 1 then
     invalid_arg (Printf.sprintf "Runtime.create: %d tenants (need >= 1)" cfg.tenants);
-  let net = Sim.Net.create ~dp:cfg.dataplane cfg.params in
+  (* The ledger is the one owner of the running tenant's context: the
+     net stamps submissions with its tenant, and the scheduler saves
+     and restores its context when a task parks. *)
+  let attribution = Mira_telemetry.Attribution.create () in
+  let net = Sim.Net.create ~dp:cfg.dataplane ~attribution cfg.params in
   (* bounds the lazily grown local store and local address space *)
   let local_capacity = max cfg.far_capacity (1 lsl 20) in
   let cluster = Sim.Cluster.create ~capacity:cfg.far_capacity cfg.cluster in
@@ -123,27 +127,8 @@ let create cfg =
      the 7 pages after it, a window sliding with the fault (not an
      aligned cluster). *)
   Cache.Swap_section.set_readahead (Cache.Manager.swap manager) (fun _ -> (1, 7));
-  let attribution = Mira_telemetry.Attribution.create () in
   Cache.Manager.set_attribution manager attribution;
-  (* Every Queueing nanosecond the ledger charges flows on into the
-     net's tenant interference matrix — same guard, same fixed-point
-     amount — so matrix rows equal queue-stall buckets exactly. *)
-  Mira_telemetry.Attribution.set_queue_sink attribution (fun ~tenant ~holders fp ->
-      Sim.Net.record_interference net ~tenant ~holders fp);
-  let sched = Sim.Sched.create () in
-  (* The attribution context and the net's tenant stamp are ambient
-     process state like the trace context: snapshot them when a task
-     parks and reinstall on resume, or a resumed tenant's stalls would
-     be charged under whatever context the previously-running tenant
-     left behind. *)
-  Sim.Sched.add_tls sched (fun () ->
-      let fn, site = Mira_telemetry.Attribution.context attribution in
-      let attr_tn = Mira_telemetry.Attribution.context_tenant attribution in
-      let net_tn = Sim.Net.tenant net in
-      fun () ->
-        Mira_telemetry.Attribution.set_context attribution ~fn ~site;
-        Mira_telemetry.Attribution.set_tenant attribution attr_tn;
-        Sim.Net.set_tenant net net_tn);
+  let sched = Sim.Sched.create ~attribution () in
   {
     cfg;
     net;
@@ -217,8 +202,7 @@ let regions_of t site =
 let set_attr_context t th ~tid ~site =
   let fn = Profile.innermost th.frames ~default:"(runtime)" in
   Mira_telemetry.Attribution.set_context t.attribution ~fn ~site;
-  Mira_telemetry.Attribution.set_tenant t.attribution tid;
-  Sim.Net.set_tenant t.net tid
+  Mira_telemetry.Attribution.set_tenant t.attribution tid
 
 (* Root span of one far access.  Trace and span ids are minted up
    front and installed as the ambient context so any child span (cache

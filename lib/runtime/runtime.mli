@@ -76,11 +76,12 @@ val attribution : t -> Mira_telemetry.Attribution.t
 (** The runtime's stall-attribution ledger.  Wired into every stall
     site at [create] time (sections, swap, manager fences, alloc RPCs,
     offload RPC waits via [Memsys.attribution]); [reset_timing] clears
-    it alongside the other statistics.  Its queue sink feeds the net's
-    tenant {!Mira_sim.Net.Interference} matrix, and the scheduler
-    carries the attribution context (and the net's tenant stamp)
-    across task parks via a TLS hook, so multi-tenant charges land
-    under the tenant that actually stalled. *)
+    it alongside the other statistics.  The runtime shares it with its
+    net, which stamps each submission with the ledger's tenant, and
+    its scheduler, which keeps each task's ledger context across
+    parks, so multi-tenant charges land under the tenant that actually
+    stalled.  It also holds the tenant interference matrix
+    ([Mira_telemetry.Attribution.interference_cells]). *)
 
 val clock_stall_ns : t -> float
 (** Sum of [Mira_sim.Clock.stalled_ns] over all thread clocks — the

@@ -211,70 +211,6 @@ module Heap = Mira_util.Min_heap
 let le_done (a, _, _) (b, _, _) = (a : float) <= b
 let le_gate (a : float) b = a <= b
 
-(* --- tenant interference matrix ------------------------------------------ *)
-
-(* Who made whom wait on the in-flight window.  Every [Queueing]
-   nanosecond the attribution ledger charges to a tenant is forwarded
-   here (via the ledger's queue sink) in the ledger's own fixed point,
-   split pro-rata across the tenants that held window slots when the
-   stalled request was posted.  Because the split is exact in int64 —
-   remainder to the last holder — and a chargeback with no recorded
-   holders self-charges, each waiter row sums to exactly that tenant's
-   queue-stall ledger bucket, by construction rather than by sampling. *)
-module Interference = struct
-  type t = {
-    cells : (int * int, int64 ref) Hashtbl.t;  (* (waiter, holder) -> fp *)
-    row_totals : (int, int64 ref) Hashtbl.t;  (* waiter -> fp *)
-  }
-
-  let create () = { cells = Hashtbl.create 16; row_totals = Hashtbl.create 8 }
-
-  let bump tbl key fp =
-    match Hashtbl.find_opt tbl key with
-    | Some cell -> cell := Int64.add !cell fp
-    | None -> Hashtbl.replace tbl key (ref fp)
-
-  (* Charge [fp] (ledger fixed point, > 0) of tenant [tenant]'s queue
-     stall against [holders] = [(tenant, slots)] pairs.  Pro-rata by
-     slot count with the division remainder going to the last holder in
-     the given (tenant-sorted) order; no holders = a self-charge (link
-     backlog or doorbell batching, not window contention). *)
-  let record t ~tenant ~holders fp =
-    if fp > 0L then begin
-      bump t.row_totals tenant fp;
-      match holders with
-      | [] -> bump t.cells (tenant, tenant) fp
-      | holders ->
-        let slots =
-          List.fold_left (fun a (_, n) -> a + n) 0 holders |> Int64.of_int
-        in
-        let rec go spent = function
-          | [] -> ()
-          | [ (h, _) ] -> bump t.cells (tenant, h) (Int64.sub fp spent)
-          | (h, n) :: rest ->
-            let share = Int64.div (Int64.mul fp (Int64.of_int n)) slots in
-            bump t.cells (tenant, h) share;
-            go (Int64.add spent share) rest
-        in
-        go 0L holders
-    end
-
-  let row_fp t ~tenant =
-    match Hashtbl.find_opt t.row_totals tenant with Some r -> !r | None -> 0L
-
-  let rows t =
-    Hashtbl.fold (fun w r acc -> (w, !r) :: acc) t.row_totals []
-    |> List.sort compare
-
-  let cells t =
-    Hashtbl.fold (fun (w, h) r acc -> (w, h, !r) :: acc) t.cells []
-    |> List.sort compare
-
-  let reset t =
-    Hashtbl.reset t.cells;
-    Hashtbl.reset t.row_totals
-end
-
 (* Ids are issued in sequence: hashed by identity, not the generic hash. *)
 module Ids = Hashtbl.Make (struct type t = int let equal = Int.equal let hash = Fun.id end)
 
@@ -305,11 +241,8 @@ type t = {
       (* per-node outage windows: only requests targeting that node
          stall; the global [down_until] applies to every request *)
   stats : stats;
-  mutable cur_tenant : int;
-      (* tenant on whose behalf the next submit runs (-1 = unbound);
-         ambient state saved/restored across task parks via the
-         scheduler's TLS hooks *)
-  interference : Interference.t;
+  ledger : Mira_telemetry.Attribution.t;
+      (* shared with the runtime: its context tenant stamps submissions *)
 }
 
 let empty_stats () =
@@ -332,7 +265,8 @@ let empty_stats () =
     occupancy = Metrics.hist_create ();
   }
 
-let create ?(dp = dp_default) params =
+let create ?(dp = dp_default) ?(attribution = Mira_telemetry.Attribution.create ())
+    params =
   (match dp.fault with Some f -> Fault.validate f | None -> ());
   {
     params;
@@ -348,20 +282,12 @@ let create ?(dp = dp_default) params =
     down_until = 0.0;
     node_down_until = Hashtbl.create 8;
     stats = empty_stats ();
-    cur_tenant = -1;
-    interference = Interference.create ();
+    ledger = attribution;
   }
 
 let params t = t.params
 let stats t = t.stats
 let dataplane t = t.dp
-let set_tenant t tenant = t.cur_tenant <- tenant
-let tenant t = t.cur_tenant
-let interference t = t.interference
-
-let record_interference t ~tenant ~holders fp =
-  Interference.record t.interference ~tenant ~holders fp
-
 let reset_stats t =
   let s = t.stats in
   s.msg_count <- 0;
@@ -379,9 +305,7 @@ let reset_stats t =
   Metrics.hist_reset s.lat_fetch;
   Metrics.hist_reset s.lat_rtt;
   Metrics.hist_reset s.lat_attempt;
-  Metrics.hist_reset s.occupancy;
-  Interference.reset t.interference;
-  t.cur_tenant <- -1
+  Metrics.hist_reset s.occupancy
 
 let reset_link t =
   t.link_free_at <- 0.0;
@@ -693,7 +617,7 @@ let ring t ~now =
 let submit t ~now ?(urgent = false) ?(detached = false) (req : Request.t) =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let member = (id, req, now, detached, t.cur_tenant) in
+  let member = (id, req, now, detached, Mira_telemetry.Attribution.context_tenant t.ledger) in
   let p = t.params in
   if urgent || not t.dp.coalesce then begin
     ring t ~now;

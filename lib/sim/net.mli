@@ -34,7 +34,12 @@
     posts typed requests with [submit] and reaps them with [await]
     (or marks them [detached]).  A blocking read is simply
     [submit ~urgent:true] + [await] + a clock wait until [done_at].
-    The configuration is fixed at [create]. *)
+    The configuration is fixed at [create].
+
+    Each submission is stamped with the context tenant of the
+    attribution ledger the net shares with its runtime; a gated post
+    records the tenants holding the window ([completion.holders]), and
+    the ledger splits the resulting queue stall over them. *)
 
 type side = One_sided | Two_sided
 
@@ -151,7 +156,8 @@ type completion = {
           in-flight window full, tenant-sorted; empty when the window
           never gated the post.  The queue stall observed at the await
           site is charged pro-rata against these tenants in the
-          {!Interference} matrix. *)
+          attribution ledger's interference matrix
+          ([Mira_telemetry.Attribution.interference_cells]). *)
 }
 
 type sqe = {
@@ -190,8 +196,11 @@ type stats = {
 
 type t
 
-val create : ?dp:dp_config -> Params.t -> t
-(** Raises [Invalid_argument] when [dp.fault] fails [Fault.validate]. *)
+val create :
+  ?dp:dp_config -> ?attribution:Mira_telemetry.Attribution.t -> Params.t -> t
+(** [attribution] is the ledger whose context tenant stamps each
+    submission (default: a fresh one, tenant [-1]).  Raises
+    [Invalid_argument] when [dp.fault] fails [Fault.validate]. *)
 
 val params : t -> Params.t
 val stats : t -> stats
@@ -243,48 +252,6 @@ val fence : ?dir:Request.dir -> t -> now:float -> float
 
 val in_flight : t -> now:float -> int
 (** Posted messages not yet complete at [now] (testing/telemetry). *)
-
-(** {1 Tenant interference} *)
-
-val set_tenant : t -> int -> unit
-(** Stamp subsequent submissions with this tenant id ([-1] = unbound,
-    the initial state).  Ambient state: the runtime sets it on task
-    switch (and registers a scheduler TLS hook so it survives parks). *)
-
-val tenant : t -> int
-
-(** Who made whom wait on the in-flight window.  Cells are
-    [(waiter, holder) -> int64] in the attribution ledger's fixed point
-    (2{^-16} ns): every [Queueing] nanosecond the ledger charges to a
-    tenant is forwarded here via the ledger's queue sink and split
-    pro-rata (exact int64, remainder to the last holder) across the
-    tenants that held window slots when the stalled request was
-    posted; a stall with no recorded holders (link backlog, doorbell
-    batching — not window contention) self-charges.  Each waiter row
-    therefore sums to {e exactly} that tenant's queue-stall ledger
-    bucket ([Attribution.tenant_cause_fp ~tenant Queueing]), by
-    construction. *)
-module Interference : sig
-  type t
-
-  val row_fp : t -> tenant:int -> int64
-  (** Total fixed-point queue stall recorded for one waiter. *)
-
-  val rows : t -> (int * int64) list
-  (** [(waiter, total_fp)], tenant-sorted. *)
-
-  val cells : t -> (int * int * int64) list
-  (** [(waiter, holder, fp)], sorted. *)
-end
-
-val interference : t -> Interference.t
-val record_interference : t -> tenant:int -> holders:(int * int) list -> int64 -> unit
-(** The queue-sink entry point: charge [fp] fixed-point units of
-    [tenant]'s queue stall against [holders] in this net's matrix
-    (non-positive amounts are ignored); wired to
-    [Attribution.set_queue_sink] by the runtime.
-    Reset by [reset_stats] (with the rest of the counters), not by
-    [reset_link]. *)
 
 (** {1 Node failures} *)
 

@@ -16,8 +16,8 @@
 
    When the moving task would itself be the earliest entry, the yield
    is elided: parking it and popping the queue would resume this very
-   task with the trace context and task-local state it had just saved,
-   so the task simply continues in place.  The elided step still bumps
+   task with the trace and ledger context it had just saved, so the
+   task simply continues in place.  The elided step still bumps
    the seqno and counts as a block and a dispatch, so every counter
    equals that of the always-yield scheduler.
 
@@ -30,6 +30,8 @@
    scheduled run is bit-identical to the pre-scheduler serialized
    clock. *)
 
+module Attribution = Mira_telemetry.Attribution
+
 type event = Clock.event =
   | Net_completion of int
   | Cache_fill
@@ -39,23 +41,24 @@ type event = Clock.event =
 let ticks_per_ns = 65536.0
 let ticks_of_ns ns = int_of_float (Float.round (ns *. ticks_per_ns))
 
+(* A parked task keeps the ambient context it had: the trace context
+   and the attribution ledger's fn/site/tenant are process state, so
+   without the save/restore a resumed tenant would inherit whatever
+   request span and ledger key the previously-running tenant left, and
+   its child spans, stalls and net submissions would land under the
+   wrong tenant.  A freshly started task restores nothing but a [None]
+   trace context: it establishes its own. *)
 type resume =
   | Start of (unit -> unit)
-  | Resume of (unit, unit) Effect.Deep.continuation
+  | Resume of {
+      k : (unit, unit) Effect.Deep.continuation;
+      ctx : Mira_telemetry.Trace.span_ctx option;
+      fn : string;
+      site : int;
+      ledger_tenant : int;
+    }
 
-(* [ctx] is the task's ambient trace context, captured when the task
-   parks and reinstalled when it resumes: [Trace.set_ctx] is process
-   state, so without the save/restore a resumed tenant would inherit
-   whatever request span the previously-running tenant left ambient
-   and child spans would attach to the wrong trace. *)
-type entry = {
-  at : int;
-  tenant : int;
-  seq : int;
-  resume : resume;
-  ctx : Mira_telemetry.Trace.span_ctx option;
-  tls : (unit -> unit) list;  (* restore thunks from the TLS hooks *)
-}
+type entry = { at : int; tenant : int; seq : int; resume : resume }
 
 (* Strict total order: earliest tick first, ties by tenant id, then by
    submission order.  Determinism depends on nothing else.  The seqno
@@ -88,12 +91,12 @@ type t = {
   mutable dispatched : int;
   clocks : (int, Clock.t) Hashtbl.t;
   blocks : int array;  (* yields per event kind, by [block_index] *)
-  mutable tls_hooks : (unit -> unit -> unit) list;  (* newest first *)
+  ledger : Attribution.t;
 }
 
 type _ Effect.t += Yield : { at : int; ev : event } -> unit Effect.t
 
-let create () =
+let create ?(attribution = Attribution.create ()) () =
   {
     queue = Mira_util.Min_heap.create ~le:entry_before;
     seq = 0;
@@ -103,20 +106,11 @@ let create () =
     dispatched = 0;
     clocks = Hashtbl.create 8;
     blocks = Array.make (Array.length block_kinds) 0;
-    tls_hooks = [];
+    ledger = attribution;
   }
 
 let tenants t = Hashtbl.length t.clocks
 let live t = t.live
-
-(* Ambient process state beyond the trace context (attribution fn/site,
-   the net's current tenant) needs the same park/resume save-restore
-   discipline; components register a save hook that snapshots their
-   state and returns the matching restore thunk. *)
-let add_tls t hook = t.tls_hooks <- hook :: t.tls_hooks
-
-let save_tls t = List.map (fun hook -> hook ()) t.tls_hooks
-let restore_tls entry = List.iter (fun restore -> restore ()) entry.tls
 
 let next_seq t =
   t.seq <- t.seq + 1;
@@ -168,7 +162,7 @@ let spawn ?at_ns t ~tenant f =
     | None -> ticks_of_ns (Clock.now (clock t ~tenant))
   in
   t.live <- t.live + 1;
-  push t { at; tenant; seq = next_seq t; resume = Start f; ctx = None; tls = [] }
+  push t { at; tenant; seq = next_seq t; resume = Start f }
 
 let run t =
   if t.running then invalid_arg "Sched.run: already running";
@@ -192,9 +186,15 @@ let run t =
                     at;
                     tenant;
                     seq = next_seq t;
-                    resume = Resume k;
-                    ctx = Mira_telemetry.Trace.current_ctx ();
-                    tls = save_tls t;
+                    resume =
+                      Resume
+                        {
+                          k;
+                          ctx = Mira_telemetry.Trace.current_ctx ();
+                          fn = Attribution.context_fn t.ledger;
+                          site = Attribution.context_site t.ledger;
+                          ledger_tenant = Attribution.context_tenant t.ledger;
+                        };
                   })
           | _ -> None);
     }
@@ -205,11 +205,15 @@ let run t =
     | Some e ->
       t.dispatched <- t.dispatched + 1;
       t.current <- e.tenant;
-      Mira_telemetry.Trace.set_ctx e.ctx;
-      restore_tls e;
       (match e.resume with
-      | Start f -> Effect.Deep.match_with f () (handler e.tenant)
-      | Resume k -> Effect.Deep.continue k ());
+      | Start f ->
+        Mira_telemetry.Trace.set_ctx None;
+        Effect.Deep.match_with f () (handler e.tenant)
+      | Resume r ->
+        Mira_telemetry.Trace.set_ctx r.ctx;
+        Attribution.set_context t.ledger ~fn:r.fn ~site:r.site;
+        Attribution.set_tenant t.ledger r.ledger_tenant;
+        Effect.Deep.continue r.k ());
       loop ()
   in
   loop ();

@@ -22,6 +22,13 @@
     counter.  The interleaving is a pure function of the tasks' clock
     movements, so identical seeds replay byte-identically.
 
+    {b Task-local context.}  A parked task stores its trace span
+    context and its attribution ledger's function, site and tenant;
+    they are reinstalled when it resumes, so a resumed task's spans,
+    stall charges and net submissions land under its own tenant.  A
+    freshly started task starts with no trace context and keeps the
+    ledger context it finds.
+
     {b Single-tenant identity.}  With at most one live task the clocks
     never yield and all float time arithmetic is untouched: a 1-tenant
     scheduled run is bit-identical to the pre-scheduler serialized
@@ -35,7 +42,9 @@ type event = Clock.event =
 
 type t
 
-val create : unit -> t
+val create : ?attribution:Mira_telemetry.Attribution.t -> unit -> t
+(** [attribution] is the ledger whose context (function, site, tenant)
+    a task keeps across parks (default: a fresh one). *)
 
 val clock : t -> tenant:int -> Clock.t
 (** The tenant's clock view, created and attached on first use.
@@ -47,16 +56,6 @@ val live : t -> int
 (** Spawned tasks that have not yet returned.  A telemetry sampler
     task loops while [live t > 1] — i.e. while any task other than
     itself is still running. *)
-
-val add_tls : t -> (unit -> unit -> unit) -> unit
-(** Register a task-local-state hook.  The trace context is already
-    saved when a task parks and reinstalled when it resumes; any other
-    ambient process state (attribution context, the net's current
-    tenant) needs the same discipline.  On park, each hook is called
-    to snapshot its state and return the matching restore thunk; on
-    resume the thunks run after the trace context is reinstalled.
-    Freshly started tasks restore nothing — they establish their own
-    context. *)
 
 val spawn : ?at_ns:float -> t -> tenant:int -> (unit -> unit) -> unit
 (** Register a task for [tenant], runnable at [at_ns] (default: the

@@ -13,7 +13,12 @@
    charge adds to one cell, one per-cause running total, and the grand
    total, and a dropped or duplicated cell update (a context-key
    aliasing bug, a reset bug) shows up as a non-zero remainder in a
-   {e named} bucket. *)
+   {e named} bucket.
+
+   The ledger also holds the running tenant's context and the tenant
+   interference matrix: a [Queueing] charge is split, in the same fixed
+   point, over the tenants that held the net window, so each waiter's
+   interference row equals its queue-stall bucket by construction. *)
 
 type cause =
   | Demand_wire
@@ -94,12 +99,10 @@ type t = {
   mutable ctx_fn : string;
   mutable ctx_site : int;
   mutable ctx_tenant : int;
-  mutable queue_sink :
-    (tenant:int -> holders:(int * int) list -> int64 -> unit) option;
-      (* invoked with the exact fixed-point amount of every [Queueing]
-         charge — the hook the net interference matrix hangs off, so
-         matrix rows sum to the ledger's queue-stall buckets by
-         construction.  Survives [reset]. *)
+  interference : (int * int, int64 ref) Hashtbl.t;
+      (* (waiter, holder) -> fp: every [Queueing] charge split over the
+         tenants that held the net window, so each waiter's cells sum
+         to its queue-stall bucket by construction *)
 }
 
 let no_fn = "(runtime)"
@@ -114,7 +117,7 @@ let create () =
     ctx_fn = no_fn;
     ctx_site = -1;
     ctx_tenant = -1;
-    queue_sink = None;
+    interference = Hashtbl.create 16;
   }
 
 let set_enabled t on = t.enabled <- on
@@ -133,13 +136,13 @@ let clear_context t =
   t.ctx_site <- -1;
   t.ctx_tenant <- -1
 
-let context t = (t.ctx_fn, t.ctx_site)
+let context_fn t = t.ctx_fn
+let context_site t = t.ctx_site
 let context_tenant t = t.ctx_tenant
-
-let set_queue_sink t sink = t.queue_sink <- Some sink
 
 let reset t =
   Cells.reset t.cells;
+  Hashtbl.reset t.interference;
   t.total <- 0L;
   Array.fill t.cause_fp 0 ncauses 0L;
   t.ctx_fn <- no_fn;
@@ -155,6 +158,32 @@ let add_cell t key fp =
 
 let queueing_index = cause_index Queueing
 
+let bump_interference t cell fp =
+  match Hashtbl.find_opt t.interference cell with
+  | Some r -> r := Int64.add !r fp
+  | None -> Hashtbl.replace t.interference cell (ref fp)
+
+(* Split [fp] of the context tenant's queue stall over [holders] =
+   [(tenant, slots)] pairs: pro-rata by slot count, the division
+   remainder to the last holder in the given (tenant-sorted) order, so
+   the split is exact in int64.  No holders = a self-charge (link
+   backlog or doorbell batching, not window contention). *)
+let split_queueing t ~holders fp =
+  let waiter = t.ctx_tenant in
+  match holders with
+  | [] -> bump_interference t (waiter, waiter) fp
+  | holders ->
+    let slots = List.fold_left (fun a (_, n) -> a + n) 0 holders |> Int64.of_int in
+    let rec go spent = function
+      | [] -> ()
+      | [ (h, _) ] -> bump_interference t (waiter, h) (Int64.sub fp spent)
+      | (h, n) :: rest ->
+        let share = Int64.div (Int64.mul fp (Int64.of_int n)) slots in
+        bump_interference t (waiter, h) share;
+        go (Int64.add spent share) rest
+    in
+    go 0L holders
+
 let charge t ?(section = no_section) ?(holders = []) cause ns =
   if t.enabled && ns > 0.0 then begin
     let fp = fp_of_ns ns in
@@ -165,11 +194,8 @@ let charge t ?(section = no_section) ?(holders = []) cause ns =
           k_cause = idx; k_tenant = t.ctx_tenant }
         fp;
       (* Same guard, same fixed-point amount: whatever lands in the
-         queueing bucket is exactly what the sink sees. *)
-      if idx = queueing_index then
-        match t.queue_sink with
-        | Some sink -> sink ~tenant:t.ctx_tenant ~holders fp
-        | None -> ()
+         queueing bucket is exactly what the interference row gets. *)
+      if idx = queueing_index then split_queueing t ~holders fp
     end
   end
 
@@ -259,6 +285,19 @@ let tenant_cause_fp t ~tenant cause =
     (fun k v acc ->
       if k.k_tenant = tenant && k.k_cause = idx then Int64.add acc !v else acc)
     t.cells 0L
+
+let interference_cells t =
+  Hashtbl.fold (fun (w, h) r acc -> (w, h, !r) :: acc) t.interference []
+  |> List.sort compare
+
+let interference_rows t =
+  List.fold_left
+    (fun rows (w, _, fp) ->
+      match rows with
+      | (w', sum) :: rest when w' = w -> (w, Int64.add sum fp) :: rest
+      | _ -> (w, fp) :: rows)
+    [] (interference_cells t)
+  |> List.rev
 
 let site_label site = if site < 0 then "-" else Printf.sprintf "site%d" site
 let tenant_label tn = if tn < 0 then "-" else Printf.sprintf "t%d" tn

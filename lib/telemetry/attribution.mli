@@ -7,7 +7,13 @@
     was charged — holds bit-exactly regardless of aggregation order.
     [check] performs the double-entry audit and is asserted by tests
     and at report time; on failure it names the offending bucket and
-    the exact fixed-point remainder. *)
+    the exact fixed-point remainder.
+
+    The ledger is the one owner of the running tenant's context
+    (function, site, tenant): the net reads the tenant it stamps on a
+    submission from it, and the scheduler saves and restores it across
+    task parks.  It also keeps the tenant interference matrix (see
+    {!interference_cells}). *)
 
 type cause =
   | Demand_wire  (** wire + propagation time of the successful transfer *)
@@ -55,26 +61,20 @@ val set_tenant : t -> int -> unit
     tenant-bound, the initial state). *)
 
 val clear_context : t -> unit
-val context : t -> string * int
+val context_fn : t -> string
+val context_site : t -> int
 val context_tenant : t -> int
-
-val set_queue_sink :
-  t -> (tenant:int -> holders:(int * int) list -> int64 -> unit) -> unit
-(** Install the queue-stall observer: every [Queueing] charge that
-    passes the positivity guard invokes it with the context tenant,
-    the charge's [holders] list, and the {e exact} fixed-point amount
-    added to the ledger — the hook the net interference matrix hangs
-    off, making its row sums equal the queue-stall buckets by
-    construction.  At most one sink; survives [reset]. *)
+(** The context charges are keyed under.  The scheduler saves all
+    three when a task parks and restores them when it resumes. *)
 
 val charge :
   t -> ?section:string -> ?holders:(int * int) list -> cause -> float -> unit
 (** [charge t ~section cause ns] adds [ns] (simulated nanoseconds;
     non-positive amounts are ignored) under the current context.
-    [section] defaults to ["-"].  [holders] (default empty) is
-    forwarded to the queue sink for [Queueing] charges: the
-    [(tenant, in-flight slots)] pairs that held the net window while
-    this stall accrued. *)
+    [section] defaults to ["-"].  [holders] (default empty) are the
+    [(tenant, in-flight slots)] pairs that held the net window while a
+    [Queueing] stall accrued; the charge's fixed-point amount is split
+    over them in the interference matrix. *)
 
 val charge_parts :
   t -> ?section:string -> ?holders:(int * int) list ->
@@ -107,6 +107,19 @@ val tenant_cause_fp : t -> tenant:int -> cause -> int64
     e.g. [tenant_cause_fp t ~tenant Queueing] is the queue-stall
     bucket the interference matrix row must equal. *)
 
+val interference_cells : t -> (int * int * int64) list
+(** Who made whom wait on the net's in-flight window: sorted
+    [(waiter, holder, fp)] cells in the ledger's fixed point.  Every
+    [Queueing] charge that passes the positivity guard is split over
+    its [holders] pro-rata by slot count (exact int64, the remainder to
+    the last holder); a charge with no holders (link backlog, doorbell
+    batching — not window contention) self-charges [(waiter, waiter)].
+    The waiter is the context tenant. *)
+
+val interference_rows : t -> (int * int64) list
+(** [(waiter, total_fp)], tenant-sorted: each waiter's cells summed.
+    A row equals [tenant_cause_fp ~tenant:waiter Queueing] exactly. *)
+
 val check : t -> (unit, string) result
 (** Double-entry audit: the cells must sum, per cause and in total, to
     the online totals accumulated by [charge].  The error message
@@ -125,5 +138,5 @@ val publish : t -> Metrics.t -> unit
 (** Publish per-cause gauges [stall.<cause>_ns]. *)
 
 val reset : t -> unit
-(** Clear all cells, the totals, and the context (the queue sink
-    survives). *)
+(** Clear all cells, the totals, the interference matrix and the
+    context. *)

@@ -210,8 +210,7 @@ module Timeline = struct
     interval : float;
     keys : Sketch.t;  (* hot keys of the current window; reset per boundary *)
     (* wired by [attach], before the sampler runs *)
-    mutable net : Net.t option;
-    mutable profile : Profile.t option;
+    mutable rt : Runtime.t option;
     mutable bandwidth : float;  (* bytes/ns, for the wire-busy fraction *)
     mutable window_cap : int;
     (* cumulative snapshots diffed at each boundary *)
@@ -245,8 +244,7 @@ module Timeline = struct
     {
       interval = interval_ns;
       keys = Sketch.create ~k:topk;
-      net = None;
-      profile = None;
+      rt = None;
       bandwidth = 0.0;
       window_cap = 0;
       prev_bytes = 0;
@@ -260,8 +258,7 @@ module Timeline = struct
   let interval_ns t = t.interval
 
   let attach t rt (cfg : config) =
-    t.net <- Some (Runtime.net rt);
-    t.profile <- Some (Runtime.profile rt);
+    t.rt <- Some rt;
     t.bandwidth <- (Runtime.params rt).Mira_sim.Params.bandwidth_bytes_per_ns;
     t.window_cap <- (Net.dataplane (Runtime.net rt)).Net.window;
     t.cur <- fresh_window ~ntenants:cfg.tenants ~start:0.0
@@ -298,9 +295,10 @@ module Timeline = struct
      window.  Runs once per window, as it closes. *)
   let capture t ~now =
     let w = t.cur in
-    (match t.net with
+    match t.rt with
     | None -> ()
-    | Some net ->
+    | Some rt ->
+      let net = Runtime.net rt in
       w.inflight_max <- Net.in_flight net ~now;
       w.inflight_last <- w.inflight_max;
       let s = Net.stats net in
@@ -317,17 +315,14 @@ module Timeline = struct
             Hashtbl.replace w.ifr (wt, h) d;
             Hashtbl.replace t.prev_ifr (wt, h) fp
           end)
-        (Net.Interference.cells (Net.interference net)));
-    match t.profile with
-    | None -> ()
-    | Some p ->
+        (Attribution.interference_cells (Runtime.attribution rt));
       let cur =
         List.filter_map
           (fun (site, (st : Profile.site_stat)) ->
             if st.Profile.misses > 0 then
               Some (Printf.sprintf "site%d" site, Int64.of_int st.Profile.misses)
             else None)
-          (Profile.site_stats p)
+          (Profile.site_stats (Runtime.profile rt))
       in
       w.top_miss_sites <- diff_snapshot t.prev_miss_sites cur;
       t.prev_miss_sites <- cur
@@ -532,9 +527,9 @@ module Timeline = struct
   let summary_json t ~rt =
     let attr = Runtime.attribution rt in
     let rows =
-      match t.net with
+      match t.rt with
       | None -> []
-      | Some net ->
+      | Some _ ->
         List.map
           (fun (w, fp) ->
             ( tenant_label w,
@@ -547,7 +542,7 @@ module Timeline = struct
                          (Attribution.tenant_cause_fp attr ~tenant:w
                             Attribution.Queueing)) );
                 ] ))
-          (Net.Interference.rows (Net.interference net))
+          (Attribution.interference_rows attr)
     in
     let opt_ns = function Some v -> Json.Float v | None -> Json.Null in
     Json.Obj

@@ -170,6 +170,50 @@ let test_pattern_loaded_base () =
       (List.map (fun a -> a.Pattern.a_pointer_chase) l.Pattern.l_accesses)
   | loops -> Alcotest.failf "want one loop, got %d" (List.length loops)
 
+(* [work] sums [t[0][i]] over two tables that hold the same 4096-element
+   [arr]: the base is loaded once, before the loop, and the loop walks
+   it 8 bytes at a time, so [arr] is a stream there, not a chase.
+   [reload] loads the base anew in every iteration: a chase. *)
+let test_pattern_loaded_stream () =
+  let tab = T.Ptr T.I64 and n = 4096 in
+  let b = B.program "loaded_stream" in
+  B.func b "work" [ ("t", T.Ptr tab) ] T.I64 (fun fb args ->
+      let acc, _ = B.alloc fb ~name:"acc" ~space:Ir.Stack T.I64 (B.iconst 1) in
+      B.store fb T.I64 ~ptr:acc ~value:(B.iconst 0);
+      let a = B.load fb tab (B.gep fb ~base:(List.hd args) ~index:(B.iconst 0) ~elem:tab ()) in
+      B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst n) (fun i ->
+          let v = B.load fb T.I64 (B.gep fb ~base:a ~index:i ~elem:T.I64 ()) in
+          B.store fb T.I64 ~ptr:acc ~value:(B.bin fb Ir.Add (B.load fb T.I64 acc) v));
+      B.ret fb (B.load fb T.I64 acc));
+  B.func b "reload" [ ("t", T.Ptr tab) ] T.I64 (fun fb args ->
+      B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst n) (fun i ->
+          let a = B.load fb tab (List.hd args) in
+          ignore (B.load fb T.I64 (B.gep fb ~base:a ~index:i ~elem:T.I64 ())));
+      B.ret fb (B.iconst 0));
+  B.func b "main" [] T.I64 (fun fb _ ->
+      let a, _ = B.alloc fb ~name:"arr" T.I64 (B.iconst n) in
+      B.for_ fb ~lo:(B.iconst 0) ~hi:(B.iconst n) (fun i ->
+          B.store fb T.I64 ~ptr:(B.gep fb ~base:a ~index:i ~elem:T.I64 ()) ~value:i);
+      let table name =
+        let t, _ = B.alloc fb ~name tab (B.iconst 1) in
+        B.store fb tab ~ptr:t ~value:a;
+        t
+      in
+      let t0 = table "t0" in
+      let t1 = table "t1" in
+      let s0 = B.call fb "work" [ t0 ] in
+      B.ret fb (B.bin fb Ir.Add s0 (B.call fb "work" [ t1 ])));
+  let prog = B.finish b ~entry:"main" in
+  let arr = Mira_workloads.Workload_util.site_id prog "arr" in
+  let kind fn =
+    match Pattern.summary_for (analyze prog fn) arr with
+    | Some ss -> Pattern.kind_to_string ss.Pattern.ss_kind
+    | None -> "none"
+  in
+  Alcotest.(check string) "main's init loop" "sequential(8B)" (kind "main");
+  Alcotest.(check string) "work's scan through t[0]" "sequential(8B)" (kind "work");
+  Alcotest.(check string) "a base loaded per iteration" "pointer-chase" (kind "reload")
+
 let test_pattern_affine_shape () =
   (* a[i*8 + j] must be recognized as an affine gep shape. *)
   let b = B.program "mm" in
@@ -331,6 +375,7 @@ let suite =
     Alcotest.test_case "pattern loop tree" `Quick test_pattern_loop_tree;
     Alcotest.test_case "pattern loop facts" `Quick test_pattern_loop_facts;
     Alcotest.test_case "pattern loaded base" `Quick test_pattern_loaded_base;
+    Alcotest.test_case "pattern loaded stream" `Quick test_pattern_loaded_stream;
     Alcotest.test_case "pattern affine" `Quick test_pattern_affine_shape;
     Alcotest.test_case "pattern pointer chase" `Quick test_pattern_pointer_chase;
     Alcotest.test_case "lifetime phases" `Quick test_lifetime_phases;

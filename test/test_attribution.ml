@@ -54,7 +54,7 @@ let test_charge_and_check () =
   Attribution.reset a;
   Alcotest.(check (float 0.0)) "reset clears" 0.0 (Attribution.total_ns a);
   Alcotest.(check bool) "reset clears context" true
-    (Attribution.context a = ("(runtime)", -1))
+    ((Attribution.context_fn a, Attribution.context_site a) = ("(runtime)", -1))
 
 let test_disabled_no_charge () =
   let a = Attribution.create () in
@@ -66,6 +66,29 @@ let test_disabled_no_charge () =
   Attribution.charge a Attribution.Demand_wire 100.0;
   Alcotest.(check bool) "re-enabled charges land" true
     (Attribution.total_ns a > 0.0)
+
+(* A queueing charge splits its exact fixed-point amount over the window
+   holders: pro-rata by slots, the remainder to the last holder; with no
+   holders the waiter charges itself.  Other causes and a disabled
+   ledger record nothing, and [reset] clears the matrix. *)
+let test_interference_split () =
+  let a = Attribution.create () in
+  let ns fp = Int64.to_float fp /. 65536.0 in
+  Attribution.set_tenant a 2;
+  Attribution.charge a ~holders:[ (0, 1); (1, 2) ] Attribution.Queueing (ns 10L);
+  Attribution.charge a Attribution.Queueing (ns 5L);
+  Attribution.charge a ~holders:[ (0, 1) ] Attribution.Demand_wire (ns 7L);
+  Attribution.set_enabled a false;
+  Attribution.charge a ~holders:[ (0, 1) ] Attribution.Queueing (ns 7L);
+  Alcotest.(check (list (triple int int int64))) "cells"
+    [ (2, 0, 3L); (2, 1, 7L); (2, 2, 5L) ]
+    (Attribution.interference_cells a);
+  Alcotest.(check (list (pair int int64))) "row = queueing bucket"
+    [ (2, Attribution.tenant_cause_fp a ~tenant:2 Attribution.Queueing) ]
+    (Attribution.interference_rows a);
+  Attribution.reset a;
+  Alcotest.(check (list (pair int int64))) "reset clears" []
+    (Attribution.interference_rows a)
 
 let test_split_stall () =
   let parts_sum parts = List.fold_left (fun a (_, ns) -> a +. ns) 0.0 parts in
@@ -589,6 +612,7 @@ let suite =
   [
     Alcotest.test_case "charge + conservation audit" `Quick test_charge_and_check;
     Alcotest.test_case "disabled ledger" `Quick test_disabled_no_charge;
+    Alcotest.test_case "interference split" `Quick test_interference_split;
     Alcotest.test_case "tail-first stall split" `Quick test_split_stall;
     Alcotest.test_case "folded flame export" `Quick test_folded_format;
     Alcotest.test_case "attribution json" `Quick test_attribution_json;

@@ -259,14 +259,16 @@ let test_runtime_hit_words () =
 
 (* Allocation guard for a real scheduler yield on a runtime: 4 tenants
    a quarter ns apart, each moving its clock 64 times by 1 ns, so every
-   move parks its task and resumes the next one, and the runtime's TLS
-   hook saves and restores the ledger and net context each time.  Minor
-   words per dispatch: what a park and resume allocate (the effect, the
-   parked entry, the TLS snapshot).  It was 46.0 in both profiles when
-   the scheduler keyed entries by boxed int64 ticks and every clock
-   move boxed its time; now 43.1 (dev) and 41.1 (release), and the pin
-   is the larger, rounded up. *)
-let yield_words_pinned = 44.0
+   move parks its task and resumes the next one, and the parked entry
+   saves the trace context and the ledger's fn/site/tenant each time.
+   Minor words per dispatch: what a park and resume allocate (the
+   effect, the parked entry with its saved context).  It was 46.0 in
+   both profiles when the scheduler keyed entries by boxed int64 ticks
+   and every clock move boxed its time, and 43.1 (dev) and 41.1
+   (release) while a runtime hook returned a restore closure per park;
+   now 30.2 (dev) and 28.2 (release), and the pin is the larger,
+   rounded up. *)
+let yield_words_pinned = 31.0
 
 let test_sched_yield_words () =
   let module Sched = Mira_sim.Sched in

@@ -1,8 +1,8 @@
 (* Time-resolved telemetry: the Space-Saving sketch's guarantees, Json
-   boundary round-trips for int64-exact values, the scheduler's TLS
-   save/restore across parks, the interference-matrix == queue-stall
-   ledger invariant (as a QCheck property over random serving
-   configs), zero perturbation of an instrumented run, the serving
+   boundary round-trips for int64-exact values, a task's ledger and
+   trace context kept across scheduler parks, the interference-matrix
+   == queue-stall ledger invariant (as a QCheck property over random
+   serving configs), zero perturbation of an instrumented run, the serving
    timeline's window ring seen through its JSONL (percentile clamping,
    pairwise merging past 256 windows, telescoping counts, closing
    in-flight samples), the named
@@ -117,34 +117,70 @@ let test_json_roundtrips () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "big literal rejected: %s" m
 
-(* --- scheduler TLS -------------------------------------------------------- *)
+(* --- task context across parks ------------------------------------------- *)
 
+(* Three tenants on one runtime each set their own ledger context and
+   trace span context, then park over and over.  After every resume the
+   ledger's fn/site/tenant and the ambient trace context must be the
+   task's own, although the other tasks overwrote them while it slept;
+   and a submission made then must be stamped with the task's tenant.
+   With a one-slot window the second of two back-to-back posts is gated
+   by the first, so its [holders] show the first one's stamp. *)
 let test_sched_tls () =
-  let sched = Sched.create () in
-  let ambient = ref (-1) in
-  Sched.add_tls sched (fun () ->
-      let saved = !ambient in
-      fun () -> ambient := saved);
+  let module Tr = Mira_telemetry.Trace in
+  let rt =
+    Runtime.create
+      { (Runtime.config_default ~local_budget:(1 lsl 20) ~far_capacity:(1 lsl 22)) with
+        Runtime.tenants = 3;
+        dataplane = { Net.dp_default with Net.window = 1 } }
+  in
+  let attr = Runtime.attribution rt and net = Runtime.net rt in
+  let sched = Runtime.sched rt in
   let failures = ref [] in
-  let task tenant stop =
-    let clock = Sched.clock sched ~tenant in
+  let fail tenant what = failures := Printf.sprintf "t%d: %s" tenant what :: !failures in
+  let task tenant =
+    let clock = (Runtime.memsys rt).Mira_runtime.Memsys.clock ~tid:tenant in
+    let fn = Printf.sprintf "task%d" tenant in
+    let ctx =
+      Some
+        { Tr.sc_trace = 100 + tenant; sc_span = 200 + tenant; sc_site = tenant;
+          sc_lane = fn; sc_flow = false }
+    in
     fun () ->
-      ambient := tenant;
-      let t = ref (float_of_int (10 + tenant)) in
-      while Clock.now clock < stop do
-        ignore (Clock.wait_until clock !t);
-        (* the park/resume must restore this task's ambient value even
-           though the other task overwrote it while we slept *)
-        if !ambient <> tenant then
-          failures := (tenant, !ambient) :: !failures;
-        t := !t +. 10.0
+      Attribution.set_context attr ~fn ~site:tenant;
+      Attribution.set_tenant attr tenant;
+      Tr.set_ctx ctx;
+      for k = 1 to 8 do
+        (* tenants 10 us apart in a 50 us period: each task's posts
+           land long after the others' *)
+        ignore (Clock.wait_until clock (float_of_int ((k * 50_000) + (tenant * 10_000))));
+        if (Attribution.context_fn attr, Attribution.context_site attr) <> (fn, tenant) then
+          fail tenant "ledger fn/site";
+        if Attribution.context_tenant attr <> tenant then fail tenant "ledger tenant";
+        if Tr.current_ctx () <> ctx then fail tenant "trace context";
+        let now = Clock.now clock in
+        let post () =
+          (Net.submit net ~now ~urgent:true
+             (Net.Request.read ~side:Net.One_sided ~purpose:Net.Demand 64)).Net.id
+        in
+        let first = post () in
+        let second = post () in
+        ignore (Net.await net ~now ~id:first);
+        let c = Net.await net ~now ~id:second in
+        if c.Net.holders <> [ (tenant, 1) ] then
+          fail tenant
+            (Printf.sprintf "holders [%s]"
+               (String.concat "; "
+                  (List.map (fun (h, n) -> Printf.sprintf "t%d x%d" h n) c.Net.holders)))
       done
   in
-  Sched.spawn sched ~tenant:0 (task 0 200.0);
-  Sched.spawn sched ~tenant:1 (task 1 170.0);
+  for tenant = 0 to 2 do
+    Sched.spawn sched ~tenant (task tenant)
+  done;
   Sched.run sched;
-  Alcotest.(check (list (pair int int))) "ambient state restored per task" []
-    !failures
+  Alcotest.(check bool) "tasks parked" true (Sched.dispatched sched > 3 * 8);
+  Alcotest.(check (list string)) "each task keeps its own context" []
+    (List.rev !failures)
 
 (* --- serving timeline ----------------------------------------------------- *)
 
@@ -220,11 +256,11 @@ let qcheck_interference_invariant =
       let cfg = small_cfg ~tenants ~requests ~seed () in
       let tl = K.Timeline.make ~interval_ns:50_000.0 () in
       let rt, r = run_with_window ~timeline:tl cfg 2 in
-      let net = Runtime.net rt in
       let attr = Runtime.attribution rt in
-      let ifr = Net.interference net in
       for w = 0 to tenants - 1 do
-        let row = Net.Interference.row_fp ifr ~tenant:w in
+        let row =
+          Option.value ~default:0L (List.assoc_opt w (Attribution.interference_rows attr))
+        in
         let ledger = Attribution.tenant_cause_fp attr ~tenant:w Attribution.Queueing in
         if row <> ledger then
           QCheck.Test.fail_reportf
@@ -235,7 +271,7 @@ let qcheck_interference_invariant =
           List.fold_left
             (fun acc (waiter, _, v) -> if waiter = w then Int64.add acc v else acc)
             0L
-            (Net.Interference.cells ifr)
+            (Attribution.interference_cells attr)
         in
         if cells <> row then
           QCheck.Test.fail_reportf "tenant %d: cells %Ld <> row total %Ld" w
