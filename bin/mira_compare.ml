@@ -76,7 +76,7 @@ let write_outputs rt ~publish ~report ~json_out ~trace_out ~flame_out
     ~cpath_out =
   Option.iter
     (fun path ->
-      let n = List.length (Trace.events ()) in
+      let n = Trace.count () in
       write_file ~what:"trace" path (fun oc -> output_string oc (Trace.to_jsonl ()));
       Printf.printf "trace written to %s (%d events, %d dropped)\n" path n
         (Trace.dropped ()))
@@ -88,11 +88,11 @@ let write_outputs rt ~publish ~report ~json_out ~trace_out ~flame_out
          companion file is flamegraph.pl-compatible. *)
       let reg = Mira.Report.runtime_metrics rt in
       publish reg;
-      let evs = Trace.events () in
+      let spans = Trace.spans () in
       let what = "critical-path report" in
-      write_json ~what path (Mira_telemetry.Critical_path.report reg evs);
+      write_json ~what path (Mira_telemetry.Critical_path.report reg spans);
       write_file ~what (path ^ ".folded") (fun oc ->
-          output_string oc (Mira_telemetry.Critical_path.folded reg evs));
+          output_string oc (Mira_telemetry.Critical_path.folded reg spans));
       Printf.printf "critical-path report written to %s (+ %s.folded)\n"
         path path)
     cpath_out;

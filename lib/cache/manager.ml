@@ -117,9 +117,9 @@ let check_cluster t ~clock =
                | Some c -> (c.Tr.sc_trace, c.Tr.sc_span)
                | None -> (Tr.new_trace (), 0)
              in
-             let span = Tr.new_span () in
-             Tr.begin_span ~name:"failover" ~cat:"cluster" ~lane:"cluster"
-               ~ts_ns:start ~trace ~span ~parent
+             Tr.span ~name:"failover" ~cat:"cluster" ~lane:"cluster" ~trace
+               ~span:(Tr.new_span ()) ~parent ~begin_ns:start
+               ~end_ns:(start +. recovery_ns)
                ~args:
                  [
                    ("failed_node", Mira_telemetry.Json.Int failed);
@@ -129,9 +129,7 @@ let check_cluster t ~clock =
                    ("epoch", Mira_telemetry.Json.Int epoch);
                    ("down", Mira_telemetry.Json.Int down);
                  ]
-               ();
-             Tr.end_span ~name:"failover" ~cat:"cluster" ~lane:"cluster"
-               ~ts_ns:(start +. recovery_ns) ~trace ~span ()
+               ()
            end)
         | Mira_sim.Cluster.Data_lost { node; lost_bytes; epoch; down; _ } ->
           (* Past quorum: in-flight requests fail, and until enough
@@ -140,7 +138,10 @@ let check_cluster t ~clock =
              drains [take_lost_extents] for per-object accounting. *)
           ignore (Mira_sim.Net.fail_inflight t.net ~now:(Mira_sim.Clock.now clock));
           let until = Mira_sim.Cluster.down_until t.cluster in
-          if until > now then Mira_sim.Net.set_down t.net ~until;
+          if until > now then
+            for node = 0 to (Mira_sim.Cluster.spec t.cluster).nodes - 1 do
+              Mira_sim.Net.set_node_down t.net ~node ~until
+            done;
           if Mira_telemetry.Trace.enabled () then
             Mira_telemetry.Trace.instant ~name:"degraded" ~cat:"cluster"
               ~lane:"cluster"

@@ -27,12 +27,13 @@ val check_cluster : t -> clock:Mira_sim.Clock.t -> unit
     fail in-flight requests ([Net.fail_inflight], the epoch fence),
     re-issue writebacks for every still-dirty line/page ([flush_all]),
     and wait out a write fence — the elapsed simulated time is the
-    recovery time recorded in [node.recovery_ns].  On a primary loss
-    with no replica: fail in-flight requests and declare the outage to
-    the network ([Net.set_down]); the run continues degraded.  Called
-    by the runtime's access path, so a crash due before the first
-    access is handled at that access.  Reentrant calls made during
-    recovery (other tenants' accesses while it waits) return at once. *)
+    recovery time recorded in [node.recovery_ns].  On a loss past
+    quorum: fail in-flight requests and declare every node of the
+    cluster down ([Net.set_node_down]) until enough nodes return; the
+    run continues degraded.  Called by the runtime's access path, so a
+    crash due before the first access is handled at that access.
+    Reentrant calls made during recovery (other tenants' accesses while
+    it waits) return at once. *)
 
 type layout = {
   sections : (Section.config * int list) list;

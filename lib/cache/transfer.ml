@@ -93,10 +93,10 @@ type fill = { ctx : Trace.span_ctx; parent : int }
 
 let open_fill t =
   if Trace.enabled () then begin
-    let trace, parent, site =
+    let trace, parent =
       match Trace.current_ctx () with
-      | Some c -> (c.Trace.sc_trace, c.Trace.sc_span, c.Trace.sc_site)
-      | None -> (Trace.new_trace (), 0, -1)
+      | Some c -> (c.Trace.sc_trace, c.Trace.sc_span)
+      | None -> (Trace.new_trace (), 0)
     in
     Some
       {
@@ -105,7 +105,6 @@ let open_fill t =
           {
             Trace.sc_trace = trace;
             sc_span = Trace.new_span ();
-            sc_site = site;
             sc_lane = t.lane;
             sc_flow = false;
           };
@@ -165,12 +164,10 @@ let close_fill t ~clock fill ~start ~hist ~name ~key ~value =
   | Some { ctx; parent } ->
     let trace = ctx.Trace.sc_trace and span = ctx.Trace.sc_span in
     Mira_telemetry.Metrics.hist_observe ~trace hist ns;
-    Trace.begin_span ~name ~cat:"cache" ~lane:t.lane ~ts_ns:start ~trace ~span
-      ~parent
+    Trace.span ~name ~cat:"cache" ~lane:t.lane ~trace ~span ~parent
+      ~begin_ns:start ~end_ns:(start +. ns)
       ~args:[ (key, Mira_telemetry.Json.Int value) ]
       ();
-    Trace.end_span ~name ~cat:"cache" ~lane:t.lane ~ts_ns:(start +. ns) ~trace
-      ~span ();
     Trace.instant ~name:"serve" ~cat:"cluster"
       ~lane:(Cluster.service_lane t.far) ~ts_ns:(start +. ns)
       ~args:
@@ -191,12 +188,10 @@ let wait_ready t ~clock ~name ready_at =
     if Trace.enabled () then
       match Trace.current_ctx () with
       | Some ctx ->
-        let span = Trace.new_span () in
         let now = Clock.now clock in
-        Trace.begin_span ~name ~cat:"cache" ~lane:t.lane ~ts_ns:(now -. stall)
-          ~trace:ctx.Trace.sc_trace ~span ~parent:ctx.Trace.sc_span ();
-        Trace.end_span ~name ~cat:"cache" ~lane:t.lane ~ts_ns:now
-          ~trace:ctx.Trace.sc_trace ~span ()
+        Trace.span ~name ~cat:"cache" ~lane:t.lane ~trace:ctx.Trace.sc_trace
+          ~span:(Trace.new_span ()) ~parent:ctx.Trace.sc_span
+          ~begin_ns:(now -. stall) ~end_ns:now ()
       | None -> ()
   end;
   stall

@@ -23,24 +23,25 @@ let flags (spec : Section_planner.spec) =
       (spec.Section_planner.sp_private_ok, "read-discard");
     ]
 
+(* The plan's enabled optimizations, in pipeline order. *)
+let optimizations (plan : Pipeline.plan) =
+  List.filter_map
+    (fun (on, name) -> if on then Some name else None)
+    [
+      (plan.Pipeline.fuse, "batching");
+      (plan.Pipeline.prefetch, "prefetch");
+      (plan.Pipeline.evict, "evict-hints");
+      (plan.Pipeline.native, "native-deref");
+      (plan.Pipeline.offload, "offload");
+    ]
+
 let describe (c : Controller.compiled) =
   let buf = Buffer.create 512 in
-  let plan = c.Controller.c_plan in
   Buffer.add_string buf
     (Printf.sprintf "compiled after %d iteration(s); best work time %.3f ms\n"
        c.Controller.c_iterations
        (c.Controller.c_work_ns /. 1e6));
-  let opt_names =
-    List.filter_map
-      (fun (on, name) -> if on then Some name else None)
-      [
-        (plan.Pipeline.fuse, "batching");
-        (plan.Pipeline.prefetch, "prefetch");
-        (plan.Pipeline.evict, "evict-hints");
-        (plan.Pipeline.native, "native-deref");
-        (plan.Pipeline.offload, "offload");
-      ]
-  in
+  let opt_names = optimizations c.Controller.c_plan in
   Buffer.add_string buf
     (Printf.sprintf "optimizations: %s\n"
        (if opt_names = [] then "(none)" else String.concat ", " opt_names));
@@ -72,15 +73,7 @@ let to_json (c : Controller.compiled) =
   let plan = c.Controller.c_plan in
   let opts = c.Controller.c_options in
   let optimizations =
-    List.filter_map
-      (fun (on, name) -> if on then Some (Json.Str name) else None)
-      [
-        (plan.Pipeline.fuse, "batching");
-        (plan.Pipeline.prefetch, "prefetch");
-        (plan.Pipeline.evict, "evict-hints");
-        (plan.Pipeline.native, "native-deref");
-        (plan.Pipeline.offload, "offload");
-      ]
+    List.map (fun name -> Json.Str name) (optimizations plan)
   in
   let sections =
     List.map

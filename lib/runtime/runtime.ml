@@ -234,7 +234,6 @@ let begin_access ~tid ~site ~clock:c =
          {
            Tr.sc_trace = trace;
            sc_span = span;
-           sc_site = site;
            sc_lane = "runtime";
            sc_flow = false;
          });
@@ -259,16 +258,14 @@ let end_access ~kind ~clock:c st =
         | Some ctx when not ctx.Tr.sc_flow -> ctx.Tr.sc_span
         | _ -> 0
       in
-      Tr.begin_span ~parent ~name:kind ~cat:"runtime" ~lane:"runtime"
-        ~ts_ns:t0 ~trace ~span
+      Tr.span ~parent ~name:kind ~cat:"runtime" ~lane:"runtime" ~trace ~span
+        ~begin_ns:t0 ~end_ns:(Sim.Clock.now c)
         ~args:
           [
             ("site", Mira_telemetry.Json.Int site);
             ("tid", Mira_telemetry.Json.Int tid);
           ]
-        ();
-      Tr.end_span ~name:kind ~cat:"runtime" ~lane:"runtime"
-        ~ts_ns:(Sim.Clock.now c) ~trace ~span ()
+        ()
     end
 
 (* --- allocation --------------------------------------------------------- *)

@@ -271,7 +271,6 @@ let primary t = t.nodes.(0).store
 let epoch t = t.epoch
 let degraded t = t.degraded
 let stats t = t.stats
-let redundant t = t.spec.m >= 1
 let down_count t = t.down_count
 
 let serving_node t =

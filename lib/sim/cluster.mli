@@ -164,10 +164,6 @@ val epoch : t -> int
 (** Bumped on every node crash; requests in flight under an older
     epoch are stale and must be fenced. *)
 
-val redundant : t -> bool
-(** The scheme carries parity (m >= 1): writebacks owe extra wire
-    traffic (see [replica_payloads]). *)
-
 val degraded : t -> bool
 (** Sticky: far data has been lost at some point in this run. *)
 

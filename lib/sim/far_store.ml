@@ -60,11 +60,6 @@ let write_le t ~addr ~len v =
   ensure t (addr + len);
   Mira_util.Bytes_le.set t.data ~off:addr ~len v
 
-let blit_within t ~src ~dst ~len =
-  ensure t (src + len);
-  ensure t (dst + len);
-  Bytes.blit t.data src t.data dst len
-
 let clear t =
   Bytes.fill t.data 0 (Bytes.length t.data) '\000';
   t.size <- 0

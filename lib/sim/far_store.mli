@@ -31,8 +31,5 @@ val read_le : t -> addr:int -> len:int -> int64
 val write_le : t -> addr:int -> len:int -> int64 -> unit
 (** Little-endian scalar write of the value's [len] low bytes. *)
 
-val blit_within : t -> src:int -> dst:int -> len:int -> unit
-(** Far-node-local copy (used by offloaded functions). *)
-
 val clear : t -> unit
 (** Zero the touched region and reset the size (between runs). *)

@@ -158,13 +158,8 @@ let emit_member_span (c : completion) =
           ("retry_ns", J.Float c.retry_ns);
         ]
       in
-      Trace.flow_start ~name ~cat:"net" ~lane:ctx.Trace.sc_lane
-        ~ts_ns:c.submitted_at ~trace ~id:span ();
-      Trace.begin_span ~name ~cat:"net" ~lane:"net" ~ts_ns:c.submitted_at
-        ~trace ~span ~parent ~args ();
-      Trace.flow_end ~name ~cat:"net" ~lane:"net" ~ts_ns:c.submitted_at ~trace
-        ~id:span ();
-      Trace.end_span ~name ~cat:"net" ~lane:"net" ~ts_ns:c.done_at ~trace ~span
+      Trace.span ~name ~cat:"net" ~lane:"net" ~flow_from:ctx.Trace.sc_lane
+        ~trace ~span ~parent ~begin_ns:c.submitted_at ~end_ns:c.done_at ~args
         ()
 
 type stats = {
@@ -234,12 +229,10 @@ type t = {
   mutable pending : batch option;
   att : attempt;
   mutable attempts : int;  (* [run_attempts]' attempt count *)
-  mutable down_until : float;
-      (* far node unreachable until this instant: messages posted before
-         it fail with [Node_down] after the loss-detection timer *)
   node_down_until : (int, float) Hashtbl.t;
-      (* per-node outage windows: only requests targeting that node
-         stall; the global [down_until] applies to every request *)
+      (* per-node outage windows: messages posted to that node before
+         its instant fail with [Node_down] after the loss-detection
+         timer *)
   stats : stats;
   ledger : Mira_telemetry.Attribution.t;
       (* shared with the runtime: its context tenant stamps submissions *)
@@ -279,7 +272,6 @@ let create ?(dp = dp_default) ?(attribution = Mira_telemetry.Attribution.create 
     pending = None;
     att = { first = 0.0; start = 0.0; done_at = 0.0; wire = 0.0; retry = 0.0 };
     attempts = 0;
-    down_until = 0.0;
     node_down_until = Hashtbl.create 8;
     stats = empty_stats ();
     ledger = attribution;
@@ -314,7 +306,6 @@ let reset_link t =
   Heap.clear t.window_q;
   Ids.reset t.cq_tbl;
   t.pending <- None;
-  t.down_until <- 0.0;
   Hashtbl.reset t.node_down_until
 
 let publish t reg =
@@ -492,12 +483,11 @@ let detect_ns t =
 (* Is [node] inside a declared outage at [at]?  While no node was ever
    declared down, no lookup. *)
 let node_down_at t ~node ~at =
-  at < t.down_until
-  || Hashtbl.length t.node_down_until > 0
-     &&
-     match Hashtbl.find_opt t.node_down_until node with
-     | Some u -> at < u
-     | None -> false
+  Hashtbl.length t.node_down_until > 0
+  &&
+  match Hashtbl.find_opt t.node_down_until node with
+  | Some u -> at < u
+  | None -> false
 
 (* The members of a message just posted, in submission order: a
    detached member emits its span now (and needs no completion at all
@@ -707,14 +697,10 @@ let fail_inflight t ~now =
   t.stats.node_down <- t.stats.node_down + failed;
   failed
 
-(* Declare the far node unreachable until [until]: messages posted
-   before that instant complete as [Node_down] after the loss-detection
-   timer instead of transferring.  Used for degraded outages where no
-   failover target exists. *)
-let set_down t ~until = t.down_until <- Float.max t.down_until until
-
-(* Declare a single far node unreachable until [until]: only messages
-   targeting it ([Request.node]) stall; traffic to live nodes flows. *)
+(* Declare a single far node unreachable until [until]: messages
+   targeting it ([Request.node]) posted before that instant complete as
+   [Node_down] after the loss-detection timer instead of transferring;
+   traffic to live nodes flows. *)
 let set_node_down t ~node ~until =
   let cur =
     match Hashtbl.find_opt t.node_down_until node with

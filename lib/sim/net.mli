@@ -128,7 +128,7 @@ type status =
   | Node_down
       (** the far node crashed: the request was in flight when the node
           died ([fail_inflight]) or was posted during a declared outage
-          ([set_down]).  Never conflated with [Timed_out] — a timeout
+          ([set_node_down]).  Never conflated with [Timed_out] — a timeout
           is a lossy link with a live node; [Node_down] is a dead
           node.  [done_at] is the failure-detection time. *)
 
@@ -264,18 +264,13 @@ val fail_inflight : t -> now:float -> int
     the number of reapable requests failed; [net.node_down] counts
     them, never [net.timeouts]. *)
 
-val set_down : t -> until:float -> unit
-(** Declare the far node unreachable until [until] (a degraded outage
-    with no failover target): messages posted before that instant
-    complete as [Node_down] after the loss-detection timer (the fault
-    model's [timeout_ns], or one RTT without faults) without touching
-    the wire. *)
-
 val set_node_down : t -> node:int -> until:float -> unit
-(** Same as [set_down], scoped to one far node: only messages whose
-    [Request.node] targets it stall; traffic to live nodes is
-    unaffected.  Windows for distinct nodes are independent and
-    cleared by [reset_link]. *)
+(** Declare one far node unreachable until [until]: messages whose
+    [Request.node] targets it, posted before that instant, complete as
+    [Node_down] after the loss-detection timer (the fault model's
+    [timeout_ns], or one RTT without faults) without touching the
+    wire; traffic to live nodes is unaffected.  Windows for distinct
+    nodes are independent and cleared by [reset_link]. *)
 
 val reset_link : t -> unit
 (** Forget link occupancy and all queue state (between independent

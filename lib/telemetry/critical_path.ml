@@ -1,10 +1,10 @@
 (* Critical-path analysis over causal span trees.
 
-   Spans are reconstructed from the trace sink's async Begin/End pairs
-   and arranged into containment trees (parent id 0 = root or
-   flow-linked).  Each exemplar recorded by a [Metrics] histogram names
-   a trace id; the analyzer walks that trace's root tree and decomposes
-   the root's end-to-end duration into cause segments using self-time:
+   The trace sink stores each span whole; spans are arranged into
+   containment trees (parent id 0 = root or flow-linked).  Each
+   exemplar recorded by a [Metrics] histogram names a trace id; the
+   analyzer walks that trace's root tree and decomposes the root's
+   end-to-end duration into cause segments using self-time:
 
      self(s) = dur(s) - sum(dur(child) for parented children of s)
 
@@ -14,134 +14,41 @@
    duration EXACTLY, as int64 arithmetic — the decomposition is audited
    by construction, never "approximately adds up". *)
 
-type span = {
-  s_id : int;
-  s_trace : int;
-  s_parent : int;
-  s_name : string;
-  s_cat : string;
-  s_lane : string;
-  s_begin_ns : float;
-  s_end_ns : float;
-  s_args : (string * Json.t) list;  (* begin-side args *)
-}
+type span = Trace.span
 
 (* --- schema validation --------------------------------------------------- *)
 
-(* Structural invariants of an emitted trace:
-   - every End pairs with exactly one earlier Begin of the same span id
-     and trace id, and never runs backwards in time;
-   - every Begin is eventually Ended;
-   - a nonzero parent names a Begin-ed span of the same trace, and the
-     child's [begin, end] interval nests inside the parent's;
-   - every flow start/end pair refers to a span that exists. *)
-let validate evs =
+(* Structural invariants of recorded spans: span ids are unique, no
+   span ends before it begins, and a nonzero parent names a span of the
+   same trace whose [begin, end] interval contains the child's.  A
+   capped sink keeps or drops spans whole, so only a parent can go
+   missing. *)
+let validate (spans : span list) =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let begins = Hashtbl.create 64 in
-  let ended = Hashtbl.create 64 in
+  let by_id = Hashtbl.create 64 in
   List.iter
-    (fun (ev : Trace.event) ->
-      match ev.Trace.ev_phase with
-      | Trace.Begin ->
-        if ev.Trace.ev_span = 0 then err "begin %S without a span id" ev.Trace.ev_name;
-        if Hashtbl.mem begins ev.Trace.ev_span then
-          err "span %d begun twice" ev.Trace.ev_span
-        else Hashtbl.replace begins ev.Trace.ev_span ev
-      | Trace.End -> (
-        match Hashtbl.find_opt begins ev.Trace.ev_span with
-        | None -> err "end of span %d without a begin" ev.Trace.ev_span
-        | Some b ->
-          if Hashtbl.mem ended ev.Trace.ev_span then
-            err "span %d ended twice" ev.Trace.ev_span;
-          if b.Trace.ev_trace <> ev.Trace.ev_trace then
-            err "span %d changes trace id between begin and end"
-              ev.Trace.ev_span;
-          if ev.Trace.ev_ts_ns < b.Trace.ev_ts_ns then
-            err "span %d ends before it begins" ev.Trace.ev_span;
-          Hashtbl.replace ended ev.Trace.ev_span ev)
-      | _ -> ())
-    evs;
-  Hashtbl.iter
-    (fun id _ ->
-      if not (Hashtbl.mem ended id) then err "span %d never ends" id)
-    begins;
-  (* Parent existence and containment. *)
-  Hashtbl.iter
-    (fun id (b : Trace.event) ->
-      let parent = b.Trace.ev_parent in
-      if parent <> 0 then
-        match (Hashtbl.find_opt begins parent, Hashtbl.find_opt ended id) with
-        | None, _ -> err "span %d has unknown parent %d" id parent
-        | Some pb, Some e -> (
-          if pb.Trace.ev_trace <> b.Trace.ev_trace then
-            err "span %d and parent %d are in different traces" id parent;
-          match Hashtbl.find_opt ended parent with
-          | None -> ()
-          | Some pe ->
-            if
-              b.Trace.ev_ts_ns < pb.Trace.ev_ts_ns
-              || e.Trace.ev_ts_ns > pe.Trace.ev_ts_ns
-            then
-              err "span %d [%g, %g] does not nest within parent %d [%g, %g]"
-                id b.Trace.ev_ts_ns e.Trace.ev_ts_ns parent pb.Trace.ev_ts_ns
-                pe.Trace.ev_ts_ns)
-        | Some _, None -> ())
-    begins;
-  (* Flow referential integrity. *)
-  let flow_starts = Hashtbl.create 16 in
-  let flow_ends = Hashtbl.create 16 in
+    (fun (s : span) ->
+      if Hashtbl.mem by_id s.sp_id then err "span %d recorded twice" s.sp_id
+      else Hashtbl.replace by_id s.sp_id s;
+      if s.sp_end_ns < s.sp_begin_ns then
+        err "span %d ends before it begins" s.sp_id)
+    spans;
   List.iter
-    (fun (ev : Trace.event) ->
-      match ev.Trace.ev_phase with
-      | Trace.Flow_start -> Hashtbl.replace flow_starts ev.Trace.ev_span ev
-      | Trace.Flow_end -> Hashtbl.replace flow_ends ev.Trace.ev_span ev
-      | _ -> ())
-    evs;
-  Hashtbl.iter
-    (fun id _ ->
-      if not (Hashtbl.mem flow_ends id) then
-        err "flow %d started but never bound" id;
-      if not (Hashtbl.mem begins id) then
-        err "flow %d refers to an unknown span" id)
-    flow_starts;
-  Hashtbl.iter
-    (fun id _ ->
-      if not (Hashtbl.mem flow_starts id) then
-        err "flow %d bound but never started" id)
-    flow_ends;
+    (fun (s : span) ->
+      if s.sp_parent <> 0 then
+        match Hashtbl.find_opt by_id s.sp_parent with
+        | None -> err "span %d has unknown parent %d" s.sp_id s.sp_parent
+        | Some p ->
+          if p.sp_trace <> s.sp_trace then
+            err "span %d and parent %d are in different traces" s.sp_id
+              s.sp_parent;
+          if s.sp_begin_ns < p.sp_begin_ns || s.sp_end_ns > p.sp_end_ns then
+            err "span %d [%g, %g] does not nest within parent %d [%g, %g]"
+              s.sp_id s.sp_begin_ns s.sp_end_ns s.sp_parent p.sp_begin_ns
+              p.sp_end_ns)
+    spans;
   List.rev !errors
-
-(* --- span reconstruction ------------------------------------------------- *)
-
-let spans_of_events evs =
-  let begins = Hashtbl.create 64 in
-  let spans = ref [] in
-  List.iter
-    (fun (ev : Trace.event) ->
-      match ev.Trace.ev_phase with
-      | Trace.Begin -> Hashtbl.replace begins ev.Trace.ev_span ev
-      | Trace.End -> (
-        match Hashtbl.find_opt begins ev.Trace.ev_span with
-        | None -> ()
-        | Some b ->
-          Hashtbl.remove begins ev.Trace.ev_span;
-          spans :=
-            {
-              s_id = b.Trace.ev_span;
-              s_trace = b.Trace.ev_trace;
-              s_parent = b.Trace.ev_parent;
-              s_name = b.Trace.ev_name;
-              s_cat = b.Trace.ev_cat;
-              s_lane = b.Trace.ev_lane;
-              s_begin_ns = b.Trace.ev_ts_ns;
-              s_end_ns = ev.Trace.ev_ts_ns;
-              s_args = b.Trace.ev_args;
-            }
-            :: !spans)
-      | _ -> ())
-    evs;
-  List.rev !spans
 
 (* --- decomposition ------------------------------------------------------- *)
 
@@ -171,21 +78,21 @@ let arg_float args name =
   | Some (Json.Int i) -> float_of_int i
   | _ -> 0.0
 
-let dur_fp s =
-  Int64.sub (Attribution.fp_of_ns s.s_end_ns) (Attribution.fp_of_ns s.s_begin_ns)
+let dur_fp (s : span) =
+  Int64.sub (Attribution.fp_of_ns s.sp_end_ns) (Attribution.fp_of_ns s.sp_begin_ns)
 
 (* Decompose the containment tree rooted at [root]: walk every parented
    descendant, credit its self-time to a cause segment.  Net member
    spans split their self-time further into queue/wire/retry using the
    completion's telescoped components (retry takes the exact residual,
    so the split introduces no rounding drift). *)
-let decompose spans ~root =
+let decompose (spans : span list) ~(root : span) =
   let children = Hashtbl.create 16 in
   List.iter
-    (fun s ->
-      if s.s_parent <> 0 then
-        Hashtbl.replace children s.s_parent
-          (s :: Option.value ~default:[] (Hashtbl.find_opt children s.s_parent)))
+    (fun (s : span) ->
+      if s.sp_parent <> 0 then
+        Hashtbl.replace children s.sp_parent
+          (s :: Option.value ~default:[] (Hashtbl.find_opt children s.sp_parent)))
     spans;
   let totals = Hashtbl.create 8 in
   let credit seg fp =
@@ -193,16 +100,16 @@ let decompose spans ~root =
       (Int64.add fp (Option.value ~default:0L (Hashtbl.find_opt totals seg)))
   in
   let count = ref 0 in
-  let rec walk s =
+  let rec walk (s : span) =
     incr count;
-    let kids = Option.value ~default:[] (Hashtbl.find_opt children s.s_id) in
+    let kids = Option.value ~default:[] (Hashtbl.find_opt children s.sp_id) in
     let kids_fp =
       List.fold_left (fun acc k -> Int64.add acc (dur_fp k)) 0L kids
     in
     let self = Int64.sub (dur_fp s) kids_fp in
-    (if s.s_cat = "net" then begin
-       let q = Attribution.fp_of_ns (arg_float s.s_args "queue_ns") in
-       let w = Attribution.fp_of_ns (arg_float s.s_args "wire_ns") in
+    (if s.sp_cat = "net" then begin
+       let q = Attribution.fp_of_ns (arg_float s.sp_args "queue_ns") in
+       let w = Attribution.fp_of_ns (arg_float s.sp_args "wire_ns") in
        (* Residual keeps the sum exact even where q + w round off. *)
        let r = Int64.sub self (Int64.add q w) in
        credit Queue q;
@@ -211,8 +118,8 @@ let decompose spans ~root =
      end
      else
        let seg =
-         if s.s_name = "failover" then Recovery
-         else if s.s_cat = "cache" then Fill
+         if s.sp_name = "failover" then Recovery
+         else if s.sp_cat = "cache" then Fill
          else Local
        in
        credit seg self);
@@ -220,7 +127,7 @@ let decompose spans ~root =
   in
   walk root;
   {
-    d_trace = root.s_trace;
+    d_trace = root.sp_trace;
     d_root = root;
     d_total_fp = dur_fp root;
     d_segments =
@@ -235,12 +142,12 @@ let decompose spans ~root =
    no parent.  Flow-linked spans of the same trace are also parentless
    but minted later (children are created while their originator runs),
    so minimum span id picks the originating deref/fault. *)
-let root_of spans ~trace =
+let root_of (spans : span list) ~trace =
   List.fold_left
-    (fun acc s ->
-      if s.s_trace = trace && s.s_parent = 0 then
+    (fun (acc : span option) (s : span) ->
+      if s.sp_trace = trace && s.sp_parent = 0 then
         match acc with
-        | Some best when best.s_id <= s.s_id -> acc
+        | Some best when best.sp_id <= s.sp_id -> acc
         | _ -> Some s
       else acc)
     None spans
@@ -257,8 +164,7 @@ type exemplar_path = {
    Exemplars without a trace id (tracing off, or the sample predates
    enabling) and traces whose spans were dropped from the sink buffer
    are skipped. *)
-let paths reg evs =
-  let spans = spans_of_events evs in
+let paths reg spans =
   List.concat_map
     (fun name ->
       match Metrics.find reg name with
@@ -283,9 +189,9 @@ let decomposition_to_json d =
   Json.Obj
     [
       ("trace", Json.Int d.d_trace);
-      ("root", Json.Int d.d_root.s_id);
-      ("root_name", Json.Str d.d_root.s_name);
-      ("root_lane", Json.Str d.d_root.s_lane);
+      ("root", Json.Int d.d_root.sp_id);
+      ("root_name", Json.Str d.d_root.sp_name);
+      ("root_lane", Json.Str d.d_root.sp_lane);
       ("spans", Json.Int d.d_spans);
       ("total_ns", Json.Float (Attribution.ns_of_fp d.d_total_fp));
       ("total_fp", Json.Str (Int64.to_string d.d_total_fp));
@@ -311,13 +217,13 @@ let path_to_json p =
       ("critical_path", decomposition_to_json p.p_decomp);
     ]
 
-let report reg evs =
-  let ps = paths reg evs in
-  let errors = validate evs in
+let report reg spans =
+  let ps = paths reg spans in
+  let errors = validate spans in
   Json.Obj
     [
-      (* A capped sink truncates span groups, so validation is only
-         conclusive when nothing was dropped. *)
+      (* A capped sink drops whole spans: a parent may be missing, so
+         validation is only conclusive when nothing was dropped. *)
       ("dropped_events", Json.Int (Trace.dropped ()));
       ("schema_errors", Json.List (List.map (fun e -> Json.Str e) errors));
       ("exemplars", Json.List (List.map path_to_json ps));
@@ -326,7 +232,7 @@ let report reg evs =
 (* Folded text form (flamegraph-style): one line per exemplar segment,
    [hist;root_name;segment <fp>], fp = 2^-16 ns so lines for one
    exemplar sum exactly to its total. *)
-let folded reg evs =
+let folded reg spans =
   let buf = Buffer.create 1024 in
   List.iter
     (fun p ->
@@ -334,8 +240,8 @@ let folded reg evs =
         (fun (seg, fp) ->
           if Int64.compare fp 0L <> 0 then
             Buffer.add_string buf
-              (Printf.sprintf "%s;%s;%s %Ld\n" p.p_hist p.p_decomp.d_root.s_name
+              (Printf.sprintf "%s;%s;%s %Ld\n" p.p_hist p.p_decomp.d_root.sp_name
                  (segment_name seg) fp))
         p.p_decomp.d_segments)
-    (paths reg evs);
+    (paths reg spans);
   Buffer.contents buf

@@ -7,11 +7,16 @@
     trace's thread, so each section / the network / the controller get
     their own row in [chrome://tracing] or Perfetto.
 
-    Beyond flat [Complete]/[Instant] events, the sink supports causal
-    spans: async begin/end pairs ([ph:"b"]/[ph:"e"]) carrying a trace
-    id, a span id, and an optional parent span id, plus flow arrows
-    ([ph:"s"]/[ph:"f"]) for asynchronous causality that must not imply
-    nesting (prefetch, detached writeback).  A [span_ctx] is the
+    Beyond flat [Complete]/[Instant] events, the sink records causal
+    spans, each stored whole as one [span] record: a trace id, a span
+    id, an optional parent span id, begin and end times, and optionally
+    the lane a flow arrow into the span starts on (net member spans
+    draw one from the requesting layer; for asynchronous causality
+    such as prefetch or detached writeback the arrow is the only link,
+    with no parent).  [to_jsonl]
+    alone renders a span as Chrome async begin/end events
+    ([ph:"b"]/[ph:"e"]), preceded and followed by a flow arrow
+    ([ph:"s"]/[ph:"f"]) when it has a flow source.  A [span_ctx] is the
     propagation record: the runtime mints one per traced access and
     layers forward it (the net layer carries it inside the request
     record), so one far-memory access renders as a parent→child tree
@@ -19,14 +24,16 @@
 
     Hot paths must guard event construction with [enabled ()]; when the
     sink is disabled that is the only cost (one bool read, zero
-    simulated time).  The buffer is capped ([set_limit], default
-    200_000 events): once full, further events are dropped and counted.
+    simulated time).  The buffer is capped in rendered events
+    ([set_limit], default 200_000): a span counts the two or four lines
+    it renders as and is admitted or dropped whole, so the buffer never
+    holds half a span.  Events beyond the cap are dropped and counted.
     [controller]-category events survive past the main cap so decision
     history is retained on trace-heavy runs, but under their own
     generous cap ([set_ctrl_limit], default 20_000) — overflow beyond
     that is counted in [dropped] like everything else. *)
 
-type phase = Complete | Instant | Begin | End | Flow_start | Flow_end
+type phase = Complete | Instant
 
 type event = {
   ev_name : string;
@@ -35,16 +42,28 @@ type event = {
   ev_ts_ns : float;  (** simulated time *)
   ev_dur_ns : float;  (** [Complete] only; 0 otherwise *)
   ev_lane : string;
-  ev_trace : int;  (** [Begin]/[End]/flows; 0 = none *)
-  ev_span : int;  (** span id ([Begin]/[End]) or flow id; 0 = none *)
-  ev_parent : int;  (** [Begin] only; 0 = root or flow-linked *)
   ev_args : (string * Json.t) list;
+}
+
+type span = {
+  sp_name : string;
+  sp_cat : string;
+  sp_lane : string;
+  sp_trace : int;  (** trace id, nonzero *)
+  sp_id : int;  (** span id, nonzero *)
+  sp_parent : int;
+      (** containing span's id; 0 = root or flow-linked.  A nonzero
+          parent asserts containment within that span. *)
+  sp_begin_ns : float;  (** simulated time *)
+  sp_end_ns : float;
+  sp_args : (string * Json.t) list;
+  sp_flow_from : string option;
+      (** lane a flow arrow into this span starts on, if any *)
 }
 
 type span_ctx = {
   sc_trace : int;  (** trace id: one per traced access *)
   sc_span : int;  (** the parent span's id *)
-  sc_site : int;  (** MIR site id of the deref, or -1 *)
   sc_lane : string;  (** parent span's lane (flow arrows start there) *)
   sc_flow : bool;
       (** asynchronous causality: children link with flow arrows only
@@ -60,13 +79,19 @@ val enabled : unit -> bool
 val clear : unit -> unit
 
 val set_limit : int -> unit
-(** Buffer cap; events beyond it are dropped (controller category gets
-    its own headroom, see [set_ctrl_limit]). *)
+(** Buffer cap in rendered events; records beyond it are dropped whole
+    (controller category gets its own headroom, see
+    [set_ctrl_limit]). *)
 
 val set_ctrl_limit : int -> unit
 (** Cap on controller events admitted after the main buffer is full. *)
 
 val dropped : unit -> int
+(** Rendered events dropped at the cap. *)
+
+val count : unit -> int
+(** Rendered events buffered: what [to_jsonl] writes between its lane
+    and summary records. *)
 
 val mark : unit -> unit -> unit
 (** [mark ()] returns [rewind], which puts the sink back as it is now:
@@ -94,44 +119,32 @@ val complete :
   ?args:(string * Json.t) list ->
   name:string -> cat:string -> lane:string -> ts_ns:float -> dur_ns:float ->
   unit -> unit
-(** Record a span.  No-op when disabled. *)
+(** Record a flat [ph:"X"] span.  No-op when disabled. *)
 
 val instant :
   ?args:(string * Json.t) list ->
   name:string -> cat:string -> lane:string -> ts_ns:float -> unit -> unit
 
-val begin_span :
+val span :
   ?args:(string * Json.t) list ->
   ?parent:int ->
-  name:string -> cat:string -> lane:string -> ts_ns:float -> trace:int ->
-  span:int -> unit -> unit
-(** Async span open.  [parent = 0] (default) marks a root or a
-    flow-linked span; a nonzero parent asserts containment within that
-    span. *)
-
-val end_span :
-  ?args:(string * Json.t) list ->
-  name:string -> cat:string -> lane:string -> ts_ns:float -> trace:int ->
-  span:int -> unit -> unit
-(** Async span close; must pair with a [begin_span] of the same
-    [span] id. *)
-
-val flow_start :
-  name:string -> cat:string -> lane:string -> ts_ns:float -> trace:int ->
-  id:int -> unit -> unit
-(** Flow arrow tail.  [id] is the target span's id; the matching
-    [flow_end] binds the head to that span. *)
-
-val flow_end :
-  name:string -> cat:string -> lane:string -> ts_ns:float -> trace:int ->
-  id:int -> unit -> unit
+  ?flow_from:string ->
+  name:string -> cat:string -> lane:string -> trace:int -> span:int ->
+  begin_ns:float -> end_ns:float -> unit -> unit
+(** Record one causal span whole.  [parent = 0] (default) marks a root
+    or a flow-linked span; [flow_from] draws a flow arrow from that lane
+    into the span.  No-op when disabled. *)
 
 val events : unit -> event list
-(** Buffered events, oldest first. *)
+(** Buffered flat events, oldest first. *)
+
+val spans : unit -> span list
+(** Buffered spans, oldest first. *)
 
 val to_jsonl : unit -> string
 (** The buffered trace as JSONL: one [thread_name] metadata record per
-    lane, then one event per line, and a final [mira_trace_summary]
-    metadata record carrying the drop count.  Loadable by Perfetto and
+    lane, then one event per line (a span's [b]/[e] and [s]/[f] lines
+    appear only here), and a final [mira_trace_summary] metadata record
+    carrying the event and drop counts.  Loadable by Perfetto and
     [chrome://tracing] (after wrapping in a JSON array; see
     docs/OBSERVABILITY.md). *)

@@ -593,7 +593,6 @@ let run_tenant ?timeline cfg (ms : Memsys.t) ~base ~tenant:i rng gen st =
            {
              Trace.sc_trace = trace;
              sc_span = span;
-             sc_site = site;
              sc_lane = serving_lane i;
              sc_flow = false;
            });
@@ -617,19 +616,16 @@ let run_tenant ?timeline cfg (ms : Memsys.t) ~base ~tenant:i rng gen st =
     let emitted = traced && Clock.stalled_ns c > stall0 in
     if traced then begin
       Trace.set_ctx saved;
-      if emitted then begin
-        Trace.begin_span
+      if emitted then
+        Trace.span
           ~args:
             [
               ("tenant", Json.Int i);
               ("key", Json.Int key);
               ("op", Json.Str (if is_get then "get" else "put"));
             ]
-          ~name:"request" ~cat:"serving" ~lane:(serving_lane i)
-          ~ts_ns:!arrival ~trace ~span ();
-        Trace.end_span ~name:"request" ~cat:"serving" ~lane:(serving_lane i)
-          ~ts_ns:finish ~trace ~span ()
-      end
+          ~name:"request" ~cat:"serving" ~lane:(serving_lane i) ~trace ~span
+          ~begin_ns:!arrival ~end_ns:finish ()
     end;
     let lat = finish -. !arrival in
     st.ts_lats.(r) <- lat;

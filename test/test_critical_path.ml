@@ -1,6 +1,6 @@
-(* The critical-path analyzer: span reconstruction and schema
-   validation over the trace sink's async begin/end events, exact
-   fixed-point decomposition of tail exemplars, and the folded export.
+(* The critical-path analyzer: schema validation over the trace sink's
+   whole spans, exact fixed-point decomposition of tail exemplars, the
+   folded export, and a capped sink that keeps spans whole.
 
    The exactness claim under test is the one the analyzer's design
    leans on: self-times telescope over the containment tree, so an
@@ -27,7 +27,7 @@ type path = {
   segments_fp : (string * int64) list;
 }
 
-let paths reg evs =
+let paths reg spans =
   let field k j =
     match Json.member k j with
     | Some v -> v
@@ -60,7 +60,7 @@ let paths reg evs =
         | _ -> Alcotest.fail "segments_fp not an object");
     }
   in
-  match field "exemplars" (CP.report reg evs) with
+  match field "exemplars" (CP.report reg spans) with
   | Json.List exs -> List.map path exs
   | _ -> Alcotest.fail "exemplars not a list"
 
@@ -82,10 +82,9 @@ let fixed_recipe =
     tabled = None;
   }
 
-(* Run [recipe] on a fresh Mira runtime under tracing; returns the
-   runtime (whose metrics registry holds the run's exemplars), the
-   buffered events, and the drop count. *)
-let traced_run recipe =
+(* Run [recipe] on a fresh Mira runtime with the sink enabled; the
+   caller reads the sink, then disables and clears it. *)
+let run_traced recipe =
   let prog = R.build_program recipe in
   Trace.enable ();
   let rt =
@@ -94,18 +93,25 @@ let traced_run recipe =
          ~far_capacity:R.far_capacity)
   in
   let _v = R.run_on (Runtime.memsys rt) prog in
-  let evs = Trace.events () in
+  rt
+
+(* [run_traced], returning the runtime (whose metrics registry holds
+   the run's exemplars), the buffered spans and flat events, and the
+   drop count. *)
+let traced_run recipe =
+  let rt = run_traced recipe in
+  let spans = Trace.spans () and evs = Trace.events () in
   let dropped = Trace.dropped () in
   Trace.disable ();
   Trace.clear ();
-  (rt, evs, dropped)
+  (rt, spans, evs, dropped)
 
 let test_seeded_exemplars () =
-  let rt, evs, dropped = traced_run fixed_recipe in
+  let rt, spans, _, dropped = traced_run fixed_recipe in
   Alcotest.(check int) "nothing dropped" 0 dropped;
-  Alcotest.(check (list string)) "schema well-formed" [] (CP.validate evs);
+  Alcotest.(check (list string)) "schema well-formed" [] (CP.validate spans);
   let reg = Mira.Report.runtime_metrics rt in
-  let ps = paths reg evs in
+  let ps = paths reg spans in
   Alcotest.(check bool) "at least one exemplar path" true (ps <> []);
   (* every histogram that recorded traced exemplars gets >= 1
      decomposition — the p99 a report shows always links to a trace *)
@@ -142,7 +148,7 @@ let test_seeded_exemplars () =
     ps;
   (* the folded export carries the same exact sums: every line is
      [hist;root;segment <fp>] with a positive integer weight *)
-  let folded = CP.folded reg evs in
+  let folded = CP.folded reg spans in
   let lines =
     String.split_on_char '\n' folded |> List.filter (fun l -> l <> "")
   in
@@ -171,111 +177,140 @@ let test_seeded_exemplars () =
    (the first-minted parentless span of the trace), not at any later
    flow-linked child. *)
 let test_root_selection () =
-  let rt, evs, _ = traced_run fixed_recipe in
+  let rt, spans, _, _ = traced_run fixed_recipe in
   let reg = Mira.Report.runtime_metrics rt in
   List.iter
     (fun p ->
       Alcotest.(check bool) "root is parentless" true
         (List.exists
-           (fun e ->
-             e.Trace.ev_phase = Trace.Begin && e.Trace.ev_trace = p.trace
-             && e.Trace.ev_span = p.root && e.Trace.ev_parent = 0)
-           evs);
+           (fun s ->
+             s.Trace.sp_trace = p.trace && s.Trace.sp_id = p.root
+             && s.Trace.sp_parent = 0)
+           spans);
       Alcotest.(check string) "root lives on the runtime lane" "runtime"
         p.root_lane)
-    (paths reg evs)
+    (paths reg spans)
 
 (* --- validator ----------------------------------------------------------- *)
 
-let ev ?(args = []) ?(parent = 0) ?(cat = "net") ~phase ~trace ~span ~ts name =
+let sp ?(parent = 0) ?(cat = "net") ?flow_from ~trace ~span ~b ~e name =
   {
-    Trace.ev_name = name;
-    ev_cat = cat;
-    ev_phase = phase;
-    ev_ts_ns = ts;
-    ev_dur_ns = 0.0;
-    ev_lane = "net";
-    ev_trace = trace;
-    ev_span = span;
-    ev_parent = parent;
-    ev_args = args;
+    Trace.sp_name = name;
+    sp_cat = cat;
+    sp_lane = "net";
+    sp_trace = trace;
+    sp_id = span;
+    sp_parent = parent;
+    sp_begin_ns = b;
+    sp_end_ns = e;
+    sp_args = [];
+    sp_flow_from = flow_from;
   }
 
 (* A minimal well-formed trace: root span 1 containing child span 2,
-   plus a flow arrow into the child. *)
+   with a flow arrow into the child. *)
 let well_formed =
   [
-    ev ~cat:"runtime" ~phase:Trace.Begin ~trace:7 ~span:1 ~ts:0.0 "load";
-    ev ~phase:Trace.Flow_start ~trace:7 ~span:2 ~ts:0.5 "net.link";
-    ev ~phase:Trace.Begin ~trace:7 ~span:2 ~parent:1 ~ts:1.0 "net.read";
-    ev ~phase:Trace.Flow_end ~trace:7 ~span:2 ~ts:1.0 "net.link";
-    ev ~phase:Trace.End ~trace:7 ~span:2 ~ts:2.0 "net.read";
-    ev ~cat:"runtime" ~phase:Trace.End ~trace:7 ~span:1 ~ts:3.0 "load";
+    sp ~flow_from:"runtime" ~trace:7 ~span:2 ~parent:1 ~b:1.0 ~e:2.0
+      "net.read";
+    sp ~cat:"runtime" ~trace:7 ~span:1 ~b:0.0 ~e:3.0 "load";
   ]
 
-let check_rejects what evs =
-  Alcotest.(check bool) what true (CP.validate evs <> [])
+let check_rejects what spans =
+  Alcotest.(check bool) what true (CP.validate spans <> [])
 
+(* Tamper with span 2 only. *)
+let child f = List.map (fun s -> if s.Trace.sp_id = 2 then f s else s) well_formed
+
+(* A span record cannot be unended, ended without a begin, or carry a
+   dangling flow arrow; what is left to catch is cross-span. *)
 let test_validator_tampering () =
   Alcotest.(check (list string)) "well-formed passes" [] (CP.validate well_formed);
-  check_rejects "unended span rejected"
-    (List.filter
-       (fun e -> not (e.Trace.ev_phase = Trace.End && e.Trace.ev_span = 2))
-       well_formed);
-  check_rejects "end without begin rejected"
-    (List.filter
-       (fun e -> not (e.Trace.ev_phase = Trace.Begin && e.Trace.ev_span = 2))
-       well_formed);
   check_rejects "child escaping its parent rejected"
-    (List.map
-       (fun e ->
-         if e.Trace.ev_phase = Trace.End && e.Trace.ev_span = 2 then
-           { e with Trace.ev_ts_ns = 9.0 }
-         else e)
-       well_formed);
+    (child (fun s -> { s with Trace.sp_end_ns = 9.0 }));
   check_rejects "end preceding begin rejected"
-    (List.map
-       (fun e ->
-         if e.Trace.ev_phase = Trace.End && e.Trace.ev_span = 2 then
-           { e with Trace.ev_ts_ns = 0.25 }
-         else e)
-       well_formed);
+    (child (fun s -> { s with Trace.sp_end_ns = 0.25 }));
   check_rejects "unknown parent rejected"
-    (List.map
+    (child (fun s -> { s with Trace.sp_parent = 99 }));
+  check_rejects "duplicate span id rejected"
+    (child (fun s -> { s with Trace.sp_id = 1 }));
+  check_rejects "parent in another trace rejected"
+    (child (fun s -> { s with Trace.sp_trace = 8 }))
+
+(* --- capped sink ----------------------------------------------------------- *)
+
+(* The rendered event lines of [Trace.to_jsonl ()] (metadata records
+   left out), as (ph, line) pairs. *)
+let rendered () =
+  String.split_on_char '\n' (Trace.to_jsonl ())
+  |> List.filter_map (fun l ->
+         match Json.parse l with
+         | Ok j -> (
+           match Json.member "ph" j with
+           | Some (Json.Str ph) when ph <> "M" -> Some (ph, j)
+           | _ -> None)
+         | Error _ -> None)
+
+(* A cap that falls between a net member's [b] and its [f]: the sink
+   admits or drops the span whole, so every [b] still has its [e],
+   every [s] its [f], and no span is left open. *)
+let test_capped_trace_keeps_spans_whole () =
+  let _ = run_traced fixed_recipe in
+  let full = rendered () in
+  Trace.disable ();
+  Trace.clear ();
+  let rec first_flow i = function
+    | [] -> Alcotest.fail "no flow arrow in the uncapped trace"
+    | ("s", _) :: _ -> i
+    | _ :: rest -> first_flow (i + 1) rest
+  in
+  (* admits the s and b of the first s,b,f,e group, one at a time *)
+  Trace.set_limit (first_flow 0 full + 2);
+  let _ = run_traced fixed_recipe in
+  let capped = rendered () and spans = Trace.spans () in
+  let dropped = Trace.dropped () in
+  Trace.set_limit 200_000;
+  Trace.disable ();
+  Trace.clear ();
+  Alcotest.(check bool) "the cap was hit" true (dropped > 0);
+  let ids ph key =
+    List.filter_map
+      (fun (p, j) ->
+        if p <> ph then None
+        else
+          match key j with
+          | Some (Json.Int i) -> Some i
+          | Some (Json.Str s) -> Some (int_of_string s)
+          | _ -> Alcotest.failf "%s line without an id" ph)
+      capped
+    |> List.sort compare
+  in
+  let span j = Option.bind (Json.member "args" j) (Json.member "span") in
+  let id j = Json.member "id" j in
+  Alcotest.(check (list int)) "every b has its e" (ids "b" span) (ids "e" span);
+  Alcotest.(check (list int)) "every s has its f" (ids "s" id) (ids "f" id);
+  Alcotest.(check bool) "no span left open" false
+    (List.exists
        (fun e ->
-         if e.Trace.ev_phase = Trace.Begin && e.Trace.ev_span = 2 then
-           { e with Trace.ev_parent = 99 }
-         else e)
-       well_formed);
-  check_rejects "dangling flow end rejected"
-    (List.filter (fun e -> e.Trace.ev_phase <> Trace.Flow_start) well_formed);
-  check_rejects "flow into a never-emitted span rejected"
-    (List.map
-       (fun e ->
-         match e.Trace.ev_phase with
-         | Trace.Flow_start | Trace.Flow_end -> { e with Trace.ev_span = 42 }
-         | _ -> e)
-       well_formed)
+         let n = String.length e in
+         n >= 10 && String.sub e (n - 10) 10 = "never ends")
+       (CP.validate spans))
 
 (* Decomposition of the synthetic trace: the net child's queue/wire
    args split its self-time, the root keeps the rest as local time,
    and everything telescopes. *)
 let test_decompose_synthetic () =
   let q = Mira_telemetry.Json.Float 0.25 and w = Mira_telemetry.Json.Float 0.5 in
-  let evs =
-    List.map
-      (fun e ->
-        if e.Trace.ev_phase = Trace.Begin && e.Trace.ev_span = 2 then
-          { e with Trace.ev_args = [ ("queue_ns", q); ("wire_ns", w) ] }
-        else e)
-      well_formed
+  let spans =
+    child (fun s ->
+        { s with Trace.sp_args = [ ("queue_ns", q); ("wire_ns", w) ] })
   in
   (* One exemplar naming trace 7 makes the report decompose it. *)
   let reg = Metrics.create () in
   let h = Metrics.hist_create () in
   Metrics.hist_observe ~trace:7 h 3.0;
   Metrics.set_hist reg "synthetic" h;
-  match paths reg evs with
+  match paths reg spans with
   | [ d ] ->
     let fp ns = Int64.of_float (ns *. 65536.0) in
     Alcotest.(check int) "trace 7" 7 d.trace;
@@ -307,14 +342,15 @@ let test_doc_drift_guard () =
   let doc =
     In_channel.with_open_bin "../docs/OBSERVABILITY.md" In_channel.input_all
   in
-  let _, evs, _ = traced_run fixed_recipe in
+  let _, spans, evs, _ = traced_run fixed_recipe in
   let span_names =
-    List.filter_map
-      (fun e ->
-        match e.Trace.ev_phase with
-        | Trace.Begin | Trace.Instant -> Some e.Trace.ev_name
-        | _ -> None)
-      evs
+    List.map (fun s -> s.Trace.sp_name) spans
+    @ List.filter_map
+        (fun e ->
+          match e.Trace.ev_phase with
+          | Trace.Instant -> Some e.Trace.ev_name
+          | Trace.Complete -> None)
+        evs
     |> List.sort_uniq compare
   in
   Alcotest.(check bool) "traced run emits spans to document" true
@@ -349,11 +385,12 @@ let qcheck_span_trees =
     ~count:15
     (QCheck.make ~print:R.pp_recipe R.gen_recipe)
     (fun recipe ->
-      let _rt, evs, dropped = traced_run recipe in
-      (* a capped sink truncates span groups; validation is only
-         meaningful when nothing was dropped (never the case for these
-         small programs, but don't let the property hinge on it) *)
-      dropped > 0 || CP.validate evs = [])
+      let _rt, spans, _, dropped = traced_run recipe in
+      (* a capped sink can drop a parent and keep its child;
+         validation is only meaningful when nothing was dropped (never
+         the case for these small programs, but don't let the property
+         hinge on it) *)
+      dropped > 0 || CP.validate spans = [])
 
 let suite =
   [
@@ -363,6 +400,8 @@ let suite =
       test_root_selection;
     Alcotest.test_case "validator catches tampering" `Quick
       test_validator_tampering;
+    Alcotest.test_case "capped trace keeps spans whole" `Quick
+      test_capped_trace_keeps_spans_whole;
     Alcotest.test_case "synthetic decomposition" `Quick test_decompose_synthetic;
     Alcotest.test_case "doc drift guard" `Quick test_doc_drift_guard;
     QCheck_alcotest.to_alcotest qcheck_span_trees;

@@ -389,10 +389,11 @@ let test_fail_inflight_spares_landed () =
   Alcotest.(check int) "nothing to fail" 0 (Net.stats net).Net.node_down
 
 let test_set_down_window () =
-  (* Posts during a declared outage complete [Node_down] after the
-     loss-detection timer, without touching the wire. *)
+  (* Posts to a node during its declared outage complete [Node_down]
+     after the loss-detection timer, without touching the wire.  The
+     read below targets node 0, the default. *)
   let net = Net.create p in
-  Net.set_down net ~until:10_000.0;
+  Net.set_node_down net ~node:0 ~until:10_000.0;
   let before = (Net.stats net).Net.msg_count in
   let sq =
     Net.submit net ~now:100.0 (Net.Request.read ~side:Net.One_sided

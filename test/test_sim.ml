@@ -165,12 +165,6 @@ let test_far_store_capacity () =
     (Failure "Far_store: access at 4104 exceeds capacity 4096") (fun () ->
       Far_store.write_le fs ~addr:4096 ~len:8 1L)
 
-let test_far_store_blit_within () =
-  let fs = Far_store.create ~capacity:(1 lsl 12) in
-  Far_store.write_le fs ~addr:0 ~len:8 42L;
-  Far_store.blit_within fs ~src:0 ~dst:512 ~len:8;
-  Alcotest.(check int64) "copied" 42L (Far_store.read_le fs ~addr:512 ~len:8)
-
 (* A read past the written bytes returns zeros and leaves the backing
    buffer as it was; the touched high-water mark still moves. *)
 let test_far_store_read_past_written () =
@@ -276,7 +270,6 @@ let suite =
     Alcotest.test_case "net stats" `Quick test_net_stats;
     Alcotest.test_case "far_store rw" `Quick test_far_store_rw;
     Alcotest.test_case "far_store capacity" `Quick test_far_store_capacity;
-    Alcotest.test_case "far_store blit" `Quick test_far_store_blit_within;
     Alcotest.test_case "far_store read past written" `Quick test_far_store_read_past_written;
     Alcotest.test_case "remote_alloc basic" `Quick test_remote_alloc_basic;
     Alcotest.test_case "remote_alloc exhaustion" `Quick test_remote_alloc_exhaustion;

@@ -345,7 +345,7 @@ let test_end_to_end_report () =
   let rt, machine = C.instantiate compiled in
   let _ = C.measure_work (Runtime.memsys rt) machine in
   let jsonl = Trace.to_jsonl () in
-  let events = Trace.events () in
+  let events = Trace.events () and spans = Trace.spans () in
   Trace.disable ();
   Trace.clear ();
   (* the report parses and carries the decision trace *)
@@ -367,7 +367,8 @@ let test_end_to_end_report () =
       <> None));
   (* the trace saw network transfers and at least one accept/rollback *)
   Alcotest.(check bool) "net spans traced" true
-    (List.exists (fun e -> e.Trace.ev_cat = "net") events);
+    (List.exists (fun e -> e.Trace.ev_cat = "net") events
+    || List.exists (fun s -> s.Trace.sp_cat = "net") spans);
   Alcotest.(check bool) "accept or rollback traced" true
     (List.exists
        (fun e ->
@@ -410,7 +411,7 @@ let test_traced_search_with_aborts () =
   Trace.set_limit 1_000_000;
   Trace.enable ();
   let traced = C.optimize opts prog in
-  let events = Trace.events () and dropped = Trace.dropped () in
+  let spans = Trace.spans () and dropped = Trace.dropped () in
   Trace.disable ();
   Trace.clear ();
   Trace.set_limit 200_000;
@@ -419,9 +420,9 @@ let test_traced_search_with_aborts () =
   Alcotest.(check (list string)) "same decisions traced" (render untraced) (render traced);
   Alcotest.(check int) "nothing dropped" 0 dropped;
   Alcotest.(check bool) "runs traced" true
-    (List.exists (fun e -> e.Trace.ev_phase = Trace.Begin && e.Trace.ev_parent <> 0) events);
+    (List.exists (fun s -> s.Trace.sp_parent <> 0) spans);
   Alcotest.(check (list string)) "trace well formed" []
-    (Mira_telemetry.Critical_path.validate events)
+    (Mira_telemetry.Critical_path.validate spans)
 
 (* Telemetry must never perturb the simulation: work time with the
    trace sink and the stall-attribution ledger enabled equals work
@@ -437,15 +438,13 @@ let test_no_perturbation () =
   let off = run_once ~attr:false () in
   Trace.enable ();
   let on = run_once ~attr:true () in
-  let events = Trace.events () in
+  let spans = Trace.spans () in
   Trace.disable ();
   Trace.clear ();
   (* guard against the check going vacuous: the traced run must have
      actually exercised the causal-span paths, including nesting *)
   Alcotest.(check bool) "traced run emitted causal spans" true
-    (List.exists
-       (fun e -> e.Trace.ev_phase = Trace.Begin && e.Trace.ev_parent <> 0)
-       events);
+    (List.exists (fun s -> s.Trace.sp_parent <> 0) spans);
   Alcotest.(check (float 0.0)) "identical simulated time" off on
 
 (* Resets must clear every run counter: after [reset_timing] all

@@ -143,8 +143,8 @@ let test_sched_tls () =
     let fn = Printf.sprintf "task%d" tenant in
     let ctx =
       Some
-        { Tr.sc_trace = 100 + tenant; sc_span = 200 + tenant; sc_site = tenant;
-          sc_lane = fn; sc_flow = false }
+        { Tr.sc_trace = 100 + tenant; sc_span = 200 + tenant; sc_lane = fn;
+          sc_flow = false }
     in
     fun () ->
       Attribution.set_context attr ~fn ~site:tenant;
